@@ -81,8 +81,9 @@ bench-load:
 bench-storage:
 	cd benchmarks && $(PYTHON) -m pytest bench_storage.py -q
 
-# Per-round kernel stage breakdown (gather/score/rank/truncate) — the
-# only entry point that turns the profiling hooks on.
+# Per-round kernel stage breakdown (gather/score/rank/truncate), rounds
+# per call and us per round, for the memory and the hybrid scenario —
+# the only entry point that turns the profiling hooks on.
 profile-kernel:
 	cd benchmarks && $(PYTHON) profile_kernel.py
 

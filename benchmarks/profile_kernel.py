@@ -1,9 +1,12 @@
-"""Per-round kernel stage profile on the memory scenario.
+"""Per-round kernel stage profile on the memory and hybrid scenarios.
 
-Runs a B=32 batched query stream against the memory index with a
-:class:`repro.engine.KernelProfile` attached and prints where the hot
-path spends its time (neighbor gather, distance scoring, candidate
-re-rank, beam truncate).  The profiling hooks are off (``profile=None``,
+Runs a B=32 batched query stream against the memory index
+(``frontier_width = 1``, packed-CSR gather) and the hybrid index
+(``frontier_width = io_width``, 4 by default, SSD expansion hook) with a
+:class:`repro.engine.KernelProfile` attached and prints where each use
+of the kernel spends its time (neighbor gather, distance scoring,
+candidate re-rank, beam truncate), how many rounds a call takes and
+what a round costs.  The profiling hooks are off (``profile=None``,
 zero timer calls) in every other entry point — this driver is the one
 place that turns them on, so `make profile-kernel` is the supported way
 to answer "which kernel stage got slower?".
@@ -32,14 +35,8 @@ K = 10
 SEED = 0
 
 
-def main() -> int:
-    prepared = prepare(
-        "sift", "vamana", n_base=N_BASE, n_queries=N_QUERIES, seed=SEED
-    )
-    quantizer = make_quantizer(
-        "pq", prepared, NUM_CHUNKS, NUM_CODEWORDS, seed=SEED
-    )
-    index = make_index("memory", prepared, quantizer, seed=SEED)
+def profile_scenario(scenario, prepared, quantizer) -> None:
+    index = make_index(scenario, prepared, quantizer, seed=SEED)
     queries = prepared.dataset.queries[:BATCH_SIZE]
 
     # Warm pass: table cache, workspace pool, and numpy internals all
@@ -56,15 +53,21 @@ def main() -> int:
 
     instrumented = sum(profile.seconds.values())
     print(
-        f"memory scenario (sift, n={N_BASE}), batch {BATCH_SIZE}, "
+        f"{scenario} scenario (sift, n={N_BASE}, frontier width "
+        f"{getattr(index, 'io_width', 1)}), batch {BATCH_SIZE}, "
         f"beam {BEAM}, {PASSES} passes: "
         f"{PASSES * BATCH_SIZE / max(elapsed, 1e-12):.1f} QPS"
     )
     print(profile.report())
+    print(
+        f"  {profile.rounds / max(profile.calls, 1):.1f} rounds per call, "
+        f"{instrumented * 1e6 / max(profile.rounds, 1):.1f} us per round "
+        "in instrumented stages"
+    )
     outside_ms = (elapsed - instrumented) * 1e3
     print(
         f"  (outside stages: {outside_ms:.2f} ms — table build, "
-        "frontier selection, bookkeeping)"
+        "frontier selection, bookkeeping, scenario post-processing)"
     )
     status = index.engine_status()
     cache = status["table_cache"]
@@ -76,6 +79,18 @@ def main() -> int:
     )
     hops = index.search_batch(queries, k=K, beam_width=BEAM).hops
     print(f"mean hops {float(np.mean(hops)):.1f}")
+
+
+def main() -> int:
+    prepared = prepare(
+        "sift", "vamana", n_base=N_BASE, n_queries=N_QUERIES, seed=SEED
+    )
+    quantizer = make_quantizer(
+        "pq", prepared, NUM_CHUNKS, NUM_CODEWORDS, seed=SEED
+    )
+    profile_scenario("memory", prepared, quantizer)
+    print()
+    profile_scenario("hybrid", prepared, quantizer)
     return 0
 
 

@@ -18,15 +18,19 @@ batch size or batch composition.
 Scenario policy is injected through two hooks:
 
 ``expand``
-    Called once per round with the expanded frontier; returns the
-    neighbor lists.  The default reads ``adjacency`` directly; the disk
-    scenario substitutes simulated SSD page reads (which also deliver
-    the full vectors for its exact rerank) and does its per-query I/O
-    accounting inside the hook.
+    Called once per round with the whole batch's frontier, flat;
+    returns the neighbor lists, flat (see :data:`ExpandFn`).  The
+    default reads ``adjacency`` directly; the disk scenario substitutes
+    simulated SSD page reads (which also deliver the full vectors for
+    its exact rerank) and does its per-query I/O accounting inside the
+    hook.
 ``frontier_width``
     How many of a query's closest unvisited candidates are expanded per
     round — 1 for in-memory routing, DiskANN's ``io_width`` for the
-    hybrid scenario's pipelined reads.
+    hybrid scenario's pipelined reads.  Every width runs the same round;
+    within one round a later frontier member sees an earlier member's
+    neighbors as already seen, exactly as if the members were expanded
+    one after another.
 
 Two performance levers are orthogonal to the trajectory and therefore
 bitwise-invisible:
@@ -45,7 +49,7 @@ bitwise-invisible:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,8 +60,6 @@ from .workspace import (
     bitset_row_indices,
     bitset_set,
     bitset_set_dup,
-    bitset_test,
-    bitset_width,
 )
 
 DistanceFn = Callable[[np.ndarray], np.ndarray]
@@ -71,14 +73,20 @@ vertex ``vertex_ids[p]`` — one fancy-indexed call scores a whole
 expansion round of the lockstep kernel.
 """
 
-ExpandFn = Callable[[np.ndarray, List[np.ndarray]], List[np.ndarray]]
-"""Scenario expansion hook: ``(rows, frontiers) -> neighbor lists``.
+ExpandFn = Callable[
+    [np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]
+]
+"""Scenario expansion hook:
+``(rows, frontier, frontier_lens) -> (flat_neighbors, neighbor_lens)``.
 
-``rows`` are the query rows expanded this round; ``frontiers[i]`` the
-vertices expanded for ``rows[i]`` (in candidate-ranking order).  The
-hook returns one neighbor array per expanded vertex, flattened in the
-same row-major order, and may do per-row side accounting (I/O model,
-exact-distance recording) before returning.
+Everything is flat.  ``rows`` are the query rows expanding this round
+(ascending); ``frontier`` holds their frontier vertices back to back,
+``frontier_lens[i]`` of them for ``rows[i]``, each row's in
+candidate-ranking order.  The hook returns what
+:meth:`repro.graphs.packed.PackedAdjacency.gather` would for
+``frontier`` — all neighbor lists concatenated in the same order plus
+one length per frontier vertex — and may do per-row side accounting
+(I/O model, exact-distance recording) before returning.
 """
 
 
@@ -220,12 +228,13 @@ def execute(
 
     Each round expands every still-active query's ``frontier_width``
     closest unvisited candidates, gathers all their neighbors (via
-    ``expand`` or direct adjacency reads), scores every fresh
-    (query, vertex) pair in a single ``dist_fn`` call, and re-ranks all
-    touched candidate rows with one stable ``argsort`` over a shared
-    padded buffer.  The visited/seen sets live in two shared
-    ``(B, ceil(n/8))`` uint8 bitsets; the candidate buffer grows on
-    demand, so no degree bound needs to be known up front.
+    ``expand`` or direct adjacency reads), probes the seen set once for
+    the lot, scores every fresh (query, vertex) pair in a single
+    ``dist_fn`` call, and re-ranks all touched candidate rows with one
+    stable ``argsort`` over a shared padded buffer.  The seen set (and,
+    on request, the expanded set) lives in a shared ``(B, ceil(n/8))``
+    uint8 bitset; the candidate buffer grows on demand, so no degree
+    bound needs to be known up front.
 
     Parameters
     ----------
@@ -288,30 +297,26 @@ def execute(
     gather = getattr(adjacency, "gather", None) if expand is None else None
 
     cap = beam_width + 1
-    col = np.arange(cap)
 
     # Shared per-batch workspaces (recycled across calls when the
     # caller owns a pool; every returned array is copied out below).
     ws = workspace if workspace is not None else KernelWorkspace()
     ws.reset(b, n, cap)
-    width = bitset_width(n)
-    visited = ws.visited
-    seen = ws.seen
+    visited = ws.zeroed_visited(b, n) if collect_visited else None
+    seen_flat = ws.seen.reshape(-1)
+    seen_stride = ws.seen.shape[1]
     cand_ids = ws.cand_ids[:b, :cap]
     cand_d = ws.cand_d[:b, :cap]
     # Positional twin of the visited set, in candidate-buffer space:
     # ``cand_vis[r, c]`` is True when slot ``c`` of row ``r`` holds an
-    # already-expanded vertex *or* padding.  Because ``seen`` keeps any
-    # vertex from occupying two slots, position-visited and id-visited
-    # are interchangeable — and the per-round frontier selection
-    # becomes one boolean invert instead of an n-sized bitset probe.
-    # The id-keyed ``visited`` bitset is only maintained when the
-    # caller asked for the expanded-vertex sets.
+    # already-expanded vertex *or* padding, so the per-round frontier
+    # selection is a scan of ``beam_width`` slots instead of an n-sized
+    # bitset probe.  The id-keyed ``visited`` bitset is only maintained
+    # when the caller asked for the expanded-vertex sets.
     cand_vis = ws.cand_visited[:b, :cap]
     counts = np.ones(b, dtype=np.int64)
     hops = np.zeros(b, dtype=np.int64)
     dist_comps = np.ones(b, dtype=np.int64)
-    active = np.ones(b, dtype=bool)
     traces: Optional[List[List[BeamStep]]] = (
         [[] for _ in range(b)] if record_trace else None
     )
@@ -320,142 +325,97 @@ def execute(
     cand_ids[:, 0] = entries
     cand_d[:, 0] = np.asarray(dist_fn(qidx, entries), dtype=np.float64)
     cand_vis[:, 0] = False
-    bitset_set(seen, qidx, entries)
-    num_active = b
+    bitset_set(ws.seen, qidx, entries)
 
-    while num_active:
+    while True:
         if profile is not None:
             profile.rounds += 1
             t0 = profile.start()
-        # When every row is still active (the common steady state) the
-        # active-subset gathers collapse to aliasing views — no copies.
-        all_active = num_active == b
-        act = qidx if all_active else np.flatnonzero(active)
-        sub_ids = cand_ids if all_active else cand_ids[act]
-        unvisited = ~cand_vis if all_active else ~cand_vis[act]
-        if frontier_width == 1:
-            sel = None
-            # argmax doubles as the any() scan: it lands on the first
-            # True, and re-reading that cell tells us whether one exists.
-            pos_all = unvisited.argmax(axis=1)
-            has_work = unvisited[qidx[: act.size], pos_all]
-        else:
-            sel = unvisited & (
-                np.cumsum(unvisited, axis=1) <= frontier_width
-            )
-            has_work = sel.any(axis=1)
-        rows_local = np.flatnonzero(has_work)
-        if rows_local.size < act.size:
-            deact = act[~has_work]
-            active[deact] = False
-            num_active -= deact.size
-            if not rows_local.size:
-                break
-        rows = act[rows_local]
+        # Frontier: every row's first ``frontier_width`` unvisited
+        # slots, row-major, so each row's members come in ranking
+        # order.  Rows enter a round truncated, so only the first
+        # ``beam_width`` slots can hold a candidate.  A row without an
+        # unvisited slot can never regain one (only its own expansions
+        # add candidates), so the rows that still select something
+        # *are* the active set.
+        unvisited = ~cand_vis[:, :beam_width]
+        sel = (
+            np.add.accumulate(unvisited, axis=1, dtype=np.intp)
+            <= frontier_width
+        )
+        sel &= unvisited
+        picked = sel.reshape(-1).nonzero()[0]
+        if not picked.size:
+            break
+        sel_r, sel_c = np.divmod(picked, beam_width)
+        frontier = cand_ids[sel_r, sel_c]
+        if record_trace:
+            assert traces is not None
+            for r, v in zip(sel_r, frontier):
+                c = int(counts[r])
+                traces[r].append(
+                    BeamStep(
+                        chosen=int(v),
+                        candidates=cand_ids[r, :c].copy(),
+                        candidate_distances=cand_d[r, :c].copy(),
+                    )
+                )
+        cand_vis[sel_r, sel_c] = True
+        if visited is not None:
+            bitset_set_dup(visited, sel_r, frontier)
+        round_hops = np.bincount(sel_r, minlength=b)
+        hops += round_hops
+        if expansion_counts_distance:
+            dist_comps += round_hops
 
-        if frontier_width == 1:
-            pos = pos_all[rows_local]
-            v_star = sub_ids[rows_local, pos]
-            if record_trace:
-                assert traces is not None
-                for r, v in zip(rows, v_star):
-                    c = int(counts[r])
-                    traces[r].append(
-                        BeamStep(
-                            chosen=int(v),
-                            candidates=cand_ids[r, :c].copy(),
-                            candidate_distances=cand_d[r, :c].copy(),
-                        )
-                    )
-            cand_vis[rows, pos] = True
-            if collect_visited:
-                bitset_set(visited, rows, v_star)
-            hops[rows] += 1
-            if expansion_counts_distance:
-                dist_comps[rows] += 1
-            if gather is not None:
-                flat_nbrs, lens = gather(v_star)
-                if not flat_nbrs.size:
-                    continue
-            else:
-                if expand is None:
-                    nbr_lists = [
-                        np.asarray(adjacency[int(v)], dtype=np.int64)
-                        for v in v_star
-                    ]
-                else:
-                    frontiers = [
-                        np.array([v], dtype=np.int64) for v in v_star
-                    ]
-                    nbr_lists = expand(rows, frontiers)
-                lens = np.array(
-                    [nb.size for nb in nbr_lists], dtype=np.int64
-                )
-                if not lens.any():
-                    continue
-                flat_nbrs = np.concatenate(nbr_lists).astype(
-                    np.int64, copy=False
-                )
-            # Freshness is independent across rows (one vertex each),
-            # so one vectorized pass covers the whole round.
-            flat_q = np.repeat(rows, lens)
-            fresh_mask = bitset_test(seen, flat_q, flat_nbrs) == 0
-            fq = flat_q[fresh_mask]
-            fv = flat_nbrs[fresh_mask]
-            if not fq.size:
-                continue
-            bitset_set_dup(seen, fq, fv)
+        # One neighbor list per frontier member, concatenated.
+        if expand is not None:
+            rows = round_hops.nonzero()[0]
+            flat_nbrs, lens = expand(rows, frontier, round_hops[rows])
+        elif gather is not None:
+            flat_nbrs, lens = gather(frontier)
         else:
-            frontiers = [
-                sub_ids[rl][sel[rl]] for rl in rows_local
+            nbr_lists = [
+                np.asarray(adjacency[int(v)], dtype=np.int64)
+                for v in frontier
             ]
-            flat_f = np.concatenate(frontiers)
-            flat_r = np.repeat(
-                rows, [f.size for f in frontiers]
-            )
-            sel_r, sel_c = sel.nonzero()
-            cand_vis[act[sel_r], sel_c] = True
-            if collect_visited:
-                bitset_set_dup(visited, flat_r, flat_f)
-            round_hops = np.bincount(flat_r, minlength=b)
-            hops += round_hops
-            if expansion_counts_distance:
-                dist_comps += round_hops
-            if expand is None:
-                nbr_lists = [
-                    np.asarray(adjacency[int(v)], dtype=np.int64)
-                    for v in flat_f
-                ]
-            else:
-                nbr_lists = expand(rows, frontiers)
-            # Freshness is sequential within a query's frontier (later
-            # members see earlier members' neighbors as seen) — the
-            # per-query loop's semantics.
-            fq_parts: List[np.ndarray] = []
-            fv_parts: List[np.ndarray] = []
-            for r, neighbors in zip(flat_r, nbr_lists):
-                if not neighbors.size:
-                    continue
-                neighbors = np.asarray(neighbors, dtype=np.int64)
-                row_bits = seen[r]
-                fresh = neighbors[
-                    (
-                        row_bits[neighbors >> 3]
-                        >> (neighbors & 7).astype(np.uint8)
-                    )
-                    & 1
-                    == 0
-                ]
-                if fresh.size:
-                    np.bitwise_or.at(
-                        row_bits, fresh >> 3, BIT_MASKS[fresh & 7]
-                    )
-                    fq_parts.append(np.full(fresh.size, r, dtype=np.int64))
-                    fv_parts.append(fresh)
-            if not fq_parts:
-                continue
-            fq = np.concatenate(fq_parts)
-            fv = np.concatenate(fv_parts)
+            lens = np.array([nb.size for nb in nbr_lists], dtype=np.int64)
+            flat_nbrs = np.concatenate(nbr_lists)
+        if not flat_nbrs.size:
+            continue
+        # One flat byte index + bit mask serves both the probe of the
+        # pre-round ``seen`` set and, below, the marking of what is kept.
+        flat_q = sel_r.repeat(lens)
+        byte = flat_q * seen_stride
+        byte += flat_nbrs >> 3
+        bit = BIT_MASKS[flat_nbrs & 7]
+        fresh = (seen_flat[byte] & bit) == 0
+        if frontier_width > 1:
+            # Freshness is sequential within a row's frontier: a later
+            # member finds an earlier member's neighbors already seen.
+            # The same thing without the loop: an unseen (row, vertex)
+            # is fresh only in the first list of its row that carries
+            # it.  A stable sort on the pair brings each pair's
+            # occurrences together in list order, so the first of a
+            # group names that list and the rest compare against it.
+            # (With one list per row there is nothing to filter.)
+            cand = fresh.nonzero()[0]
+            pair = flat_q[cand] * n
+            pair += flat_nbrs[cand]
+            order = pair.argsort(kind="stable")
+            cand = cand[order]
+            pair = pair[order]
+            list_of = ws.iota(lens.size).repeat(lens)[cand]
+            head = ws.iota(cand.size).copy()
+            head[1:][pair[1:] == pair[:-1]] = 0
+            np.maximum.accumulate(head, out=head)
+            fresh[cand[list_of != list_of[head]]] = False
+        fq = flat_q[fresh]
+        fv = flat_nbrs[fresh]
+        if not fq.size:
+            continue
+        # Duplicate-safe: two fresh vertices can share a byte.
+        np.bitwise_or.at(seen_flat, byte[fresh], bit[fresh])
 
         if profile is not None:
             t0 = profile.add("gather", t0)
@@ -468,80 +428,70 @@ def execute(
         # Append each query's fresh candidates after its current tail,
         # preserving adjacency order (ties then break as in a scalar
         # candidate list's extend), growing the buffer when a round
-        # delivers more neighbors than it currently fits.
-        within = ws.iota(fq.size) - np.searchsorted(fq, fq, side="left")
-        dest = counts[fq] + within
-        need = int(dest.max()) + 1
-        if need > cap:
-            new_cap = max(need, 2 * cap)
+        # delivers more neighbors than it currently fits.  ``fq`` is
+        # sorted, so pair ``p`` is its row's ``p - start[row]``-th, the
+        # rows that gained candidates are the nonzero bins, and their
+        # longest new tail is both the growth check and the prefix
+        # worth re-ranking.
+        start = np.add.accumulate(fresh_counts)
+        start -= fresh_counts
+        dest = (counts - start)[fq]
+        dest += ws.iota(fq.size)
+        counts += fresh_counts
+        touched = fresh_counts.nonzero()[0]
+        upto = int(counts[touched].max())
+        if upto > cap:
+            new_cap = max(upto, 2 * cap)
             ws.grow_candidates(b, cap, new_cap)
             cap = new_cap
             cand_ids = ws.cand_ids[:b, :cap]
             cand_d = ws.cand_d[:b, :cap]
             cand_vis = ws.cand_visited[:b, :cap]
-            col = np.arange(cap)
         cand_ids[fq, dest] = fv
         cand_d[fq, dest] = fd
         cand_vis[fq, dest] = False
-        counts += fresh_counts
 
-        # Re-rank and truncate only the rows that gained candidates
-        # (fq is sorted, so its boundaries give them directly), and
-        # only over the occupied prefix — everything past it is
-        # inf-padding that a stable sort would keep in place anyway.
-        # Truncation masks the *sorted temporaries* before the single
-        # scatter back, so each round pays one gather and one scatter
-        # per buffer rather than two of each.
-        head = np.empty(fq.size, dtype=bool)
-        head[0] = True
-        np.not_equal(fq[1:], fq[:-1], out=head[1:])
-        touched = fq[head]
-        upto = int(counts[touched].max())
-        # Row-fancy-plus-slice gathers/scatters compile to per-row
-        # memcpys — several times cheaper than elementwise 2-D fancy
-        # indexing — and one shared flat permutation index applies the
-        # sort to all three buffers.
-        sub_d = cand_d[touched, :upto]
-        order = np.argsort(sub_d, axis=1, kind="stable")
-        flat_o = order + ws.iota(touched.size)[:, None] * upto
-        sorted_d = sub_d.reshape(-1)[flat_o]
-        sorted_i = cand_ids[touched, :upto].reshape(-1)[flat_o]
-        sorted_v = cand_vis[touched, :upto].reshape(-1)[flat_o]
+        # Re-rank only the touched rows, and only over the occupied
+        # prefix — everything past it is inf-padding that a stable sort
+        # would keep in place anyway.  Only the columns that survive
+        # truncation are gathered; one flat index into the (contiguous)
+        # workspace buffers applies the permutation to all three.
+        order = cand_d[touched, :upto].argsort(axis=1, kind="stable")
+        kept = min(upto, beam_width)
+        flat_o = order[:, :kept] + (touched * ws.cand_d.shape[1])[:, None]
+        sorted_d = ws.cand_d.reshape(-1)[flat_o]
+        sorted_i = ws.cand_ids.reshape(-1)[flat_o]
+        sorted_v = ws.cand_visited.reshape(-1)[flat_o]
         if profile is not None:
             t0 = profile.add("rank", t0)
+        # Row-fancy-plus-slice scatters compile to per-row memcpys.
+        cand_d[touched, :kept] = sorted_d
+        cand_ids[touched, :kept] = sorted_i
+        cand_vis[touched, :kept] = sorted_v
         if upto > beam_width:
-            new_counts = np.minimum(counts[touched], beam_width)
-            counts[touched] = new_counts
-            dropped_cols = col[None, :upto] >= new_counts[:, None]
-            sorted_d[dropped_cols] = np.inf
-            sorted_i[dropped_cols] = 0
-            # Dropped slots revert to padding, which selection skips.
-            sorted_v[dropped_cols] = True
-        cand_d[touched, :upto] = sorted_d
-        cand_ids[touched, :upto] = sorted_i
-        cand_vis[touched, :upto] = sorted_v
+            # Overflow slots revert to padding (inf, and "visited" so
+            # selection skips them; padding ids are never read).
+            np.minimum(counts, beam_width, out=counts)
+            cand_d[touched, beam_width:upto] = np.inf
+            cand_vis[touched, beam_width:upto] = True
         if profile is not None:
             profile.add("truncate", t0)
 
     if profile is not None:
         profile.calls += 1
     take = np.minimum(counts, out_w)
-    keep = col[None, :out_w] < take[:, None]
-    ids_out = np.full((b, out_w), -1, dtype=np.int64)
-    dists_out = np.full((b, out_w), np.inf, dtype=np.float64)
-    ids_out[keep] = cand_ids[:, :out_w][keep]
-    dists_out[keep] = cand_d[:, :out_w][keep]
+    keep = np.arange(out_w)[None, :] < take[:, None]
     return BatchSearchResult(
-        ids=ids_out,
-        distances=dists_out,
+        ids=np.where(keep, cand_ids[:, :out_w], -1),
+        distances=np.where(keep, cand_d[:, :out_w], np.inf),
         counts=take,
         hops=hops,
         distance_computations=dist_comps,
         visited_counts=hops.copy(),
         traces=traces,
         visited_lists=(
-            [bitset_row_indices(visited[i, :width], n) for i in range(b)]
-            if collect_visited
+            [bitset_row_indices(visited[i], n) for i in range(b)]
+            if visited is not None
             else None
         ),
     )

@@ -32,18 +32,6 @@ def bitset_width(n: int) -> int:
     return (n + 7) >> 3
 
 
-def bitset_test(buf: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Elementwise bit test: nonzero where ``buf[rows[p]]`` has bit
-    ``cols[p]`` set (compare against 0, not 1).
-
-    Indexes the flattened buffer — one fancy gather on a precomputed
-    flat position instead of a 2-D gather plus a variable shift; ``buf``
-    must therefore be C-contiguous (all workspace buffers are).
-    """
-    flat = buf.reshape(-1)
-    return flat[rows * buf.shape[1] + (cols >> 3)] & BIT_MASKS[cols & 7]
-
-
 def bitset_set(buf: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
     """Set bits where ``(rows, cols)`` pairs are unique.
 
@@ -59,6 +47,17 @@ def bitset_set_dup(buf: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
     np.bitwise_or.at(buf, (rows, cols >> 3), BIT_MASKS[cols & 7])
 
 
+def _cleared_bitset(buf: np.ndarray, b: int, width: int) -> np.ndarray:
+    """``buf`` with its ``(b, width)`` corner all clear — zeroed in
+    place when it fits, else a grown (never shrunk) replacement."""
+    if buf.shape[0] < b or buf.shape[1] < width:
+        return np.zeros(
+            (max(b, buf.shape[0]), max(width, buf.shape[1])), dtype=np.uint8
+        )
+    buf[:b, :width] = 0
+    return buf
+
+
 def bitset_row_indices(row: np.ndarray, n: int) -> np.ndarray:
     """Sorted column indices of the set bits in one bitset row."""
     return np.flatnonzero(
@@ -71,10 +70,13 @@ class KernelWorkspace:
 
     Buffers grow monotonically (graph growth under streaming inserts,
     beam/batch growth across requests) and are never shrunk; ``reset``
-    re-zeros exactly the region a call will read.  The candidate-id
-    buffer is zero-filled on reset because the kernel uses the padding
-    ids as (valid) indices into the visited bitset — zeros keep them in
-    range.
+    re-zeros exactly the region a call will read.  A candidate slot is
+    padding when its distance is ``inf`` and its ``cand_visited`` flag
+    is set; the kernel never reads a padding slot's id, and the zero
+    fill on reset only keeps a recycled buffer's contents reproducible.
+    The ``visited`` bitset is read only by callers that return the
+    expanded-vertex sets, so it is sized and zeroed on request
+    (:meth:`zeroed_visited`), not on every ``reset``.
     """
 
     __slots__ = (
@@ -100,17 +102,7 @@ class KernelWorkspace:
 
     def reset(self, b: int, n: int, cap: int) -> None:
         """Size and zero the scratch region for a ``(b, n, cap)`` call."""
-        width = bitset_width(n)
-        if self.visited.shape[0] < b or self.visited.shape[1] < width:
-            shape = (
-                max(b, self.visited.shape[0]),
-                max(width, self.visited.shape[1]),
-            )
-            self.visited = np.zeros(shape, dtype=np.uint8)
-            self.seen = np.zeros(shape, dtype=np.uint8)
-        else:
-            self.visited[:b, :width] = 0
-            self.seen[:b, :width] = 0
+        self.seen = _cleared_bitset(self.seen, b, bitset_width(n))
         if self.cand_ids.shape[0] < b or self.cand_ids.shape[1] < cap:
             shape = (
                 max(b, self.cand_ids.shape[0]),
@@ -126,6 +118,12 @@ class KernelWorkspace:
             self.cand_d[:b, :cap] = np.inf
             self.cand_visited[:b, :cap] = True
         self._rounds_served += 1
+
+    def zeroed_visited(self, b: int, n: int) -> np.ndarray:
+        """The ``(b, ceil(n/8))`` expanded-vertex bitset, all clear."""
+        width = bitset_width(n)
+        self.visited = _cleared_bitset(self.visited, b, width)
+        return self.visited[:b, :width]
 
     def grow_candidates(self, b: int, old_cap: int, new_cap: int) -> None:
         """Extend the candidate region mid-call, preserving contents.

@@ -83,18 +83,21 @@ class PackedAdjacency:
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         starts = self.offsets[vertices]
-        lens = self.offsets[vertices + 1] - starts
-        total = int(lens.sum())
+        lens = self.offsets[1:][vertices]
+        lens -= starts
+        shift = np.add.accumulate(lens)
+        total = int(shift[-1]) if shift.size else 0
         if total == 0:
             return np.empty(0, dtype=np.int64), lens
         # pos = concat of [starts[i], starts[i]+lens[i]) ranges:
         # repeat each start minus the running offset of previous
-        # lengths, then add a global arange.
-        shift = np.zeros(lens.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=shift[1:])
-        pos = np.repeat(starts - shift, lens) + np.arange(
-            total, dtype=np.int64
-        )
+        # lengths, then add a global arange.  ``starts`` and ``shift``
+        # are this call's own temporaries, so the arithmetic reuses
+        # them in place.
+        shift -= lens
+        starts -= shift
+        pos = starts.repeat(lens)
+        pos += np.arange(total, dtype=np.int64)
         return self.neighbors[pos], lens
 
     def to_lists(self) -> List[np.ndarray]:

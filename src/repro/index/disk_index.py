@@ -18,7 +18,7 @@ page was read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -118,11 +118,12 @@ class _SSDExpansion:
     """Disk-scenario expansion policy for the lockstep kernel.
 
     Each kernel round hands over every active query's frontier (its
-    ``io_width`` closest unexpanded candidates); the policy issues one
-    SSD read per query — so waves and page counts match the paper's
-    per-query cost model — scores all fetched vectors with a single
-    ``einsum`` for the final exact rerank, and returns the adjacency
-    lists the pages delivered.
+    ``io_width`` closest unexpanded candidates), flat; the policy
+    charges one SSD read per query — so waves and page counts match the
+    paper's per-query cost model — through a single
+    :meth:`SimulatedSSD.read_round`, scores all fetched vectors with a
+    single ``einsum`` for the final exact rerank, and returns the
+    adjacency lists the pages delivered.
     """
 
     def __init__(
@@ -133,37 +134,49 @@ class _SSDExpansion:
         self.io_rounds = np.zeros(num_queries, dtype=np.int64)
         self.page_reads = np.zeros(num_queries, dtype=np.int64)
         self.io_us = np.zeros(num_queries, dtype=np.float64)
-        self.exact_ids: List[list] = [[] for _ in range(num_queries)]
-        self.exact_d: List[list] = [[] for _ in range(num_queries)]
+        # One entry per round: the query row, vertex and exact distance
+        # of every page read, in read order.
+        self._rows: List[np.ndarray] = []
+        self._ids: List[np.ndarray] = []
+        self._exact: List[np.ndarray] = []
 
     def __call__(
-        self, rows: np.ndarray, frontiers: List[np.ndarray]
-    ) -> List[np.ndarray]:
-        vec_parts: List[np.ndarray] = []
-        nbr_lists: List[np.ndarray] = []
-        for r, fverts in zip(rows, frontiers):
-            r = int(r)
-            self.io_rounds[r] += 1
-            reads_before = self.ssd.page_reads
-            io_before = self.ssd.simulated_io_us
-            vectors, adjacencies = self.ssd.read_batch(fverts)
-            self.page_reads[r] += self.ssd.page_reads - reads_before
-            self.io_us[r] += self.ssd.simulated_io_us - io_before
-            vec_parts.append(vectors)
-            nbr_lists.extend(adjacencies)
-        flat_r = np.repeat(rows, [f.size for f in frontiers])
-        diff = np.vstack(vec_parts).astype(np.float64) - self.queries[flat_r]
-        exact_round = np.einsum("ij,ij->i", diff, diff)
-        offset = 0
-        for r, fverts in zip(rows, frontiers):
-            self.exact_ids[int(r)].append(
-                fverts.astype(np.int64, copy=False)
-            )
-            self.exact_d[int(r)].append(
-                exact_round[offset : offset + fverts.size]
-            )
-            offset += fverts.size
-        return nbr_lists
+        self, rows: np.ndarray, vertices: np.ndarray, lens: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        vectors, flat_neighbors, neighbor_lens, io_us = self.ssd.read_round(
+            vertices, lens
+        )
+        self.io_rounds[rows] += 1
+        self.page_reads[rows] += lens
+        self.io_us[rows] += io_us
+        reader = rows.repeat(lens)
+        diff = vectors.astype(np.float64) - self.queries[reader]
+        self._rows.append(reader)
+        self._ids.append(vertices)
+        self._exact.append(np.einsum("ij,ij->i", diff, diff))
+        return flat_neighbors, neighbor_lens
+
+    def rerank(self, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each query's ``k`` exactly-closest read vertices.
+
+        Stacked ``(B, k)`` ids / distances (padded ``-1`` / ``inf``)
+        and the per-row counts.  Equal distances keep read order.
+        """
+        b = self.io_rounds.shape[0]
+        out_ids = np.full((b, k), -1, dtype=np.int64)
+        out_d = np.full((b, k), np.inf, dtype=np.float64)
+        rows = np.concatenate(self._rows)
+        exact = np.concatenate(self._exact)
+        # lexsort is stable: by row, then distance, then read order.
+        order = np.lexsort((exact, rows))
+        rows = rows[order]
+        reads = np.bincount(rows, minlength=b)
+        rank = np.arange(rows.size) - np.repeat(np.cumsum(reads) - reads, reads)
+        keep = rank < k
+        rows, rank, order = rows[keep], rank[keep], order[keep]
+        out_ids[rows, rank] = np.concatenate(self._ids)[order]
+        out_d[rows, rank] = exact[order]
+        return out_ids, out_d, np.minimum(reads, k)
 
 
 class DiskIndex:
@@ -215,7 +228,7 @@ class DiskIndex:
         self.graph = graph
         self.quantizer = quantizer
         self.codes = quantizer.encode(x)
-        self.ssd = SimulatedSSD(x, graph.adjacency, ssd_config)
+        self.ssd = SimulatedSSD(x, graph.packed(), ssd_config)
         self.io_width = int(io_width)
         self.table_transform = table_transform
         self.table_transform_batch = table_transform_batch
@@ -299,7 +312,7 @@ class DiskIndex:
         self.graph = graph
         self.quantizer = quantizer
         self.codes = np.asarray(codes)
-        self.ssd = SimulatedSSD(vectors, graph.adjacency, ssd_config)
+        self.ssd = SimulatedSSD(vectors, graph.packed(), ssd_config)
         self.io_width = int(io_width)
         self.table_transform = table_transform
         self.table_transform_batch = table_transform_batch
@@ -381,19 +394,7 @@ class DiskIndex:
             pool.release(ws)
 
         # Exact rerank per query over every vertex whose page was read.
-        out_ids = np.full((b, k), -1, dtype=np.int64)
-        out_d = np.full((b, k), np.inf, dtype=np.float64)
-        out_counts = np.zeros(b, dtype=np.int64)
-        for r in range(b):
-            if not policy.exact_ids[r]:
-                continue
-            eids = np.concatenate(policy.exact_ids[r])
-            eds = np.concatenate(policy.exact_d[r])
-            order = np.argsort(eds, kind="stable")[:k]
-            c = order.size
-            out_ids[r, :c] = eids[order]
-            out_d[r, :c] = eds[order]
-            out_counts[r] = c
+        out_ids, out_d, out_counts = policy.rerank(k)
         return DiskBatchResult(
             ids=out_ids,
             distances=out_d,

@@ -9,7 +9,10 @@ and pays one page read per visited vertex.  The paper's Fig. 5 reports
 * every :meth:`read_vertex` increments a counter and charges a
   configurable latency;
 * batched reads model DiskANN's beam-width-deep request pipelining via
-  a simple parallelism factor.
+  a simple parallelism factor;
+* :meth:`read_round` serves one such batched read for each of many
+  independent queries in a single call (the lockstep kernel's round),
+  charging each request exactly what :meth:`read_batch` would.
 
 Absolute latencies are a device model, not a measurement — the curve
 *shapes* (I/O time grows with hops; fewer hops at equal recall means
@@ -22,6 +25,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..graphs.packed import PackedAdjacency
 
 
 @dataclass
@@ -62,7 +67,13 @@ class SimulatedSSD:
                 f"{vectors.shape[0]} vectors"
             )
         self._vectors = vectors
-        self._adjacency = [np.asarray(a, dtype=np.int64) for a in adjacency]
+        # Stored as CSR (shared, not copied, when the graph hands over
+        # its packed view) so a whole round's pages read as one gather.
+        self._adjacency = (
+            adjacency
+            if isinstance(adjacency, PackedAdjacency)
+            else PackedAdjacency.from_lists(adjacency)
+        )
         self.config = config or SSDConfig()
         self.reset_counters()
 
@@ -91,12 +102,45 @@ class SimulatedSSD:
         vertices = np.asarray(vertices, dtype=np.int64)
         count = int(vertices.size)
         if count == 0:
-            return np.empty((0, self._vectors.shape[1]), dtype=np.float32), []
+            return self._vectors[:0], []
         self.page_reads += count
         self.batched_requests += 1
         waves = int(np.ceil(count / self.config.queue_parallelism))
         self.simulated_io_us += waves * self.config.read_latency_us
         return self._vectors[vertices], [self._adjacency[int(v)] for v in vertices]
+
+    def read_round(
+        self, vertices: np.ndarray, request_lens: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Serve many independent batched reads in one call.
+
+        Request ``i`` covers the next ``request_lens[i]`` entries of
+        ``vertices`` and is charged as its own :meth:`read_batch`.
+        Returns ``(vectors, flat_neighbors, neighbor_lens, io_us)``:
+        the records of all ``vertices`` in order (adjacency lists
+        concatenated, one length per vertex) and the time the device
+        clock advanced for each request.  ``io_us`` is differenced off
+        the running clock, as a caller bracketing one ``read_batch``
+        per request would measure it, so it repeats such a loop to the
+        last bit for any latency setting.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        request_lens = np.asarray(request_lens, dtype=np.int64)
+        clock = np.empty(request_lens.size + 1, dtype=np.float64)
+        clock[0] = self.simulated_io_us
+        np.ceil(request_lens / self.config.queue_parallelism, out=clock[1:])
+        clock[1:] *= self.config.read_latency_us
+        np.add.accumulate(clock, out=clock)
+        self.page_reads += int(vertices.size)
+        self.batched_requests += int(np.count_nonzero(request_lens))
+        self.simulated_io_us = float(clock[-1])
+        flat_neighbors, neighbor_lens = self._adjacency.gather(vertices)
+        return (
+            self._vectors[vertices],
+            flat_neighbors,
+            neighbor_lens,
+            clock[1:] - clock[:-1],
+        )
 
     # ------------------------------------------------------------------
     def stored_bytes(self) -> int:
@@ -104,7 +148,7 @@ class SimulatedSSD:
         per_vertex = (
             self._vectors.shape[1] * self._vectors.dtype.itemsize
         )
-        adj = sum(a.size for a in self._adjacency) * 4
+        adj = self._adjacency.neighbors.size * 4
         raw = per_vertex * self.num_vertices + adj
         pages = int(np.ceil(raw / self.config.page_bytes))
         return pages * self.config.page_bytes

@@ -15,6 +15,7 @@ the core trick that makes PQ-integrated graph routing cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -165,6 +166,19 @@ class BatchLookupTable:
         """Per-query view (no copy) as a scalar :class:`LookupTable`."""
         return LookupTable(table=self.tables[i])
 
+    # ``pair_distance`` runs once per kernel round; what it needs of the
+    # table block beyond the entries themselves is computed once.
+    @cached_property
+    def _flat_tables(self) -> np.ndarray:
+        return self.tables.reshape(-1)
+
+    @cached_property
+    def _chunk_offsets(self) -> np.ndarray:
+        """``(M, 1)`` flat offset of each chunk's row inside one table."""
+        return (
+            np.arange(self.num_chunks, dtype=np.int64) * self.num_codewords
+        )[:, None]
+
     def _check_codes(self, codes2d: np.ndarray) -> None:
         if codes2d.shape[-1] != self.num_chunks:
             raise ValueError(
@@ -195,7 +209,7 @@ class BatchLookupTable:
         of a whole expansion round.
         """
         query_idx = np.asarray(query_idx, dtype=np.int64).reshape(-1)
-        codes2d = np.atleast_2d(np.asarray(codes)).astype(np.int64, copy=False)
+        codes2d = np.atleast_2d(np.asarray(codes))
         self._check_codes(codes2d)
         if codes2d.shape[0] != query_idx.shape[0]:
             raise ValueError(
@@ -203,22 +217,22 @@ class BatchLookupTable:
                 f"{codes2d.shape[0]} codes"
             )
         # Flat transposed gather: one (M, P) fancy read off the flattened
-        # table block plus M-1 contiguous row adds — markedly cheaper
-        # than a broadcast 3-D fancy index with an axis reduction, and
-        # the ascending-chunk accumulation matches the scalar path
-        # bitwise.
-        m = self.num_chunks
-        k = self.num_codewords
-        idx = (
-            (query_idx * (m * k))[None, :]
-            + (np.arange(m) * k)[:, None]
-            + codes2d.T
+        # table block, reduced down the chunk axis.  The reduce adds
+        # whole rows in ascending chunk order — the scalar path's order,
+        # bitwise — only while the gather is C-contiguous with P >= 2
+        # (hence ``order="C"``: a bare ``codes.T + offsets`` is
+        # F-ordered, and NumPy sums that pairwise); a single pair
+        # coalesces into a pairwise 1-D sum, so it takes the explicit
+        # ascending loop.
+        idx = np.add(
+            codes2d.T, self._chunk_offsets, dtype=np.int64, order="C"
         )
-        gathered = self.tables.reshape(-1)[idx]
-        if m == 1:
-            return gathered[0].copy()
-        out = gathered[0] + gathered[1]
-        for j in range(2, m):
+        idx += query_idx * (self.num_chunks * self.num_codewords)
+        gathered = self._flat_tables[idx]
+        if gathered.shape[1] >= 2:
+            return np.add.reduce(gathered, axis=0)
+        out = gathered[0].copy()
+        for j in range(1, self.num_chunks):
             out += gathered[j]
         return out
 

@@ -97,6 +97,39 @@ class TestBatchDistances:
             )
             assert paired[p] == scalar
 
+    @pytest.mark.parametrize("table_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("code_dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("m", [1, 2, 8, 16])
+    def test_pair_distance_bitwise_for_every_pair_count(
+        self, m, code_dtype, table_dtype
+    ):
+        """``pair_distance`` sums chunks in ascending order, like the
+        scalar path, whatever the number of pairs.  An axis-0
+        ``np.add.reduce`` over the ``(M, P)`` gather keeps that order
+        only while the gather is C-contiguous with P >= 2: at P = 1
+        NumPy coalesces it into a pairwise sum, and an F-ordered gather
+        (what indexing with ``codes.T + offsets`` yields) reduces
+        pairwise too.  Either is 1-2 ULP off and flips answers."""
+        rng = np.random.default_rng(1000 * m + np.dtype(code_dtype).itemsize)
+        k, b = 64, 6
+        codebook = Codebook(codewords=rng.normal(size=(m, k, 3)))
+        queries = rng.normal(size=(b, codebook.dim)) * 7.3
+        tables = BatchLookupTable.build(codebook, queries, dtype=table_dtype)
+        scalars = [
+            LookupTable.build(codebook, q, dtype=table_dtype) for q in queries
+        ]
+        for p in range(1, 41):
+            codes = rng.integers(0, k, size=(p, m)).astype(code_dtype)
+            qidx = rng.integers(0, b, size=p)
+            paired = tables.pair_distance(qidx, codes)
+            assert paired.dtype == np.dtype(table_dtype)
+            assert paired.shape == (p,)
+            expected = np.array(
+                [scalars[q].distance(c) for q, c in zip(qidx, codes)],
+                dtype=table_dtype,
+            )
+            np.testing.assert_array_equal(paired, expected, err_msg=f"P={p}")
+
     def test_pair_distance_shape_checks(self):
         codebook = random_codebook(m=4, k=8, d_sub=3)
         tables = BatchLookupTable.build(

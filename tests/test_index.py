@@ -56,7 +56,44 @@ class TestSimulatedSSD:
         ssd = SimulatedSSD(x, [np.array([0])] * 5)
         vecs, adjs = ssd.read_batch(np.array([], dtype=np.int64))
         assert vecs.shape == (0, 3)
+        assert adjs == []
         assert ssd.page_reads == 0
+        # An empty read is a slice of the store, so stacking it with
+        # real reads cannot change their dtype.
+        full, _ = ssd.read_batch(np.array([1, 2]))
+        assert vecs.dtype == full.dtype
+        assert np.vstack([vecs, full]).dtype == full.dtype
+
+    @pytest.mark.parametrize(
+        "latency,parallelism", [(100.0, 8), (37.3, 3), (0.1, 1)]
+    )
+    def test_read_round_matches_one_read_batch_per_request(
+        self, latency, parallelism
+    ):
+        rng = np.random.default_rng(7)
+        n = 30
+        x = rng.normal(size=(n, 4)).astype(np.float32)
+        adj = [rng.integers(0, n, size=rng.integers(0, 6)) for _ in range(n)]
+        cfg = SSDConfig(read_latency_us=latency, queue_parallelism=parallelism)
+        looped, batched = SimulatedSSD(x, adj, cfg), SimulatedSSD(x, adj, cfg)
+        for _ in range(5):  # the device clock carries over between rounds
+            lens = rng.integers(1, 9, size=6)
+            vertices = rng.integers(0, n, size=int(lens.sum()))
+            vec_parts, lists, io_us = [], [], []
+            for chunk in np.split(vertices, np.cumsum(lens)[:-1]):
+                before = looped.simulated_io_us
+                vecs, adjs = looped.read_batch(chunk)
+                io_us.append(looped.simulated_io_us - before)
+                vec_parts.append(vecs)
+                lists.extend(adjs)
+            vecs, flat, nbr_lens, round_us = batched.read_round(vertices, lens)
+            np.testing.assert_array_equal(vecs, np.vstack(vec_parts))
+            np.testing.assert_array_equal(flat, np.concatenate(lists))
+            np.testing.assert_array_equal(nbr_lens, [a.size for a in lists])
+            np.testing.assert_array_equal(round_us, io_us)  # bitwise
+            assert batched.page_reads == looped.page_reads
+            assert batched.batched_requests == looped.batched_requests
+            assert batched.simulated_io_us == looped.simulated_io_us
 
     def test_reset(self):
         x = RNG.normal(size=(5, 3)).astype(np.float32)
