@@ -1,4 +1,4 @@
-"""Batched query engine — single-query loop vs ``search_batch``.
+"""Batched query engine — single-query loop vs batched requests.
 
 Measures wall-clock QPS of the per-query search loop against the
 batched engine at several batch sizes, for both the in-memory and the

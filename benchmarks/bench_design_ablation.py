@@ -10,6 +10,7 @@ measures each against its alternative on one dataset:
 
 from __future__ import annotations
 
+from repro.api import SearchRequest
 from repro.core import RPQ
 from repro.datasets import compute_ground_truth, load
 from repro.eval import format_table
@@ -31,8 +32,8 @@ def run():
 
     def memory_recall(quantizer, mode="adc"):
         index = MemoryIndex(graph, quantizer, data.base, distance_mode=mode)
-        ids = [index.search(q, k=10, beam_width=BEAM).ids for q in data.queries]
-        return recall_at_k(ids, gt.ids)
+        response = index.search(SearchRequest(data.queries, 10, BEAM))
+        return recall_at_k(list(response), gt.ids)
 
     rows = []
 

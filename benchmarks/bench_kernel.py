@@ -32,6 +32,7 @@ import time
 
 import numpy as np
 
+from repro.api import SearchRequest
 from repro.datasets import load
 from repro.eval import format_table
 from repro.graphs import ProximityGraph, build_vamana
@@ -172,7 +173,7 @@ def legacy_execute(adjacency, entries, dist_fn, beam_width, k):
     return ids_out, dists_out, hops, dist_comps
 
 
-def legacy_search_batch(index, list_adjacency, entries, queries):
+def legacy_hot_path(index, list_adjacency, entries, queries):
     """The pre-overhaul hot path: factory table build + legacy kernel."""
     tables = index._build_tables(queries)
     return legacy_execute(
@@ -197,13 +198,11 @@ def run():
 
     # -- kernel speedup (unique queries: the cache never hits) ---------
     legacy_results = [
-        legacy_search_batch(index, list_adjacency, entries, batch)
+        legacy_hot_path(index, list_adjacency, entries, batch)
         for batch in batches
     ]
-    new_results = [
-        index.search_batch(batch, k=K, beam_width=BEAM)
-        for batch in batches
-    ]
+    requests = [SearchRequest(batch, K, BEAM) for batch in batches]
+    new_results = [index.search(request) for request in requests]
     for (ids, dists, hops, comps), new in zip(legacy_results, new_results):
         np.testing.assert_array_equal(ids, new.ids)
         np.testing.assert_array_equal(dists, new.distances)
@@ -214,12 +213,12 @@ def run():
     for _ in range(TIMING_REPS):
         t0 = time.perf_counter()
         for batch in batches:
-            legacy_search_batch(index, list_adjacency, entries, batch)
+            legacy_hot_path(index, list_adjacency, entries, batch)
         legacy_s = min(legacy_s, time.perf_counter() - t0)
         index.invalidate_table_cache()
         t0 = time.perf_counter()
-        for batch in batches:
-            index.search_batch(batch, k=K, beam_width=BEAM)
+        for request in requests:
+            index.search(request)
         new_s = min(new_s, time.perf_counter() - t0)
 
     queries_total = B * KERNEL_ROUNDS

@@ -48,6 +48,7 @@ import time
 
 import numpy as np
 
+from repro.api import SearchRequest
 from repro.eval import format_table
 from repro.eval.harness import (
     make_index,
@@ -95,16 +96,17 @@ CHAOS_RESPAWN_DEADLINE_S = 60.0
 
 def measure_fanout(index, queries, k=10, beam_width=32,
                    repeats=FANOUT_REPEATS):
-    """Wall-clock QPS of repeated direct ``search_batch`` fan-outs.
+    """Wall-clock QPS of repeated direct ``index.search`` fan-outs.
 
     One warm-up call keeps backend startup (thread-pool creation, or
     process worker spawn + state shipping) out of the measurement —
     a serving deployment pays that once, not per request.
     """
-    result = index.search_batch(queries, k=k, beam_width=beam_width)
+    request = SearchRequest(queries, k, beam_width)
+    result = index.search(request)
     start = time.perf_counter()
     for _ in range(repeats):
-        index.search_batch(queries, k=k, beam_width=beam_width)
+        index.search(request)
     elapsed = time.perf_counter() - start
     return result, repeats * len(queries) / max(elapsed, 1e-12)
 
@@ -153,18 +155,19 @@ def run_cache_comparison(prepared, quantizer):
     reps = int(np.ceil(CACHE_STREAM / len(queries)))
     stream = np.tile(queries, (reps, 1))[:CACHE_STREAM]
     index = make_index("memory", prepared, quantizer, seed=0)
-    expected = index.search_batch(queries, k=10, beam_width=32)
+    request = SearchRequest(queries, k=10, beam_width=32)
+    expected = index.search(request)
 
     index.table_cache = None
     off = measure_serving(index, stream, max_batch_size=MAX_BATCH,
                           max_wait_ms=2.0)
-    off_answers = index.search_batch(queries, k=10, beam_width=32)
+    off_answers = index.search(request)
 
     index.table_cache = TableCache()
-    index.search_batch(queries[:1], k=10, beam_width=32)  # warm cache path
+    index.search(SearchRequest(queries[:1], 10, 32))  # warm cache path
     on = measure_serving(index, stream, max_batch_size=MAX_BATCH,
                          max_wait_ms=2.0)
-    on_answers = index.search_batch(queries, k=10, beam_width=32)
+    on_answers = index.search(request)
     cache_stats = index.engine_status()["table_cache"]
 
     identical = bool(
@@ -196,7 +199,7 @@ def run_network(prepared, quantizer):
     """
     import tempfile
 
-    from repro.api import SearchRequest, load_index, save_index
+    from repro.api import load_index, save_index
     from repro.serving.net import GatewayThread, LocalShardWorker, NetClient
 
     queries = prepared.dataset.queries
@@ -280,8 +283,9 @@ def run_chaos(prepared, quantizer):
     failed = 0
     identical = True
     try:
-        expected = reference.search_batch(queries, k=10, beam_width=32)
-        index.search_batch(queries[:1], k=10, beam_width=32)  # warm fleet
+        request = SearchRequest(queries, k=10, beam_width=32)
+        expected = reference.search(request)
+        index.search(SearchRequest(queries[:1], 10, 32))  # warm fleet
         victim = next(
             s["pid"] for s in index.fleet_status() if s["pid"] is not None
         )
@@ -289,7 +293,7 @@ def run_chaos(prepared, quantizer):
             if i == 1:
                 os.kill(victim, signal.SIGKILL)
             try:
-                got = index.search_batch(queries, k=10, beam_width=32)
+                got = index.search(request)
             except Exception:
                 failed += 1
                 continue
@@ -306,7 +310,7 @@ def run_chaos(prepared, quantizer):
             )
             if not respawned:
                 time.sleep(0.25)
-        final = index.search_batch(queries, k=10, beam_width=32)
+        final = index.search(request)
         identical = identical and bool(
             np.array_equal(final.ids, expected.ids)
         )
@@ -360,9 +364,10 @@ def run():
                         max_batch_size=MAX_BATCH, max_wait_ms=2.0) as b:
         futures = [b.submit(q) for q in prepared.dataset.queries]
         served = [f.result(timeout=60) for f in futures]
+    direct = index.search(SearchRequest(prepared.dataset.queries, 10, 32))
     identical = all(
-        np.array_equal(row.ids, index.search(q, k=10, beam_width=32).ids)
-        for row, q in zip(served, prepared.dataset.queries)
+        np.array_equal(row.ids, direct.row_ids(i))
+        for i, row in enumerate(served)
     )
     return points, guard_speedup, fanout, cache, network, chaos, identical
 
@@ -400,7 +405,7 @@ def test_serving_throughput(benchmark):
             ],
             title=(
                 f"Shard fan-out backends (sift, n={N_BASE}, direct "
-                f"search_batch, stream {fanout['stream_len']})"
+                f"index.search, stream {fanout['stream_len']})"
             ),
         )
     )

@@ -149,8 +149,7 @@ def batch_speedup_guard(
 
     n = len(queries)
     start = time.perf_counter()
-    for q in queries:
-        index.search(q, k=k, beam_width=beam_width)
+    run_queries_batched(index, queries, k, beam_width, 1)
     single_s = time.perf_counter() - start
     run_queries_batched(index, queries, k, beam_width, batch_size)  # warm
     start = time.perf_counter()
@@ -213,7 +212,7 @@ def serving_speedup_guard(
 
     Serves the same open-loop request stream twice through the dynamic
     batcher — once with ``max_batch_size=1`` (per-query serving: every
-    request is its own ``search_batch`` call) and once with
+    request is its own ``index.search`` call) and once with
     ``max_batch_size=batch_size`` — and returns the QPS ratio.  Keeps
     the serving layer's advantage visible the way
     :func:`batch_speedup_guard` does for the raw batch engine.

@@ -21,6 +21,7 @@ import time
 
 import numpy as np
 
+from repro.api import SearchRequest
 from repro.engine import KernelProfile
 from repro.eval.harness import make_index, make_quantizer, prepare
 
@@ -37,17 +38,17 @@ SEED = 0
 
 def profile_scenario(scenario, prepared, quantizer) -> None:
     index = make_index(scenario, prepared, quantizer, seed=SEED)
-    queries = prepared.dataset.queries[:BATCH_SIZE]
+    request = SearchRequest(prepared.dataset.queries[:BATCH_SIZE], K, BEAM)
 
     # Warm pass: table cache, workspace pool, and numpy internals all
     # reach steady state before the profiled stream.
-    index.search_batch(queries, k=K, beam_width=BEAM)
+    index.search(request)
 
     profile = KernelProfile()
     index.kernel_profile = profile
     start = time.perf_counter()
     for _ in range(PASSES):
-        index.search_batch(queries, k=K, beam_width=BEAM)
+        index.search(request)
     elapsed = time.perf_counter() - start
     index.kernel_profile = None
 
@@ -77,7 +78,7 @@ def profile_scenario(scenario, prepared, quantizer) -> None:
         f"{cache['misses']} miss(es), workspace pool "
         f"{pool['reuses']} reuse(s) / {pool['created']} created"
     )
-    hops = index.search_batch(queries, k=K, beam_width=BEAM).hops
+    hops = index.search(request).hops
     print(f"mean hops {float(np.mean(hops)):.1f}")
 
 

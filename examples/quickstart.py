@@ -10,23 +10,23 @@ an in-memory PQ+graph index, and compare recall against vanilla PQ.
 
 Batch search
 ------------
-Every index also exposes ``search_batch(queries, k, beam_width)`` — the
-batched query engine.  It answers a whole query matrix at once: one
+Every index answers one surface, ``search(SearchRequest)`` — the
+batched query engine.  A request carries a whole query matrix: one
 broadcasted ADC-table build for the batch plus a lockstep beam kernel
-that expands all queries in parallel, and it returns stacked ``(B, k)``
-id/distance arrays with per-query counters::
+that expands all queries in parallel, answered with stacked ``(B, k)``
+id/distance arrays and per-query counters::
 
-    batch = index.search_batch(data.queries, k=10, beam_width=32)
+    batch = index.search(SearchRequest(data.queries, k=10, beam_width=32))
     batch.ids            # (B, 10) neighbor ids, one row per query
     batch.distances      # (B, 10) estimated distances
-    batch.total_hops     # aggregated efficiency counters
-    batch.row(i)         # query i in the single-query result format
+    batch.total("hops")  # aggregated efficiency counters
+    batch.row(i)         # query i alone: valid ids/distances + counters
 
-Results are bitwise identical to looping ``search`` over the rows —
+Results are bitwise identical to one single-row request per query —
 only the wall clock changes (4x+ at batch size 64; see
 ``benchmarks/bench_batch_throughput.py``).  The final sections below
-demonstrate the speedup, the typed ``SearchRequest`` entry point, and
-the ``save_index`` / ``load_index`` persistence round trip.
+demonstrate the speedup and the ``save_index`` / ``load_index``
+persistence round trip.
 
 Set ``REPRO_SMOKE=1`` to run on tiny data (the CI smoke lane).
 """
@@ -87,7 +87,8 @@ def main() -> None:
         index = MemoryIndex(graph, quantizer, data.base)
         for beam in (16, 32, 64):
             results = [
-                index.search(q, k=10, beam_width=beam) for q in data.queries
+                index.search(SearchRequest(q, k=10, beam_width=beam)).row(0)
+                for q in data.queries
             ]
             recall = recall_at_k([r.ids for r in results], gt.ids)
             hops = sum(r.hops for r in results) / len(results)
@@ -101,15 +102,16 @@ def main() -> None:
     index = MemoryIndex(graph, rpq.quantizer, data.base)
     start = time.perf_counter()
     for q in data.queries:
-        index.search(q, k=10, beam_width=32)
+        index.search(SearchRequest(q, k=10, beam_width=32))
     single_s = time.perf_counter() - start
 
-    batch = index.search_batch(data.queries, k=10, beam_width=32)  # warm
+    request = SearchRequest(queries=data.queries, k=10, beam_width=32)
+    index.search(request)  # warm
     start = time.perf_counter()
-    batch = index.search_batch(data.queries, k=10, beam_width=32)
+    batch = index.search(request)
     batch_s = time.perf_counter() - start
 
-    recall = recall_at_k(list(batch.ids), gt.ids)
+    recall = recall_at_k(list(batch), gt.ids)
     n = len(data.queries)
     print(
         f"batch search | {n} queries in one call | recall@10 {recall:.3f} | "
@@ -117,11 +119,9 @@ def main() -> None:
         f"({single_s / batch_s:.1f}x, bitwise-identical results)"
     )
 
-    # -- typed requests + persistence ----------------------------------
-    # The uniform API (repro.api): the same index answers a typed
-    # SearchRequest with a SearchResponse, and a save/load round trip
-    # reconstructs a bitwise-identical index in another process.
-    request = SearchRequest(queries=data.queries, k=10, beam_width=32)
+    # -- persistence ---------------------------------------------------
+    # A save/load round trip reconstructs a bitwise-identical index in
+    # another process.
     response = index.search(request)
     with tempfile.TemporaryDirectory() as tmp:
         save_index(index, tmp)

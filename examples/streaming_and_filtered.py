@@ -71,9 +71,11 @@ def main() -> None:
     gt_ids2, _ = exact_knn(data.base[alive], 10, queries=data.queries)
     got = []
     for q in data.queries:
-        res = index.search(q, k=10, beam_width=48)
+        res = index.search(SearchRequest(q, k=10, beam_width=48))
         got.append(
-            np.array([int(np.flatnonzero(alive == i)[0]) for i in res.ids])
+            np.array(
+                [int(np.flatnonzero(alive == i)[0]) for i in res.row_ids(0)]
+            )
         )
     print(f"recall@10 after deletions: {recall_at_k(got, gt_ids2):.3f}")
 

@@ -48,10 +48,12 @@ Quick start (imperative)::
     graph = build_hnsw(data.base)
     rpq = RPQ(num_chunks=8, num_codewords=32).fit(data.base, graph)
     index = MemoryIndex(graph, rpq.quantizer, data.base)
-    result = index.search(data.queries[0], k=10, beam_width=32)
+    row = index.search(
+        repro.SearchRequest(data.queries[0], k=10, beam_width=32)
+    ).row(0)
 """
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 from typing import TYPE_CHECKING
 

@@ -31,8 +31,7 @@ from .protocol import (
     Index,
     SearchRequest,
     SearchResponse,
-    execute_request,
-    response_from_batch,
+    SearchResponseRow,
 )
 from .spec import (
     DatasetSpec,
@@ -102,8 +101,7 @@ __all__ = [
     "Index",
     "SearchRequest",
     "SearchResponse",
-    "execute_request",
-    "response_from_batch",
+    "SearchResponseRow",
     # registry
     "build",
     "register_scenario",

@@ -1,25 +1,22 @@
 """The uniform index protocol: typed requests and responses.
 
-Every index scenario historically grew its own search surface —
-``search(query, k, beam_width)``, ``search_batch(queries, ...)``, a
-positional ``labels`` argument for the filtered scenario only.  This
-module collapses them into one typed entry point:
+One entry point, one result type, for every scenario index, the
+sharded fan-out, the dynamic batcher, every shard backend and the
+wire:
 
 * :class:`SearchRequest` — queries plus every knob (``k``,
   ``beam_width``, optional per-query ``labels``, the filtered
-  scenario's ``max_beam_width`` escalation cap).
+  scenario's ``max_beam_width`` escalation cap).  Raw query arrays are
+  validated (shape, finiteness) exactly once, here, where they enter.
 * :class:`SearchResponse` — stacked ``(B, k)`` ids/distances, per-query
   valid ``counts``, and a ``counters`` mapping carrying every
   scenario-specific per-query counter (hops, distance computations,
   I/O rounds, page reads, escalated beam widths, ...).
-* :func:`execute_request` — runs a request against any index exposing
-  ``search_batch``; this is what every index's ``search(request)``
-  overload dispatches to.
-
-The response is a pure repackaging of the scenario batch result: ids,
-distances, and all counters are the same arrays (bitwise), so the
-legacy per-scenario surfaces and the request path can be pinned
-identical by tests.
+  :meth:`SearchResponse.row` slices one query out as a
+  :class:`SearchResponseRow` — the one row type (batcher futures,
+  load-harness outcomes).
+* :func:`check_scenario_fields` — the label-uniformity rules every
+  ``search(request)`` applies before running.
 """
 
 from __future__ import annotations
@@ -29,10 +26,6 @@ from typing import Dict, Iterator, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-#: Batch-result fields lifted into :class:`SearchResponse` itself; every
-#: other per-query dataclass field becomes a ``counters`` entry.
-_CORE_FIELDS = ("ids", "distances", "counts")
-
 
 def ensure_finite_queries(queries: np.ndarray) -> None:
     """Reject NaN/inf query components with a clear ``ValueError``.
@@ -40,9 +33,10 @@ def ensure_finite_queries(queries: np.ndarray) -> None:
     Non-finite coordinates produce NaN distances, and NaN poisons every
     comparison downstream — graph routing misorders its beam and the
     sharded merge's boundary-tie selection breaks with an opaque
-    reshape error.  Every search entry point (``SearchRequest``, the
-    scenario ``search_batch`` surfaces, the sharded router, the dynamic
-    batcher) calls this so the failure is immediate and named instead.
+    reshape error.  The two places raw arrays enter —
+    ``SearchRequest`` construction (which also runs on every wire
+    decode) and ``DynamicBatcher.submit`` — call this, so the failure
+    is immediate and named and nothing downstream re-scans.
     """
     if not np.isfinite(queries).all():
         bad = np.nonzero(~np.isfinite(np.atleast_2d(queries)).all(axis=1))[0]
@@ -147,11 +141,8 @@ class SearchResponse:
         return self.distances[i, : int(self.counts[i])]
 
     def row(self, i: int) -> "SearchResponseRow":
-        """Query ``i`` as a single-query row (valid-prefix ids and
-        distances, per-query counter scalars) — the same shape the
-        scenario batch results' ``row(i)`` exposes, so load-harness
-        verification can compare a network answer against an
-        in-process reference uniformly."""
+        """Query ``i`` as a single-query row: copies of its valid-prefix
+        ids and distances plus its per-query counter scalars."""
         return SearchResponseRow(
             ids=self.row_ids(i).copy(),
             distances=self.row_distances(i).copy(),
@@ -173,6 +164,14 @@ class SearchResponseRow:
     distances: np.ndarray
     counters: Dict[str, object] = field(default_factory=dict)
 
+    @property
+    def hops(self):
+        return self.counters["hops"]
+
+    @property
+    def distance_computations(self):
+        return self.counters["distance_computations"]
+
 
 @runtime_checkable
 class Index(Protocol):
@@ -183,70 +182,29 @@ class Index(Protocol):
         ...
 
 
-def supports_labels(index: object) -> bool:
-    """Whether ``index`` is (or fans out over) the filtered scenario."""
-    return bool(getattr(index, "supports_labels", False))
+def check_scenario_fields(index: object, request: SearchRequest) -> None:
+    """The label-uniformity rules of ``index.search(request)``.
 
-
-def response_from_batch(batch: object) -> SearchResponse:
-    """Repackage a scenario ``*BatchResult`` dataclass as a response.
-
-    The arrays are passed through untouched — no copies, no recompute —
-    so the response is bitwise identical to the legacy surface.
+    Labels (or the escalation cap) on a non-filtered index raise
+    ``ValueError``, and so does the filtered scenario without labels.
     """
-    import dataclasses
-
-    counters = {
-        f.name: getattr(batch, f.name)
-        for f in dataclasses.fields(batch)
-        if f.name not in _CORE_FIELDS
-    }
-    return SearchResponse(
-        ids=batch.ids,
-        distances=batch.distances,
-        counts=batch.counts,
-        counters=counters,
-    )
-
-
-def execute_request(index: object, request: SearchRequest) -> SearchResponse:
-    """Run ``request`` against any index exposing ``search_batch``.
-
-    Centralizes the label-uniformity rules: labels on a non-filtered
-    index raise ``ValueError`` (instead of the old positional
-    ``TypeError``), and the filtered scenario without labels raises
-    ``ValueError`` too.
-    """
-    queries = request.query_matrix
-    filtered = supports_labels(index)
-    if not filtered:
-        if request.labels is not None:
-            raise ValueError(
-                f"labels were supplied but {type(index).__name__} is not "
-                "a filtered-scenario index; drop request.labels or build "
-                "a 'filtered' index"
-            )
-        if request.max_beam_width is not None:
-            raise ValueError(
-                "max_beam_width is the filtered scenario's escalation "
-                f"cap but {type(index).__name__} is not a "
-                "filtered-scenario index; drop request.max_beam_width"
-            )
-    if filtered:
+    name = type(index).__name__
+    # Set by the filtered scenario and by a fan-out over filtered shards.
+    if getattr(index, "supports_labels", False):
         if request.labels is None:
             raise ValueError(
-                f"{type(index).__name__} is a filtered-scenario index "
-                "and requires request.labels (a scalar or per-query "
-                "array of target labels)"
+                f"{name} is a filtered-scenario index and requires "
+                "request.labels (a scalar or per-query array of target "
+                "labels)"
             )
-        kwargs = {"labels": request.labels}
-        if request.max_beam_width is not None:
-            kwargs["max_beam_width"] = int(request.max_beam_width)
-        batch = index.search_batch(
-            queries, k=request.k, beam_width=request.beam_width, **kwargs
+    elif request.labels is not None:
+        raise ValueError(
+            f"labels were supplied but {name} is not a filtered-scenario "
+            "index; drop request.labels or build a 'filtered' index"
         )
-    else:
-        batch = index.search_batch(
-            queries, k=request.k, beam_width=request.beam_width
+    elif request.max_beam_width is not None:
+        raise ValueError(
+            "max_beam_width is the filtered scenario's escalation cap "
+            f"but {name} is not a filtered-scenario index; drop "
+            "request.max_beam_width"
         )
-    return response_from_batch(batch)

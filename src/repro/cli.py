@@ -185,7 +185,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             index, data.queries, 10, args.beam, args.batch_size
         )
         recall = recall_at_k([r.ids for r in results], gt.ids)
-        hops = float(np.mean([r.hops for r in results]))
+        hops = float(np.mean([r.counters["hops"] for r in results]))
         rows.append([name, round(recall, 3), round(hops, 1)])
     engine = (
         f"batched (batch={args.batch_size})"
@@ -772,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=_positive_int,
         default=1,
-        help="answer queries through search_batch in chunks of this size",
+        help="answer queries in requests of this many rows",
     )
     p_demo.add_argument(
         "--float32",

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..api.protocol import SearchRequest
 from ..core import (
     RPQ,
     RPQTrainingConfig,
@@ -431,7 +432,7 @@ def run_curves(
 
 
 # ----------------------------------------------------------------------
-# Batched-engine throughput (single-query loop vs search_batch)
+# Batched-engine throughput (single-query loop vs batched requests)
 # ----------------------------------------------------------------------
 
 
@@ -467,7 +468,7 @@ def run_batch_throughput(
     """Measure the batched engine's speedup over the per-query loop.
 
     For each batch size, answers the same query set through the
-    single-query loop and through ``search_batch`` chunks, returning
+    single-query loop and through batched requests, returning
     wall-clock QPS for both plus recall on each path (equal by
     construction — the batch engine is bitwise identical per query).
     """
@@ -488,10 +489,9 @@ def run_batch_throughput(
     queries = prepared.dataset.queries
     gt = prepared.ground_truth
 
-    single = [index.search(q, k=k, beam_width=beam_width) for q in queries]
+    single = run_queries_batched(index, queries, k, beam_width, 1)
     start = time.perf_counter()
-    for q in queries:
-        index.search(q, k=k, beam_width=beam_width)
+    run_queries_batched(index, queries, k, beam_width, 1)
     single_seconds = time.perf_counter() - start
     single_qps = len(queries) / max(single_seconds, 1e-12)
     recall_single = recall_at_k([r.ids for r in single], gt.ids)
@@ -568,7 +568,7 @@ def measure_serving(
     saturated-server regime where batching pays); per-request latency
     is submit-to-resolve, so the reported p50/p99 include queueing.
     ``max_batch_size=1`` is the per-query serving baseline — every
-    request is answered by its own ``search_batch`` call.
+    request is answered by its own ``index.search`` call.
     """
     from ..serving import DynamicBatcher
 
@@ -683,7 +683,7 @@ def run_serving(
     if num_shards > 1 or replicas > 1:
         # Warm the fan-out backend (thread-pool creation, or process
         # worker spawn + state shipping) outside the measured stream.
-        index.search_batch(queries[:1], k=k, beam_width=beam_width)
+        index.search(SearchRequest(queries[:1], k, beam_width))
     reps = int(np.ceil(stream_len / len(queries)))
     stream = np.tile(queries, (reps, 1))[:stream_len]
 
@@ -913,24 +913,11 @@ def run_load(
         # the bitwise yardstick every under-load answer is checked
         # against (this also warms the backend: pool/worker spawn and
         # state shipping stay out of the measured runs).
-        if client is not None:
-            from ..api.protocol import SearchRequest
-
-            reference = {
-                p.name: client.search(
-                    SearchRequest(
-                        queries=pool, k=p.k, beam_width=p.beam_width
-                    )
-                )
-                for p in mix.profiles
-            }
-        else:
-            reference = {
-                p.name: index.search_batch(
-                    pool, k=p.k, beam_width=p.beam_width
-                )
-                for p in mix.profiles
-            }
+        target = client if client is not None else index
+        reference = {
+            p.name: target.search(SearchRequest(pool, p.k, p.beam_width))
+            for p in mix.profiles
+        }
 
         # Closed-loop saturation capacity: everything arrives at t=0.
         burst = trace_schedule(np.zeros(requests_per_point))

@@ -2,11 +2,11 @@
 
 Every figure in the paper's §8 is a curve of an efficiency metric
 against Recall@10, generated by varying the search beam width.  This
-module runs those sweeps for any index exposing
-``search_batch(queries, k, beam_width)`` — every scenario index and
-the sharded fan-out wrapper do.  ``batch_size`` sets how many queries
-share each ``search_batch`` call (``None`` means 1, the per-query
-loop; results are bitwise identical either way, only QPS changes).
+module runs those sweeps for any index answering
+``search(SearchRequest)`` — every scenario index and the sharded
+fan-out wrapper do.  ``batch_size`` sets how many queries share each
+request (``None`` means 1, the per-query loop; results are bitwise
+identical either way, only QPS changes).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..api.protocol import SearchRequest
 from ..datasets.ground_truth import GroundTruth
 from ..metrics.counters import QueryStats
 from ..metrics.recall import recall_at_k
@@ -62,16 +63,18 @@ def run_queries_batched(
     beam_width: int,
     batch_size: int,
 ) -> list:
-    """Answer ``queries`` through ``search_batch`` in ``batch_size``
-    chunks, returning per-query scalar-format results."""
+    """Answer ``queries`` in ``batch_size``-row requests, returning one
+    :class:`~repro.api.protocol.SearchResponseRow` per query."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     results = []
     for start in range(0, len(queries), batch_size):
-        batch = index.search_batch(
-            queries[start : start + batch_size], k=k, beam_width=beam_width
+        response = index.search(
+            SearchRequest(
+                queries[start : start + batch_size], k, beam_width
+            )
         )
-        results.extend(batch.row(i) for i in range(batch.num_queries))
+        results.extend(response.row(i) for i in range(response.num_queries))
     return results
 
 
@@ -87,8 +90,8 @@ def sweep_beam(
 
     Beam widths smaller than ``k`` are skipped (the index cannot return
     ``k`` results from a narrower beam).  Every sweep answers queries
-    through the unified engine (``search_batch``); ``batch_size=None``
-    is simply chunk size 1, so per-query and batched sweeps report
+    through the one typed surface; ``batch_size=None`` is simply chunk
+    size 1, so per-query and batched sweeps report
     identical recall and counters and differ only in measured QPS.
     """
     chunk = 1 if batch_size is None else batch_size

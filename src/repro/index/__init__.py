@@ -1,5 +1,7 @@
 """PQ-integrated graph indexes (paper §7): in-memory and SSD hybrid.
 
+* :class:`GraphIndex` — the shared engine binding and query surface
+  every scenario below subclasses (see :mod:`repro.index.base`).
 * :class:`MemoryIndex` — codes + graph in memory, ADC-only search.
 * :class:`DiskIndex` — DiskANN-style: codes in memory, vectors + graph
   on a :class:`SimulatedSSD`, exact rerank from fetched pages.
@@ -9,55 +11,39 @@
 * :class:`FilteredMemoryIndex` — label-filtered search (Filter-DiskANN);
   aliased as :class:`FilteredIndex`.
 
-Every index answers the uniform typed surface —
+Every index answers exactly one query surface —
 ``search(repro.api.SearchRequest)`` returning a
-:class:`~repro.api.SearchResponse` (the filtered scenario's labels are
-an optional request field) — plus the legacy shims
-``search(query, k, beam_width)`` and the batched
-``search_batch(queries, k, beam_width)``; batch results stack
-per-query ids/distances into ``(B, k)`` arrays and carry per-query
-plus aggregated counters.  All five scenarios are registered with the
-:mod:`repro.api` scenario registry, constructible from an
-:class:`~repro.api.IndexSpec` via :func:`repro.api.build`, and
+:class:`~repro.api.SearchResponse`: stacked ``(B, k)`` ids/distances,
+per-query ``counts``, and a ``counters`` dict of per-query arrays (the
+filtered scenario's labels are an optional request field);
+``response.row(i)`` is one query's slice.  All five scenarios are
+registered with the :mod:`repro.api` scenario registry, constructible
+from an :class:`~repro.api.IndexSpec` via :func:`repro.api.build`, and
 persistable with :func:`repro.api.save_index` /
 :func:`repro.api.load_index`.
 """
 
-from .disk_index import DiskBatchResult, DiskIndex, DiskSearchResult
-from .filtered import (
-    FilteredBatchResult,
-    FilteredMemoryIndex,
-    FilteredSearchResult,
-)
+from .base import GraphIndex
+from .disk_index import DiskIndex
+from .filtered import FilteredMemoryIndex
 from .l2r import L2RIndex, LearnedRoutingReweighter
-from .memory_index import MemoryBatchResult, MemoryIndex, MemorySearchResult
+from .memory_index import MemoryIndex
 from .ssd import SimulatedSSD, SSDConfig
-from .streaming import (
-    FreshVamanaIndex,
-    StreamingBatchResult,
-    StreamingSearchResult,
-)
+from .streaming import FreshVamanaIndex
 
 StreamingIndex = FreshVamanaIndex
 FilteredIndex = FilteredMemoryIndex
 
 __all__ = [
+    "GraphIndex",
     "MemoryIndex",
-    "MemorySearchResult",
-    "MemoryBatchResult",
     "DiskIndex",
-    "DiskSearchResult",
-    "DiskBatchResult",
     "L2RIndex",
     "LearnedRoutingReweighter",
     "SimulatedSSD",
     "SSDConfig",
     "FreshVamanaIndex",
     "StreamingIndex",
-    "StreamingSearchResult",
-    "StreamingBatchResult",
     "FilteredMemoryIndex",
     "FilteredIndex",
-    "FilteredSearchResult",
-    "FilteredBatchResult",
 ]

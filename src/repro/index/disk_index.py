@@ -17,101 +17,17 @@ page was read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..api.protocol import (
-    SearchRequest,
-    SearchResponse,
-    ensure_finite_queries,
-    execute_request,
-)
-from ..engine import KernelProfile, RunStats, SearchContext, execute
+from ..api.protocol import SearchRequest, SearchResponse
+from ..engine import RunStats, execute
 from ..graphs.base import ProximityGraph
-from ..quantization import TableCache
 from ..quantization.adc import BatchLookupTable
 from ..quantization.base import BaseQuantizer
+from .base import GraphIndex
 from .ssd import SimulatedSSD, SSDConfig
-
-
-@dataclass
-class DiskSearchResult:
-    """Result of one hybrid query."""
-
-    ids: np.ndarray
-    distances: np.ndarray  # exact (reranked) distances
-    hops: int
-    io_rounds: int
-    page_reads: int
-    simulated_io_us: float
-    distance_computations: int
-    table_cache_hit: int = 0
-    workspace_reused: int = 0
-
-
-@dataclass
-class DiskBatchResult:
-    """Result of one hybrid query batch.
-
-    Stacked ``(B, k)`` ids and exact reranked distances (padded ``-1``
-    / ``inf`` past each row's ``counts``), plus per-query hop / I/O /
-    distance-computation counters and ``total_*`` aggregates.
-    """
-
-    ids: np.ndarray
-    distances: np.ndarray
-    counts: np.ndarray
-    hops: np.ndarray
-    io_rounds: np.ndarray
-    page_reads: np.ndarray
-    simulated_io_us: np.ndarray
-    distance_computations: np.ndarray
-    table_cache_hits: Optional[np.ndarray] = None
-    workspace_reused: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        b = self.ids.shape[0]
-        if self.table_cache_hits is None:
-            self.table_cache_hits = np.zeros(b, dtype=np.int64)
-        if self.workspace_reused is None:
-            self.workspace_reused = np.zeros(b, dtype=np.int64)
-
-    @property
-    def num_queries(self) -> int:
-        return self.ids.shape[0]
-
-    @property
-    def total_hops(self) -> int:
-        return int(self.hops.sum())
-
-    @property
-    def total_distance_computations(self) -> int:
-        return int(self.distance_computations.sum())
-
-    @property
-    def total_page_reads(self) -> int:
-        return int(self.page_reads.sum())
-
-    @property
-    def total_simulated_io_us(self) -> float:
-        return float(self.simulated_io_us.sum())
-
-    def row(self, i: int) -> DiskSearchResult:
-        """Query ``i``'s result in the single-query format."""
-        c = int(self.counts[i])
-        return DiskSearchResult(
-            ids=self.ids[i, :c].copy(),
-            distances=self.distances[i, :c].copy(),
-            hops=int(self.hops[i]),
-            io_rounds=int(self.io_rounds[i]),
-            page_reads=int(self.page_reads[i]),
-            simulated_io_us=float(self.simulated_io_us[i]),
-            distance_computations=int(self.distance_computations[i]),
-            table_cache_hit=int(self.table_cache_hits[i]),
-            workspace_reused=int(self.workspace_reused[i]),
-        )
 
 
 class _SSDExpansion:
@@ -179,7 +95,7 @@ class _SSDExpansion:
         return out_ids, out_d, np.minimum(reads, k)
 
 
-class DiskIndex:
+class DiskIndex(GraphIndex):
     """DiskANN-style hybrid index over a simulated SSD.
 
     Parameters
@@ -205,6 +121,16 @@ class DiskIndex:
         :class:`BatchLookupTable`; when absent, the table factory falls
         back to applying ``table_transform`` per query row.
     """
+
+    counter_names = (
+        "hops",
+        "io_rounds",
+        "page_reads",
+        "simulated_io_us",
+        "distance_computations",
+        "table_cache_hits",
+        "workspace_reused",
+    )
 
     def __init__(
         self,
@@ -233,45 +159,14 @@ class DiskIndex:
         self.table_transform = table_transform
         self.table_transform_batch = table_transform_batch
         self.dim = x.shape[1]
-        self._init_engine(graph)
-
-    def _init_engine(self, graph: ProximityGraph) -> None:
-        """Bind the context with its cross-request amortizers (table
-        cache + workspace pool); shared by both construction paths."""
-        self._fp_token = object()
-        self.kernel_profile: Optional[KernelProfile] = None
-        self.context = SearchContext(
-            graph=graph,
-            codes=self.codes,
-            table_factory=self._build_tables,
-            table_cache=TableCache(),
-            fingerprint=self._table_fingerprint,
-        )
+        self._init_engine(graph, self.codes)
 
     def _table_fingerprint(self):
-        """Everything that shapes a table row: the frozen quantizer and
-        the optional routing transforms."""
-        return (
-            self._fp_token,
-            id(self.quantizer),
+        """The frozen quantizer plus the optional routing transforms."""
+        return super()._table_fingerprint() + (
             id(self.table_transform),
             id(self.table_transform_batch),
         )
-
-    def invalidate_table_cache(self) -> None:
-        """Drop cached tables; call after mutating the quantizer or
-        swapping the table transforms in place."""
-        self._fp_token = object()
-        if self.context.table_cache is not None:
-            self.context.table_cache.clear()
-
-    def engine_status(self) -> dict:
-        """Hot-path amortizer introspection (cache + workspace pool)."""
-        cache = self.context.table_cache
-        return {
-            "table_cache": cache.stats() if cache is not None else None,
-            "workspace_pool": self.context.workspace_pool.stats(),
-        }
 
     # ------------------------------------------------------------------
     def _build_tables(self, queries: np.ndarray) -> BatchLookupTable:
@@ -317,60 +212,23 @@ class DiskIndex:
         self.table_transform = table_transform
         self.table_transform_batch = table_transform_batch
         self.dim = np.asarray(vectors).shape[1]
-        self._init_engine(graph)
+        self._init_engine(graph, self.codes)
         return self
 
     # ------------------------------------------------------------------
-    def search(
-        self,
-        query: "np.ndarray | SearchRequest",
-        k: int = 10,
-        beam_width: int = 32,
-    ) -> "DiskSearchResult | SearchResponse":
-        """DiskANN beam search + exact rerank (the ``B=1`` batch).
-
-        A :class:`~repro.api.SearchRequest` argument runs the uniform
-        typed path and returns a :class:`~repro.api.SearchResponse`.
-        """
-        if isinstance(query, SearchRequest):
-            return execute_request(self, query)
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        return self.search_batch(query[None, :], k=k, beam_width=beam_width).row(0)
-
-    # ------------------------------------------------------------------
-    def search_batch(
-        self,
-        queries: np.ndarray,
-        k: int = 10,
-        beam_width: int = 32,
-    ) -> DiskBatchResult:
-        """Batched DiskANN beam search + exact rerank.
+    def _search(
+        self, queries: np.ndarray, request: SearchRequest
+    ) -> SearchResponse:
+        """DiskANN beam search + exact rerank.
 
         One lockstep kernel pass with the SSD expansion policy: every
         round selects each active query's ``io_width`` closest
         unexpanded candidates, issues one SSD read per query (so the
         per-query I/O accounting matches the paper's cost model), then
         scores all fetched vectors with one ``einsum`` and all fresh
-        neighbors with one ADC gather across the whole batch.  Row
-        ``b`` of the result — ids, exact distances, and every counter —
-        is bitwise identical to a batch of one on ``queries[b]``.
+        neighbors with one ADC gather across the whole batch.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        ensure_finite_queries(queries)
         b = queries.shape[0]
-        if b == 0:
-            return DiskBatchResult(
-                ids=np.empty((0, k), dtype=np.int64),
-                distances=np.empty((0, k), dtype=np.float64),
-                counts=np.empty(0, dtype=np.int64),
-                hops=np.empty(0, dtype=np.int64),
-                io_rounds=np.empty(0, dtype=np.int64),
-                page_reads=np.empty(0, dtype=np.int64),
-                simulated_io_us=np.empty(0, dtype=np.float64),
-                distance_computations=np.empty(0, dtype=np.int64),
-            )
         stats = RunStats()
         tables = self.context.tables(queries, stats=stats)
         self.ssd.reset_counters()
@@ -383,7 +241,7 @@ class DiskIndex:
                 self.graph.adjacency,
                 np.full(b, self.graph.entry_point, dtype=np.int64),
                 self.context.dist_fn(tables),
-                beam_width,
+                request.beam_width,
                 frontier_width=self.io_width,
                 expand=policy,
                 expansion_counts_distance=True,
@@ -394,18 +252,17 @@ class DiskIndex:
             pool.release(ws)
 
         # Exact rerank per query over every vertex whose page was read.
-        out_ids, out_d, out_counts = policy.rerank(k)
-        return DiskBatchResult(
-            ids=out_ids,
-            distances=out_d,
-            counts=out_counts,
+        out_ids, out_d, out_counts = policy.rerank(request.k)
+        return self._respond(
+            out_ids,
+            out_d,
+            out_counts,
+            stats,
             hops=result.hops,
             io_rounds=policy.io_rounds,
             page_reads=policy.page_reads,
             simulated_io_us=policy.io_us,
             distance_computations=result.distance_computations,
-            table_cache_hits=stats.hits_vector(b),
-            workspace_reused=stats.reuse_vector(b),
         )
 
     # ------------------------------------------------------------------

@@ -14,88 +14,16 @@ vertices, the search escalates the beam width geometrically up to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from ..api.protocol import (
-    SearchRequest,
-    SearchResponse,
-    ensure_finite_queries,
-    execute_request,
-)
-from ..engine import KernelProfile, RunStats, SearchContext
+from ..api.protocol import SearchRequest, SearchResponse
+from ..engine import RunStats
 from ..graphs.base import ProximityGraph
-from ..quantization import TableCache
 from ..quantization.base import BaseQuantizer
+from .base import GraphIndex, compact_rows
 
 
-@dataclass
-class FilteredSearchResult:
-    """Result of one filtered query."""
-
-    ids: np.ndarray
-    distances: np.ndarray
-    hops: int
-    distance_computations: int
-    beam_width_used: int
-    table_cache_hit: int = 0
-    workspace_reused: int = 0
-
-
-@dataclass
-class FilteredBatchResult:
-    """Result of one filtered query batch.
-
-    Stacked ``(B, k)`` ids/distances (padded ``-1`` / ``inf`` past each
-    row's ``counts``), per-query counters, and the beam width each
-    query finally escalated to.
-    """
-
-    ids: np.ndarray
-    distances: np.ndarray
-    counts: np.ndarray
-    hops: np.ndarray
-    distance_computations: np.ndarray
-    beam_widths_used: np.ndarray
-    table_cache_hits: Optional[np.ndarray] = None
-    workspace_reused: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        b = self.ids.shape[0]
-        if self.table_cache_hits is None:
-            self.table_cache_hits = np.zeros(b, dtype=np.int64)
-        if self.workspace_reused is None:
-            self.workspace_reused = np.zeros(b, dtype=np.int64)
-
-    @property
-    def num_queries(self) -> int:
-        return self.ids.shape[0]
-
-    @property
-    def total_hops(self) -> int:
-        return int(self.hops.sum())
-
-    @property
-    def total_distance_computations(self) -> int:
-        return int(self.distance_computations.sum())
-
-    def row(self, i: int) -> FilteredSearchResult:
-        """Query ``i``'s result in the single-query format."""
-        c = int(self.counts[i])
-        return FilteredSearchResult(
-            ids=self.ids[i, :c].copy(),
-            distances=self.distances[i, :c].copy(),
-            hops=int(self.hops[i]),
-            distance_computations=int(self.distance_computations[i]),
-            beam_width_used=int(self.beam_widths_used[i]),
-            table_cache_hit=int(self.table_cache_hits[i]),
-            workspace_reused=int(self.workspace_reused[i]),
-        )
-
-
-class FilteredMemoryIndex:
+class FilteredMemoryIndex(GraphIndex):
     """In-memory PQ+graph index with per-vertex labels.
 
     Parameters
@@ -106,9 +34,14 @@ class FilteredMemoryIndex:
         ``(n,)`` integer label per vertex.
     """
 
-    #: The filtered scenario takes per-query target labels; the uniform
-    #: request path (:func:`repro.api.execute_request`) keys off this.
-    supports_labels = True
+    supports_labels = True  # requests carry per-query target labels
+    counter_names = (
+        "hops",
+        "distance_computations",
+        "beam_widths_used",
+        "table_cache_hits",
+        "workspace_reused",
+    )
 
     def __init__(
         self,
@@ -132,39 +65,16 @@ class FilteredMemoryIndex:
         self.graph = graph
         self.quantizer = quantizer
         self.codes = quantizer.encode(x)
+        self._bind(graph, labels)
+
+    def _bind(self, graph: ProximityGraph, labels: np.ndarray) -> None:
+        """Engine binding plus the label histogram (labels are
+        immutable, so one ``np.unique`` serves every request)."""
         self.labels = labels
-        self._init_engine(graph)
-
-    def _init_engine(self, graph: ProximityGraph) -> None:
-        """Bind the context with its cross-request amortizers (table
-        cache + workspace pool); shared by both construction paths."""
-        self._fp_token = object()
-        self.kernel_profile: Optional[KernelProfile] = None
-        self.context = SearchContext(
-            graph=graph,
-            codes=self.codes,
-            table_factory=self.quantizer.lookup_table_batch,
-            table_cache=TableCache(),
-            fingerprint=self._table_fingerprint,
+        self._label_values, self._label_counts = np.unique(
+            labels, return_counts=True
         )
-
-    def _table_fingerprint(self):
-        """Tables depend only on the query and the frozen quantizer."""
-        return (self._fp_token, id(self.quantizer))
-
-    def invalidate_table_cache(self) -> None:
-        """Drop cached tables; call after mutating the quantizer."""
-        self._fp_token = object()
-        if self.context.table_cache is not None:
-            self.context.table_cache.clear()
-
-    def engine_status(self) -> dict:
-        """Hot-path amortizer introspection (cache + workspace pool)."""
-        cache = self.context.table_cache
-        return {
-            "table_cache": cache.stats() if cache is not None else None,
-            "workspace_pool": self.context.workspace_pool.stats(),
-        }
+        self._init_engine(graph, self.codes)
 
     @classmethod
     def from_state(
@@ -180,74 +90,39 @@ class FilteredMemoryIndex:
         self.graph = graph
         self.quantizer = quantizer
         self.codes = np.asarray(codes)
-        self.labels = np.asarray(labels).reshape(-1)
-        self._init_engine(graph)
+        self._bind(graph, np.asarray(labels).reshape(-1))
         return self
+
+    def _available(self, labels: np.ndarray) -> np.ndarray:
+        """Vertices carrying each of ``labels`` (0 for absent ones)."""
+        values = self._label_values
+        if not values.size:
+            return np.zeros(labels.shape[0], dtype=np.int64)
+        pos = np.minimum(np.searchsorted(values, labels), values.size - 1)
+        return np.where(values[pos] == labels, self._label_counts[pos], 0)
 
     def label_count(self, label: int) -> int:
         """Number of vertices carrying ``label``."""
-        return int((self.labels == label).sum())
+        return int(self._available(np.asarray([label]))[0])
 
-    def search(
-        self,
-        query: "np.ndarray | SearchRequest",
-        label: Optional[int] = None,
-        k: int = 10,
-        beam_width: int = 32,
-        max_beam_width: int = 256,
-    ) -> "FilteredSearchResult | SearchResponse":
-        """Nearest vertices with ``labels == label``.
+    def _search(
+        self, queries: np.ndarray, request: SearchRequest
+    ) -> SearchResponse:
+        """Nearest vertices with ``labels == request.labels``, with
+        shared escalation rounds.
 
-        Escalates the beam geometrically until ``k`` matching vertices
-        are found (or ``max_beam_width`` is reached).  The ``B=1``
-        batch.  A :class:`~repro.api.SearchRequest` argument (carrying
-        ``request.labels``) runs the uniform typed path and returns a
-        :class:`~repro.api.SearchResponse`.
-        """
-        if isinstance(query, SearchRequest):
-            return execute_request(self, query)
-        if label is None:
-            raise ValueError(
-                "filtered search requires a target label (pass 'label' "
-                "or use a SearchRequest with labels)"
-            )
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        return self.search_batch(
-            query[None, :],
-            label,
-            k=k,
-            beam_width=beam_width,
-            max_beam_width=max_beam_width,
-        ).row(0)
-
-    def search_batch(
-        self,
-        queries: np.ndarray,
-        labels: Optional[np.ndarray] = None,
-        k: int = 10,
-        beam_width: int = 32,
-        max_beam_width: int = 256,
-    ) -> FilteredBatchResult:
-        """Batched filtered search with shared escalation rounds.
-
-        ``labels`` is a scalar (one label for the whole batch) or a
-        ``(B,)`` array.  Every query follows the scalar path's beam
+        ``request.labels`` is a scalar (one label for the whole batch)
+        or a ``(B,)`` array.  Every query follows the same beam
         schedule (``max(beam_width, k)`` doubling to
-        ``max_beam_width``), so each escalation round is one lockstep
-        routing pass over the still-unsatisfied queries; row ``b`` is
-        bitwise identical to :meth:`search` on ``queries[b]``.
+        ``max_beam_width``, default 256), so each escalation round is
+        one lockstep routing pass over the still-unsatisfied queries.
         """
-        if labels is None:
-            raise ValueError(
-                "filtered search requires target labels (a scalar or a "
-                "(B,) per-query array)"
-            )
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        ensure_finite_queries(queries)
+        k = request.k
+        max_beam_width = (
+            256 if request.max_beam_width is None else request.max_beam_width
+        )
         b = queries.shape[0]
-        labels_arr = np.asarray(labels).reshape(-1)
+        labels_arr = np.asarray(request.labels).reshape(-1)
         if labels_arr.size == 1:
             qlabels = np.full(b, labels_arr[0])
         elif labels_arr.size == b:
@@ -260,21 +135,14 @@ class FilteredMemoryIndex:
         hops = np.zeros(b, dtype=np.int64)
         comps = np.zeros(b, dtype=np.int64)
         beams_used = np.zeros(b, dtype=np.int64)
-        if b == 0:
-            return FilteredBatchResult(
-                ids=out_ids, distances=out_d, counts=counts, hops=hops,
-                distance_computations=comps, beam_widths_used=beams_used,
-            )
-        available = np.array(
-            [self.label_count(int(lab)) for lab in qlabels], dtype=np.int64
-        )
+        available = self._available(qlabels)
         table_stats = RunStats()
         tables = self.context.tables(queries, stats=table_stats)
         ws_reused = np.zeros(b, dtype=np.int64)
         vertex_labels = self.labels
 
         active = np.ones(b, dtype=bool)
-        beam = max(beam_width, k)
+        beam = max(request.beam_width, k)
         while active.any():
             sub = np.flatnonzero(active)
             round_stats = RunStats()
@@ -301,35 +169,25 @@ class FilteredMemoryIndex:
             )
             if done.any():
                 rows = np.flatnonzero(done)
-                # Stable compaction: matched candidates first, ranking
-                # order preserved, then truncate to k.
-                order = np.argsort(~match[rows], axis=1, kind="stable")
-                ids_sorted = np.take_along_axis(
-                    result.ids[rows], order, axis=1
-                )
-                d_sorted = np.take_along_axis(
-                    result.distances[rows], order, axis=1
-                )
-                take = np.minimum(matched_counts[rows], k)
-                if ids_sorted.shape[1] < k:
-                    pad = k - ids_sorted.shape[1]
-                    ids_sorted = np.pad(ids_sorted, ((0, 0), (0, pad)))
-                    d_sorted = np.pad(d_sorted, ((0, 0), (0, pad)))
-                keep = np.arange(k)[None, :] < take[:, None]
                 done_global = sub[rows]
-                out_ids[done_global] = np.where(keep, ids_sorted[:, :k], -1)
-                out_d[done_global] = np.where(keep, d_sorted[:, :k], np.inf)
-                counts[done_global] = take
+                # Matched candidates first, ranking order preserved.
+                (
+                    out_ids[done_global],
+                    out_d[done_global],
+                    counts[done_global],
+                ) = compact_rows(
+                    result.ids[rows], result.distances[rows], match[rows], k
+                )
                 beams_used[done_global] = beam
                 active[done_global] = False
             beam = min(2 * beam, max_beam_width)
-        return FilteredBatchResult(
-            ids=out_ids,
-            distances=out_d,
-            counts=counts,
+        return self._respond(
+            out_ids,
+            out_d,
+            counts,
+            table_stats,
             hops=hops,
             distance_computations=comps,
             beam_widths_used=beams_used,
-            table_cache_hits=table_stats.hits_vector(b),
             workspace_reused=ws_reused,
         )

@@ -129,8 +129,7 @@ class L2RIndex(MemoryIndex):
     def _build_tables(self, queries: np.ndarray) -> BatchLookupTable:
         """Learned reweighting applied on top of the base ADC tables —
         the only place this scenario's policy differs from the plain
-        memory index; scalar and batched search inherit it through the
-        shared context's table factory."""
+        memory index."""
         return self.reweighter.reweight_batch(super()._build_tables(queries))
 
     def _table_fingerprint(self):

@@ -6,103 +6,25 @@ ranking both use ADC lookup-table distances — there is no reranking
 step, which is why this scenario's achievable recall is bounded by the
 quantizer's quality (the effect Tables 7 / Fig. 10 measure).
 
-All query execution goes through the shared engine core: the index
-owns a :class:`~repro.engine.SearchContext` (codes + table factory)
-and ``search`` is simply the ``B=1`` batch.  The scenario policy here
-is the table build itself — ADC vs SDC mode, table dtype, and the
+All query execution goes through the shared engine binding
+(:class:`~repro.index.base.GraphIndex`).  The scenario policy here is
+the table build itself — ADC vs SDC mode, table dtype, and the
 optional half-precision storage path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..api.protocol import (
-    SearchRequest,
-    SearchResponse,
-    ensure_finite_queries,
-    execute_request,
-)
-from ..engine import BatchSearchResult, RunStats, SearchContext
+from ..api.protocol import SearchRequest, SearchResponse
+from ..engine import RunStats
 from ..graphs.base import ProximityGraph
 from ..quantization.adc import BatchLookupTable
 from ..quantization.base import BaseQuantizer
-from ..quantization.table_cache import TableCache
+from .base import GraphIndex
 
 
-@dataclass
-class MemorySearchResult:
-    """Result of one in-memory query.
-
-    ``table_cache_hit`` / ``workspace_reused`` are engine-telemetry
-    flags (0/1): whether the query's ADC table came from the
-    cross-request cache and whether the kernel ran on a recycled
-    workspace.  Both are path-dependent, never result-affecting.
-    """
-
-    ids: np.ndarray
-    distances: np.ndarray
-    hops: int
-    distance_computations: int
-    table_cache_hit: int = 0
-    workspace_reused: int = 0
-
-
-@dataclass
-class MemoryBatchResult:
-    """Result of one in-memory query batch.
-
-    ``ids`` / ``distances`` are stacked ``(B, k)`` arrays; row ``b``'s
-    first ``counts[b]`` entries are valid (padded with ``-1`` / ``inf``
-    beyond).  ``hops`` and ``distance_computations`` are per-query;
-    the ``total_*`` properties aggregate them.  ``table_cache_hits`` /
-    ``workspace_reused`` are per-query 0/1 engine-telemetry counters
-    (see :class:`MemorySearchResult`).
-    """
-
-    ids: np.ndarray
-    distances: np.ndarray
-    counts: np.ndarray
-    hops: np.ndarray
-    distance_computations: np.ndarray
-    table_cache_hits: np.ndarray = None
-    workspace_reused: np.ndarray = None
-
-    def __post_init__(self) -> None:
-        b = self.ids.shape[0]
-        if self.table_cache_hits is None:
-            self.table_cache_hits = np.zeros(b, dtype=np.int64)
-        if self.workspace_reused is None:
-            self.workspace_reused = np.zeros(b, dtype=np.int64)
-
-    @property
-    def num_queries(self) -> int:
-        return self.ids.shape[0]
-
-    @property
-    def total_hops(self) -> int:
-        return int(self.hops.sum())
-
-    @property
-    def total_distance_computations(self) -> int:
-        return int(self.distance_computations.sum())
-
-    def row(self, i: int) -> MemorySearchResult:
-        """Query ``i``'s result in the single-query format."""
-        c = int(self.counts[i])
-        return MemorySearchResult(
-            ids=self.ids[i, :c].copy(),
-            distances=self.distances[i, :c].copy(),
-            hops=int(self.hops[i]),
-            distance_computations=int(self.distance_computations[i]),
-            table_cache_hit=int(self.table_cache_hits[i]),
-            workspace_reused=int(self.workspace_reused[i]),
-        )
-
-
-class MemoryIndex:
+class MemoryIndex(GraphIndex):
     """In-memory PQ + proximity-graph index.
 
     Parameters
@@ -132,6 +54,8 @@ class MemoryIndex:
         flip on near-tied codeword argmins).  ``np.float64`` (default)
         keeps the double-precision reference path bit-for-bit.
     """
+
+    k_within_beam = True  # ADC-only ranking: no rerank to widen k
 
     def __init__(
         self,
@@ -180,59 +104,16 @@ class MemoryIndex:
             self._book = quantizer.codebook
             self.codes = quantizer.encode(x)
         self.dim = x.shape[1]
-        self._init_engine(graph)
-
-    # ------------------------------------------------------------------
-    def _init_engine(self, graph: ProximityGraph) -> None:
-        """Build the search context plus its hot-path amortizers."""
-        self._fp_token = object()  # per-index cache-key identity anchor
-        self.kernel_profile = None
-        self.context = SearchContext(
-            graph=graph,
-            codes=self.codes,
-            table_factory=self._build_tables,
-            table_cache=TableCache(),
-            fingerprint=self._table_fingerprint,
-        )
+        self._init_engine(graph, self.codes)
 
     def _table_fingerprint(self):
-        """Everything that shapes this index's table contents.
-
-        ``_fp_token`` pins index identity (so a shared cache can never
-        mix indexes); the rest invalidates on mode/dtype/codebook
-        change.  Refresh the token (``invalidate_table_cache``) after
-        mutating anything the factory closes over.
-        """
+        """Mode, dtype and codebook identity shape this index's tables."""
         return (
             self._fp_token,
             self.distance_mode,
             str(self.table_dtype),
             id(self._book.codewords),
         )
-
-    def invalidate_table_cache(self) -> None:
-        """Drop cached tables and refresh the fingerprint token (call
-        after any codebook/transform mutation)."""
-        self._fp_token = object()
-        if self.context.table_cache is not None:
-            self.context.table_cache.clear()
-
-    @property
-    def table_cache(self):
-        """The cross-request ADC table cache (``None`` = disabled)."""
-        return self.context.table_cache
-
-    @table_cache.setter
-    def table_cache(self, cache) -> None:
-        self.context.table_cache = cache
-
-    def engine_status(self) -> dict:
-        """Hot-path introspection: table-cache and workspace-pool stats."""
-        cache = self.context.table_cache
-        return {
-            "table_cache": cache.stats() if cache is not None else None,
-            "workspace_pool": self.context.workspace_pool.stats(),
-        }
 
     # ------------------------------------------------------------------
     def _build_tables(self, queries: np.ndarray) -> BatchLookupTable:
@@ -271,28 +152,6 @@ class MemoryIndex:
             book, transformed, dtype=self.table_dtype
         )
 
-    @staticmethod
-    def _validate_k(k: int, beam_width: int) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k > beam_width:
-            raise ValueError("k cannot exceed beam_width")
-
-    def _package(
-        self, result: BatchSearchResult, stats: RunStats
-    ) -> MemoryBatchResult:
-        """Wrap a kernel result in the scenario's batch format."""
-        b = result.ids.shape[0]
-        return MemoryBatchResult(
-            ids=result.ids,
-            distances=result.distances,
-            counts=result.counts,
-            hops=result.hops,
-            distance_computations=result.distance_computations,
-            table_cache_hits=stats.hits_vector(b),
-            workspace_reused=stats.reuse_vector(b),
-        )
-
     # ------------------------------------------------------------------
     @classmethod
     def from_state(
@@ -324,65 +183,29 @@ class MemoryIndex:
             self._book = quantizer.codebook
         self.codes = np.asarray(codes)
         self.dim = int(dim)
-        self._init_engine(graph)
+        self._init_engine(graph, self.codes)
         return self
 
     # ------------------------------------------------------------------
-    def search(
-        self,
-        query: "np.ndarray | SearchRequest",
-        k: int = 10,
-        beam_width: int = 32,
-    ) -> "MemorySearchResult | SearchResponse":
-        """Beam-search with ADC distances; no rerank (the ``B=1`` batch).
-
-        Passing a :class:`~repro.api.SearchRequest` instead of a raw
-        query runs the uniform typed path and returns a
-        :class:`~repro.api.SearchResponse` (bitwise identical ids,
-        distances, and counters).
-        """
-        if isinstance(query, SearchRequest):
-            return execute_request(self, query)
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        batch = self.search_batch(query[None, :], k=k, beam_width=beam_width)
-        return batch.row(0)
-
-    def search_batch(
-        self,
-        queries: np.ndarray,
-        k: int = 10,
-        beam_width: int = 32,
-    ) -> MemoryBatchResult:
-        """Batched beam search: one table build + one lockstep routing.
-
-        Every query's ids/distances/counters are independent of the
-        batch composition: the kernel runs each row's trajectory
-        bitwise identically whether it shares the batch with 0 or 999
-        other queries, so batching only amortizes the table build into
-        a single broadcasted ``einsum`` and the routing into the
-        lockstep kernel.
-        """
-        self._validate_k(k, beam_width)
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        ensure_finite_queries(queries)
-        if queries.shape[0] == 0:
-            return MemoryBatchResult(
-                ids=np.empty((0, k), dtype=np.int64),
-                distances=np.empty((0, k), dtype=np.float64),
-                counts=np.empty(0, dtype=np.int64),
-                hops=np.empty(0, dtype=np.int64),
-                distance_computations=np.empty(0, dtype=np.int64),
-            )
+    def _search(
+        self, queries: np.ndarray, request: SearchRequest
+    ) -> SearchResponse:
+        """Beam search with ADC distances; no rerank."""
         stats = RunStats()
-        return self._package(
-            self.context.run(
-                queries,
-                beam_width,
-                k=k,
-                stats=stats,
-                profile=self.kernel_profile,
-            ),
+        result = self.context.run(
+            queries,
+            request.beam_width,
+            k=request.k,
+            stats=stats,
+            profile=self.kernel_profile,
+        )
+        return self._respond(
+            result.ids,
+            result.distances,
+            result.counts,
             stats,
+            hops=result.hops,
+            distance_computations=result.distance_computations,
         )
 
     # ------------------------------------------------------------------

@@ -26,91 +26,25 @@ compaction of the result lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from typing import List, Optional
 
 import numpy as np
 
-from ..api.protocol import (
-    SearchRequest,
-    SearchResponse,
-    ensure_finite_queries,
-    execute_request,
-)
+from ..api.protocol import SearchRequest, SearchResponse
 from ..engine import (
     KernelProfile,
     KernelWorkspace,
     RunStats,
     SearchContext,
-    WorkspacePool,
     lockstep_apply,
 )
 from ..graphs.base import medoid
 from ..graphs.beam import BatchDistanceFn, beam_search, beam_search_batch
 from ..graphs.packed import PackedAdjacency
 from ..graphs.vamana import robust_prune
-from ..quantization import TableCache
 from ..quantization.base import BaseQuantizer
-
-
-@dataclass
-class StreamingSearchResult:
-    """Result of one query against the streaming index."""
-
-    ids: np.ndarray
-    distances: np.ndarray
-    hops: int
-    distance_computations: int
-    table_cache_hit: int = 0
-    workspace_reused: int = 0
-
-
-@dataclass
-class StreamingBatchResult:
-    """Result of one query batch against the streaming index.
-
-    Stacked ``(B, k)`` ids/distances (padded ``-1`` / ``inf`` past each
-    row's ``counts``) plus per-query counters.
-    """
-
-    ids: np.ndarray
-    distances: np.ndarray
-    counts: np.ndarray
-    hops: np.ndarray
-    distance_computations: np.ndarray
-    table_cache_hits: Optional[np.ndarray] = None
-    workspace_reused: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        b = self.ids.shape[0]
-        if self.table_cache_hits is None:
-            self.table_cache_hits = np.zeros(b, dtype=np.int64)
-        if self.workspace_reused is None:
-            self.workspace_reused = np.zeros(b, dtype=np.int64)
-
-    @property
-    def num_queries(self) -> int:
-        return self.ids.shape[0]
-
-    @property
-    def total_hops(self) -> int:
-        return int(self.hops.sum())
-
-    @property
-    def total_distance_computations(self) -> int:
-        return int(self.distance_computations.sum())
-
-    def row(self, i: int) -> StreamingSearchResult:
-        """Query ``i``'s result in the single-query format."""
-        c = int(self.counts[i])
-        return StreamingSearchResult(
-            ids=self.ids[i, :c].copy(),
-            distances=self.distances[i, :c].copy(),
-            hops=int(self.hops[i]),
-            distance_computations=int(self.distance_computations[i]),
-            table_cache_hit=int(self.table_cache_hits[i]),
-            workspace_reused=int(self.workspace_reused[i]),
-        )
+from .base import GraphIndex, compact_rows
 
 
 class _LiveGraphView:
@@ -157,7 +91,7 @@ class _LiveGraphView:
         )
 
 
-class FreshVamanaIndex:
+class FreshVamanaIndex(GraphIndex):
     """Mutable Vamana graph + quantized codes with insert/delete.
 
     Parameters
@@ -213,15 +147,13 @@ class FreshVamanaIndex:
         self._mapped: bool = False
 
         # Hot-path amortizers: the packed CSR view of the live adjacency
-        # (invalidated by every graph mutation), a cross-request table
-        # cache (tables depend only on query + quantizer, so inserts do
-        # NOT invalidate it), and the kernel workspace pool.  All three
-        # survive across searches; the per-call _context() re-binds them.
+        # (invalidated by every graph mutation) and the shared engine
+        # binding — a context *template* whose table cache (tables
+        # depend only on query + quantizer, so inserts do NOT
+        # invalidate it) and workspace pool survive across searches;
+        # the per-call _context() re-binds the live graph and codes.
         self._packed: Optional[PackedAdjacency] = None
-        self._table_cache = TableCache()
-        self._workspace_pool = WorkspacePool()
-        self._fp_token = object()
-        self.kernel_profile: Optional[KernelProfile] = None
+        self._init_engine(None, None)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -499,112 +431,45 @@ class FreshVamanaIndex:
             self._packed = PackedAdjacency.from_lists(self._adjacency)
         return self._packed
 
-    def _table_fingerprint(self):
-        """Tables depend on the query and the (frozen) quantizer only —
-        codes appended by inserts never enter a table build, so the
-        cache key ignores graph/code growth entirely."""
-        return (self._fp_token, id(self.quantizer))
-
-    def invalidate_table_cache(self) -> None:
-        """Drop cached tables; call after mutating the quantizer (e.g.
-        refreshing its codebooks out-of-band)."""
-        self._fp_token = object()
-        self._table_cache.clear()
-
-    def engine_status(self) -> dict:
-        """Hot-path amortizer introspection (cache + workspace pool)."""
-        return {
-            "table_cache": self._table_cache.stats(),
-            "workspace_pool": self._workspace_pool.stats(),
-        }
-
     def _context(self) -> SearchContext:
         """Per-call engine context over the current codes and graph."""
-        return SearchContext(
+        return dataclasses.replace(
+            self.context,
             graph=_LiveGraphView(
                 self._adjacency, self._entry, self._packed_adjacency()
             ),
             codes=np.asarray(self._codes),
-            table_factory=self.quantizer.lookup_table_batch,
-            table_cache=self._table_cache,
-            fingerprint=self._table_fingerprint,
-            workspace_pool=self._workspace_pool,
         )
 
-    def search(
-        self,
-        query: "np.ndarray | SearchRequest",
-        k: int = 10,
-        beam_width: int = 32,
-    ) -> "StreamingSearchResult | SearchResponse":
-        """ADC beam search; tombstoned vertices are filtered from the
-        results (but still route, as in Fresh-DiskANN).  The ``B=1``
-        batch.  A :class:`~repro.api.SearchRequest` argument runs the
-        uniform typed path and returns a
-        :class:`~repro.api.SearchResponse`."""
-        if isinstance(query, SearchRequest):
-            return execute_request(self, query)
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        return self.search_batch(
-            query[None, :], k=k, beam_width=beam_width
-        ).row(0)
-
-    def search_batch(
-        self,
-        queries: np.ndarray,
-        k: int = 10,
-        beam_width: int = 32,
-    ) -> StreamingBatchResult:
-        """Batched ADC beam search with per-query tombstone filtering.
+    def _search(
+        self, queries: np.ndarray, request: SearchRequest
+    ) -> SearchResponse:
+        """ADC beam search with per-query tombstone filtering.
 
         One shared table build, one lockstep routing pass through the
         engine core, then the scenario's policy: a vectorized stable
-        compaction that drops tombstoned vertices while preserving each
-        row's ranking order.
+        compaction that drops tombstoned vertices (they still route, as
+        in Fresh-DiskANN) while preserving each row's ranking order.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        ensure_finite_queries(queries)
+        k = request.k
         b = queries.shape[0]
-        if b == 0 or self._entry is None or self.num_active == 0:
-            return StreamingBatchResult(
-                ids=np.full((b, k), -1, dtype=np.int64),
-                distances=np.full((b, k), np.inf, dtype=np.float64),
-                counts=np.zeros(b, dtype=np.int64),
-                hops=np.zeros(b, dtype=np.int64),
-                distance_computations=np.zeros(b, dtype=np.int64),
-            )
+        if self._entry is None or self.num_active == 0:
+            return self._padding(b, k)
         stats = RunStats()
         result = self._context().run(
-            queries, beam_width, stats=stats, profile=self.kernel_profile
+            queries,
+            request.beam_width,
+            stats=stats,
+            profile=self.kernel_profile,
         )
-        # Stable compaction: alive candidates first, order preserved —
-        # the batched equivalent of boolean masking per query.
+        # Alive candidates first, ranking order preserved.
         dead = np.asarray(self._deleted, dtype=bool)
         width = result.ids.shape[1]
         valid = np.arange(width)[None, :] < result.counts[:, None]
-        safe_ids = np.where(valid, result.ids, 0)
-        alive = valid & ~dead[safe_ids]
-        order = np.argsort(~alive, axis=1, kind="stable")
-        ids_sorted = np.take_along_axis(result.ids, order, axis=1)
-        d_sorted = np.take_along_axis(result.distances, order, axis=1)
-        take = np.minimum(alive.sum(axis=1), k)
-        keep = np.arange(k)[None, :] < take[:, None]
-        pad_w = max(k, ids_sorted.shape[1])
-        if ids_sorted.shape[1] < k:
-            ids_sorted = np.pad(
-                ids_sorted, ((0, 0), (0, pad_w - ids_sorted.shape[1]))
-            )
-            d_sorted = np.pad(
-                d_sorted, ((0, 0), (0, pad_w - d_sorted.shape[1]))
-            )
-        return StreamingBatchResult(
-            ids=np.where(keep, ids_sorted[:, :k], -1),
-            distances=np.where(keep, d_sorted[:, :k], np.inf),
-            counts=take,
+        alive = valid & ~dead[np.where(valid, result.ids, 0)]
+        return self._respond(
+            *compact_rows(result.ids, result.distances, alive, k),
+            stats,
             hops=result.hops,
             distance_computations=result.distance_computations,
-            table_cache_hits=stats.hits_vector(b),
-            workspace_reused=stats.reuse_vector(b),
         )

@@ -40,8 +40,8 @@ class RequestOutcome:
     ``scheduled_s`` is when the open-loop schedule said the request
     arrives; ``submitted_s`` when the dispatcher actually handed it to
     the target (the gap is dispatcher slip, included in latency);
-    ``completed_s`` when its future resolved.  ``row`` is the scalar
-    search result (``None`` on failure) so answers can be checked
+    ``completed_s`` when its future resolved.  ``row`` is the answer's
+    ``SearchResponseRow`` (``None`` on failure) so answers can be checked
     bitwise against a reference after the run.
     """
 
@@ -122,10 +122,11 @@ class NetTarget:
     Each submitted query becomes a single-row
     :class:`~repro.api.protocol.SearchRequest` at the profile's ``(k,
     beam_width)``; the returned future resolves to the response's
-    ``row(0)`` so outcomes carry the same valid-prefix row shape the
-    in-process targets produce and :func:`verify_outcomes` applies
-    unchanged.  Queue-wait/service splits are server-side and not
-    visible over the wire, so those summary columns come back ``nan``.
+    ``row(0)`` — the same row type the in-process targets produce, so
+    :func:`verify_outcomes` applies unchanged, and the gateway
+    batcher's ``batcher_*_s`` stamps ride along in ``row.counters``
+    (differences of one server-side clock), so the queue-wait/service
+    split is reported over the wire too.
     """
 
     def __init__(self, client) -> None:
@@ -318,15 +319,19 @@ def summarize_run(
         schedule.offsets_s[0]
     )
     latencies_ms = [o.latency_ms for o in completed]
+    # Only answers that rode a local batcher carry the queue timeline.
+    stamped = [
+        counters
+        for counters in (getattr(o.row, "counters", {}) for o in completed)
+        if "batcher_complete_s" in counters
+    ]
     queue_waits = [
-        (row.batcher_dequeue_s - row.batcher_enqueue_s) * 1e3
-        for row in (o.row for o in completed)
-        if hasattr(row, "batcher_dequeue_s")
+        (c["batcher_dequeue_s"] - c["batcher_enqueue_s"]) * 1e3
+        for c in stamped
     ]
     services = [
-        (row.batcher_complete_s - row.batcher_dequeue_s) * 1e3
-        for row in (o.row for o in completed)
-        if hasattr(row, "batcher_complete_s")
+        (c["batcher_complete_s"] - c["batcher_dequeue_s"]) * 1e3
+        for c in stamped
     ]
     return LoadRunStats(
         offered_qps=float(schedule.rate_qps)
@@ -353,8 +358,8 @@ def verify_outcomes(
 ) -> int:
     """Assert every completed answer is bitwise identical to reference.
 
-    ``reference`` maps profile name -> the direct ``search_batch``
-    result over the *whole query pool* at that profile's ``(k,
+    ``reference`` maps profile name -> the direct ``index.search``
+    response over the *whole query pool* at that profile's ``(k,
     beam_width)``; each outcome's row is compared against the reference
     row for its query.  Returns the number of requests checked; raises
     ``AssertionError`` on the first divergence — under-load answers

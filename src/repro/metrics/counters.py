@@ -17,19 +17,21 @@ class QueryStats:
 
     @staticmethod
     def aggregate(results: Sequence[object]) -> "QueryStats":
-        """Average the counters exposed by search results.
+        """Average the counters of per-query response rows.
 
-        Accepts any result objects with ``hops`` and
-        ``distance_computations`` attributes; ``page_reads`` and
+        Accepts :class:`~repro.api.protocol.SearchResponseRow`-shaped
+        objects (a ``counters`` mapping with ``hops`` and
+        ``distance_computations``); ``page_reads`` and
         ``simulated_io_us`` are picked up when present (hybrid scenario).
         """
         if not results:
             raise ValueError("need at least one result")
         n = len(results)
-        hops = sum(r.hops for r in results) / n
-        comps = sum(r.distance_computations for r in results) / n
-        reads = sum(getattr(r, "page_reads", 0) for r in results) / n
-        io_us = sum(getattr(r, "simulated_io_us", 0.0) for r in results) / n
+        rows = [r.counters for r in results]
+        hops = sum(c["hops"] for c in rows) / n
+        comps = sum(c["distance_computations"] for c in rows) / n
+        reads = sum(c.get("page_reads", 0) for c in rows) / n
+        io_us = sum(c.get("simulated_io_us", 0.0) for c in rows) / n
         return QueryStats(
             mean_hops=hops,
             mean_distance_computations=comps,

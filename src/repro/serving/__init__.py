@@ -4,7 +4,7 @@ This package turns the library into the shape of a server (see
 ``docs/architecture.md``):
 
 * :class:`ShardedIndex` — partitions a dataset across per-shard
-  indexes (any scenario), fans ``search_batch`` out through a
+  indexes (any scenario), fans ``search(request)`` out through a
   pluggable :class:`ShardBackend` (``"thread"``: in-process pool;
   ``"process"``: persistent per-shard worker processes fed via
   ``save_index``/``load_index``), and merges per-query top-k across
@@ -20,7 +20,7 @@ This package turns the library into the shape of a server (see
 * :class:`DynamicBatcher` — a request queue that accumulates single
   queries into micro-batches (size- or deadline-triggered; the
   ``max_wait_ms`` knob trades latency for throughput) and answers them
-  through one ``search_batch`` call each.
+  through one ``index.search(request)`` call each.
 
 Both compose: a batcher over a sharded index is the classic
 DiskANN-server architecture — queue → batcher → sharded fan-out →

@@ -2,7 +2,7 @@
 
 :class:`~repro.serving.sharded.ShardedIndex` owns the merge, the
 global-id mapping, and the write-path routing; *where* the per-shard
-``search_batch`` calls execute is a pluggable :class:`ShardBackend`:
+``search(request)`` calls execute is a pluggable :class:`ShardBackend`:
 
 * ``"thread"`` (:class:`ThreadBackend`) — the in-process pool.  Shard
   searches are read-only NumPy, which releases the GIL in the hot
@@ -13,7 +13,7 @@ global-id mapping, and the write-path routing; *where* the per-shard
   :func:`repro.api.save_index` into a temporary directory; the worker
   :func:`repro.api.load_index`-s it once at startup (spawn-safe: no
   state is inherited, only the directory path crosses the ``Process``
-  boundary) and then answers ``search_batch`` calls over a pipe.  With
+  boundary) and then answers ``request`` messages over a pipe.  With
   one GIL per worker the whole search runs in parallel, not just the
   NumPy-released slices.
 
@@ -64,12 +64,11 @@ def usable_cpu_count() -> int:
 
 
 class ShardBackend:
-    """Executes one ``search_batch`` per shard, results in shard order.
+    """Executes one ``search(request)`` per shard, in shard order.
 
     Subclasses register under a short name in :data:`SHARD_BACKENDS`
     and are constructed through :func:`make_shard_backend` — the single
-    seam :class:`~repro.serving.sharded.ShardedIndex` dispatches its
-    ``_fan_out`` through.
+    seam :class:`~repro.serving.sharded.ShardedIndex` fans out through.
     """
 
     name: str = ""
@@ -83,10 +82,9 @@ class ShardBackend:
             raise ValueError("max_workers must be >= 1")
         self._shards = list(shards)
 
-    def search_all(
-        self, queries, k: int, beam_width: int, kwargs: dict
-    ) -> List[object]:
-        """One scenario batch result per shard, in shard order.
+    def search_all(self, request) -> List[object]:
+        """One :class:`~repro.api.SearchResponse` per shard, in shard
+        order.
 
         A ``None`` entry means that shard produced no candidates this
         request (every replica lost, replicated backend only); the
@@ -160,26 +158,12 @@ class ThreadBackend(ShardBackend):
             )
         return self._pool
 
-    def search_all(
-        self, queries, k: int, beam_width: int, kwargs: dict
-    ) -> List[object]:
+    def search_all(self, request) -> List[object]:
         if len(self._shards) == 1 or self._workers == 1:
-            return [
-                shard.search_batch(
-                    queries, k=k, beam_width=beam_width, **kwargs
-                )
-                for shard in self._shards
-            ]
+            return [shard.search(request) for shard in self._shards]
         pool = self._executor()
         futures = [
-            pool.submit(
-                shard.search_batch,
-                queries,
-                k=k,
-                beam_width=beam_width,
-                **kwargs,
-            )
-            for shard in self._shards
+            pool.submit(shard.search, request) for shard in self._shards
         ]
         return [f.result() for f in futures]
 
@@ -199,7 +183,7 @@ def _shard_worker_main(dirpath: str, conn) -> None:
     """Entry point of one persistent shard worker process.
 
     Loads the shard once, acknowledges readiness, then serves
-    frame-coded ``search`` messages until a ``stop`` message (or a
+    frame-coded ``request`` messages until a ``stop`` message (or a
     closed pipe) ends the loop.  Requests and replies are whole
     :mod:`repro.serving.net.framing` message buffers carried by
     ``Connection.send_bytes``/``recv_bytes`` — the exact bytes a socket
@@ -239,14 +223,13 @@ def _shard_worker_main(dirpath: str, conn) -> None:
                 # (not just that the process exists), used by the
                 # replication supervisor's detect->respawn->verify pass.
                 conn.send_bytes(framing.encode_message("pong"))
-            elif message.kind == "search":
-                queries, k, beam_width, kwargs = framing.decode_search(
-                    message
+            elif message.kind == "request":
+                request_id, request = framing.decode_search_request(message)
+                conn.send_bytes(
+                    framing.encode_search_response(
+                        index.search(request), request_id
+                    )
                 )
-                result = index.search_batch(
-                    queries, k=k, beam_width=beam_width, **kwargs
-                )
-                conn.send_bytes(framing.encode_result(result))
             else:
                 raise ValueError(
                     f"unknown worker command {message.kind!r}"
@@ -279,6 +262,24 @@ def _raise_worker_error(payload: BaseException) -> None:
     if tb:
         payload.__cause__ = _RemoteTraceback(tb)
     raise payload
+
+
+def _unwrap_reply(kind: str, payload, expected: str, who: str):
+    """The payload of an ``expected``-kind worker reply.
+
+    A worker-side error re-raises with its remote traceback; any other
+    kind (a stale peer answering a message this build no longer
+    speaks) is a protocol violation, never a decoded object.
+    """
+    from .net.framing import ProtocolError
+
+    if kind == "error":
+        _raise_worker_error(payload)
+    if kind != expected:
+        raise ProtocolError(
+            f"{who} answered {kind!r}, expected {expected!r}"
+        )
+    return payload
 
 
 def _send_error(conn, exc: BaseException) -> None:
@@ -340,8 +341,8 @@ class ProcessBackend(ShardBackend):
     Workers spawn lazily on the first search: each shard's state is
     written with :func:`repro.api.save_index` into a temp directory and
     a spawn-context ``Process`` loads it back on the other side, so
-    only picklable primitives (a path, query arrays, results) ever
-    cross the boundary.  ``max_workers`` is accepted for interface
+    only a path and frame-coded requests/responses ever cross the
+    boundary.  ``max_workers`` is accepted for interface
     uniformity but does not apply — parallelism is one process per
     shard by construction.
 
@@ -433,14 +434,7 @@ class ProcessBackend(ShardBackend):
             raise RuntimeError(
                 f"shard worker {shard} exited unexpectedly"
             ) from None
-        if kind == "error":
-            _raise_worker_error(payload)
-        if kind != expected:
-            raise RuntimeError(
-                f"shard worker {shard} answered {kind!r}, "
-                f"expected {expected!r}"
-            )
-        return payload
+        return _unwrap_reply(kind, payload, expected, f"shard worker {shard}")
 
     def _flush_dirty(self) -> None:
         if not self._dirty:
@@ -479,19 +473,16 @@ class ProcessBackend(ShardBackend):
             self._procs = self._conns = self._dirs = self._tmpdir = None
 
     # -- search ---------------------------------------------------------
-    def search_all(
-        self, queries, k: int, beam_width: int, kwargs: dict
-    ) -> List[object]:
+    def search_all(self, request) -> List[object]:
         from .net import framing
 
         with self._lock:
             self._ensure_workers()
             try:
-                request = framing.encode_search(
-                    queries, k, beam_width, kwargs
-                )
+                # Pipes are not multiplexed, so the request id is moot.
+                blob = framing.encode_search_request(request, 0)
                 for conn in self._conns:
-                    conn.send_bytes(request)
+                    conn.send_bytes(blob)
                 # Collect every reply before raising so the pipes stay
                 # framed (a failed shard must not leave siblings'
                 # results unread).
@@ -515,10 +506,10 @@ class ProcessBackend(ShardBackend):
                 # consume them as its own.  Reset rather than desync.
                 self.close()
                 raise
-        for kind, payload in outcomes:
-            if kind == "error":
-                _raise_worker_error(payload)
-        return [payload for _, payload in outcomes]
+        return [
+            _unwrap_reply(kind, payload, "response", f"shard worker {s}")
+            for s, (kind, payload) in enumerate(outcomes)
+        ]
 
 
 #: Registered backend constructors, keyed by the name the

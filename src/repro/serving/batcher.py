@@ -2,16 +2,16 @@
 
 Callers submit single queries and get a future back; a worker loop
 drains the queue into micro-batches and answers each batch with one
-``search_batch`` call.  A batch is dispatched when it reaches
+``index.search(request)`` call.  A batch is dispatched when it reaches
 ``max_batch_size`` or when ``max_wait_ms`` has elapsed since its first
 request — the latency/throughput knob: waiting longer builds bigger
 batches (higher QPS through the lockstep kernel) at the cost of queue
 latency on the first request of each batch.
 
-Because the engine's batch results are bitwise independent of batch
+Because the engine's responses are bitwise independent of batch
 composition (see ``docs/architecture.md``), dynamic batching never
 changes any caller's answer — only when it arrives.  The worker issues
-one ``search_batch`` at a time, which also serializes shard fan-out for
+one search at a time, which also serializes shard fan-out for
 a :class:`~repro.serving.sharded.ShardedIndex` backend.
 """
 
@@ -35,13 +35,9 @@ from ..api.protocol import (
 
 _STOP = object()
 
-#: Scalar-result fields whose batch-result counterpart uses a different
-#: name; :meth:`DynamicBatcher.search` renames them so its responses
-#: carry the same counter keys as every other ``search(request)`` path.
-_SCALAR_TO_BATCH_COUNTER = {
-    "beam_width_used": "beam_widths_used",
-    "table_cache_hit": "table_cache_hits",
-}
+#: The per-request queue timeline stamped onto every answered row
+#: (``time.perf_counter`` seconds).
+_STAMPS = ("batcher_enqueue_s", "batcher_dequeue_s", "batcher_complete_s")
 
 
 @dataclass
@@ -69,7 +65,7 @@ class BatcherStats:
     deadline_triggered: int = 0
     flush_triggered: int = 0
     #: Summed per-request queue wait (submit -> batch dequeue) and
-    #: service time (dequeue -> search_batch return), in seconds —
+    #: service time (dequeue -> index.search return), in seconds —
     #: divide by ``answered`` for the means.  Separating the two is
     #: what lets a latency regression be attributed to queueing vs the
     #: kernel.
@@ -104,16 +100,17 @@ class DynamicBatcher:
     Parameters
     ----------
     index:
-        Any index exposing ``search_batch(queries, k, beam_width)`` —
-        a plain scenario index or a
+        Any index answering ``search(SearchRequest)`` — a plain
+        scenario index or a
         :class:`~repro.serving.sharded.ShardedIndex`.
     k, beam_width, search_kwargs:
         Fixed per batcher so every micro-batch is one homogeneous
-        ``search_batch`` call.  ``search_kwargs`` forwards scenario
-        extras that broadcast over any batch size — e.g. a *scalar*
-        label for the filtered scenario.  Per-query arrays cannot work
-        here: micro-batch composition is load-dependent, so anything
-        shaped ``(B, ...)`` would be matched to arbitrary requests.
+        request.  ``search_kwargs`` supplies the request's scenario
+        fields that broadcast over any batch size — e.g. a *scalar*
+        ``labels`` for the filtered scenario.  Per-query arrays cannot
+        work here: micro-batch composition is load-dependent, so
+        anything shaped ``(B, ...)`` would be matched to arbitrary
+        requests.
     max_batch_size:
         Dispatch as soon as this many requests are queued.
     max_wait_ms:
@@ -168,10 +165,11 @@ class DynamicBatcher:
             self._spawn_worker()
 
     def submit(self, query: np.ndarray) -> Future:
-        """Enqueue one query; the future resolves to the scenario's
-        scalar result (``batch.row(i)``) once its micro-batch runs.
+        """Enqueue one query; the future resolves to its
+        :class:`~repro.api.protocol.SearchResponseRow`
+        (``response.row(i)``) once its micro-batch runs.
 
-        The resolved row carries its queue timeline as
+        The row's ``counters`` also carry its queue timeline as
         ``batcher_enqueue_s`` / ``batcher_dequeue_s`` /
         ``batcher_complete_s`` (``time.perf_counter`` timestamps), so
         queue wait is separable from kernel service time.
@@ -181,6 +179,10 @@ class DynamicBatcher:
         neighbors that happen to share its micro-batch."""
         query = np.asarray(query, dtype=np.float64).reshape(-1)
         ensure_finite_queries(query)
+        return self._enqueue(query)
+
+    def _enqueue(self, query: np.ndarray) -> Future:
+        """Queue one already-validated ``(dim,)`` query."""
         future: Future = Future()
         with self._lock:
             if self._closed:
@@ -195,12 +197,14 @@ class DynamicBatcher:
 
         Every query row is submitted as its own request (riding
         whatever micro-batches form around it), so the answers are
-        bitwise identical to a direct ``search_batch`` — only the
-        batching is load-dependent.  The request must match the
-        batcher's fixed ``k`` / ``beam_width`` (micro-batches are
-        homogeneous by construction), and per-request ``labels`` are
-        rejected: scenario extras broadcast over load-dependent batches
-        only as scalars, via ``search_kwargs``.
+        bitwise identical to a direct ``index.search(request)`` and
+        carry the same counter keys and dtypes plus the three
+        ``batcher_*_s`` stamps — only the batching is load-dependent.
+        The request must match the batcher's fixed ``k`` /
+        ``beam_width`` (micro-batches are homogeneous by
+        construction), and per-request ``labels`` are rejected:
+        scenario extras broadcast over load-dependent batches only as
+        scalars, via ``search_kwargs``.
         """
         if request.k != self.k or request.beam_width != self.beam_width:
             raise ValueError(
@@ -214,36 +218,43 @@ class DynamicBatcher:
                 "micro-batches; configure scalar scenario extras via "
                 "search_kwargs instead"
             )
+        queries = request.query_matrix
+        if not queries.shape[0]:
+            # Nothing to queue: the index's own (state-free) B = 0
+            # answer is the schema, plus empty stamps.
+            response = self.index.search(self._request(queries))
+            for name in _STAMPS:
+                response.counters[name] = np.empty(0, dtype=np.float64)
+            return response
+        # The request's rows were validated when it was built.
         rows = [
             future.result()
-            for future in [
-                self.submit(q) for q in request.query_matrix
-            ]
+            for future in [self._enqueue(q) for q in queries]
         ]
         k = self.k
         b = len(rows)
         ids = np.full((b, k), -1, dtype=np.int64)
         distances = np.full((b, k), np.inf, dtype=np.float64)
         counts = np.zeros(b, dtype=np.int64)
-        counters: dict = {}
         for i, row in enumerate(rows):
             c = min(row.ids.shape[0], k)
             ids[i, :c] = row.ids[:c]
             distances[i, :c] = row.distances[:c]
             counts[i] = c
-            for name, value in vars(row).items():
-                if name in ("ids", "distances"):
-                    continue
-                name = _SCALAR_TO_BATCH_COUNTER.get(name, name)
-                counters.setdefault(name, [None] * b)[i] = value
         return SearchResponse(
             ids=ids,
             distances=distances,
             counts=counts,
             counters={
-                name: np.asarray(values)
-                for name, values in counters.items()
+                name: np.asarray([row.counters[name] for row in rows])
+                for name in rows[0].counters
             },
+        )
+
+    def _request(self, queries: np.ndarray) -> SearchRequest:
+        """The homogeneous request one micro-batch runs as."""
+        return SearchRequest(
+            queries, self.k, self.beam_width, **self.search_kwargs
         )
 
     def close(self, flush: bool = True, timeout: Optional[float] = None):
@@ -347,14 +358,10 @@ class DynamicBatcher:
         # exception anywhere (a ragged query stack, a scenario error)
         # must resolve the futures, never kill the worker loop.
         try:
-            queries = np.stack([r.query for r in live])
-            result = self.index.search_batch(
-                queries,
-                k=self.k,
-                beam_width=self.beam_width,
-                **self.search_kwargs,
+            response = self.index.search(
+                self._request(np.stack([r.query for r in live]))
             )
-            rows = [result.row(i) for i in range(len(live))]
+            rows = [response.row(i) for i in range(len(live))]
         except BaseException as exc:  # propagate to every caller
             for request in live:
                 if not request.future.done():
@@ -362,14 +369,13 @@ class DynamicBatcher:
             return
         complete_s = time.perf_counter()
         for request, row in zip(live, rows):
-            # Per-request queue timeline (perf_counter timestamps),
-            # attached to the scalar row so the latency a caller sees
+            # Per-request queue timeline, so the latency a caller sees
             # decomposes into queue wait (enqueue -> dequeue) vs
-            # service (dequeue -> complete).  The load harness keys on
-            # these; `search(request)` lifts them into counters.
-            row.batcher_enqueue_s = request.enqueue_s
-            row.batcher_dequeue_s = dequeue_s
-            row.batcher_complete_s = complete_s
+            # service (dequeue -> complete); the load harness keys on
+            # these.
+            row.counters.update(
+                zip(_STAMPS, (request.enqueue_s, dequeue_s, complete_s))
+            )
             self.stats.queue_wait_s += dequeue_s - request.enqueue_s
             self.stats.service_s += complete_s - dequeue_s
             request.future.set_result(row)

@@ -2,7 +2,7 @@
 
 Slots into the same :class:`~repro.serving.backends.ShardBackend`
 seam as the thread/process backends, but each shard's
-``search_batch`` is answered by a remote worker (``repro
+``search(request)`` is answered by a remote worker (``repro
 serve-shard``) reached at a configured ``host:port`` endpoint —
 the parent never holds the shard state, only addresses.
 
@@ -85,19 +85,15 @@ class SocketBackend(ShardBackend):
         self._clients = [ShardClient(row[0]) for row in matrix]
         self._threads_lock = threading.Lock()
 
-    def search_all(
-        self, queries, k: int, beam_width: int, kwargs: dict
-    ) -> List[object]:
+    def search_all(self, request) -> List[object]:
         if len(self._clients) == 1:
-            return [self._clients[0].search(queries, k, beam_width, kwargs)]
+            return [self._clients[0].search(request)]
         results: List[object] = [None] * len(self._clients)
         errors: List[Optional[BaseException]] = [None] * len(self._clients)
 
         def _one(s: int) -> None:
             try:
-                results[s] = self._clients[s].search(
-                    queries, k, beam_width, kwargs
-                )
+                results[s] = self._clients[s].search(request)
             except BaseException as exc:
                 errors[s] = exc
 
@@ -183,8 +179,8 @@ class _SocketReplica:
         # what triggers the supervisor's respawn_and_verify.
         return True
 
-    def search(self, queries, k, beam_width, kwargs):
-        return self._client.search(queries, k, beam_width, kwargs)
+    def search(self, request):
+        return self._client.search(request)
 
     def reload(self) -> None:
         self._client.reload()

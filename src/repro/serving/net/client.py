@@ -1,7 +1,7 @@
 """Blocking clients for the network tier.
 
 :class:`ShardClient` is the backend side: one connection to one shard
-worker, speaking the worker protocol (``ping``/``reload``/``search``)
+worker, speaking the worker protocol (``ping``/``reload``/``request``)
 with connect/read timeouts and bounded exponential-backoff reconnect.
 Worker death surfaces as the replication layer's
 :class:`~repro.serving.replication.ReplicaDied`, so the PR 6 failover
@@ -25,6 +25,7 @@ import time
 from concurrent.futures import Future
 from typing import Optional
 
+from ...api.protocol import SearchRequest
 from . import framing
 from .worker import parse_hostport
 
@@ -112,7 +113,7 @@ class ShardClient:
     def _request(self, blob: bytes, expected: str):
         """Send one request buffer, read one reply; infra failures
         close the connection and raise ``ReplicaDied``."""
-        from ..backends import _raise_worker_error
+        from ..backends import _unwrap_reply
         from ..replication import ReplicaDied
 
         with self._lock:
@@ -132,14 +133,9 @@ class ShardClient:
                     f"shard worker at {self.endpoint} died mid-request"
                 ) from exc
         kind, payload = framing.reply_payload(message)
-        if kind == "error":
-            _raise_worker_error(payload)
-        if kind != expected:
-            raise RuntimeError(
-                f"shard worker at {self.endpoint} answered {kind!r}, "
-                f"expected {expected!r}"
-            )
-        return payload
+        return _unwrap_reply(
+            kind, payload, expected, f"shard worker at {self.endpoint}"
+        )
 
     def ping(self) -> None:
         self._request(framing.encode_message("ping"), "pong")
@@ -147,12 +143,21 @@ class ShardClient:
     def reload(self) -> None:
         self._request(framing.encode_message("reload"), "ready")
 
-    def search(self, queries, k: int, beam_width: int, kwargs: dict):
+    def search(self, request, k=None, beam_width=None, extras=None):
+        """One typed round-trip; returns the shard's
+        :class:`~repro.api.SearchResponse`.
+
+        The repo benchmark's driver spells the call ``search(queries,
+        k, beam_width, {})``; that spelling builds the request here.
+        """
+        if not isinstance(request, SearchRequest):
+            request = SearchRequest(request, k, beam_width, **(extras or {}))
+        # One request per connection at a time: the id is moot.
         return self._request(
-            framing.encode_search(
-                queries, k, beam_width, kwargs, self._max_frame_bytes
+            framing.encode_search_request(
+                request, 0, self._max_frame_bytes
             ),
-            "result",
+            "response",
         )
 
 

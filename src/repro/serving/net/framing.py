@@ -433,135 +433,8 @@ def decode_error(message: Message) -> BaseException:
 
 
 # ----------------------------------------------------------------------
-# Scenario batch-result messages (shard worker replies)
+# Worker replies (ready / pong / response / error)
 # ----------------------------------------------------------------------
-
-#: Result classes may only come from the repo itself.
-_RESULT_MODULE_PREFIX = "repro."
-
-
-def encode_result(
-    result: object, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> bytes:
-    """Encode a scenario ``*BatchResult`` dataclass generically.
-
-    Every field of the five scenarios' batch results is an ndarray
-    after ``__post_init__`` (tests pin this), so the payload is just
-    the class identity plus one raw array block per field — no pickle.
-    """
-    if not dataclasses.is_dataclass(result):
-        raise ProtocolError(
-            f"{type(result).__name__} is not a dataclass batch result"
-        )
-    cls = type(result)
-    arrays = {}
-    for field in dataclasses.fields(cls):
-        arrays[field.name] = np.asarray(getattr(result, field.name))
-    meta = {"module": cls.__module__, "qualname": cls.__qualname__}
-    return encode_message(
-        "result", meta=meta, arrays=arrays, max_frame_bytes=max_frame_bytes
-    )
-
-
-def decode_result(message: Message) -> object:
-    """Rebuild the batch-result dataclass from a ``result`` message.
-
-    The class must live under ``repro.`` and be a dataclass — the
-    import allowlist mirrors :func:`decode_error`.
-    """
-    module = str(message.meta.get("module", ""))
-    qualname = str(message.meta.get("qualname", ""))
-    if not module.startswith(_RESULT_MODULE_PREFIX):
-        raise ProtocolError(
-            f"result class module {module!r} is outside the repro "
-            "allowlist"
-        )
-    if "." in qualname:
-        raise ProtocolError(
-            f"nested result class {qualname!r} cannot be resolved"
-        )
-    try:
-        cls = getattr(importlib.import_module(module), qualname)
-    except (ImportError, AttributeError) as exc:
-        raise ProtocolError(
-            f"unknown result class {module}.{qualname}"
-        ) from exc
-    if not dataclasses.is_dataclass(cls):
-        raise ProtocolError(f"{module}.{qualname} is not a dataclass")
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    if set(message.arrays) != field_names:
-        raise ProtocolError(
-            f"result message fields {sorted(message.arrays)} do not "
-            f"match {qualname}'s fields {sorted(field_names)}"
-        )
-    return cls(**message.arrays)
-
-
-# ----------------------------------------------------------------------
-# Shard-worker requests (search / ping / reload / stop)
-# ----------------------------------------------------------------------
-
-
-def _jsonable_scalar(value: object) -> object:
-    """Normalize numpy scalar kwargs to plain Python for the JSON meta."""
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-def encode_search(
-    queries: np.ndarray,
-    k: int,
-    beam_width: int,
-    kwargs: Optional[dict] = None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> bytes:
-    """A shard ``search_batch`` call: scalar knobs in the JSON meta,
-    the query matrix (and any array-valued kwargs, e.g. per-query
-    ``labels``) as raw ndarray frames."""
-    kwargs = kwargs or {}
-    arrays = {"queries": np.asarray(queries)}
-    scalars = {}
-    array_kwargs = []
-    for name, value in kwargs.items():
-        if isinstance(value, np.ndarray):
-            arrays[f"kw:{name}"] = value
-            array_kwargs.append(name)
-        else:
-            scalars[name] = _jsonable_scalar(value)
-    meta = {
-        "k": int(k),
-        "beam_width": int(beam_width),
-        "kw_scalars": scalars,
-        "kw_arrays": array_kwargs,
-    }
-    return encode_message(
-        "search", meta=meta, arrays=arrays, max_frame_bytes=max_frame_bytes
-    )
-
-
-def decode_search(message: Message) -> Tuple[np.ndarray, int, int, dict]:
-    """Inverse of :func:`encode_search`."""
-    meta = message.meta
-    try:
-        queries = message.arrays["queries"]
-    except KeyError:
-        raise ProtocolError("search message lacks a 'queries' array") \
-            from None
-    kwargs = dict(meta.get("kw_scalars", {}))
-    for name in meta.get("kw_arrays", []):
-        try:
-            kwargs[name] = message.arrays[f"kw:{name}"]
-        except KeyError:
-            raise ProtocolError(
-                f"search message lacks declared kwarg array {name!r}"
-            ) from None
-    return (
-        queries,
-        int(meta["k"]),
-        int(meta["beam_width"]),
-        kwargs,
-    )
 
 
 def decode_reply(
@@ -569,9 +442,11 @@ def decode_reply(
 ) -> Tuple[str, object]:
     """Decode one worker reply buffer into ``(kind, payload)``.
 
-    ``kind`` is one of ``"ready"``, ``"pong"``, ``"result"``,
-    ``"error"``; the payload is the decoded batch result, the rebuilt
-    exception, or ``None``.
+    ``kind`` is one of ``"ready"``, ``"pong"``, ``"response"``,
+    ``"error"``; the payload is the decoded
+    :class:`~repro.api.SearchResponse`, the rebuilt exception, or
+    ``None``.  Any other kind passes through undecoded for the caller
+    to reject.
     """
     message = decode_message(blob, max_frame_bytes)
     return reply_payload(message)
@@ -581,13 +456,14 @@ def reply_payload(message: Message) -> Tuple[str, object]:
     """``(kind, payload)`` of an already-decoded reply message."""
     if message.kind == "error":
         return "error", decode_error(message)
-    if message.kind == "result":
-        return "result", decode_result(message)
+    if message.kind == "response":
+        return "response", decode_search_response(message)[1]
     return message.kind, message.meta.get("value")
 
 
 # ----------------------------------------------------------------------
-# Gateway requests/responses (the typed SearchRequest protocol)
+# Search requests/responses (the typed protocol, on every leg:
+# client <-> gateway and gateway/router <-> shard worker)
 # ----------------------------------------------------------------------
 
 
@@ -596,7 +472,7 @@ def encode_search_request(
     request_id: int,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
 ) -> bytes:
-    """A client->gateway typed request, tagged for multiplexing."""
+    """A typed request, tagged for multiplexing."""
     arrays = {"queries": np.asarray(request.queries)}
     labels_scalar = None
     has_label_array = False
@@ -661,23 +537,15 @@ def encode_search_response(
     request_id: int,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
 ) -> bytes:
-    """A gateway->client typed response, tagged with its request id."""
+    """A typed response, tagged with its request id."""
     arrays = {
         "ids": np.asarray(response.ids),
         "distances": np.asarray(response.distances),
         "counts": np.asarray(response.counts),
     }
-    counter_names = []
     for name, values in response.counters.items():
-        values = np.asarray(values)
-        if values.dtype.hasobject:
-            # Path-dependent per-row telemetry (e.g. mixed None rows)
-            # cannot cross the wire raw; drop it rather than fail the
-            # answer — ids/distances/counts are the contract.
-            continue
-        arrays[f"counter:{name}"] = values
-        counter_names.append(name)
-    meta = {"id": int(request_id), "counters": counter_names}
+        arrays[f"counter:{name}"] = np.asarray(values)
+    meta = {"id": int(request_id), "counters": list(response.counters)}
     return encode_message(
         "response", meta=meta, arrays=arrays, max_frame_bytes=max_frame_bytes
     )

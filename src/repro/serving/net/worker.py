@@ -3,9 +3,9 @@
 A shard worker is the socket twin of the process backend's pipe
 worker: it boots from a persisted index directory (the deploy
 artifact), listens on a TCP port, and answers the shared frame
-protocol — ``ping``/``reload``/``search`` messages in,
-``pong``/``ready``/``result``/``error`` messages out, byte-for-byte
-the same buffers the pipe transport carries.
+protocol — ``ping``/``reload``/``request`` messages in,
+``pong``/``ready``/``response``/``error`` messages out, byte-for-byte
+the same buffers the pipe transport (and the gateway's clients) carry.
 
 The server is deliberately boring: one accepting thread plus one
 thread per client connection, with searches serialized under a single
@@ -88,15 +88,11 @@ class ShardService:
                 with self._search_lock:
                     self._index = load_index(self._dirpath)
                 return framing.encode_message("ready")
-            if message.kind == "search":
-                queries, k, beam_width, kwargs = framing.decode_search(
-                    message
-                )
+            if message.kind == "request":
+                request_id, request = framing.decode_search_request(message)
                 with self._search_lock:
-                    result = self._index.search_batch(
-                        queries, k=k, beam_width=beam_width, **kwargs
-                    )
-                return framing.encode_result(result)
+                    response = self._index.search(request)
+                return framing.encode_search_response(response, request_id)
             raise framing.ProtocolError(
                 f"unknown worker request {message.kind!r}"
             )

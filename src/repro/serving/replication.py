@@ -53,8 +53,8 @@ from typing import List, Optional, Sequence
 from .backends import (
     SHARD_BACKENDS,
     ShardBackend,
-    _raise_worker_error,
     _shard_worker_main,
+    _unwrap_reply,
     usable_cpu_count,
 )
 
@@ -97,10 +97,8 @@ class _ThreadReplica:
     def process_alive(self) -> bool:
         return True
 
-    def search(self, queries, k, beam_width, kwargs):
-        return self._shard.search_batch(
-            queries, k=k, beam_width=beam_width, **kwargs
-        )
+    def search(self, request):
+        return self._shard.search(request)
 
     def reload(self) -> None:  # live object: always current
         pass
@@ -169,14 +167,10 @@ class _ProcessReplica:
                 f"shard {self.shard_id} replica {self.replica_id} "
                 "exited unexpectedly"
             ) from exc
-        if kind == "error":
-            _raise_worker_error(payload)
-        if kind != expected:
-            raise RuntimeError(
-                f"shard {self.shard_id} replica {self.replica_id} "
-                f"answered {kind!r}, expected {expected!r}"
-            )
-        return payload
+        return _unwrap_reply(kind, payload, expected, self._who())
+
+    def _who(self) -> str:
+        return f"shard {self.shard_id} replica {self.replica_id}"
 
     def wait_ready(self, timeout: Optional[float] = None) -> None:
         self._expect("ready", timeout)
@@ -233,30 +227,21 @@ class _ProcessReplica:
         self.terminate()
 
     # -- serving --------------------------------------------------------
-    def search(self, queries, k, beam_width, kwargs):
+    def search(self, request):
         from .net import framing
 
         with self._pipe_lock:
             try:
+                # One request per pipe at a time: the id is moot.
                 self._conn.send_bytes(
-                    framing.encode_search(queries, k, beam_width, kwargs)
+                    framing.encode_search_request(request, 0)
                 )
                 kind, payload = framing.decode_reply(
                     self._conn.recv_bytes()
                 )
             except (EOFError, OSError, ValueError) as exc:
-                raise ReplicaDied(
-                    f"shard {self.shard_id} replica {self.replica_id} "
-                    "died mid-request"
-                ) from exc
-        if kind == "error":
-            _raise_worker_error(payload)
-        if kind != "result":
-            raise RuntimeError(
-                f"shard {self.shard_id} replica {self.replica_id} "
-                f"answered {kind!r} to a search"
-            )
-        return payload
+                raise ReplicaDied(f"{self._who()} died mid-request") from exc
+        return _unwrap_reply(kind, payload, "response", self._who())
 
     def reload(self) -> None:
         from .net import framing
@@ -583,7 +568,7 @@ class ReplicatedBackend(ShardBackend):
         with self._fleet_lock:
             replica.in_flight -= 1
 
-    def _search_shard(self, shard: int, queries, k, beam_width, kwargs):
+    def _search_shard(self, shard: int, request):
         """One shard's call with in-request failover.
 
         Each attempt runs on the least-loaded healthy replica; a
@@ -598,7 +583,7 @@ class ReplicatedBackend(ShardBackend):
             if replica is None:
                 return None
             try:
-                return replica.search(queries, k, beam_width, kwargs)
+                return replica.search(request)
             except ReplicaDied:
                 with self._fleet_lock:
                     replica.alive = False
@@ -606,20 +591,15 @@ class ReplicatedBackend(ShardBackend):
                 self._release(replica)
         return None
 
-    def search_all(self, queries, k, beam_width, kwargs):
+    def search_all(self, request):
         self._ensure_fleet()
         self._flush_dirty()
         num_shards = len(self._shards)
         if num_shards == 1 or self._pool_width() == 1:
-            return [
-                self._search_shard(s, queries, k, beam_width, kwargs)
-                for s in range(num_shards)
-            ]
+            return [self._search_shard(s, request) for s in range(num_shards)]
         pool = self._executor()
         futures = [
-            pool.submit(
-                self._search_shard, s, queries, k, beam_width, kwargs
-            )
+            pool.submit(self._search_shard, s, request)
             for s in range(num_shards)
         ]
         return [f.result() for f in futures]

@@ -1,14 +1,14 @@
 """Sharded fan-out search: partition the dataset, merge per-query top-k.
 
 A shard is simply a whole index (any of the five scenarios) over a
-partition of the dataset rows.  :class:`ShardedIndex` fans
-``search_batch`` out over the shards through a pluggable
+partition of the dataset rows.  :class:`ShardedIndex` fans one
+``search(request)`` out over the shards through a pluggable
 :class:`~repro.serving.backends.ShardBackend` — the in-process
 ``"thread"`` pool (shard calls are pure NumPy over read-only state, so
 threads overlap the GIL-released portions) or the ``"process"``
 backend (one persistent worker process per shard, each loading the
 shard's persisted state once and answering over a pipe; one GIL per
-worker) — and merges the per-shard stacked ``(B, k)`` results with one
+worker) — and merges the per-shard stacked ``(B, k)`` responses with one
 ``argpartition`` per row.  The merge is exact over the union of shard
 candidates: distances pass through untouched (no re-computation), ties
 break deterministically by (distance, shard, within-shard rank), and a
@@ -22,7 +22,7 @@ tie-break on shard order) and :meth:`delete` forwards to the owning
 shard, with a global id space mapping the caller's ids onto
 ``(shard, local-id)`` pairs.
 
-Shards are read-only during a search and every ``search_batch`` call
+Shards are read-only during a search and every ``search`` call
 issues exactly one task per shard, so one in-flight search at a time is
 safe on every scenario (the hybrid scenario's SSD counters are
 per-shard state).  The dynamic batcher
@@ -38,7 +38,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..api.protocol import SearchRequest, ensure_finite_queries, execute_request
+from ..api.protocol import (
+    SearchRequest,
+    SearchResponse,
+    check_scenario_fields,
+)
 from .backends import make_shard_backend
 
 
@@ -77,8 +81,7 @@ class ShardedIndex:
     ----------
     shards:
         One index per shard.  All shards must be the same scenario
-        (their ``search_batch`` results are merged field-by-field into
-        the same result type).
+        (their responses are merged counter-by-counter).
     global_ids:
         Per shard, the global dataset id of each shard-local vertex
         (``global_ids[s][local]``).  ``None`` means every shard starts
@@ -345,53 +348,20 @@ class ShardedIndex:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _fan_out(
-        self, queries: np.ndarray, k: int, beam_width: int, kwargs: dict
-    ) -> List[object]:
-        """One ``search_batch`` per shard; results in shard order."""
-        return self._backend.search_all(queries, k, beam_width, kwargs)
+    def search(self, request: SearchRequest) -> SearchResponse:
+        """Fan ``request`` out over the shards and merge per-query top-k.
 
-    def search(
-        self, query: np.ndarray, k: int = 10, beam_width: int = 32, **kwargs
-    ):
-        """Single-query fan-out (the ``B=1`` batch), scalar result.
-
-        A :class:`~repro.api.SearchRequest` argument fans the whole
-        request batch out and returns a
-        :class:`~repro.api.SearchResponse` with counters summed across
-        shards.
+        Every shard answers the same request (the filtered scenario's
+        ``labels`` ride along unchanged); the response carries ids
+        mapped back to the global id space and per-query counters
+        summed across shards — total work for that query.
         """
-        if isinstance(query, SearchRequest):
-            return execute_request(self, query)
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        return self.search_batch(
-            query[None, :], k=k, beam_width=beam_width, **kwargs
-        ).row(0)
+        check_scenario_fields(self, request)
+        return self._merge(self._backend.search_all(request), request.k)
 
-    def search_batch(
-        self, queries: np.ndarray, k: int = 10, beam_width: int = 32, **kwargs
-    ):
-        """Fan ``search_batch`` out over shards and merge per-query top-k.
-
-        Extra keyword arguments (e.g. the filtered scenario's
-        ``labels``) are forwarded to every shard.  The returned object
-        is the shards' scenario result type with per-query counters
-        summed across shards (total work for that query) and ids mapped
-        back to the global id space.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if "labels" in kwargs and not self.supports_labels:
-            raise ValueError(
-                "labels were supplied but the shards are not "
-                "filtered-scenario indexes"
-            )
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        ensure_finite_queries(queries)
-        results = self._fan_out(queries, k, beam_width, kwargs)
-        return self._merge(results, k)
-
-    def _merge(self, results: List[object], k: int):
+    def _merge(
+        self, results: List[Optional[SearchResponse]], k: int
+    ) -> SearchResponse:
         """Exact top-k over the union of shard candidates.
 
         One ``argpartition`` per row selects the k best of the ``S*k``
@@ -461,18 +431,15 @@ class ShardedIndex:
             out_ids = np.take_along_axis(i_sel, order, axis=1)
             counts = (out_ids >= 0).sum(axis=1)
 
-        merged = {"ids": out_ids, "distances": out_d, "counts": counts}
-        first = live[0]
-        for field in dataclasses.fields(type(first)):
-            if field.name in merged:
-                continue
-            values = [getattr(r, field.name) for r in live]
-            if field.name == "beam_widths_used":
+        counters = {}
+        for name in live[0].counters:
+            values = [r.counters[name] for r in live]
+            if name == "beam_widths_used":
                 # The escalation each shard needed, not their sum.
-                merged[field.name] = np.maximum.reduce(values)
+                counters[name] = np.maximum.reduce(values)
             else:
-                merged[field.name] = np.sum(values, axis=0)
-        return type(first)(**merged)
+                counters[name] = np.sum(values, axis=0)
+        return SearchResponse(out_ids, out_d, counts, counters)
 
     # ------------------------------------------------------------------
     # Write path (streaming scenario): routed inserts and deletes

@@ -59,3 +59,15 @@ def gradcheck(
             rtol=rtol,
             err_msg=f"gradient mismatch for input {i}",
         )
+
+
+def search(index, queries, k: int = 10, beam_width: int = 32, **fields):
+    """``index.search`` over ``queries`` as one typed request."""
+    from repro.api import SearchRequest
+
+    return index.search(SearchRequest(queries, k, beam_width, **fields))
+
+
+def search_one(index, query, k: int = 10, beam_width: int = 32, **fields):
+    """A single query's :class:`~repro.api.protocol.SearchResponseRow`."""
+    return search(index, query, k, beam_width, **fields).row(0)

@@ -1,5 +1,6 @@
-"""The typed request/response surface: uniform across every scenario,
-bitwise identical to the legacy ``search``/``search_batch`` signatures.
+"""The typed request/response surface: one schema on every scenario
+and every serving surface (sharded fan-out, batcher, shard wire,
+gateway).
 """
 
 from __future__ import annotations
@@ -7,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import SearchRequest, SearchResponse, execute_request
+from repro.api import SearchRequest, SearchResponse, save_index
 from repro.datasets import load
 from repro.graphs import build_vamana
 from repro.index import (
@@ -19,6 +20,12 @@ from repro.index import (
 )
 from repro.quantization import ProductQuantizer
 from repro.serving import DynamicBatcher, ShardedIndex, partition_rows
+from repro.serving.net import (
+    GatewayThread,
+    LocalShardWorker,
+    NetClient,
+    ShardClient,
+)
 
 
 @pytest.fixture(scope="module")
@@ -47,23 +54,6 @@ def build_all(setup):
 # Engine-amortizer telemetry (cache/pool warmth) varies between the
 # two executions being compared; answers stay bitwise identical.
 VOLATILE_COUNTERS = {"table_cache_hits", "workspace_reused"}
-
-
-def assert_response_matches_batch(response, batch):
-    import dataclasses
-
-    np.testing.assert_array_equal(response.ids, batch.ids)
-    np.testing.assert_array_equal(response.distances, batch.distances)
-    np.testing.assert_array_equal(response.counts, batch.counts)
-    for field in dataclasses.fields(batch):
-        if field.name in ("ids", "distances", "counts"):
-            continue
-        if field.name in VOLATILE_COUNTERS:
-            assert field.name in response.counters
-            continue
-        np.testing.assert_array_equal(
-            response.counters[field.name], getattr(batch, field.name)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -123,63 +113,177 @@ def test_response_row_helpers():
 
 
 # ----------------------------------------------------------------------
-# Bitwise parity: request path vs legacy signatures
+# One schema, every surface
 # ----------------------------------------------------------------------
 
-
-@pytest.mark.parametrize(
-    "name", ["memory", "hybrid", "l2r", "streaming", "filtered"]
+BASE_COUNTERS = {
+    "hops",
+    "distance_computations",
+    "table_cache_hits",
+    "workspace_reused",
+}
+SCENARIO_COUNTERS = {
+    "memory": BASE_COUNTERS,
+    "l2r": BASE_COUNTERS,
+    "streaming": BASE_COUNTERS,
+    "hybrid": BASE_COUNTERS | {"io_rounds", "page_reads", "simulated_io_us"},
+    "filtered": BASE_COUNTERS | {"beam_widths_used"},
+}
+BATCHER_STAMPS = {
+    "batcher_enqueue_s",
+    "batcher_dequeue_s",
+    "batcher_complete_s",
+}
+SCENARIOS = ("memory", "hybrid", "l2r", "streaming", "filtered")
+# The process/socket surfaces spawn workers; they run on the scenario
+# with the float counter and the one with the max-merged counter.
+WIRE_SCENARIOS = ("hybrid", "filtered")
+SURFACE_CASES = (
+    [(surface, name) for surface in ("direct", "sharded-thread", "batcher")
+     for name in SCENARIOS]
+    + [(surface, name)
+       for surface in ("sharded-process", "shard-client", "net-client")
+       for name in WIRE_SCENARIOS]
 )
-def test_request_matches_legacy_search_batch(setup, name):
-    data, _, _ = setup
-    index = build_all(setup)[name]
+
+
+def build_scenario(name, x, quantizer):
+    graph = build_vamana(x, r=8, search_l=20, seed=0)
+    if name == "memory":
+        return MemoryIndex(graph, quantizer, x)
+    if name == "hybrid":
+        return DiskIndex(graph, quantizer, x, io_width=2)
+    if name == "l2r":
+        return L2RIndex(graph, quantizer, x, rng=np.random.default_rng(0))
     if name == "filtered":
-        labels = np.arange(data.queries.shape[0]) % 3
-        request = SearchRequest(
-            queries=data.queries, k=5, beam_width=16, labels=labels
-        )
-        legacy = index.search_batch(
-            data.queries, labels, k=5, beam_width=16
-        )
-    else:
-        request = SearchRequest(queries=data.queries, k=5, beam_width=16)
-        legacy = index.search_batch(data.queries, k=5, beam_width=16)
-    assert_response_matches_batch(index.search(request), legacy)
+        return FilteredIndex(graph, quantizer, x, np.arange(x.shape[0]) % 3)
+    streaming = StreamingIndex(quantizer, dim=x.shape[1], r=8, search_l=20)
+    streaming.insert_batch(x)
+    return streaming
 
 
-@pytest.mark.parametrize("name", ["memory", "filtered"])
-def test_request_matches_legacy_scalar_search(setup, name):
-    data, _, _ = setup
-    index = build_all(setup)[name]
-    query = data.queries[0]
-    if name == "filtered":
-        request = SearchRequest(
-            queries=query, k=5, beam_width=16, labels=1
-        )
-        legacy = index.search(query, 1, k=5, beam_width=16)
-    else:
-        request = SearchRequest(queries=query, k=5, beam_width=16)
-        legacy = index.search(query, k=5, beam_width=16)
-    response = index.search(request)
-    np.testing.assert_array_equal(response.row_ids(0), legacy.ids)
-    np.testing.assert_array_equal(response.row_distances(0), legacy.distances)
-    assert int(response.hops[0]) == legacy.hops
-
-
-def test_request_on_sharded_matches_legacy(setup):
+@pytest.fixture(scope="module")
+def surfaces(setup, tmp_path_factory):
+    """``get(surface, scenario) -> (searchable, shards)``, each built
+    once per module (worker spawns are shared by every batch size) and
+    torn down together."""
     data, quantizer, _ = setup
     x = data.base
-    parts = partition_rows(x.shape[0], 3)
-    shards = [
-        MemoryIndex(
-            build_vamana(x[idx], r=8, search_l=20, seed=0), quantizer, x[idx]
+    parts = partition_rows(x.shape[0], 2)
+    cache, closers = {}, []
+
+    def cached(key, build):
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
+    def full(name):
+        return cached(
+            ("full", name), lambda: build_scenario(name, x, quantizer)
         )
-        for idx in parts
-    ]
-    sharded = ShardedIndex(shards, global_ids=parts)
-    request = SearchRequest(queries=data.queries, k=5, beam_width=16)
-    legacy = sharded.search_batch(data.queries, k=5, beam_width=16)
-    assert_response_matches_batch(sharded.search(request), legacy)
+
+    def sharded(name, backend):
+        shards = cached(
+            ("shards", name),
+            lambda: [build_scenario(name, x[idx], quantizer) for idx in parts],
+        )
+        index = ShardedIndex(shards, global_ids=parts, backend=backend)
+        closers.append(index.close)
+        return index, shards
+
+    def worker_for(name):
+        dirpath = str(tmp_path_factory.mktemp(f"schema-{name}"))
+        save_index(full(name), dirpath)
+        worker = LocalShardWorker(dirpath)
+        closers.append(worker.stop)
+        return worker
+
+    def make(surface, name):
+        if surface == "direct":
+            return full(name), None
+        if surface.startswith("sharded-"):
+            return sharded(name, surface.split("-")[1])
+        if surface == "batcher":
+            batcher = DynamicBatcher(
+                full(name),
+                k=5,
+                beam_width=16,
+                max_batch_size=4,
+                search_kwargs={"labels": 1} if name == "filtered" else None,
+            )
+            closers.append(batcher.close)
+            return batcher, None
+        worker = cached(("worker", name), lambda: worker_for(name))
+        if surface == "shard-client":
+            client = ShardClient(worker.endpoint)
+            closers.append(client.close)
+            return client, None
+        routed = ShardedIndex(
+            [full(name)],
+            global_ids=[np.arange(x.shape[0])],
+            backend="socket",
+            endpoints=[worker.endpoint],
+        )
+        gateway = GatewayThread(routed)
+        client = NetClient(gateway.connect)
+        closers.extend([routed.close, gateway.close, client.close])
+        return client, None
+
+    yield lambda surface, name: cached(
+        (surface, name), lambda: make(surface, name)
+    )
+    for close in reversed(closers):
+        close()
+
+
+@pytest.mark.parametrize("b", [0, 1, 7])
+@pytest.mark.parametrize("surface,name", SURFACE_CASES)
+def test_one_schema_on_every_surface(setup, surfaces, surface, name, b):
+    data, _, _ = setup
+    k = 5
+    searchable, shards = surfaces(surface, name)
+    labels = None
+    if name == "filtered" and surface != "batcher":
+        # Label 7 is absent: that row must come back all padding.
+        labels = np.array([0, 1, 2, 7, 0, 1, 2, 0])[:b]
+    request = SearchRequest(data.queries[:b], k, 16, labels=labels)
+    response = searchable.search(request)
+
+    assert response.ids.dtype == np.int64 and response.ids.shape == (b, k)
+    assert response.distances.dtype == np.float64
+    assert response.distances.shape == (b, k)
+    assert response.counts.dtype == np.int64 and response.counts.shape == (b,)
+    past = np.arange(k)[None, :] >= response.counts[:, None]
+    assert (response.ids[past] == -1).all()
+    assert np.isinf(response.distances[past]).all()
+    assert (response.ids[~past] >= 0).all()
+    assert np.isfinite(response.distances[~past]).all()
+    if labels is not None and b > 3:
+        assert response.counts[3] == 0
+
+    expected = set(SCENARIO_COUNTERS[name])
+    if surface == "batcher" or (surface == "net-client" and labels is None):
+        expected |= BATCHER_STAMPS  # label-free requests ride the batcher
+    assert set(response.counters) == expected
+    for counter, values in response.counters.items():
+        assert isinstance(values, np.ndarray), counter
+        assert values.shape == (b,), counter
+        floating = counter == "simulated_io_us" or counter in BATCHER_STAMPS
+        assert values.dtype == (np.float64 if floating else np.int64), counter
+
+    if shards is not None:
+        # Merged by max for the escalated beam, by sum for the rest.
+        per_shard = [shard.search(request).counters for shard in shards]
+        for counter in expected - VOLATILE_COUNTERS:
+            values = [c[counter] for c in per_shard]
+            merged = (
+                np.maximum.reduce(values)
+                if counter == "beam_widths_used"
+                else np.sum(values, axis=0)
+            )
+            np.testing.assert_array_equal(
+                response.counters[counter], merged, err_msg=counter
+            )
 
 
 def test_request_through_batcher_matches_direct(setup):
@@ -266,10 +370,6 @@ def test_filtered_without_labels_raises_value_error(setup):
     index = build_all(setup)["filtered"]
     with pytest.raises(ValueError, match="requires request.labels"):
         index.search(SearchRequest(queries=data.queries))
-    with pytest.raises(ValueError, match="target label"):
-        index.search(data.queries[0])
-    with pytest.raises(ValueError, match="target labels"):
-        index.search_batch(data.queries)
 
 
 def test_labels_on_non_filtered_sharded_raise_value_error(setup):
@@ -287,8 +387,6 @@ def test_labels_on_non_filtered_sharded_raise_value_error(setup):
         ],
         global_ids=parts,
     )
-    with pytest.raises(ValueError, match="not filtered"):
-        sharded.search_batch(data.queries, k=5, beam_width=16, labels=1)
     with pytest.raises(ValueError, match="filtered"):
         sharded.search(SearchRequest(queries=data.queries, labels=1))
 
@@ -299,13 +397,7 @@ def test_max_beam_width_passes_through(setup):
     request = SearchRequest(
         queries=data.queries, k=5, beam_width=8, labels=2, max_beam_width=64
     )
-    legacy = index.search_batch(
-        data.queries, 2, k=5, beam_width=8, max_beam_width=64
-    )
-    assert_response_matches_batch(index.search(request), legacy)
-    assert execute_request(index, request).counters[
-        "beam_widths_used"
-    ].max() <= 64
+    assert index.search(request).counters["beam_widths_used"].max() <= 64
 
 
 # ----------------------------------------------------------------------

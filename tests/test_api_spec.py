@@ -29,6 +29,8 @@ from repro.index import (
 from repro.quantization import ProductQuantizer
 from repro.serving import ShardedIndex
 
+from .helpers import search
+
 
 def full_spec() -> IndexSpec:
     return IndexSpec(
@@ -215,8 +217,8 @@ def test_build_with_overrides_matches_direct_construction(setup):
     spec = IndexSpec(scenario=ScenarioSpec(kind="memory"))
     index = build(spec, data=data.base, graph=graph, quantizer=quantizer)
     direct = MemoryIndex(graph, quantizer, data.base)
-    got = index.search_batch(data.queries, k=5, beam_width=16)
-    want = direct.search_batch(data.queries, k=5, beam_width=16)
+    got = search(index, data.queries, k=5, beam_width=16)
+    want = search(direct, data.queries, k=5, beam_width=16)
     np.testing.assert_array_equal(got.ids, want.ids)
     np.testing.assert_array_equal(got.distances, want.distances)
 

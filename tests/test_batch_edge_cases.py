@@ -11,6 +11,8 @@ from repro.graphs.beam import beam_search_batch
 from repro.index import DiskIndex, MemoryIndex, StreamingIndex
 from repro.quantization import ProductQuantizer
 
+from .helpers import search, search_one
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -24,21 +26,17 @@ class TestEmptyBatch:
     def test_memory(self, setup):
         data, quantizer, graph = setup
         index = MemoryIndex(graph, quantizer, data.base)
-        batch = index.search_batch(
-            np.empty((0, data.base.shape[1])), k=10, beam_width=24
-        )
+        batch = search(index, np.empty((0, data.base.shape[1])), k=10, beam_width=24)
         assert batch.num_queries == 0
         assert batch.ids.shape == (0, 10)
-        assert batch.total_hops == 0
+        assert batch.total("hops") == 0
 
     def test_disk(self, setup):
         data, quantizer, graph = setup
         index = DiskIndex(graph, quantizer, data.base)
-        batch = index.search_batch(
-            np.empty((0, data.base.shape[1])), k=10, beam_width=24
-        )
+        batch = search(index, np.empty((0, data.base.shape[1])), k=10, beam_width=24)
         assert batch.num_queries == 0
-        assert batch.total_page_reads == 0
+        assert batch.total("page_reads") == 0
 
     def test_kernel(self, setup):
         data, _, graph = setup
@@ -56,8 +54,8 @@ class TestBatchOfOne:
         data, quantizer, graph = setup
         index = MemoryIndex(graph, quantizer, data.base)
         q = data.queries[0]
-        scalar = index.search(q, k=10, beam_width=24)
-        batch = index.search_batch(q[None, :], k=10, beam_width=24)
+        scalar = search_one(index, q, k=10, beam_width=24)
+        batch = search(index, q[None, :], k=10, beam_width=24)
         assert batch.num_queries == 1
         row = batch.row(0)
         np.testing.assert_array_equal(scalar.ids, row.ids)
@@ -67,7 +65,7 @@ class TestBatchOfOne:
     def test_1d_query_accepted(self, setup):
         data, quantizer, graph = setup
         index = MemoryIndex(graph, quantizer, data.base)
-        batch = index.search_batch(data.queries[0], k=5, beam_width=16)
+        batch = search(index, data.queries[0], k=5, beam_width=16)
         assert batch.num_queries == 1
 
 
@@ -76,9 +74,9 @@ class TestKEqualsBeamWidth:
         data, quantizer, graph = setup
         index = MemoryIndex(graph, quantizer, data.base)
         scalars = [
-            index.search(q, k=16, beam_width=16) for q in data.queries
+            search_one(index, q, k=16, beam_width=16) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=16, beam_width=16)
+        batch = search(index, data.queries, k=16, beam_width=16)
         for i, scalar in enumerate(scalars):
             row = batch.row(i)
             np.testing.assert_array_equal(scalar.ids, row.ids)
@@ -88,13 +86,13 @@ class TestKEqualsBeamWidth:
         data, quantizer, graph = setup
         index = MemoryIndex(graph, quantizer, data.base)
         with pytest.raises(ValueError):
-            index.search_batch(data.queries, k=20, beam_width=16)
+            search(index, data.queries, k=20, beam_width=16)
 
     def test_k_below_one_rejected(self, setup):
         data, quantizer, graph = setup
         index = MemoryIndex(graph, quantizer, data.base)
         with pytest.raises(ValueError):
-            index.search_batch(data.queries, k=0, beam_width=16)
+            search(index, data.queries, k=0, beam_width=16)
 
 
 class TestDuplicateQueries:
@@ -102,7 +100,7 @@ class TestDuplicateQueries:
         data, quantizer, graph = setup
         index = MemoryIndex(graph, quantizer, data.base)
         queries = np.vstack([data.queries[0]] * 5)
-        batch = index.search_batch(queries, k=10, beam_width=24)
+        batch = search(index, queries, k=10, beam_width=24)
         for i in range(1, 5):
             np.testing.assert_array_equal(batch.ids[0], batch.ids[i])
             np.testing.assert_array_equal(
@@ -116,9 +114,9 @@ class TestDuplicateQueries:
         queries = np.vstack(
             [data.queries[0], data.queries[1], data.queries[0]]
         )
-        batch = index.search_batch(queries, k=10, beam_width=24)
+        batch = search(index, queries, k=10, beam_width=24)
         for i, q in enumerate(queries):
-            scalar = index.search(q, k=10, beam_width=24)
+            scalar = search_one(index, q, k=10, beam_width=24)
             np.testing.assert_array_equal(scalar.ids, batch.row(i).ids)
 
 
@@ -129,8 +127,8 @@ class TestFloat32Tables:
         f32 = MemoryIndex(
             graph, quantizer, data.base, table_dtype=np.float32
         )
-        b64 = f64.search_batch(data.queries, k=10, beam_width=32)
-        b32 = f32.search_batch(data.queries, k=10, beam_width=32)
+        b64 = search(f64, data.queries, k=10, beam_width=32)
+        b32 = search(f32, data.queries, k=10, beam_width=32)
         # Distances agree to float32 resolution; the candidate ranking
         # may differ on near-ties, so compare distances, not ids.
         np.testing.assert_allclose(
@@ -153,9 +151,9 @@ class TestFloat32Tables:
             graph, quantizer, data.base, table_dtype=np.float32
         )
         scalars = [
-            index.search(q, k=10, beam_width=24) for q in data.queries
+            search_one(index, q, k=10, beam_width=24) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=10, beam_width=24)
+        batch = search(index, data.queries, k=10, beam_width=24)
         for i, scalar in enumerate(scalars):
             row = batch.row(i)
             np.testing.assert_array_equal(scalar.ids, row.ids)
@@ -168,7 +166,7 @@ class TestStreamingEdgeCases:
         index = StreamingIndex(
             quantizer, dim=data.base.shape[1], r=8, search_l=16, seed=0
         )
-        batch = index.search_batch(data.queries, k=5, beam_width=16)
+        batch = search(index, data.queries, k=5, beam_width=16)
         assert batch.num_queries == len(data.queries)
         assert (batch.counts == 0).all()
         assert (batch.ids == -1).all()
@@ -182,9 +180,9 @@ class TestStreamingEdgeCases:
         for v in (0, 2, 4):
             index.delete(v)
         scalars = [
-            index.search(q, k=5, beam_width=16) for q in data.queries
+            search_one(index, q, k=5, beam_width=16) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=5, beam_width=16)
+        batch = search(index, data.queries, k=5, beam_width=16)
         for i, scalar in enumerate(scalars):
             row = batch.row(i)
             np.testing.assert_array_equal(scalar.ids, row.ids)

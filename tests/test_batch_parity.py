@@ -1,5 +1,6 @@
-"""Batch/scalar parity: ``search_batch`` must be bitwise identical to
-looping ``search`` over the same queries, for every index scenario.
+"""Batch/scalar parity: a ``B``-row request must be bitwise identical
+to ``B`` single-row requests over the same queries, for every index
+scenario.
 
 The batched engine only amortizes work (one broadcasted table build,
 one lockstep routing kernel, shared visited-set buffers); it performs
@@ -22,6 +23,8 @@ from repro.index import (
     StreamingIndex,
 )
 from repro.quantization import OptimizedProductQuantizer, ProductQuantizer
+
+from .helpers import search, search_one
 
 # Heavyweight parity suite (full scalar-vs-batch sweeps per scenario).
 # Runs in tier-1 (`make test`) and the nightly CI lane, not the fast lane.
@@ -51,8 +54,8 @@ def assert_rows_match(scalar_results, batch_result, extra_attrs=()):
             scalar.distance_computations == row.distance_computations
         ), f"q{i} distance_computations"
         for attr in extra_attrs:
-            assert getattr(scalar, attr) == pytest.approx(
-                getattr(row, attr)
+            assert scalar.counters[attr] == pytest.approx(
+                row.counters[attr]
             ), f"q{i} {attr}"
 
 
@@ -64,20 +67,20 @@ class TestMemoryParity:
         graph = vamana if graph_kind == "vamana" else hnsw
         index = MemoryIndex(graph, quantizer, data.base, distance_mode=mode)
         scalars = [
-            index.search(q, k=10, beam_width=24) for q in data.queries
+            search_one(index, q, k=10, beam_width=24) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=10, beam_width=24)
+        batch = search(index, data.queries, k=10, beam_width=24)
         assert_rows_match(scalars, batch)
 
     def test_aggregated_counters(self, setup):
         data, quantizer, vamana, _ = setup
         index = MemoryIndex(vamana, quantizer, data.base)
         scalars = [
-            index.search(q, k=10, beam_width=24) for q in data.queries
+            search_one(index, q, k=10, beam_width=24) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=10, beam_width=24)
-        assert batch.total_hops == sum(r.hops for r in scalars)
-        assert batch.total_distance_computations == sum(
+        batch = search(index, data.queries, k=10, beam_width=24)
+        assert batch.total("hops") == sum(r.hops for r in scalars)
+        assert batch.total("distance_computations") == sum(
             r.distance_computations for r in scalars
         )
 
@@ -91,9 +94,9 @@ class TestMemoryParity:
         )
         index = MemoryIndex(vamana, opq, data.base)
         scalars = [
-            index.search(q, k=10, beam_width=24) for q in data.queries
+            search_one(index, q, k=10, beam_width=24) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=10, beam_width=24)
+        batch = search(index, data.queries, k=10, beam_width=24)
         assert_rows_match(scalars, batch)
 
     def test_rotated_quantizer_sdc(self, setup):
@@ -103,15 +106,18 @@ class TestMemoryParity:
         )
         index = MemoryIndex(vamana, opq, data.base, distance_mode="sdc")
         scalars = [
-            index.search(q, k=10, beam_width=24) for q in data.queries
+            search_one(index, q, k=10, beam_width=24) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=10, beam_width=24)
+        batch = search(index, data.queries, k=10, beam_width=24)
         assert_rows_match(scalars, batch)
 
     def test_stacked_shapes(self, setup):
         data, quantizer, vamana, _ = setup
-        batch = MemoryIndex(vamana, quantizer, data.base).search_batch(
-            data.queries, k=7, beam_width=24
+        batch = search(
+            MemoryIndex(vamana, quantizer, data.base),
+            data.queries,
+            k=7,
+            beam_width=24,
         )
         assert batch.ids.shape == (len(data.queries), 7)
         assert batch.distances.shape == (len(data.queries), 7)
@@ -125,9 +131,9 @@ class TestL2RParity:
             vamana, quantizer, data.base, rng=np.random.default_rng(5)
         )
         scalars = [
-            index.search(q, k=10, beam_width=24) for q in data.queries
+            search_one(index, q, k=10, beam_width=24) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=10, beam_width=24)
+        batch = search(index, data.queries, k=10, beam_width=24)
         assert_rows_match(scalars, batch)
 
 
@@ -137,26 +143,28 @@ class TestDiskParity:
         data, quantizer, vamana, _ = setup
         index = DiskIndex(vamana, quantizer, data.base, io_width=io_width)
         scalars = [
-            index.search(q, k=10, beam_width=24) for q in data.queries
+            search_one(index, q, k=10, beam_width=24) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=10, beam_width=24)
+        batch = search(index, data.queries, k=10, beam_width=24)
         assert_rows_match(scalars, batch)
 
     def test_io_accounting(self, setup):
         data, quantizer, vamana, _ = setup
         index = DiskIndex(vamana, quantizer, data.base, io_width=4)
         scalars = [
-            index.search(q, k=10, beam_width=24) for q in data.queries
+            search_one(index, q, k=10, beam_width=24) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=10, beam_width=24)
+        batch = search(index, data.queries, k=10, beam_width=24)
         for i, scalar in enumerate(scalars):
             row = batch.row(i)
-            assert scalar.io_rounds == row.io_rounds, f"q{i}"
-            assert scalar.page_reads == row.page_reads, f"q{i}"
-            assert scalar.simulated_io_us == pytest.approx(
-                row.simulated_io_us
+            for name in ("io_rounds", "page_reads"):
+                assert scalar.counters[name] == row.counters[name], f"q{i}"
+            assert scalar.counters["simulated_io_us"] == pytest.approx(
+                row.counters["simulated_io_us"]
             ), f"q{i}"
-        assert batch.total_page_reads == sum(r.page_reads for r in scalars)
+        assert batch.total("page_reads") == sum(
+            r.counters["page_reads"] for r in scalars
+        )
 
 
 class TestStreamingParity:
@@ -169,9 +177,9 @@ class TestStreamingParity:
         for v in (3, 20, 77, 120):
             index.delete(v)
         scalars = [
-            index.search(q, k=10, beam_width=24) for q in data.queries
+            search_one(index, q, k=10, beam_width=24) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=10, beam_width=24)
+        batch = search(index, data.queries, k=10, beam_width=24)
         assert_rows_match(scalars, batch)
 
     def test_after_consolidation(self, setup):
@@ -184,9 +192,9 @@ class TestStreamingParity:
             index.delete(v)
         index.consolidate()
         scalars = [
-            index.search(q, k=8, beam_width=20) for q in data.queries
+            search_one(index, q, k=8, beam_width=20) for q in data.queries
         ]
-        batch = index.search_batch(data.queries, k=8, beam_width=20)
+        batch = search(index, data.queries, k=8, beam_width=20)
         assert_rows_match(scalars, batch)
 
 
@@ -197,26 +205,35 @@ class TestFilteredParity:
         index = FilteredIndex(vamana, quantizer, data.base, labels)
         qlabels = np.arange(len(data.queries)) % 5
         scalars = [
-            index.search(q, int(lab), k=5, beam_width=12, max_beam_width=64)
+            search_one(
+                index, q, k=5, beam_width=12, labels=int(lab), max_beam_width=64
+            )
             for q, lab in zip(data.queries, qlabels)
         ]
-        batch = index.search_batch(
-            data.queries, qlabels, k=5, beam_width=12, max_beam_width=64
+        batch = search(
+            index,
+            data.queries,
+            k=5,
+            beam_width=12,
+            labels=qlabels,
+            max_beam_width=64,
         )
-        assert_rows_match(scalars, batch, extra_attrs=("beam_width_used",))
+        assert_rows_match(scalars, batch, extra_attrs=("beam_widths_used",))
 
     def test_scalar_label_broadcast(self, setup):
         data, quantizer, vamana, _ = setup
         labels = np.arange(data.base.shape[0]) % 3
         index = FilteredIndex(vamana, quantizer, data.base, labels)
         scalars = [
-            index.search(q, 1, k=5, beam_width=12, max_beam_width=64)
+            search_one(
+                index, q, k=5, beam_width=12, labels=1, max_beam_width=64
+            )
             for q in data.queries
         ]
-        batch = index.search_batch(
-            data.queries, 1, k=5, beam_width=12, max_beam_width=64
+        batch = search(
+            index, data.queries, k=5, beam_width=12, labels=1, max_beam_width=64
         )
-        assert_rows_match(scalars, batch, extra_attrs=("beam_width_used",))
+        assert_rows_match(scalars, batch, extra_attrs=("beam_widths_used",))
 
     def test_escalation_tracked(self, setup):
         # A rare label forces some queries to escalate the beam; the
@@ -227,14 +244,16 @@ class TestFilteredParity:
         labels[:7] = 1  # rare label
         index = FilteredIndex(vamana, quantizer, data.base, labels)
         scalars = [
-            index.search(q, 1, k=5, beam_width=8, max_beam_width=128)
+            search_one(
+                index, q, k=5, beam_width=8, labels=1, max_beam_width=128
+            )
             for q in data.queries
         ]
-        batch = index.search_batch(
-            data.queries, 1, k=5, beam_width=8, max_beam_width=128
+        batch = search(
+            index, data.queries, k=5, beam_width=8, labels=1, max_beam_width=128
         )
-        assert_rows_match(scalars, batch, extra_attrs=("beam_width_used",))
-        assert (batch.beam_widths_used >= 8).all()
+        assert_rows_match(scalars, batch, extra_attrs=("beam_widths_used",))
+        assert (batch.counters["beam_widths_used"] >= 8).all()
 
 
 class TestTableOverrideQuantizers:
@@ -260,16 +279,16 @@ class TestTableOverrideQuantizers:
 
         memory = MemoryIndex(vamana, quantizer, data.base)
         scalars = [
-            memory.search(q, k=5, beam_width=16) for q in data.queries
+            search_one(memory, q, k=5, beam_width=16) for q in data.queries
         ]
         assert_rows_match(
-            scalars, memory.search_batch(data.queries, k=5, beam_width=16)
+            scalars, search(memory, data.queries, k=5, beam_width=16)
         )
 
         disk = DiskIndex(vamana, quantizer, data.base)
-        scalars = [disk.search(q, k=5, beam_width=16) for q in data.queries]
+        scalars = [search_one(disk, q, k=5, beam_width=16) for q in data.queries]
         assert_rows_match(
-            scalars, disk.search_batch(data.queries, k=5, beam_width=16)
+            scalars, search(disk, data.queries, k=5, beam_width=16)
         )
 
     def test_float32_storage_rejects_table_overrides(self, setup):

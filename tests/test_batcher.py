@@ -20,6 +20,8 @@ from repro.index import MemoryIndex
 from repro.quantization import ProductQuantizer
 from repro.serving import DynamicBatcher, ShardedIndex
 
+from .helpers import search, search_one
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -39,7 +41,7 @@ class TestCorrectness:
             futures = [batcher.submit(q) for q in data.queries]
             rows = [f.result(timeout=30) for f in futures]
         for q, row in zip(data.queries, rows):
-            direct = index.search(q, k=10, beam_width=24)
+            direct = search_one(index, q, k=10, beam_width=24)
             np.testing.assert_array_equal(row.ids, direct.ids)
             np.testing.assert_array_equal(row.distances, direct.distances)
             assert row.hops == direct.hops
@@ -60,7 +62,7 @@ class TestCorrectness:
         ) as batcher:
             futures = [batcher.submit(q) for q in data.queries]
             rows = [f.result(timeout=30) for f in futures]
-        direct = sharded.search_batch(data.queries, k=5, beam_width=16)
+        direct = search(sharded, data.queries, k=5, beam_width=16)
         for i, row in enumerate(rows):
             np.testing.assert_array_equal(row.ids, direct.row(i).ids)
 
@@ -141,7 +143,7 @@ class TestShutdown:
         assert all(f.done() and not f.cancelled() for f in futures)
         assert stats.answered == len(data.queries)
         assert stats.flush_triggered >= 1
-        direct = index.search(data.queries[0], k=10, beam_width=32)
+        direct = search_one(index, data.queries[0], k=10, beam_width=32)
         np.testing.assert_array_equal(
             futures[0].result().ids, direct.ids
         )
@@ -154,7 +156,7 @@ class TestShutdown:
         futures = [batcher.submit(q) for q in data.queries[:3]]
         stats = batcher.close(flush=True, timeout=30)
         assert stats.answered == 3
-        direct = index.search(data.queries[0], k=10, beam_width=32)
+        direct = search_one(index, data.queries[0], k=10, beam_width=32)
         np.testing.assert_array_equal(futures[0].result().ids, direct.ids)
 
     def test_close_without_flush_cancels_unclaimed(self, setup):
@@ -205,7 +207,9 @@ class TestShutdown:
                 t.join()
         assert len(results) == 16
         for i, row in results.items():
-            direct = index.search(data.queries[i % 8], k=10, beam_width=32)
+            direct = search_one(
+                index, data.queries[i % 8], k=10, beam_width=32
+            )
             np.testing.assert_array_equal(row.ids, direct.ids)
 
 
@@ -214,7 +218,7 @@ class TestErrorsAndValidation:
         data, _ = setup
 
         class ExplodingIndex:
-            def search_batch(self, queries, k, beam_width):
+            def search(self, request):
                 raise ValueError("boom")
 
         with DynamicBatcher(
@@ -245,7 +249,7 @@ class TestErrorsAndValidation:
                 batcher.submit(data.queries[3]),
             ]
             rows = [f.result(timeout=30) for f in good]
-        direct = index.search(data.queries[2], k=10, beam_width=32)
+        direct = search_one(index, data.queries[2], k=10, beam_width=32)
         np.testing.assert_array_equal(rows[0].ids, direct.ids)
 
     def test_constructor_validation(self, setup):
@@ -271,5 +275,5 @@ class TestErrorsAndValidation:
                 f.result(timeout=30) for f in (good_before, good_after)
             ]
         for row, q in zip(rows, data.queries[:2]):
-            direct = index.search(q, k=10, beam_width=32)
+            direct = search_one(index, q, k=10, beam_width=32)
             np.testing.assert_array_equal(row.ids, direct.ids)

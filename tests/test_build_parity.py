@@ -19,6 +19,8 @@ from repro.graphs import build_hnsw, build_nsg, build_vamana
 from repro.index import StreamingIndex
 from repro.quantization import ProductQuantizer
 
+from .helpers import search, search_one
+
 # Heavyweight parity suite: every case rebuilds graphs twice.  Runs
 # in tier-1 (`make test`) and the nightly CI lane, not the fast lane.
 pytestmark = pytest.mark.slow
@@ -151,8 +153,8 @@ class TestStreamingInsertParity:
         quantizer = ProductQuantizer(8, 16, seed=0).fit(x)
         index = StreamingIndex(quantizer, dim=x.shape[1], r=8, search_l=16)
         index.insert_batch(x[:120])
-        scalars = [index.search(q, k=5, beam_width=16) for q in x[120:130]]
-        batch = index.search_batch(x[120:130], k=5, beam_width=16)
+        scalars = [search_one(index, q, k=5, beam_width=16) for q in x[120:130]]
+        batch = search(index, x[120:130], k=5, beam_width=16)
         for i, scalar in enumerate(scalars):
             row = batch.row(i)
             np.testing.assert_array_equal(scalar.ids, row.ids)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import SearchResponseRow
 from repro.datasets import (
     PROFILES,
     compute_ground_truth,
@@ -144,12 +145,17 @@ class TestTimingAndCounters:
         assert timing.mean_latency_ms >= 0
 
     def test_query_stats_aggregation(self):
-        class R:
-            def __init__(self, hops, comps, reads=0, io=0.0):
-                self.hops = hops
-                self.distance_computations = comps
-                self.page_reads = reads
-                self.simulated_io_us = io
+        def R(hops, comps, reads, io):
+            return SearchResponseRow(
+                ids=np.empty(0),
+                distances=np.empty(0),
+                counters={
+                    "hops": hops,
+                    "distance_computations": comps,
+                    "page_reads": reads,
+                    "simulated_io_us": io,
+                },
+            )
 
         stats = QueryStats.aggregate([R(2, 10, 1, 100.0), R(4, 30, 3, 300.0)])
         assert stats.mean_hops == 3.0
@@ -158,11 +164,12 @@ class TestTimingAndCounters:
         assert stats.mean_io_us == 200.0
 
     def test_query_stats_without_io_fields(self):
-        class R:
-            hops = 5
-            distance_computations = 9
-
-        stats = QueryStats.aggregate([R(), R()])
+        row = SearchResponseRow(
+            ids=np.empty(0),
+            distances=np.empty(0),
+            counters={"hops": 5, "distance_computations": 9},
+        )
+        stats = QueryStats.aggregate([row, row])
         assert stats.mean_page_reads == 0.0
 
     def test_query_stats_empty(self):

@@ -38,6 +38,8 @@ from repro.quantization import ProductQuantizer, TableCache
 from repro.quantization.adc import BatchLookupTable, LookupTable
 from repro.serving import DynamicBatcher, ShardedIndex
 
+from .helpers import search, search_one
+
 VOLATILE_COUNTERS = {"table_cache_hits", "workspace_reused"}
 
 
@@ -74,19 +76,19 @@ def make_index(name, setup):
 def run_search(name, index, queries):
     if name == "filtered":
         qlabels = np.arange(queries.shape[0]) % 3
-        return index.search_batch(queries, qlabels, k=5, beam_width=16)
-    return index.search_batch(queries, k=5, beam_width=16)
+        return search(index, queries, k=5, beam_width=16, labels=qlabels)
+    return search(index, queries, k=5, beam_width=16)
 
 
 def assert_same_answers(a, b):
-    """Every field except the volatile amortizer telemetry, bitwise."""
-    assert type(a) is type(b)
-    for field in dataclasses.fields(type(a)):
-        if field.name in VOLATILE_COUNTERS:
-            continue
+    """Everything except the volatile amortizer telemetry, bitwise."""
+    np.testing.assert_array_equal(a.ids, b.ids)
+    np.testing.assert_array_equal(a.distances, b.distances)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    assert list(a.counters) == list(b.counters)
+    for name in set(a.counters) - VOLATILE_COUNTERS:
         np.testing.assert_array_equal(
-            getattr(a, field.name), getattr(b, field.name),
-            err_msg=field.name,
+            a.counters[name], b.counters[name], err_msg=name
         )
 
 
@@ -178,10 +180,10 @@ class TestWorkspaceReuse:
     def test_dirty_workspace_is_invisible(self, setup):
         data, quantizer, graph = setup
         index = MemoryIndex(graph, quantizer, data.base)
-        fresh = index.search_batch(data.queries, k=5, beam_width=16)
-        assert not fresh.workspace_reused.any()
-        again = index.search_batch(data.queries, k=5, beam_width=16)
-        assert again.workspace_reused.all()
+        fresh = search(index, data.queries, k=5, beam_width=16)
+        assert not fresh.counters["workspace_reused"].any()
+        again = search(index, data.queries, k=5, beam_width=16)
+        assert again.counters["workspace_reused"].all()
         assert_same_answers(fresh, again)
 
     def test_workspace_resizes_across_batch_shapes(self, setup):
@@ -189,10 +191,10 @@ class TestWorkspaceReuse:
         index = MemoryIndex(graph, quantizer, data.base)
         # Grow, shrink, regrow: the recycled buffers must re-shape
         # without leaking state between shapes.
-        small_cold = index.search_batch(data.queries[:2], k=5, beam_width=8)
-        index.search_batch(data.queries, k=5, beam_width=32)
-        small_warm = index.search_batch(data.queries[:2], k=5, beam_width=8)
-        assert small_warm.workspace_reused.all()
+        small_cold = search(index, data.queries[:2], k=5, beam_width=8)
+        search(index, data.queries, k=5, beam_width=32)
+        small_warm = search(index, data.queries[:2], k=5, beam_width=8)
+        assert small_warm.counters["workspace_reused"].all()
         assert_same_answers(small_cold, small_warm)
 
     def test_visited_bitset_is_cleared_only_for_callers_that_read_it(
@@ -350,9 +352,9 @@ class TestCachedSearchParity:
         data, _, _ = setup
         index = make_index(name, setup)
         cold = run_search(name, index, data.queries)
-        assert not cold.table_cache_hits.any()
+        assert not cold.counters["table_cache_hits"].any()
         warm = run_search(name, index, data.queries)
-        assert warm.table_cache_hits.all()
+        assert warm.counters["table_cache_hits"].all()
         assert_same_answers(cold, warm)
 
     @pytest.mark.parametrize("name", SCENARIOS)
@@ -362,10 +364,10 @@ class TestCachedSearchParity:
         run_search(name, index, data.queries[:4])
         mixed = run_search(name, index, data.queries)
         np.testing.assert_array_equal(
-            mixed.table_cache_hits[:4], np.ones(4, dtype=np.int64)
+            mixed.counters["table_cache_hits"][:4], np.ones(4, dtype=np.int64)
         )
         np.testing.assert_array_equal(
-            mixed.table_cache_hits[4:], np.zeros(4, dtype=np.int64)
+            mixed.counters["table_cache_hits"][4:], np.zeros(4, dtype=np.int64)
         )
         fresh = run_search(name, make_index(name, setup), data.queries)
         assert_same_answers(fresh, mixed)
@@ -386,15 +388,15 @@ class TestCachedSearchParity:
         run_search("memory", index, data.queries)
         index.invalidate_table_cache()
         again = run_search("memory", index, data.queries)
-        assert not again.table_cache_hits.any()
+        assert not again.counters["table_cache_hits"].any()
 
     def test_scalar_search_reports_hit(self, setup):
         data, _, _ = setup
         index = make_index("memory", setup)
-        cold = index.search(data.queries[0], k=5, beam_width=16)
-        assert cold.table_cache_hit == 0
-        warm = index.search(data.queries[0], k=5, beam_width=16)
-        assert warm.table_cache_hit == 1
+        cold = search_one(index, data.queries[0], k=5, beam_width=16)
+        assert cold.counters["table_cache_hits"] == 0
+        warm = search_one(index, data.queries[0], k=5, beam_width=16)
+        assert warm.counters["table_cache_hits"] == 1
         np.testing.assert_array_equal(cold.ids, warm.ids)
         np.testing.assert_array_equal(cold.distances, warm.distances)
 
@@ -406,14 +408,14 @@ class TestStreamingInvalidation:
             quantizer, dim=data.base.shape[1], r=8, search_l=20, seed=0
         )
         index.insert_batch(data.base[:100])
-        index.search_batch(data.queries, k=5, beam_width=16)
+        search(index, data.queries, k=5, beam_width=16)
         packed_before = index._packed_adjacency()
         index.insert_batch(data.base[100:140])
         assert index._packed is None  # mutation dropped the CSR view
-        warm = index.search_batch(data.queries, k=5, beam_width=16)
+        warm = search(index, data.queries, k=5, beam_width=16)
         assert index._packed is not packed_before
         # Tables depend only on query + quantizer: still cache hits.
-        assert warm.table_cache_hits.all()
+        assert warm.counters["table_cache_hits"].all()
 
         # The packed route must equal a from-scratch sequential build.
         reference = StreamingIndex(
@@ -421,7 +423,7 @@ class TestStreamingInvalidation:
         )
         for row in data.base[:140]:
             reference.insert(row)
-        expected = reference.search_batch(data.queries, k=5, beam_width=16)
+        expected = search(reference, data.queries, k=5, beam_width=16)
         assert_same_answers(expected, warm)
 
     def test_delete_does_not_invalidate_packed(self, setup):
@@ -430,14 +432,14 @@ class TestStreamingInvalidation:
             quantizer, dim=data.base.shape[1], r=8, search_l=20, seed=0
         )
         index.insert_batch(data.base[:60])
-        index.search_batch(data.queries, k=5, beam_width=16)
+        search(index, data.queries, k=5, beam_width=16)
         packed = index._packed
         assert packed is not None
         index.delete(3)  # tombstones do not touch adjacency
         assert index._packed is packed
         index.consolidate()  # edge inheritance does
         assert index._packed is None
-        result = index.search_batch(data.queries, k=5, beam_width=16)
+        result = search(index, data.queries, k=5, beam_width=16)
         assert not (result.ids == 3).any()
 
 
@@ -459,12 +461,12 @@ class TestServingPaths:
             ),
         )
         with sharded:
-            cold = sharded.search_batch(data.queries, k=5, beam_width=16)
-            warm = sharded.search_batch(data.queries, k=5, beam_width=16)
+            cold = search(sharded, data.queries, k=5, beam_width=16)
+            warm = search(sharded, data.queries, k=5, beam_width=16)
             assert_same_answers(cold, warm)
             # Summed across shards: every shard hit on the warm pass.
             np.testing.assert_array_equal(
-                warm.table_cache_hits,
+                warm.counters["table_cache_hits"],
                 np.full(data.queries.shape[0], 2, dtype=np.int64),
             )
             status = sharded.engine_status()
@@ -494,13 +496,13 @@ class TestServingPaths:
         np.testing.assert_array_equal(cold.counts, warm.counts)
 
     def test_response_counters_include_telemetry(self, setup):
-        from repro.api import SearchRequest, execute_request
+        from repro.api import SearchRequest
 
         data, _, _ = setup
         index = make_index("memory", setup)
         request = SearchRequest(queries=data.queries, k=5, beam_width=16)
-        execute_request(index, request)
-        warm = execute_request(index, request)
+        index.search(request)
+        warm = index.search(request)
         assert warm.counters["table_cache_hits"].all()
         assert "workspace_reused" in warm.counters
 

@@ -26,6 +26,8 @@ from repro.graphs import build_vamana
 from repro.index import MemoryIndex
 from repro.quantization import ProductQuantizer
 
+from .helpers import search_one
+
 
 def point(beam, recall, qps):
     return OperatingPoint(
@@ -144,7 +146,7 @@ class TestHarness:
         hyb = make_index("hybrid", prepared, quantizer)
         l2r = make_index("memory", prepared, quantizer, method="l2r")
         for index in (mem, hyb, l2r):
-            res = index.search(prepared.dataset.queries[0], k=5, beam_width=16)
+            res = search_one(index, prepared.dataset.queries[0], k=5, beam_width=16)
             assert len(res.ids) == 5
         with pytest.raises(KeyError):
             make_index("gpu", prepared, quantizer)

@@ -21,6 +21,8 @@ from repro.quantization import (
     save_quantizer,
 )
 
+from .helpers import search_one
+
 RNG = np.random.default_rng(81)
 
 
@@ -96,10 +98,10 @@ class TestSDCMode:
         adc = MemoryIndex(graph, quantizer, data.base, distance_mode="adc")
         sdc = MemoryIndex(graph, quantizer, data.base, distance_mode="sdc")
         r_adc = recall_at_k(
-            [adc.search(q, k=10, beam_width=48).ids for q in data.queries], gt.ids
+            [search_one(adc, q, k=10, beam_width=48).ids for q in data.queries], gt.ids
         )
         r_sdc = recall_at_k(
-            [sdc.search(q, k=10, beam_width=48).ids for q in data.queries], gt.ids
+            [search_one(sdc, q, k=10, beam_width=48).ids for q in data.queries], gt.ids
         )
         # Paper §3.1: ADC yields lower distance error, hence >= recall.
         assert r_adc >= r_sdc - 0.05

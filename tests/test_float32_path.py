@@ -18,6 +18,8 @@ from repro.index import MemoryIndex
 from repro.metrics import recall_at_k
 from repro.quantization import OptimizedProductQuantizer, ProductQuantizer
 
+from .helpers import search, search_one
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -64,8 +66,8 @@ class TestFloat32MemoryPath:
             graph, quantizer, data.base, storage_dtype=np.float32
         )
         assert half.table_dtype == np.dtype(np.float32)
-        r64 = [ref.search(q, k=10, beam_width=32) for q in data.queries]
-        r32 = [half.search(q, k=10, beam_width=32) for q in data.queries]
+        r64 = [search_one(ref, q, k=10, beam_width=32) for q in data.queries]
+        r32 = [search_one(half, q, k=10, beam_width=32) for q in data.queries]
         recall64 = recall_at_k([r.ids for r in r64], gt.ids)
         recall32 = recall_at_k([r.ids for r in r32], gt.ids)
         assert abs(recall64 - recall32) <= 0.05
@@ -77,8 +79,8 @@ class TestFloat32MemoryPath:
             graph, quantizer, data.base, storage_dtype=np.float32
         )
         for q in data.queries[:4]:
-            r64 = ref.search(q, k=5, beam_width=24)
-            r32 = half.search(q, k=5, beam_width=24)
+            r64 = search_one(ref, q, k=5, beam_width=24)
+            r32 = search_one(half, q, k=5, beam_width=24)
             shared = np.intersect1d(r64.ids, r32.ids)
             assert shared.size >= 3  # rankings may reshuffle near-ties
             d64 = dict(zip(r64.ids.tolist(), r64.distances.tolist()))
@@ -94,9 +96,9 @@ class TestFloat32MemoryPath:
             graph, quantizer, data.base, storage_dtype=np.float32
         )
         scalars = [
-            half.search(q, k=10, beam_width=24) for q in data.queries
+            search_one(half, q, k=10, beam_width=24) for q in data.queries
         ]
-        batch = half.search_batch(data.queries, k=10, beam_width=24)
+        batch = search(half, data.queries, k=10, beam_width=24)
         for i, scalar in enumerate(scalars):
             row = batch.row(i)
             np.testing.assert_array_equal(scalar.ids, row.ids)
@@ -110,8 +112,8 @@ class TestFloat32MemoryPath:
         )
         ref = MemoryIndex(graph, opq, data.base)
         half = MemoryIndex(graph, opq, data.base, storage_dtype=np.float32)
-        r64 = [ref.search(q, k=10, beam_width=32) for q in data.queries]
-        r32 = [half.search(q, k=10, beam_width=32) for q in data.queries]
+        r64 = [search_one(ref, q, k=10, beam_width=32) for q in data.queries]
+        r32 = [search_one(half, q, k=10, beam_width=32) for q in data.queries]
         recall64 = recall_at_k([r.ids for r in r64], gt.ids)
         recall32 = recall_at_k([r.ids for r in r32], gt.ids)
         assert abs(recall64 - recall32) <= 0.08

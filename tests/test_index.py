@@ -18,6 +18,8 @@ from repro.index import (
 from repro.metrics import recall_at_k
 from repro.quantization import ProductQuantizer
 
+from .helpers import search_one
+
 RNG = np.random.default_rng(71)
 
 
@@ -119,7 +121,7 @@ class TestMemoryIndex:
     def test_search_returns_k(self, setup):
         data, graph, quantizer, gt = setup
         index = MemoryIndex(graph, quantizer, data.base)
-        res = index.search(data.queries[0], k=10, beam_width=32)
+        res = search_one(index, data.queries[0], k=10, beam_width=32)
         assert res.ids.shape == (10,)
         assert res.hops > 0
 
@@ -128,7 +130,7 @@ class TestMemoryIndex:
         index = MemoryIndex(graph, quantizer, data.base)
 
         def run(beam):
-            ids = [index.search(q, k=10, beam_width=beam).ids for q in data.queries]
+            ids = [search_one(index, q, k=10, beam_width=beam).ids for q in data.queries]
             return recall_at_k(ids, gt.ids)
 
         assert run(64) >= run(10) - 0.05
@@ -141,9 +143,9 @@ class TestMemoryIndex:
             MemoryIndex(graph, ProductQuantizer(4, 8), data.base)
         index = MemoryIndex(graph, quantizer, data.base)
         with pytest.raises(ValueError):
-            index.search(data.queries[0], k=0)
+            search_one(index, data.queries[0], k=0)
         with pytest.raises(ValueError):
-            index.search(data.queries[0], k=20, beam_width=10)
+            search_one(index, data.queries[0], k=20, beam_width=10)
 
     def test_memory_accounting(self, setup):
         data, graph, quantizer, gt = setup
@@ -156,7 +158,7 @@ class TestDiskIndex:
     def test_search_returns_exact_reranked(self, setup):
         data, graph, quantizer, gt = setup
         index = DiskIndex(graph, quantizer, data.base)
-        res = index.search(data.queries[0], k=10, beam_width=32)
+        res = search_one(index, data.queries[0], k=10, beam_width=32)
         assert res.ids.shape == (10,)
         # Distances are exact: recompute and compare.
         expected = ((data.base[res.ids] - data.queries[0]) ** 2).sum(axis=1)
@@ -166,10 +168,10 @@ class TestDiskIndex:
     def test_io_counters_track_hops(self, setup):
         data, graph, quantizer, gt = setup
         index = DiskIndex(graph, quantizer, data.base)
-        res = index.search(data.queries[1], k=10, beam_width=32)
-        assert res.page_reads == res.hops
-        assert res.io_rounds <= res.hops
-        assert res.simulated_io_us > 0
+        res = search_one(index, data.queries[1], k=10, beam_width=32)
+        assert res.counters["page_reads"] == res.hops
+        assert res.counters["io_rounds"] <= res.hops
+        assert res.counters["simulated_io_us"] > 0
 
     def test_hybrid_recall_beats_memory_at_same_beam(self, setup):
         # Rerank with exact distances must dominate code-only ranking.
@@ -177,14 +179,14 @@ class TestDiskIndex:
         mem = MemoryIndex(graph, quantizer, data.base)
         disk = DiskIndex(graph, quantizer, data.base)
         beam = 32
-        mem_ids = [mem.search(q, k=10, beam_width=beam).ids for q in data.queries]
-        disk_ids = [disk.search(q, k=10, beam_width=beam).ids for q in data.queries]
+        mem_ids = [search_one(mem, q, k=10, beam_width=beam).ids for q in data.queries]
+        disk_ids = [search_one(disk, q, k=10, beam_width=beam).ids for q in data.queries]
         assert recall_at_k(disk_ids, gt.ids) >= recall_at_k(mem_ids, gt.ids)
 
     def test_hybrid_reaches_high_recall(self, setup):
         data, graph, quantizer, gt = setup
         disk = DiskIndex(graph, quantizer, data.base)
-        ids = [disk.search(q, k=10, beam_width=64).ids for q in data.queries]
+        ids = [search_one(disk, q, k=10, beam_width=64).ids for q in data.queries]
         assert recall_at_k(ids, gt.ids) > 0.9
 
     def test_memory_fraction_is_small(self, setup):
@@ -200,7 +202,7 @@ class TestDiskIndex:
             DiskIndex(graph, quantizer, data.base, io_width=0)
         index = DiskIndex(graph, quantizer, data.base)
         with pytest.raises(ValueError):
-            index.search(data.queries[0], k=0)
+            search_one(index, data.queries[0], k=0)
 
 
 class TestL2R:
@@ -221,15 +223,15 @@ class TestL2R:
         index = L2RIndex(
             graph, quantizer, data.base, rng=np.random.default_rng(0)
         )
-        res = index.search(data.queries[0], k=10, beam_width=32)
+        res = search_one(index, data.queries[0], k=10, beam_width=32)
         assert res.ids.shape == (10,)
-        ids = [index.search(q, k=10, beam_width=48).ids for q in data.queries]
+        ids = [search_one(index, q, k=10, beam_width=48).ids for q in data.queries]
         assert recall_at_k(ids, gt.ids) > 0.3
 
     def test_l2r_search_validation(self, setup):
         data, graph, quantizer, gt = setup
         index = L2RIndex(graph, quantizer, data.base, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            index.search(data.queries[0], k=0)
+            search_one(index, data.queries[0], k=0)
         with pytest.raises(ValueError):
-            index.search(data.queries[0], k=20, beam_width=10)
+            search_one(index, data.queries[0], k=20, beam_width=10)

@@ -20,6 +20,8 @@ from repro.index import DiskIndex, MemoryIndex
 from repro.metrics import recall_at_k
 from repro.quantization import ProductQuantizer
 
+from .helpers import search_one
+
 # End-to-end RPQ training + index builds: the slowest suite in the
 # tree.  Runs in tier-1 (`make test`) and the nightly CI lane.
 pytestmark = pytest.mark.slow
@@ -48,7 +50,7 @@ def trained():
 
 
 def batch_recall(index, queries, gt, beam):
-    ids = [index.search(q, k=10, beam_width=beam).ids for q in queries]
+    ids = [search_one(index, q, k=10, beam_width=beam).ids for q in queries]
     return recall_at_k(ids, gt.ids)
 
 
@@ -80,8 +82,8 @@ class TestEndToEnd:
         mem = MemoryIndex(graph, rpq.quantizer, data.base)
         disk = DiskIndex(graph, rpq.quantizer, data.base)
         q = data.queries[0]
-        res_m = mem.search(q, k=5, beam_width=24)
-        res_d = disk.search(q, k=5, beam_width=24)
+        res_m = search_one(mem, q, k=5, beam_width=24)
+        res_d = search_one(disk, q, k=5, beam_width=24)
         assert len(res_m.ids) == 5 and len(res_d.ids) == 5
 
     def test_training_report_recorded(self, trained):

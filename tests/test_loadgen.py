@@ -43,6 +43,8 @@ from repro.loadgen import (
 from repro.loadgen.runner import LoadRunStats
 from repro.quantization import ProductQuantizer
 
+from .helpers import search
+
 
 # ----------------------------------------------------------------------
 # Arrival schedules
@@ -413,9 +415,7 @@ class TestBatcherFarm:
             )
         )
         reference = {
-            p.name: index.search_batch(
-                data.queries, k=p.k, beam_width=p.beam_width
-            )
+            p.name: search(index, data.queries, k=p.k, beam_width=p.beam_width)
             for p in mix.profiles
         }
         schedule = poisson_schedule(400.0, 48, seed=2)
@@ -447,11 +447,11 @@ class TestBatcherFarm:
         assert stats.mean_queue_wait_ms >= 0.0
         assert stats.mean_service_ms > 0.0
         for o in outcomes:
-            assert hasattr(o.row, "batcher_enqueue_s")
+            assert "batcher_enqueue_s" in o.row.counters
             assert (
-                o.row.batcher_enqueue_s
-                <= o.row.batcher_dequeue_s
-                <= o.row.batcher_complete_s
+                o.row.counters["batcher_enqueue_s"]
+                <= o.row.counters["batcher_dequeue_s"]
+                <= o.row.counters["batcher_complete_s"]
             )
 
     def test_verify_outcomes_detects_divergence(self, tiny_index):
@@ -459,7 +459,7 @@ class TestBatcherFarm:
         mix = RequestMix((RequestProfile(name="std", k=5, beam_width=16),))
         schedule = uniform_schedule(500.0, 8)
         reference = {
-            "std": index.search_batch(data.queries, k=5, beam_width=16)
+            "std": search(index, data.queries, k=5, beam_width=16)
         }
         with BatcherFarm(index, mix.profiles, max_batch_size=4) as farm:
             outcomes = run_open_loop(

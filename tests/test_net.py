@@ -24,6 +24,7 @@ with zero failed requests.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import signal
 import socket
@@ -43,6 +44,7 @@ from repro.api import (
     QuantizerSpec,
     ScenarioSpec,
     SearchRequest,
+    SearchResponse,
     ShardingSpec,
     build,
     load_index,
@@ -63,6 +65,8 @@ from repro.serving.net import (
     framing,
 )
 from repro.serving.replication import ReplicaDied
+
+from .helpers import search
 
 # ----------------------------------------------------------------------
 # Shared fixtures / helpers
@@ -288,8 +292,6 @@ class TestFraming:
             64,
         )
 
-        from repro.api.protocol import SearchResponse
-
         response = SearchResponse(
             ids=rng.integers(0, 100, size=(4, 7)),
             distances=rng.standard_normal((4, 7)),
@@ -303,6 +305,41 @@ class TestFraming:
         assert rid == 41
         assert_responses_identical(response, decoded)
 
+    def test_request_response_bytes_match_protocol_version_1(self):
+        # The typed request/response leg is byte-compatible with every
+        # PROTOCOL_VERSION 1 peer (digests taken before shard workers
+        # moved onto these messages) — which is why the version stays.
+        request = SearchRequest(
+            queries=np.arange(24, dtype=np.float64).reshape(3, 8) / 7.0,
+            k=4,
+            beam_width=9,
+            labels=np.array([0, 1, 2]),
+            max_beam_width=64,
+        )
+        response = SearchResponse(
+            ids=np.arange(12, dtype=np.int64).reshape(3, 4),
+            distances=np.arange(12, dtype=np.float64).reshape(3, 4) / 3.0,
+            counts=np.array([4, 4, 2], dtype=np.int64),
+            counters={
+                "hops": np.array([5, 6, 7], dtype=np.int64),
+                "simulated_io_us": np.array([1.5, 2.5, 3.5]),
+            },
+        )
+        assert framing.PROTOCOL_VERSION == 1
+        for blob, digest in (
+            (
+                framing.encode_search_request(request, 41),
+                "1f7effb8e2e74bc9fde5d75b316015c5"
+                "98ab6b9c55ca335430910a9cc12f3aff",
+            ),
+            (
+                framing.encode_search_response(response, 41),
+                "38cb897fa66065aa5582f67329f25fae"
+                "d923aacd674da5a35773bd56d10ef55c",
+            ),
+        ):
+            assert hashlib.sha256(blob).hexdigest() == digest
+
 
 # ----------------------------------------------------------------------
 # Worker transport: in-thread server + ShardClient
@@ -315,22 +352,89 @@ class TestShardTransport:
         with inproc_server(memory_index) as server:
             with ShardClient(endpoint_of(server)) as client:
                 client.ping()
-                expected = memory_index.search_batch(
-                    data.queries, k=5, beam_width=16
+                expected = search(
+                    memory_index, data.queries, k=5, beam_width=16
                 )
-                got = client.search(data.queries, 5, 16, {})
-                assert type(got) is type(expected)
-                np.testing.assert_array_equal(got.ids, expected.ids)
-                np.testing.assert_array_equal(
-                    got.distances, expected.distances
+                got = client.search(
+                    SearchRequest(data.queries, k=5, beam_width=16)
+                )
+                assert_responses_identical(expected, got)
+                # The repo benchmark's driver spells the same call
+                # positionally; it must keep answering identically.
+                assert_responses_identical(
+                    expected, client.search(data.queries, 5, 16, {})
                 )
                 # A worker-side failure comes back typed, with the
                 # remote traceback attached, and the connection stays
                 # usable for the next request.
-                with pytest.raises(TypeError) as excinfo:
-                    client.search(data.queries, 5, 16, {"labels": 1})
+                with pytest.raises(ValueError, match="filtered") as excinfo:
+                    client.search(
+                        SearchRequest(data.queries, 5, 16, labels=1)
+                    )
                 assert excinfo.value.__cause__ is not None
                 client.ping()
+
+    def test_stale_search_request_is_a_typed_protocol_error(
+        self, setup, memory_index
+    ):
+        # A peer still speaking the retired ``search`` message gets a
+        # typed error frame back — never a hang, never an answer — and
+        # the connection stays framed for the next request.
+        data, _ = setup
+        stale = framing.encode_message(
+            "search",
+            meta={
+                "k": 5,
+                "beam_width": 16,
+                "kw_scalars": {},
+                "kw_arrays": [],
+            },
+            arrays={"queries": data.queries},
+        )
+        with inproc_server(memory_index) as server:
+            with ShardClient(
+                endpoint_of(server), read_timeout_s=10.0
+            ) as client:
+                with pytest.raises(
+                    (framing.ProtocolError, framing.RemoteWorkerError),
+                    match="search",
+                ):
+                    client._request(stale, "response")
+                client.ping()
+
+    def test_stale_result_reply_is_a_typed_protocol_error(self, setup):
+        # A worker still answering with the retired ``result`` message
+        # (class named by module + qualname strings) must never be
+        # decoded into an object: the client raises ProtocolError.
+        data, _ = setup
+        reply = framing.encode_message(
+            "result",
+            meta={
+                "module": "repro.api.protocol",
+                "qualname": "SearchResponse",
+            },
+            arrays={"ids": np.zeros((1, 5), dtype=np.int64)},
+        )
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()[:2]
+
+        def stale_worker():
+            conn, _ = listener.accept()
+            with conn:
+                framing.read_message_from_socket(conn)
+                conn.sendall(reply)
+
+        thread = threading.Thread(target=stale_worker, daemon=True)
+        thread.start()
+        try:
+            with ShardClient(f"{host}:{port}", read_timeout_s=10.0) as client:
+                with pytest.raises(framing.ProtocolError, match="result"):
+                    client.search(
+                        SearchRequest(data.queries[:1], k=5, beam_width=16)
+                    )
+        finally:
+            thread.join(timeout=10)
+            listener.close()
 
     def test_garbage_input_gets_error_frame_not_worker_death(
         self, setup, memory_index
@@ -618,7 +722,9 @@ class TestGracefulShutdown:
             endpoint = _await_listening(proc, "listening on")
             with ShardClient(endpoint) as client:
                 client.ping()
-                result = client.search(data.queries, 5, 16, {})
+                result = client.search(
+                    SearchRequest(data.queries, k=5, beam_width=16)
+                )
                 assert result.ids.shape == (data.queries.shape[0], 5)
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
@@ -730,7 +836,7 @@ def test_sigkill_socket_worker_fails_over_and_respawns(tmp_path, setup):
     sharded = ShardedIndex.build(
         data.base, 2, lambda xs: build_memory(xs, quantizer)
     )
-    expected = sharded.search_batch(data.queries, k=10, beam_width=24)
+    expected = search(sharded, data.queries, k=10, beam_width=24)
     save_index(sharded, tmp_path)
 
     with contextlib.ExitStack() as stack:
@@ -760,7 +866,7 @@ def test_sigkill_socket_worker_fails_over_and_respawns(tmp_path, setup):
         # stand-in for a real deployment's systemd/k8s restart).
         np.testing.assert_array_equal(
             expected.ids,
-            fleet.search_batch(data.queries, k=10, beam_width=24).ids,
+            search(fleet, data.queries, k=10, beam_width=24).ids,
         )
         for row in fleet._backend._fleet:
             for replica in row:
@@ -772,9 +878,7 @@ def test_sigkill_socket_worker_fails_over_and_respawns(tmp_path, setup):
             if i == 1:
                 victim.kill()
             try:
-                result = fleet.search_batch(
-                    data.queries, k=10, beam_width=24
-                )
+                result = search(fleet, data.queries, k=10, beam_width=24)
             except Exception:
                 failed += 1
                 continue
@@ -801,5 +905,5 @@ def test_sigkill_socket_worker_fails_over_and_respawns(tmp_path, setup):
         # And the healed fleet still answers identically.
         np.testing.assert_array_equal(
             expected.ids,
-            fleet.search_batch(data.queries, k=10, beam_width=24).ids,
+            search(fleet, data.queries, k=10, beam_width=24).ids,
         )

@@ -17,7 +17,6 @@ deterministic on a loaded 1-CPU CI runner.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import signal
 import time
@@ -32,6 +31,8 @@ from repro.index import MemoryIndex, StreamingIndex
 from repro.quantization import ProductQuantizer
 from repro.serving import ReplicatedBackend, ShardedIndex
 from repro.serving.replication import ReplicaDied
+
+from .helpers import search
 
 RESPAWN_DEADLINE_S = 60.0  # generous: polled, not a timing gate
 
@@ -55,27 +56,26 @@ VOLATILE_COUNTERS = {"table_cache_hits", "workspace_reused"}
 
 
 def assert_results_identical(a, b):
-    assert type(a) is type(b)
-    for field in dataclasses.fields(type(a)):
-        if field.name in VOLATILE_COUNTERS:
-            continue
+    np.testing.assert_array_equal(a.ids, b.ids)
+    np.testing.assert_array_equal(a.distances, b.distances)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    assert list(a.counters) == list(b.counters)
+    for name in set(a.counters) - VOLATILE_COUNTERS:
         np.testing.assert_array_equal(
-            getattr(a, field.name),
-            getattr(b, field.name),
-            err_msg=field.name,
+            a.counters[name], b.counters[name], err_msg=name
         )
 
 
-def replicated_vs_unreplicated(sharded, search, inner, replicas=2):
+def replicated_vs_unreplicated(sharded, run, inner, replicas=2):
     """Search unreplicated, then as a ``replicas``-wide fleet; compare."""
     assert sharded.replicas == 1
-    expected = search(sharded)
+    expected = run(sharded)
     sharded.set_backend(inner)
     sharded.set_replicas(replicas)
     try:
         assert sharded.backend == inner
         assert sharded.replicas == replicas
-        assert_results_identical(expected, search(sharded))
+        assert_results_identical(expected, run(sharded))
     finally:
         sharded.close()
         sharded.set_replicas(1)
@@ -113,7 +113,7 @@ class TestReplicationSmoke:
         )
         replicated_vs_unreplicated(
             sharded,
-            lambda idx: idx.search_batch(data.queries, k=10, beam_width=24),
+            lambda idx: search(idx, data.queries, k=10, beam_width=24),
             inner="thread",
             replicas=3,
         )
@@ -133,8 +133,8 @@ class TestReplicationSmoke:
             data.base, 2, lambda xs: build_memory(xs, quantizer)
         )
         assert_results_identical(
-            baseline.search_batch(data.queries, k=10, beam_width=24),
-            sharded.search_batch(data.queries, k=10, beam_width=24),
+            search(baseline, data.queries, k=10, beam_width=24),
+            search(sharded, data.queries, k=10, beam_width=24),
         )
 
     def test_fleet_status_shape_and_lazy_spawn(self, setup):
@@ -148,7 +148,7 @@ class TestReplicationSmoke:
         rows = sharded.fleet_status()
         assert len(rows) == 4  # 2 shards x 2 replicas, configured shape
         assert all(not r["alive"] for r in rows)  # fleet spawns lazily
-        sharded.search_batch(data.queries, k=5, beam_width=16)
+        search(sharded, data.queries, k=5, beam_width=16)
         rows = sharded.fleet_status()
         assert {(r["shard"], r["replica"]) for r in rows} == {
             (s, r) for s in range(2) for r in range(2)
@@ -217,13 +217,13 @@ class TestSpecAndPersistence:
             lambda xs: build_memory(xs, quantizer),
             replicas=2,
         )
-        expected = sharded.search_batch(data.queries, k=5, beam_width=16)
+        expected = search(sharded, data.queries, k=5, beam_width=16)
         save_index(sharded, tmp_path / "fleet")
         loaded = load_index(tmp_path / "fleet")
         assert loaded.replicas == 2
         assert loaded.backend == "thread"
         assert_results_identical(
-            expected, loaded.search_batch(data.queries, k=5, beam_width=16)
+            expected, search(loaded, data.queries, k=5, beam_width=16)
         )
 
 
@@ -238,14 +238,14 @@ class TestChaos:
         sharded = ShardedIndex.build(
             data.base, 2, lambda xs: build_memory(xs, quantizer)
         )
-        expected = sharded.search_batch(data.queries, k=10, beam_width=24)
+        expected = search(sharded, data.queries, k=10, beam_width=24)
         sharded.set_backend("process")
         sharded.set_replicas(2)
         try:
             # Warm the fleet so every replica is up before the kill.
             assert_results_identical(
                 expected,
-                sharded.search_batch(data.queries, k=10, beam_width=24),
+                search(sharded, data.queries, k=10, beam_width=24),
             )
             rows = sharded.fleet_status()
             victim = next(r["pid"] for r in rows if r["pid"] is not None)
@@ -256,9 +256,7 @@ class TestChaos:
                 if i == 1:
                     os.kill(victim, signal.SIGKILL)
                 try:
-                    result = sharded.search_batch(
-                        data.queries, k=10, beam_width=24
-                    )
+                    result = search(sharded, data.queries, k=10, beam_width=24)
                 except Exception:
                     failed += 1
                     continue
@@ -270,7 +268,7 @@ class TestChaos:
             # The healed fleet still answers identically.
             assert_results_identical(
                 expected,
-                sharded.search_batch(data.queries, k=10, beam_width=24),
+                search(sharded, data.queries, k=10, beam_width=24),
             )
         finally:
             sharded.close()
@@ -287,7 +285,7 @@ class TestChaos:
         sharded._backend = backend
         old.close()
         try:
-            sharded.search_batch(data.queries, k=5, beam_width=16)
+            search(sharded, data.queries, k=5, beam_width=16)
             backend._ensure_fleet()
             # Kill every replica of shard 1 and block respawn: the
             # shard contributes nothing, the merge pads, no exception.
@@ -295,11 +293,16 @@ class TestChaos:
                 for replica in backend._fleet[1]:
                     replica.alive = False
                     replica.respawn_and_verify = lambda timeout: False
-            result = sharded.search_batch(data.queries, k=5, beam_width=16)
-            solo = ShardedIndex(
-                [sharded.shards[0]],
-                global_ids=[sharded._global_ids[0]],
-            ).search_batch(data.queries, k=5, beam_width=16)
+            result = search(sharded, data.queries, k=5, beam_width=16)
+            solo = search(
+                ShardedIndex(
+                    [sharded.shards[0]],
+                    global_ids=[sharded._global_ids[0]],
+                ),
+                data.queries,
+                k=5,
+                beam_width=16,
+            )
             np.testing.assert_array_equal(result.ids, solo.ids)
             # With *every* shard dead the request fails loudly.
             with backend._fleet_lock:
@@ -307,7 +310,7 @@ class TestChaos:
                     replica.alive = False
                     replica.respawn_and_verify = lambda timeout: False
             with pytest.raises(RuntimeError, match="no replicas"):
-                sharded.search_batch(data.queries, k=5, beam_width=16)
+                search(sharded, data.queries, k=5, beam_width=16)
         finally:
             sharded.close()
 
@@ -321,7 +324,7 @@ class TestChaos:
         )
         bad = data.queries[:, :-3]  # wrong dimensionality
         with pytest.raises(Exception) as info:
-            sharded.search_batch(bad, k=5, beam_width=16)
+            search(sharded, bad, k=5, beam_width=16)
         assert not isinstance(info.value, ReplicaDied)
         # The replicas that raised are still healthy — the error was
         # the request's fault, not the worker's.
@@ -346,7 +349,7 @@ class TestScenarioParityReplicated:
         )
         replicated_vs_unreplicated(
             sharded,
-            lambda idx: idx.search_batch(data.queries, k=10, beam_width=24),
+            lambda idx: search(idx, data.queries, k=10, beam_width=24),
             inner="process",
         )
 
@@ -362,7 +365,7 @@ class TestScenarioParityReplicated:
         sharded = ShardedIndex.build(data.base, 2, factory)
         replicated_vs_unreplicated(
             sharded,
-            lambda idx: idx.search_batch(data.queries, k=10, beam_width=24),
+            lambda idx: search(idx, data.queries, k=10, beam_width=24),
             inner="process",
         )
 
@@ -380,7 +383,7 @@ class TestScenarioParityReplicated:
         sharded = ShardedIndex.build(data.base, 2, factory)
         replicated_vs_unreplicated(
             sharded,
-            lambda idx: idx.search_batch(data.queries, k=10, beam_width=24),
+            lambda idx: search(idx, data.queries, k=10, beam_width=24),
             inner="process",
         )
 
@@ -401,8 +404,8 @@ class TestScenarioParityReplicated:
         )
         replicated_vs_unreplicated(
             sharded,
-            lambda idx: idx.search_batch(
-                data.queries, labels=qlabels, k=5, beam_width=16
+            lambda idx: search(
+                idx, data.queries, labels=qlabels, k=5, beam_width=16
             ),
             inner="process",
         )
@@ -419,7 +422,7 @@ class TestScenarioParityReplicated:
         sharded.insert_batch(data.base[:60])
         replicated_vs_unreplicated(
             sharded,
-            lambda idx: idx.search_batch(data.queries, k=5, beam_width=16),
+            lambda idx: search(idx, data.queries, k=5, beam_width=16),
             inner="process",
         )
 
@@ -434,7 +437,7 @@ class TestScenarioParityReplicated:
         )
         twin.insert_batch(data.base[:40])
         twin.insert_batch(data.base[40:80])
-        expected = twin.search_batch(data.queries, k=5, beam_width=16)
+        expected = search(twin, data.queries, k=5, beam_width=16)
 
         sharded = ShardedIndex(
             [
@@ -446,14 +449,14 @@ class TestScenarioParityReplicated:
         sharded.set_backend("process")
         sharded.set_replicas(2)
         try:
-            sharded.search_batch(data.queries, k=5, beam_width=16)
+            search(sharded, data.queries, k=5, beam_width=16)
             # Mutate while the fleet is live: every replica of every
             # shard must serve the re-shipped state.
             sharded.insert_batch(data.base[40:80])
             for _ in range(4):  # rotate across replicas
                 assert_results_identical(
                     expected,
-                    sharded.search_batch(data.queries, k=5, beam_width=16),
+                    search(sharded, data.queries, k=5, beam_width=16),
                 )
         finally:
             sharded.close()

@@ -1,6 +1,6 @@
 """Shard-execution backends: thread/process parity and lifecycle.
 
-The backend only decides *where* each shard's ``search_batch`` runs —
+The backend only decides *where* each shard's ``search`` runs —
 the persistence layer round-trips every array exactly and the engine is
 deterministic, so results must be bitwise identical across backends on
 every scenario.  The full five-scenario parity matrix and the streaming
@@ -11,7 +11,6 @@ regressions surface on every push.
 
 from __future__ import annotations
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -28,6 +27,8 @@ from repro.index import (
 from repro.quantization import ProductQuantizer
 from repro.serving import ShardedIndex, make_shard_backend
 from repro.serving.backends import ThreadBackend
+
+from .helpers import search
 
 
 @pytest.fixture(scope="module")
@@ -53,26 +54,25 @@ VOLATILE_COUNTERS = {"table_cache_hits", "workspace_reused"}
 
 
 def assert_results_identical(a, b):
-    """Every batch-result field — ids, distances, all counters — bitwise."""
-    assert type(a) is type(b)
-    for field in dataclasses.fields(type(a)):
-        if field.name in VOLATILE_COUNTERS:
-            continue
+    """Every response field — ids, distances, all counters — bitwise."""
+    np.testing.assert_array_equal(a.ids, b.ids)
+    np.testing.assert_array_equal(a.distances, b.distances)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    assert list(a.counters) == list(b.counters)
+    for name in set(a.counters) - VOLATILE_COUNTERS:
         np.testing.assert_array_equal(
-            getattr(a, field.name),
-            getattr(b, field.name),
-            err_msg=field.name,
+            a.counters[name], b.counters[name], err_msg=name
         )
 
 
-def thread_vs_process(sharded, search):
-    """Run ``search`` under both backends on the same shards; compare."""
+def thread_vs_process(sharded, run):
+    """Run ``run`` under both backends on the same shards; compare."""
     assert sharded.backend == "thread"
-    expected = search(sharded)
+    expected = run(sharded)
     sharded.set_backend("process")
     try:
         assert sharded.backend == "process"
-        assert_results_identical(expected, search(sharded))
+        assert_results_identical(expected, run(sharded))
     finally:
         sharded.close()
         sharded.set_backend("thread")
@@ -112,7 +112,7 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="unknown shard backend"):
             sharded.set_backend("rpc")
         assert sharded.backend == "thread"
-        result = sharded.search_batch(data.queries, k=5, beam_width=16)
+        result = search(sharded, data.queries, k=5, beam_width=16)
         assert (result.counts == 5).all()
 
     def test_spec_and_build_carry_backend(self, setup):
@@ -159,7 +159,7 @@ class TestThreadPoolSizing:
         backend = sharded._backend
         assert isinstance(backend, ThreadBackend)
         assert backend._workers == 1
-        sharded.search_batch(data.queries, k=5, beam_width=16)
+        search(sharded, data.queries, k=5, beam_width=16)
         assert backend._pool is None
 
     def test_single_cpu_default_skips_pool(self, setup, monkeypatch):
@@ -177,7 +177,7 @@ class TestThreadPoolSizing:
         )
         backend = sharded._backend
         assert backend._workers == 1
-        sharded.search_batch(data.queries, k=5, beam_width=16)
+        search(sharded, data.queries, k=5, beam_width=16)
         assert backend._pool is None
 
     def test_multi_cpu_default_builds_pool(self, setup, monkeypatch):
@@ -192,7 +192,7 @@ class TestThreadPoolSizing:
         )
         backend = sharded._backend
         assert backend._workers == 3
-        sharded.search_batch(data.queries, k=5, beam_width=16)
+        search(sharded, data.queries, k=5, beam_width=16)
         assert backend._pool is not None
         sharded.close()
         assert backend._pool is None
@@ -229,20 +229,18 @@ class TestProcessSmoke:
             data.base, 2, lambda xs: build_memory(xs, quantizer)
         )
         try:
-            expected = sharded.search_batch(
-                data.queries, k=10, beam_width=24
-            )
+            expected = search(sharded, data.queries, k=10, beam_width=24)
             sharded.set_backend("process")
             assert_results_identical(
                 expected,
-                sharded.search_batch(data.queries, k=10, beam_width=24),
+                search(sharded, data.queries, k=10, beam_width=24),
             )
             # Closing tears the live workers down; the next search
             # respawns them from freshly shipped state.
             sharded.close()
             assert_results_identical(
                 expected,
-                sharded.search_batch(data.queries, k=10, beam_width=24),
+                search(sharded, data.queries, k=10, beam_width=24),
             )
         finally:
             sharded.close()
@@ -264,7 +262,7 @@ class TestScenarioParity:
         )
         thread_vs_process(
             sharded,
-            lambda idx: idx.search_batch(data.queries, k=10, beam_width=24),
+            lambda idx: search(idx, data.queries, k=10, beam_width=24),
         )
 
     def test_hybrid(self, setup):
@@ -277,7 +275,7 @@ class TestScenarioParity:
         sharded = ShardedIndex.build(data.base, 2, factory)
         thread_vs_process(
             sharded,
-            lambda idx: idx.search_batch(data.queries, k=10, beam_width=24),
+            lambda idx: search(idx, data.queries, k=10, beam_width=24),
         )
 
     def test_l2r(self, setup):
@@ -292,7 +290,7 @@ class TestScenarioParity:
         sharded = ShardedIndex.build(data.base, 2, factory)
         thread_vs_process(
             sharded,
-            lambda idx: idx.search_batch(data.queries, k=10, beam_width=24),
+            lambda idx: search(idx, data.queries, k=10, beam_width=24),
         )
 
     def test_filtered(self, setup):
@@ -310,8 +308,8 @@ class TestScenarioParity:
         )
         thread_vs_process(
             sharded,
-            lambda idx: idx.search_batch(
-                data.queries, labels=qlabels, k=5, beam_width=16
+            lambda idx: search(
+                idx, data.queries, labels=qlabels, k=5, beam_width=16
             ),
         )
 
@@ -324,7 +322,7 @@ class TestScenarioParity:
         sharded.insert_batch(data.base[:60])
         thread_vs_process(
             sharded,
-            lambda idx: idx.search_batch(data.queries, k=5, beam_width=16),
+            lambda idx: search(idx, data.queries, k=5, beam_width=16),
         )
 
 
@@ -352,8 +350,8 @@ class TestStreamingWritePath:
                 data.base[:40]
             )
             assert_results_identical(
-                thread.search_batch(data.queries, k=5, beam_width=16),
-                proc.search_batch(data.queries, k=5, beam_width=16),
+                search(thread, data.queries, k=5, beam_width=16),
+                search(proc, data.queries, k=5, beam_width=16),
             )
             # Workers are live now: further writes must invalidate and
             # re-ship the mutated shards before the next search.
@@ -363,8 +361,8 @@ class TestStreamingWritePath:
             proc.delete(3)
             assert thread.consolidate() == proc.consolidate()
             assert_results_identical(
-                thread.search_batch(data.queries, k=8, beam_width=16),
-                proc.search_batch(data.queries, k=8, beam_width=16),
+                search(thread, data.queries, k=8, beam_width=16),
+                search(proc, data.queries, k=8, beam_width=16),
             )
         finally:
             thread.close()
@@ -474,13 +472,11 @@ class TestRemoteTracebacks:
         try:
             with pytest.raises(Exception) as info:
                 # Mis-dimensioned queries blow up inside the worker.
-                sharded.search_batch(
-                    data.queries[:, :-3], k=5, beam_width=16
-                )
+                search(sharded, data.queries[:, :-3], k=5, beam_width=16)
             cause = info.value.__cause__
             assert cause is not None
             assert "Traceback" in str(cause)
-            assert "search_batch" in str(cause)
+            assert "in _search" in str(cause)
         finally:
             sharded.close()
 
@@ -496,14 +492,12 @@ class TestWorkerErrors:
             backend="process",
         )
         try:
-            good = sharded.search_batch(data.queries, k=5, beam_width=16)
+            good = search(sharded, data.queries, k=5, beam_width=16)
             # Mis-dimensioned queries blow up inside the workers; the
             # error must cross the pipe without desyncing it.
             with pytest.raises(Exception):
-                sharded.search_batch(
-                    data.queries[:, :-3], k=5, beam_width=16
-                )
-            again = sharded.search_batch(data.queries, k=5, beam_width=16)
+                search(sharded, data.queries[:, :-3], k=5, beam_width=16)
+            again = search(sharded, data.queries, k=5, beam_width=16)
             assert_results_identical(good, again)
         finally:
             sharded.close()
@@ -519,17 +513,13 @@ class TestWorkerErrors:
             backend="process",
         )
         try:
-            expected = sharded.search_batch(
-                data.queries, k=5, beam_width=16
-            )
+            expected = search(sharded, data.queries, k=5, beam_width=16)
             results = {}
 
             # Interleaved pipe sends/recvs would cross-deliver replies;
             # the backend lock must serialize them correctly.
             def client(i):
-                results[i] = sharded.search_batch(
-                    data.queries, k=5, beam_width=16
-                )
+                results[i] = search(sharded, data.queries, k=5, beam_width=16)
 
             threads = [
                 threading.Thread(target=client, args=(i,))
@@ -554,16 +544,16 @@ class TestWorkerErrors:
             backend="process",
         )
         try:
-            good = sharded.search_batch(data.queries, k=5, beam_width=16)
+            good = search(sharded, data.queries, k=5, beam_width=16)
             backend = sharded._backend
             backend._procs[0].terminate()
             backend._procs[0].join()
             # The dead pipe fails loudly and resets the backend...
             with pytest.raises(RuntimeError, match="died"):
-                sharded.search_batch(data.queries, k=5, beam_width=16)
+                search(sharded, data.queries, k=5, beam_width=16)
             assert backend._procs is None
             # ...so the next search respawns workers and succeeds.
-            again = sharded.search_batch(data.queries, k=5, beam_width=16)
+            again = search(sharded, data.queries, k=5, beam_width=16)
             assert_results_identical(good, again)
         finally:
             sharded.close()
@@ -590,7 +580,7 @@ class TestWorkerErrors:
             data.base, 2, factory, backend="process"
         )
         with pytest.raises(ValueError, match="cannot persist"):
-            sharded.search_batch(data.queries, k=5, beam_width=16)
+            search(sharded, data.queries, k=5, beam_width=16)
         assert sharded._backend._procs is None
         leftovers = [
             name
@@ -600,7 +590,7 @@ class TestWorkerErrors:
         assert leftovers == []
         # The same shards still serve on the thread backend.
         sharded.set_backend("thread")
-        result = sharded.search_batch(data.queries, k=5, beam_width=16)
+        result = search(sharded, data.queries, k=5, beam_width=16)
         assert (result.counts == 5).all()
 
     def test_context_manager_closes_workers(self, setup):
@@ -611,7 +601,7 @@ class TestWorkerErrors:
             lambda xs: build_memory(xs, quantizer),
             backend="process",
         ) as sharded:
-            result = sharded.search_batch(data.queries, k=5, beam_width=16)
+            result = search(sharded, data.queries, k=5, beam_width=16)
             assert (result.counts == 5).all()
             backend = sharded._backend
             assert backend._procs is not None

@@ -31,6 +31,8 @@ from repro.index import (
 from repro.quantization import ProductQuantizer
 from repro.serving import ShardedIndex, partition_rows
 
+from .helpers import search, search_one
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -59,7 +61,7 @@ def assert_batches_equal(a, b, fields=()):
     )
     for name in fields:
         np.testing.assert_array_equal(
-            getattr(a, name), getattr(b, name), err_msg=name
+            a.counters[name], b.counters[name], err_msg=name
         )
 
 
@@ -70,8 +72,8 @@ class TestSingleShardParity:
         data, quantizer = setup
         index = build_memory(data.base, quantizer)
         sharded = ShardedIndex([index], [np.arange(data.base.shape[0])])
-        plain = index.search_batch(data.queries, k=10, beam_width=24)
-        merged = sharded.search_batch(data.queries, k=10, beam_width=24)
+        plain = search(index, data.queries, k=10, beam_width=24)
+        merged = search(sharded, data.queries, k=10, beam_width=24)
         assert type(merged) is type(plain)
         assert_batches_equal(plain, merged)
 
@@ -79,9 +81,9 @@ class TestSingleShardParity:
         data, quantizer = setup
         graph = build_vamana(data.base, r=8, search_l=20, seed=0)
         index = DiskIndex(graph, quantizer, data.base, io_width=2)
-        plain = index.search_batch(data.queries, k=10, beam_width=24)
+        plain = search(index, data.queries, k=10, beam_width=24)
         sharded = ShardedIndex([index], [np.arange(data.base.shape[0])])
-        merged = sharded.search_batch(data.queries, k=10, beam_width=24)
+        merged = search(sharded, data.queries, k=10, beam_width=24)
         assert_batches_equal(
             plain,
             merged,
@@ -96,8 +98,8 @@ class TestSingleShardParity:
         sharded = ShardedIndex([make_streaming(quantizer, dim)])
         ids = sharded.insert_batch(data.base[:80])
         assert ids == list(range(80))
-        plain = plain_index.search_batch(data.queries, k=5, beam_width=16)
-        merged = sharded.search_batch(data.queries, k=5, beam_width=16)
+        plain = search(plain_index, data.queries, k=5, beam_width=16)
+        merged = search(sharded, data.queries, k=5, beam_width=16)
         assert_batches_equal(plain, merged)
 
     def test_filtered(self, setup):
@@ -107,12 +109,10 @@ class TestSingleShardParity:
         graph = build_vamana(data.base, r=8, search_l=20, seed=0)
         index = FilteredIndex(graph, quantizer, data.base, labels)
         qlabels = np.arange(len(data.queries)) % 3
-        plain = index.search_batch(
-            data.queries, labels=qlabels, k=5, beam_width=16
-        )
+        plain = search(index, data.queries, labels=qlabels, k=5, beam_width=16)
         sharded = ShardedIndex([index], [np.arange(n)])
-        merged = sharded.search_batch(
-            data.queries, labels=qlabels, k=5, beam_width=16
+        merged = search(
+            sharded, data.queries, labels=qlabels, k=5, beam_width=16
         )
         assert_batches_equal(plain, merged, fields=("beam_widths_used",))
 
@@ -125,9 +125,9 @@ class TestSingleShardParity:
             data.base,
             rng=np.random.default_rng(0),
         )
-        plain = index.search_batch(data.queries, k=10, beam_width=24)
+        plain = search(index, data.queries, k=10, beam_width=24)
         sharded = ShardedIndex([index], [np.arange(data.base.shape[0])])
-        merged = sharded.search_batch(data.queries, k=10, beam_width=24)
+        merged = search(sharded, data.queries, k=10, beam_width=24)
         assert_batches_equal(plain, merged)
 
     def test_scalar_search_matches_batch_row(self, setup):
@@ -135,8 +135,8 @@ class TestSingleShardParity:
         sharded = ShardedIndex.build(
             data.base, 3, lambda xs: build_memory(xs, quantizer)
         )
-        batch = sharded.search_batch(data.queries, k=10, beam_width=24)
-        scalar = sharded.search(data.queries[0], k=10, beam_width=24)
+        batch = search(sharded, data.queries, k=10, beam_width=24)
+        scalar = search_one(sharded, data.queries[0], k=10, beam_width=24)
         row = batch.row(0)
         np.testing.assert_array_equal(scalar.ids, row.ids)
         np.testing.assert_array_equal(scalar.distances, row.distances)
@@ -171,9 +171,9 @@ class TestMergeExactness:
         sharded = ShardedIndex.build(
             data.base, 4, lambda xs: build_memory(xs, quantizer)
         )
-        merged = sharded.search_batch(data.queries, k=k, beam_width=beam)
+        merged = search(sharded, data.queries, k=k, beam_width=beam)
         shard_results = [
-            shard.search_batch(data.queries, k=k, beam_width=beam)
+            search(shard, data.queries, k=k, beam_width=beam)
             for shard in sharded.shards
         ]
         for q in range(len(data.queries)):
@@ -211,7 +211,7 @@ class TestMergeExactness:
             x, 12, lambda xs: build_memory(xs, quantizer)
         )
         assert sharded.shard_sizes() == [1] * 12
-        result = sharded.search_batch(data.queries, k=3, beam_width=8)
+        result = search(sharded, data.queries, k=3, beam_width=8)
         ref = self.adc_reference(quantizer, x, data.queries, 3)
         np.testing.assert_array_equal(result.distances, ref)
         assert (result.counts == 3).all()
@@ -222,7 +222,7 @@ class TestMergeExactness:
         sharded = ShardedIndex.build(
             x, 6, lambda xs: build_memory(xs, quantizer)
         )
-        result = sharded.search_batch(data.queries, k=16, beam_width=60)
+        result = search(sharded, data.queries, k=16, beam_width=60)
         # Each shard holds only 10 vertices, so every shard contributes
         # fewer than k — the union still fills all 16 slots exactly.
         assert (result.counts == 16).all()
@@ -239,7 +239,7 @@ class TestMergeExactness:
         sharded = ShardedIndex.build(
             x, 3, lambda xs: build_memory(xs, quantizer)
         )
-        result = sharded.search_batch(data.queries, k=40, beam_width=64)
+        result = search(sharded, data.queries, k=40, beam_width=64)
         assert (result.counts == 30).all()
         assert (result.ids[:, 30:] == -1).all()
         assert np.isinf(result.distances[:, 30:]).all()
@@ -255,7 +255,7 @@ class TestMergeExactness:
             x, 2, lambda xs: build_memory(xs, quantizer)
         )
         assert sharded.shard_sizes() == [10, 10]
-        result = sharded.search_batch(data.queries, k=10, beam_width=16)
+        result = search(sharded, data.queries, k=10, beam_width=16)
         # The top-10 of the duplicated union holds the 5 best distances
         # twice each; within every tied pair the shard-0 twin must come
         # first (ids 0..9), immediately followed by its shard-1 copy
@@ -265,7 +265,7 @@ class TestMergeExactness:
                 assert row_ids[j] < 10
                 assert row_ids[j + 1] == row_ids[j] + 10
                 assert row_d[j] == row_d[j + 1]
-        again = sharded.search_batch(data.queries, k=10, beam_width=16)
+        again = search(sharded, data.queries, k=10, beam_width=16)
         np.testing.assert_array_equal(result.ids, again.ids)
         np.testing.assert_array_equal(result.distances, again.distances)
 
@@ -279,8 +279,8 @@ class TestMergeExactness:
         sequential = ShardedIndex.build(
             data.base, 4, factory, max_workers=1
         )
-        a = threaded.search_batch(data.queries, k=10, beam_width=24)
-        b = sequential.search_batch(data.queries, k=10, beam_width=24)
+        a = search(threaded, data.queries, k=10, beam_width=24)
+        b = search(sequential, data.queries, k=10, beam_width=24)
         assert_batches_equal(a, b)
         threaded.close()
 
@@ -289,8 +289,8 @@ class TestMergeExactness:
         sharded = ShardedIndex.build(
             data.base, 3, lambda xs: build_memory(xs, quantizer)
         )
-        result = sharded.search_batch(
-            np.empty((0, data.base.shape[1])), k=5, beam_width=16
+        result = search(
+            sharded, np.empty((0, data.base.shape[1])), k=5, beam_width=16
         )
         assert result.ids.shape == (0, 5)
         assert result.counts.shape == (0,)
@@ -315,18 +315,18 @@ class TestStreamingRouting:
         data, sharded = self.fresh(setup, 3)
         sharded.insert_batch(data.base[:2])
         assert sharded.shard_sizes() == [1, 1, 0]
-        result = sharded.search_batch(data.queries, k=5, beam_width=8)
+        result = search(sharded, data.queries, k=5, beam_width=8)
         assert (result.counts == 2).all()
         assert (result.ids[:, 2:] == -1).all()
 
     def test_delete_routes_to_owner(self, setup):
         data, sharded = self.fresh(setup, 3)
         sharded.insert_batch(data.base[:30])
-        target = sharded.search(data.queries[0], k=1, beam_width=16)
+        target = search_one(sharded, data.queries[0], k=1, beam_width=16)
         victim = int(target.ids[0])
         sharded.delete(victim)
         assert sharded.num_active == 29
-        after = sharded.search(data.queries[0], k=10, beam_width=16)
+        after = search_one(sharded, data.queries[0], k=10, beam_width=16)
         assert victim not in after.ids
         with pytest.raises(KeyError):
             sharded.delete(victim)  # already tombstoned on its shard
@@ -339,7 +339,7 @@ class TestStreamingRouting:
         for g in ids[:4]:
             sharded.delete(g)
         assert sharded.consolidate() == 4
-        result = sharded.search_batch(data.queries, k=8, beam_width=16)
+        result = search(sharded, data.queries, k=8, beam_width=16)
         assert (result.counts == 8).all()
         for g in ids[:4]:
             assert g not in result.ids
@@ -410,7 +410,7 @@ class TestStreamingRouting:
         assert sharded._next_global > max(recorded)
         fresh = sharded.insert_batch(data.base[12:15])
         assert not set(fresh) & recorded
-        result = sharded.search_batch(data.queries, k=5, beam_width=16)
+        result = search(sharded, data.queries, k=5, beam_width=16)
         assert (result.counts == 5).all()
 
 
@@ -425,7 +425,7 @@ class TestNonFiniteQueryRejection:
         bad = data.queries.copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            index.search_batch(bad, k=5, beam_width=16)
+            search(index, bad, k=5, beam_width=16)
 
     def test_sharded_rejects_nan_and_inf(self, setup):
         data, quantizer = setup
@@ -436,14 +436,14 @@ class TestNonFiniteQueryRejection:
             bad = data.queries.copy()
             bad[1, 3] = poison
             with pytest.raises(ValueError, match="non-finite"):
-                sharded.search_batch(bad, k=5, beam_width=16)
+                search(sharded, bad, k=5, beam_width=16)
         # The error names the offending row(s).
         bad = data.queries.copy()
         bad[2, 0] = np.nan
         with pytest.raises(ValueError, match=r"row\(s\) \[2\]"):
-            sharded.search_batch(bad, k=5, beam_width=16)
+            search(sharded, bad, k=5, beam_width=16)
         # And the index still works after the rejection.
-        result = sharded.search_batch(data.queries, k=5, beam_width=16)
+        result = search(sharded, data.queries, k=5, beam_width=16)
         assert (result.counts == 5).all()
 
 
@@ -476,7 +476,7 @@ class TestConstructionAndValidation:
             lambda xs: build_memory(xs, quantizer),
             strategy="round_robin",
         )
-        result = sharded.search_batch(data.queries, k=5, beam_width=16)
+        result = search(sharded, data.queries, k=5, beam_width=16)
         assert (result.counts == 5).all()
         assert result.ids.max() < data.base.shape[0]
 
@@ -492,9 +492,7 @@ class TestConstructionAndValidation:
         sharded = ShardedIndex.build(
             data.base, 3, factory, row_arrays={"labels": labels}
         )
-        result = sharded.search_batch(
-            data.queries, labels=2, k=5, beam_width=16
-        )
+        result = search(sharded, data.queries, labels=2, k=5, beam_width=16)
         assert (result.counts == 5).all()
         # Returned global ids must actually carry the requested label.
         assert (labels[result.ids[result.ids >= 0]] == 2).all()
@@ -519,4 +517,4 @@ class TestConstructionAndValidation:
             data.base, 2, lambda xs: build_memory(xs, quantizer)
         )
         with pytest.raises(ValueError):
-            sharded.search_batch(data.queries, k=0, beam_width=16)
+            search(sharded, data.queries, k=0, beam_width=16)

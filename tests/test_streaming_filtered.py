@@ -12,6 +12,8 @@ from repro.index import FilteredMemoryIndex, FreshVamanaIndex
 from repro.metrics import recall_at_k
 from repro.quantization import ProductQuantizer
 
+from .helpers import search_one
+
 RNG = np.random.default_rng(91)
 
 
@@ -40,7 +42,7 @@ class TestFreshVamana:
     def test_empty_index_search(self, sift_small):
         data, quantizer = sift_small
         index = FreshVamanaIndex(quantizer, dim=data.dim)
-        res = index.search(data.queries[0], k=5)
+        res = search_one(index, data.queries[0], k=5)
         assert res.ids.size == 0
 
     def test_insert_and_search(self, sift_small):
@@ -48,7 +50,7 @@ class TestFreshVamana:
         index = self.make_index(data, quantizer)
         assert index.num_vertices == 200
         assert index.num_active == 200
-        res = index.search(data.queries[0], k=10, beam_width=32)
+        res = search_one(index, data.queries[0], k=10, beam_width=32)
         assert res.ids.shape == (10,)
         assert res.hops > 0
 
@@ -60,14 +62,14 @@ class TestFreshVamana:
         index = self.make_index(data, quantizer, n=n)
         gt = compute_ground_truth(data.base[:n], data.queries, k=10)
         stream_ids = [
-            index.search(q, k=10, beam_width=48).ids for q in data.queries
+            search_one(index, q, k=10, beam_width=48).ids for q in data.queries
         ]
         graph = build_vamana(data.base[:n], r=12, search_l=24, seed=0)
         from repro.index import MemoryIndex
 
         batch = MemoryIndex(graph, quantizer, data.base[:n])
         batch_ids = [
-            batch.search(q, k=10, beam_width=48).ids for q in data.queries
+            search_one(batch, q, k=10, beam_width=48).ids for q in data.queries
         ]
         r_stream = recall_at_k(stream_ids, gt.ids)
         r_batch = recall_at_k(batch_ids, gt.ids)
@@ -88,11 +90,11 @@ class TestFreshVamana:
         data, quantizer = sift_small
         index = self.make_index(data, quantizer, n=150)
         query = data.base[7]  # exact match exists
-        res = index.search(query, k=1, beam_width=32)
+        res = search_one(index, query, k=1, beam_width=32)
         target = int(res.ids[0])
         index.delete(target)
         assert index.num_deleted == 1
-        res2 = index.search(query, k=5, beam_width=32)
+        res2 = search_one(index, query, k=5, beam_width=32)
         assert target not in res2.ids
 
     def test_delete_validation(self, sift_small):
@@ -131,7 +133,7 @@ class TestFreshVamana:
         gt_ids, _ = exact_knn(data.base[alive], 10, queries=data.queries)
         got = []
         for q in data.queries:
-            res = index.search(q, k=10, beam_width=48)
+            res = search_one(index, q, k=10, beam_width=48)
             got.append([int(np.flatnonzero(alive == i)[0]) for i in res.ids])
         recall = recall_at_k([np.array(g) for g in got], gt_ids)
         assert recall > 0.4
@@ -143,7 +145,7 @@ class TestFreshVamana:
         index.delete(entry)
         index.consolidate()
         assert index._entry != entry
-        res = index.search(data.queries[0], k=5, beam_width=24)
+        res = search_one(index, data.queries[0], k=5, beam_width=24)
         assert res.ids.size == 5
 
     def test_consolidate_noop_without_deletes(self, sift_small):
@@ -169,7 +171,7 @@ class TestFilteredIndex:
         data, quantizer = sift_small
         index, labels, n = self.make(data, quantizer)
         for label in range(4):
-            res = index.search(data.queries[0], label=label, k=5)
+            res = search_one(index, data.queries[0], k=5, labels=label)
             assert (labels[res.ids] == label).all()
             assert res.ids.size == 5
 
@@ -180,11 +182,11 @@ class TestFilteredIndex:
         labels = np.zeros(n, dtype=int)
         labels[:5] = 7  # rare label: only 5 carriers
         index = FilteredMemoryIndex(graph, quantizer, data.base[:n], labels)
-        res = index.search(
-            data.queries[0], label=7, k=5, beam_width=10, max_beam_width=512
+        res = search_one(
+            index, data.queries[0], k=5, beam_width=10, labels=7, max_beam_width=512
         )
         assert res.ids.size == 5
-        assert res.beam_width_used > 10  # had to escalate
+        assert res.counters["beam_widths_used"] > 10  # had to escalate
 
     def test_filtered_recall_against_exact(self, sift_small):
         data, quantizer = sift_small
@@ -195,7 +197,7 @@ class TestFilteredIndex:
         for q in data.queries:
             d = ((data.base[members] - q) ** 2).sum(axis=1)
             exact = set(members[np.argsort(d)[:5]].tolist())
-            res = index.search(q, label=label, k=5, beam_width=32)
+            res = search_one(index, q, k=5, labels=label, beam_width=32)
             hits += len(exact & set(res.ids.tolist()))
         assert hits / (len(data.queries) * 5) > 0.4
 
@@ -203,7 +205,7 @@ class TestFilteredIndex:
         data, quantizer = sift_small
         index, _, _ = self.make(data, quantizer, n=100)
         with pytest.raises(ValueError):
-            index.search(data.queries[0], label=0, k=0)
+            search_one(index, data.queries[0], k=0, labels=0)
 
     def test_label_count(self, sift_small):
         data, quantizer = sift_small
