@@ -10,7 +10,7 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-fast test-batch test-build test-replication test-net \
 	chaos-smoke bench-batch bench-build bench-serving bench-kernel \
 	bench-load bench-storage bench-e2e-smoke profile-kernel smoke \
-	smoke-examples smoke-net demo lint ci ci-full
+	smoke-examples smoke-net smoke-migrate demo lint ci ci-full
 
 # Tier-1: the full test suite, stop on first failure.
 test:
@@ -74,10 +74,12 @@ bench-kernel:
 bench-load:
 	cd benchmarks && $(PYTHON) -m pytest bench_load.py -q
 
-# Storage v2: bytes-per-vector + cold-load timing for v1 vs v2 layouts
-# (five-scenario + sharded + replicated-fleet bitwise round-trips and
-# the copy-on-write guard always assert; the mmap-beats-deserialize
-# load gate honors REPRO_SKIP_SPEEDUP_GATES).  Emits BENCH_storage.json.
+# Index storage: bytes-per-vector + cold-load timing of the one on-disk
+# format, raw vs rANS-compressed (five-scenario + sharded +
+# replicated-fleet bitwise round-trips, the copy-on-write guard and
+# rANS-beats-raw always assert; no timing gate).  Emits
+# BENCH_storage.json, whose `retired` block keeps the v1 writer's last
+# numbers.
 bench-storage:
 	cd benchmarks && $(PYTHON) -m pytest bench_storage.py -q
 
@@ -131,11 +133,18 @@ smoke-examples:
 smoke-net:
 	$(PYTHON) scripts/smoke_net.py
 
+# Migration smoke: `repro index migrate` on the committed format-1
+# fixture, then `index describe`, a `serve-shard --dir` boot and one
+# `index search --connect` against the result — all through the real
+# CLI, exit 0 all round.
+smoke-migrate:
+	$(PYTHON) scripts/smoke_migrate.py
+
 # Fast lane — what CI runs on every push/PR (keep in lockstep with
 # .github/workflows/ci.yml).  chaos-smoke is nominally a subset of
 # test-fast, but naming it keeps the kill-a-replica gate explicit even
 # if the replication tests are ever re-marked.
-ci: lint test-fast chaos-smoke smoke-net smoke-examples
+ci: lint test-fast chaos-smoke smoke-net smoke-migrate smoke-examples
 
 # Full lane — nightly CI: full tier-1 plus the benchmark identity /
 # determinism checks.  Speedup gates are timing-flaky on shared
@@ -143,8 +152,8 @@ ci: lint test-fast chaos-smoke smoke-net smoke-examples
 # (`test` already includes the slow replica and socket matrices;
 # test-replication / test-net re-run them by name so a marker change
 # can never silently drop them.)
-ci-full: lint test test-replication test-net smoke-net smoke-examples \
-		bench-e2e-smoke
+ci-full: lint test test-replication test-net smoke-net smoke-migrate \
+		smoke-examples bench-e2e-smoke
 	cd benchmarks && $(PYTHON) -m pytest bench_batch_throughput.py \
 		bench_build.py bench_serving.py bench_kernel.py \
 		bench_load.py bench_storage.py -q

@@ -24,7 +24,9 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 #: ``BENCH_*.json`` carries, not the per-bench payload shape).  Bump it
 #: when the envelope itself changes meaning; the CI comparison job
 #: fails on a mismatch so schema drift is explicit, never silent.
-BENCH_SCHEMA_VERSION = 2
+#: (3: a baseline may carry a ``retired`` block — historical rows the
+#: bench emits verbatim and the comparison skips.)
+BENCH_SCHEMA_VERSION = 3
 
 #: Committed machine-readable baselines live at the repo root (the
 #: human-readable blocks under results/ stay untracked).

@@ -17,6 +17,10 @@ Field classification decides what a difference means:
   speedups, hit rates) and the host fingerprint — **reported**, never
   failed.  Shared runners make timing non-comparable across hosts;
   the report keeps the trajectory visible without flaking the lane.
+* **Retired rows** — a ``retired`` block holds the last measurement of
+  something the program no longer does (kept as the evidence for
+  removing it).  Nothing regenerates it, so its contents are skipped;
+  dropping the block itself is still schema drift.
 
 Exit status: 0 when schema and identity match (timing diffs allowed),
 1 otherwise.
@@ -62,6 +66,8 @@ TIMING_KEYS = {
 }
 #: Whole subtrees that are host-dependent by construction.
 HOST_KEYS = {"host", "cpu_count", "usable_cpus"}
+#: Subtree of historical numbers: present on both sides, never compared.
+RETIRED_KEY = "retired"
 
 
 def is_report_only(key: str) -> bool:
@@ -86,6 +92,8 @@ def walk(
             failures.append(f"{path}: keys added: {only_new}")
         for key in sorted(set(old) & set(new)):
             child = f"{path}.{key}"
+            if key == RETIRED_KEY:
+                continue
             if key in HOST_KEYS:
                 if old[key] != new[key]:
                     timing.append((child, old[key], new[key]))

@@ -121,7 +121,9 @@ def main() -> None:
 
     # -- persistence ---------------------------------------------------
     # A save/load round trip reconstructs a bitwise-identical index in
-    # another process.
+    # another process.  There is one on-disk format: save_index writes
+    # the page-aligned container (compress=True adds rANS-coded PQ
+    # codes) and load_index memory-maps it read-only.
     response = index.search(request)
     with tempfile.TemporaryDirectory() as tmp:
         save_index(index, tmp)

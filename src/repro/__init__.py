@@ -26,7 +26,8 @@ Subpackages
     :class:`~repro.api.SearchRequest` /
     :class:`~repro.api.SearchResponse` protocol every index speaks,
     and :func:`~repro.api.save_index` / :func:`~repro.api.load_index`
-    persistence.  Its top-level names are re-exported here.
+    persistence (one on-disk format: a memory-mapped container).  Its
+    top-level names are re-exported here.
 
 Quick start (declarative)::
 

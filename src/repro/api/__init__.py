@@ -15,7 +15,10 @@ config file):
   answers ``search(request)``.
 * :func:`save_index` / :func:`load_index` — self-describing index
   directories that reconstruct bitwise-identical indexes in another
-  process (the enabling step for process-backed shards).
+  process (what process/socket shard workers boot from).  One format
+  is written — the memory-mapped container, optionally rANS-compressed
+  — and older format-1 directories stay readable (``repro index
+  migrate`` rewrites them).
 
 Import note: :mod:`repro.api.protocol` and :mod:`repro.api.spec` are
 dependency-free leaves (numpy only) imported eagerly so index modules

@@ -1,77 +1,75 @@
 """Index persistence: :func:`save_index` / :func:`load_index`.
 
 An index directory is self-describing and reconstructable in another
-process — the enabling step for process-backed shards and replication
-(see ROADMAP).  Two on-disk layouts exist, selected at save time:
-
-Format version 1 (``layout="npy"``, the default — loose files)::
+process — what process/socket workers and replicas boot from.  There is
+one on-disk format on the write side (format version 2)::
 
     <dir>/
-      index.json        # format version, scenario name, scenario state
+      index.json        # manifest: format_version 2, scenario, scenario
+                        # state, "storage" block
       spec.json         # the IndexSpec that built it (when known)
       quantizer.npz     # repro.quantization.serialization format
-      graph.npz         # repro.graphs.serialization format (graph-backed
-                        # scenarios; streaming stores its live adjacency
-                        # in streaming_state.npz instead)
-      codes.npy         # compact codes (graph-backed scenarios)
-      ...               # scenario extras: vectors.npy (hybrid),
-                        # labels.npy (filtered), l2r_weights.npy (l2r),
-                        # streaming_state.npz (streaming)
-
-Format version 2 (``layout="mmap"`` — the storage-v2 container)::
-
-    <dir>/
-      index.json        # manifest: format_version 2 + "storage" block
-      spec.json         # unchanged
-      quantizer.npz     # unchanged (small, cold)
       index.bin         # repro.storage container: every hot array
                         # (codes, packed CSR adjacency incl. HNSW upper
                         # layers, vectors, labels, l2r weights, rANS
                         # payloads) at page-aligned offsets
 
-    # sharded indexes add one sub-directory per shard (either layout):
+    # sharded indexes hold one sub-directory per shard instead:
       shard_000/ ... shard_NNN/   # each a full index directory
       shard_000/global_ids.npy    # shard-local -> global id map
 
-``save_index(..., compress=True, layout="mmap")`` additionally runs the
-PQ code matrices through :class:`repro.storage.EntropyCoder` (per-column
-rANS, frequency tables persisted beside the blob, exact round-trip
-validated before anything is written).  ``load_index`` auto-detects the
-format; v2 directories are memory-mapped read-only by default, so
-loading is O(1) in the array bytes and every process mapping the same
-directory shares page cache — this is how process/socket workers and
-replicas boot near-free.
+``save_index(..., compress=True)`` additionally runs the PQ code
+matrices through :class:`repro.storage.EntropyCoder` (per-column rANS,
+frequency tables persisted beside the blob, exact round-trip validated
+before anything is written).  Directories are memory-mapped read-only
+by default, so loading is O(1) in the array bytes and every process
+mapping the same directory shares page cache.
 
-Round-trip guarantee (both formats): every array is restored exactly
-(codes, adjacency, codewords, vectors), so a loaded index answers any
+Format version 1 (loose ``codes.npy`` / ``graph.npz`` / ... files, the
+pre-container layout) is read-only input: :func:`_read_v1` presents
+such a directory as the same name -> array source a container gives and
+:func:`load_index` rebuilds it through the one shared path.  ``repro
+index migrate`` (``save_index(load_index(src), dst)``) rewrites it.
+
+Round-trip guarantee: every array is restored exactly (codes,
+adjacency, codewords, vectors), so a loaded index answers any
 :class:`~repro.api.protocol.SearchRequest` bitwise identically to the
 live index it was saved from — pinned by ``tests/test_api_persistence``
-and ``tests/test_storage`` on all five scenarios, sharded, and
-replicated fleets.
+on all five scenarios, sharded, replicated fleets, and the committed
+format-1 fixtures.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional, Union
+import re
+import shutil
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from .registry import get_scenario, scenario_for_index
 from .spec import IndexSpec, ScenarioSpec, ShardingSpec
 
-#: Highest directory format this build reads.  Writers emit version 1
-#: for ``layout="npy"`` and version 2 for ``layout="mmap"``.
+#: The format :func:`save_index` writes and the highest one
+#: :func:`load_index` reads (format 1 is read through :func:`_read_v1`).
 INDEX_FORMAT_VERSION = 2
-
-_LAYOUT_VERSIONS = {"npy": 1, "mmap": 2}
 
 _INDEX_FILE = "index.json"
 _SPEC_FILE = "spec.json"
 _QUANTIZER_FILE = "quantizer.npz"
-_GRAPH_FILE = "graph.npz"
 _CONTAINER_FILE = "index.bin"
+#: what a format-1 directory held (``<name>.npy`` is source array ``<name>``)
+_FILES_V1 = (
+    "codes.npy",
+    "vectors.npy",
+    "labels.npy",
+    "l2r_weights.npy",
+    "graph.npz",
+    "streaming_state.npz",
+)
+_SHARD_DIR = re.compile(r"shard_(\d{3,})")
 
 
 def _shard_dirname(s: int) -> str:
@@ -111,17 +109,18 @@ def _save_spec(
     _write_json(os.path.join(dirpath, _SPEC_FILE), spec.to_dict())
 
 
-def _check_layout(layout: str, compress: bool) -> None:
-    if layout not in _LAYOUT_VERSIONS:
-        raise ValueError(
-            f"unknown layout {layout!r}; expected one of "
-            f"{sorted(_LAYOUT_VERSIONS)}"
-        )
-    if compress and layout != "mmap":
-        raise ValueError(
-            "compress=True requires layout='mmap' (entropy-coded codes "
-            "live in the v2 container file)"
-        )
+def _prune(dirpath: str, stale: Tuple[str, ...], keep_shards: int) -> None:
+    """Make a save a checkpoint, not a merge: drop what this format
+    owns and the save just finished did not write — the ``stale`` file
+    names and ``shard_NNN/`` from ``keep_shards`` up.  Unknown names
+    stay."""
+    for name in os.listdir(dirpath):
+        path = os.path.join(dirpath, name)
+        shard = _SHARD_DIR.fullmatch(name)
+        if shard and int(shard.group(1)) >= keep_shards:
+            shutil.rmtree(path, ignore_errors=True)  # a file: not ours
+        elif name in stale and os.path.isfile(path):
+            os.remove(path)
 
 
 def save_index(
@@ -129,27 +128,31 @@ def save_index(
     dirpath: Union[str, os.PathLike],
     *,
     compress: bool = False,
-    layout: str = "npy",
+    layout: str = "mmap",
 ) -> str:
     """Persist ``index`` (any registered scenario, or sharded) to a
     directory; returns the directory path.
 
-    ``layout="npy"`` writes the loose-file format 1 directory (the
-    default, unchanged from earlier releases).  ``layout="mmap"``
-    writes the format 2 container layout whose hot arrays load as
-    read-only memory maps; ``compress=True`` (v2 only) entropy-codes
-    the PQ code matrices, validating the exact round-trip before
-    anything is persisted.
+    Always writes the format 2 container layout whose hot arrays load
+    as read-only memory maps; ``compress=True`` entropy-codes the PQ
+    code matrices, validating the exact round-trip before anything is
+    persisted.  ``layout`` is vestigial: ``"mmap"`` is its one legal
+    value, still accepted because the frozen benchmark driver passes it.
 
-    The directory is created if needed; existing files are overwritten
-    (a save is a checkpoint, not a merge).
+    The directory is created if needed and a save is a checkpoint, not
+    a merge: files and shard directories an earlier save left there
+    that this one did not write are removed (unknown files are kept).
     """
     from ..serving import ShardedIndex
 
-    _check_layout(layout, compress)
+    if layout != "mmap":
+        raise ValueError(
+            f"save_index writes one layout, 'mmap' (got {layout!r}); "
+            "format-1 directories are read-only input — rewrite one "
+            "with `repro index migrate`"
+        )
     dirpath = os.fspath(dirpath)
     os.makedirs(dirpath, exist_ok=True)
-    version = _LAYOUT_VERSIONS[layout]
 
     if isinstance(index, ShardedIndex):
         names = set()
@@ -157,11 +160,11 @@ def save_index(
             zip(index._shards, index._global_ids)
         ):
             shard_dir = os.path.join(dirpath, _shard_dirname(s))
-            save_index(shard, shard_dir, compress=compress, layout=layout)
+            save_index(shard, shard_dir, compress=compress)
             np.save(os.path.join(shard_dir, "global_ids.npy"), gids)
             names.add(scenario_for_index(shard).name)
         manifest = {
-            "format_version": version,
+            "format_version": INDEX_FORMAT_VERSION,
             "scenario": "sharded",
             "state": {
                 "num_shards": index.num_shards,
@@ -172,9 +175,8 @@ def save_index(
                 "endpoints": index._endpoints,
                 "shard_scenarios": sorted(names),
             },
+            "storage": {"layout": "mmap", "compress": compress},
         }
-        if version >= 2:
-            manifest["storage"] = {"layout": layout, "compress": compress}
         _write_json(os.path.join(dirpath, _INDEX_FILE), manifest)
         _save_spec(
             index,
@@ -183,6 +185,11 @@ def save_index(
             index.num_shards,
             backend=index.backend,
             replicas=index.replicas,
+        )
+        _prune(
+            dirpath,
+            _FILES_V1 + (_CONTAINER_FILE, _QUANTIZER_FILE),
+            index.num_shards,
         )
         return dirpath
 
@@ -193,28 +200,16 @@ def save_index(
     save_quantizer(
         index.quantizer, os.path.join(dirpath, _QUANTIZER_FILE)
     )
-
-    if layout == "mmap":
-        state, storage = _save_container(index, handler, dirpath, compress)
-        manifest = {
-            "format_version": version,
-            "scenario": handler.name,
-            "state": state,
-            "storage": storage,
-        }
-    else:
-        if handler.needs_graph:
-            from ..graphs.serialization import save_graph
-
-            save_graph(index.graph, os.path.join(dirpath, _GRAPH_FILE))
-        state = handler.save_state(index, dirpath)
-        manifest = {
-            "format_version": version,
-            "scenario": handler.name,
-            "state": state,
-        }
+    state, storage = _save_container(index, handler, dirpath, compress)
+    manifest = {
+        "format_version": INDEX_FORMAT_VERSION,
+        "scenario": handler.name,
+        "state": state,
+        "storage": storage,
+    }
     _write_json(os.path.join(dirpath, _INDEX_FILE), manifest)
     _save_spec(index, dirpath, handler.name)
+    _prune(dirpath, _FILES_V1, 0)
     return dirpath
 
 
@@ -285,27 +280,20 @@ class _ArraySource:
 
 
 def load_index(
-    dirpath: Union[str, os.PathLike], *, mmap: Optional[bool] = None
+    dirpath: Union[str, os.PathLike], *, mmap: bool = True
 ) -> object:
-    """Reconstruct an index saved by :func:`save_index` (either
-    format).
+    """Reconstruct an index saved by :func:`save_index`.
 
-    For format 2 directories the hot arrays are memory-mapped
-    read-only by default (``mmap=None``/``True``) — pass
+    The hot arrays are memory-mapped read-only by default — pass
     ``mmap=False`` to read private in-memory copies instead (e.g. when
-    the directory is about to be deleted).  Format 1 directories
-    ignore ``mmap``.
+    the directory is about to be deleted).  Format 1 directories are
+    read through :func:`_read_v1` and are never mapped.
 
     The loaded index carries the saved spec as ``index.spec`` and
     answers searches bitwise identically to the index that was saved.
     """
     dirpath = os.fspath(dirpath)
-    meta_path = os.path.join(dirpath, _INDEX_FILE)
-    if not os.path.exists(meta_path):
-        raise FileNotFoundError(
-            f"{dirpath} is not an index directory (no {_INDEX_FILE})"
-        )
-    meta = _read_json(meta_path)
+    meta = describe_index(dirpath)
     version = int(meta.get("format_version", 1))
     if version > INDEX_FORMAT_VERSION:
         raise ValueError(
@@ -340,32 +328,31 @@ def load_index(
 
     handler = get_scenario(scenario)
 
+    from ..graphs.serialization import graph_from_arrays
     from ..quantization import load_quantizer
 
     quantizer = load_quantizer(os.path.join(dirpath, _QUANTIZER_FILE))
-
     if version >= 2:
-        index = _load_container(
-            meta, handler, dirpath, quantizer, mmap=mmap is not False
-        )
+        graph_meta = meta["storage"]["graph"]
+        get, mapped = _container_source(meta["storage"], dirpath, mmap), mmap
     else:
-        graph = None
-        if handler.needs_graph:
-            from ..graphs.serialization import load_graph
-
-            graph = load_graph(os.path.join(dirpath, _GRAPH_FILE))
-        index = handler.load(dirpath, state, graph, quantizer)
+        graph_meta, state, arrays = _read_v1(dirpath, state)
+        get, mapped = arrays.__getitem__, False
+    graph = None
+    if handler.needs_graph:
+        graph = graph_from_arrays(graph_meta, get)
+    index = handler.load_arrays(
+        state, _ArraySource(get, mapped), graph, quantizer
+    )
     _attach_spec(index, dirpath)
     return index
 
 
-def _load_container(
-    meta: dict, handler, dirpath: str, quantizer, mmap: bool
-) -> object:
-    """Open the v2 container and rebuild the index over its sections."""
+def _container_source(storage: dict, dirpath: str, mmap: bool):
+    """Open a directory's container as a name -> array getter that
+    decodes entropy-coded sections on the way out."""
     from ..storage import CompressedCodes, Container, EntropyCoder
 
-    storage = meta["storage"]
     container = Container(
         os.path.join(dirpath, storage.get("container", _CONTAINER_FILE)),
         mmap=mmap,
@@ -380,13 +367,37 @@ def _load_container(
             return EntropyCoder().decompress(comp)
         return container.read(name)
 
-    graph = None
-    if handler.needs_graph:
-        from ..graphs.serialization import graph_from_arrays
+    return get
 
-        graph = graph_from_arrays(storage["graph"], get)
-    source = _ArraySource(get, mapped=mmap)
-    return handler.load_arrays(meta.get("state", {}), source, graph, quantizer)
+
+def _read_v1(dirpath: str, state: dict):
+    """Present a format-1 directory as ``(graph_meta, state, arrays)``
+    — the shape a container gives: the loose ``.npy`` files under their
+    source names, ``graph.npz`` via :func:`read_graph_v1`, and
+    ``streaming_state.npz``'s ``(degrees, flat)`` pair as CSR with its
+    ``entry`` scalar moved into ``state``.  Outside input: no pickles,
+    and every ragged pair is range/length-checked."""
+    from ..graphs.serialization import csr_from_ragged, read_graph_v1
+
+    graph_meta, arrays = None, {}
+    for filename in _FILES_V1:
+        path = os.path.join(dirpath, filename)
+        if not os.path.exists(path):
+            continue
+        if filename == "graph.npz":
+            graph_meta, garrays = read_graph_v1(path)
+            arrays.update(garrays)
+        elif filename == "streaming_state.npz":
+            with np.load(path, allow_pickle=False) as data:
+                for name in ("vectors", "codes", "deleted"):
+                    arrays[name] = data[name]
+                arrays["stream_neighbors"], arrays["stream_offsets"] = (
+                    csr_from_ragged(data["degrees"], data["flat"])
+                )
+                state = dict(state, entry=int(data["entry"]))
+        else:
+            arrays[filename[: -len(".npy")]] = np.load(path, allow_pickle=False)
+    return graph_meta, state, arrays
 
 
 def _attach_spec(index: object, dirpath: str) -> None:
@@ -397,7 +408,12 @@ def _attach_spec(index: object, dirpath: str) -> None:
 
 def describe_index(dirpath: Union[str, os.PathLike]) -> dict:
     """The ``index.json`` payload of a saved index (for tooling)."""
-    return _read_json(os.path.join(os.fspath(dirpath), _INDEX_FILE))
+    path = os.path.join(os.fspath(dirpath), _INDEX_FILE)
+    if not os.path.exists(path):
+        raise FileNotFoundError(
+            f"{dirpath} is not an index directory (no {_INDEX_FILE})"
+        )
+    return _read_json(path)
 
 
 def saved_spec(dirpath: Union[str, os.PathLike]) -> Optional[IndexSpec]:
@@ -413,123 +429,22 @@ def saved_spec(dirpath: Union[str, os.PathLike]) -> Optional[IndexSpec]:
 # ----------------------------------------------------------------------
 
 
-def _npy_shape_dtype(path: str):
-    arr = np.load(path, mmap_mode="r")
-    return arr.shape, arr.dtype
-
-
-def storage_report(dirpath: Union[str, os.PathLike]) -> dict:
-    """Per-component on-disk accounting for a saved index directory.
-
-    Works on both format versions (and sharded directories, where the
-    per-shard numbers are aggregated): component byte sizes, total
-    bytes, bytes-per-vector, and the stored-vs-raw compression ratio of
-    the PQ code matrices.  Byte counts are exact file/section sizes —
-    this is what ``repro index describe`` and ``bench_storage`` print.
-    """
-    dirpath = os.fspath(dirpath)
-    meta = describe_index(dirpath)
-    version = int(meta.get("format_version", 1))
-    scenario = meta["scenario"]
-
-    if scenario == "sharded":
-        components: Dict[str, int] = {}
-        num_vectors = 0
-        codes_stored = 0
-        codes_raw = 0
-        num_shards = int(meta["state"]["num_shards"])
-        for s in range(num_shards):
-            sub = storage_report(os.path.join(dirpath, _shard_dirname(s)))
-            for name, size in sub["components"].items():
-                key = f"{_shard_dirname(s)}/{name}"
-                components[key] = size
-            num_vectors += sub["num_vectors"]
-            codes_stored += sub["codes_stored_bytes"]
-            codes_raw += sub["codes_raw_bytes"]
-        for extra in (_INDEX_FILE, _SPEC_FILE):
-            path = os.path.join(dirpath, extra)
-            if os.path.exists(path):
-                components[extra] = os.path.getsize(path)
-        total = sum(components.values())
-        return {
-            "format_version": version,
-            "scenario": scenario,
-            "layout": meta.get("storage", {}).get("layout", "npy"),
-            "compress": bool(meta.get("storage", {}).get("compress", False)),
-            "num_shards": num_shards,
-            "components": components,
-            "total_bytes": int(total),
-            "num_vectors": int(num_vectors),
-            "bytes_per_vector": total / max(num_vectors, 1),
-            "codes_stored_bytes": int(codes_stored),
-            "codes_raw_bytes": int(codes_raw),
-            "codes_compression_ratio": codes_raw / max(codes_stored, 1),
-        }
-
-    components = {}
-    for name in sorted(os.listdir(dirpath)):
-        path = os.path.join(dirpath, name)
-        if os.path.isfile(path):
-            components[name] = os.path.getsize(path)
-
-    num_vectors = 0
-    codes_raw = 0
-    codes_stored = 0
-    if version >= 2:
-        storage = meta["storage"]
-        from ..storage import Container
-
-        container_name = storage.get("container", _CONTAINER_FILE)
-        container = Container(
-            os.path.join(dirpath, container_name), mmap=True
-        )
-        section_bytes = container.section_bytes()
-        # Replace the whole-file entry with its per-section breakdown
-        # (plus the header/alignment overhead) so totals stay exact.
-        container_total = components.pop(container_name, 0)
-        for name, size in section_bytes.items():
-            components[f"{container_name}:{name}"] = int(size)
-        overhead = container_total - sum(section_bytes.values())
-        components[f"{container_name}:header+padding"] = int(overhead)
-        compressed = storage.get("compressed", {})
-        if "codes" in compressed:
-            cmeta = compressed["codes"]
-            num_vectors = int(cmeta["num_rows"])
-            m = int(container.read("codes__rans_freqs").shape[0])
-            itemsize = np.dtype(str(cmeta["code_dtype"])).itemsize
-            codes_raw = num_vectors * m * itemsize
-            codes_stored = sum(
-                size
-                for name, size in section_bytes.items()
-                if name.startswith("codes__rans_")
-            )
-        elif "codes" in container:
-            codes = container.read("codes")
-            num_vectors = int(codes.shape[0])
-            codes_raw = codes_stored = int(codes.nbytes)
-        if not num_vectors and "vectors" in container:
-            num_vectors = int(container.read("vectors").shape[0])
-    else:
-        codes_path = os.path.join(dirpath, "codes.npy")
-        streaming_path = os.path.join(dirpath, "streaming_state.npz")
-        if os.path.exists(codes_path):
-            shape, dtype = _npy_shape_dtype(codes_path)
-            num_vectors = int(shape[0])
-            codes_raw = codes_stored = int(
-                int(np.prod(shape)) * dtype.itemsize
-            )
-        elif os.path.exists(streaming_path):
-            with np.load(streaming_path, allow_pickle=False) as data:
-                codes = data["codes"]
-                num_vectors = int(codes.shape[0])
-                codes_raw = codes_stored = int(codes.nbytes)
-
+def _report(
+    meta: dict,
+    components: Dict[str, int],
+    num_vectors: int,
+    codes_stored: int,
+    codes_raw: int,
+    **extra,
+) -> dict:
     total = sum(components.values())
+    storage = meta.get("storage", {})
     return {
-        "format_version": version,
-        "scenario": scenario,
-        "layout": meta.get("storage", {}).get("layout", "npy"),
-        "compress": bool(meta.get("storage", {}).get("compress", False)),
+        "format_version": int(meta.get("format_version", 1)),
+        "scenario": meta["scenario"],
+        "layout": storage.get("layout", "npy"),
+        "compress": bool(storage.get("compress", False)),
+        **extra,
         "components": components,
         "total_bytes": int(total),
         "num_vectors": int(num_vectors),
@@ -538,3 +453,88 @@ def storage_report(dirpath: Union[str, os.PathLike]) -> dict:
         "codes_raw_bytes": int(codes_raw),
         "codes_compression_ratio": codes_raw / max(codes_stored, 1),
     }
+
+
+def storage_report(dirpath: Union[str, os.PathLike]) -> dict:
+    """Per-component on-disk accounting for a saved index directory.
+
+    Component byte sizes (the container broken down per section), total
+    bytes, bytes-per-vector, and the stored-vs-raw compression ratio of
+    the PQ code matrices; sharded directories aggregate their shards.
+    Byte counts are exact file/section sizes — this is what ``repro
+    index describe`` and ``bench_storage`` print.  Format 1 directories
+    report their loose files (``layout`` ``"npy"``).
+    """
+    dirpath = os.fspath(dirpath)
+    meta = describe_index(dirpath)
+
+    if meta["scenario"] == "sharded":
+        components: Dict[str, int] = {}
+        num_vectors = codes_stored = codes_raw = 0
+        num_shards = int(meta["state"]["num_shards"])
+        for s in range(num_shards):
+            sub = storage_report(os.path.join(dirpath, _shard_dirname(s)))
+            for name, size in sub["components"].items():
+                components[f"{_shard_dirname(s)}/{name}"] = size
+            num_vectors += sub["num_vectors"]
+            codes_stored += sub["codes_stored_bytes"]
+            codes_raw += sub["codes_raw_bytes"]
+        for extra in (_INDEX_FILE, _SPEC_FILE):
+            path = os.path.join(dirpath, extra)
+            if os.path.exists(path):
+                components[extra] = os.path.getsize(path)
+        return _report(
+            meta,
+            components,
+            num_vectors,
+            codes_stored,
+            codes_raw,
+            num_shards=num_shards,
+        )
+
+    components = {}
+    for name in sorted(os.listdir(dirpath)):
+        path = os.path.join(dirpath, name)
+        if os.path.isfile(path):
+            components[name] = os.path.getsize(path)
+
+    num_vectors = codes_raw = codes_stored = 0
+    compressed: dict = {}
+    section_bytes: Dict[str, int] = {}
+    if int(meta.get("format_version", 1)) >= 2:
+        storage = meta["storage"]
+        from ..storage import Container
+
+        container_name = storage.get("container", _CONTAINER_FILE)
+        arrays = Container(os.path.join(dirpath, container_name), mmap=True)
+        read = arrays.read
+        section_bytes = arrays.section_bytes()
+        # Replace the whole-file entry with its per-section breakdown
+        # (plus the header/alignment overhead) so totals stay exact.
+        container_total = components.pop(container_name, 0)
+        for name, size in section_bytes.items():
+            components[f"{container_name}:{name}"] = int(size)
+        overhead = container_total - sum(section_bytes.values())
+        components[f"{container_name}:header+padding"] = int(overhead)
+        compressed = storage.get("compressed", {})
+    else:  # format 1: the same names, out of the loose files
+        arrays = _read_v1(dirpath, {})[2]
+        read = arrays.__getitem__
+    if "codes" in compressed:
+        cmeta = compressed["codes"]
+        num_vectors = int(cmeta["num_rows"])
+        m = int(read("codes__rans_freqs").shape[0])
+        itemsize = np.dtype(str(cmeta["code_dtype"])).itemsize
+        codes_raw = num_vectors * m * itemsize
+        codes_stored = sum(
+            size
+            for name, size in section_bytes.items()
+            if name.startswith("codes__rans_")
+        )
+    elif "codes" in arrays:
+        codes = read("codes")
+        num_vectors = int(codes.shape[0])
+        codes_raw = codes_stored = int(codes.nbytes)
+    if not num_vectors and "vectors" in arrays:
+        num_vectors = int(read("vectors").shape[0])
+    return _report(meta, components, num_vectors, codes_stored, codes_raw)

@@ -12,10 +12,12 @@ A handler owns three things for its scenario:
 
 * ``build(scenario, graph, quantizer, x, labels=None)`` — construct a
   live index from resolved parts;
-* ``save_state(index, dirpath)`` — write the scenario's arrays and
-  return the JSON-able metadata needed to reverse it;
-* ``load(dirpath, meta, graph, quantizer)`` — reconstruct the index
-  without the original dataset (see :mod:`repro.api.persistence`).
+* ``export_arrays(index)`` — the scenario's JSON-able state plus its
+  named arrays (nothing touches disk here);
+* ``load_arrays(meta, source, graph, quantizer)`` — reconstruct the
+  index from those, without the original dataset.  This pair is the
+  one state codec per scenario; :mod:`repro.api.persistence` owns the
+  on-disk format around it.
 
 :func:`build` accepts overrides (``data``, ``graph``, ``quantizer``,
 ``labels``, per-shard graphs) so callers that already hold fitted
@@ -26,7 +28,6 @@ sufficient (datasets are synthetic and regenerable by name).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -135,28 +136,13 @@ class ScenarioHandler:
 
     # -- persistence ----------------------------------------------------
     #: names returned by :meth:`export_arrays` that hold PQ code
-    #: matrices — the v2 save path may entropy-code exactly these
-    code_arrays: tuple = ()
+    #: matrices — ``save_index(compress=True)`` entropy-codes exactly these
+    code_arrays: tuple = ("codes",)
 
-    def save_state(self, index: object, dirpath: str) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def load(
-        self,
-        dirpath: str,
-        meta: Dict[str, Any],
-        graph: object,
-        quantizer: object,
-    ) -> object:
-        raise NotImplementedError
-
-    # -- persistence, storage v2 (array-based) --------------------------
     def export_arrays(self, index: object):
         """Return ``(meta, arrays)``: the scenario's JSON-able state
-        plus every per-row array, named, for the v2 container file.
-        The same data :meth:`save_state` writes as loose ``.npy``
-        files, but with nothing touching disk here — the persistence
-        layer owns layout and compression."""
+        plus every per-row array, named.  Nothing touches disk here —
+        the persistence layer owns layout and compression."""
         raise NotImplementedError
 
     def load_arrays(
@@ -168,8 +154,10 @@ class ScenarioHandler:
     ) -> object:
         """Inverse of :meth:`export_arrays`.  ``source`` maps array
         name → ndarray (read-only memmap views when the container was
-        opened mapped; ``source.mapped`` says which) and the result
-        must answer searches bitwise-identically to the saved index."""
+        opened mapped; ``source.mapped`` says which — a format-1
+        directory arrives through the same interface, unmapped) and
+        the result must answer searches bitwise-identically to the
+        saved index."""
         raise NotImplementedError
 
 
@@ -452,10 +440,6 @@ def build(
 # ----------------------------------------------------------------------
 
 
-def _dtype_name(dtype: np.dtype) -> str:
-    return np.dtype(dtype).name
-
-
 @register_scenario("memory")
 class MemoryScenario(ScenarioHandler):
     """In-memory PQ+graph index (paper §7, the default scenario).
@@ -490,39 +474,16 @@ class MemoryScenario(ScenarioHandler):
             graph, quantizer, x, **self._kwargs(scenario)
         )
 
-    def save_state(self, index, dirpath):
-        np.save(os.path.join(dirpath, "codes.npy"), index.codes)
-        return {
-            "dim": int(index.dim),
-            "distance_mode": index.distance_mode,
-            "table_dtype": _dtype_name(index.table_dtype),
-            "storage_dtype": _dtype_name(index.storage_dtype),
-        }
-
-    def load(self, dirpath, meta, graph, quantizer):
-        codes = np.load(os.path.join(dirpath, "codes.npy"))
-        return self.index_cls.from_state(
-            graph,
-            quantizer,
-            codes,
-            dim=int(meta["dim"]),
-            distance_mode=meta["distance_mode"],
-            table_dtype=np.dtype(meta["table_dtype"]),
-            storage_dtype=np.dtype(meta["storage_dtype"]),
-        )
-
-    code_arrays = ("codes",)
-
     def export_arrays(self, index):
         meta = {
             "dim": int(index.dim),
             "distance_mode": index.distance_mode,
-            "table_dtype": _dtype_name(index.table_dtype),
-            "storage_dtype": _dtype_name(index.storage_dtype),
+            "table_dtype": np.dtype(index.table_dtype).name,
+            "storage_dtype": np.dtype(index.storage_dtype).name,
         }
         return meta, {"codes": index.codes}
 
-    def load_arrays(self, meta, source, graph, quantizer):
+    def load_arrays(self, meta, source, graph, quantizer, **extra):
         return self.index_cls.from_state(
             graph,
             quantizer,
@@ -531,6 +492,7 @@ class MemoryScenario(ScenarioHandler):
             distance_mode=meta["distance_mode"],
             table_dtype=np.dtype(meta["table_dtype"]),
             storage_dtype=np.dtype(meta["storage_dtype"]),
+            **extra,
         )
 
 
@@ -561,43 +523,14 @@ class L2RScenario(MemoryScenario):
             rng=np.random.default_rng(params.get("seed", 0)),
         )
 
-    def save_state(self, index, dirpath):
-        meta = super().save_state(index, dirpath)
-        np.save(
-            os.path.join(dirpath, "l2r_weights.npy"),
-            index.reweighter.weights,
-        )
-        return meta
-
-    def load(self, dirpath, meta, graph, quantizer):
-        codes = np.load(os.path.join(dirpath, "codes.npy"))
-        weights = np.load(os.path.join(dirpath, "l2r_weights.npy"))
-        return self.index_cls.from_state(
-            graph,
-            quantizer,
-            codes,
-            weights=weights,
-            dim=int(meta["dim"]),
-            distance_mode=meta["distance_mode"],
-            table_dtype=np.dtype(meta["table_dtype"]),
-            storage_dtype=np.dtype(meta["storage_dtype"]),
-        )
-
     def export_arrays(self, index):
         meta, arrays = super().export_arrays(index)
         arrays["l2r_weights"] = index.reweighter.weights
         return meta, arrays
 
     def load_arrays(self, meta, source, graph, quantizer):
-        return self.index_cls.from_state(
-            graph,
-            quantizer,
-            source["codes"],
-            weights=source["l2r_weights"],
-            dim=int(meta["dim"]),
-            distance_mode=meta["distance_mode"],
-            table_dtype=np.dtype(meta["table_dtype"]),
-            storage_dtype=np.dtype(meta["storage_dtype"]),
+        return super().load_arrays(
+            meta, source, graph, quantizer, weights=source["l2r_weights"]
         )
 
 
@@ -659,51 +592,6 @@ class HybridScenario(ScenarioHandler):
                 "round-trip)"
             )
         return None
-
-    def save_state(self, index, dirpath):
-        np.save(os.path.join(dirpath, "codes.npy"), index.codes)
-        np.save(os.path.join(dirpath, "vectors.npy"), index.ssd._vectors)
-        reweighter = self._reweighter_of(index)
-        if reweighter is not None:
-            np.save(
-                os.path.join(dirpath, "l2r_weights.npy"), reweighter.weights
-            )
-        config = index.ssd.config
-        return {
-            "dim": int(index.dim),
-            "io_width": int(index.io_width),
-            "learned_routing": reweighter is not None,
-            "ssd": {
-                "read_latency_us": float(config.read_latency_us),
-                "queue_parallelism": int(config.queue_parallelism),
-                "page_bytes": int(config.page_bytes),
-            },
-        }
-
-    def load(self, dirpath, meta, graph, quantizer):
-        from ..index import SSDConfig
-
-        codes = np.load(os.path.join(dirpath, "codes.npy"))
-        vectors = np.load(os.path.join(dirpath, "vectors.npy"))
-        kwargs: Dict[str, Any] = {}
-        if meta.get("learned_routing"):
-            from ..index.l2r import LearnedRoutingReweighter
-
-            weights = np.load(os.path.join(dirpath, "l2r_weights.npy"))
-            reweighter = LearnedRoutingReweighter(weights)
-            kwargs["table_transform"] = reweighter.reweight
-            kwargs["table_transform_batch"] = reweighter.reweight_batch
-        return self.index_cls.from_state(
-            graph,
-            quantizer,
-            codes,
-            vectors,
-            ssd_config=SSDConfig(**meta["ssd"]),
-            io_width=int(meta["io_width"]),
-            **kwargs,
-        )
-
-    code_arrays = ("codes",)
 
     def export_arrays(self, index):
         reweighter = self._reweighter_of(index)
@@ -777,18 +665,6 @@ class FilteredScenario(ScenarioHandler):
             labels = self.resolve_labels(scenario, x.shape[0], None)
         return self.index_cls(graph, quantizer, x, labels)
 
-    def save_state(self, index, dirpath):
-        np.save(os.path.join(dirpath, "codes.npy"), index.codes)
-        np.save(os.path.join(dirpath, "labels.npy"), index.labels)
-        return {}
-
-    def load(self, dirpath, meta, graph, quantizer):
-        codes = np.load(os.path.join(dirpath, "codes.npy"))
-        labels = np.load(os.path.join(dirpath, "labels.npy"))
-        return self.index_cls.from_state(graph, quantizer, codes, labels)
-
-    code_arrays = ("codes",)
-
     def export_arrays(self, index):
         return {}, {"codes": index.codes, "labels": index.labels}
 
@@ -833,61 +709,10 @@ class StreamingScenario(ScenarioHandler):
             index.insert_batch(x)
         return index
 
-    def save_state(self, index, dirpath):
-        from ..graphs.serialization import _pack_ragged
-
-        degrees, flat = _pack_ragged(
-            [np.asarray(a, dtype=np.int64) for a in index._adjacency]
-        )
-        np.savez(
-            os.path.join(dirpath, "streaming_state.npz"),
-            vectors=np.asarray(index._vectors, dtype=np.float64).reshape(
-                len(index._vectors), index.dim
-            ),
-            codes=np.asarray(index._codes),
-            degrees=degrees,
-            flat=flat,
-            deleted=np.asarray(index._deleted, dtype=bool),
-            entry=np.array(-1 if index._entry is None else index._entry),
-        )
-        return {
-            "dim": int(index.dim),
-            "r": int(index.r),
-            "search_l": int(index.search_l),
-            "alpha": float(index.alpha),
-            "build_batch_size": int(index.build_batch_size),
-        }
-
-    def load(self, dirpath, meta, graph, quantizer):
-        from ..graphs.serialization import _unpack_ragged
-
-        with np.load(
-            os.path.join(dirpath, "streaming_state.npz"), allow_pickle=False
-        ) as data:
-            adjacency = _unpack_ragged(data["degrees"], data["flat"])
-            entry = int(data["entry"])
-            return self.index_cls.from_state(
-                quantizer,
-                dim=int(meta["dim"]),
-                r=int(meta["r"]),
-                search_l=int(meta["search_l"]),
-                alpha=float(meta["alpha"]),
-                build_batch_size=int(meta["build_batch_size"]),
-                vectors=data["vectors"],
-                codes=data["codes"],
-                adjacency=adjacency,
-                deleted=data["deleted"],
-                entry=None if entry < 0 else entry,
-            )
-
-    code_arrays = ("codes",)
-
     def export_arrays(self, index):
         from ..graphs.packed import PackedAdjacency
 
-        # The live adjacency goes straight to packed CSR — storage v2
-        # has no (degrees, flat) ragged pair and no list-of-lists
-        # round-trip on the way back in.
+        # The live adjacency goes straight to packed CSR.
         packed = PackedAdjacency.from_lists(
             [np.asarray(a, dtype=np.int64) for a in index._adjacency]
         )

@@ -19,7 +19,9 @@ Commands
     flags) and persists it with ``save_index``; ``index search`` loads
     a saved directory and serves typed requests against it (or, with
     ``--connect HOST:PORT``, sends them to a running gateway);
-    ``index describe`` prints a saved directory's metadata.
+    ``index describe`` prints a saved directory's metadata;
+    ``index migrate`` rewrites one (e.g. a read-only format-1
+    directory) in the current format.
 ``serve-shard``
     Boot a network shard worker from a persisted index directory and
     answer the versioned wire protocol over TCP until SIGTERM/SIGINT
@@ -31,6 +33,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -573,20 +576,25 @@ def _cmd_index(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.compress and args.layout != "mmap":
-            print(
-                "--compress requires --layout mmap (entropy-coded codes "
-                "live in the v2 container)",
-                file=sys.stderr,
-            )
-            return 2
         index = build(spec)
-        save_index(index, args.out, compress=args.compress, layout=args.layout)
+        save_index(index, args.out, compress=args.compress)
         print(
             f"built scenario={spec.scenario.kind} "
             f"shards={spec.sharding.num_shards} "
-            f"layout={args.layout} compress={args.compress} -> {args.out}"
+            f"compress={args.compress} -> {args.out}"
         )
+        return 0
+
+    if args.action == "migrate":
+        if os.path.realpath(args.out) == os.path.realpath(args.dir):
+            print(
+                "index migrate never rewrites in place: --out must differ "
+                "from --dir",
+                file=sys.stderr,
+            )
+            return 2
+        save_index(load_index(args.dir), args.out)
+        print(f"migrated {args.dir} -> {args.out}")
         return 0
 
     if args.action == "describe":
@@ -594,7 +602,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
         meta = describe_index(args.dir)
         print(f"scenario: {meta['scenario']}")
-        print(f"format_version: {meta.get('format_version', 1)}")
+        version = int(meta.get("format_version", 1))
+        note = ' (read-only; run "repro index migrate")' if version < 2 else ""
+        print(f"format_version: {version}{note}")
         for key, value in sorted(meta.get("state", {}).items()):
             print(f"  {key}: {value}")
         report = storage_report(args.dir)
@@ -974,19 +984,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument(
-        "--layout",
-        choices=("npy", "mmap"),
-        default="npy",
-        help="on-disk layout: 'npy' (format 1, loose files) or 'mmap' "
-        "(format 2 container; loads/serves via read-only memory maps)",
-    )
-    p_build.add_argument(
         "--compress",
         action="store_true",
-        help="entropy-code the PQ code matrices (requires --layout "
-        "mmap; exact round-trip is validated at save time)",
+        help="entropy-code the PQ code matrices (exact round-trip is "
+        "validated at save time)",
     )
     p_build.set_defaults(func=_cmd_index)
+
+    p_migrate = index_sub.add_parser(
+        "migrate",
+        help="rewrite a saved index directory (e.g. a read-only "
+        "format-1 one) in the current format",
+    )
+    p_migrate.add_argument("--dir", required=True, help="source directory")
+    p_migrate.add_argument("--out", required=True, help="output directory")
+    p_migrate.set_defaults(func=_cmd_index)
 
     p_search = index_sub.add_parser(
         "search", help="load a saved index and serve its spec'd queries"

@@ -10,9 +10,9 @@
 * :class:`ProximityGraph` — shared container (paper Def. 2);
   :class:`PackedAdjacency` — its CSR view the kernel routes over.
 * :func:`exact_knn` — blocked brute-force kNN.
-* :func:`save_graph` / :func:`load_graph` — exact on-disk round trip
-  of built graphs (flat and HNSW), used by :mod:`repro.api`'s index
-  persistence.
+* :func:`graph_to_arrays` / :func:`graph_from_arrays` — the exact
+  graph <-> named-arrays codec (flat and HNSW) behind :mod:`repro.api`'s
+  index persistence; :func:`load_graph` reads a format-1 ``graph.npz``.
 """
 
 from .base import ProximityGraph, medoid
@@ -32,7 +32,7 @@ from .hnsw import HNSW, build_hnsw
 from .knn_graph import exact_knn, knn_graph_adjacency
 from .nsg import build_nsg
 from .packed import PackedAdjacency
-from .serialization import load_graph, save_graph
+from .serialization import graph_from_arrays, graph_to_arrays, load_graph
 from .vamana import build_vamana, robust_prune
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "robust_prune",
     "exact_knn",
     "knn_graph_adjacency",
-    "save_graph",
+    "graph_to_arrays",
+    "graph_from_arrays",
     "load_graph",
 ]

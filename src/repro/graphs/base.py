@@ -92,16 +92,6 @@ class ProximityGraph:
             self._packed = packed
         return packed
 
-    def attach_packed(self, packed: PackedAdjacency) -> None:
-        """Adopt an externally built CSR view (deserialization hands the
-        stored flat arrays over without a repack)."""
-        if len(packed) != len(self.adjacency):
-            raise ValueError(
-                f"packed adjacency covers {len(packed)} vertices, graph "
-                f"has {len(self.adjacency)}"
-            )
-        self._packed = packed
-
     def invalidate_packed(self) -> None:
         """Drop the CSR cache after mutating ``adjacency`` in place."""
         self._packed = None

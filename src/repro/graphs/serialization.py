@@ -1,27 +1,28 @@
-"""Saving and loading built proximity graphs.
+"""Graph <-> array codecs for index persistence.
 
-The declarative index API (:mod:`repro.api`) needs graphs that can be
-written to disk and reconstructed in another process — the enabling
-step for process-backed shards and replicas.  Everything goes into one
-``.npz``: the flat adjacency as a ``(degrees, flat)`` ragged pair, the
-entry point, and — for HNSW — every upper routing layer in the same
-ragged encoding.
+:func:`graph_to_arrays` / :func:`graph_from_arrays` are the one graph
+codec: the base layer goes out as the kernel's packed CSR pair
+(``neighbors``/``offsets`` — two flat int64 arrays, the mmap-friendly
+shape) and every HNSW upper layer as its own small CSR, so the arrays
+land byte-for-byte in the index container (:mod:`repro.api.
+persistence`) and are adopted zero-copy on the way back in.
 
 Round-trip guarantee: adjacency arrays, entry point, and upper layers
 come back exactly (int64 for int64), so a search over a loaded graph is
 bitwise identical to one over the original.  ``build_stats`` is
 ephemeral build telemetry and is intentionally not persisted.
 
-The ``(degrees, flat)`` ragged pair is exactly the kernel's packed CSR
-layout (two flat int64 arrays — the mmap-friendly shape), so saving
-reads the graph's packed view straight out and loading attaches it
-without a repack.
+Format-1 index directories stored the graph as a ``graph.npz`` of
+``(degrees, flat)`` ragged pairs.  Nothing writes that any more;
+:func:`read_graph_v1` presents such a file as :func:`graph_to_arrays`
+output (one ``cumsum`` per pair, validated — it is outside input) and
+:func:`load_graph` is the convenience that rebuilds the graph from it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,34 +30,11 @@ from .base import ProximityGraph
 from .hnsw import HNSW
 from .packed import PackedAdjacency
 
+# Highest format-1 ``graph.npz`` version :func:`read_graph_v1` reads.
 GRAPH_FORMAT_VERSION = 1
 
-# Version tag of the array-based (storage v2 container) graph encoding
-# produced by :func:`graph_to_arrays`.
+# Version tag of the array encoding :func:`graph_to_arrays` produces.
 GRAPH_ARRAYS_VERSION = 2
-
-
-def _pack_ragged(lists: List[np.ndarray]):
-    """Encode a list of int arrays as (degrees, flat concatenation)."""
-    degrees = np.array([np.asarray(a).size for a in lists], dtype=np.int64)
-    if degrees.sum():
-        flat = np.concatenate(
-            [np.asarray(a, dtype=np.int64).reshape(-1) for a in lists]
-        )
-    else:
-        flat = np.empty(0, dtype=np.int64)
-    return degrees, flat
-
-
-def _unpack_ragged(degrees: np.ndarray, flat: np.ndarray) -> List[np.ndarray]:
-    """Invert :func:`_pack_ragged`."""
-    if degrees.size == 0:
-        # np.split(flat, []) would yield one (empty) chunk, not zero.
-        return []
-    return [
-        a.astype(np.int64, copy=False)
-        for a in np.split(flat, np.cumsum(degrees)[:-1])
-    ]
 
 
 def graph_to_arrays(
@@ -64,12 +42,11 @@ def graph_to_arrays(
 ) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
     """Serialize a built graph as ``(meta, arrays)`` in packed CSR form.
 
-    This is the storage-v2 encoding: the base layer goes out directly
-    as ``PackedAdjacency.neighbors``/``offsets`` — no ``(degrees,
-    flat)`` ragged pair and no list-of-lists round-trip — and each HNSW
-    upper layer becomes its own small CSR (``vertices`` in the layer's
-    insertion order plus ``neighbors``/``offsets``).  The arrays land
-    byte-for-byte in the container file, ready to be memory-mapped.
+    The base layer goes out directly as ``PackedAdjacency.neighbors``/
+    ``offsets``; each HNSW upper layer becomes its own small CSR
+    (``vertices`` in the layer's insertion order plus ``neighbors``/
+    ``offsets``).  The arrays land byte-for-byte in the container file,
+    ready to be memory-mapped.
     """
     packed = graph.packed()
     meta: Dict[str, object] = {
@@ -144,32 +121,38 @@ def graph_from_arrays(
     )
 
 
-def save_graph(graph: ProximityGraph, path: Union[str, os.PathLike]) -> None:
-    """Serialize a built graph (flat or HNSW) to ``path`` (``.npz``)."""
-    packed = graph.packed()
-    degrees, flat = packed.degrees(), packed.neighbors
-    payload = {
-        "format_version": np.array(GRAPH_FORMAT_VERSION),
-        "kind": np.array("hnsw" if isinstance(graph, HNSW) else "pg"),
-        "name": np.array(graph.name),
-        "entry_point": np.array(graph.entry_point),
-        "degrees": degrees,
-        "flat": flat,
-    }
-    if isinstance(graph, HNSW):
-        payload["max_level"] = np.array(graph.max_level)
-        payload["num_layers"] = np.array(len(graph.upper_layers))
-        for i, layer in enumerate(graph.upper_layers):
-            vertices = np.array(list(layer.keys()), dtype=np.int64)
-            ldeg, lflat = _pack_ragged([layer[int(v)] for v in vertices])
-            payload[f"layer{i}_vertices"] = vertices
-            payload[f"layer{i}_degrees"] = ldeg
-            payload[f"layer{i}_flat"] = lflat
-    np.savez(path, **payload)
+def csr_from_ragged(
+    degrees: np.ndarray, flat: np.ndarray, num_vertices: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A format-1 ``(degrees, flat)`` ragged pair as CSR ``(neighbors,
+    offsets)``.
+
+    The pair is outside input and :meth:`ProximityGraph.from_packed`
+    skips the per-vertex walk, so lengths and the neighbor range
+    (``0 <= flat < num_vertices``, default ``len(degrees)``) are
+    checked here, once, vectorised.
+    """
+    degrees = np.asarray(degrees, dtype=np.int64).reshape(-1)
+    flat = np.asarray(flat, dtype=np.int64).reshape(-1)
+    if (degrees < 0).any() or int(degrees.sum()) != flat.size:
+        raise ValueError(
+            f"ragged adjacency is inconsistent: degrees sum to "
+            f"{int(degrees.sum())} but {flat.size} neighbors are stored"
+        )
+    offsets = np.zeros(degrees.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    n = degrees.size if num_vertices is None else int(num_vertices)
+    bad = np.flatnonzero((flat < 0) | (flat >= n))
+    if bad.size:
+        v = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        raise ValueError(f"vertex {v} has out-of-range neighbors")
+    return flat, offsets
 
 
-def load_graph(path: Union[str, os.PathLike]) -> ProximityGraph:
-    """Reconstruct a graph saved by :func:`save_graph`."""
+def read_graph_v1(
+    path: Union[str, os.PathLike],
+) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """A format-1 ``graph.npz`` as :func:`graph_to_arrays` output."""
     with np.load(path, allow_pickle=False) as data:
         version = int(data["format_version"])
         if version > GRAPH_FORMAT_VERSION:
@@ -177,38 +160,29 @@ def load_graph(path: Union[str, os.PathLike]) -> ProximityGraph:
                 f"graph file {path} has format version {version}; "
                 f"this build reads up to {GRAPH_FORMAT_VERSION}"
             )
-        kind = str(data["kind"])
-        degrees = data["degrees"].astype(np.int64, copy=False)
-        flat = data["flat"].astype(np.int64, copy=False)
-        adjacency = _unpack_ragged(degrees, flat)
-        offsets = np.zeros(degrees.size + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets[1:])
-        packed = PackedAdjacency(neighbors=flat, offsets=offsets)
-        entry = int(data["entry_point"])
-        name = str(data["name"])
-        if kind == "pg":
-            graph = ProximityGraph(
-                adjacency=adjacency, entry_point=entry, name=name
-            )
-            graph.attach_packed(packed)
-            return graph
-        if kind == "hnsw":
-            upper_layers = []
-            for i in range(int(data["num_layers"])):
-                vertices = data[f"layer{i}_vertices"]
-                neighbor_lists = _unpack_ragged(
-                    data[f"layer{i}_degrees"], data[f"layer{i}_flat"]
+        meta: Dict[str, object] = {
+            "kind": str(data["kind"]),
+            "name": str(data["name"]),
+            "entry_point": int(data["entry_point"]),
+        }
+        neighbors, offsets = csr_from_ragged(data["degrees"], data["flat"])
+        arrays = {"graph_neighbors": neighbors, "graph_offsets": offsets}
+        if meta["kind"] == "hnsw":
+            meta["max_level"] = int(data["max_level"])
+            meta["num_layers"] = int(data["num_layers"])
+            for i in range(meta["num_layers"]):
+                arrays[f"graph_layer{i}_vertices"] = data[f"layer{i}_vertices"]
+                lneighbors, loffsets = csr_from_ragged(
+                    data[f"layer{i}_degrees"],
+                    data[f"layer{i}_flat"],
+                    num_vertices=offsets.size - 1,
                 )
-                upper_layers.append(
-                    {int(v): nbrs for v, nbrs in zip(vertices, neighbor_lists)}
-                )
-            graph = HNSW(
-                adjacency=adjacency,
-                entry_point=entry,
-                name=name,
-                upper_layers=upper_layers,
-                max_level=int(data["max_level"]),
-            )
-            graph.attach_packed(packed)
-            return graph
-    raise ValueError(f"unknown graph kind {kind!r} in {path}")
+                arrays[f"graph_layer{i}_neighbors"] = lneighbors
+                arrays[f"graph_layer{i}_offsets"] = loffsets
+    return meta, arrays
+
+
+def load_graph(path: Union[str, os.PathLike]) -> ProximityGraph:
+    """Rebuild the graph stored in a format-1 ``graph.npz``."""
+    meta, arrays = read_graph_v1(path)
+    return graph_from_arrays(meta, arrays.__getitem__)

@@ -350,11 +350,9 @@ class ProcessBackend(ShardBackend):
     hybrid index with a custom table transform) cannot be
     process-backed; ``save_index`` raises at worker spawn.
 
-    ``ship_layout`` picks the persistence layout of the shipped state
-    (default ``"mmap"``: workers boot by memory-mapping the container
-    read-only instead of deserializing a private copy — near-free
-    spawn, shared page cache).  ``"npy"`` keeps the v1 loose-file ship
-    (the pre-storage-v2 behavior, kept selectable for benchmarking).
+    Workers boot by memory-mapping the shipped container read-only
+    instead of deserializing a private copy — near-free spawn, shared
+    page cache.
     """
 
     name = "process"
@@ -363,10 +361,8 @@ class ProcessBackend(ShardBackend):
         self,
         shards: Sequence[object],
         max_workers: Optional[int] = None,
-        ship_layout: str = "mmap",
     ) -> None:
         super().__init__(shards, max_workers)
-        self._ship_layout = str(ship_layout)
         self._procs: Optional[list] = None
         self._conns: Optional[list] = None
         self._dirs: Optional[List[str]] = None
@@ -391,7 +387,7 @@ class ProcessBackend(ShardBackend):
         try:
             for s, shard in enumerate(self._shards):
                 shard_dir = os.path.join(tmpdir, f"shard_{s:03d}")
-                save_index(shard, shard_dir, layout=self._ship_layout)
+                save_index(shard, shard_dir)
                 dirs.append(shard_dir)
             for shard_dir in dirs:
                 parent_conn, child_conn = context.Pipe()
@@ -446,11 +442,7 @@ class ProcessBackend(ShardBackend):
         dirty = sorted(self._dirty)
         try:
             for s in dirty:
-                save_index(
-                    self._shards[s],
-                    self._dirs[s],
-                    layout=self._ship_layout,
-                )
+                save_index(self._shards[s], self._dirs[s])
                 self._conns[s].send_bytes(framing.encode_message("reload"))
             for s in dirty:
                 self._expect(s, "ready")

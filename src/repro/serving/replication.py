@@ -401,7 +401,7 @@ class ReplicatedBackend(ShardBackend):
                     # same read-only container (ship once, boot N
                     # times, one shared page cache).
                     shard_dir = os.path.join(tmpdir, f"shard_{s:03d}")
-                    save_index(shard, shard_dir, layout="mmap")
+                    save_index(shard, shard_dir)
                     dirs.append(shard_dir)
                 for s, shard_dir in enumerate(dirs):
                     row = [
@@ -491,7 +491,6 @@ class ReplicatedBackend(ShardBackend):
                     save_index(
                         self._shards[s],
                         os.path.join(self._tmpdir, f"shard_{s:03d}"),
-                        layout="mmap",
                     )
                 except BaseException:
                     # Unsaveable state: every replica of every shard may

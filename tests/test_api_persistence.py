@@ -1,13 +1,28 @@
-"""Index persistence: save/load round-trips are bitwise identical.
+"""Index persistence: one format out, bitwise round-trips, v1 read-only.
 
-Every scenario (plus a 4-shard ``ShardedIndex``) is saved, reloaded,
-and pinned to answer the same :class:`~repro.api.SearchRequest` with
-identical ids, distances, counts, and counters — the property that
-makes the directory format safe to hand to another process (the
-ROADMAP's process-backed shards).
+* Round trips: every scenario (plus sharded, replicated fleets and the
+  streaming write path) is saved, reloaded and pinned to answer the
+  same :class:`~repro.api.SearchRequest` with identical ids, distances,
+  counts and counters — over ``compress`` x ``mmap``, the only two
+  knobs the format has.
+* One writer: ``save_index`` writes format 2 whatever it is asked
+  (``layout`` is vestigial), writes the same bytes the pre-collapse
+  ``layout="mmap"`` path wrote, and leaves no stale file behind.
+* Format 1 is input only: the committed ``tests/fixtures/index_v1``
+  directories (written by the last commit that had a v1 writer) load
+  and answer bitwise, migrate, and answer again; corrupt v1 input is
+  rejected with typed errors.
+* Copy-on-write: mutating one mmap-loaded replica never writes through
+  the shared read-only map.
 """
 
 from __future__ import annotations
+
+import functools
+import hashlib
+import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -25,28 +40,49 @@ from repro.api import (
     load_index,
     save_index,
     saved_spec,
+    storage_report,
 )
+from repro.cli import main as cli_main
 from repro.datasets import load
 from repro.graphs import (
     build_hnsw,
     build_nsg,
     build_vamana,
+    graph_from_arrays,
+    graph_to_arrays,
     load_graph,
-    save_graph,
 )
 from repro.index import MemoryIndex
 from repro.quantization import ProductQuantizer
 from repro.serving import ShardedIndex
 
-pytestmark = pytest.mark.slow
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "index_v1")
+FIXTURE_NAMES = [
+    "memory_hnsw",
+    "l2r",
+    "hybrid_l2r",
+    "filtered",
+    "streaming",
+    "streaming_empty",
+    "sharded_2",
+]
+
+#: the whole option space of the format: (compress, mmap)
+FORMAT_MATRIX = [
+    pytest.param(False, True, id="raw-mmap"),
+    pytest.param(False, False, id="raw-copy"),
+    pytest.param(True, True, id="rans-mmap"),
+    pytest.param(True, False, id="rans-copy"),
+]
 
 
-def base_spec(**scenario) -> IndexSpec:
+def base_spec(sharding=None, **scenario) -> IndexSpec:
     return IndexSpec(
         dataset=DatasetSpec(name="sift", n_base=220, n_queries=6, seed=4),
         graph=GraphSpec(kind="vamana", params={"r": 8, "search_l": 16}),
         quantizer=QuantizerSpec(kind="pq", num_chunks=8, num_codewords=16),
         scenario=ScenarioSpec(**scenario) if scenario else ScenarioSpec(),
+        sharding=sharding or ShardingSpec(),
     )
 
 
@@ -64,13 +100,19 @@ def assert_responses_identical(a, b):
         np.testing.assert_array_equal(a.counters[name], b.counters[name])
 
 
+def _file_sha(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 # ----------------------------------------------------------------------
-# Graph serialization
+# Graph codec
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("kind", ["vamana", "hnsw", "nsg"])
-def test_graph_round_trip_exact(tmp_path, kind):
+def test_graph_arrays_round_trip_exact(kind):
     x = load("sift", n_base=150, n_queries=1, seed=2).base
     builders = {
         "vamana": lambda: build_vamana(x, r=8, search_l=16, seed=0),
@@ -78,26 +120,25 @@ def test_graph_round_trip_exact(tmp_path, kind):
         "nsg": lambda: build_nsg(x, knn_k=8, r=8, search_l=16, seed=0),
     }
     graph = builders[kind]()
-    path = tmp_path / f"{kind}.npz"
-    save_graph(graph, path)
-    loaded = load_graph(path)
+    meta, arrays = graph_to_arrays(graph)
+    loaded = graph_from_arrays(meta, arrays.__getitem__)
     assert type(loaded) is type(graph)
     assert loaded.entry_point == graph.entry_point
     assert loaded.name == graph.name
-    assert len(loaded.adjacency) == len(graph.adjacency)
+    assert loaded.num_vertices == graph.num_vertices
     for a, b in zip(loaded.adjacency, graph.adjacency):
         np.testing.assert_array_equal(a, b)
     if hasattr(graph, "upper_layers"):
         assert loaded.max_level == graph.max_level
         assert len(loaded.upper_layers) == len(graph.upper_layers)
         for la, lb in zip(loaded.upper_layers, graph.upper_layers):
-            assert set(la) == set(lb)
+            assert list(la) == list(lb)
             for v in la:
                 np.testing.assert_array_equal(la[v], lb[v])
 
 
 # ----------------------------------------------------------------------
-# Per-scenario index round-trips
+# Round trips over the format matrix
 # ----------------------------------------------------------------------
 
 
@@ -113,44 +154,54 @@ SCENARIOS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _built(scenario_id: int):
+    """``(spec, index, request, live answer)`` per scenario, built once
+    for the whole matrix (the live answer is the index's *first*
+    search, so its counters match a freshly loaded copy's)."""
+    kind, params = SCENARIOS[scenario_id]
+    spec = base_spec(kind=kind, params=params)
+    index = build(spec)
+    queries = load("sift", n_base=220, n_queries=6, seed=4).queries
+    labels = (
+        np.full(len(queries), 1, dtype=np.int64)
+        if kind == "filtered"
+        else None
+    )
+    request = SearchRequest(queries=queries, k=5, beam_width=16, labels=labels)
+    return spec, index, request, index.search(request)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("compress,mmap", FORMAT_MATRIX)
 @pytest.mark.parametrize(
-    "kind,params",
-    SCENARIOS,
+    "scenario_id",
+    range(len(SCENARIOS)),
     ids=[
         f"{kind}-{'-'.join(map(str, params.values())) or 'default'}"
         for kind, params in SCENARIOS
     ],
 )
-def test_scenario_round_trip_bitwise(tmp_path, queries, kind, params):
-    spec = base_spec(kind=kind, params=params)
-    index = build(spec)
-    request = SearchRequest(
-        queries=queries,
-        k=5,
-        beam_width=16,
-        labels=1 if kind == "filtered" else None,
-    )
-    live = index.search(request)
-    save_index(index, tmp_path)
-    loaded = load_index(tmp_path)
+def test_scenario_round_trip_bitwise(tmp_path, scenario_id, compress, mmap):
+    spec, index, request, live = _built(scenario_id)
+    save_index(index, tmp_path, compress=compress)
+    assert describe_index(tmp_path)["format_version"] == 2
+    loaded = load_index(tmp_path, mmap=mmap)
     assert type(loaded) is type(index)
     assert loaded.spec == spec
     assert_responses_identical(live, loaded.search(request))
 
 
-def test_sharded_round_trip_bitwise(tmp_path, queries):
-    spec = base_spec()
-    spec = IndexSpec(
-        dataset=spec.dataset,
-        graph=spec.graph,
-        quantizer=spec.quantizer,
-        sharding=ShardingSpec(num_shards=4),
-    )
+@pytest.mark.slow
+@pytest.mark.parametrize("compress,mmap", FORMAT_MATRIX)
+def test_sharded_round_trip_bitwise(tmp_path, queries, compress, mmap):
+    spec = base_spec(sharding=ShardingSpec(num_shards=4))
     index = build(spec)
     request = SearchRequest(queries=queries, k=5, beam_width=16)
     live = index.search(request)
-    save_index(index, tmp_path)
-    loaded = load_index(tmp_path)
+    save_index(index, tmp_path, compress=compress)
+    assert describe_index(tmp_path)["format_version"] == 2
+    loaded = load_index(tmp_path, mmap=mmap)
     assert isinstance(loaded, ShardedIndex)
     assert loaded.num_shards == 4
     assert loaded.shard_sizes() == index.shard_sizes()
@@ -158,14 +209,9 @@ def test_sharded_round_trip_bitwise(tmp_path, queries):
     assert_responses_identical(live, loaded.search(request))
 
 
+@pytest.mark.slow
 def test_sharded_round_trip_preserves_backend(tmp_path, queries):
-    spec = base_spec()
-    spec = IndexSpec(
-        dataset=spec.dataset,
-        graph=spec.graph,
-        quantizer=spec.quantizer,
-        sharding=ShardingSpec(num_shards=2, backend="process"),
-    )
+    spec = base_spec(sharding=ShardingSpec(num_shards=2, backend="process"))
     index = build(spec)
     assert index.backend == "process"
     request = SearchRequest(queries=queries, k=5, beam_width=16)
@@ -183,12 +229,34 @@ def test_sharded_round_trip_preserves_backend(tmp_path, queries):
     loaded.close()
 
 
-def test_streaming_round_trip_preserves_write_path(tmp_path, queries):
+@pytest.mark.slow
+def test_replicated_process_fleet_boots_off_saved_directory(tmp_path, queries):
+    """A replicated process fleet boots its replicas off the mapped
+    container and stays bitwise identical to in-process serving."""
+    ref = build(base_spec(sharding=ShardingSpec(num_shards=2)))
+    request = SearchRequest(queries=queries, k=5, beam_width=16)
+    expected = ref.search(request)
+
+    save_index(ref, tmp_path, compress=True)
+    fleet = load_index(tmp_path)
+    fleet.set_backend("process")
+    fleet.set_replicas(2)
+    try:
+        assert_responses_identical(expected, fleet.search(request))
+    finally:
+        fleet.close()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("compress,mmap", FORMAT_MATRIX)
+def test_streaming_round_trip_preserves_write_path(
+    tmp_path, queries, compress, mmap
+):
     spec = base_spec(kind="streaming", params={"r": 8, "search_l": 16})
     index = build(spec)
     index.delete(3)
-    save_index(index, tmp_path)
-    loaded = load_index(tmp_path)
+    save_index(index, tmp_path, compress=compress)
+    loaded = load_index(tmp_path, mmap=mmap)
     assert loaded.num_deleted == 1
     # Inserts continue identically on both sides (same graph state).
     a = index.insert_batch(queries[:2])
@@ -199,14 +267,20 @@ def test_streaming_round_trip_preserves_write_path(tmp_path, queries):
     assert index.consolidate() == loaded.consolidate()
 
 
-def test_empty_streaming_round_trip_stays_empty(tmp_path, queries):
-    from repro.index import FreshVamanaIndex
+@pytest.mark.parametrize("compress,mmap", FORMAT_MATRIX)
+def test_empty_streaming_round_trip_stays_empty(
+    tmp_path, queries, compress, mmap
+):
+    from repro.api.registry import get_scenario
 
     data = load("sift", n_base=150, n_queries=2, seed=1)
     quantizer = ProductQuantizer(8, 16, seed=0).fit(data.train)
-    index = FreshVamanaIndex(quantizer, dim=data.dim, r=8, search_l=16)
-    save_index(index, tmp_path)
-    loaded = load_index(tmp_path)
+    scenario = ScenarioSpec(kind="streaming", params={"r": 8, "search_l": 16})
+    index = get_scenario("streaming").build(
+        scenario, None, quantizer, np.empty((0, data.dim))
+    )
+    save_index(index, tmp_path, compress=compress)
+    loaded = load_index(tmp_path, mmap=mmap)
     assert loaded.num_vertices == 0
     assert loaded._adjacency == []
     # Inserting into the loaded empty index matches the live one.
@@ -218,14 +292,12 @@ def test_empty_streaming_round_trip_stays_empty(tmp_path, queries):
     assert_responses_identical(index.search(request), loaded.search(request))
 
 
+@pytest.mark.slow
 def test_streaming_sharded_insert_routing_survives(tmp_path, queries):
-    spec = base_spec(kind="streaming", params={"r": 8, "search_l": 16})
-    spec = IndexSpec(
-        dataset=spec.dataset,
-        graph=spec.graph,
-        quantizer=spec.quantizer,
-        scenario=spec.scenario,
+    spec = base_spec(
         sharding=ShardingSpec(num_shards=3),
+        kind="streaming",
+        params={"r": 8, "search_l": 16},
     )
     index = build(spec)
     save_index(index, tmp_path)
@@ -235,8 +307,13 @@ def test_streaming_sharded_insert_routing_survives(tmp_path, queries):
 
 
 # ----------------------------------------------------------------------
-# Directory metadata
+# Directory metadata and the one-writer contract
 # ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def memory_index():
+    return build(base_spec())
 
 
 def test_hand_built_index_gets_synthesized_spec(tmp_path, queries):
@@ -252,13 +329,26 @@ def test_hand_built_index_gets_synthesized_spec(tmp_path, queries):
     assert_responses_identical(index.search(request), loaded.search(request))
 
 
-def test_describe_index(tmp_path):
-    index = build(base_spec())
-    save_index(index, tmp_path)
+def test_describe_index(tmp_path, memory_index):
+    save_index(memory_index, tmp_path)
     meta = describe_index(tmp_path)
     assert meta["scenario"] == "memory"
-    assert meta["format_version"] == 1
+    assert meta["format_version"] == 2
     assert meta["state"]["distance_mode"] == "adc"
+
+
+def test_layout_keyword_is_vestigial(tmp_path, memory_index):
+    """``layout="mmap"`` (what the frozen benchmark driver passes) is
+    the default spelled out; nothing else is writable any more."""
+    save_index(memory_index, tmp_path / "default")
+    save_index(memory_index, tmp_path / "explicit", layout="mmap")
+    assert _file_sha(tmp_path / "default" / "index.bin") == _file_sha(
+        tmp_path / "explicit" / "index.bin"
+    )
+    for layout in ("npy", "tar"):
+        with pytest.raises(ValueError, match="index migrate"):
+            save_index(memory_index, tmp_path / "nope", layout=layout)
+    assert not (tmp_path / "nope").exists()
 
 
 def test_load_rejects_non_index_directory(tmp_path):
@@ -266,16 +356,13 @@ def test_load_rejects_non_index_directory(tmp_path):
         load_index(tmp_path)
 
 
-def test_load_rejects_future_format(tmp_path):
-    import json
-
-    index = build(base_spec())
-    save_index(index, tmp_path)
+def test_load_rejects_future_format(tmp_path, memory_index):
+    save_index(memory_index, tmp_path)
     meta_path = tmp_path / "index.json"
     meta = json.loads(meta_path.read_text())
-    meta["format_version"] = 99
+    meta["format_version"] = 3
     meta_path.write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match="format version"):
+    with pytest.raises(ValueError, match="format version 3"):
         load_index(tmp_path)
 
 
@@ -290,3 +377,356 @@ def test_custom_table_transform_refuses_to_persist(tmp_path):
     )
     with pytest.raises(ValueError, match="custom table"):
         save_index(index, tmp_path)
+
+
+# ----------------------------------------------------------------------
+# A save is a checkpoint, not a merge (stale-file regression)
+# ----------------------------------------------------------------------
+
+
+def _tree(dirpath) -> set:
+    return {
+        os.path.relpath(os.path.join(root, name), dirpath)
+        for root, _, files in os.walk(dirpath)
+        for name in files
+    }
+
+
+def test_resave_over_v1_directory_leaves_no_stale_files(tmp_path):
+    """Reproduced on the parent: a v2 save over a v1 directory left
+    codes.npy + graph.npz beside index.bin and inflated the report."""
+    stale = tmp_path / "stale"
+    shutil.copytree(os.path.join(FIXTURES, "memory_hnsw"), stale)
+    (stale / "notes.txt").write_text("not ours")
+    index = load_index(stale)
+    save_index(index, stale)
+    save_index(index, tmp_path / "fresh")
+    assert _tree(stale) - _tree(tmp_path / "fresh") == {
+        "expected.npz",
+        "notes.txt",
+    }  # unknown files are never touched
+    os.remove(stale / "expected.npz")
+    os.remove(stale / "notes.txt")
+    assert (
+        storage_report(stale)["total_bytes"]
+        == storage_report(tmp_path / "fresh")["total_bytes"]
+    )
+
+
+@pytest.mark.slow
+def test_resave_with_fewer_shards_drops_the_extra_shard_dirs(tmp_path):
+    four = build(base_spec(sharding=ShardingSpec(num_shards=4)))
+    two = build(base_spec(sharding=ShardingSpec(num_shards=2)))
+    save_index(four, tmp_path / "d")
+    save_index(two, tmp_path / "d")
+    save_index(two, tmp_path / "fresh")
+    assert _tree(tmp_path / "d") == _tree(tmp_path / "fresh")
+    assert load_index(tmp_path / "d").num_shards == 2
+
+
+@pytest.mark.slow
+def test_resave_across_sharded_and_unsharded(tmp_path, memory_index):
+    sharded = build(base_spec(sharding=ShardingSpec(num_shards=2)))
+    save_index(memory_index, tmp_path / "flat")
+    save_index(sharded, tmp_path / "sharded")
+
+    save_index(sharded, tmp_path / "d")
+    save_index(memory_index, tmp_path / "d")  # unsharded over sharded
+    assert _tree(tmp_path / "d") == _tree(tmp_path / "flat")
+    save_index(sharded, tmp_path / "d")  # and back: no root container
+    assert _tree(tmp_path / "d") == _tree(tmp_path / "sharded")
+
+
+# ----------------------------------------------------------------------
+# Format-1 fixtures: read-only input, pinned by bytes
+# ----------------------------------------------------------------------
+
+
+def _expected(name: str):
+    with np.load(os.path.join(FIXTURES, name, "expected.npz")) as data:
+        return {key: data[key] for key in data.files}
+
+
+def _request(expected) -> SearchRequest:
+    label = int(expected["label"])
+    return SearchRequest(
+        queries=expected["queries"],
+        k=int(expected["k"]),
+        beam_width=int(expected["beam_width"]),
+        labels=None if label < 0 else label,
+    )
+
+
+def assert_answers_expected(response, expected, prefix=""):
+    np.testing.assert_array_equal(response.ids, expected[f"{prefix}ids"])
+    np.testing.assert_array_equal(
+        response.distances, expected[f"{prefix}distances"]
+    )
+    np.testing.assert_array_equal(response.counts, expected[f"{prefix}counts"])
+    tag = f"{prefix}counter_"
+    names = {key[len(tag) :] for key in expected if key.startswith(tag)}
+    assert set(response.counters) == names
+    for name in names:
+        np.testing.assert_array_equal(
+            response.counters[name], expected[tag + name], err_msg=name
+        )
+
+
+def _check_fixture_answers(name: str, dirpath) -> None:
+    """The directory answers exactly what the parent commit answered
+    from the v1 bytes — statically, and (streaming) after continuing
+    the write path on a fresh load."""
+    expected = _expected(name)
+    request = _request(expected)
+    if "ids" in expected:
+        assert_answers_expected(load_index(dirpath).search(request), expected)
+    if "cont_ids" not in expected:
+        return
+    index = load_index(dirpath)
+    if name == "streaming_empty":
+        assert index.num_vertices == 0
+        rows = load("deep", n_base=64, n_queries=4, seed=7).base[:20]
+        inserted = index.insert_batch(rows)
+    else:
+        assert index.num_deleted == 2
+        inserted = index.insert_batch(expected["queries"][:2])
+        index.delete(5)
+        np.testing.assert_array_equal(
+            np.asarray(index.consolidate()), expected["cont_consolidated"]
+        )
+    np.testing.assert_array_equal(inserted, expected["cont_inserted"])
+    assert_answers_expected(index.search(request), expected, prefix="cont_")
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_v1_fixture_loads_bitwise(tmp_path, name):
+    src = os.path.join(FIXTURES, name)
+    assert describe_index(src)["format_version"] == 1
+    _check_fixture_answers(name, src)
+
+    dst = str(tmp_path / "migrated")
+    assert cli_main(["index", "migrate", "--dir", src, "--out", dst]) == 0
+    assert describe_index(dst)["format_version"] == 2
+    assert saved_spec(dst) == saved_spec(src)
+    _check_fixture_answers(name, dst)
+
+
+def test_migrate_refuses_in_place(tmp_path, capsys):
+    src = str(tmp_path / "src")
+    shutil.copytree(os.path.join(FIXTURES, "filtered"), src)
+    before = _tree(src)
+    assert cli_main(["index", "migrate", "--dir", src, "--out", src + "/"]) == 2
+    assert "in place" in capsys.readouterr().err
+    assert _tree(src) == before
+
+
+def test_describe_marks_v1_read_only(capsys):
+    src = os.path.join(FIXTURES, "memory_hnsw")
+    assert cli_main(["index", "describe", "--dir", src]) == 0
+    out = capsys.readouterr().out
+    assert 'format_version: 1 (read-only; run "repro index migrate")' in out
+
+
+with open(os.path.join(FIXTURES, "parent_v2_bytes.json")) as _fh:
+    PARENT_V2_BYTES = json.load(_fh)
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["raw", "rans"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_save_writes_the_parents_mmap_bytes(tmp_path, name, compress):
+    """Same bytes on the kept path: ``save_index(idx, d)`` writes what
+    the parent's ``save_index(idx, d, layout="mmap")`` wrote for the
+    same index (recorded at the parent commit; the index comes from
+    committed bytes, so the pin is host-independent)."""
+    parent = PARENT_V2_BYTES[name]["rans" if compress else "raw"]
+    index = load_index(os.path.join(FIXTURES, name))
+    save_index(index, tmp_path, compress=compress)
+    for relpath, sha in parent["sha256"].items():
+        assert _file_sha(tmp_path / relpath) == sha, relpath
+    report = storage_report(tmp_path)
+    assert report["components"] == parent["components"]
+    assert report["total_bytes"] == parent["total_bytes"]
+
+
+def _rewrite_npz(path, **changes) -> None:
+    with np.load(path, allow_pickle=False) as data:
+        payload = {key: data[key] for key in data.files}
+    payload.update(changes)
+    np.savez(path, **payload)
+
+
+@pytest.mark.parametrize(
+    "name,filename",
+    [("memory_hnsw", "graph.npz"), ("streaming", "streaming_state.npz")],
+)
+def test_corrupt_v1_adjacency_is_rejected(tmp_path, name, filename):
+    """v1 directories are outside input: an out-of-range neighbour or
+    a degrees/flat length lie must raise, not load."""
+    for case in ("range", "negative", "length"):
+        dirpath = tmp_path / case
+        shutil.copytree(os.path.join(FIXTURES, name), dirpath)
+        with np.load(dirpath / filename) as data:
+            degrees, flat = data["degrees"], data["flat"].copy()
+        if case == "range":
+            flat[7] = degrees.size
+            changes, match = {"flat": flat}, "out-of-range neighbors"
+        elif case == "negative":
+            flat[0] = -1
+            changes, match = {"flat": flat}, "vertex 0 has out-of-range"
+        else:
+            changes, match = {"flat": flat[:-1]}, "inconsistent"
+        _rewrite_npz(dirpath / filename, **changes)
+        with pytest.raises(ValueError, match=match):
+            load_index(dirpath)
+
+
+def test_corrupt_v1_upper_layer_and_future_graph_version(tmp_path):
+    src = os.path.join(FIXTURES, "memory_hnsw", "graph.npz")
+    with np.load(src) as data:
+        layer_flat = data["layer0_flat"].copy()
+    layer_flat[0] = 10_000
+    bad_layer = tmp_path / "layer.npz"
+    shutil.copy(src, bad_layer)
+    _rewrite_npz(bad_layer, layer0_flat=layer_flat)
+    with pytest.raises(ValueError, match="out-of-range neighbors"):
+        load_graph(bad_layer)
+
+    future = tmp_path / "future.npz"
+    shutil.copy(src, future)
+    _rewrite_npz(future, format_version=np.array(99))
+    with pytest.raises(ValueError, match="format version 99"):
+        load_graph(future)
+
+
+def test_v1_arrays_never_unpickle(tmp_path):
+    dirpath = tmp_path / "d"
+    shutil.copytree(os.path.join(FIXTURES, "filtered"), dirpath)
+    np.save(
+        dirpath / "labels.npy",
+        np.array([{"x": 1}] * 64, dtype=object),
+        allow_pickle=True,
+    )
+    with pytest.raises(ValueError, match="[Pp]ickle"):
+        load_index(dirpath)
+
+
+def test_v1_graph_reader_matches_the_array_codec():
+    """``load_graph`` (the v1 ``graph.npz`` reader) and the array codec
+    describe the same graph."""
+    graph = load_graph(os.path.join(FIXTURES, "memory_hnsw", "graph.npz"))
+    assert len(graph.upper_layers) >= 1
+    meta, arrays = graph_to_arrays(graph)
+    again = graph_from_arrays(meta, arrays.__getitem__)
+    np.testing.assert_array_equal(
+        again.packed().neighbors, graph.packed().neighbors
+    )
+    np.testing.assert_array_equal(again.packed().offsets, graph.packed().offsets)
+    assert again.entry_point == graph.entry_point
+    assert again.max_level == graph.max_level
+
+
+# ----------------------------------------------------------------------
+# Copy-on-write promotion (the mapped-replica mutation bugfix)
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.slow
+def test_mapped_streaming_mutation_never_touches_map(tmp_path, queries):
+    index = build(base_spec(kind="streaming"))
+    request = SearchRequest(queries=queries, k=5, beam_width=16)
+    save_index(index, tmp_path, compress=True)
+    container_path = tmp_path / "index.bin"
+    sha_before = _file_sha(container_path)
+
+    writer = load_index(tmp_path)  # the replica that will mutate
+    sibling = load_index(tmp_path)  # maps the same container
+    sibling_before = sibling.search(request)
+
+    assert writer._mapped and sibling._mapped
+    shared_vectors = writer._vectors[0]
+
+    # Mutate the writer: insert, delete, consolidate.
+    writer.insert(np.asarray(queries[0], dtype=np.float64))
+    writer.delete(1)
+    writer.consolidate()
+
+    # Promotion happened: the writer's rows are private memory now.
+    assert not writer._mapped
+    assert not any(
+        np.shares_memory(row, shared_vectors) for row in writer._vectors
+    )
+    # The sibling replica and the on-disk container are untouched.
+    # (Answers are pinned; counters are not — the sibling's second
+    # search legitimately hits its now-warm table cache.)
+    assert sibling._mapped
+    sibling_after = sibling.search(request)
+    np.testing.assert_array_equal(sibling_before.ids, sibling_after.ids)
+    np.testing.assert_array_equal(
+        sibling_before.distances, sibling_after.distances
+    )
+    np.testing.assert_array_equal(sibling_before.counts, sibling_after.counts)
+    assert _file_sha(container_path) == sha_before
+
+
+def test_mapped_arrays_are_read_only_backstop(tmp_path, memory_index):
+    """Even without the promotion guard, the map itself is a hard
+    backstop: arrays are mapped mode='r' and writes raise."""
+    save_index(memory_index, tmp_path)
+    loaded = load_index(tmp_path)
+    assert not loaded.codes.flags.writeable
+    with pytest.raises((ValueError, RuntimeError)):
+        loaded.codes[0, 0] = 0
+
+
+# ----------------------------------------------------------------------
+# Reporting
+# ----------------------------------------------------------------------
+
+
+def test_storage_report(tmp_path, memory_index):
+    save_index(memory_index, tmp_path / "raw")
+    save_index(memory_index, tmp_path / "rans", compress=True)
+
+    raw = storage_report(tmp_path / "raw")
+    assert raw["format_version"] == 2 and raw["layout"] == "mmap"
+    assert not raw["compress"]
+    assert raw["num_vectors"] == 220
+    assert raw["components"]["index.bin:codes"] == 220 * 8
+    assert raw["total_bytes"] == sum(raw["components"].values())
+    assert raw["codes_compression_ratio"] == 1.0
+
+    rans = storage_report(tmp_path / "rans")
+    assert rans["format_version"] == 2 and rans["compress"]
+    assert rans["num_vectors"] == 220
+    assert rans["codes_stored_bytes"] < rans["codes_raw_bytes"]
+    assert rans["codes_compression_ratio"] > 1.0
+    assert rans["total_bytes"] == sum(rans["components"].values())
+    # On-disk truth: the reported total is exactly the directory size.
+    disk = sum(
+        os.path.getsize(tmp_path / "rans" / f)
+        for f in os.listdir(tmp_path / "rans")
+    )
+    assert rans["total_bytes"] == disk
+
+
+def test_storage_report_v1_fixture():
+    report = storage_report(os.path.join(FIXTURES, "memory_hnsw"))
+    assert report["format_version"] == 1 and report["layout"] == "npy"
+    assert report["num_vectors"] == 64
+    assert report["components"]["codes.npy"] > 0
+    assert report["total_bytes"] == sum(report["components"].values())
+    assert report["codes_compression_ratio"] == 1.0
+    sharded = storage_report(os.path.join(FIXTURES, "sharded_2"))
+    assert sharded["format_version"] == 1 and sharded["num_shards"] == 2
+    assert sharded["num_vectors"] == 64
+
+
+@pytest.mark.slow
+def test_storage_report_sharded(tmp_path):
+    index = build(base_spec(sharding=ShardingSpec(num_shards=2)))
+    save_index(index, tmp_path, compress=True)
+    report = storage_report(tmp_path)
+    assert report["num_shards"] == 2
+    assert report["num_vectors"] == 220
+    assert report["codes_compression_ratio"] > 1.0
+    assert any(k.startswith("shard_001/") for k in report["components"])

@@ -156,12 +156,12 @@ class TestPackedAdjacency:
                 err_msg=field.name,
             )
 
-    def test_graph_survives_save_load(self, setup, tmp_path):
-        from repro.graphs import load_graph, save_graph
+    def test_graph_survives_array_round_trip(self, setup):
+        from repro.graphs import graph_from_arrays, graph_to_arrays
 
         _, _, graph = setup
-        save_graph(graph, tmp_path / "g.npz")
-        loaded = load_graph(tmp_path / "g.npz")
+        meta, arrays = graph_to_arrays(graph)
+        loaded = graph_from_arrays(meta, arrays.__getitem__)
         packed = loaded.packed()
         np.testing.assert_array_equal(
             packed.neighbors, graph.packed().neighbors

@@ -1,77 +1,25 @@
-"""Storage v2: entropy coder, container, and the format-2 round-trip.
+"""``repro.storage`` units: the rANS entropy coder and the container.
 
-Three layers of pinning:
+* The coder round-trips exactly (and refuses corrupt streams).
+* The container round-trips arrays through mmap and copy modes, keeps
+  sections page-aligned and read-only, and rejects future versions.
 
-* Unit: the rANS coder round-trips exactly (and refuses corrupt
-  streams), the container round-trips arrays through mmap and copy
-  modes and rejects future versions.
-* Format: every scenario round-trips bitwise through the v2
-  compressed + mmap layout (plus 4-shard sharded and a replicated
-  process fleet); v1 directories load bitwise-identically under the
-  same loader; unknown future versions are rejected with a clear
-  error; the empty streaming index survives both layouts.
-* Copy-on-write: mutating one mmap-loaded replica never writes
-  through the shared read-only map — siblings and the on-disk file
-  stay untouched.
+What :mod:`repro.api.persistence` builds out of the two — the index
+directory format, its round trips, the format-1 fixtures — is pinned in
+``tests/test_api_persistence.py``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-
 import numpy as np
 import pytest
 
-from repro.api import (
-    DatasetSpec,
-    GraphSpec,
-    IndexSpec,
-    QuantizerSpec,
-    ScenarioSpec,
-    SearchRequest,
-    ShardingSpec,
-    build,
-    describe_index,
-    load_index,
-    save_index,
-    storage_report,
-)
-from repro.datasets import load
 from repro.storage import (
     CompressedCodes,
     Container,
     EntropyCoder,
     write_container,
 )
-
-
-def base_spec(**scenario) -> IndexSpec:
-    return IndexSpec(
-        dataset=DatasetSpec(name="sift", n_base=220, n_queries=6, seed=4),
-        graph=GraphSpec(kind="vamana", params={"r": 8, "search_l": 16}),
-        quantizer=QuantizerSpec(kind="pq", num_chunks=8, num_codewords=16),
-        scenario=ScenarioSpec(**scenario) if scenario else ScenarioSpec(),
-    )
-
-
-@pytest.fixture(scope="module")
-def queries():
-    return load("sift", n_base=220, n_queries=6, seed=4).queries
-
-
-def assert_responses_identical(a, b):
-    np.testing.assert_array_equal(a.ids, b.ids)
-    np.testing.assert_array_equal(a.distances, b.distances)
-    np.testing.assert_array_equal(a.counts, b.counts)
-    assert set(a.counters) == set(b.counters)
-    for name in a.counters:
-        np.testing.assert_array_equal(a.counters[name], b.counters[name])
-
-
-def _file_sha(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -242,283 +190,3 @@ class TestContainer:
         write_container(path, {"a": np.zeros(2, dtype=np.uint8)})
         with pytest.raises(KeyError, match="nope"):
             Container(path).read("nope")
-
-
-# ----------------------------------------------------------------------
-# Format v2 round-trips (bitwise)
-# ----------------------------------------------------------------------
-
-SCENARIOS = [
-    pytest.param({}, None, id="memory"),
-    pytest.param({"kind": "l2r"}, None, id="l2r"),
-    pytest.param(
-        {"kind": "hybrid", "params": {"learned_routing": True}},
-        None,
-        id="hybrid-l2r",
-    ),
-    pytest.param({"kind": "filtered"}, 1, id="filtered"),
-    pytest.param({"kind": "streaming"}, None, id="streaming"),
-]
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("scenario,label", SCENARIOS)
-@pytest.mark.parametrize("compress", [False, True], ids=["raw", "rans"])
-def test_v2_round_trip_bitwise(tmp_path, queries, scenario, label, compress):
-    index = build(base_spec(**scenario))
-    labels = (
-        None if label is None else np.full(len(queries), label, dtype=np.int64)
-    )
-    request = SearchRequest(queries=queries, k=5, beam_width=16, labels=labels)
-    expected = index.search(request)
-
-    save_index(index, tmp_path, compress=compress, layout="mmap")
-    assert describe_index(tmp_path)["format_version"] == 2
-    for mmap in (True, False):
-        loaded = load_index(tmp_path, mmap=mmap)
-        assert_responses_identical(expected, loaded.search(request))
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("scenario,label", SCENARIOS)
-def test_v1_loads_bitwise_identical_to_v2(tmp_path, queries, scenario, label):
-    """A v1 directory and a v2 directory of the same index answer
-    identically under the one shared loader."""
-    index = build(base_spec(**scenario))
-    labels = (
-        None if label is None else np.full(len(queries), label, dtype=np.int64)
-    )
-    request = SearchRequest(queries=queries, k=5, beam_width=16, labels=labels)
-    expected = index.search(request)
-
-    v1_dir = tmp_path / "v1"
-    v2_dir = tmp_path / "v2"
-    save_index(index, v1_dir)  # default layout stays format 1
-    save_index(index, v2_dir, compress=True, layout="mmap")
-    assert describe_index(v1_dir)["format_version"] == 1
-    from_v1 = load_index(v1_dir)
-    from_v2 = load_index(v2_dir)
-    assert_responses_identical(expected, from_v1.search(request))
-    assert_responses_identical(expected, from_v2.search(request))
-
-
-@pytest.mark.slow
-def test_sharded_v2_round_trip(tmp_path, queries):
-    spec = base_spec()
-    spec = IndexSpec(
-        dataset=spec.dataset,
-        graph=spec.graph,
-        quantizer=spec.quantizer,
-        scenario=spec.scenario,
-        sharding=ShardingSpec(num_shards=4),
-    )
-    index = build(spec)
-    request = SearchRequest(queries=queries, k=5, beam_width=16)
-    expected = index.search(request)
-    save_index(index, tmp_path, compress=True, layout="mmap")
-    assert describe_index(tmp_path)["format_version"] == 2
-    loaded = load_index(tmp_path)
-    assert loaded.num_shards == 4
-    assert_responses_identical(expected, loaded.search(request))
-
-
-@pytest.mark.slow
-def test_replicated_process_fleet_over_v2(tmp_path, queries):
-    """A replicated process fleet boots its replicas off the mapped v2
-    container and stays bitwise identical to in-process serving."""
-    spec = base_spec()
-    ref = build(
-        IndexSpec(
-            dataset=spec.dataset,
-            graph=spec.graph,
-            quantizer=spec.quantizer,
-            scenario=spec.scenario,
-            sharding=ShardingSpec(num_shards=2),
-        )
-    )
-    request = SearchRequest(queries=queries, k=5, beam_width=16)
-    expected = ref.search(request)
-
-    save_index(ref, tmp_path, compress=True, layout="mmap")
-    fleet = load_index(tmp_path)
-    fleet.set_backend("process")
-    fleet.set_replicas(2)
-    try:
-        assert_responses_identical(expected, fleet.search(request))
-    finally:
-        fleet.close()
-
-
-def test_future_index_version_rejected(tmp_path):
-    index = build(base_spec())
-    save_index(index, tmp_path, layout="mmap")
-    import json
-
-    meta_path = tmp_path / "index.json"
-    meta = json.loads(meta_path.read_text())
-    meta["format_version"] = 3
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match="format version 3"):
-        load_index(tmp_path)
-
-
-def test_compress_requires_mmap_layout(tmp_path):
-    index = build(base_spec())
-    with pytest.raises(ValueError, match="layout='mmap'"):
-        save_index(index, tmp_path, compress=True)
-    with pytest.raises(ValueError, match="unknown layout"):
-        save_index(index, tmp_path, layout="tar")
-
-
-def test_empty_streaming_round_trip_both_layouts(tmp_path):
-    from repro.api.registry import get_scenario
-
-    spec = base_spec(kind="streaming")
-    donor = build(spec)  # only for its fitted quantizer
-    handler = get_scenario("streaming")
-    empty = handler.build(
-        spec.scenario, None, donor.quantizer, np.empty((0, donor.dim))
-    )
-    for i, kwargs in enumerate(
-        ({}, {"layout": "mmap"}, {"layout": "mmap", "compress": True})
-    ):
-        dirpath = tmp_path / f"case{i}"
-        save_index(empty, dirpath, **kwargs)
-        loaded = load_index(dirpath)
-        assert loaded.num_vertices == 0
-        # The reloaded empty index must keep working as a fresh one.
-        new_id = loaded.insert(np.zeros(donor.dim))
-        assert new_id == 0 and loaded.num_vertices == 1
-
-
-# ----------------------------------------------------------------------
-# Copy-on-write promotion (the mapped-replica mutation bugfix)
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.slow
-def test_mapped_streaming_mutation_never_touches_map(tmp_path, queries):
-    index = build(base_spec(kind="streaming"))
-    request = SearchRequest(queries=queries, k=5, beam_width=16)
-    save_index(index, tmp_path, compress=True, layout="mmap")
-    container_path = tmp_path / "index.bin"
-    sha_before = _file_sha(container_path)
-
-    writer = load_index(tmp_path)  # the replica that will mutate
-    sibling = load_index(tmp_path)  # maps the same container
-    sibling_before = sibling.search(request)
-
-    assert writer._mapped and sibling._mapped
-    shared_vectors = writer._vectors[0]
-
-    # Mutate the writer: insert, delete, consolidate.
-    writer.insert(np.asarray(queries[0], dtype=np.float64))
-    writer.delete(1)
-    writer.consolidate()
-
-    # Promotion happened: the writer's rows are private memory now.
-    assert not writer._mapped
-    assert not any(
-        np.shares_memory(row, shared_vectors) for row in writer._vectors
-    )
-    # The sibling replica and the on-disk container are untouched.
-    # (Answers are pinned; counters are not — the sibling's second
-    # search legitimately hits its now-warm table cache.)
-    assert sibling._mapped
-    sibling_after = sibling.search(request)
-    np.testing.assert_array_equal(sibling_before.ids, sibling_after.ids)
-    np.testing.assert_array_equal(
-        sibling_before.distances, sibling_after.distances
-    )
-    np.testing.assert_array_equal(sibling_before.counts, sibling_after.counts)
-    assert _file_sha(container_path) == sha_before
-
-
-def test_mapped_arrays_are_read_only_backstop(tmp_path):
-    """Even without the promotion guard, the map itself is a hard
-    backstop: v2 arrays are mapped mode='r' and writes raise."""
-    index = build(base_spec())
-    save_index(index, tmp_path, layout="mmap")
-    loaded = load_index(tmp_path)
-    assert not loaded.codes.flags.writeable
-    with pytest.raises((ValueError, RuntimeError)):
-        loaded.codes[0, 0] = 0
-
-
-# ----------------------------------------------------------------------
-# Reporting
-# ----------------------------------------------------------------------
-
-
-def test_storage_report_v1_and_v2(tmp_path, queries):
-    index = build(base_spec())
-    v1_dir, v2_dir = tmp_path / "v1", tmp_path / "v2"
-    save_index(index, v1_dir)
-    save_index(index, v2_dir, compress=True, layout="mmap")
-
-    r1 = storage_report(v1_dir)
-    assert r1["format_version"] == 1 and r1["layout"] == "npy"
-    assert r1["num_vectors"] == 220
-    assert r1["components"]["codes.npy"] > 0
-    assert r1["total_bytes"] == sum(r1["components"].values())
-    assert r1["codes_compression_ratio"] == 1.0
-
-    r2 = storage_report(v2_dir)
-    assert r2["format_version"] == 2 and r2["compress"]
-    assert r2["num_vectors"] == 220
-    assert r2["codes_stored_bytes"] < r2["codes_raw_bytes"]
-    assert r2["codes_compression_ratio"] > 1.0
-    assert r2["total_bytes"] == sum(r2["components"].values())
-    # On-disk truth: the reported total is exactly the directory size.
-    disk = sum(
-        os.path.getsize(os.path.join(v2_dir, f))
-        for f in os.listdir(v2_dir)
-        if os.path.isfile(os.path.join(v2_dir, f))
-    )
-    assert r2["total_bytes"] == disk
-
-
-def test_storage_report_sharded(tmp_path, queries):
-    spec = base_spec()
-    index = build(
-        IndexSpec(
-            dataset=spec.dataset,
-            graph=spec.graph,
-            quantizer=spec.quantizer,
-            scenario=spec.scenario,
-            sharding=ShardingSpec(num_shards=2),
-        )
-    )
-    save_index(index, tmp_path, compress=True, layout="mmap")
-    report = storage_report(tmp_path)
-    assert report["num_shards"] == 2
-    assert report["num_vectors"] == 220
-    assert report["codes_compression_ratio"] > 1.0
-    assert any(k.startswith("shard_001/") for k in report["components"])
-
-
-# ----------------------------------------------------------------------
-# Graph array encoding (HNSW upper layers included)
-# ----------------------------------------------------------------------
-
-
-def test_graph_arrays_round_trip_hnsw():
-    from repro.graphs import build_hnsw
-    from repro.graphs.serialization import graph_from_arrays, graph_to_arrays
-
-    x = np.random.default_rng(7).standard_normal((120, 8))
-    graph = build_hnsw(x, m=6, ef_construction=24, seed=0)
-    meta, arrays = graph_to_arrays(graph)
-    rebuilt = graph_from_arrays(meta, arrays.__getitem__)
-    assert rebuilt.entry_point == graph.entry_point
-    assert rebuilt.max_level == graph.max_level
-    assert rebuilt.num_vertices == graph.num_vertices
-    for v in range(graph.num_vertices):
-        np.testing.assert_array_equal(
-            rebuilt.adjacency[v], graph.adjacency[v]
-        )
-    assert len(rebuilt.upper_layers) == len(graph.upper_layers)
-    for got, want in zip(rebuilt.upper_layers, graph.upper_layers):
-        assert list(got) == list(want)
-        for key in want:
-            np.testing.assert_array_equal(got[key], want[key])
