@@ -30,10 +30,12 @@ test-batch:
 test-build:
 	$(PYTHON) -m pytest -x -q tests/test_build_parity.py
 
-# Replicated fleet: the full five-scenario replicated-vs-unreplicated
-# parity matrix plus routing/failover/supervisor coverage.
+# The shard fleet: the one five-scenario parity matrix (tests/fleet.py)
+# at replicas = 1 (test_shard_backends) and replicas = 2
+# (test_replication), plus routing/failover/supervisor coverage.
 test-replication:
-	$(PYTHON) -m pytest -x -q tests/test_replication.py
+	$(PYTHON) -m pytest -x -q tests/test_shard_backends.py \
+		tests/test_replication.py
 
 # Network tier: framing strictness, socket shard workers, the asyncio
 # gateway, and the full socket-vs-in-process parity matrix (the slow
@@ -41,10 +43,11 @@ test-replication:
 test-net:
 	$(PYTHON) -m pytest -x -q tests/test_net.py
 
-# The SIGKILL-mid-load chaos gate alone (fast lane): kill a process
-# replica under traffic — zero failed requests, bitwise-identical
-# answers, supervisor respawn.  Correctness-gated, not timing-gated,
-# so it is deterministic on a loaded 1-CPU runner.
+# The SIGKILL chaos gates alone (fast lane): kill a process worker
+# under traffic.  replicas = 2: zero failed requests, bitwise-identical
+# answers.  replicas = 1: typed ReplicaDied, never a padded answer.
+# Either way the supervisor respawns the worker.  Correctness-gated,
+# not timing-gated, so it is deterministic on a loaded 1-CPU runner.
 chaos-smoke:
 	$(PYTHON) -m pytest -x -q tests/test_replication.py -k Chaos \
 		-m "not slow"
@@ -108,7 +111,7 @@ lint:
 		$(PYTHON) -m ruff format --check src/repro/serving \
 			src/repro/index/base.py \
 			tests/test_sharded.py tests/test_batcher.py \
-			tests/test_shard_backends.py \
+			tests/fleet.py tests/test_shard_backends.py \
 			tests/test_replication.py tests/test_net.py \
 			benchmarks/bench_serving.py scripts/smoke_net.py; \
 	else \

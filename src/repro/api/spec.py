@@ -104,12 +104,11 @@ class ShardingSpec:
     :mod:`repro.serving.backends`); results are bitwise identical
     across backends, only wall-clock changes.
     ``max_workers`` bounds the thread backend's pool width and is
-    ignored by the process backend (one worker process per shard).
-    ``replicas`` is the worker count per shard: ``1`` runs the chosen
-    backend directly, ``> 1`` runs a replicated fleet of that
-    backend's worker kind (least-loaded routing, in-request failover,
-    background supervisor — see :mod:`repro.serving.replication`);
-    results are bitwise identical at any replica count.
+    ignored by the worker backends (one worker per replica slot).
+    ``replicas`` is the replica count per shard of that backend's
+    kind (least-loaded routing, in-request failover, background
+    supervisor — see :mod:`repro.serving.backends`); results are
+    bitwise identical at any replica count.
     ``endpoints`` is the ``"socket"`` backend's worker address list —
     one ``"host:port"`` entry per shard (each entry may be a list of
     ``replicas`` addresses); required for ``"socket"``, rejected for

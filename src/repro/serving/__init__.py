@@ -4,19 +4,20 @@ This package turns the library into the shape of a server (see
 ``docs/architecture.md``):
 
 * :class:`ShardedIndex` — partitions a dataset across per-shard
-  indexes (any scenario), fans ``search(request)`` out through a
-  pluggable :class:`ShardBackend` (``"thread"``: in-process pool;
-  ``"process"``: persistent per-shard worker processes fed via
-  ``save_index``/``load_index``), and merges per-query top-k across
+  indexes (any scenario), fans ``search(request)`` out through the
+  :class:`ShardBackend` fleet, and merges per-query top-k across
   shards with one ``argpartition`` per row; exact over the union of
   shard candidates, bitwise identical across backends and to the
   unsharded index for a single shard.  Routes
   ``insert_batch``/``delete`` for the streaming scenario.
-* :class:`ReplicatedBackend` — N replicas per shard over either worker
-  kind, with least-loaded routing, transparent in-request failover,
-  and a background supervisor that respawns dead workers from
-  persisted state off the search critical path
-  (``ShardedIndex(..., replicas=N)``).
+* :class:`ShardBackend` — the one fan-out: ``replicas >= 1`` replicas
+  per shard of one registered kind (``"thread"``: the in-process
+  object on a shared pool; ``"process"``: persistent worker processes
+  fed via ``save_index``/``load_index``; ``"socket"``: remote TCP
+  workers), with least-loaded routing, transparent in-request failover
+  (a shard with no sibling fails loudly with :class:`ReplicaDied`),
+  and a background supervisor that respawns dead workers from shipped
+  state off the search critical path.
 * :class:`DynamicBatcher` — a request queue that accumulates single
   queries into micro-batches (size- or deadline-triggered; the
   ``max_wait_ms`` knob trades latency for throughput) and answers them
@@ -32,36 +33,31 @@ the asyncio gateway (``experiment serve --listen``).
 
 from .backends import (
     SHARD_BACKENDS,
-    ProcessBackend,
+    ReplicaDied,
     ShardBackend,
-    ThreadBackend,
     make_shard_backend,
     shard_backend_names,
     usable_cpu_count,
 )
 from .batcher import BatcherStats, DynamicBatcher
-from .replication import ReplicatedBackend
 from .sharded import ShardedIndex, partition_rows
 
-# Imported last: registers the "socket" backend into SHARD_BACKENDS
-# (net modules depend on the ones above).
+# Imported last: registers the "socket" replica kind into
+# SHARD_BACKENDS (net modules depend on the ones above).
 from . import net  # noqa: E402
-from .net import Gateway, GatewayThread, NetClient, SocketBackend
+from .net import Gateway, GatewayThread, NetClient
 
 __all__ = [
     "Gateway",
     "GatewayThread",
     "NetClient",
-    "SocketBackend",
     "net",
     "BatcherStats",
     "DynamicBatcher",
-    "ProcessBackend",
-    "ReplicatedBackend",
+    "ReplicaDied",
     "SHARD_BACKENDS",
     "ShardBackend",
     "ShardedIndex",
-    "ThreadBackend",
     "make_shard_backend",
     "partition_rows",
     "shard_backend_names",

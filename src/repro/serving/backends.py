@@ -1,39 +1,54 @@
-"""Shard-execution backends: where a ``ShardedIndex`` fan-out runs.
+"""The one fan-out: a ``[shard][replica]`` fleet of N >= 1 replicas.
 
 :class:`~repro.serving.sharded.ShardedIndex` owns the merge, the
-global-id mapping, and the write-path routing; *where* the per-shard
-``search(request)`` calls execute is a pluggable :class:`ShardBackend`:
+global-id mapping, and the write-path routing; *where shard s runs and
+what happens when that place dies* is decided here and nowhere else.
+:class:`ShardBackend` is the single concrete fan-out — fleet lifecycle,
+ship / re-ship of dirty shards, least-loaded routing, in-request
+failover, supervisor, ``fleet_status`` — over three replica kinds
+registered by name in :data:`SHARD_BACKENDS`:
 
-* ``"thread"`` (:class:`ThreadBackend`) — the in-process pool.  Shard
-  searches are read-only NumPy, which releases the GIL in the hot
-  loops, so threads overlap those portions; the Python-level beam loop
-  itself still serializes on the GIL.
-* ``"process"`` (:class:`ProcessBackend`) — one persistent worker
-  process per shard.  Each shard's whole state is shipped through
-  :func:`repro.api.save_index` into a temporary directory; the worker
-  :func:`repro.api.load_index`-s it once at startup (spawn-safe: no
-  state is inherited, only the directory path crosses the ``Process``
-  boundary) and then answers ``request`` messages over a pipe.  With
-  one GIL per worker the whole search runs in parallel, not just the
-  NumPy-released slices.
+* ``"thread"`` (:class:`_ThreadReplica`) — the live in-process shard
+  object, searched on a shared pool.  Shard searches are read-only
+  NumPy, which releases the GIL in the hot loops, so threads overlap
+  those portions; the Python-level beam loop still serializes on the
+  GIL.  Runs in the parent, so it cannot die and its pool is capped at
+  the usable CPU count.
+* ``"process"`` (:class:`_ProcessReplica`) — a persistent worker
+  process.  Each shard's state is shipped once through
+  :func:`repro.api.save_index` into a temporary directory shared by
+  all of that shard's replicas; a spawn-context worker maps it back
+  (no state is inherited, only the directory path crosses the
+  ``Process`` boundary) and answers frame-coded messages over a pipe.
+  One GIL per worker: the whole search runs in parallel.
+* ``"socket"`` (:class:`repro.serving.net.backend._SocketReplica`) —
+  a remote ``repro serve-shard`` worker reached over TCP at a
+  configured ``host:port``; registered by :mod:`repro.serving.net`.
 
-* ``"socket"`` (:class:`repro.serving.net.backend.SocketBackend`) —
-  remote workers reached over TCP at configured ``host:port``
-  endpoints (started with ``repro serve-shard``); registered by
-  :mod:`repro.serving.net` into the same :data:`SHARD_BACKENDS` seam.
+Results are bitwise identical across kinds and replica counts: the
+persistence layer round-trips every array exactly, the engine is
+deterministic, both transports carry float64/int64 arrays as raw bytes
+via the shared frame codec (:mod:`repro.serving.net.framing`), and both
+worker loops are :class:`~repro.serving.net.worker.ShardService` — so
+the choice is purely a wall-clock and availability decision.
 
-Results are bitwise identical across backends: the persistence layer
-round-trips every array exactly (``tests/test_api_persistence``), the
-engine is deterministic, and both the pipe and socket transports carry
-float64/int64 arrays as raw bytes via the shared frame codec
-(:mod:`repro.serving.net.framing` — the single protocol definition
-repo-wide) — so the backend choice is purely a wall-clock decision.
+Two failure behaviours are decided here, once:
+
+1. *A shard with no sibling to fail over to fails the request loudly.*
+   With ``replicas == 1`` a worker death — and every request until the
+   worker is re-admitted — raises :class:`ReplicaDied`, never a padded
+   answer.  With ``replicas >= 2`` the call retries transparently on a
+   sibling; only the loss of *every* replica of a shard degrades to a
+   padded merge (``None`` in :meth:`ShardBackend.search_all`).
+2. *The supervisor is the one recovery path.*  A dead worker of any
+   fleet size is respawned from the already-shipped state by a
+   background thread and re-admitted after a ``ping``, off the request
+   path.  Kinds that cannot die (thread) start no supervisor.
 
 For the streaming scenario, writes keep landing on the parent's
-in-process shard objects (the router's insert/delete path is
-backend-agnostic); the router marks mutated shards via
-:meth:`ShardBackend.invalidate` and the process backend re-ships their
-state to the affected workers before the next search.
+in-process shard objects; the router marks mutated shards via
+:meth:`ShardBackend.invalidate` and kinds that ship state re-ship it
+to every live replica before the next search.
 """
 
 from __future__ import annotations
@@ -43,10 +58,14 @@ import os
 import shutil
 import tempfile
 import threading
-import traceback
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
+
+#: How long the supervisor waits for a respawned worker to load its
+#: state and answer the health probe before declaring the respawn
+#: failed (and retrying on the next tick).
+RESPAWN_TIMEOUT_S = 60.0
 
 
 def usable_cpu_count() -> int:
@@ -63,179 +82,10 @@ def usable_cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-class ShardBackend:
-    """Executes one ``search(request)`` per shard, in shard order.
-
-    Subclasses register under a short name in :data:`SHARD_BACKENDS`
-    and are constructed through :func:`make_shard_backend` — the single
-    seam :class:`~repro.serving.sharded.ShardedIndex` fans out through.
-    """
-
-    name: str = ""
-    #: replicas per shard — plain backends run each shard in one place
-    replicas: int = 1
-
-    def __init__(
-        self, shards: Sequence[object], max_workers: Optional[int] = None
-    ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self._shards = list(shards)
-
-    def search_all(self, request) -> List[object]:
-        """One :class:`~repro.api.SearchResponse` per shard, in shard
-        order.
-
-        A ``None`` entry means that shard produced no candidates this
-        request (every replica lost, replicated backend only); the
-        router's merge pads the missing shard instead of erroring.
-        """
-        raise NotImplementedError
-
-    def fleet_status(self) -> List[dict]:
-        """Per-replica liveness/introspection rows (uniform across
-        backends; plain backends report one always-alive replica per
-        shard — the in-process object or the single worker)."""
-        return [
-            {
-                "shard": s,
-                "replica": 0,
-                "backend": self.name,
-                "alive": True,
-                "restarts": 0,
-                "in_flight": 0,
-                "pid": None,
-            }
-            for s in range(len(self._shards))
-        ]
-
-    def invalidate(self, shard: int) -> None:
-        """Note that ``shard``'s state changed (streaming write path).
-
-        Backends holding remote copies of shard state must refresh the
-        copy before the next :meth:`search_all`; the in-process thread
-        backend reads live objects and needs no action.
-        """
-
-    def close(self) -> None:
-        """Release pools/processes/temp state (idempotent)."""
-
-
-class ThreadBackend(ShardBackend):
-    """In-process fan-out over a lazily created thread pool.
-
-    The effective pool width resolves once at construction: an explicit
-    ``max_workers``, else one thread per shard capped at the *usable*
-    CPU count (the scheduler affinity mask, so an affinity-restricted
-    container never oversubscribes — see :func:`usable_cpu_count`).
-    A resolved width of 1 (single shard, ``max_workers=1``, or a
-    single-CPU host) never builds a pool — a one-thread pool adds
-    dispatch overhead plus a GC finalizer for zero overlap.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self, shards: Sequence[object], max_workers: Optional[int] = None
-    ) -> None:
-        super().__init__(shards, max_workers)
-        self._workers = int(
-            max_workers or min(len(self._shards), usable_cpu_count())
-        )
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._workers,
-                thread_name_prefix="repro-shard",
-            )
-            # Call sites that never close() (sweeps building many
-            # sharded indexes) must not leak idle pools for the process
-            # lifetime: tie the pool's shutdown to this backend's GC.
-            self._pool_finalizer = weakref.finalize(
-                self, self._pool.shutdown, False
-            )
-        return self._pool
-
-    def search_all(self, request) -> List[object]:
-        if len(self._shards) == 1 or self._workers == 1:
-            return [shard.search(request) for shard in self._shards]
-        pool = self._executor()
-        futures = [
-            pool.submit(shard.search, request) for shard in self._shards
-        ]
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool_finalizer.detach()
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-# ----------------------------------------------------------------------
-# Process backend: persistent per-shard worker processes
-# ----------------------------------------------------------------------
-
-
-def _shard_worker_main(dirpath: str, conn) -> None:
-    """Entry point of one persistent shard worker process.
-
-    Loads the shard once, acknowledges readiness, then serves
-    frame-coded ``request`` messages until a ``stop`` message (or a
-    closed pipe) ends the loop.  Requests and replies are whole
-    :mod:`repro.serving.net.framing` message buffers carried by
-    ``Connection.send_bytes``/``recv_bytes`` — the exact bytes a socket
-    worker would put on a TCP stream, so the pipe and socket transports
-    share one protocol definition.  Every error ships as an explicit
-    error message so the parent can re-raise worker exceptions without
-    losing framing.
-    """
-    from .net import framing
-
-    try:
-        from repro.api import load_index
-
-        index = load_index(dirpath)
-        conn.send_bytes(framing.encode_message("ready"))
-    except BaseException as exc:  # surface load failures to the parent
-        _send_error(conn, exc)
-        return
-    while True:
-        try:
-            blob = conn.recv_bytes()
-        except EOFError:
-            return
-        try:
-            message = framing.decode_message(blob)
-        except framing.ProtocolError as exc:
-            _send_error(conn, exc)
-            continue
-        if message.kind == "stop":
-            return
-        try:
-            if message.kind == "reload":
-                index = load_index(dirpath)
-                conn.send_bytes(framing.encode_message("ready"))
-            elif message.kind == "ping":
-                # Health probe: proves the worker loop is responsive
-                # (not just that the process exists), used by the
-                # replication supervisor's detect->respawn->verify pass.
-                conn.send_bytes(framing.encode_message("pong"))
-            elif message.kind == "request":
-                request_id, request = framing.decode_search_request(message)
-                conn.send_bytes(
-                    framing.encode_search_response(
-                        index.search(request), request_id
-                    )
-                )
-            else:
-                raise ValueError(
-                    f"unknown worker command {message.kind!r}"
-                )
-        except BaseException as exc:
-            _send_error(conn, exc)
+class ReplicaDied(RuntimeError):
+    """A replica's execution substrate died (dead process, closed pipe
+    or socket) — distinct from an application error the search itself
+    raised.  Only this failure mode triggers in-request failover."""
 
 
 class _RemoteTraceback(Exception):
@@ -253,10 +103,10 @@ class _RemoteTraceback(Exception):
 def _raise_worker_error(payload: BaseException) -> None:
     """Re-raise a worker exception with its remote traceback attached.
 
-    Pickling an exception across the pipe discards its traceback; the
-    worker formats it into ``remote_traceback`` before sending, and the
-    parent chains it here so the failing shard-side frames are visible
-    instead of an opaque ``raise payload``.
+    Shipping an exception across a transport discards its traceback;
+    the worker formats it into ``remote_traceback`` before sending, and
+    the parent chains it here so the failing shard-side frames are
+    visible instead of an opaque ``raise payload``.
     """
     tb = getattr(payload, "remote_traceback", None)
     if tb:
@@ -282,233 +132,595 @@ def _unwrap_reply(kind: str, payload, expected: str, who: str):
     return payload
 
 
-def _send_error(conn, exc: BaseException) -> None:
-    """Ship ``exc`` (plus its formatted traceback) as an error frame.
-
-    Never raises: an exception whose ``str``/``repr`` itself fails
-    degrades to a plain ``RuntimeError`` carrying whatever could be
-    rendered, and a closed pipe during error reporting is swallowed —
-    the original exception must stay the story (the parent sees EOF
-    and reports the worker death), not a secondary ``BrokenPipeError``
-    masking it.
-    """
+def _encode_request(request) -> bytes:
+    """The wire form of one search, encoded once per fan-out (a
+    replica carries one request at a time, so the id is moot)."""
     from .net import framing
 
-    tb = traceback.format_exc()
+    return framing.encode_search_request(request, 0)
+
+
+def _shard_worker_main(dirpath: str, conn) -> None:
+    """Entry point of one persistent shard worker process.
+
+    The pipe twin of the TCP worker's connection loop: boot a
+    :class:`~repro.serving.net.worker.ShardService` from the shipped
+    directory, acknowledge readiness, then answer one whole
+    :mod:`~repro.serving.net.framing` message buffer per
+    ``recv_bytes`` — the exact bytes a socket worker would read off a
+    TCP stream — until a ``stop`` message or a closed pipe.  Every
+    failure ships as an explicit error message (the encoder never
+    raises), and a pipe that closes mid-report just ends the loop: the
+    parent sees EOF and reports the worker death.
+    """
+    from .net import framing
+    from .net.worker import ShardService
+
     try:
-        blob = framing.encode_error(exc, tb)
-    except Exception:
-        # An exception that cannot even be rendered: degrade to a
-        # plain carrier with as much identity as repr() allows.
         try:
-            rendered = repr(exc)
+            service = ShardService.from_dir(dirpath)
+        except BaseException as exc:  # surface load failures
+            conn.send_bytes(framing.encode_error(exc))
+            return
+        reply = framing.encode_message("ready")
+        while reply is not None:
+            conn.send_bytes(reply)
+            try:
+                reply = service.handle(
+                    framing.decode_message(conn.recv_bytes())
+                )
+            except framing.ProtocolError as exc:
+                reply = framing.encode_error(exc)
+    except (EOFError, OSError):
+        return
+
+
+# ----------------------------------------------------------------------
+# Replica kinds.  Duck-typed: ``alive`` / ``restarts`` / ``in_flight``
+# bookkeeping (guarded by the backend's fleet lock), a one-in-flight
+# ``lock`` held from ``submit`` to ``result``, and two class flags the
+# backend reads its policy from — ``ships_state`` (the parent persists
+# each shard, spawns the workers and re-ships on write) and ``remote``
+# (workers live at endpoints the parent does not own).  A kind with
+# neither runs in the parent: it cannot die and its pool is CPU-capped.
+# ----------------------------------------------------------------------
+
+
+class _ThreadReplica:
+    """A replica slot over the live in-process shard object.
+
+    Thread replicas share the parent's state (searches are read-only),
+    so there is nothing to spawn, re-ship, or crash — with
+    ``replicas > 1`` they exist so concurrent callers spread over
+    slots the same way they do for workers.
+    """
+
+    kind = "thread"
+    ships_state = remote = False
+    pid = endpoint = None
+    encode = staticmethod(lambda request: request)
+
+    def __init__(self, shard_id: int, replica_id: int, shard: object):
+        self._shard = shard
+        self.shard_id, self.replica_id = shard_id, replica_id
+        self.alive, self.restarts, self.in_flight = True, 0, 0
+        self.lock = threading.Lock()
+
+    def submit(self, request, pool) -> None:
+        # Width 1 (no pool) runs inline in result(): a one-thread pool
+        # adds dispatch overhead for zero overlap.
+        future = pool and pool.submit(self._shard.search, request)
+        self._job = request, future
+
+    def result(self):
+        request, future = self._job
+        if future is None:
+            return self._shard.search(request)
+        return future.result()
+
+    def stop(self) -> None:
+        pass
+
+
+class _ProcessReplica:
+    """One persistent worker process serving one replica slot.
+
+    All replicas of a shard map the same shipped directory (state is
+    saved once per shard, not once per replica), and each owns a
+    private pipe, so replicas fail — and fail over — one at a time.
+    Spawned lazily on the first search: ``alive`` is ``False`` and
+    ``pid`` is ``None`` until the ready handshake.
+    """
+
+    kind = "process"
+    ships_state, remote = True, False
+    endpoint = None
+    encode = staticmethod(_encode_request)
+
+    def __init__(self, shard_id: int, replica_id: int, shard: object):
+        self.shard_id, self.replica_id = shard_id, replica_id
+        self.alive, self.restarts, self.in_flight = False, 0, 0
+        self.lock = threading.Lock()
+        self._who = f"shard {shard_id} replica {replica_id}"
+        self._dirpath = self._proc = self._conn = None
+
+    @property
+    def pid(self) -> Optional[int]:
+        return self._proc.pid if self._proc is not None else None
+
+    def process_alive(self) -> bool:
+        return self._proc is not None and self._proc.is_alive()
+
+    def spawn(self, dirpath: str) -> None:
+        context = multiprocessing.get_context("spawn")
+        parent_conn, child_conn = context.Pipe()
+        proc = context.Process(
+            target=_shard_worker_main,
+            args=(dirpath, child_conn),
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        self._dirpath, self._proc, self._conn = dirpath, proc, parent_conn
+
+    def submit(self, blob: bytes, pool=None) -> None:
+        try:
+            self._conn.send_bytes(blob)
+        except (OSError, ValueError) as exc:
+            raise ReplicaDied(f"{self._who} died (pipe closed)") from exc
+
+    def result(self, expected: str = "response", timeout=None):
+        from .net import framing
+
+        try:
+            if timeout is not None and not self._conn.poll(timeout):
+                raise ReplicaDied(
+                    f"{self._who} did not answer within {timeout:.0f}s"
+                )
+            blob = self._conn.recv_bytes()
+        except (EOFError, OSError) as exc:
+            raise ReplicaDied(f"{self._who} died mid-request") from exc
+        return _unwrap_reply(*framing.decode_reply(blob), expected, self._who)
+
+    def reload(self) -> None:
+        from .net import framing
+
+        self.submit(framing.encode_message("reload"))
+        self.result("ready")
+
+    def respawn_and_verify(self, timeout: float) -> bool:
+        """Remediate + verify: a fresh worker from the shipped state,
+        then a health probe (the worker loop must answer, not just
+        exist); ``False`` (after cleanup) if either step fails."""
+        from .net import framing
+
+        self.stop()
+        try:
+            self.spawn(self._dirpath)
+            self.result("ready", timeout)
+            self.submit(framing.encode_message("ping"))
+            self.result("pong", timeout)
+            return True
         except Exception:
-            rendered = f"<unprintable {type(exc).__name__}>"
-        blob = framing.encode_error(RuntimeError(rendered), tb)
-    try:
-        conn.send_bytes(blob)
-    except Exception:
-        pass  # pipe closed mid-report: nothing more to do
+            self.stop()
+            return False
 
+    def stop(self) -> None:
+        """Protocol ``stop``, then terminate + reap, and close the pipe
+        (kept, closed, so a late ``submit`` fails typed); safe on a
+        dead or never-spawned replica."""
+        from .net import framing
 
-def _shutdown_workers(procs, conns, tmpdir: str) -> None:
-    """Stop worker processes and remove the shipped state (GC-safe:
-    takes no backend reference)."""
-    from .net import framing
-
-    stop_blob = framing.encode_message("stop")
-    for conn in conns:
+        if self._proc is None:
+            return
         try:
-            conn.send_bytes(stop_blob)
-        except (BrokenPipeError, OSError, ValueError):
+            self._conn.send_bytes(framing.encode_message("stop"))
+        except (OSError, ValueError):
             pass
-    for proc in procs:
-        proc.join(timeout=5)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5)
-    for conn in conns:
+        self._proc.join(timeout=5)
+        if self._proc.is_alive():
+            self._proc.terminate()
+            self._proc.join(timeout=5)
+        self._proc = None
+        self._conn.close()
+
+
+def _shutdown_fleet(fleet, stop_event, tmpdir) -> None:
+    """Stop the supervisor and every replica and remove the shipped
+    state (GC-safe: takes no backend reference; an abandoned pool's
+    idle threads exit on their own when the executor is collected)."""
+    stop_event.set()
+    for row in fleet:
+        for replica in row:
+            try:
+                replica.stop()
+            except Exception:
+                pass
+    if tmpdir is not None:
+        shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+def _supervise(backend_ref, stop_event, interval: float) -> None:
+    """Supervisor loop body (module-level + weakref so the daemon
+    thread never keeps an abandoned backend alive)."""
+    while not stop_event.wait(interval):
+        backend = backend_ref()
+        if backend is None:
+            return
         try:
-            conn.close()
-        except OSError:
+            backend._heal()
+        except Exception:
+            # The supervisor must survive anything — a failed heal pass
+            # is retried on the next tick.
             pass
-    shutil.rmtree(tmpdir, ignore_errors=True)
+        finally:
+            del backend
 
 
-class ProcessBackend(ShardBackend):
-    """One persistent worker process per shard, fed over a pipe.
+class ShardBackend:
+    """Executes one ``search(request)`` per shard over a replica fleet.
 
-    Workers spawn lazily on the first search: each shard's state is
-    written with :func:`repro.api.save_index` into a temp directory and
-    a spawn-context ``Process`` loads it back on the other side, so
-    only a path and frame-coded requests/responses ever cross the
-    boundary.  ``max_workers`` is accepted for interface
-    uniformity but does not apply — parallelism is one process per
-    shard by construction.
-
-    Shards whose scenario cannot be persisted (e.g. a hand-built
-    hybrid index with a custom table transform) cannot be
-    process-backed; ``save_index`` raises at worker spawn.
-
-    Workers boot by memory-mapping the shipped container read-only
-    instead of deserializing a private copy — near-free spawn, shared
-    page cache.
+    Parameters
+    ----------
+    shards:
+        The per-shard indexes (the live read-path state for thread
+        replicas; the source persisted once per shard for process
+        replicas; unused by socket replicas, whose workers boot from
+        their own directories).
+    max_workers:
+        Fan-out pool width for the thread kind (default: one thread
+        per shard, capped at the *usable* CPU count — see
+        :func:`usable_cpu_count`; a resolved width of 1 never builds a
+        pool).  Worker kinds ignore it: their fan-out writes every
+        transport and then reads every transport from the calling
+        thread, since it only ever blocks on file descriptors.
+    replicas:
+        Replica slots per shard (>= 1).
+    kind:
+        The registered replica kind: ``"thread"``, ``"process"`` or
+        ``"socket"``.
+    probe_interval_s:
+        Supervisor tick: how often dead workers are detected and
+        respawned in the background.  Worst-case re-admission delay is
+        this plus one worker spawn.
+    endpoints:
+        ``"socket"`` only: per-shard worker addresses, each entry a
+        ``"host:port"`` string or a list of them (one per replica
+        slot; see :func:`repro.serving.net.backend.normalize_endpoints`).
     """
-
-    name = "process"
 
     def __init__(
         self,
         shards: Sequence[object],
         max_workers: Optional[int] = None,
+        replicas: int = 1,
+        kind: str = "thread",
+        probe_interval_s: float = 0.5,
+        endpoints: Optional[Sequence] = None,
     ) -> None:
-        super().__init__(shards, max_workers)
-        self._procs: Optional[list] = None
-        self._conns: Optional[list] = None
-        self._dirs: Optional[List[str]] = None
-        self._tmpdir: Optional[str] = None
+        if kind not in SHARD_BACKENDS:
+            raise ValueError(
+                f"unknown shard backend {kind!r}; "
+                f"expected one of {shard_backend_names()}"
+            )
+        if max_workers is not None and max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
+        if replicas < 1:
+            raise ValueError("replicas must be >= 1")
+        self._shards = list(shards)
+        self._kind = SHARD_BACKENDS[kind]
+        #: what ``ShardedIndex.backend`` / ``set_backend`` speak
+        self.name = kind
+        self.replicas = int(replicas)
+        self.probe_interval_s = float(probe_interval_s)
+        if self._kind.remote:
+            from .net.backend import normalize_endpoints
+
+            targets = normalize_endpoints(
+                endpoints, len(self._shards), self.replicas
+            )
+        elif endpoints is not None:
+            raise ValueError(
+                f"endpoints only apply to the 'socket' backend, not {kind!r}"
+            )
+        else:
+            targets = [[shard] * self.replicas for shard in self._shards]
+        self._fleet = [
+            [self._kind(s, r, target) for r, target in enumerate(row)]
+            for s, row in enumerate(targets)
+        ]
+        # Only a kind that computes in the parent needs a pool, and
+        # only it is capped by the CPUs the parent may run on.
+        in_parent = not (self._kind.ships_state or self._kind.remote)
+        self._width = (
+            min(len(self._shards), max_workers or usable_cpu_count())
+            if in_parent
+            else 1
+        )
+        self._supervised = not in_parent
+        self._fleet_lock = threading.Lock()  # replica bookkeeping
+        self._start_lock = threading.Lock()  # fleet start / re-ship
+        self._started = False
         self._dirty: set = set()
+        self._tmpdir: Optional[str] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._stop_event = threading.Event()
+        self._supervisor: Optional[threading.Thread] = None
         self._finalizer = None
-        # Pipes are not multiplexed: interleaved sends/recvs from two
-        # threads would cross-deliver replies, so searches serialize
-        # here (fan-out parallelism lives in the workers, not callers).
-        self._lock = threading.Lock()
 
-    # -- lifecycle ------------------------------------------------------
-    def _ensure_workers(self) -> None:
-        if self._procs is not None:
-            self._flush_dirty()
-            return
+    # ------------------------------------------------------------------
+    # Fleet lifecycle
+    # ------------------------------------------------------------------
+    def _ship(self, shard: int) -> str:
+        """Persist ``shard`` where all of its replicas map it: one save
+        per shard (ship once, boot N times, one shared page cache)."""
         from ..api import save_index
 
-        context = multiprocessing.get_context("spawn")
-        tmpdir = tempfile.mkdtemp(prefix="repro-shard-backend-")
-        procs, conns, dirs = [], [], []
+        dirpath = os.path.join(self._tmpdir, f"shard_{shard:03d}")
+        save_index(self._shards[shard], dirpath)
+        return dirpath
+
+    def _ensure_fleet(self) -> None:
+        """Start the fleet on first use; re-ship dirty shards after."""
+        with self._start_lock:  # concurrent first searches start it once
+            if not self._started:
+                self._start_fleet()
+            elif self._dirty:
+                self._flush_dirty()
+
+    def _start_fleet(self) -> None:
+        self._stop_event = threading.Event()
         try:
-            for s, shard in enumerate(self._shards):
-                shard_dir = os.path.join(tmpdir, f"shard_{s:03d}")
-                save_index(shard, shard_dir)
-                dirs.append(shard_dir)
-            for shard_dir in dirs:
-                parent_conn, child_conn = context.Pipe()
-                proc = context.Process(
-                    target=_shard_worker_main,
-                    args=(shard_dir, child_conn),
-                    daemon=True,
+            if self._kind.ships_state:
+                self._tmpdir = tempfile.mkdtemp(prefix="repro-shard-backend-")
+                dirs = [self._ship(s) for s in range(len(self._shards))]
+                # Boot every worker, then wait for every worker: the
+                # interpreter starts overlap.
+                for row, dirpath in zip(self._fleet, dirs):
+                    for replica in row:
+                        replica.spawn(dirpath)
+                for row in self._fleet:
+                    for replica in row:
+                        replica.result("ready")
+                        replica.alive = True
+            if self._width > 1:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self._width,
+                    thread_name_prefix="repro-shard",
                 )
-                proc.start()
-                child_conn.close()
-                procs.append(proc)
-                conns.append(parent_conn)
-            self._procs, self._conns = procs, conns
-            self._dirs, self._tmpdir = dirs, tmpdir
-            self._finalizer = weakref.finalize(
-                self, _shutdown_workers, procs, conns, tmpdir
-            )
-            for s in range(len(conns)):
-                self._expect(s, "ready")
         except BaseException:
-            # A failed spawn (e.g. an unpersistable shard raising in
-            # save_index, or a worker dying during load) must not leak
-            # the temp state or leave half-initialized workers wedged.
-            if self._procs is None:
-                _shutdown_workers(procs, conns, tmpdir)
-            else:
-                self.close()
-            raise
-        # The spawn shipped current state; earlier invalidations are moot.
-        self._dirty.clear()
-
-    def _expect(self, shard: int, expected: str):
-        from .net import framing
-
-        try:
-            kind, payload = framing.decode_reply(
-                self._conns[shard].recv_bytes()
-            )
-        except EOFError:
-            raise RuntimeError(
-                f"shard worker {shard} exited unexpectedly"
-            ) from None
-        return _unwrap_reply(kind, payload, expected, f"shard worker {shard}")
-
-    def _flush_dirty(self) -> None:
-        if not self._dirty:
-            return
-        from ..api import save_index
-
-        from .net import framing
-
-        dirty = sorted(self._dirty)
-        try:
-            for s in dirty:
-                save_index(self._shards[s], self._dirs[s])
-                self._conns[s].send_bytes(framing.encode_message("reload"))
-            for s in dirty:
-                self._expect(s, "ready")
-        except BaseException:
-            # A failed re-ship leaves workers on stale or mixed state;
-            # tear down so the next search respawns from fresh state.
+            # A failed start (an unpersistable shard raising in
+            # save_index, a worker dying during load) must not leak the
+            # temp state or leave half-booted workers behind.
             self.close()
             raise
+        # The start shipped current state; earlier writes are moot.
         self._dirty.clear()
+        self._started = True
+        # Call sites that never close() must not leak workers or temp
+        # state: tie the shutdown to this backend's GC.
+        self._finalizer = weakref.finalize(
+            self, _shutdown_fleet, self._fleet, self._stop_event, self._tmpdir
+        )
+        if self._supervised:
+            self._supervisor = threading.Thread(
+                target=_supervise,
+                args=(weakref.ref(self), self._stop_event, self.probe_interval_s),
+                name="repro-replica-supervisor",
+                daemon=True,
+            )
+            self._supervisor.start()
+
+    def _heal(self) -> None:
+        """One supervisor pass: detect dead replicas, respawn them from
+        the shipped state, verify with a health probe, re-admit."""
+        for row in self._fleet:
+            for replica in row:
+                if self._stop_event.is_set():
+                    return
+                if replica.alive and replica.process_alive():
+                    continue
+                with self._fleet_lock:
+                    replica.alive = False
+                # Under the replica's lock: a caller that picked this
+                # replica before it died must not write a half-swapped
+                # transport.
+                with replica.lock:
+                    healed = replica.respawn_and_verify(RESPAWN_TIMEOUT_S)
+                if healed:
+                    with self._fleet_lock:
+                        replica.alive = True
+                        replica.restarts += 1
 
     def invalidate(self, shard: int) -> None:
-        self._dirty.add(int(shard))
+        """Note that ``shard``'s state changed (streaming write path).
+
+        Kinds that ship state re-ship it before the next
+        :meth:`search_all`; the thread kind reads live objects and
+        needs no action; remote workers boot from their *own*
+        directories, so streaming writes are incompatible.
+        """
+        if self._kind.remote:
+            raise RuntimeError(
+                f"the {self.name!r} backend serves remote read-only "
+                "workers; streaming writes cannot be re-shipped over "
+                "the wire"
+            )
+        if self._kind.ships_state:
+            self._dirty.add(int(shard))
+
+    def _flush_dirty(self) -> None:
+        for s in sorted(self._dirty):
+            try:
+                self._ship(s)
+            except BaseException:
+                # Unsaveable state: every replica may be stale or
+                # mixed; tear down so the next search re-ships and
+                # respawns the fleet from scratch.
+                self.close()
+                raise
+            for replica in self._fleet[s]:
+                if not replica.alive:
+                    continue  # the supervisor respawns it from this save
+                with replica.lock:
+                    try:
+                        replica.reload()
+                    except ReplicaDied:
+                        # A liveness event, not a request failure: out
+                        # of rotation until the supervisor respawns it.
+                        with self._fleet_lock:
+                            replica.alive = False
+        self._dirty.clear()
 
     def close(self) -> None:
+        """Release workers/pool/temp state (idempotent); the next
+        search starts a fresh fleet from freshly shipped state."""
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
-        if self._procs is not None:
-            _shutdown_workers(self._procs, self._conns, self._tmpdir)
-            self._procs = self._conns = self._dirs = self._tmpdir = None
+        self._stop_event.set()
+        if self._supervisor is not None:
+            self._supervisor.join(timeout=5)
+            self._supervisor = None
+        _shutdown_fleet(self._fleet, self._stop_event, self._tmpdir)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+        if self._kind.ships_state:
+            with self._fleet_lock:
+                for row in self._fleet:
+                    for replica in row:
+                        replica.alive = False
+        self._pool = self._tmpdir = None
+        self._started = False
 
-    # -- search ---------------------------------------------------------
-    def search_all(self, request) -> List[object]:
-        from .net import framing
-
-        with self._lock:
-            self._ensure_workers()
+    # ------------------------------------------------------------------
+    # Routing: one scatter-then-gather loop for every kind
+    # ------------------------------------------------------------------
+    def _scatter(self, shard: int, wire):
+        """Submit on the least-loaded healthy replica of ``shard``
+        (ties to the lowest replica id) and return it with its lock
+        held and a reply owed — or ``None`` when the whole replica set
+        is down.  A replica that dies at submit is dropped from
+        rotation and a sibling tried."""
+        while True:
+            with self._fleet_lock:
+                healthy = [r for r in self._fleet[shard] if r.alive]
+                if not healthy:
+                    return None
+                replica = min(
+                    healthy, key=lambda r: (r.in_flight, r.replica_id)
+                )
+                replica.in_flight += 1
+            replica.lock.acquire()
             try:
-                # Pipes are not multiplexed, so the request id is moot.
-                blob = framing.encode_search_request(request, 0)
-                for conn in self._conns:
-                    conn.send_bytes(blob)
-                # Collect every reply before raising so the pipes stay
-                # framed (a failed shard must not leave siblings'
-                # results unread).
-                outcomes = [
-                    framing.decode_reply(conn.recv_bytes())
-                    for conn in self._conns
-                ]
-            except (EOFError, OSError) as exc:
-                # A dead worker (OOM kill, crash) wedges its pipe for
-                # good; tear the whole backend down so the next search
-                # respawns every worker from freshly shipped state.
-                self.close()
-                raise RuntimeError(
-                    "a shard worker died mid-search; the process "
-                    "backend was reset and the next search respawns "
-                    "its workers"
-                ) from exc
+                replica.submit(wire, self._pool)
+                return replica
+            except ReplicaDied:
+                self._release(replica, dead=True)
             except BaseException:
-                # Any other interruption mid-send/recv (Ctrl-C, ...)
-                # leaves unread replies queued; a later search would
-                # consume them as its own.  Reset rather than desync.
-                self.close()
+                self._release(replica, dead=self._supervised)
                 raise
-        return [
-            _unwrap_reply(kind, payload, "response", f"shard worker {s}")
-            for s, (kind, payload) in enumerate(outcomes)
-        ]
+
+    def _release(self, replica, dead: bool) -> None:
+        replica.lock.release()
+        with self._fleet_lock:
+            replica.in_flight -= 1
+            if dead:
+                replica.alive = False
+
+    def search_all(self, request) -> List[object]:
+        """One :class:`~repro.api.SearchResponse` per shard, in shard
+        order.
+
+        Every shard's request is written before any reply is read, on
+        locks taken in shard order; a replica that dies mid-request is
+        dropped from rotation and its shard retried on a sibling in the
+        next round — after every other lock is released, so failover
+        never waits on a lock while holding one.  Application errors
+        re-raise (every sibling would fail identically), but only
+        after every owed reply is read, so no transport is left with a
+        stale reply queued.  A ``None`` entry means the shard lost
+        every one of its ``replicas >= 2`` replicas and the router's
+        merge pads it; a shard with no sibling to fail over to raises
+        :class:`ReplicaDied` instead.
+        """
+        self._ensure_fleet()
+        wire = self._kind.encode(request)
+        results: List[object] = [None] * len(self._shards)
+        owed: Dict[int, object] = {}
+        failure: Optional[BaseException] = None
+        todo: Sequence[int] = range(len(self._shards))
+        try:
+            while todo:
+                for s in todo:
+                    owed[s] = self._scatter(s, wire)
+                retry = []
+                for s in todo:
+                    replica = owed.pop(s)
+                    if replica is None:
+                        if self.replicas == 1:
+                            failure = failure or ReplicaDied(
+                                f"the only worker of shard {s} died and "
+                                "is not re-admitted yet; there is no "
+                                "sibling to fail over to"
+                            )
+                        continue
+                    # Until its reply is read a worker replica is
+                    # wedged: anything but a clean read retires it.
+                    dead = self._supervised
+                    try:
+                        results[s] = replica.result()
+                        dead = False
+                    except ReplicaDied:
+                        retry.append(s)
+                    except Exception as exc:
+                        dead = False  # the request's fault, not the worker's
+                        failure = failure or exc
+                    finally:
+                        self._release(replica, dead)
+                todo = retry
+        except BaseException:
+            # Interrupted mid-fan-out (Ctrl-C): replies are still
+            # queued on the held replicas and a later search would read
+            # them as its own.  Retire them; the supervisor respawns.
+            for replica in owed.values():
+                if replica is not None:
+                    self._release(replica, self._supervised)
+            raise
+        if failure is not None:
+            raise failure
+        return results
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def fleet_status(self) -> List[dict]:
+        """Per-replica rows, one shape for every kind and replica
+        count: ``pid`` is the worker's real pid for the process kind
+        (``None`` until it is spawned), ``endpoint`` is ``None`` off
+        the socket kind."""
+        with self._fleet_lock:
+            return [
+                {
+                    "shard": replica.shard_id,
+                    "replica": replica.replica_id,
+                    "backend": self.name,
+                    "alive": bool(replica.alive),
+                    "restarts": int(replica.restarts),
+                    "in_flight": int(replica.in_flight),
+                    "pid": replica.pid,
+                    "endpoint": replica.endpoint,
+                }
+                for row in self._fleet
+                for replica in row
+            ]
 
 
-#: Registered backend constructors, keyed by the name the
+#: Registered replica kinds, keyed by the name the
 #: ``ShardingSpec.backend`` field / ``--shard-backend`` flag use.
 SHARD_BACKENDS: Dict[str, type] = {
-    ThreadBackend.name: ThreadBackend,
-    ProcessBackend.name: ProcessBackend,
+    _ThreadReplica.kind: _ThreadReplica,
+    _ProcessReplica.kind: _ProcessReplica,
 }
 
 
@@ -524,49 +736,18 @@ def make_shard_backend(
     replicas: int = 1,
     endpoints: Optional[Sequence] = None,
 ) -> ShardBackend:
-    """Construct the named backend over ``shards``.
+    """The ``replicas``-wide fleet of ``name``-kind replicas over
+    ``shards`` — the single seam
+    :class:`~repro.serving.sharded.ShardedIndex` fans out through.
 
-    ``replicas > 1`` wraps the named backend's execution substrate in
-    a :class:`~repro.serving.replication.ReplicatedBackend`: ``name``
-    becomes the *inner* backend each replica runs as, and shard calls
-    route to the least-loaded healthy replica with in-request failover
-    (see :mod:`repro.serving.replication`).
-
-    ``endpoints`` is the ``"socket"`` backend's worker address list —
-    one ``"host:port"`` (or, with replicas, a list of them) per shard;
-    it is required for ``"socket"`` and rejected for every other
-    backend.
+    ``endpoints`` is the ``"socket"`` kind's worker address list — one
+    ``"host:port"`` (or, with replicas, a list of them) per shard; it
+    is required for ``"socket"`` and rejected for every other kind.
     """
-    try:
-        backend_cls = SHARD_BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown shard backend {name!r}; "
-            f"expected one of {shard_backend_names()}"
-        ) from None
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    if name == "socket" and endpoints is None:
-        raise ValueError(
-            "the 'socket' backend requires endpoints "
-            "(one host:port per shard)"
-        )
-    if endpoints is not None and name != "socket":
-        raise ValueError(
-            f"endpoints only apply to the 'socket' backend, not {name!r}"
-        )
-    if replicas > 1:
-        from .replication import ReplicatedBackend
-
-        return ReplicatedBackend(
-            shards,
-            max_workers=max_workers,
-            replicas=replicas,
-            inner=name,
-            endpoints=endpoints,
-        )
-    if name == "socket":
-        return backend_cls(
-            shards, max_workers=max_workers, endpoints=endpoints
-        )
-    return backend_cls(shards, max_workers=max_workers)
+    return ShardBackend(
+        shards,
+        max_workers=max_workers,
+        replicas=replicas,
+        kind=name,
+        endpoints=endpoints,
+    )

@@ -7,9 +7,9 @@ Three layers (see ``docs/architecture.md``, "Network tier"):
   sockets alike: one protocol definition repo-wide);
 * :mod:`~repro.serving.net.worker` / :mod:`~repro.serving.net.client`
   / :mod:`~repro.serving.net.backend` — ``repro serve-shard`` TCP
-  workers, their blocking clients, and the ``"socket"``
-  :class:`~repro.serving.backends.ShardBackend` that fans out to them
-  (registered into ``SHARD_BACKENDS`` on import);
+  workers, their blocking clients, and the ``"socket"`` replica kind
+  the :class:`~repro.serving.backends.ShardBackend` fleet reaches them
+  through (registered into ``SHARD_BACKENDS`` on import);
 * :mod:`~repro.serving.net.gateway` — the asyncio TCP front door
   (``experiment serve --listen``) multiplexing many client
   connections onto the :class:`~repro.serving.batcher.DynamicBatcher`,
@@ -17,7 +17,7 @@ Three layers (see ``docs/architecture.md``, "Network tier"):
 """
 
 from . import framing
-from .backend import SocketBackend, normalize_endpoints
+from .backend import normalize_endpoints
 from .client import NetClient, ShardClient
 from .gateway import (
     Gateway,
@@ -36,7 +36,6 @@ from .worker import (
 
 __all__ = [
     "framing",
-    "SocketBackend",
     "normalize_endpoints",
     "NetClient",
     "ShardClient",

@@ -1,15 +1,14 @@
-"""The ``"socket"`` shard backend: fan-out to remote TCP workers.
+"""The ``"socket"`` replica kind: remote TCP workers in the one fleet.
 
-Slots into the same :class:`~repro.serving.backends.ShardBackend`
-seam as the thread/process backends, but each shard's
-``search(request)`` is answered by a remote worker (``repro
-serve-shard``) reached at a configured ``host:port`` endpoint —
-the parent never holds the shard state, only addresses.
+Registers :class:`_SocketReplica` into
+:data:`~repro.serving.backends.SHARD_BACKENDS`, so a
+:class:`~repro.serving.backends.ShardBackend` of kind ``"socket"``
+answers each shard's ``search(request)`` from a remote worker (``repro
+serve-shard``) reached at a configured ``host:port`` endpoint — the
+parent never holds the shard state, only addresses.
 
-With ``replicas > 1`` the replication layer drives
-:class:`_SocketReplica` rows instead, giving remote workers the same
-least-loaded routing / in-request failover / supervisor re-admission
-the process fleet has: a worker death surfaces as ``ReplicaDied``
+Remote workers get exactly the routing / failover / supervisor policy
+every other kind has: a worker death surfaces as ``ReplicaDied``
 mid-request, and the supervisor's respawn step becomes
 reconnect-and-ping (plus an optional external respawner hook, since
 the parent does not own a remote machine's process table).
@@ -20,7 +19,7 @@ from __future__ import annotations
 import threading
 from typing import List, Optional, Sequence
 
-from ..backends import SHARD_BACKENDS, ShardBackend
+from ..backends import SHARD_BACKENDS, _encode_request
 from .client import ShardClient
 
 
@@ -38,7 +37,9 @@ def normalize_endpoints(
     from .worker import parse_hostport
 
     if endpoints is None:
-        raise ValueError("the socket backend requires endpoints")
+        raise ValueError(
+            "the socket backend requires endpoints (one host:port per shard)"
+        )
     endpoints = list(endpoints)
     if len(endpoints) != num_shards:
         raise ValueError(
@@ -62,86 +63,11 @@ def normalize_endpoints(
     return matrix
 
 
-class SocketBackend(ShardBackend):
-    """Unreplicated socket fan-out: one remote worker per shard.
-
-    Connections are lazy (the first search connects) and sticky; a
-    worker death propagates as ``ReplicaDied`` to the caller — with a
-    single replica there is nowhere to fail over, exactly like a
-    process-backend worker death resets that backend.  Fan-out runs
-    one waiter thread per shard (they block on sockets, not the GIL).
-    """
-
-    name = "socket"
-
-    def __init__(
-        self,
-        shards: Sequence[object],
-        max_workers: Optional[int] = None,
-        endpoints: Optional[Sequence] = None,
-    ) -> None:
-        super().__init__(shards, max_workers)
-        matrix = normalize_endpoints(endpoints, len(self._shards), 1)
-        self._clients = [ShardClient(row[0]) for row in matrix]
-        self._threads_lock = threading.Lock()
-
-    def search_all(self, request) -> List[object]:
-        if len(self._clients) == 1:
-            return [self._clients[0].search(request)]
-        results: List[object] = [None] * len(self._clients)
-        errors: List[Optional[BaseException]] = [None] * len(self._clients)
-
-        def _one(s: int) -> None:
-            try:
-                results[s] = self._clients[s].search(request)
-            except BaseException as exc:
-                errors[s] = exc
-
-        threads = [
-            threading.Thread(target=_one, args=(s,), daemon=True)
-            for s in range(len(self._clients))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        return results
-
-    def fleet_status(self) -> List[dict]:
-        return [
-            {
-                "shard": s,
-                "replica": 0,
-                "backend": self.name,
-                "alive": True,
-                "restarts": 0,
-                "in_flight": 0,
-                "pid": None,
-                "endpoint": client.endpoint,
-            }
-            for s, client in enumerate(self._clients)
-        ]
-
-    def invalidate(self, shard: int) -> None:
-        raise RuntimeError(
-            "the 'socket' backend serves remote read-only workers; "
-            "streaming writes cannot be re-shipped over the wire"
-        )
-
-    def close(self) -> None:
-        for client in self._clients:
-            client.close()
-
-
 class _SocketReplica:
-    """One remote worker in a replicated socket fleet.
+    """One remote worker serving one replica slot.
 
-    Implements the replica interface the replication layer drives
-    (``alive``/``in_flight``/``search``/``respawn_and_verify``/...).
-    The parent cannot observe a remote process table, so
+    Connections are lazy (the first request connects) and sticky.  The
+    parent cannot observe a remote process table, so
     ``process_alive()`` is always ``True`` — death is detected
     *in-request* (``ReplicaDied`` marks the replica dead, failover
     retries a sibling) and the supervisor's remediation step is
@@ -152,26 +78,19 @@ class _SocketReplica:
     """
 
     kind = "socket"
+    ships_state, remote = False, True
+    pid = None  # remote process: not ours to observe
+    encode = staticmethod(_encode_request)
 
     def __init__(
-        self,
-        endpoint: str,
-        shard_id: int,
-        replica_id: int,
-        respawner=None,
+        self, shard_id: int, replica_id: int, endpoint: str, respawner=None
     ) -> None:
         self.endpoint = str(endpoint)
-        self.shard_id = shard_id
-        self.replica_id = replica_id
-        self.alive = True
-        self.restarts = 0
-        self.in_flight = 0
+        self.shard_id, self.replica_id = shard_id, replica_id
+        self.alive, self.restarts, self.in_flight = True, 0, 0
         self._respawner = respawner
         self._client = ShardClient(endpoint)
-
-    @property
-    def pid(self) -> Optional[int]:
-        return None  # remote process: not ours to observe
+        self.lock = threading.Lock()
 
     def process_alive(self) -> bool:
         # No cheap remote liveness check exists; report healthy and
@@ -179,11 +98,11 @@ class _SocketReplica:
         # what triggers the supervisor's respawn_and_verify.
         return True
 
-    def search(self, request):
-        return self._client.search(request)
+    def submit(self, blob: bytes, pool=None) -> None:
+        self._client.send(blob)
 
-    def reload(self) -> None:
-        self._client.reload()
+    def result(self):
+        return self._client.recv("response")
 
     def respawn_and_verify(self, timeout: float) -> bool:
         """Remediate + verify: optional external respawn hook, then a
@@ -194,7 +113,7 @@ class _SocketReplica:
             self._client.close()
             self._client.ping()
             return True
-        except BaseException:
+        except Exception:
             self._client.close()
             return False
 
@@ -204,4 +123,4 @@ class _SocketReplica:
         self._client.close()
 
 
-SHARD_BACKENDS[SocketBackend.name] = SocketBackend
+SHARD_BACKENDS[_SocketReplica.kind] = _SocketReplica

@@ -3,9 +3,9 @@
 :class:`ShardClient` is the backend side: one connection to one shard
 worker, speaking the worker protocol (``ping``/``reload``/``request``)
 with connect/read timeouts and bounded exponential-backoff reconnect.
-Worker death surfaces as the replication layer's
-:class:`~repro.serving.replication.ReplicaDied`, so the PR 6 failover
-and supervisor semantics apply unchanged to remote workers.
+Worker death surfaces as the fleet's
+:class:`~repro.serving.backends.ReplicaDied`, so its failover and
+supervisor policy applies unchanged to remote workers.
 
 :class:`NetClient` is the front-door side: a small blocking client for
 the asyncio gateway's typed request protocol, used by tests, the CLI
@@ -26,6 +26,7 @@ from concurrent.futures import Future
 from typing import Optional
 
 from ...api.protocol import SearchRequest
+from ..backends import ReplicaDied, _raise_worker_error, _unwrap_reply
 from . import framing
 from .worker import parse_hostport
 
@@ -39,7 +40,7 @@ class ShardClient:
     ``backoff_max_s``, at most ``max_retries`` attempts).  A request
     that fails *mid-stream* never retries — the worker may have half-
     executed it; the failure surfaces as ``ReplicaDied`` and the
-    replication layer decides (fail over to a sibling, or pad).
+    fleet decides (fail over to a sibling, fail loudly, or pad).
     """
 
     def __init__(
@@ -77,8 +78,6 @@ class ShardClient:
     def _ensure_connected(self) -> socket.socket:
         if self._sock is not None:
             return self._sock
-        from ..replication import ReplicaDied
-
         delay = self._backoff_base_s
         last: Optional[Exception] = None
         for attempt in range(self._max_retries + 1):
@@ -110,32 +109,45 @@ class ShardClient:
         self.close()
 
     # -- protocol ------------------------------------------------------
-    def _request(self, blob: bytes, expected: str):
-        """Send one request buffer, read one reply; infra failures
-        close the connection and raise ``ReplicaDied``."""
-        from ..backends import _unwrap_reply
-        from ..replication import ReplicaDied
+    def send(self, blob: bytes) -> None:
+        """Write one request buffer (connecting first if needed)."""
+        try:
+            self._ensure_connected().sendall(blob)
+        except OSError as exc:
+            raise self._died() from exc
 
-        with self._lock:
-            sock = self._ensure_connected()
-            try:
-                sock.sendall(blob)
-                message = framing.read_message_from_socket(
-                    sock, self._max_frame_bytes
-                )
-            except (
-                framing.ConnectionClosed,
-                framing.FrameTruncated,
-                OSError,
-            ) as exc:
-                self.close()
-                raise ReplicaDied(
-                    f"shard worker at {self.endpoint} died mid-request"
-                ) from exc
+    def recv(self, expected: str):
+        """Read the one reply a :meth:`send` is owed.  The fan-out
+        calls the two halves itself, under its own per-replica lock,
+        to write every shard's request before it reads any reply."""
+        try:
+            message = framing.read_message_from_socket(
+                self._sock, self._max_frame_bytes
+            )
+        except (
+            framing.ConnectionClosed,
+            framing.FrameTruncated,
+            OSError,
+        ) as exc:
+            raise self._died() from exc
         kind, payload = framing.reply_payload(message)
         return _unwrap_reply(
             kind, payload, expected, f"shard worker at {self.endpoint}"
         )
+
+    def _died(self) -> ReplicaDied:
+        """An infra failure: the connection is closed (the next request
+        reconnects) and the caller raises the returned error."""
+        self.close()
+        return ReplicaDied(
+            f"shard worker at {self.endpoint} died mid-request"
+        )
+
+    def _request(self, blob: bytes, expected: str):
+        """Send one request buffer, read one reply."""
+        with self._lock:
+            self.send(blob)
+            return self.recv(expected)
 
     def ping(self) -> None:
         self._request(framing.encode_message("ping"), "pong")
@@ -227,8 +239,6 @@ class NetClient:
         if future is None:
             return
         if exc is not None:
-            from ..backends import _raise_worker_error
-
             try:
                 _raise_worker_error(exc)
             except BaseException as chained:

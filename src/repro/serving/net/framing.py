@@ -378,16 +378,35 @@ def encode_error(
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
 ) -> bytes:
     """An explicit error frame carrying type, message, and the remote
-    traceback (``tb`` defaults to the currently handled exception's)."""
+    traceback (``tb`` defaults to the currently handled exception's).
+
+    Never raises — it is the one error encoder behind both worker
+    transports, and a failure to *report* must not replace the failure
+    being reported (the peer would read EOF and call the worker dead).
+    An exception whose ``str``/``repr`` itself fails degrades to a
+    plain ``RuntimeError`` carrying whatever could be rendered.
+    """
     if tb is None:
         tb = getattr(exc, "remote_traceback", None) or traceback.format_exc()
-    meta = {
-        "type_module": type(exc).__module__,
-        "type_name": type(exc).__qualname__,
-        "message": str(exc),
-        "repr": repr(exc),
-        "remote_traceback": tb,
-    }
+    try:
+        meta = {
+            "type_module": type(exc).__module__,
+            "type_name": type(exc).__qualname__,
+            "message": str(exc),
+            "repr": repr(exc),
+        }
+    except Exception:
+        try:
+            rendered = repr(exc)
+        except Exception:
+            rendered = f"<unprintable {type(exc).__name__}>"
+        meta = {
+            "type_module": "builtins",
+            "type_name": "RuntimeError",
+            "message": rendered,
+            "repr": rendered,
+        }
+    meta["remote_traceback"] = tb
     return encode_message("error", meta=meta, max_frame_bytes=max_frame_bytes)
 
 

@@ -1,11 +1,12 @@
 """Remote shard workers: ``repro serve-shard`` over TCP.
 
-A shard worker is the socket twin of the process backend's pipe
-worker: it boots from a persisted index directory (the deploy
-artifact), listens on a TCP port, and answers the shared frame
-protocol — ``ping``/``reload``/``request`` messages in,
-``pong``/``ready``/``response``/``error`` messages out, byte-for-byte
-the same buffers the pipe transport (and the gateway's clients) carry.
+:class:`ShardService` is the one worker loop behind both transports —
+the process kind's pipe worker and the TCP server here both boot it
+from a persisted index directory (the deploy artifact) and answer the
+shared frame protocol with it: ``ping``/``reload``/``request``/``stop``
+messages in, ``pong``/``ready``/``response``/``error`` messages out,
+byte-for-byte the same buffers on a pipe, a TCP stream, or a gateway
+client's connection.
 
 The server is deliberately boring: one accepting thread plus one
 thread per client connection, with searches serialized under a single
@@ -53,8 +54,9 @@ class ShardService:
 
     Transport-agnostic: :meth:`handle` maps one decoded request
     message to one encoded reply buffer and never raises — every
-    failure becomes an error message, so transports never have to
-    guess how to keep their stream framed.
+    failure becomes an error message (``framing.encode_error`` cannot
+    fail either), so transports never have to guess how to keep their
+    stream framed.
     """
 
     def __init__(self, index, dirpath: Optional[str] = None) -> None:
@@ -74,6 +76,9 @@ class ShardService:
         """One reply buffer per request; ``None`` means "stop"."""
         try:
             if message.kind == "ping":
+                # Health probe: proves the worker loop is responsive
+                # (not just that the process exists) — the supervisor's
+                # verify step before re-admission.
                 return framing.encode_message("pong")
             if message.kind == "stop":
                 return None
@@ -97,10 +102,7 @@ class ShardService:
                 f"unknown worker request {message.kind!r}"
             )
         except BaseException as exc:
-            try:
-                return framing.encode_error(exc)
-            except Exception:
-                return framing.encode_error(RuntimeError(repr(exc)))
+            return framing.encode_error(exc)
 
 
 class _ShardRequestHandler(socketserver.BaseRequestHandler):

@@ -2,14 +2,15 @@
 
 A shard is simply a whole index (any of the five scenarios) over a
 partition of the dataset rows.  :class:`ShardedIndex` fans one
-``search(request)`` out over the shards through a pluggable
-:class:`~repro.serving.backends.ShardBackend` — the in-process
-``"thread"`` pool (shard calls are pure NumPy over read-only state, so
-threads overlap the GIL-released portions) or the ``"process"``
-backend (one persistent worker process per shard, each loading the
-shard's persisted state once and answering over a pipe; one GIL per
-worker) — and merges the per-shard stacked ``(B, k)`` responses with one
-``argpartition`` per row.  The merge is exact over the union of shard
+``search(request)`` out over the shards through the one
+:class:`~repro.serving.backends.ShardBackend` fleet — ``replicas >= 1``
+replicas per shard of the ``"thread"`` kind (the in-process object on
+a shared pool: shard calls are pure NumPy over read-only state, so
+threads overlap the GIL-released portions), the ``"process"`` kind
+(persistent worker processes mapping the shard's shipped state and
+answering over a pipe; one GIL per worker) or the ``"socket"`` kind
+(remote TCP workers) — and merges the per-shard stacked ``(B, k)``
+responses with one ``argpartition`` per row.  The merge is exact over the union of shard
 candidates: distances pass through untouched (no re-computation), ties
 break deterministically by (distance, shard, within-shard rank), and a
 single-shard index is bitwise identical to the unsharded one — the
@@ -91,23 +92,21 @@ class ShardedIndex:
         Thread-pool width for the ``"thread"`` backend's fan-out;
         defaults to one thread per shard (capped at the CPU count).
         ``1`` disables threading — results are identical either way,
-        only wall-clock changes.  The ``"process"`` backend ignores it
-        (parallelism there is one worker process per shard).
+        only wall-clock changes.  Worker backends ignore it (their
+        parallelism is one worker per replica slot).
     backend:
-        Which :class:`~repro.serving.backends.ShardBackend` executes
-        the fan-out: ``"thread"`` (default, in-process pool) or
-        ``"process"`` (persistent per-shard worker processes fed via
-        ``save_index``/``load_index``).  Results are bitwise identical
-        across backends.
+        The replica kind the :class:`~repro.serving.backends.
+        ShardBackend` fleet runs: ``"thread"`` (default, in-process
+        pool), ``"process"`` (persistent worker processes fed via
+        ``save_index``/``load_index``) or ``"socket"``.  Results are
+        bitwise identical across backends.
     replicas:
-        Workers per shard.  ``1`` (the default) runs the chosen
-        backend directly; ``> 1`` wraps it in a
-        :class:`~repro.serving.replication.ReplicatedBackend` — each
-        shard gets that many replicas of the chosen backend's worker
-        kind, with least-loaded routing, transparent in-request
-        failover, and a background supervisor respawning dead workers.
-        Results stay bitwise identical while any replica per shard is
-        healthy.
+        Replicas per shard (default ``1``) of the chosen kind, with
+        least-loaded routing, transparent in-request failover, and a
+        background supervisor respawning dead workers.  Results stay
+        bitwise identical while any replica per shard is healthy; a
+        shard whose *only* worker died fails its requests with
+        ``ReplicaDied`` until the supervisor re-admits it.
     endpoints:
         ``"socket"`` backend only: per-shard worker addresses — one
         ``"host:port"`` string (or, with ``replicas > 1``, a list of
@@ -259,9 +258,9 @@ class ShardedIndex:
         return self._replicas
 
     def fleet_status(self) -> List[dict]:
-        """Per-replica introspection rows (shard, replica, liveness,
-        restarts, in-flight counts) from the active backend.  The
-        unreplicated backends report one always-alive row per shard."""
+        """Per-replica introspection rows (shard, replica, backend,
+        liveness, restarts, in-flight count, pid, endpoint) from the
+        active backend — one shape at every kind and replica count."""
         return self._backend.fleet_status()
 
     def engine_status(self) -> List[dict]:
@@ -371,7 +370,7 @@ class ShardedIndex:
         deterministic and a single shard passes through bitwise.
 
         A ``None`` entry means that shard produced no result (a
-        replicated backend lost every replica of it mid-request); its
+        ``replicas >= 2`` fleet lost every replica of it); its
         candidate block is all padding (ids ``-1``, distances ``inf``),
         so the request degrades to the surviving shards' union instead
         of failing.

@@ -51,21 +51,23 @@ from repro.api import (
     save_index,
 )
 from repro.datasets import load
-from repro.graphs import build_vamana
-from repro.index import MemoryIndex
-from repro.quantization import ProductQuantizer
-from repro.serving import ShardedIndex
+from repro.serving import ReplicaDied, ShardedIndex
 from repro.serving.net import (
     GatewayThread,
     LocalShardWorker,
     NetClient,
     ShardClient,
-    ShardServer,
-    ShardService,
     framing,
 )
-from repro.serving.replication import ReplicaDied
 
+from .fleet import (
+    VOLATILE_COUNTERS,
+    build_memory,
+    endpoint_of,
+    fleet_setup,
+    inproc_server,
+    wait_for_respawn,
+)
 from .helpers import search
 
 # ----------------------------------------------------------------------
@@ -75,24 +77,13 @@ from .helpers import search
 
 @pytest.fixture(scope="module")
 def setup():
-    data = load("sift", n_base=160, n_queries=6, seed=5)
-    quantizer = ProductQuantizer(8, 16, seed=0).fit(data.train)
-    return data, quantizer
-
-
-def build_memory(x, quantizer):
-    return MemoryIndex(
-        build_vamana(x, r=8, search_l=20, seed=0), quantizer, x
-    )
+    return fleet_setup()
 
 
 @pytest.fixture(scope="module")
 def memory_index(setup):
     data, quantizer = setup
     return build_memory(data.base, quantizer)
-
-
-VOLATILE_COUNTERS = {"table_cache_hits", "workspace_reused"}
 
 
 def assert_responses_identical(a, b):
@@ -138,31 +129,6 @@ def reader_over(blob: bytes):
         return chunk
 
     return read_exactly
-
-
-@contextlib.contextmanager
-def inproc_server(index, dirpath=None, **server_kwargs):
-    """An in-thread ``ShardServer`` (no subprocess) for transport tests."""
-    server = ShardServer(
-        ShardService(index, dirpath=dirpath), **server_kwargs
-    )
-    thread = threading.Thread(
-        target=server.serve_forever,
-        kwargs={"poll_interval": 0.02},
-        daemon=True,
-    )
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-
-
-def endpoint_of(server: ShardServer) -> str:
-    host, port = server.address
-    return f"{host}:{port}"
 
 
 # ----------------------------------------------------------------------
@@ -502,21 +468,25 @@ class TestShardTransport:
                 stack.enter_context(inproc_server(shard))
                 for shard in sharded._shards
             ]
-            sharded.set_backend(
-                "socket", endpoints=[endpoint_of(s) for s in servers]
-            )
+            endpoints = [endpoint_of(s) for s in servers]
+            sharded.set_backend("socket", endpoints=endpoints)
             try:
-                assert sharded.backend == "socket"
-                assert_responses_identical(expected, sharded.search(request))
-                rows = sharded.fleet_status()
-                assert [r["endpoint"] for r in rows] == [
-                    endpoint_of(s) for s in servers
-                ]
-                # Streaming writes cannot re-ship remote state.
-                with pytest.raises(RuntimeError, match="wire"):
-                    sharded._backend.invalidate(0)
+                for replicas in (1, 2):
+                    sharded.set_replicas(replicas)
+                    assert sharded.backend == "socket"
+                    assert_responses_identical(
+                        expected, sharded.search(request)
+                    )
+                    rows = sharded.fleet_status()
+                    assert [r["endpoint"] for r in rows] == [
+                        e for e in endpoints for _ in range(replicas)
+                    ]
+                    # Streaming writes cannot re-ship remote state.
+                    with pytest.raises(RuntimeError, match="wire"):
+                        sharded._backend.invalidate(0)
             finally:
                 sharded.close()
+                sharded.set_replicas(1)
                 sharded.set_backend("thread")
 
     def test_spec_round_trip_carries_endpoints(self):
@@ -890,20 +860,48 @@ def test_sigkill_socket_worker_fails_over_and_respawns(tmp_path, setup):
 
         # The supervisor runs respawn_and_verify -> the respawner
         # boots a fresh worker process on the same port.
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            rows = fleet.fleet_status()
-            if all(r["alive"] for r in rows) and any(
-                r["restarts"] > 0 for r in rows
-            ):
-                break
-            time.sleep(0.1)
-        else:
-            pytest.fail(
-                f"fleet did not heal: {fleet.fleet_status()}"
-            )
+        wait_for_respawn(fleet)
         # And the healed fleet still answers identically.
         np.testing.assert_array_equal(
             expected.ids,
             search(fleet, data.queries, k=10, beam_width=24).ids,
         )
+
+
+@pytest.mark.slow
+def test_sigkill_sole_socket_worker_fails_loudly_then_readmits(tmp_path, setup):
+    """``replicas == 1`` over sockets: the same policy as the process
+    kind — no sibling, so the request fails typed (never padded) until
+    the supervisor + external respawner re-admit the worker."""
+    data, quantizer = setup
+    sharded = ShardedIndex.build(
+        data.base, 2, lambda xs: build_memory(xs, quantizer)
+    )
+    request = SearchRequest(queries=data.queries, k=10, beam_width=24)
+    expected = sharded.search(request)
+    save_index(sharded, tmp_path)
+
+    with contextlib.ExitStack() as stack:
+        workers = [
+            stack.enter_context(
+                LocalShardWorker(str(tmp_path / f"shard_{s:03d}"))
+            )
+            for s in range(2)
+        ]
+        sharded.set_backend("socket", endpoints=[w.endpoint for w in workers])
+        stack.callback(sharded.close)
+        assert_responses_identical(expected, sharded.search(request))
+
+        workers[0].kill()
+        with pytest.raises(RuntimeError, match="died") as info:
+            sharded.search(request)
+        assert isinstance(info.value, ReplicaDied)
+        assert [r["alive"] for r in sharded.fleet_status()] == [False, True]
+        # Only now hand the supervisor its respawner (the stand-in for
+        # systemd/k8s): until the worker is back, requests keep failing.
+        with pytest.raises(ReplicaDied, match="died"):
+            sharded.search(request)
+        sharded._backend._fleet[0][0]._respawner = workers[0].respawn
+        rows = wait_for_respawn(sharded)
+        assert [r["restarts"] for r in rows] == [1, 0]
+        assert_responses_identical(expected, sharded.search(request))

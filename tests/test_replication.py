@@ -1,169 +1,158 @@
-"""Replicated shard fleets: routing, failover, chaos, and parity.
+"""The shard fleet at ``replicas >= 2``: routing, failover, chaos.
 
 Replication must be invisible in the answers: which replica serves a
 shard's call can never change a bit, because every replica of a shard
-serves the exact same persisted state and the merge is unchanged.  The
-full five-scenario replicated-vs-unreplicated matrix is ``slow`` (each
-process fleet spawns ``shards x replicas`` workers); a memory-scenario
-smoke plus the SIGKILL chaos gate stay in the fast lane so a failover
-regression surfaces on every push.
+serves the exact same persisted state and the merge is unchanged.
+This file holds the ``replicas == 2`` slice of the one parity matrix
+(``tests/fleet.py``; ``tests/test_shard_backends.py`` holds the
+``replicas == 1`` slice), which is ``slow`` (each process fleet spawns
+``shards x replicas`` workers); a memory-scenario smoke, the one
+``fleet_status`` shape and the SIGKILL chaos gates — ``replicas == 2``
+(failover: zero failed requests) and ``replicas == 1`` (no sibling:
+loud ``ReplicaDied``, never padding) — stay in the fast lane so a
+failure-policy regression surfaces on every push.
 
-The chaos assertions are correctness, not timing: a replica is killed
-mid-load and every subsequent request must succeed bitwise-identically
-(failover), then the supervisor must respawn the dead worker — polled
-against a generous deadline, never a wall-clock window, so the test is
+The chaos assertions are correctness, not timing: a worker is killed
+mid-load, every subsequent request must behave as documented, then
+the supervisor must respawn the dead worker — polled against a
+generous deadline, never a wall-clock window, so the tests are
 deterministic on a loaded 1-CPU CI runner.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
-import time
+import threading
 
 import numpy as np
 import pytest
 
 from repro.api import IndexSpec, ShardingSpec, load_index, save_index
-from repro.datasets import load
-from repro.graphs import build_vamana
-from repro.index import MemoryIndex, StreamingIndex
-from repro.quantization import ProductQuantizer
-from repro.serving import ReplicatedBackend, ShardedIndex
-from repro.serving.replication import ReplicaDied
+from repro.serving import (
+    ReplicaDied,
+    ShardBackend,
+    ShardedIndex,
+    make_shard_backend,
+)
 
+from .fleet import (
+    ScenarioMatrix,
+    assert_results_identical,
+    build_memory,
+    check_write_path,
+    endpoint_of,
+    fleet_setup,
+    inproc_server,
+    memory_sharded,
+    wait_for_respawn,
+)
 from .helpers import search
-
-RESPAWN_DEADLINE_S = 60.0  # generous: polled, not a timing gate
 
 
 @pytest.fixture(scope="module")
 def setup():
-    data = load("sift", n_base=160, n_queries=6, seed=5)
-    quantizer = ProductQuantizer(8, 16, seed=0).fit(data.train)
-    return data, quantizer
+    return fleet_setup()
 
 
-def build_memory(x, quantizer):
-    return MemoryIndex(
-        build_vamana(x, r=8, search_l=20, seed=0), quantizer, x
-    )
-
-
-# Engine-amortizer telemetry varies with cache/pool warmth across
-# executions while the answers stay bitwise identical.
-VOLATILE_COUNTERS = {"table_cache_hits", "workspace_reused"}
-
-
-def assert_results_identical(a, b):
-    np.testing.assert_array_equal(a.ids, b.ids)
-    np.testing.assert_array_equal(a.distances, b.distances)
-    np.testing.assert_array_equal(a.counts, b.counts)
-    assert list(a.counters) == list(b.counters)
-    for name in set(a.counters) - VOLATILE_COUNTERS:
-        np.testing.assert_array_equal(
-            a.counters[name], b.counters[name], err_msg=name
-        )
-
-
-def replicated_vs_unreplicated(sharded, run, inner, replicas=2):
-    """Search unreplicated, then as a ``replicas``-wide fleet; compare."""
-    assert sharded.replicas == 1
-    expected = run(sharded)
-    sharded.set_backend(inner)
-    sharded.set_replicas(replicas)
-    try:
-        assert sharded.backend == inner
-        assert sharded.replicas == replicas
-        assert_results_identical(expected, run(sharded))
-    finally:
-        sharded.close()
-        sharded.set_replicas(1)
-        sharded.set_backend("thread")
-    return expected
-
-
-def wait_for_respawn(sharded, deadline_s=RESPAWN_DEADLINE_S):
-    """Poll fleet_status until every replica is alive again and at
-    least one restart happened; fail loudly past the deadline."""
-    deadline = time.monotonic() + deadline_s
-    while time.monotonic() < deadline:
-        rows = sharded.fleet_status()
-        if all(r["alive"] for r in rows) and any(
-            r["restarts"] > 0 for r in rows
-        ):
-            return rows
-        time.sleep(0.1)
-    pytest.fail(
-        "supervisor did not respawn the killed replica within "
-        f"{deadline_s:.0f}s: {sharded.fleet_status()}"
-    )
+STATUS_KEYS = {
+    "shard",
+    "replica",
+    "backend",
+    "alive",
+    "restarts",
+    "in_flight",
+    "pid",
+    "endpoint",
+}
 
 
 # ----------------------------------------------------------------------
-# Fast lane: smoke, introspection, validation, SIGKILL chaos gate
+# Fast lane: smoke, introspection, validation, SIGKILL chaos gates
 # ----------------------------------------------------------------------
 
 
 class TestReplicationSmoke:
     def test_thread_replicas_identical_to_unreplicated(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
+        data, _ = setup
+        sharded = memory_sharded(setup)
+        expected = search(sharded, data.queries, k=10, beam_width=24)
+        sharded.set_replicas(3)
+        assert (sharded.backend, sharded.replicas) == ("thread", 3)
+        assert_results_identical(
+            expected, search(sharded, data.queries, k=10, beam_width=24)
         )
-        replicated_vs_unreplicated(
-            sharded,
-            lambda idx: search(idx, data.queries, k=10, beam_width=24),
-            inner="thread",
-            replicas=3,
-        )
+        sharded.close()
 
     def test_constructor_replicas(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base,
-            2,
-            lambda xs: build_memory(xs, quantizer),
-            replicas=2,
-        )
+        data, _ = setup
+        sharded = memory_sharded(setup, replicas=2)
         assert sharded.replicas == 2
         assert sharded.backend == "thread"
-        assert isinstance(sharded._backend, ReplicatedBackend)
-        baseline = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
-        )
+        assert type(sharded._backend) is ShardBackend
         assert_results_identical(
-            search(baseline, data.queries, k=10, beam_width=24),
+            search(memory_sharded(setup), data.queries, k=10, beam_width=24),
             search(sharded, data.queries, k=10, beam_width=24),
         )
 
     def test_fleet_status_shape_and_lazy_spawn(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base,
-            2,
-            lambda xs: build_memory(xs, quantizer),
-            replicas=2,
+        data, _ = setup
+        # Thread (and socket) replicas are built at construction and
+        # have nothing to spawn: alive from the start.
+        sharded = memory_sharded(setup, replicas=2)
+        assert all(r["alive"] for r in sharded.fleet_status())
+        # Process workers spawn lazily on the first search.
+        sharded.set_backend("process")
+        try:
+            rows = sharded.fleet_status()
+            assert len(rows) == 4  # 2 shards x 2 replicas, configured shape
+            assert all(not r["alive"] and r["pid"] is None for r in rows)
+            search(sharded, data.queries, k=5, beam_width=16)
+            rows = sharded.fleet_status()
+            assert {(r["shard"], r["replica"]) for r in rows} == {
+                (s, r) for s in range(2) for r in range(2)
+            }
+            assert all(r["alive"] for r in rows)
+            assert all(r["restarts"] == 0 for r in rows)
+            assert all(r["in_flight"] == 0 for r in rows)
+            assert all(r["backend"] == "process" for r in rows)
+            # Real pids, one distinct worker per replica slot.
+            pids = {r["pid"] for r in rows}
+            assert len(pids) == 4 and None not in pids
+        finally:
+            sharded.close()
+        assert all(
+            not r["alive"] and r["pid"] is None
+            for r in sharded.fleet_status()
         )
-        rows = sharded.fleet_status()
-        assert len(rows) == 4  # 2 shards x 2 replicas, configured shape
-        assert all(not r["alive"] for r in rows)  # fleet spawns lazily
-        search(sharded, data.queries, k=5, beam_width=16)
-        rows = sharded.fleet_status()
-        assert {(r["shard"], r["replica"]) for r in rows} == {
-            (s, r) for s in range(2) for r in range(2)
-        }
-        assert all(r["alive"] for r in rows)
-        assert all(r["restarts"] == 0 for r in rows)
-        assert all(r["in_flight"] == 0 for r in rows)
-        assert all(r["backend"] == "thread" for r in rows)
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    @pytest.mark.parametrize("kind", ["thread", "process", "socket"])
+    def test_fleet_status_one_row_shape(self, setup, kind, replicas):
+        # One builder: the same keys at every kind x replica count
+        # (nothing is spawned or connected to read them).
+        data, quantizer = setup
+        endpoints = ["127.0.0.1:7001", "127.0.0.1:7002"]
+        backend = make_shard_backend(
+            kind,
+            [build_memory(data.base[:40], quantizer)] * 2,
+            replicas=replicas,
+            endpoints=endpoints if kind == "socket" else None,
+        )
+        rows = backend.fleet_status()
+        assert len(rows) == 2 * replicas
+        for row in rows:
+            assert set(row) == STATUS_KEYS
+            assert row["backend"] == kind
+            assert row["pid"] is None
+            assert row["alive"] == (kind != "process")
+            assert row["endpoint"] == (
+                endpoints[row["shard"]] if kind == "socket" else None
+            )
 
     def test_unreplicated_fleet_status_still_answers(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
-        )
-        rows = sharded.fleet_status()
+        rows = memory_sharded(setup).fleet_status()
         assert len(rows) == 2
         assert all(r["alive"] for r in rows)
 
@@ -171,26 +160,53 @@ class TestReplicationSmoke:
         data, quantizer = setup
         shards = [build_memory(data.base, quantizer)]
         with pytest.raises(ValueError, match="replicas"):
-            ReplicatedBackend(shards, replicas=0)
+            ShardBackend(shards, replicas=0)
         with pytest.raises(ValueError, match="backend"):
-            ReplicatedBackend(shards, inner="carrier-pigeon")
-        sharded = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
-        )
+            ShardBackend(shards, kind="carrier-pigeon")
         with pytest.raises(ValueError):
-            sharded.set_replicas(0)
+            memory_sharded(setup).set_replicas(0)
 
     def test_set_replicas_is_noop_when_unchanged(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base,
-            2,
-            lambda xs: build_memory(xs, quantizer),
-            replicas=2,
-        )
+        sharded = memory_sharded(setup, replicas=2)
         backend = sharded._backend
         sharded.set_replicas(2)
         assert sharded._backend is backend
+
+    def test_replicated_socket_fans_out_on_one_cpu(self, setup, monkeypatch):
+        # Regression: the CPU cap applies to the thread kind only.  A
+        # socket fleet on a 1-CPU host used to resolve to width 1 and
+        # call its shards one after another; each worker here waits
+        # for the other's request, so they only answer if both shard
+        # calls are in flight at once.
+        import repro.serving.backends as backends
+
+        monkeypatch.setattr(backends.os, "sched_getaffinity", lambda pid: {0})
+        data, _ = setup
+        sharded = memory_sharded(setup)
+        expected = search(sharded, data.queries, k=5, beam_width=16)
+        barrier = threading.Barrier(2, timeout=10)
+
+        class Rendezvous:
+            def __init__(self, shard):
+                self._shard = shard
+
+            def search(self, request):
+                barrier.wait()
+                return self._shard.search(request)
+
+        with contextlib.ExitStack() as stack:
+            servers = [
+                stack.enter_context(inproc_server(Rendezvous(shard)))
+                for shard in sharded.shards
+            ]
+            sharded.set_backend(
+                "socket", endpoints=[endpoint_of(s) for s in servers]
+            )
+            sharded.set_replicas(2)
+            stack.callback(sharded.close)
+            assert_results_identical(
+                expected, search(sharded, data.queries, k=5, beam_width=16)
+            )
 
 
 class TestSpecAndPersistence:
@@ -210,13 +226,8 @@ class TestSpecAndPersistence:
             IndexSpec.from_dict(data)
 
     def test_save_load_preserves_replicas(self, setup, tmp_path):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base,
-            2,
-            lambda xs: build_memory(xs, quantizer),
-            replicas=2,
-        )
+        data, _ = setup
+        sharded = memory_sharded(setup, replicas=2)
         expected = search(sharded, data.queries, k=5, beam_width=16)
         save_index(sharded, tmp_path / "fleet")
         loaded = load_index(tmp_path / "fleet")
@@ -228,16 +239,16 @@ class TestSpecAndPersistence:
 
 
 class TestChaos:
-    """SIGKILL a process replica mid-load: zero failed requests,
-    answers stay bitwise identical, supervisor respawns the worker."""
+    """SIGKILL a process worker mid-load.  With a sibling: zero failed
+    requests, bitwise-identical answers.  Without: typed, loud
+    failures, never a padded answer.  Either way the supervisor
+    respawns the worker."""
 
     REQUESTS = 8
 
     def test_sigkill_mid_load_zero_failed_requests(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
-        )
+        data, _ = setup
+        sharded = memory_sharded(setup)
         expected = search(sharded, data.queries, k=10, beam_width=24)
         sharded.set_backend("process")
         sharded.set_replicas(2)
@@ -273,26 +284,47 @@ class TestChaos:
         finally:
             sharded.close()
 
+    def test_sole_worker_sigkill_fails_loudly_then_readmits(self, setup):
+        # replicas == 1: a shard with no sibling to fail over to fails
+        # the request loudly; the supervisor is the one recovery path.
+        data, _ = setup
+        sharded = memory_sharded(setup, backend="process")
+        try:
+            good = search(sharded, data.queries, k=5, beam_width=16)
+            victim = sharded.fleet_status()[0]["pid"]
+            os.kill(victim, signal.SIGKILL)
+            # The in-flight search, and the one after it (the worker
+            # is not re-admitted yet), raise typed — a raise is the only
+            # outcome, so shard 1's candidates can never be padded out
+            # into an answer.
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="died") as info:
+                    search(sharded, data.queries, k=5, beam_width=16)
+                assert isinstance(info.value, ReplicaDied)
+            rows = wait_for_respawn(sharded)
+            assert rows[0]["restarts"] == 1 and rows[1]["restarts"] == 0
+            assert victim not in {r["pid"] for r in rows}
+            assert_results_identical(
+                good, search(sharded, data.queries, k=5, beam_width=16)
+            )
+        finally:
+            sharded.close()
+
     def test_total_replica_loss_pads_the_shard(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
-        )
-        backend = ReplicatedBackend(
-            sharded.shards, replicas=2, inner="thread"
-        )
+        data, _ = setup
+        sharded = memory_sharded(setup)
+        backend = ShardBackend(sharded.shards, replicas=2, kind="thread")
         old = sharded._backend
         sharded._backend = backend
         old.close()
         try:
             search(sharded, data.queries, k=5, beam_width=16)
-            backend._ensure_fleet()
-            # Kill every replica of shard 1 and block respawn: the
-            # shard contributes nothing, the merge pads, no exception.
+            # Kill every replica of shard 1 (thread replicas have no
+            # supervisor to revive them): the shard contributes
+            # nothing, the merge pads, no exception.
             with backend._fleet_lock:
                 for replica in backend._fleet[1]:
                     replica.alive = False
-                    replica.respawn_and_verify = lambda timeout: False
             result = search(sharded, data.queries, k=5, beam_width=16)
             solo = search(
                 ShardedIndex(
@@ -308,20 +340,14 @@ class TestChaos:
             with backend._fleet_lock:
                 for replica in backend._fleet[0]:
                     replica.alive = False
-                    replica.respawn_and_verify = lambda timeout: False
             with pytest.raises(RuntimeError, match="no replicas"):
                 search(sharded, data.queries, k=5, beam_width=16)
         finally:
             sharded.close()
 
     def test_application_errors_do_not_fail_over(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base,
-            2,
-            lambda xs: build_memory(xs, quantizer),
-            replicas=2,
-        )
+        data, _ = setup
+        sharded = memory_sharded(setup, replicas=2)
         bad = data.queries[:, :-3]  # wrong dimensionality
         with pytest.raises(Exception) as info:
             search(sharded, bad, k=5, beam_width=16)
@@ -333,130 +359,16 @@ class TestChaos:
 
 
 # ----------------------------------------------------------------------
-# Nightly lane: full five-scenario parity matrix over process fleets
+# Nightly lane: the replicas == 2 cells of the five-scenario matrix
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.slow
-class TestScenarioParityReplicated:
-    """Replicated process fleets agree bitwise with the unreplicated
-    thread backend on all five scenarios."""
+class TestScenarioParityReplicated(ScenarioMatrix):
+    """The ``replicas == 2`` cells: thread and process fleets agree
+    bitwise with the backend-free merge on all five scenarios."""
 
-    def test_memory(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
-        )
-        replicated_vs_unreplicated(
-            sharded,
-            lambda idx: search(idx, data.queries, k=10, beam_width=24),
-            inner="process",
-        )
-
-    def test_hybrid(self, setup):
-        from repro.index import DiskIndex
-
-        data, quantizer = setup
-
-        def factory(xs):
-            graph = build_vamana(xs, r=8, search_l=20, seed=0)
-            return DiskIndex(graph, quantizer, xs, io_width=2)
-
-        sharded = ShardedIndex.build(data.base, 2, factory)
-        replicated_vs_unreplicated(
-            sharded,
-            lambda idx: search(idx, data.queries, k=10, beam_width=24),
-            inner="process",
-        )
-
-    def test_l2r(self, setup):
-        from repro.index import L2RIndex
-
-        data, quantizer = setup
-
-        def factory(xs):
-            graph = build_vamana(xs, r=8, search_l=20, seed=0)
-            return L2RIndex(
-                graph, quantizer, xs, rng=np.random.default_rng(0)
-            )
-
-        sharded = ShardedIndex.build(data.base, 2, factory)
-        replicated_vs_unreplicated(
-            sharded,
-            lambda idx: search(idx, data.queries, k=10, beam_width=24),
-            inner="process",
-        )
-
-    def test_filtered(self, setup):
-        from repro.index import FilteredIndex
-
-        data, quantizer = setup
-        n = data.base.shape[0]
-        labels = np.arange(n) % 3
-        qlabels = np.arange(len(data.queries)) % 3
-
-        def factory(xs, labels):
-            graph = build_vamana(xs, r=8, search_l=20, seed=0)
-            return FilteredIndex(graph, quantizer, xs, labels)
-
-        sharded = ShardedIndex.build(
-            data.base, 2, factory, row_arrays={"labels": labels}
-        )
-        replicated_vs_unreplicated(
-            sharded,
-            lambda idx: search(
-                idx, data.queries, labels=qlabels, k=5, beam_width=16
-            ),
-            inner="process",
-        )
-
-    def test_streaming(self, setup):
-        data, quantizer = setup
-        dim = data.base.shape[1]
-        sharded = ShardedIndex(
-            [
-                StreamingIndex(quantizer, dim=dim, r=8, search_l=20, seed=0)
-                for _ in range(2)
-            ]
-        )
-        sharded.insert_batch(data.base[:60])
-        replicated_vs_unreplicated(
-            sharded,
-            lambda idx: search(idx, data.queries, k=5, beam_width=16),
-            inner="process",
-        )
+    CELLS = (("thread", 2), ("process", 2))
 
     def test_streaming_write_path_reaches_all_replicas(self, setup):
-        data, quantizer = setup
-        dim = data.base.shape[1]
-        twin = ShardedIndex(
-            [
-                StreamingIndex(quantizer, dim=dim, r=8, search_l=20, seed=0)
-                for _ in range(2)
-            ]
-        )
-        twin.insert_batch(data.base[:40])
-        twin.insert_batch(data.base[40:80])
-        expected = search(twin, data.queries, k=5, beam_width=16)
-
-        sharded = ShardedIndex(
-            [
-                StreamingIndex(quantizer, dim=dim, r=8, search_l=20, seed=0)
-                for _ in range(2)
-            ]
-        )
-        sharded.insert_batch(data.base[:40])
-        sharded.set_backend("process")
-        sharded.set_replicas(2)
-        try:
-            search(sharded, data.queries, k=5, beam_width=16)
-            # Mutate while the fleet is live: every replica of every
-            # shard must serve the re-shipped state.
-            sharded.insert_batch(data.base[40:80])
-            for _ in range(4):  # rotate across replicas
-                assert_results_identical(
-                    expected,
-                    search(sharded, data.queries, k=5, beam_width=16),
-                )
-        finally:
-            sharded.close()
+        check_write_path(setup, "process", 2)

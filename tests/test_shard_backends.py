@@ -1,82 +1,61 @@
-"""Shard-execution backends: thread/process parity and lifecycle.
+"""The shard fleet at ``replicas == 1``: kind parity and lifecycle.
 
-The backend only decides *where* each shard's ``search`` runs —
-the persistence layer round-trips every array exactly and the engine is
-deterministic, so results must be bitwise identical across backends on
-every scenario.  The full five-scenario parity matrix and the streaming
-write path are ``slow`` (each process backend spawns worker processes);
-a single memory-scenario smoke test stays in the fast lane so backend
-regressions surface on every push.
+The backend only decides *where* each shard's ``search`` runs — the
+persistence layer round-trips every array exactly and the engine is
+deterministic, so results must be bitwise identical across replica
+kinds on every scenario.  This file holds the ``replicas == 1`` slice
+of the one parity matrix (``tests/fleet.py``; ``tests/test_replication
+.py`` holds the ``replicas == 2`` slice and the chaos gates), the pool
+sizing, the remote-traceback path and worker lifecycle.  The full
+five-scenario matrix and the streaming write path are ``slow`` (each
+process fleet spawns worker processes); a single memory-scenario smoke
+test stays in the fast lane so backend regressions surface on every
+push.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from repro.datasets import load
-from repro.graphs import build_vamana
-from repro.index import (
-    DiskIndex,
-    FilteredIndex,
-    L2RIndex,
-    MemoryIndex,
-    StreamingIndex,
-)
-from repro.quantization import ProductQuantizer
-from repro.serving import ShardedIndex, make_shard_backend
-from repro.serving.backends import ThreadBackend
+from repro.api import IndexSpec, SearchRequest, ShardingSpec
+from repro.index import DiskIndex
+from repro.serving import ReplicaDied, ShardBackend, ShardedIndex, make_shard_backend
+from repro.serving.net import ShardClient, framing
 
+from .fleet import (
+    ScenarioMatrix,
+    assert_results_identical,
+    build_memory,
+    check_write_path,
+    endpoint_of,
+    fleet_setup,
+    graph_of,
+    inproc_server,
+    memory_sharded,
+    shard_threads,
+)
 from .helpers import search
 
 
 @pytest.fixture(scope="module")
 def setup():
-    data = load("sift", n_base=160, n_queries=6, seed=5)
-    quantizer = ProductQuantizer(8, 16, seed=0).fit(data.train)
-    return data, quantizer
+    return fleet_setup()
 
 
-def build_memory(x, quantizer):
-    return MemoryIndex(
-        build_vamana(x, r=8, search_l=20, seed=0), quantizer, x
-    )
+def worker_pids(sharded):
+    return [row["pid"] for row in sharded.fleet_status()]
 
 
-def make_streaming(quantizer, dim):
-    return StreamingIndex(quantizer, dim=dim, r=8, search_l=20, seed=0)
-
-
-#: Engine-amortizer telemetry: legitimately varies between executions
-#: (cache warmth, pool state) while answers stay bitwise identical.
-VOLATILE_COUNTERS = {"table_cache_hits", "workspace_reused"}
-
-
-def assert_results_identical(a, b):
-    """Every response field — ids, distances, all counters — bitwise."""
-    np.testing.assert_array_equal(a.ids, b.ids)
-    np.testing.assert_array_equal(a.distances, b.distances)
-    np.testing.assert_array_equal(a.counts, b.counts)
-    assert list(a.counters) == list(b.counters)
-    for name in set(a.counters) - VOLATILE_COUNTERS:
-        np.testing.assert_array_equal(
-            a.counters[name], b.counters[name], err_msg=name
-        )
-
-
-def thread_vs_process(sharded, run):
-    """Run ``run`` under both backends on the same shards; compare."""
-    assert sharded.backend == "thread"
-    expected = run(sharded)
-    sharded.set_backend("process")
+def pid_exists(pid):
     try:
-        assert sharded.backend == "process"
-        assert_results_identical(expected, run(sharded))
-    finally:
-        sharded.close()
-        sharded.set_backend("thread")
-    return expected
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -96,19 +75,14 @@ class TestBackendSelection:
             make_shard_backend("rpc", [index])
 
     def test_set_backend_same_name_is_noop(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
-        )
+        sharded = memory_sharded(setup)
         before = sharded._backend
         sharded.set_backend("thread")
         assert sharded._backend is before
 
     def test_set_backend_unknown_keeps_current(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
-        )
+        data, _ = setup
+        sharded = memory_sharded(setup)
         with pytest.raises(ValueError, match="unknown shard backend"):
             sharded.set_backend("rpc")
         assert sharded.backend == "thread"
@@ -116,23 +90,14 @@ class TestBackendSelection:
         assert (result.counts == 5).all()
 
     def test_spec_and_build_carry_backend(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base,
-            2,
-            lambda xs: build_memory(xs, quantizer),
-            backend="process",
-        )
+        sharded = memory_sharded(setup, backend="process")
         assert sharded.backend == "process"
+        # One class at every kind and replica count.
+        assert type(sharded._backend) is ShardBackend
         sharded.close()
 
     def test_set_backend_keeps_attached_spec_truthful(self, setup):
-        from repro.api import IndexSpec, ShardingSpec
-
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
-        )
+        sharded = memory_sharded(setup)
         original = IndexSpec(sharding=ShardingSpec(num_shards=2))
         sharded.spec = original
         sharded.set_backend("process")
@@ -146,7 +111,9 @@ class TestBackendSelection:
 
 
 class TestThreadPoolSizing:
-    """The effective width resolves once; width 1 never builds a pool."""
+    """The effective width resolves once; width 1 never builds a pool
+    (observed through the live ``repro-shard*`` pool threads; other
+    suites' unclosed pools may linger, so only *new* threads count)."""
 
     def test_explicit_single_worker_skips_pool(self, setup):
         data, quantizer = setup
@@ -156,16 +123,13 @@ class TestThreadPoolSizing:
             lambda xs: build_memory(xs, quantizer),
             max_workers=1,
         )
-        backend = sharded._backend
-        assert isinstance(backend, ThreadBackend)
-        assert backend._workers == 1
+        before = shard_threads()
         search(sharded, data.queries, k=5, beam_width=16)
-        assert backend._pool is None
+        assert shard_threads() <= before
 
     def test_single_cpu_default_skips_pool(self, setup, monkeypatch):
         # max_workers=None on a single-usable-CPU host resolves to 1:
-        # the old code still spun up a one-thread pool plus GC
-        # finalizer for zero overlap.
+        # a one-thread pool is dispatch overhead for zero overlap.
         import repro.serving.backends as backends
 
         monkeypatch.setattr(
@@ -175,10 +139,9 @@ class TestThreadPoolSizing:
         sharded = ShardedIndex.build(
             data.base, 3, lambda xs: build_memory(xs, quantizer)
         )
-        backend = sharded._backend
-        assert backend._workers == 1
+        before = shard_threads()
         search(sharded, data.queries, k=5, beam_width=16)
-        assert backend._pool is None
+        assert shard_threads() <= before
 
     def test_multi_cpu_default_builds_pool(self, setup, monkeypatch):
         import repro.serving.backends as backends
@@ -190,12 +153,13 @@ class TestThreadPoolSizing:
         sharded = ShardedIndex.build(
             data.base, 3, lambda xs: build_memory(xs, quantizer)
         )
-        backend = sharded._backend
-        assert backend._workers == 3
+        before = shard_threads()
         search(sharded, data.queries, k=5, beam_width=16)
-        assert backend._pool is not None
+        # One thread per shard at most — never the 8 "CPUs".
+        pool = shard_threads() - before
+        assert 1 <= len(pool) <= 3
         sharded.close()
-        assert backend._pool is None
+        assert not pool & shard_threads()
 
     def test_pool_width_uses_affinity_not_cpu_count(self, monkeypatch):
         # An affinity-restricted container (cgroup quota, taskset) may
@@ -224,10 +188,8 @@ class TestProcessSmoke:
     """Fast-lane smoke: one memory-scenario parity check per push."""
 
     def test_memory_parity_and_reuse_after_close(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
-        )
+        data, _ = setup
+        sharded = memory_sharded(setup)
         try:
             expected = search(sharded, data.queries, k=10, beam_width=24)
             sharded.set_backend("process")
@@ -252,127 +214,35 @@ class TestProcessSmoke:
 
 
 @pytest.mark.slow
-class TestScenarioParity:
-    """Thread and process backends agree bitwise on all five scenarios."""
+class TestScenarioParity(ScenarioMatrix):
+    """The ``replicas == 1`` cells: thread and process fleets agree
+    bitwise with the backend-free merge on all five scenarios."""
 
-    def test_memory(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base, 2, lambda xs: build_memory(xs, quantizer)
-        )
-        thread_vs_process(
-            sharded,
-            lambda idx: search(idx, data.queries, k=10, beam_width=24),
-        )
-
-    def test_hybrid(self, setup):
-        data, quantizer = setup
-
-        def factory(xs):
-            graph = build_vamana(xs, r=8, search_l=20, seed=0)
-            return DiskIndex(graph, quantizer, xs, io_width=2)
-
-        sharded = ShardedIndex.build(data.base, 2, factory)
-        thread_vs_process(
-            sharded,
-            lambda idx: search(idx, data.queries, k=10, beam_width=24),
-        )
-
-    def test_l2r(self, setup):
-        data, quantizer = setup
-
-        def factory(xs):
-            graph = build_vamana(xs, r=8, search_l=20, seed=0)
-            return L2RIndex(
-                graph, quantizer, xs, rng=np.random.default_rng(0)
-            )
-
-        sharded = ShardedIndex.build(data.base, 2, factory)
-        thread_vs_process(
-            sharded,
-            lambda idx: search(idx, data.queries, k=10, beam_width=24),
-        )
-
-    def test_filtered(self, setup):
-        data, quantizer = setup
-        n = data.base.shape[0]
-        labels = np.arange(n) % 3
-        qlabels = np.arange(len(data.queries)) % 3
-
-        def factory(xs, labels):
-            graph = build_vamana(xs, r=8, search_l=20, seed=0)
-            return FilteredIndex(graph, quantizer, xs, labels)
-
-        sharded = ShardedIndex.build(
-            data.base, 2, factory, row_arrays={"labels": labels}
-        )
-        thread_vs_process(
-            sharded,
-            lambda idx: search(
-                idx, data.queries, labels=qlabels, k=5, beam_width=16
-            ),
-        )
-
-    def test_streaming(self, setup):
-        data, quantizer = setup
-        dim = data.base.shape[1]
-        sharded = ShardedIndex(
-            [make_streaming(quantizer, dim) for _ in range(2)]
-        )
-        sharded.insert_batch(data.base[:60])
-        thread_vs_process(
-            sharded,
-            lambda idx: search(idx, data.queries, k=5, beam_width=16),
-        )
+    CELLS = (("thread", 1), ("process", 1))
 
 
 @pytest.mark.slow
 class TestStreamingWritePath:
     """Mutations re-ship shard state to the live worker processes."""
 
-    def twins(self, setup):
-        data, quantizer = setup
-        dim = data.base.shape[1]
-
-        def fresh(backend):
-            return ShardedIndex(
-                [make_streaming(quantizer, dim) for _ in range(2)],
-                backend=backend,
-            )
-
-        return data, fresh("thread"), fresh("process")
-
     def test_mutations_between_searches_stay_bitwise(self, setup):
-        data, thread, proc = self.twins(setup)
-        try:
-            # Routing is deterministic, so both route identically.
-            assert thread.insert_batch(data.base[:40]) == proc.insert_batch(
-                data.base[:40]
-            )
-            assert_results_identical(
-                search(thread, data.queries, k=5, beam_width=16),
-                search(proc, data.queries, k=5, beam_width=16),
-            )
-            # Workers are live now: further writes must invalidate and
-            # re-ship the mutated shards before the next search.
-            thread.insert_batch(data.base[40:60])
-            proc.insert_batch(data.base[40:60])
-            thread.delete(3)
-            proc.delete(3)
-            assert thread.consolidate() == proc.consolidate()
-            assert_results_identical(
-                search(thread, data.queries, k=8, beam_width=16),
-                search(proc, data.queries, k=8, beam_width=16),
-            )
-        finally:
-            thread.close()
-            proc.close()
+        check_write_path(setup, "process", 1)
+
+
+class UnrenderableError(Exception):
+    """``str()`` and ``repr()`` themselves explode — the error frame
+    cannot carry the message, so the encoder must degrade, not raise."""
+
+    def __str__(self):
+        raise TypeError("cannot render me")
+
+    __repr__ = __str__
 
 
 class TestRemoteTracebacks:
     """Worker-side errors carry the worker's formatted traceback.
 
-    ``raise payload`` alone would re-raise the unpickled exception with
+    ``raise payload`` alone would re-raise the rebuilt exception with
     a parent-side-only traceback — the actual failing worker frame
     would be invisible.  The worker attaches ``traceback.format_exc()``
     and the parent chains it as ``__cause__``, concurrent.futures
@@ -403,72 +273,70 @@ class TestRemoteTracebacks:
             _raise_worker_error(KeyError("no tb attached"))
 
     def test_send_error_attaches_traceback(self):
-        from repro.serving.backends import _send_error
-        from repro.serving.net import framing
-
-        sent = []
-
-        class Conn:
-            def send_bytes(self, blob):
-                sent.append(blob)
-
         try:
             raise ValueError("original failure")
         except ValueError as exc:
-            _send_error(Conn(), exc)
-        kind, payload = framing.decode_reply(sent[0])
+            blob = framing.encode_error(exc)
+        kind, payload = framing.decode_reply(blob)
         assert kind == "error"
         assert isinstance(payload, ValueError)
         assert "original failure" in payload.remote_traceback
         assert "Traceback" in payload.remote_traceback
 
-    def test_send_error_survives_unrenderable_and_closed_pipe(self):
-        from repro.serving.backends import _send_error
-        from repro.serving.net import framing
-
-        class UnrenderableError(Exception):
-            """str() itself explodes — the frame codec cannot encode
-            the message, so _send_error must degrade, not raise."""
-
-            def __str__(self):
-                raise TypeError("cannot render me")
-
-        sent = []
-
-        class Conn:
-            def send_bytes(self, blob):
-                sent.append(blob)
-
+    def test_send_error_survives_unrenderable_and_closed_pipe(
+        self, setup, tmp_path
+    ):
+        # One never-raising error encoder behind both transports.
+        # Input 1: the encoder itself.
         try:
             raise UnrenderableError()
         except UnrenderableError as exc:
-            _send_error(Conn(), exc)
-        kind, payload = framing.decode_reply(sent[0])
+            blob = framing.encode_error(exc)
+        kind, payload = framing.decode_reply(blob)
         assert kind == "error"
         # Degraded to a frameable stand-in that still carries the
         # original identity and the worker traceback.
         assert "UnrenderableError" in str(payload)
         assert "Traceback" in payload.remote_traceback
 
+        # Input 2: the TCP worker.  An unrenderable *application* error
+        # must come back typed — not as EOF, which the client would
+        # report as ReplicaDied, marking a healthy replica dead.
+        class Exploding:
+            def search(self, request):
+                raise UnrenderableError()
+
+        data, _ = setup
+        request = SearchRequest(data.queries, k=5, beam_width=16)
+        with inproc_server(Exploding()) as server:
+            with ShardClient(endpoint_of(server)) as client:
+                with pytest.raises(RuntimeError, match="Unrenderable") as info:
+                    client.search(request)
+                assert not isinstance(info.value, ReplicaDied)
+                client.ping()  # same connection, still framed
+            fleet = ShardedIndex(
+                [Exploding()], backend="socket", endpoints=[endpoint_of(server)]
+            )
+            with fleet:
+                with pytest.raises(RuntimeError, match="Unrenderable") as info:
+                    fleet.search(request)
+                assert not isinstance(info.value, ReplicaDied)
+                assert all(row["alive"] for row in fleet.fleet_status())
+
+        # Input 3: the pipe worker failing to boot, with the pipe closed
+        # under the report.  It must end quietly (the parent sees EOF
+        # and reports the death) — never a secondary BrokenPipeError.
+        from repro.serving.backends import _shard_worker_main
+
         class ClosedPipe:
             def send_bytes(self, blob):
                 raise BrokenPipeError("pipe closed")
 
-        # A fully closed pipe must not raise out of _send_error — that
-        # would mask the original exception in the worker loop.
-        try:
-            raise ValueError("original failure")
-        except ValueError as exc:
-            _send_error(ClosedPipe(), exc)
+        _shard_worker_main(str(tmp_path / "missing"), ClosedPipe())
 
     def test_process_search_error_includes_worker_frames(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base,
-            2,
-            lambda xs: build_memory(xs, quantizer),
-            backend="process",
-        )
+        data, _ = setup
+        sharded = memory_sharded(setup, backend="process")
         try:
             with pytest.raises(Exception) as info:
                 # Mis-dimensioned queries blow up inside the worker.
@@ -484,40 +352,30 @@ class TestRemoteTracebacks:
 @pytest.mark.slow
 class TestWorkerErrors:
     def test_worker_error_propagates_and_worker_survives(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base,
-            2,
-            lambda xs: build_memory(xs, quantizer),
-            backend="process",
-        )
+        data, _ = setup
+        sharded = memory_sharded(setup, backend="process")
         try:
             good = search(sharded, data.queries, k=5, beam_width=16)
+            pids = worker_pids(sharded)
             # Mis-dimensioned queries blow up inside the workers; the
             # error must cross the pipe without desyncing it.
             with pytest.raises(Exception):
                 search(sharded, data.queries[:, :-3], k=5, beam_width=16)
             again = search(sharded, data.queries, k=5, beam_width=16)
             assert_results_identical(good, again)
+            assert worker_pids(sharded) == pids
         finally:
             sharded.close()
 
     def test_concurrent_searches_serialize_safely(self, setup):
-        import threading
-
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base,
-            2,
-            lambda xs: build_memory(xs, quantizer),
-            backend="process",
-        )
+        data, _ = setup
+        sharded = memory_sharded(setup, backend="process")
         try:
             expected = search(sharded, data.queries, k=5, beam_width=16)
             results = {}
 
             # Interleaved pipe sends/recvs would cross-deliver replies;
-            # the backend lock must serialize them correctly.
+            # the per-replica locks must serialize them correctly.
             def client(i):
                 results[i] = search(sharded, data.queries, k=5, beam_width=16)
 
@@ -535,44 +393,19 @@ class TestWorkerErrors:
         finally:
             sharded.close()
 
-    def test_dead_worker_resets_backend_and_respawns(self, setup):
-        data, quantizer = setup
-        sharded = ShardedIndex.build(
-            data.base,
-            2,
-            lambda xs: build_memory(xs, quantizer),
-            backend="process",
-        )
-        try:
-            good = search(sharded, data.queries, k=5, beam_width=16)
-            backend = sharded._backend
-            backend._procs[0].terminate()
-            backend._procs[0].join()
-            # The dead pipe fails loudly and resets the backend...
-            with pytest.raises(RuntimeError, match="died"):
-                search(sharded, data.queries, k=5, beam_width=16)
-            assert backend._procs is None
-            # ...so the next search respawns workers and succeeds.
-            again = search(sharded, data.queries, k=5, beam_width=16)
-            assert_results_identical(good, again)
-        finally:
-            sharded.close()
-
     def test_unpersistable_shard_fails_without_leaking_state(
         self, setup, tmp_path, monkeypatch
     ):
-        import os
         import tempfile
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         data, quantizer = setup
 
         def factory(xs):
-            graph = build_vamana(xs, r=8, search_l=20, seed=0)
             # A custom table transform is the documented unpersistable
             # case: save_index raises at worker spawn.
             return DiskIndex(
-                graph, quantizer, xs, io_width=2,
+                graph_of(xs), quantizer, xs, io_width=2,
                 table_transform=lambda table: table,
             )
 
@@ -581,7 +414,7 @@ class TestWorkerErrors:
         )
         with pytest.raises(ValueError, match="cannot persist"):
             search(sharded, data.queries, k=5, beam_width=16)
-        assert sharded._backend._procs is None
+        assert worker_pids(sharded) == [None, None]
         leftovers = [
             name
             for name in os.listdir(str(tmp_path))
@@ -594,15 +427,11 @@ class TestWorkerErrors:
         assert (result.counts == 5).all()
 
     def test_context_manager_closes_workers(self, setup):
-        data, quantizer = setup
-        with ShardedIndex.build(
-            data.base,
-            2,
-            lambda xs: build_memory(xs, quantizer),
-            backend="process",
-        ) as sharded:
+        data, _ = setup
+        with memory_sharded(setup, backend="process") as sharded:
             result = search(sharded, data.queries, k=5, beam_width=16)
             assert (result.counts == 5).all()
-            backend = sharded._backend
-            assert backend._procs is not None
-        assert backend._procs is None
+            pids = worker_pids(sharded)
+            assert all(pid_exists(pid) for pid in pids)
+        assert worker_pids(sharded) == [None, None]
+        assert not any(pid_exists(pid) for pid in pids)
