@@ -81,8 +81,8 @@ bench-load:
 # format, raw vs rANS-compressed (five-scenario + sharded +
 # replicated-fleet bitwise round-trips, the copy-on-write guard and
 # rANS-beats-raw always assert; no timing gate).  Emits
-# BENCH_storage.json, whose `retired` block keeps the v1 writer's last
-# numbers.
+# BENCH_storage.json, whose `retired` block keeps the v1 writer's and
+# the int64-adjacency container's last numbers.
 bench-storage:
 	cd benchmarks && $(PYTHON) -m pytest bench_storage.py -q
 
@@ -138,8 +138,10 @@ smoke-net:
 
 # Migration smoke: `repro index migrate` on the committed format-1
 # fixture, then `index describe`, a `serve-shard --dir` boot and one
-# `index search --connect` against the result — all through the real
-# CLI, exit 0 all round.
+# `index search --connect` against the result; then the committed
+# int64-era format-2 directory migrated to int32 vertex ids (id
+# sections exactly half, same `index search --dir` answer) — all
+# through the real CLI, exit 0 all round.
 smoke-migrate:
 	$(PYTHON) scripts/smoke_migrate.py
 

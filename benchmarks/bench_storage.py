@@ -32,7 +32,9 @@ The run also emits the committed ``BENCH_storage.json`` baseline at
 the repo root (machine-readable bytes/timing snapshot).  Its
 ``retired`` block is :data:`RETIRED` verbatim: the last measurement of
 the format-1 loose-``.npy`` writer, kept because it is the row that
-justified deleting that writer (``compare_baselines.py`` skips it).
+justified deleting that writer, and (``int64_vertex_ids``) of the
+container while its adjacency sections held 8-byte vertex ids
+(``compare_baselines.py`` skips the block).
 """
 
 from __future__ import annotations
@@ -103,6 +105,26 @@ RETIRED = {
         "shards": 2,
         "v1_npy_spawn_ms": 850.7,
         "v2_mmap_spawn_ms": 830.0,
+    },
+    # The int64-adjacency container's last numbers (same index, same
+    # host class), measured at d6ee2c6 (PR 17): vertex ids at rest went
+    # int64 -> int32, which is the whole difference to the live rows.
+    "int64_vertex_ids": {
+        "measured_at_commit": "d6ee2c6",
+        "retired_in": "PR 18: int32 vertex ids at rest",
+        "layouts": {
+            "v2_mmap": {
+                "bytes_per_vector": 97.7,
+                "cold_load_ms": 2.806,
+                "total_bytes": 586229,
+            },
+            "v2_mmap_rans": {
+                "bytes_per_vector": 95.9,
+                "cold_load_ms": 16.522,
+                "total_bytes": 575351,
+            },
+        },
+        "worker_spawn": {"shards": 2, "v2_mmap_spawn_ms": 558.6},
     },
 }
 

@@ -710,12 +710,7 @@ class StreamingScenario(ScenarioHandler):
         return index
 
     def export_arrays(self, index):
-        from ..graphs.packed import PackedAdjacency
-
-        # The live adjacency goes straight to packed CSR.
-        packed = PackedAdjacency.from_lists(
-            [np.asarray(a, dtype=np.int64) for a in index._adjacency]
-        )
+        packed = index._packed_adjacency()  # the live lists as CSR
         meta = {
             "dim": int(index.dim),
             "r": int(index.r),

@@ -63,9 +63,10 @@ class ProximityGraph:
         arrays are read-only views of an on-disk container; the
         per-vertex range validation (an O(E) scan that would fault in
         every adjacency page) is skipped — the writer only persists
-        graphs that already passed it.  ``adjacency`` becomes zero-copy
-        views into the packed neighbors array.  Extra keyword arguments
-        are set as attributes (HNSW's ``upper_layers``/``max_level``).
+        graphs that already passed it.  ``adjacency`` unpacks on first
+        access, into zero-copy (int32) views of the packed neighbors.
+        Extra keyword arguments are set as attributes (HNSW's
+        ``upper_layers``/``max_level``).
         """
         n = len(packed)
         if not 0 <= int(entry_point) < max(n, 1):
@@ -73,7 +74,6 @@ class ProximityGraph:
                 f"entry_point {entry_point} out of range for {n} vertices"
             )
         graph = cls.__new__(cls)
-        graph.adjacency = packed.to_lists()
         graph.entry_point = int(entry_point)
         graph.name = str(name)
         graph.build_stats = {}
@@ -81,6 +81,15 @@ class ProximityGraph:
         for key, value in extra.items():
             setattr(graph, key, value)
         return graph
+
+    def __getattr__(self, name: str):
+        # Reached only when the instance lacks the attribute: a
+        # ``from_packed`` graph unpacks ``adjacency`` on first use.
+        packed = self.__dict__.get("_packed")
+        if name != "adjacency" or packed is None:
+            raise AttributeError(name)
+        self.adjacency = packed.to_lists()
+        return self.adjacency
 
     # ------------------------------------------------------------------
     def packed(self) -> PackedAdjacency:
@@ -99,12 +108,12 @@ class ProximityGraph:
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        return len(self.adjacency)
+        return len(self.packed())
 
     @property
     def num_edges(self) -> int:
         """Number of directed edges."""
-        return int(sum(nbrs.size for nbrs in self.adjacency))
+        return int(self.packed().neighbors.size)
 
     def neighbors(self, vertex: int) -> np.ndarray:
         return self.adjacency[vertex]
@@ -147,9 +156,11 @@ class ProximityGraph:
             graph.add_edges_from((v, int(u)) for u in nbrs)
         return graph
 
-    def memory_bytes(self, id_bytes: int = 4) -> int:
-        """Approximate serialized size of the adjacency structure."""
-        return self.num_edges * id_bytes + self.num_vertices * id_bytes
+    def memory_bytes(self) -> int:
+        """Approximate serialized size of the adjacency structure: the
+        packed neighbor ids as stored, plus one id-wide degree each."""
+        ids = self.packed().neighbors
+        return ids.nbytes + self.num_vertices * ids.itemsize
 
     # ------------------------------------------------------------------
     def search(

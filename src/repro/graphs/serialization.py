@@ -2,15 +2,18 @@
 
 :func:`graph_to_arrays` / :func:`graph_from_arrays` are the one graph
 codec: the base layer goes out as the kernel's packed CSR pair
-(``neighbors``/``offsets`` — two flat int64 arrays, the mmap-friendly
-shape) and every HNSW upper layer as its own small CSR, so the arrays
-land byte-for-byte in the index container (:mod:`repro.api.
-persistence`) and are adopted zero-copy on the way back in.
+(int32 ``neighbors`` / int64 ``offsets`` — two flat arrays, the
+mmap-friendly shape) and every HNSW upper layer as its own small CSR,
+so the arrays land byte-for-byte in the index container (:mod:`repro.
+api.persistence`) and are adopted zero-copy on the way back in.  Every
+vertex-id array is :data:`repro.graphs.packed.ID_DTYPE` at rest; a
+legacy int64 section is accepted by range-checked conversion.
 
 Round-trip guarantee: adjacency arrays, entry point, and upper layers
-come back exactly (int64 for int64), so a search over a loaded graph is
-bitwise identical to one over the original.  ``build_stats`` is
-ephemeral build telemetry and is intentionally not persisted.
+come back equal by value (a built graph authors int64 lists, a loaded
+one holds int32 views), so a search over a loaded graph is bitwise
+identical to one over the original.  ``build_stats`` is ephemeral
+build telemetry and is intentionally not persisted.
 
 Format-1 index directories stored the graph as a ``graph.npz`` of
 ``(degrees, flat)`` ragged pairs.  Nothing writes that any more;
@@ -28,7 +31,7 @@ import numpy as np
 
 from .base import ProximityGraph
 from .hnsw import HNSW
-from .packed import PackedAdjacency
+from .packed import ID_DTYPE, PackedAdjacency
 
 # Highest format-1 ``graph.npz`` version :func:`read_graph_v1` reads.
 GRAPH_FORMAT_VERSION = 1
@@ -63,11 +66,10 @@ def graph_to_arrays(
         meta["max_level"] = int(graph.max_level)
         meta["num_layers"] = len(graph.upper_layers)
         for i, layer in enumerate(graph.upper_layers):
-            vertices = np.array(list(layer.keys()), dtype=np.int64)
-            lpacked = PackedAdjacency.from_lists(
-                [layer[int(v)] for v in vertices]
+            lpacked = PackedAdjacency.from_lists(list(layer.values()))
+            arrays[f"graph_layer{i}_vertices"] = np.array(
+                list(layer), dtype=ID_DTYPE
             )
-            arrays[f"graph_layer{i}_vertices"] = vertices
             arrays[f"graph_layer{i}_neighbors"] = lpacked.neighbors
             arrays[f"graph_layer{i}_offsets"] = lpacked.offsets
     return meta, arrays
@@ -80,7 +82,7 @@ def graph_from_arrays(
 
     ``get`` maps a section name to its array — typically read-only
     ``np.memmap`` views of the container.  The packed CSR is adopted
-    as-is (``PackedAdjacency`` over int64-contiguous memmaps is
+    as-is (``PackedAdjacency`` over int32-contiguous memmaps is
     zero-copy) and per-vertex validation is skipped via
     :meth:`ProximityGraph.from_packed`, so no adjacency page is
     faulted in at load time.

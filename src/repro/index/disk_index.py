@@ -238,7 +238,7 @@ class DiskIndex(GraphIndex):
         stats.workspace_reused = ws.reused
         try:
             result = execute(
-                self.graph.adjacency,
+                self.graph.packed(),  # only its length: reads go to the SSD
                 np.full(b, self.graph.entry_point, dtype=np.int64),
                 self.context.dist_fn(tables),
                 request.beam_width,

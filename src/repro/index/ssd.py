@@ -148,7 +148,7 @@ class SimulatedSSD:
         per_vertex = (
             self._vectors.shape[1] * self._vectors.dtype.itemsize
         )
-        adj = self._adjacency.neighbors.size * 4
+        adj = self._adjacency.neighbors.nbytes
         raw = per_vertex * self.num_vertices + adj
         pages = int(np.ceil(raw / self.config.page_bytes))
         return pages * self.config.page_bytes

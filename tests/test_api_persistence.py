@@ -12,6 +12,10 @@
   directories (written by the last commit that had a v1 writer) load
   and answer bitwise, migrate, and answer again; corrupt v1 input is
   rejected with typed errors.
+* int32 vertex ids at rest: the committed int64-era format-2
+  directories (``tests/fixtures/index_v2_int64``) load, answer and
+  migrate to half the adjacency bytes; a fresh container's adjacency
+  is adopted zero-copy; a loaded graph unpacks nothing per vertex.
 * Copy-on-write: mutating one mmap-loaded replica never writes through
   the shared read-only map.
 """
@@ -54,7 +58,9 @@ from repro.graphs import (
 )
 from repro.index import MemoryIndex
 from repro.quantization import ProductQuantizer
+from repro.graphs.packed import PackedAdjacency
 from repro.serving import ShardedIndex
+from repro.storage import Container
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "index_v1")
 FIXTURE_NAMES = [
@@ -66,6 +72,11 @@ FIXTURE_NAMES = [
     "streaming_empty",
     "sharded_2",
 ]
+#: format-2 directories the int64 writer at d6ee2c6 wrote from three of
+#: the above (same ``expected.npz``)
+FIXTURES_V2_INT64 = os.path.join(
+    os.path.dirname(__file__), "fixtures", "index_v2_int64"
+)
 
 #: the whole option space of the format: (compress, mmap)
 FORMAT_MATRIX = [
@@ -534,18 +545,181 @@ with open(os.path.join(FIXTURES, "parent_v2_bytes.json")) as _fh:
 @pytest.mark.parametrize("compress", [False, True], ids=["raw", "rans"])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_save_writes_the_parents_mmap_bytes(tmp_path, name, compress):
-    """Same bytes on the kept path: ``save_index(idx, d)`` writes what
-    the parent's ``save_index(idx, d, layout="mmap")`` wrote for the
-    same index (recorded at the parent commit; the index comes from
-    committed bytes, so the pin is host-independent)."""
+    """Same bytes on the kept path, re-pinned once for int32 vertex
+    ids: ``sha256`` is what ``save_index(idx, d)`` writes since PR 18
+    (the index comes from committed bytes, so the pin is
+    host-independent); ``components`` / ``total_bytes`` are still what
+    the int64 writer at 193efa0 recorded, and the re-pin is reviewable
+    against them — every vertex-id section is exactly half, nothing
+    else moved except the padding that absorbs it and the decimal
+    section sizes ``index.json`` embeds."""
     parent = PARENT_V2_BYTES[name]["rans" if compress else "raw"]
     index = load_index(os.path.join(FIXTURES, name))
     save_index(index, tmp_path, compress=compress)
     for relpath, sha in parent["sha256"].items():
         assert _file_sha(tmp_path / relpath) == sha, relpath
     report = storage_report(tmp_path)
-    assert report["components"] == parent["components"]
-    assert report["total_bytes"] == parent["total_bytes"]
+    assert set(report["components"]) == set(parent["components"])
+    halved = 0
+    for key, was in parent["components"].items():
+        now = report["components"][key]
+        if key.endswith(("neighbors", "_vertices")):
+            assert 2 * now == was, key
+            halved += bool(was)
+        elif key.endswith("index.json"):
+            assert 0 <= was - now <= halved + 1, key  # fewer digits
+        elif not key.endswith("header+padding"):
+            assert now == was, key
+    moved = sum(report["components"].values()) - sum(
+        parent["components"].values()
+    )
+    assert report["total_bytes"] == parent["total_bytes"] + moved
+    assert moved <= 0
+
+
+# ----------------------------------------------------------------------
+# int32 vertex ids at rest (the whole section runs in ~0.5 s)
+# ----------------------------------------------------------------------
+
+
+def _id_sections(dirpath) -> dict:
+    """``{component: (bytes, dtype)}`` of every vertex-id section."""
+    out = {}
+    for key, size in storage_report(dirpath)["components"].items():
+        if key.endswith(("neighbors", "_vertices")):
+            relpath, _, section = key.partition(":")
+            container = Container(os.path.join(dirpath, relpath))
+            out[key] = (size, container.read(section).dtype)
+    return out
+
+
+@pytest.mark.parametrize("name", ["memory_hnsw", "streaming", "sharded_2"])
+def test_v2_int64_fixture_loads_and_migrates_to_half(tmp_path, name):
+    """Back-compat pinned by bytes: a directory the int64 writer wrote
+    answers bitwise, and ``index migrate`` (no new code) rewrites it
+    with every vertex-id section at exactly half the bytes."""
+    src = os.path.join(FIXTURES_V2_INT64, name)
+    assert describe_index(src)["format_version"] == 2
+    before = _id_sections(src)
+    assert before and all(dt == np.int64 for _, dt in before.values())
+    _check_fixture_answers(name, src)
+
+    dst = str(tmp_path / "migrated")
+    assert cli_main(["index", "migrate", "--dir", src, "--out", dst]) == 0
+    after = _id_sections(dst)
+    assert set(after) == set(before)
+    for key, (size, dtype) in after.items():
+        assert dtype == np.int32 and 2 * size == before[key][0], key
+    _check_fixture_answers(name, dst)
+
+
+def _poke(container_path, section: str, position: int, value: int) -> None:
+    mapped = Container(container_path).read(section)  # a read-only memmap
+    view = np.memmap(
+        container_path,
+        dtype=mapped.dtype,
+        mode="r+",
+        offset=mapped.offset,
+        shape=mapped.shape,
+    )
+    view[position] = value
+    view.flush()
+
+
+@pytest.mark.parametrize(
+    "name,section",
+    [
+        ("memory_hnsw", "graph_neighbors"),
+        ("memory_hnsw", "graph_layer0_neighbors"),
+        ("streaming", "stream_neighbors"),
+    ],
+)
+def test_int64_section_with_a_wide_id_raises_on_load(tmp_path, name, section):
+    """Narrowing never wraps: ``2^31`` in a legacy section would become
+    ``-2^31`` under a blind cast — it must refuse to load instead."""
+    dirpath = tmp_path / name
+    shutil.copytree(os.path.join(FIXTURES_V2_INT64, name), dirpath)
+    _poke(dirpath / "index.bin", section, 3, 2**31)
+    with pytest.raises(ValueError, match=r"2147483648 is outside"):
+        load_index(dirpath)
+
+
+def _backing_map(array):
+    while array is not None and not isinstance(array, np.memmap):
+        array = array.base
+    return array
+
+
+def test_fresh_adjacency_is_adopted_zero_copy(tmp_path, memory_index):
+    save_index(memory_index, tmp_path)
+    neighbors = load_index(tmp_path).graph.packed().neighbors
+    assert neighbors.dtype == np.int32 and not neighbors.flags.writeable
+    backing = _backing_map(neighbors)
+    assert backing is not None and backing.filename.endswith("index.bin")
+    assert np.shares_memory(neighbors, backing)
+    # a legacy int64 section cannot be: it is converted (range-checked)
+    legacy = load_index(os.path.join(FIXTURES_V2_INT64, "memory_hnsw"))
+    assert _backing_map(legacy.graph.packed().neighbors) is None
+    assert _backing_map(legacy.graph.packed().offsets) is not None
+
+
+def test_loaded_graph_materialises_nothing_per_vertex(
+    tmp_path, memory_index, monkeypatch
+):
+    """mmap boot stays O(1): neither ``load_index`` nor a search
+    unpacks the CSR into per-vertex views (memory and hybrid; HNSW
+    unpacks only its small upper layers) — ``adjacency`` does, on
+    first access, and equals what was saved."""
+    hybrid = load_index(os.path.join(FIXTURES, "hybrid_l2r"))
+    save_index(memory_index, tmp_path / "memory")
+    save_index(hybrid, tmp_path / "hybrid")
+    saved = {"memory": memory_index, "hybrid": hybrid}
+    unpack = PackedAdjacency.to_lists
+
+    def refuse(self):
+        raise AssertionError("to_lists called on the load/search path")
+
+    monkeypatch.setattr(PackedAdjacency, "to_lists", refuse)
+    loaded = {}
+    for name, index in saved.items():
+        loaded[name] = load_index(tmp_path / name)
+        queries = np.random.default_rng(0).normal(size=(3, index.dim))
+        request = SearchRequest(queries=queries, k=5, beam_width=12)
+        assert_responses_identical(
+            index.search(request), loaded[name].search(request)
+        )
+        graph = loaded[name].graph
+        assert graph.num_vertices == index.graph.num_vertices
+        assert graph.num_edges == index.graph.num_edges
+        assert "adjacency" not in vars(graph)
+    monkeypatch.setattr(PackedAdjacency, "to_lists", unpack)
+    for name, index in saved.items():
+        graph = loaded[name].graph
+        assert len(graph.adjacency) == index.graph.num_vertices
+        for got, want in zip(graph.adjacency, index.graph.adjacency):
+            np.testing.assert_array_equal(got, want)
+        assert graph.adjacency is graph.adjacency  # unpacked once
+
+    hnsw = load_index(os.path.join(FIXTURES_V2_INT64, "memory_hnsw"))
+    hnsw.search(_request(_expected("memory_hnsw")))
+    assert "adjacency" not in vars(hnsw.graph)
+    assert hnsw.graph.neighbors(0).dtype == np.int32
+
+
+def test_memory_model_cannot_drift_from_storage(tmp_path, memory_index):
+    """The paper's memory figures and the bytes on disk share one id
+    width: the neighbour term of ``graph.memory_bytes()`` is the packed
+    array is the ``graph_neighbors`` section."""
+    graph = memory_index.graph
+    ids = graph.packed().neighbors
+    assert ids.nbytes == 4 * graph.num_edges
+    assert graph.memory_bytes() == ids.nbytes + 4 * graph.num_vertices
+    save_index(memory_index, tmp_path)
+    components = storage_report(tmp_path)["components"]
+    assert components["index.bin:graph_neighbors"] == ids.nbytes
+    hybrid = load_index(os.path.join(FIXTURES, "hybrid_l2r"))
+    raw = hybrid.ssd._vectors.nbytes + hybrid.graph.packed().neighbors.nbytes
+    assert 0 <= hybrid.ssd.stored_bytes() - raw < 4096
 
 
 def _rewrite_npz(path, **changes) -> None:

@@ -134,6 +134,42 @@ class TestPackedAdjacency:
                 offsets=np.array([0, 2], dtype=np.int64),
             )
 
+    # The three id-width tests below run in < 0.05 s together.
+    def test_ids_are_int32_at_rest_int64_in_flight(self):
+        packed = PackedAdjacency.from_lists([[1, 2], [], [0, 3, 1], [2]])
+        assert packed.neighbors.dtype == np.int32
+        assert packed[2].dtype == np.int32  # a view, not a widened copy
+        assert packed.offsets.dtype == np.int64
+        for vertices in ([2, 0], [1], []):
+            flat, lens = packed.gather(np.array(vertices, dtype=np.int64))
+            assert flat.dtype == np.int64 and lens.dtype == np.int64
+        # ids already at rest are adopted, not scanned or copied
+        stored = np.array([1, 0], dtype=np.int32)
+        adopted = PackedAdjacency(stored, np.array([0, 1, 2]))
+        assert np.shares_memory(adopted.neighbors, stored)
+
+    def test_narrowing_never_wraps(self):
+        offsets = np.array([0, 1, 2], dtype=np.int64)
+        top = 2**31 - 1
+        ok = PackedAdjacency(np.array([0, top], dtype=np.int64), offsets)
+        assert ok.neighbors.tolist() == [0, top]
+        for bad in (2**31, 2**32 + 1, -1):
+            with pytest.raises(ValueError, match=r"2\^31 - 1"):
+                PackedAdjacency(np.array([0, bad], dtype=np.int64), offsets)
+            with pytest.raises(ValueError, match=str(bad)):
+                PackedAdjacency.from_lists([[0], [bad]])
+
+    def test_refuses_2_31_vertices_without_allocating(self):
+        """``n = 2^31`` is one past what int32 ids address.  The offsets
+        here are a zero-stride view (16 GiB if ever copied) and the
+        "lists" a ``range``: both must be refused by length alone."""
+        n = 2**31
+        offsets = np.broadcast_to(np.int64(0), (n + 1,))
+        with pytest.raises(ValueError, match=f"vertex count {n}"):
+            PackedAdjacency(np.empty(0, dtype=np.int32), offsets)
+        with pytest.raises(ValueError, match=f"vertex count {n}"):
+            PackedAdjacency.from_lists(range(n))
+
     def test_kernel_parity_packed_vs_lists(self, setup):
         data, _, graph = setup
         lists = [np.asarray(nbrs) for nbrs in graph.adjacency]
