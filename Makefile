@@ -9,7 +9,8 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast test-batch test-build test-replication test-net \
 	chaos-smoke bench-batch bench-build bench-serving bench-kernel \
-	bench-load bench-storage bench-e2e-smoke profile-kernel smoke \
+	bench-load bench-storage bench-e2e-smoke bench-paper paper-smoke \
+	profile-kernel smoke \
 	smoke-examples smoke-net smoke-migrate demo lint ci ci-full
 
 # Tier-1: the full test suite, stop on first failure.
@@ -93,6 +94,19 @@ bench-storage:
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 
+# The paper's evaluation: every row of repro.eval.paper.PAPER (§3
+# Table 2, §4 Fig. 4, §8 Figs. 5-12 / Tables 4-7, the design ablation)
+# run, rendered to benchmarks/results/<id>.txt and gated by its shape
+# assertion — ~16 min on a 2-CPU box.
+bench-paper:
+	cd benchmarks && $(PYTHON) -m pytest bench_paper.py -q
+
+# The two cheapest rows (~12 s each): the same runner, renderer and
+# shape checks, cheap enough for the nightly full lane.
+paper-smoke:
+	cd benchmarks && $(PYTHON) -m pytest bench_paper.py -q \
+		-k "table2 or design"
+
 # Per-round kernel stage breakdown (gather/score/rank/truncate), rounds
 # per call and us per round, for the memory and the hybrid scenario —
 # the only entry point that turns the profiling hooks on.
@@ -110,6 +124,10 @@ lint:
 		$(PYTHON) -m ruff check . && \
 		$(PYTHON) -m ruff format --check src/repro/serving \
 			src/repro/index/base.py \
+			src/repro/eval/workbench.py src/repro/eval/paper.py \
+			src/repro/loadgen/frontier.py \
+			src/repro/cli/shared.py src/repro/cli/experiment.py \
+			benchmarks/bench_paper.py tests/test_paper.py \
 			tests/test_sharded.py tests/test_batcher.py \
 			tests/fleet.py tests/test_shard_backends.py \
 			tests/test_replication.py tests/test_net.py \
@@ -152,13 +170,14 @@ smoke-migrate:
 ci: lint test-fast chaos-smoke smoke-net smoke-migrate smoke-examples
 
 # Full lane — nightly CI: full tier-1 plus the benchmark identity /
-# determinism checks.  Speedup gates are timing-flaky on shared
-# runners, so the nightly job sets REPRO_SKIP_SPEEDUP_GATES=1.
+# determinism checks and the two cheapest paper artifacts.  Speedup
+# gates are timing-flaky on shared runners, so the nightly job sets
+# REPRO_SKIP_SPEEDUP_GATES=1.
 # (`test` already includes the slow replica and socket matrices;
 # test-replication / test-net re-run them by name so a marker change
 # can never silently drop them.)
 ci-full: lint test test-replication test-net smoke-net smoke-migrate \
-		smoke-examples bench-e2e-smoke
+		smoke-examples bench-e2e-smoke paper-smoke
 	cd benchmarks && $(PYTHON) -m pytest bench_batch_throughput.py \
 		bench_build.py bench_serving.py bench_kernel.py \
 		bench_load.py bench_storage.py -q

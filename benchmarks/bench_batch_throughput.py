@@ -16,13 +16,15 @@ paper's I/O accounting.
 
 from __future__ import annotations
 
-from repro.eval import format_table
-from repro.eval.harness import run_batch_throughput
+import dataclasses
+
+from repro.api import DatasetSpec, IndexSpec, QuantizerSpec, ScenarioSpec
+from repro.eval import Workbench, laptop_graph
+from repro.eval.harness import batch_throughput_table, run_batch_throughput
 
 from common import (
     NUM_CHUNKS,
     NUM_CODEWORDS,
-    fmt,
     save_report,
     speedup_gates_enabled,
 )
@@ -32,17 +34,23 @@ N_BASE = 2000
 N_QUERIES = 64
 
 
+SPEC = IndexSpec(
+    dataset=DatasetSpec("sift", n_base=N_BASE, n_queries=N_QUERIES),
+    graph=laptop_graph("vamana"),
+    quantizer=QuantizerSpec("pq", NUM_CHUNKS, NUM_CODEWORDS),
+)
+
+
 def run():
+    bench = Workbench()
     return {
         scenario: run_batch_throughput(
-            scenario,
-            "sift",
+            bench.build(
+                dataclasses.replace(SPEC, scenario=ScenarioSpec(scenario))
+            ),
+            bench.dataset(SPEC).queries,
+            bench.ground_truth(SPEC),
             batch_sizes=BATCH_SIZES,
-            n_base=N_BASE,
-            n_queries=N_QUERIES,
-            num_chunks=NUM_CHUNKS,
-            num_codewords=NUM_CODEWORDS,
-            seed=0,
         )
         for scenario in ("memory", "hybrid")
     }
@@ -51,25 +59,13 @@ def run():
 def test_batch_throughput(benchmark):
     out = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    blocks = []
-    for scenario, points in out.items():
-        rows = [
-            [
-                p.batch_size,
-                fmt(p.single_qps, 1),
-                fmt(p.batch_qps, 1),
-                f"{p.speedup:.2f}x",
-                fmt(p.recall_batch, 3),
-            ]
-            for p in points
-        ]
-        blocks.append(
-            format_table(
-                ["batch", "single QPS", "batch QPS", "speedup", "recall@10"],
-                rows,
-                title=f"Batched engine throughput ({scenario}, sift, n={N_BASE})",
-            )
+    blocks = [
+        batch_throughput_table(
+            points,
+            f"Batched engine throughput ({scenario}, sift, n={N_BASE})",
         )
+        for scenario, points in out.items()
+    ]
     save_report("batch_throughput", "\n\n".join(blocks))
 
     for scenario, points in out.items():

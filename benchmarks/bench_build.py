@@ -7,8 +7,8 @@ driver, asserting that the produced graphs are byte-identical (the
 driver re-runs any search whose read adjacency lists were touched by an
 earlier insertion, so batching never changes an edge).
 
-The regression tripwire is :func:`common.build_speedup_guard` on
-Vamana — the memory scenario's default graph — at a dataset size where
+The regression tripwire is the same measurement on Vamana — the
+memory scenario's default graph — at a dataset size where
 the speculative driver's invalidation density (visited x mutations
 / n) leaves comfortable margin over the >= 2.5x acceptance bar.
 Expected shape elsewhere: NSG gains the most (its candidate searches
@@ -19,16 +19,10 @@ gains the least at laptop scale and pulls ahead as n grows.
 from __future__ import annotations
 
 from repro.datasets import load
-from repro.eval import format_table
-from repro.eval.harness import run_build_throughput
-from repro.graphs import build_vamana
+from repro.eval import laptop_graph
+from repro.eval.harness import build_throughput_table, run_build_throughput
 
-from common import (
-    build_speedup_guard,
-    fmt,
-    save_report,
-    speedup_gates_enabled,
-)
+from common import save_report, speedup_gates_enabled
 
 BATCH_SIZES = (8, 32, 64)
 N_BASE = 2000
@@ -38,49 +32,28 @@ GRAPHS = ("vamana", "hnsw", "nsg")
 
 
 def run():
+    x = load("sift", n_base=N_BASE, n_queries=1, seed=0).base
     out = {
-        kind: run_build_throughput(
-            kind,
-            "sift",
-            batch_sizes=BATCH_SIZES,
-            n_base=N_BASE,
-            seed=0,
-        )
+        kind: run_build_throughput(laptop_graph(kind), x, BATCH_SIZES)
         for kind in GRAPHS
     }
     guard_x = load("sift", n_base=GUARD_N_BASE, n_queries=1, seed=0).base
-    guard_speedup = build_speedup_guard(
-        lambda x, bs: build_vamana(
-            x, r=16, search_l=40, seed=0, build_batch_size=bs
-        ),
-        guard_x,
-        batch_size=GUARD_BATCH,
+    (guard,) = run_build_throughput(
+        laptop_graph("vamana"), guard_x, (GUARD_BATCH,)
     )
-    return out, guard_speedup
+    return out, guard
 
 
 def test_build_throughput(benchmark):
-    out, guard_speedup = benchmark.pedantic(run, rounds=1, iterations=1)
+    out, guard = benchmark.pedantic(run, rounds=1, iterations=1)
+    guard_speedup = guard.speedup
 
-    blocks = []
-    for kind, points in out.items():
-        rows = [
-            [
-                p.build_batch_size,
-                fmt(p.sequential_seconds, 2),
-                fmt(p.batched_seconds, 2),
-                f"{p.speedup:.2f}x",
-                "yes" if p.identical else "NO",
-            ]
-            for p in points
-        ]
-        blocks.append(
-            format_table(
-                ["build batch", "sequential s", "batched s", "speedup", "identical"],
-                rows,
-                title=f"Lockstep construction ({kind}, sift, n={N_BASE})",
-            )
+    blocks = [
+        build_throughput_table(
+            points, f"Lockstep construction ({kind}, sift, n={N_BASE})"
         )
+        for kind, points in out.items()
+    ]
     blocks.append(
         f"[build guard] vamana n={GUARD_N_BASE} "
         f"build_batch_size={GUARD_BATCH}: {guard_speedup:.2f}x"
@@ -88,6 +61,7 @@ def test_build_throughput(benchmark):
     save_report("build_throughput", "\n\n".join(blocks))
 
     # Bitwise identity is non-negotiable at every batch size.
+    assert guard.identical, "lockstep build diverged from the sequential graph"
     for kind, points in out.items():
         for p in points:
             assert p.identical, (kind, p.build_batch_size)

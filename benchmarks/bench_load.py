@@ -32,14 +32,15 @@ Gates:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from repro.eval import format_table
-from repro.eval.harness import prepare, run_load
-from repro.loadgen import poisson_schedule
+from repro.api import DatasetSpec, IndexSpec, QuantizerSpec, ShardingSpec
+from repro.eval import Workbench, laptop_graph
+from repro.loadgen import poisson_schedule, run_load
 
 from common import (
-    fmt,
     save_json_baseline,
     save_report,
     speedup_gates_enabled,
@@ -68,36 +69,52 @@ KNEE_CAPACITY_FLOOR = 0.08
 HALF_KNEE_P99_FACTOR = 10.0
 HALF_KNEE_P99_GRACE_MS = 100.0
 
-#: The >= 2 backend configs whose frontiers the baseline commits.
-CONFIGS = (
-    {"name": "unsharded", "num_shards": 1, "shard_backend": "thread",
-     "replicas": 1},
-    {"name": "sharded-2-thread", "num_shards": 2, "shard_backend": "thread",
-     "replicas": 1},
+SPEC = IndexSpec(
+    dataset=DatasetSpec("sift", n_base=N_BASE, n_queries=N_QUERIES, seed=SEED),
+    graph=laptop_graph("vamana", SEED),
+    quantizer=QuantizerSpec("pq", 8, 32, seed=SEED),
 )
+#: The >= 2 backend configs whose frontiers the baseline commits.
+CONFIGS = {
+    "unsharded": SPEC,
+    "sharded-2-thread": dataclasses.replace(
+        SPEC, sharding=ShardingSpec(num_shards=2)
+    ),
+}
+
+
+def describe(spec: IndexSpec) -> dict:
+    """The config fields each committed frontier is labelled with."""
+    return {
+        "scenario": spec.scenario.kind,
+        "dataset": spec.dataset.name,
+        "num_shards": spec.sharding.num_shards,
+        "shard_backend": spec.sharding.backend,
+        "replicas": spec.sharding.replicas,
+    }
 
 
 def run():
-    # One dataset/graph/ground-truth bundle for every config (graph
-    # builds dominate setup; per-shard graphs are cached on `prepared`).
-    prepared = prepare(
-        "sift", "vamana", n_base=N_BASE, n_queries=N_QUERIES, seed=SEED
-    )
+    # One workbench for every config: the dataset, the quantizer and
+    # the per-shard graphs are each built once.
+    bench = Workbench()
     reports = {}
-    for config in CONFIGS:
-        reports[config["name"]] = run_load(
-            "memory",
-            arrival="poisson",
-            rate_fractions=RATE_FRACTIONS,
-            requests_per_point=REQUESTS_PER_POINT,
-            num_shards=config["num_shards"],
-            shard_backend=config["shard_backend"],
-            replicas=config["replicas"],
-            max_batch_size=MAX_BATCH,
-            max_wait_ms=WAIT_MS,
-            seed=SEED,
-            prepared=prepared,
-        )
+    for name, spec in CONFIGS.items():
+        index = bench.build(spec)
+        try:
+            reports[name] = run_load(
+                index,
+                bench.dataset(spec).queries,
+                arrival="poisson",
+                rate_fractions=RATE_FRACTIONS,
+                requests_per_point=REQUESTS_PER_POINT,
+                max_batch_size=MAX_BATCH,
+                max_wait_ms=WAIT_MS,
+                seed=SEED,
+            )
+        finally:
+            if spec.sharding.num_shards > 1:
+                index.close()
 
     # Schedule determinism: the same (rate, n, seed) must regenerate the
     # exact arrival offsets — replayability is what makes a committed
@@ -116,38 +133,14 @@ def test_open_loop_load(benchmark):
 
     blocks = []
     for name, report in reports.items():
-        rows = [
-            [
-                fmt(p.offered_qps, 1),
-                fmt(p.achieved_qps, 1),
-                fmt(p.latency.p50_ms, 2),
-                fmt(p.latency.p99_ms, 2),
-                fmt(p.latency.p999_ms, 2),
-                fmt(p.mean_queue_wait_ms, 2),
-                f"{p.completed}/{p.failed}",
-            ]
-            for p in report.points
-        ]
         blocks.append(
-            format_table(
-                ["offered QPS", "achieved QPS", "p50 ms", "p99 ms",
-                 "p999 ms", "q wait ms", "ok/fail"],
-                rows,
-                title=(
-                    f"Open-loop Poisson load ({name}, sift n={N_BASE}, "
-                    f"{REQUESTS_PER_POINT} req/point)"
-                ),
+            report.table(
+                f"Open-loop Poisson load ({name}, sift n={N_BASE}, "
+                f"{REQUESTS_PER_POINT} req/point)"
             )
         )
-        knee_desc = (
-            f"knee ~{report.knee_qps:.1f} QPS, p99@half-knee "
-            f"{report.p99_at_half_knee_ms:.2f} ms"
-            if report.knee_qps is not None
-            else "no sustained operating point"
-        )
         blocks.append(
-            f"[{name}] closed-loop capacity ~{report.capacity_qps:.1f} "
-            f"QPS | {knee_desc} | identical="
+            f"[{name}] {report.summary()} | identical="
             f"{report.identical}, accounting={report.accounting_exact}"
         )
     blocks.append(
@@ -170,7 +163,8 @@ def test_open_loop_load(benchmark):
             "gate_half_knee_p99_factor": HALF_KNEE_P99_FACTOR,
             "gates_enforced": speedup_gates_enabled(),
             "configs": {
-                name: report.as_dict() for name, report in reports.items()
+                name: {**describe(CONFIGS[name]), **report.as_dict()}
+                for name, report in reports.items()
             },
         },
     )

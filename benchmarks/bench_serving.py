@@ -17,9 +17,9 @@ latency/throughput trade.
 Regression tripwires (``REPRO_SKIP_SPEEDUP_GATES`` skips the timing
 gates; the determinism assertions always run):
 
-* :func:`common.serving_speedup_guard` — dynamic batching at
-  ``max_batch_size >= 32`` must keep a >= 2x QPS advantage over
-  per-query serving on the memory scenario.
+* dynamic batching at ``max_batch_size >= 32`` must keep a >= 2x QPS
+  advantage over per-query serving on the memory scenario (one pass of
+  the query pool at batch 1 and at batch 32, ``serving_speedup``).
 * the process fan-out must reach >= 1.5x the thread fan-out's QPS at
   ``FANOUT_SHARDS`` shards — the whole point of per-shard worker
   processes is escaping the shared GIL, so this additionally requires
@@ -42,21 +42,26 @@ the repo root (machine-readable QPS/latency/speedup snapshot).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import time
 
 import numpy as np
 
-from repro.api import SearchRequest
-from repro.eval import format_table
+from repro.api import (
+    DatasetSpec,
+    IndexSpec,
+    QuantizerSpec,
+    SearchRequest,
+    ShardingSpec,
+)
+from repro.eval import Workbench, format_table, laptop_graph
 from repro.eval.harness import (
-    make_index,
-    make_quantizer,
     measure_serving,
-    prepare,
     run_serving,
     serving_speedup,
+    serving_table,
 )
 from repro.quantization import TableCache
 from repro.serving import DynamicBatcher
@@ -68,7 +73,6 @@ from common import (
     process_speedup_gate_enabled,
     save_json_baseline,
     save_report,
-    serving_speedup_guard,
     speedup_gates_enabled,
     usable_cpus,
 )
@@ -93,6 +97,24 @@ NET_REPEATS = 3
 #: deterministic on a loaded single-CPU CI box.
 CHAOS_RESPAWN_DEADLINE_S = 60.0
 
+#: The one memory index every measurement serves; ``sharded`` varies
+#: only its fan-out, so the workbench builds the dataset and quantizer
+#: once and each shard layout's graphs once.
+SPEC = IndexSpec(
+    dataset=DatasetSpec("sift", n_base=N_BASE, n_queries=N_QUERIES),
+    graph=laptop_graph("vamana"),
+    quantizer=QuantizerSpec("pq", NUM_CHUNKS, NUM_CODEWORDS),
+)
+
+
+def sharded(num_shards, backend="thread", replicas=1) -> IndexSpec:
+    return dataclasses.replace(
+        SPEC,
+        sharding=ShardingSpec(
+            num_shards=num_shards, backend=backend, replicas=replicas
+        ),
+    )
+
 
 def measure_fanout(index, queries, k=10, beam_width=32,
                    repeats=FANOUT_REPEATS):
@@ -111,14 +133,12 @@ def measure_fanout(index, queries, k=10, beam_width=32,
     return result, repeats * len(queries) / max(elapsed, 1e-12)
 
 
-def run_fanout_comparison(prepared, quantizer):
+def run_fanout_comparison(bench):
     """Thread vs process shard backend on the same sharded index."""
-    queries = prepared.dataset.queries
+    queries = bench.dataset(SPEC).queries
     reps = int(np.ceil(FANOUT_STREAM / len(queries)))
     stream = np.tile(queries, (reps, 1))[:FANOUT_STREAM]
-    index = make_index(
-        "memory", prepared, quantizer, seed=0, num_shards=FANOUT_SHARDS
-    )
+    index = bench.build(sharded(FANOUT_SHARDS))
     try:
         thread_result, thread_qps = measure_fanout(index, stream)
         index.set_backend("process")
@@ -140,7 +160,7 @@ def run_fanout_comparison(prepared, quantizer):
     }
 
 
-def run_cache_comparison(prepared, quantizer):
+def run_cache_comparison(bench):
     """Cross-request ADC table cache: serving QPS with the cache off
     vs on, over a fully repeated request stream (the cache's best
     case — production query streams repeat, benchmark streams tile).
@@ -151,10 +171,10 @@ def run_cache_comparison(prepared, quantizer):
     slice of a request, so the honest speedup here is small (the 5x
     amortization gate on the raw table path lives in bench_kernel.py).
     """
-    queries = prepared.dataset.queries
+    queries = bench.dataset(SPEC).queries
     reps = int(np.ceil(CACHE_STREAM / len(queries)))
     stream = np.tile(queries, (reps, 1))[:CACHE_STREAM]
-    index = make_index("memory", prepared, quantizer, seed=0)
+    index = bench.build(SPEC)
     request = SearchRequest(queries, k=10, beam_width=32)
     expected = index.search(request)
 
@@ -187,7 +207,7 @@ def run_cache_comparison(prepared, quantizer):
     }
 
 
-def run_network(prepared, quantizer):
+def run_network(bench):
     """The network tier end to end: NetClient → asyncio gateway →
     socket shard workers, against the same index served in-process.
 
@@ -202,11 +222,9 @@ def run_network(prepared, quantizer):
     from repro.api import load_index, save_index
     from repro.serving.net import GatewayThread, LocalShardWorker, NetClient
 
-    queries = prepared.dataset.queries
+    queries = bench.dataset(SPEC).queries
     request = SearchRequest(queries=queries, k=10, beam_width=32)
-    index = make_index(
-        "memory", prepared, quantizer, seed=0, num_shards=NET_SHARDS
-    )
+    index = bench.build(sharded(NET_SHARDS))
     workers = []
     try:
         expected = index.search(request)
@@ -260,7 +278,7 @@ def run_network(prepared, quantizer):
     }
 
 
-def run_chaos(prepared, quantizer):
+def run_chaos(bench):
     """Kill one replica of a replicated process fleet mid-stream.
 
     The request stream must see zero failures, every answer must be
@@ -268,18 +286,9 @@ def run_chaos(prepared, quantizer):
     must respawn the killed worker (verified by fleet_status, polled
     up to a generous deadline).
     """
-    queries = prepared.dataset.queries
-    reference = make_index("memory", prepared, quantizer, seed=0,
-                           num_shards=CHAOS_SHARDS)
-    index = make_index(
-        "memory",
-        prepared,
-        quantizer,
-        seed=0,
-        num_shards=CHAOS_SHARDS,
-        shard_backend="process",
-        replicas=CHAOS_REPLICAS,
-    )
+    queries = bench.dataset(SPEC).queries
+    reference = bench.build(sharded(CHAOS_SHARDS))
+    index = bench.build(sharded(CHAOS_SHARDS, "process", CHAOS_REPLICAS))
     failed = 0
     identical = True
     try:
@@ -328,43 +337,47 @@ def run_chaos(prepared, quantizer):
 
 
 def run():
-    # One dataset/graph/ground-truth bundle shared by every
-    # measurement below (graph builds dominate setup time).
-    prepared = prepare("sift", "vamana", n_base=N_BASE,
-                       n_queries=N_QUERIES, seed=0)
-    points = {
-        shards: run_serving(
-            "memory",
-            stream_len=STREAM_LEN,
-            batch_sizes=(1, MAX_BATCH),
-            wait_ms=WAITS,
-            num_shards=shards,
-            num_chunks=NUM_CHUNKS,
-            num_codewords=NUM_CODEWORDS,
-            seed=0,
-            prepared=prepared,
-        )
-        for shards in SHARD_COUNTS
-    }
+    # One workbench shared by every measurement below (graph builds
+    # dominate setup time).
+    bench = Workbench()
+    queries = bench.dataset(SPEC).queries
+    points = {}
+    for shards in SHARD_COUNTS:
+        served_index = bench.build(sharded(shards))
+        try:
+            points[shards] = run_serving(
+                served_index,
+                queries,
+                stream_len=STREAM_LEN,
+                batch_sizes=(1, MAX_BATCH),
+                wait_ms=WAITS,
+            )
+        finally:
+            if shards > 1:
+                served_index.close()
 
-    quantizer = make_quantizer("pq", prepared, NUM_CHUNKS,
-                               NUM_CODEWORDS, seed=0)
-    index = make_index("memory", prepared, quantizer, seed=0)
-    guard_speedup = serving_speedup_guard(
-        index, prepared.dataset.queries, batch_size=MAX_BATCH
+    index = bench.build(SPEC)
+    guard_speedup = serving_speedup(
+        run_serving(
+            index,
+            queries,
+            stream_len=len(queries),
+            batch_sizes=(1, MAX_BATCH),
+            wait_ms=(2.0,),
+        )
     )
 
-    fanout = run_fanout_comparison(prepared, quantizer)
-    cache = run_cache_comparison(prepared, quantizer)
-    network = run_network(prepared, quantizer)
-    chaos = run_chaos(prepared, quantizer)
+    fanout = run_fanout_comparison(bench)
+    cache = run_cache_comparison(bench)
+    network = run_network(bench)
+    chaos = run_chaos(bench)
 
     # Determinism check: served answers equal direct search answers.
     with DynamicBatcher(index, k=10, beam_width=32,
                         max_batch_size=MAX_BATCH, max_wait_ms=2.0) as b:
-        futures = [b.submit(q) for q in prepared.dataset.queries]
+        futures = [b.submit(q) for q in queries]
         served = [f.result(timeout=60) for f in futures]
-    direct = index.search(SearchRequest(prepared.dataset.queries, 10, 32))
+    direct = index.search(SearchRequest(queries, 10, 32))
     identical = all(
         np.array_equal(row.ids, direct.row_ids(i))
         for i, row in enumerate(served)
@@ -379,17 +392,12 @@ def test_serving_throughput(benchmark):
 
     blocks = []
     for shards, shard_points in points.items():
-        rows = [p.as_row() for p in shard_points]
         blocks.append(
-            format_table(
-                ["max batch", "max wait ms", "shards", "QPS",
-                 "p50 ms", "p99 ms", "q wait ms", "mean batch"],
-                rows,
-                title=(
-                    f"Dynamic-batching serving (sift, n={N_BASE}, "
-                    f"{shards} shard{'s' if shards > 1 else ''}, "
-                    f"stream {STREAM_LEN})"
-                ),
+            serving_table(
+                shard_points,
+                f"Dynamic-batching serving (sift, n={N_BASE}, "
+                f"{shards} shard{'s' if shards > 1 else ''}, "
+                f"stream {STREAM_LEN})",
             )
         )
         blocks.append(

@@ -21,9 +21,17 @@ import time
 
 import numpy as np
 
-from repro.api import SearchRequest
+import dataclasses
+
+from repro.api import (
+    DatasetSpec,
+    IndexSpec,
+    QuantizerSpec,
+    ScenarioSpec,
+    SearchRequest,
+)
 from repro.engine import KernelProfile
-from repro.eval.harness import make_index, make_quantizer, prepare
+from repro.eval import Workbench, laptop_graph
 
 N_BASE = 2000
 N_QUERIES = 64
@@ -33,12 +41,17 @@ NUM_CHUNKS = 8
 NUM_CODEWORDS = 32
 BEAM = 32
 K = 10
-SEED = 0
+SPEC = IndexSpec(
+    dataset=DatasetSpec("sift", n_base=N_BASE, n_queries=N_QUERIES),
+    graph=laptop_graph("vamana"),
+    quantizer=QuantizerSpec("pq", NUM_CHUNKS, NUM_CODEWORDS),
+)
 
 
-def profile_scenario(scenario, prepared, quantizer) -> None:
-    index = make_index(scenario, prepared, quantizer, seed=SEED)
-    request = SearchRequest(prepared.dataset.queries[:BATCH_SIZE], K, BEAM)
+def profile_scenario(scenario: str, bench: Workbench) -> None:
+    spec = dataclasses.replace(SPEC, scenario=ScenarioSpec(scenario))
+    index = bench.build(spec)
+    request = SearchRequest(bench.dataset(spec).queries[:BATCH_SIZE], K, BEAM)
 
     # Warm pass: table cache, workspace pool, and numpy internals all
     # reach steady state before the profiled stream.
@@ -83,15 +96,10 @@ def profile_scenario(scenario, prepared, quantizer) -> None:
 
 
 def main() -> int:
-    prepared = prepare(
-        "sift", "vamana", n_base=N_BASE, n_queries=N_QUERIES, seed=SEED
-    )
-    quantizer = make_quantizer(
-        "pq", prepared, NUM_CHUNKS, NUM_CODEWORDS, seed=SEED
-    )
-    profile_scenario("memory", prepared, quantizer)
+    bench = Workbench()  # one dataset / graph / quantizer for both
+    profile_scenario("memory", bench)
     print()
-    profile_scenario("hybrid", prepared, quantizer)
+    profile_scenario("hybrid", bench)
     return 0
 
 

@@ -28,8 +28,15 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.api import SearchRequest, save_index  # noqa: E402
-from repro.eval.harness import make_index, make_quantizer, prepare  # noqa: E402
+from repro.api import (  # noqa: E402
+    DatasetSpec,
+    IndexSpec,
+    QuantizerSpec,
+    SearchRequest,
+    ShardingSpec,
+    save_index,
+)
+from repro.eval import Workbench, laptop_graph  # noqa: E402
 from repro.serving.net import NetClient  # noqa: E402
 
 VOLATILE_COUNTERS = {"table_cache_hits", "workspace_reused"}
@@ -99,11 +106,16 @@ def terminate_and_check(name, proc):
 
 
 def main():
-    prepared = prepare("sift", "vamana", n_base=160, n_queries=6, seed=5)
-    quantizer = make_quantizer("pq", prepared, 8, 16, seed=0)
-    index = make_index("memory", prepared, quantizer, seed=0, num_shards=2)
+    bench = Workbench()
+    spec = IndexSpec(
+        dataset=DatasetSpec("sift", n_base=160, n_queries=6, seed=5),
+        graph=laptop_graph("vamana", seed=5),
+        quantizer=QuantizerSpec("pq", num_chunks=8, num_codewords=16),
+        sharding=ShardingSpec(num_shards=2),
+    )
+    index = bench.build(spec)
     request = SearchRequest(
-        queries=prepared.dataset.queries, k=5, beam_width=16
+        queries=bench.dataset(spec).queries, k=5, beam_width=16
     )
     expected = index.search(request)
 

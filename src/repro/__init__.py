@@ -56,20 +56,9 @@ Quick start (imperative)::
 
 __version__ = "2.0.0"
 
+from importlib import import_module
 from typing import TYPE_CHECKING
 
-from . import (
-    api,
-    autodiff,
-    core,
-    datasets,
-    eval,
-    graphs,
-    index,
-    metrics,
-    quantization,
-    serving,
-)
 from .api import (
     IndexSpec,
     SearchRequest,
@@ -77,15 +66,46 @@ from .api import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from . import (
+        autodiff,
+        core,
+        datasets,
+        eval,
+        graphs,
+        index,
+        metrics,
+        quantization,
+        serving,
+    )
     from .api import build, load_index, save_index
 
+#: Sub-packages load on first attribute access (PEP 562): ``import
+#: repro`` — which every ``python -m repro.cli serve-shard`` worker and
+#: the gateway run — must not pay for the experiment and training code
+#: (``repro.eval``, ``repro.core``, ``repro.autodiff`` and its
+#: ``scipy.linalg``) that only rotation training uses.
+_SUBPACKAGES = {
+    "autodiff",
+    "core",
+    "datasets",
+    "eval",
+    "graphs",
+    "index",
+    "metrics",
+    "quantization",
+    "serving",
+}
 #: Registry/persistence names re-exported lazily (they pull in every
 #: scenario class; see ``repro.api.__getattr__``).
 _API_LAZY = {"build", "save_index", "load_index"}
 
 
 def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return import_module(f"{__name__}.{name}")
     if name in _API_LAZY:
+        from . import api
+
         return getattr(api, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -5,8 +5,10 @@ Every index scenario registers a handler under a short name
 :class:`~repro.api.spec.IndexSpec` through the registry so the five
 scenario classes, :class:`~repro.serving.sharded.ShardedIndex`, and
 future process-backed shards are all constructed through one path.
-The eval harness (:func:`repro.eval.harness.make_index`) and the CLI
-are thin wrappers over this module.
+The experiment workbench (:class:`repro.eval.workbench.Workbench`) and
+the CLI are thin wrappers over this module, and
+:func:`build_graph_from_spec` / :func:`build_quantizer_from_spec` below
+are the only kind -> constructor tables in ``src/``.
 
 A handler owns three things for its scenario:
 
@@ -21,8 +23,8 @@ A handler owns three things for its scenario:
 
 :func:`build` accepts overrides (``data``, ``graph``, ``quantizer``,
 ``labels``, per-shard graphs) so callers that already hold fitted
-artifacts — the harness's prepared bundles, the CLI demo's shared
-graphs — reuse them instead of rebuilding; a spec alone is always
+artifacts — the workbench's memoised sections — reuse them instead of
+rebuilding; a spec alone is always
 sufficient (datasets are synthetic and regenerable by name).
 """
 
@@ -179,10 +181,8 @@ def build_graph_from_spec(gspec: GraphSpec, x: np.ndarray) -> object:
     return builders[gspec.kind](x, seed=gspec.seed, **dict(gspec.params))
 
 
-#: Laptop-scale RPQ training defaults.  This is the single source the
-#: spec path below and the eval harness's ``quick_rpq_config`` both
-#: build from, so spec-built and harness-built RPQ indexes cannot
-#: silently diverge.
+#: Laptop-scale RPQ training defaults: what ``QuantizerSpec(kind="rpq")``
+#: trains with unless its ``params`` override a field.
 RPQ_QUICK_CONFIG = dict(
     epochs=4,
     batch_triplets=48,

@@ -10,13 +10,15 @@ through ``expm`` uses the adjoint identity of the Fréchet derivative:
 hence the vector-Jacobian product of ``expm`` at ``A`` applied to the
 upstream gradient ``G`` is ``expm_frechet(A.T, G)``, which scipy computes
 with the Al-Mohy/Higham algorithm.
+
+``scipy.linalg`` is imported inside the two functions that call it: it
+costs ~260 ms to import and only rotation *training* reaches this code,
+so nothing that merely imports :mod:`repro.autodiff` pays for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm as _expm
-from scipy.linalg import expm_frechet as _expm_frechet
 
 from .tensor import Tensor
 
@@ -25,10 +27,14 @@ def expm(a: Tensor) -> Tensor:
     """Matrix exponential of a square matrix tensor, differentiable."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expm expects a square matrix, got shape {a.shape}")
-    value = _expm(a.data)
+    from scipy.linalg import expm as scipy_expm
+
+    value = scipy_expm(a.data)
 
     def backward(g: np.ndarray) -> None:
-        grad = _expm_frechet(a.data.T, np.asarray(g), compute_expm=False)
+        from scipy.linalg import expm_frechet
+
+        grad = expm_frechet(a.data.T, np.asarray(g), compute_expm=False)
         Tensor._send(a, grad)
 
     return Tensor._make(value, (a,), backward)

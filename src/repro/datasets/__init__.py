@@ -1,7 +1,8 @@
 """Synthetic datasets calibrated to the paper's benchmarks + utilities.
 
 * :data:`PROFILES` / :func:`load` / :func:`generate` — sift/deep/gist/
-  bigann/ukbench stand-ins (see DESIGN.md §2 for the substitution).
+  bigann/ukbench stand-ins (see ``docs/api.md``, "Paper experiments",
+  for the substitution).
 * :func:`lid_mle` / :func:`lid_two_nn` — LID estimators (Table 3).
 * :func:`compute_ground_truth` — exact top-k for recall evaluation.
 """

@@ -1,8 +1,14 @@
-"""Experiment harness: sweeps, matched-recall interpolation, drivers.
+"""Experiments: a spec-driven workbench, sweeps, and the paper table.
 
+* :class:`Workbench`, :func:`laptop_graph` — resolve an
+  :class:`~repro.api.IndexSpec` into memoised dataset / ground truth /
+  graph / quantizer / index (:mod:`repro.eval.workbench`).
 * :func:`sweep_beam`, :class:`OperatingPoint`, :func:`metric_at_recall`,
   :func:`max_recall` — curve machinery shared by all figures.
-* :mod:`repro.eval.harness` — one ``run_*`` driver per paper artifact.
+* :mod:`repro.eval.paper` — the paper's tables and figures as one
+  declarative table, its runner and renderer.
+* :mod:`repro.eval.harness` — serving measurement (batched engine,
+  dynamic batching, lockstep construction).
 * :func:`format_table`, :func:`format_grid` — output formatting.
 """
 
@@ -15,8 +21,11 @@ from .sweep import (
     sweep_beam,
 )
 from .tables import format_grid, format_table
+from .workbench import Workbench, laptop_graph
 
 __all__ = [
+    "Workbench",
+    "laptop_graph",
     "sweep_beam",
     "run_queries_batched",
     "OperatingPoint",

@@ -1,435 +1,32 @@
-"""Experiment drivers — one function per paper table/figure.
+"""Serving measurement: batched-engine, dynamic-batching and
+lockstep-construction throughput.
 
-Each ``run_*`` function regenerates the data behind one artifact of the
-paper's evaluation (§3 Table 2, §4 Fig. 4, §8 Figs. 5–12 and Tables
-4–7).  The benchmarks in ``benchmarks/`` are thin wrappers that call
-these drivers and print the resulting tables; keeping the logic here
-makes it testable and reusable from examples.
+Measurement functions take what they measure — a built index (see
+:class:`repro.eval.workbench.Workbench`) plus a query pool, or a
+``GraphSpec`` plus the rows to build over — and never build an index
+themselves; the caller owns the index's lifetime.  The paper's
+artifacts live in :mod:`repro.eval.paper`, the open-loop load frontier
+in :func:`repro.loadgen.run_load`.
 
-Scale disclaimer: datasets are the synthetic stand-ins of
-:mod:`repro.datasets` at laptop scale (see DESIGN.md §2); QPS is
-measured on this machine and matters only *relatively* across methods.
+QPS is measured on this machine and matters only *relatively*.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
 from ..api.protocol import SearchRequest
-from ..core import (
-    RPQ,
-    RPQTrainingConfig,
-    chunk_balance_score,
-    dimension_value_profile,
-)
-from ..datasets import Dataset, compute_ground_truth, load
+from ..api.registry import build_graph_from_spec
+from ..api.spec import GraphSpec
 from ..datasets.ground_truth import GroundTruth
-from ..graphs import ProximityGraph, build_hnsw, build_nsg, build_vamana
 from ..metrics.recall import recall_at_k
-from ..quantization import BaseQuantizer
-from .sweep import OperatingPoint, max_recall, metric_at_recall, sweep_beam
-
-# ----------------------------------------------------------------------
-# Shared preparation
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class Prepared:
-    """A dataset with its graph and exact ground truth."""
-
-    dataset: Dataset
-    graph: ProximityGraph
-    ground_truth: GroundTruth
-    k: int = 10
-    graph_kind: str = "vamana"
-    seed: int = 0
-    # Per-shard partitions/graphs, built once per shard count and
-    # reused across methods (they depend only on the rows and seed).
-    shard_graph_cache: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-
-GRAPH_BUILDERS = {
-    "vamana": lambda x, seed: build_vamana(x, r=16, search_l=40, seed=seed),
-    "hnsw": lambda x, seed: build_hnsw(x, m=8, ef_construction=48, seed=seed),
-    "nsg": lambda x, seed: build_nsg(x, knn_k=16, r=16, search_l=40, seed=seed),
-}
-
-
-def prepare(
-    dataset_name: str,
-    graph_kind: str = "vamana",
-    n_base: int = 2000,
-    n_queries: int = 40,
-    k: int = 10,
-    seed: int = 0,
-) -> Prepared:
-    """Generate a dataset, build its PG, and compute ground truth."""
-    if graph_kind not in GRAPH_BUILDERS:
-        raise KeyError(f"unknown graph kind {graph_kind!r}")
-    dataset = load(dataset_name, n_base=n_base, n_queries=n_queries, seed=seed)
-    graph = GRAPH_BUILDERS[graph_kind](dataset.base, seed)
-    gt = compute_ground_truth(dataset.base, dataset.queries, k=k)
-    return Prepared(
-        dataset=dataset,
-        graph=graph,
-        ground_truth=gt,
-        k=k,
-        graph_kind=graph_kind,
-        seed=seed,
-    )
-
-
-def quick_rpq_config(**overrides) -> RPQTrainingConfig:
-    """Training config sized for laptop-scale experiments (the same
-    defaults the spec path uses — see
-    :data:`repro.api.registry.RPQ_QUICK_CONFIG`)."""
-    from ..api.registry import RPQ_QUICK_CONFIG
-
-    defaults = dict(RPQ_QUICK_CONFIG)
-    defaults.update(overrides)
-    return RPQTrainingConfig(**defaults)
-
-
-def make_quantizer(
-    name: str,
-    prepared: Prepared,
-    num_chunks: int = 8,
-    num_codewords: int = 32,
-    seed: int = 0,
-    rpq_config: Optional[RPQTrainingConfig] = None,
-) -> BaseQuantizer:
-    """Build and fit one of the comparison quantizers.
-
-    Names: ``pq``, ``opq``, ``catalyst``, ``lnc``, ``rpq`` (joint),
-    ``rpq_n`` (neighborhood-only ablation), ``rpq_r`` (routing-only).
-    """
-    x = prepared.dataset.base
-    train = prepared.dataset.train
-    if name in ("pq", "opq", "catalyst", "lnc"):
-        # One kind-to-constructor mapping for the whole repo: the spec
-        # path's quantizer factory (same defaults, same fit sample).
-        from ..api import QuantizerSpec
-        from ..api.registry import build_quantizer_from_spec
-
-        return build_quantizer_from_spec(
-            QuantizerSpec(
-                kind=name,
-                num_chunks=num_chunks,
-                num_codewords=num_codewords,
-                seed=seed,
-            ),
-            train,
-        )
-    if name in ("rpq", "rpq_n", "rpq_r"):
-        config = rpq_config or quick_rpq_config(seed=seed)
-        if name == "rpq_n":
-            config.use_routing = False
-            config.use_neighborhood = True
-        elif name == "rpq_r":
-            config.use_routing = True
-            config.use_neighborhood = False
-        rpq = RPQ(
-            num_chunks,
-            num_codewords,
-            config=config,
-            seed=seed,
-        )
-        rpq.fit(x, prepared.graph, training_sample=train)
-        return rpq.quantizer
-    raise KeyError(f"unknown quantizer {name!r}")
-
-
-def _scenario_spec(scenario: str, method: str = "", seed: int = 0):
-    """Map the harness's ``(scenario, method)`` naming onto a registry
-    :class:`~repro.api.ScenarioSpec`.
-
-    ``method == 'l2r'`` swaps in the learning-to-route variant: the
-    quantizer stays fixed and a learned reweighting of the ADC tables
-    stands in for the routing model (memory scenario uses the ``l2r``
-    registry entry; the hybrid scenario passes ``learned_routing``
-    through to the disk index's table transform).
-    """
-    from ..api import ScenarioSpec
-
-    if scenario == "memory":
-        if method == "l2r":
-            return ScenarioSpec(kind="l2r", params={"seed": seed})
-        return ScenarioSpec(kind="memory")
-    if scenario == "hybrid":
-        if method == "l2r":
-            return ScenarioSpec(
-                kind="hybrid",
-                params={"learned_routing": True, "l2r_seed": seed},
-            )
-        return ScenarioSpec(kind="hybrid")
-    raise KeyError(f"unknown scenario {scenario!r}")
-
-
-def _single_index(
-    scenario: str,
-    graph: ProximityGraph,
-    quantizer: BaseQuantizer,
-    x: np.ndarray,
-    method: str = "",
-    seed: int = 0,
-):
-    """One unsharded index over ``(graph, x)`` for a scenario/method —
-    a thin wrapper over the unified :func:`repro.api.build` factory."""
-    from ..api import IndexSpec, build
-
-    spec = IndexSpec(scenario=_scenario_spec(scenario, method, seed))
-    return build(spec, data=x, graph=graph, quantizer=quantizer)
-
-
-def make_index(
-    scenario: str,
-    prepared: Prepared,
-    quantizer: BaseQuantizer,
-    method: str = "",
-    seed: int = 0,
-    num_shards: int = 1,
-    shard_backend: str = "thread",
-    replicas: int = 1,
-):
-    """Instantiate the scenario's index (``memory`` or ``hybrid``)
-    through the unified :func:`repro.api.build` factory.
-
-    ``num_shards > 1`` partitions the dataset and builds one index —
-    including its own graph, with the prepared graph kind and seed —
-    per shard, wrapped in a fan-out
-    :class:`~repro.serving.sharded.ShardedIndex` whose
-    ``shard_backend`` (``"thread"`` or ``"process"``) executes the
-    per-shard searches.  Per-shard graphs are cached on ``prepared``
-    (they depend only on the rows and seed) and passed to
-    :func:`~repro.api.build` as overrides.  ``replicas > 1`` serves
-    each shard from that many workers of the chosen backend kind (the
-    replicated fleet; results are bitwise identical at any count).
-    """
-    from ..api import (
-        DatasetSpec,
-        GraphSpec,
-        IndexSpec,
-        ShardingSpec,
-        build,
-    )
-
-    x = prepared.dataset.base
-    dataset_spec = DatasetSpec(
-        name=prepared.dataset.name,
-        n_base=int(x.shape[0]),
-        n_queries=int(prepared.dataset.queries.shape[0]),
-        seed=prepared.seed,
-    )
-    graph_spec = GraphSpec(kind=prepared.graph_kind, seed=prepared.seed)
-    if num_shards > 1 or replicas > 1:
-        from ..serving import partition_rows
-
-        if num_shards not in prepared.shard_graph_cache:
-            parts = partition_rows(x.shape[0], num_shards)
-            if num_shards == 1:
-                # A replicated single-shard fleet: the one shard is the
-                # whole dataset, so the prepared graph already covers it.
-                graphs = [prepared.graph]
-            else:
-                builder = GRAPH_BUILDERS[prepared.graph_kind]
-                graphs = [builder(x[idx], prepared.seed) for idx in parts]
-            prepared.shard_graph_cache[num_shards] = (parts, graphs)
-        parts, graphs = prepared.shard_graph_cache[num_shards]
-        spec = IndexSpec(
-            dataset=dataset_spec,
-            graph=graph_spec,
-            scenario=_scenario_spec(scenario, method, seed),
-            sharding=ShardingSpec(
-                num_shards=num_shards,
-                backend=shard_backend,
-                replicas=replicas,
-            ),
-        )
-        return build(
-            spec,
-            data=x,
-            quantizer=quantizer,
-            shard_parts=parts,
-            shard_graphs=graphs,
-        )
-    spec = IndexSpec(
-        dataset=dataset_spec,
-        graph=graph_spec,
-        scenario=_scenario_spec(scenario, method, seed),
-    )
-    return build(spec, data=x, graph=prepared.graph, quantizer=quantizer)
-
-
-# ----------------------------------------------------------------------
-# Table 2 — importance of the full Eq. 5 comparison
-# ----------------------------------------------------------------------
-
-
-def run_table2(
-    dataset_names: Sequence[str] = ("sift", "deep", "ukbench", "gist"),
-    n_base: int = 1500,
-    n_queries: int = 40,
-    beam_width: int = 24,
-    seed: int = 0,
-) -> Dict[str, Tuple[float, float]]:
-    """Recall@10 when ranking candidates with the first two terms of
-    Eq. 5 vs. the full squared distance (paper Table 2).
-
-    Eq. 5 decomposes the comparison between two candidates into three
-    terms: the distance between the candidates, the distance from the
-    query to their midpoint, and the angle ``cos θ`` between the two.
-    Row 1 ("ranking w/ neighbor & routing") scores each candidate ``v``
-    with the two magnitude terms evaluated against a per-query anchor
-    ``a`` (the candidate closest to the query found by a short greedy
-    probe): ``score(v) = δ(v, q) estimated as δ(a, q) + ‖x_v − x_a‖² ``
-    — i.e. the cross/angular term of the expansion is dropped.  Row 2
-    ranks with the full ``δ`` (all three terms).
-    """
-    out: Dict[str, Tuple[float, float]] = {}
-    for name in dataset_names:
-        prepared = prepare(
-            name, "vamana", n_base=n_base, n_queries=n_queries, seed=seed
-        )
-        x = prepared.dataset.base
-
-        def truncated_fn(query: np.ndarray):
-            # Anchor = greedy local minimum w.r.t. true distance (a cheap
-            # probe); candidates are then scored without the angular term.
-            from ..graphs.beam import exact_distance_fn, greedy_search
-
-            anchor = greedy_search(
-                prepared.graph.adjacency,
-                prepared.graph.entry_point,
-                exact_distance_fn(x, query),
-            )
-            anchor_vec = x[anchor]
-            diff_aq = anchor_vec - query
-            d_aq = float(diff_aq @ diff_aq)
-
-            def fn(vertex_ids: np.ndarray) -> np.ndarray:
-                diff = x[vertex_ids] - anchor_vec
-                return d_aq + np.einsum("ij,ij->i", diff, diff)
-
-            return fn
-
-        def full_fn(query: np.ndarray):
-            def fn(vertex_ids: np.ndarray) -> np.ndarray:
-                diff = x[vertex_ids] - query
-                return np.einsum("ij,ij->i", diff, diff)
-
-            return fn
-
-        recalls = []
-        for dist_builder in (truncated_fn, full_fn):
-            ids = []
-            for q in prepared.dataset.queries:
-                res = prepared.graph.search(
-                    dist_builder(q), beam_width, k=prepared.k
-                )
-                ids.append(res.ids)
-            recalls.append(recall_at_k(ids, prepared.ground_truth.ids))
-        out[name] = (recalls[0], recalls[1])
-    return out
-
-
-# ----------------------------------------------------------------------
-# Fig. 4 — valuable-dimension distribution before/after rotation
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class Fig4Result:
-    """Dimension-variance heat values before and after training."""
-
-    profile_before: np.ndarray
-    profile_after: np.ndarray
-    balance_before: float
-    balance_after: float
-
-
-def run_fig4(
-    dataset_name: str = "sift",
-    num_chunks: int = 8,
-    n_base: int = 1200,
-    seed: int = 0,
-    rpq_config: Optional[RPQTrainingConfig] = None,
-) -> Fig4Result:
-    """Train RPQ briefly and compare per-chunk variance balance."""
-    prepared = prepare(dataset_name, "vamana", n_base=n_base, seed=seed)
-    x = prepared.dataset.base
-    before = dimension_value_profile(x, num_chunks)
-    rpq = RPQ(
-        num_chunks,
-        num_codewords=16,
-        config=rpq_config or quick_rpq_config(seed=seed),
-        seed=seed,
-    ).fit(x, prepared.graph)
-    rotated = x @ rpq.quantizer.rotation.T
-    after = dimension_value_profile(rotated, num_chunks)
-    return Fig4Result(
-        profile_before=before,
-        profile_after=after,
-        balance_before=chunk_balance_score(before),
-        balance_after=chunk_balance_score(after),
-    )
-
-
-# ----------------------------------------------------------------------
-# Figs. 5-7 — QPS / hops / I/O vs recall curves
-# ----------------------------------------------------------------------
-
-
-def run_curves(
-    scenario: str,
-    prepared: Prepared,
-    methods: Sequence[str],
-    num_chunks: int = 8,
-    num_codewords: int = 32,
-    beam_widths: Sequence[int] = (10, 16, 24, 32, 48, 64),
-    seed: int = 0,
-    batch_size: Optional[int] = None,
-    shards: int = 1,
-) -> Dict[str, List[OperatingPoint]]:
-    """Sweep every method on one prepared dataset (one Fig. 5/6/7 cell).
-
-    With ``batch_size`` set, the sweeps answer queries through the
-    batched engine; recall is unchanged (batch results are bitwise
-    identical) while QPS reflects batched throughput.  ``shards > 1``
-    runs every sweep against a fan-out
-    :class:`~repro.serving.sharded.ShardedIndex` built from per-shard
-    graphs over a partition of the dataset.
-    """
-    curves: Dict[str, List[OperatingPoint]] = {}
-    for method in methods:
-        quant_name = "pq" if method == "l2r" else method
-        quantizer = make_quantizer(
-            quant_name, prepared, num_chunks, num_codewords, seed=seed
-        )
-        index = make_index(
-            scenario,
-            prepared,
-            quantizer,
-            method=method,
-            seed=seed,
-            num_shards=shards,
-        )
-        curves[method] = sweep_beam(
-            index,
-            prepared.dataset.queries,
-            prepared.ground_truth,
-            k=prepared.k,
-            beam_widths=beam_widths,
-            batch_size=batch_size,
-        )
-    return curves
-
+from .sweep import run_queries_batched
+from .tables import fmt, format_table
 
 # ----------------------------------------------------------------------
 # Batched-engine throughput (single-query loop vs batched requests)
@@ -452,18 +49,12 @@ class BatchThroughputPoint:
 
 
 def run_batch_throughput(
-    scenario: str = "memory",
-    dataset_name: str = "sift",
+    index,
+    queries: np.ndarray,
+    ground_truth: GroundTruth,
     batch_sizes: Sequence[int] = (1, 8, 64),
-    n_base: int = 2000,
-    n_queries: int = 64,
-    num_chunks: int = 8,
-    num_codewords: int = 32,
     beam_width: int = 32,
     k: int = 10,
-    quantizer_name: str = "pq",
-    graph_kind: str = "vamana",
-    seed: int = 0,
 ) -> List[BatchThroughputPoint]:
     """Measure the batched engine's speedup over the per-query loop.
 
@@ -472,48 +63,48 @@ def run_batch_throughput(
     wall-clock QPS for both plus recall on each path (equal by
     construction — the batch engine is bitwise identical per query).
     """
-    from .sweep import run_queries_batched
 
-    prepared = prepare(
-        dataset_name,
-        graph_kind,
-        n_base=n_base,
-        n_queries=n_queries,
-        k=k,
-        seed=seed,
-    )
-    quantizer = make_quantizer(
-        quantizer_name, prepared, num_chunks, num_codewords, seed=seed
-    )
-    index = make_index(scenario, prepared, quantizer, seed=seed)
-    queries = prepared.dataset.queries
-    gt = prepared.ground_truth
-
-    single = run_queries_batched(index, queries, k, beam_width, 1)
-    start = time.perf_counter()
-    run_queries_batched(index, queries, k, beam_width, 1)
-    single_seconds = time.perf_counter() - start
-    single_qps = len(queries) / max(single_seconds, 1e-12)
-    recall_single = recall_at_k([r.ids for r in single], gt.ids)
-
-    points: List[BatchThroughputPoint] = []
-    for batch_size in batch_sizes:
+    def timed(batch_size: int):
         results = run_queries_batched(
             index, queries, k, beam_width, batch_size
         )
         start = time.perf_counter()
         run_queries_batched(index, queries, k, beam_width, batch_size)
-        batch_seconds = time.perf_counter() - start
+        seconds = time.perf_counter() - start
+        qps = len(queries) / max(seconds, 1e-12)
+        return qps, recall_at_k([r.ids for r in results], ground_truth.ids)
+
+    single_qps, recall_single = timed(1)
+    points: List[BatchThroughputPoint] = []
+    for batch_size in batch_sizes:
+        batch_qps, recall_batch = timed(int(batch_size))
         points.append(
             BatchThroughputPoint(
                 batch_size=int(batch_size),
                 single_qps=single_qps,
-                batch_qps=len(queries) / max(batch_seconds, 1e-12),
+                batch_qps=batch_qps,
                 recall_single=recall_single,
-                recall_batch=recall_at_k([r.ids for r in results], gt.ids),
+                recall_batch=recall_batch,
             )
         )
     return points
+
+
+def batch_throughput_table(
+    points: Sequence[BatchThroughputPoint], title: str
+) -> str:
+    rows = [
+        [
+            p.batch_size,
+            fmt(p.single_qps, 1),
+            fmt(p.batch_qps, 1),
+            f"{p.speedup:.2f}x",
+            fmt(p.recall_batch, 3),
+        ]
+        for p in points
+    ]
+    headers = ["batch size", "single QPS", "batch QPS", "speedup", "recall@10"]
+    return format_table(headers, rows, title=title)
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +151,6 @@ def measure_serving(
     beam_width: int = 32,
     max_batch_size: int = 32,
     max_wait_ms: float = 2.0,
-    num_shards: int = 1,
 ) -> ServingPoint:
     """Serve one open-loop request stream through a dynamic batcher.
 
@@ -605,7 +195,7 @@ def measure_serving(
     return ServingPoint(
         max_batch_size=int(max_batch_size),
         max_wait_ms=float(max_wait_ms),
-        num_shards=int(num_shards),
+        num_shards=int(getattr(index, "num_shards", 1)),
         qps=n / max(elapsed, 1e-12),
         p50_ms=float(np.percentile(latencies_ms, 50)),
         p99_ms=float(np.percentile(latencies_ms, 99)),
@@ -617,97 +207,54 @@ def measure_serving(
 
 
 def run_serving(
-    scenario: str = "memory",
-    dataset_name: str = "sift",
-    n_base: int = 2000,
-    n_queries: int = 64,
+    index,
+    queries: np.ndarray,
     stream_len: int = 256,
     batch_sizes: Sequence[int] = (1, 32),
     wait_ms: Sequence[float] = (0.0, 2.0, 8.0),
-    num_shards: int = 1,
-    shard_backend: str = "thread",
-    replicas: int = 1,
-    num_chunks: int = 8,
-    num_codewords: int = 32,
     beam_width: int = 32,
     k: int = 10,
-    quantizer_name: str = "pq",
-    graph_kind: str = "vamana",
-    seed: int = 0,
-    prepared: Optional[Prepared] = None,
-    status: Optional[dict] = None,
 ) -> List[ServingPoint]:
     """QPS-vs-latency trade-off of the dynamic-batching serving layer.
 
-    Serves the same request stream (queries tiled to ``stream_len``)
-    through a batcher at every ``(max_batch_size, max_wait_ms)``
-    configuration; ``max_batch_size=1`` rows are the per-query serving
-    baseline (``max_wait_ms`` is irrelevant there, so it is measured
-    once).  ``num_shards > 1`` serves from a sharded fan-out index;
-    ``shard_backend`` picks its execution backend (``"thread"`` or
-    ``"process"``), ``replicas > 1`` serves each shard from that many
-    workers (the replicated fleet), and the index is warmed with one
-    search first so backend startup (pool creation, worker spawn +
-    state shipping) stays out of the measured stream.  Pass ``prepared`` to reuse an
-    existing dataset/graph/ground-truth bundle (graph builds dominate
-    setup time) instead of re-preparing from the dataset parameters.
-
-    Pass a dict as ``status`` to receive the served index's
-    ``engine_status()`` (cross-request table-cache and workspace-pool
-    counters) under ``status["engine"]`` once the stream has drained —
-    a list of per-shard rows for sharded indexes, a single dict
-    otherwise.
+    Serves the same request stream (``queries`` tiled to
+    ``stream_len``) through a batcher over ``index`` at every
+    ``(max_batch_size, max_wait_ms)`` configuration;
+    ``max_batch_size=1`` rows are the per-query serving baseline
+    (``max_wait_ms`` is irrelevant there, so it is measured once).  The
+    index is warmed with one search first, so a fan-out backend's
+    startup (pool creation, worker spawn + state shipping) stays out of
+    the measured stream.
     """
-    if prepared is None:
-        prepared = prepare(
-            dataset_name,
-            graph_kind,
-            n_base=n_base,
-            n_queries=n_queries,
-            k=k,
-            seed=seed,
-        )
-    quantizer = make_quantizer(
-        quantizer_name, prepared, num_chunks, num_codewords, seed=seed
-    )
-    index = make_index(
-        scenario,
-        prepared,
-        quantizer,
-        seed=seed,
-        num_shards=num_shards,
-        shard_backend=shard_backend,
-        replicas=replicas,
-    )
-    queries = prepared.dataset.queries
-    if num_shards > 1 or replicas > 1:
-        # Warm the fan-out backend (thread-pool creation, or process
-        # worker spawn + state shipping) outside the measured stream.
-        index.search(SearchRequest(queries[:1], k, beam_width))
+    index.search(SearchRequest(queries[:1], k, beam_width))
     reps = int(np.ceil(stream_len / len(queries)))
     stream = np.tile(queries, (reps, 1))[:stream_len]
-
-    points: List[ServingPoint] = []
-    for batch_size in batch_sizes:
-        waits = [0.0] if batch_size == 1 else list(wait_ms)
-        for wait in waits:
-            points.append(
-                measure_serving(
-                    index,
-                    stream,
-                    k=k,
-                    beam_width=beam_width,
-                    max_batch_size=batch_size,
-                    max_wait_ms=wait,
-                    num_shards=num_shards,
-                )
-            )
-    if status is not None:
-        engine_status = getattr(index, "engine_status", None)
-        status["engine"] = (
-            engine_status() if engine_status is not None else None
+    return [
+        measure_serving(
+            index,
+            stream,
+            k=k,
+            beam_width=beam_width,
+            max_batch_size=batch_size,
+            max_wait_ms=wait,
         )
-    return points
+        for batch_size in batch_sizes
+        for wait in ([0.0] if batch_size == 1 else wait_ms)
+    ]
+
+
+def serving_table(points: Sequence[ServingPoint], title: str) -> str:
+    headers = [
+        "max batch",
+        "max wait ms",
+        "shards",
+        "QPS",
+        "p50 ms",
+        "p99 ms",
+        "q wait ms",
+        "mean batch",
+    ]
+    return format_table(headers, [p.as_row() for p in points], title=title)
 
 
 def serving_speedup(points: Sequence[ServingPoint]) -> float:
@@ -721,286 +268,6 @@ def serving_speedup(points: Sequence[ServingPoint]) -> float:
 
 
 # ----------------------------------------------------------------------
-# Open-loop load harness (QPS-vs-p99 frontier, knee, SLO gates)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class LoadReport:
-    """One backend config's QPS-vs-tail-latency frontier.
-
-    ``points`` are per-offered-rate :class:`~repro.loadgen.LoadRunStats`
-    cells; ``capacity_qps`` is the closed-loop saturation throughput
-    the rate ladder was calibrated against; ``knee_qps`` is the highest
-    offered load the config sustained (``None`` when even the lowest
-    rate melted down) and ``p99_at_half_knee_ms`` the steady-state SLO
-    number measured at roughly half that load.  ``identical`` pins that
-    every answer produced *under load* matched the unloaded reference
-    bitwise; ``accounting_exact`` that every run satisfied
-    submitted == completed + failed with zero drops.
-    """
-
-    scenario: str
-    dataset: str
-    arrival: str
-    num_shards: int
-    shard_backend: str
-    replicas: int
-    max_batch_size: int
-    max_wait_ms: float
-    requests_per_point: int
-    mix: list
-    capacity_qps: float
-    points: list
-    knee_qps: Optional[float]
-    p99_at_half_knee_ms: Optional[float]
-    identical: bool
-    accounting_exact: bool
-    checked_answers: int
-    connect: Optional[str] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "connect": self.connect,
-            "dataset": self.dataset,
-            "arrival": self.arrival,
-            "num_shards": self.num_shards,
-            "shard_backend": self.shard_backend,
-            "replicas": self.replicas,
-            "max_batch_size": self.max_batch_size,
-            "max_wait_ms": self.max_wait_ms,
-            "requests_per_point": self.requests_per_point,
-            "mix": self.mix,
-            "capacity_qps": round(self.capacity_qps, 2),
-            "points": [p.as_dict() for p in self.points],
-            "knee_qps": None
-            if self.knee_qps is None
-            else round(self.knee_qps, 2),
-            "p99_at_half_knee_ms": None
-            if self.p99_at_half_knee_ms is None
-            else round(self.p99_at_half_knee_ms, 3),
-            "bitwise_identical_under_load": self.identical,
-            "accounting_exact": self.accounting_exact,
-            "checked_answers": self.checked_answers,
-        }
-
-
-def run_load(
-    scenario: str = "memory",
-    dataset_name: str = "sift",
-    n_base: int = 2000,
-    n_queries: int = 64,
-    arrival: str = "poisson",
-    rates: Optional[Sequence[float]] = None,
-    rate_fractions: Sequence[float] = (0.25, 0.5, 0.75, 1.0, 1.5),
-    requests_per_point: int = 128,
-    num_shards: int = 1,
-    shard_backend: str = "thread",
-    replicas: int = 1,
-    max_batch_size: int = 32,
-    max_wait_ms: float = 2.0,
-    mix=None,
-    num_chunks: int = 8,
-    num_codewords: int = 32,
-    quantizer_name: str = "pq",
-    graph_kind: str = "vamana",
-    seed: int = 0,
-    timeout_s: float = 120.0,
-    qps_tolerance: float = 0.85,
-    p99_slo_ms: Optional[float] = None,
-    prepared: Optional[Prepared] = None,
-    connect: Optional[str] = None,
-    trace: Optional[object] = None,
-) -> LoadReport:
-    """Open-loop load sweep: the QPS-vs-p99 frontier of one config.
-
-    Unlike :func:`run_serving` (a closed-ish stream that submits as
-    fast as the queue accepts), this offers requests on a fixed
-    arrival schedule (``arrival``: ``poisson`` / ``uniform`` /
-    ``bursty``) that never waits for completions, with latency
-    measured from each request's *scheduled* arrival — so queueing
-    delay during overload is counted instead of coordinated-omitted.
-    Requests follow a heterogeneous ``mix`` of ``(k, beam_width)``
-    profiles served by one dynamic batcher per profile
-    (:class:`~repro.loadgen.BatcherFarm`) over a shared index built
-    with ``num_shards`` / ``shard_backend`` / ``replicas``.
-
-    The offered-rate ladder defaults to ``rate_fractions`` of a
-    measured closed-loop saturation capacity (submit everything at
-    t=0), so the sweep brackets the knee on any host; pass explicit
-    ``rates`` to pin it.  Every completed answer is verified bitwise
-    against the unloaded reference for its (query, profile).
-
-    Two network-era extensions (PR 9):
-
-    * ``connect="host:port"`` points the harness at a live gateway
-      instead of building an index in-process — the target becomes a
-      :class:`~repro.loadgen.NetTarget` over one blocking
-      :class:`~repro.serving.net.NetClient`, and the unloaded
-      reference is taken from the *same* gateway before load starts,
-      so the bitwise check still pins under-load == unloaded.
-    * ``trace`` (a path or an :class:`~repro.loadgen.ArrivalSchedule`)
-      replays an explicit arrival trace as the single measured point
-      instead of sweeping the rate ladder.
-    """
-    from ..loadgen import (
-        ArrivalSchedule,
-        BatcherFarm,
-        NetTarget,
-        RequestMix,
-        find_knee,
-        load_trace,
-        make_schedule,
-        p99_at_fraction_of_knee,
-        run_open_loop,
-        summarize_run,
-        trace_schedule,
-        verify_outcomes,
-    )
-
-    if trace is not None:
-        if not isinstance(trace, ArrivalSchedule):
-            trace = load_trace(trace)
-        arrival = "trace"
-        requests_per_point = trace.num_requests
-
-    if prepared is None:
-        prepared = prepare(
-            dataset_name,
-            graph_kind,
-            n_base=n_base,
-            n_queries=n_queries,
-            seed=seed,
-        )
-    mix = mix if mix is not None else RequestMix()
-    client = None
-    if connect is not None:
-        from ..serving.net import NetClient
-
-        # The remote gateway owns the index; the harness only needs a
-        # query pool drawn from the same deterministic dataset recipe.
-        client = NetClient(connect)
-        index = None
-        shard_backend = "net"
-    else:
-        quantizer = make_quantizer(
-            quantizer_name, prepared, num_chunks, num_codewords, seed=seed
-        )
-        index = make_index(
-            scenario,
-            prepared,
-            quantizer,
-            seed=seed,
-            num_shards=num_shards,
-            shard_backend=shard_backend,
-            replicas=replicas,
-        )
-    pool = prepared.dataset.queries
-
-    def farm():
-        if client is not None:
-            return NetTarget(client)
-        return BatcherFarm(
-            index,
-            mix.profiles,
-            max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-        )
-
-    try:
-        # Unloaded reference answers per profile over the whole pool —
-        # the bitwise yardstick every under-load answer is checked
-        # against (this also warms the backend: pool/worker spawn and
-        # state shipping stay out of the measured runs).
-        target = client if client is not None else index
-        reference = {
-            p.name: target.search(SearchRequest(pool, p.k, p.beam_width))
-            for p in mix.profiles
-        }
-
-        # Closed-loop saturation capacity: everything arrives at t=0.
-        burst = trace_schedule(np.zeros(requests_per_point))
-        with farm() as target:
-            outcomes = run_open_loop(
-                target, burst, mix, pool, seed=seed, timeout_s=timeout_s
-            )
-        burst_stats = summarize_run(burst, outcomes)
-        capacity = burst_stats.achieved_qps
-        accounting = burst_stats.accounting_exact
-        identical = True
-        checked = 0
-        try:
-            checked = verify_outcomes(outcomes, reference)
-        except AssertionError:
-            identical = False
-
-        if trace is not None:
-            schedules = [trace]
-        else:
-            if rates is None:
-                rates = [f * capacity for f in rate_fractions]
-            schedules = [
-                make_schedule(
-                    arrival, rate, requests_per_point,
-                    seed=seed + 17 * (i + 1),
-                )
-                for i, rate in enumerate(rates)
-            ]
-
-        points = []
-        for i, schedule in enumerate(schedules):
-            with farm() as target:
-                outcomes = run_open_loop(
-                    target,
-                    schedule,
-                    mix,
-                    pool,
-                    seed=seed + 17 * (i + 1),
-                    timeout_s=timeout_s,
-                )
-            stats = summarize_run(schedule, outcomes)
-            try:
-                checked += verify_outcomes(outcomes, reference)
-            except AssertionError:
-                identical = False
-            accounting = accounting and stats.accounting_exact
-            points.append(stats)
-    finally:
-        if client is not None:
-            client.close()
-        close = getattr(index, "close", None)
-        if close is not None:
-            close()
-
-    knee = find_knee(
-        points, qps_tolerance=qps_tolerance, p99_slo_ms=p99_slo_ms
-    )
-    return LoadReport(
-        scenario=scenario,
-        dataset=prepared.dataset.name,
-        arrival=arrival,
-        num_shards=num_shards,
-        shard_backend=shard_backend,
-        replicas=replicas,
-        max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
-        requests_per_point=requests_per_point,
-        mix=mix.describe(),
-        capacity_qps=capacity,
-        points=points,
-        knee_qps=None if knee is None else knee.offered_qps,
-        p99_at_half_knee_ms=None
-        if knee is None
-        else p99_at_fraction_of_knee(points, knee, fraction=0.5),
-        identical=identical,
-        accounting_exact=accounting,
-        checked_answers=checked,
-        connect=connect,
-    )
-
-
-# ----------------------------------------------------------------------
 # Lockstep-construction throughput (sequential vs batched builds)
 # ----------------------------------------------------------------------
 
@@ -1009,7 +276,6 @@ def run_load(
 class BuildThroughputPoint:
     """Sequential-vs-lockstep build time at one build batch size."""
 
-    graph_kind: str
     build_batch_size: int
     sequential_seconds: float
     batched_seconds: float
@@ -1041,298 +307,54 @@ def graphs_identical(a, b) -> bool:
 
 
 def run_build_throughput(
-    graph_kind: str = "vamana",
-    dataset_name: str = "sift",
+    graph: GraphSpec,
+    x: np.ndarray,
     batch_sizes: Sequence[int] = (8, 32, 64),
-    n_base: int = 2000,
-    seed: int = 0,
 ) -> List[BuildThroughputPoint]:
     """Measure the lockstep builders' speedup over sequential insertion.
 
-    Builds the graph once with ``build_batch_size=1`` (strictly
-    sequential construction-time searches) and once per batched size,
-    verifying that every batched build is byte-identical to the
-    sequential one — the speculative driver only changes *when*
+    Builds ``graph`` over ``x`` once with ``build_batch_size=1``
+    (strictly sequential construction-time searches) and once per
+    batched size, verifying that every batched build is byte-identical
+    to the sequential one — the speculative driver only changes *when*
     searches run, never the produced graph.
     """
-    builders = {
-        "vamana": lambda bs: build_vamana(
-            x, r=16, search_l=40, seed=seed, build_batch_size=bs
-        ),
-        "hnsw": lambda bs: build_hnsw(
-            x, m=8, ef_construction=48, seed=seed, build_batch_size=bs
-        ),
-        "nsg": lambda bs: build_nsg(
-            x, knn_k=16, r=16, search_l=40, seed=seed, build_batch_size=bs
-        ),
-    }
-    if graph_kind not in builders:
-        raise KeyError(f"unknown graph kind {graph_kind!r}")
-    dataset = load(dataset_name, n_base=n_base, n_queries=1, seed=seed)
-    x = dataset.base
-    build = builders[graph_kind]
 
-    start = time.perf_counter()
-    reference = build(1)
-    sequential_seconds = time.perf_counter() - start
+    def timed(batch_size: int):
+        spec = dataclasses.replace(
+            graph, params={**graph.params, "build_batch_size": batch_size}
+        )
+        start = time.perf_counter()
+        built = build_graph_from_spec(spec, x)
+        return built, time.perf_counter() - start
 
+    reference, sequential_seconds = timed(1)
     points: List[BuildThroughputPoint] = []
     for batch_size in batch_sizes:
-        start = time.perf_counter()
-        graph = build(int(batch_size))
-        batched_seconds = time.perf_counter() - start
+        built, batched_seconds = timed(int(batch_size))
         points.append(
             BuildThroughputPoint(
-                graph_kind=graph_kind,
                 build_batch_size=int(batch_size),
                 sequential_seconds=sequential_seconds,
                 batched_seconds=batched_seconds,
-                identical=graphs_identical(reference, graph),
+                identical=graphs_identical(reference, built),
             )
         )
     return points
 
 
-# ----------------------------------------------------------------------
-# Tables 4-5 — training time and model size
-# ----------------------------------------------------------------------
-
-
-def run_training_time(
-    dataset_names: Sequence[str],
-    n_base: int = 1200,
-    num_chunks: int = 8,
-    num_codewords: int = 32,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
-    """Wall-clock fit time (seconds) of Catalyst vs RPQ (Table 4)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for name in dataset_names:
-        prepared = prepare(name, "vamana", n_base=n_base, seed=seed)
-        start = time.perf_counter()
-        make_quantizer("catalyst", prepared, num_chunks, num_codewords, seed=seed)
-        catalyst_time = time.perf_counter() - start
-        start = time.perf_counter()
-        make_quantizer("rpq", prepared, num_chunks, num_codewords, seed=seed)
-        rpq_time = time.perf_counter() - start
-        out[name] = {"catalyst": catalyst_time, "rpq": rpq_time}
-    return out
-
-
-def run_model_size(
-    dataset_names: Sequence[str],
-    n_base: int = 1000,
-    num_chunks: int = 8,
-    num_codewords: int = 32,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
-    """Serialized model size in KiB of Catalyst vs RPQ (Table 5)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for name in dataset_names:
-        prepared = prepare(name, "vamana", n_base=n_base, seed=seed)
-        catalyst = make_quantizer(
-            "catalyst", prepared, num_chunks, num_codewords, seed=seed
-        )
-        rpq = make_quantizer("rpq", prepared, num_chunks, num_codewords, seed=seed)
-        out[name] = {
-            "catalyst": catalyst.parameter_bytes() / 1024.0,
-            "rpq": rpq.parameter_bytes() / 1024.0,
-        }
-    return out
-
-
-# ----------------------------------------------------------------------
-# Tables 6-7 — ablation (features/losses) at matched recall
-# ----------------------------------------------------------------------
-
-
-def adaptive_recall_target(
-    curves: Dict[str, List[OperatingPoint]],
-    fraction: float = 0.95,
-    rank: str = "min",
-) -> float:
-    """Per-dataset matched-recall target (mirrors the paper's
-    per-dataset target adjustments in §8.3).
-
-    ``rank="min"`` anchors the target at the weakest method's recall
-    ceiling so every method has a defined QPS; ``rank="median"``
-    anchors at the median ceiling, which lets stronger quantizers
-    differentiate — methods that cannot reach the target report no
-    QPS (shown as '-'), exactly like a too-weak baseline in the paper's
-    fixed-target tables."""
-    ceilings = sorted(max_recall(points) for points in curves.values())
-    if not ceilings:
-        return 0.0
-    if rank == "median":
-        anchor = ceilings[len(ceilings) // 2]
-    elif rank == "min":
-        anchor = ceilings[0]
-    else:
-        raise ValueError("rank must be 'min' or 'median'")
-    return fraction * anchor
-
-
-def run_ablation(
-    scenario: str,
-    dataset_names: Sequence[str],
-    n_base: int = 1500,
-    num_chunks: int = 8,
-    num_codewords: int = 32,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
-    """QPS at matched recall for RPQ / w-N / w-R / w-L2R (Tables 6-7)."""
-    graph_kind = "vamana" if scenario == "hybrid" else "hnsw"
-    methods = ["rpq", "rpq_n", "rpq_r", "l2r"]
-    out: Dict[str, Dict[str, float]] = {}
-    for name in dataset_names:
-        prepared = prepare(name, graph_kind, n_base=n_base, seed=seed)
-        curves = run_curves(
-            scenario, prepared, methods, num_chunks, num_codewords, seed=seed
-        )
-        target = adaptive_recall_target(curves, rank="median")
-        row: Dict[str, float] = {"target_recall": target}
-        for method, points in curves.items():
-            qps = metric_at_recall(points, target, "qps")
-            row[method] = float("nan") if qps is None else qps
-        out[name] = row
-    return out
-
-
-# ----------------------------------------------------------------------
-# Fig. 8 — effect of k_pos / k_neg
-# ----------------------------------------------------------------------
-
-
-def run_kpos_kneg(
-    scenario: str,
-    dataset_name: str,
-    ratios: Sequence[float] = (0.02, 0.2, 0.5, 0.8, 0.98),
-    pool: int = 24,
-    n_base: int = 1500,
-    num_chunks: int = 8,
-    num_codewords: int = 32,
-    seed: int = 0,
-) -> Dict[float, float]:
-    """QPS at matched recall as the k_pos : k_neg split varies (Fig. 8).
-
-    ``pool`` is the total sample budget k_pos + k_neg; each ratio r
-    splits it as k_pos = max(1, r * pool)."""
-    graph_kind = "vamana" if scenario == "hybrid" else "hnsw"
-    prepared = prepare(dataset_name, graph_kind, n_base=n_base, seed=seed)
-    curves: Dict[float, List[OperatingPoint]] = {}
-    for ratio in ratios:
-        k_pos = max(1, int(round(ratio * pool)))
-        k_neg = max(1, pool - k_pos)
-        config = quick_rpq_config(seed=seed, k_pos=k_pos, k_neg=k_neg)
-        quantizer = make_quantizer(
-            "rpq",
-            prepared,
-            num_chunks,
-            num_codewords,
-            seed=seed,
-            rpq_config=config,
-        )
-        index = make_index(scenario, prepared, quantizer, seed=seed)
-        curves[ratio] = sweep_beam(
-            index,
-            prepared.dataset.queries,
-            prepared.ground_truth,
-            k=prepared.k,
-            beam_widths=(10, 16, 24, 32, 48),
-        )
-    target = adaptive_recall_target({str(r): c for r, c in curves.items()})
-    out: Dict[float, float] = {}
-    for ratio, points in curves.items():
-        qps = metric_at_recall(points, target, "qps")
-        out[ratio] = float("nan") if qps is None else qps
-    return out
-
-
-# ----------------------------------------------------------------------
-# Figs. 9-10 — effect of K and M
-# ----------------------------------------------------------------------
-
-
-def run_km_grid(
-    scenario: str,
-    dataset_name: str,
-    ks: Sequence[int] = (8, 16, 32),
-    ms: Sequence[int] = (4, 8, 16),
-    n_base: int = 1500,
-    seed: int = 0,
-) -> Dict[Tuple[int, int], Dict[str, float]]:
-    """QPS-at-recall (hybrid) and recall ceiling (memory) over a K x M
-    grid (Figs. 9-10).  Returns {(K, M): {"qps": ..., "max_recall": ...}}."""
-    graph_kind = "vamana" if scenario == "hybrid" else "hnsw"
-    prepared = prepare(dataset_name, graph_kind, n_base=n_base, seed=seed)
-    out: Dict[Tuple[int, int], Dict[str, float]] = {}
-    for k_val in ks:
-        for m_val in ms:
-            if prepared.dataset.dim % m_val != 0:
-                continue
-            quantizer = make_quantizer(
-                "rpq", prepared, m_val, k_val, seed=seed
-            )
-            index = make_index(scenario, prepared, quantizer, seed=seed)
-            points = sweep_beam(
-                index,
-                prepared.dataset.queries,
-                prepared.ground_truth,
-                k=prepared.k,
-                beam_widths=(10, 16, 24, 32, 48),
-            )
-            ceiling = max_recall(points)
-            qps = metric_at_recall(points, 0.9 * ceiling, "qps")
-            out[(k_val, m_val)] = {
-                "qps": float("nan") if qps is None else qps,
-                "max_recall": ceiling,
-            }
-    return out
-
-
-# ----------------------------------------------------------------------
-# Figs. 11-12 — scalability on dataset size
-# ----------------------------------------------------------------------
-
-
-def run_scalability(
-    scenario: str,
-    dataset_name: str,
-    sizes: Sequence[int] = (1000, 2500, 6000),
-    num_chunks: int = 8,
-    num_codewords: int = 32,
-    seed: int = 0,
-    batch_size: Optional[int] = None,
-) -> Dict[int, Dict[str, float]]:
-    """QPS at matched recall, PQ vs RPQ, across dataset sizes.
-
-    The paper's 1M -> 1B ladder becomes a geometric ladder at laptop
-    scale; the claim under test is that RPQ's relative advantage
-    persists as n grows.  ``batch_size`` switches the sweeps to the
-    batched engine (same recall, higher QPS)."""
-    graph_kind = "vamana" if scenario == "hybrid" else "hnsw"
-    out: Dict[int, Dict[str, float]] = {}
-    for size in sizes:
-        prepared = prepare(
-            dataset_name, graph_kind, n_base=size, n_queries=30, seed=seed
-        )
-        curves = run_curves(
-            scenario,
-            prepared,
-            ["pq", "rpq"],
-            num_chunks,
-            num_codewords,
-            beam_widths=(10, 16, 24, 32, 48),
-            seed=seed,
-            batch_size=batch_size,
-        )
-        # With two methods the median anchor is the stronger ceiling;
-        # a slightly lower fraction keeps the target reachable for RPQ
-        # under seed noise while still stressing PQ.
-        target = adaptive_recall_target(curves, fraction=0.9, rank="median")
-        row: Dict[str, float] = {"target_recall": target}
-        for method, points in curves.items():
-            qps = metric_at_recall(points, target, "qps")
-            row[method] = float("nan") if qps is None else qps
-        out[size] = row
-    return out
+def build_throughput_table(
+    points: Sequence[BuildThroughputPoint], title: str
+) -> str:
+    rows = [
+        [
+            p.build_batch_size,
+            fmt(p.sequential_seconds, 2),
+            fmt(p.batched_seconds, 2),
+            f"{p.speedup:.2f}x",
+            "yes" if p.identical else "NO",
+        ]
+        for p in points
+    ]
+    headers = ["build batch", "sequential s", "batched s", "speedup", "identical"]
+    return format_table(headers, rows, title=title)

@@ -5,8 +5,8 @@ against Recall@10, generated by varying the search beam width.  This
 module runs those sweeps for any index answering
 ``search(SearchRequest)`` — every scenario index and the sharded
 fan-out wrapper do.  ``batch_size`` sets how many queries share each
-request (``None`` means 1, the per-query loop; results are bitwise
-identical either way, only QPS changes).
+request (1 is the per-query loop; results are bitwise identical at any
+size, only QPS changes).
 """
 
 from __future__ import annotations
@@ -44,17 +44,6 @@ class OperatingPoint:
     mean_page_reads: float = 0.0
     mean_io_us: float = 0.0
 
-    def as_row(self) -> list:
-        return [
-            self.beam_width,
-            round(self.recall, 4),
-            round(self.qps, 1),
-            round(self.mean_hops, 1),
-            round(self.mean_distance_computations, 1),
-            round(self.mean_page_reads, 1),
-            round(self.mean_io_us, 1),
-        ]
-
 
 def run_queries_batched(
     index,
@@ -84,28 +73,23 @@ def sweep_beam(
     ground_truth: GroundTruth,
     k: int = 10,
     beam_widths: Sequence[int] = DEFAULT_BEAMS,
-    batch_size: Optional[int] = None,
+    batch_size: int = 1,
 ) -> List[OperatingPoint]:
     """Measure one operating point per beam width.
 
     Beam widths smaller than ``k`` are skipped (the index cannot return
-    ``k`` results from a narrower beam).  Every sweep answers queries
-    through the one typed surface; ``batch_size=None`` is simply chunk
-    size 1, so per-query and batched sweeps report
-    identical recall and counters and differ only in measured QPS.
+    ``k`` results from a narrower beam).  Per-query (``batch_size=1``)
+    and batched sweeps route through the same engine and report
+    identical recall and counters; the request size only changes how
+    much work each kernel call amortizes, i.e. the measured QPS.
     """
-    chunk = 1 if batch_size is None else batch_size
     points: List[OperatingPoint] = []
     for beam in beam_widths:
         if beam < k:
             continue
-        # Both the per-query (batch_size=None == 1) and the batched
-        # sweep route through the same engine with identical counters;
-        # the chunk size only changes how much work each kernel call
-        # amortizes, i.e. the measured QPS.
-        results = run_queries_batched(index, queries, k, beam, chunk)
+        results = run_queries_batched(index, queries, k, beam, batch_size)
         start = time.perf_counter()
-        run_queries_batched(index, queries, k, beam, chunk)
+        run_queries_batched(index, queries, k, beam, batch_size)
         total_seconds = time.perf_counter() - start
         recall = recall_at_k([r.ids for r in results], ground_truth.ids)
         stats = QueryStats.aggregate(results)

@@ -2,7 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
+
+
+def fmt(value: object, digits: int = 1) -> str:
+    """Format a float, rendering NaN / ``None`` as ``'-'`` (a method
+    that cannot reach the matched-recall target, a skipped grid cell);
+    strings pass through."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return "-"
+    if isinstance(value, str):
+        return value
+    return f"{value:.{digits}f}"
 
 
 def format_table(

@@ -20,10 +20,15 @@ on (see ``docs/architecture.md`` — "Measuring the serving layer"):
 * :mod:`~repro.loadgen.stats` — auditable percentile math
   (p50/p90/p99/p999).
 
-The eval-harness entry point is :func:`repro.eval.harness.run_load`;
-the CLI surface is ``python -m repro.cli experiment load``.
+* :mod:`~repro.loadgen.frontier` — :func:`run_load`: calibrate a rate
+  ladder against a built index or a live gateway, sweep it, and return
+  the :class:`LoadReport` (frontier, knee, p99 at half-knee, identity
+  and accounting verdicts).
+
+The CLI surface is ``python -m repro.cli experiment load``.
 """
 
+from .frontier import LoadReport, run_load
 from .mix import DEFAULT_MIX_PROFILES, RequestMix, RequestProfile, parse_mix
 from .runner import (
     BatcherFarm,
@@ -54,6 +59,7 @@ __all__ = [
     "BatcherFarm",
     "DEFAULT_MIX_PROFILES",
     "LatencySummary",
+    "LoadReport",
     "LoadRunStats",
     "NetTarget",
     "RequestMix",
@@ -68,6 +74,7 @@ __all__ = [
     "parse_mix",
     "percentile",
     "poisson_schedule",
+    "run_load",
     "run_open_loop",
     "save_trace",
     "summarize_run",

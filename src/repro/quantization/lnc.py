@@ -8,7 +8,7 @@ two-level residual product quantizer: a base PQ plus ``n_sq`` residual
 sub-quantizers trained on the first-level quantization error.  This is
 the same accuracy-for-bytes trade L&C's regression codebooks provide,
 without requiring the graph at encode time (a substitution recorded in
-DESIGN.md §2).
+``docs/api.md``, "Paper experiments").
 """
 
 from __future__ import annotations

@@ -54,12 +54,14 @@ def save_quantizer(quantizer, path: Union[str, os.PathLike]) -> None:
 
 def load_quantizer(path: Union[str, os.PathLike]):
     """Reconstruct a quantizer saved by :func:`save_quantizer`."""
-    from ..core.diffq import RPQQuantizer
-
     with np.load(path, allow_pickle=False) as data:
         kind = str(data["kind"])
         book = Codebook(data["codewords"])
         if kind == "rpq":
+            # Only an RPQ directory pays for ``repro.core`` (the trainer
+            # and autodiff come with it); a PQ worker boots without.
+            from ..core.diffq import RPQQuantizer
+
             return RPQQuantizer(
                 rotation=data["rotation"],
                 codebook=book,

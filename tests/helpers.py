@@ -71,3 +71,21 @@ def search(index, queries, k: int = 10, beam_width: int = 32, **fields):
 def search_one(index, query, k: int = 10, beam_width: int = 32, **fields):
     """A single query's :class:`~repro.api.protocol.SearchResponseRow`."""
     return search(index, query, k, beam_width, **fields).row(0)
+
+
+def shrunk(artifact, datasets, n_base, n_queries):
+    """A cheap copy of a paper artifact: only ``datasets``' groups, at
+    ``n_base`` x ``n_queries``."""
+    import dataclasses
+
+    groups = tuple(
+        dataclasses.replace(
+            group,
+            dataset=dataclasses.replace(
+                group.dataset, n_base=n_base, n_queries=n_queries
+            ),
+        )
+        for group in artifact.groups
+        if group.dataset.name in datasets
+    )
+    return dataclasses.replace(artifact, groups=groups)

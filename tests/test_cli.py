@@ -22,11 +22,41 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["demo", "--graph", "delaunay"])
 
-    def test_experiment_choices(self):
-        args = build_parser().parse_args(["experiment", "table2"])
-        assert args.name == "table2"
+    def test_experiment_choices(self, capsys):
+        args = build_parser().parse_args(["experiment", "paper", "table2"])
+        assert (args.name, args.id) == ("paper", "table2")
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "paper", "fig99"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fig99'" in capsys.readouterr().err
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "fig99"])
+            main(["experiment", "paper", "--help"])
+        assert "fig7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "paper", "fig4", "--rates", "5,10"],
+            ["experiment", "paper", "fig4", "--connect", "nowhere:1"],
+            ["experiment", "batch", "--mix", "bogus:1:1:1"],
+            ["experiment", "build", "--shards", "2"],
+            ["experiment", "serve", "--arrival", "bursty"],
+            ["experiment", "table2"],
+        ],
+    )
+    def test_a_flag_lives_on_the_verb_that_reads_it(self, argv, capsys):
+        # One parser used to take all 20 flags whatever the experiment,
+        # and `fig4 --rates 5,10 --connect nowhere:1` exited 0.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["paper", "batch", "build", "serve", "load"])
+    def test_help_names_no_other_verb(self, verb, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiment", verb, "--help"])
+        assert "' experiment" not in capsys.readouterr().out
 
     def test_shards_must_be_positive(self):
         with pytest.raises(SystemExit):
@@ -95,12 +125,40 @@ class TestCommands:
         assert code == 0
         assert "hybrid scenario" in capsys.readouterr().out
 
-    def test_experiment_fig4(self, capsys):
+    def test_demo_seeds_every_graph_kind(self, monkeypatch, capsys):
+        # The demo's own builder table used to drop --seed for NSG.
+        import repro.graphs
+
+        seeds = []
+        real = repro.graphs.build_nsg
+
+        def spy(x, **kwargs):
+            seeds.append(kwargs.get("seed"))
+            return real(x, **kwargs)
+
+        monkeypatch.setattr(repro.graphs, "build_nsg", spy)
         code = main(
-            ["experiment", "fig4", "--dataset", "ukbench", "--n-base", "400"]
+            [
+                "demo", "--graph", "nsg", "--seed", "3",
+                "--dataset", "ukbench", "--n-base", "200", "--n-queries", "4",
+                "--chunks", "4", "--codewords", "8", "--epochs", "1",
+                "--beam", "16",
+            ]
         )
         assert code == 0
-        assert "imbalance" in capsys.readouterr().out
+        assert seeds == [3]
+
+    def test_experiment_fig4(self, capsys, monkeypatch):
+        from repro.eval.paper import PAPER
+
+        from .helpers import shrunk
+
+        monkeypatch.setitem(
+            PAPER, "fig4", shrunk(PAPER["fig4"], ("sift",), 300, 8)
+        )
+        assert main(["experiment", "paper", "fig4"]) == 0
+        out = capsys.readouterr().out
+        assert "imbalance before" in out and "deep" not in out
 
     def test_experiment_serve(self, capsys):
         code = main(

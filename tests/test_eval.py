@@ -1,32 +1,38 @@
-"""Tests for the sweep machinery, table formatting, and harness."""
+"""Tests for the sweep machinery, table formatting, and workbench."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.api import (
+    DatasetSpec,
+    IndexSpec,
+    QuantizerSpec,
+    ScenarioSpec,
+    ShardingSpec,
+    SearchRequest,
+    build,
+    load_index,
+    save_index,
+)
 from repro.datasets import compute_ground_truth, load
 from repro.eval import (
     OperatingPoint,
+    Workbench,
     format_grid,
     format_table,
+    laptop_graph,
     max_recall,
     metric_at_recall,
     sweep_beam,
 )
-from repro.eval.harness import (
-    adaptive_recall_target,
-    make_index,
-    make_quantizer,
-    prepare,
-    quick_rpq_config,
-    run_table2,
-)
+from repro.eval.paper import PAPER, Reduce, render, run
 from repro.graphs import build_vamana
 from repro.index import MemoryIndex
 from repro.quantization import ProductQuantizer
 
-from .helpers import search_one
+from .helpers import search_one, shrunk
 
 
 def point(beam, recall, qps):
@@ -69,8 +75,21 @@ class TestMetricAtRecall:
 
     def test_adaptive_target_uses_weakest_method(self):
         curves = {"a": self.CURVE, "b": [point(10, 0.6, 100.0)]}
-        target = adaptive_recall_target(curves, fraction=0.95)
+        target, values = Reduce("qps", "min", 0.95).apply(curves)
         np.testing.assert_allclose(target, 0.95 * 0.6)
+        assert values["b"] == 100.0 and 500.0 < values["a"] < 1000.0
+
+    def test_median_anchor_leaves_weak_methods_unreached(self):
+        curves = {"a": self.CURVE, "b": [point(10, 0.6, 100.0)]}
+        target, values = Reduce("qps", "median", 1.0).apply(curves)
+        np.testing.assert_allclose(target, 0.9)
+        assert values["a"] == 250.0 and np.isnan(values["b"])
+
+    def test_own_anchor_and_ceiling(self):
+        curves = {"a": self.CURVE, "b": [point(10, 0.6, 100.0)]}
+        target, values = Reduce("qps", "own", 1.0).apply(curves)
+        assert target is None and values == {"a": 250.0, "b": 100.0}
+        assert Reduce().apply(curves) == (None, {"a": 0.9, "b": 0.6})
 
 
 class TestSweep:
@@ -116,43 +135,108 @@ class TestTables:
         assert "M=8" in text
 
 
+def small_spec(**sections) -> IndexSpec:
+    sections.setdefault("quantizer", QuantizerSpec("pq", 4, 8))
+    return IndexSpec(
+        dataset=DatasetSpec("ukbench", n_base=250, n_queries=5),
+        graph=laptop_graph("vamana"),
+        **sections,
+    )
+
+
+def same_answers(a, b, queries) -> None:
+    request = SearchRequest(queries, k=5, beam_width=16)
+    got, want = a.search(request), b.search(request)
+    np.testing.assert_array_equal(got.ids, want.ids)
+    np.testing.assert_array_equal(got.distances, want.distances)
+
+
 class TestHarness:
+    """The workbench (test ids kept from the `prepare` / `make_quantizer`
+    / `make_index` harness these were ported from)."""
+
     def test_prepare_builds_consistent_state(self):
-        prepared = prepare("ukbench", "vamana", n_base=300, n_queries=8, seed=0)
-        assert prepared.graph.num_vertices == 300
-        assert prepared.ground_truth.num_queries == 8
+        bench, spec = Workbench(), small_spec()
+        assert bench.graph(spec).num_vertices == 250
+        assert bench.ground_truth(spec).num_queries == 5
+        assert bench.graph(spec) is bench.graph(small_spec())
+        assert bench.quantizer(spec) is bench.quantizer(small_spec())
+        sharded = small_spec(sharding=ShardingSpec(num_shards=2))
+        assert bench.shards(sharded) is bench.shards(sharded)
 
     def test_prepare_validates_graph_kind(self):
         with pytest.raises(KeyError):
-            prepare("sift", "delaunay")
+            laptop_graph("delaunay")
+        with pytest.raises(KeyError):
+            Workbench().quantizer(small_spec(quantizer=QuantizerSpec("lsh")))
+        with pytest.raises(KeyError):
+            Workbench().build(small_spec(scenario=ScenarioSpec("gpu")))
 
     def test_make_quantizer_all_names(self):
-        prepared = prepare("ukbench", "vamana", n_base=250, n_queries=5, seed=0)
-        config = quick_rpq_config(epochs=1, num_triplets=32, num_queries=3)
-        for name in ("pq", "opq", "lnc"):
-            q = make_quantizer(name, prepared, num_chunks=4, num_codewords=8)
-            assert q.is_fitted
-        q = make_quantizer(
-            "rpq", prepared, num_chunks=4, num_codewords=8, rpq_config=config
-        )
-        assert q.is_fitted
-        with pytest.raises(KeyError):
-            make_quantizer("lsh", prepared)
+        bench = Workbench()
+        quick = {"epochs": 1, "num_triplets": 32, "num_queries": 3}
+        for kind, params in (
+            ("pq", {}), ("opq", {}), ("lnc", {}), ("rpq", quick)
+        ):
+            spec = small_spec(quantizer=QuantizerSpec(kind, 4, 8, params=params))
+            assert bench.quantizer(spec).is_fitted
 
     def test_make_index_scenarios(self):
-        prepared = prepare("ukbench", "vamana", n_base=250, n_queries=5, seed=0)
-        quantizer = make_quantizer("pq", prepared, 4, 8)
-        mem = make_index("memory", prepared, quantizer)
-        hyb = make_index("hybrid", prepared, quantizer)
-        l2r = make_index("memory", prepared, quantizer, method="l2r")
-        for index in (mem, hyb, l2r):
-            res = search_one(index, prepared.dataset.queries[0], k=5, beam_width=16)
+        bench = Workbench()
+        for scenario in (
+            ScenarioSpec("memory"),
+            ScenarioSpec("hybrid"),
+            ScenarioSpec("l2r", {"seed": 0}),
+        ):
+            spec = small_spec(scenario=scenario)
+            index = bench.build(spec)
+            assert index.spec == spec
+            res = search_one(
+                index, bench.dataset(spec).queries[0], k=5, beam_width=16
+            )
             assert len(res.ids) == 5
-        with pytest.raises(KeyError):
-            make_index("gpu", prepared, quantizer)
 
     def test_run_table2_full_ranking_wins(self):
-        out = run_table2(("ukbench",), n_base=500, n_queries=15, seed=0)
-        truncated, full = out["ukbench"]
-        assert full > truncated
-        assert full > 0.8
+        # The cheapest row of the paper table, end to end on a shrunk
+        # copy: runner -> renderer -> shape check.
+        artifact = shrunk(PAPER["table2"], ("ukbench",), 400, 12)
+        result = run(artifact)
+        lines = render(result).splitlines()
+        artifact.check(result)
+        assert lines[0] == (
+            "Table 2: Recall@10 under different candidate rankings"
+        )
+        assert lines[1].split(" | ") == ["Features             ", "ukbench"]
+        assert lines[3].startswith("ranking w/ two terms")
+        assert lines[4].startswith("ranking by full Eq. 5")
+        row = result.values[("", "ukbench")]
+        assert row["full"] > row["two_terms"] and row["full"] > 0.8
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_saved_spec_is_the_spec_that_was_used(self, tmp_path, num_shards):
+        # The harness this replaces rebuilt a spec after the fact, and
+        # `spec.json` said graph.params = {} / num_codewords = 32 for a
+        # degree-16, 16-codeword index.
+        bench = Workbench()
+        spec = IndexSpec(
+            dataset=DatasetSpec("sift", n_base=300, n_queries=6),
+            graph=laptop_graph("vamana"),
+            quantizer=QuantizerSpec("pq", 8, 16),
+            sharding=ShardingSpec(num_shards=num_shards),
+        )
+        built = bench.build(spec)
+        save_index(built, str(tmp_path))
+        loaded = load_index(str(tmp_path))
+        rebuilt = build(loaded.spec)
+        try:
+            assert loaded.spec == spec
+            assert loaded.spec.graph.params == {"r": 16, "search_l": 40}
+            shard = loaded.shards[0] if num_shards > 1 else loaded
+            assert max(len(a) for a in shard.graph.adjacency) <= 16
+            assert shard.quantizer.num_codewords == 16
+            assert shard.quantizer.num_chunks == 8
+            same_answers(rebuilt, loaded, bench.dataset(spec).queries)
+        finally:
+            for index in (built, loaded, rebuilt):
+                if num_shards > 1:
+                    index.close()
