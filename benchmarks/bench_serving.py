@@ -4,15 +4,12 @@ Serves an open-loop request stream (single-query submissions) through
 the dynamic batcher over the in-memory scenario and reports the
 QPS-vs-p99 trade-off as ``max_wait_ms`` varies, for the unsharded index
 and a sharded fan-out, plus a thread-vs-process shard-backend
-comparison on the CPU-bound memory scenario and a cache-on vs
-cache-off pass over a repeated stream for the cross-request ADC table
-cache (QPS recorded, identity asserted — the cache's timing gate lives
-in bench_kernel.py), and a network-path row (NetClient → asyncio
-gateway → socket shard workers; overhead recorded, identity asserted
-— the wire can slow answers, never change them).  Every answer is bitwise
-identical to a direct ``search`` call (batch composition and backend
-choice cannot change results), so the whole table is a pure
-latency/throughput trade.
+comparison on the CPU-bound memory scenario, and a network-path row
+(NetClient → asyncio gateway → socket shard workers; overhead
+recorded, identity asserted — the wire can slow answers, never change
+them).  Every answer is bitwise identical to a direct ``search`` call
+(batch composition and backend choice cannot change results), so the
+whole table is a pure latency/throughput trade.
 
 Regression tripwires (``REPRO_SKIP_SPEEDUP_GATES`` skips the timing
 gates; the determinism assertions always run):
@@ -37,7 +34,10 @@ These assertions are about correctness, not timing, so they always run
 (no ``REPRO_SKIP_SPEEDUP_GATES`` needed — they hold on a 1-CPU box).
 
 The run also emits the committed ``BENCH_serving.json`` baseline at
-the repo root (machine-readable QPS/latency/speedup snapshot).
+the repo root (machine-readable QPS/latency/speedup snapshot).  Its
+``retired`` block is :data:`RETIRED` verbatim: the cross-request ADC
+table cache's last end-to-end row, kept because it is the row the
+cache was deleted on (``compare_baselines.py`` skips the block).
 """
 
 from __future__ import annotations
@@ -57,13 +57,7 @@ from repro.api import (
     ShardingSpec,
 )
 from repro.eval import Workbench, format_table, laptop_graph
-from repro.eval.harness import (
-    measure_serving,
-    run_serving,
-    serving_speedup,
-    serving_table,
-)
-from repro.quantization import TableCache
+from repro.eval.harness import run_serving, serving_speedup, serving_table
 from repro.serving import DynamicBatcher
 
 from common import (
@@ -86,7 +80,6 @@ SHARD_COUNTS = (1, 4)
 FANOUT_SHARDS = 4
 FANOUT_STREAM = 128
 FANOUT_REPEATS = 3
-CACHE_STREAM = 256
 CHAOS_SHARDS = 2
 CHAOS_REPLICAS = 2
 CHAOS_REQUESTS = 12
@@ -96,6 +89,28 @@ NET_REPEATS = 3
 #: verify loop — a deadline, not a timing assertion, so the gate stays
 #: deterministic on a loaded single-CPU CI box.
 CHAOS_RESPAWN_DEADLINE_S = 60.0
+
+#: The table cache's last serving row (same index, same host class as
+#: the live rows), emitted verbatim: cache-on vs cache-off QPS through
+#: the batcher over a fully repeated 256-query stream.
+RETIRED = {
+    "measured_at_commit": "d6ee2c6",
+    "retired_in": "PR 20: one index core",
+    "table_cache": {
+        "verdict": (
+            "table cache deleted: 1.00x end to end at a 0.80 hit rate "
+            "(its 5.66x is layer-only, BENCH_kernel.json "
+            "retired.amortization)"
+        ),
+        "bitwise_identical": True,
+        "cache_off_qps": 4215.5,
+        "cache_on_qps": 4198.5,
+        "cache_on_vs_off_speedup": 1.0,
+        "hit_rate": 0.8006,
+        "max_batch_size": 32,
+        "stream_len": 256,
+    },
+}
 
 #: The one memory index every measurement serves; ``sharded`` varies
 #: only its fan-out, so the workbench builds the dataset and quantizer
@@ -156,53 +171,6 @@ def run_fanout_comparison(bench):
         "thread_qps": thread_qps,
         "process_qps": process_qps,
         "speedup": process_qps / max(thread_qps, 1e-12),
-        "identical": identical,
-    }
-
-
-def run_cache_comparison(bench):
-    """Cross-request ADC table cache: serving QPS with the cache off
-    vs on, over a fully repeated request stream (the cache's best
-    case — production query streams repeat, benchmark streams tile).
-
-    The cache must be bitwise-invisible: direct answers before, between,
-    and after the two serving passes are asserted identical.  QPS is
-    recorded, not gated — at serving scale the table build is a modest
-    slice of a request, so the honest speedup here is small (the 5x
-    amortization gate on the raw table path lives in bench_kernel.py).
-    """
-    queries = bench.dataset(SPEC).queries
-    reps = int(np.ceil(CACHE_STREAM / len(queries)))
-    stream = np.tile(queries, (reps, 1))[:CACHE_STREAM]
-    index = bench.build(SPEC)
-    request = SearchRequest(queries, k=10, beam_width=32)
-    expected = index.search(request)
-
-    index.table_cache = None
-    off = measure_serving(index, stream, max_batch_size=MAX_BATCH,
-                          max_wait_ms=2.0)
-    off_answers = index.search(request)
-
-    index.table_cache = TableCache()
-    index.search(SearchRequest(queries[:1], 10, 32))  # warm cache path
-    on = measure_serving(index, stream, max_batch_size=MAX_BATCH,
-                         max_wait_ms=2.0)
-    on_answers = index.search(request)
-    cache_stats = index.engine_status()["table_cache"]
-
-    identical = bool(
-        np.array_equal(off_answers.ids, expected.ids)
-        and np.array_equal(off_answers.distances, expected.distances)
-        and np.array_equal(on_answers.ids, expected.ids)
-        and np.array_equal(on_answers.distances, expected.distances)
-    )
-    return {
-        "stream_len": CACHE_STREAM,
-        "max_batch_size": MAX_BATCH,
-        "cache_off_qps": off.qps,
-        "cache_on_qps": on.qps,
-        "speedup": on.qps / max(off.qps, 1e-12),
-        "hit_rate": cache_stats["hit_rate"],
         "identical": identical,
     }
 
@@ -368,7 +336,6 @@ def run():
     )
 
     fanout = run_fanout_comparison(bench)
-    cache = run_cache_comparison(bench)
     network = run_network(bench)
     chaos = run_chaos(bench)
 
@@ -382,11 +349,11 @@ def run():
         np.array_equal(row.ids, direct.row_ids(i))
         for i, row in enumerate(served)
     )
-    return points, guard_speedup, fanout, cache, network, chaos, identical
+    return points, guard_speedup, fanout, network, chaos, identical
 
 
 def test_serving_throughput(benchmark):
-    points, guard_speedup, fanout, cache, network, chaos, identical = (
+    points, guard_speedup, fanout, network, chaos, identical = (
         benchmark.pedantic(run, rounds=1, iterations=1)
     )
 
@@ -421,27 +388,6 @@ def test_serving_throughput(benchmark):
         f"[fan-out] process vs thread backend: "
         f"{fmt(fanout['speedup'], 2)}x "
         f"({usable_cpus()} usable CPU(s))"
-    )
-    blocks.append(
-        format_table(
-            ["table cache", "max batch", "QPS", "hit rate"],
-            [
-                ["off", cache["max_batch_size"],
-                 fmt(cache["cache_off_qps"], 1), "-"],
-                ["on", cache["max_batch_size"],
-                 fmt(cache["cache_on_qps"], 1),
-                 fmt(cache["hit_rate"], 3)],
-            ],
-            title=(
-                f"Cross-request ADC table cache (sift, n={N_BASE}, "
-                f"repeated stream {cache['stream_len']})"
-            ),
-        )
-    )
-    blocks.append(
-        f"[table cache] cache-on vs cache-off serving: "
-        f"{fmt(cache['speedup'], 2)}x at "
-        f"{fmt(cache['hit_rate'] * 100, 1)}% hit rate"
     )
     blocks.append(
         format_table(
@@ -509,15 +455,6 @@ def test_serving_throughput(benchmark):
                 "gate_threshold": 1.5,
                 "gate_enforced": process_speedup_gate_enabled(),
             },
-            "table_cache": {
-                "stream_len": cache["stream_len"],
-                "max_batch_size": cache["max_batch_size"],
-                "cache_off_qps": round(cache["cache_off_qps"], 1),
-                "cache_on_qps": round(cache["cache_on_qps"], 1),
-                "cache_on_vs_off_speedup": round(cache["speedup"], 2),
-                "hit_rate": round(cache["hit_rate"], 4),
-                "bitwise_identical": cache["identical"],
-            },
             "network": {
                 "shards": network["shards"],
                 "stream_len": network["stream_len"],
@@ -529,6 +466,7 @@ def test_serving_throughput(benchmark):
                 "bitwise_identical": network["identical"],
             },
             "chaos": chaos,
+            "retired": RETIRED,
         },
     )
 
@@ -537,10 +475,6 @@ def test_serving_throughput(benchmark):
     assert identical, "served answers diverged from direct search"
     assert fanout["identical"], (
         "process-backend answers diverged from the thread backend"
-    )
-    assert cache["identical"], (
-        "table-cache-on answers diverged from cache-off answers "
-        "(the cache must be bitwise-invisible)"
     )
     assert network["identical"], (
         "network-path answers (NetClient → gateway → socket workers) "

@@ -53,8 +53,8 @@ def profile_scenario(scenario: str, bench: Workbench) -> None:
     index = bench.build(spec)
     request = SearchRequest(bench.dataset(spec).queries[:BATCH_SIZE], K, BEAM)
 
-    # Warm pass: table cache, workspace pool, and numpy internals all
-    # reach steady state before the profiled stream.
+    # Warm pass: the workspace pool and numpy internals reach steady
+    # state before the profiled stream.
     index.search(request)
 
     profile = KernelProfile()
@@ -83,13 +83,10 @@ def profile_scenario(scenario: str, bench: Workbench) -> None:
         f"  (outside stages: {outside_ms:.2f} ms — table build, "
         "frontier selection, bookkeeping, scenario post-processing)"
     )
-    status = index.engine_status()
-    cache = status["table_cache"]
-    pool = status["workspace_pool"]
+    pool = index.engine_status()["workspace_pool"]
     print(
-        f"engine status: table cache {cache['hits']} hit(s) / "
-        f"{cache['misses']} miss(es), workspace pool "
-        f"{pool['reuses']} reuse(s) / {pool['created']} created"
+        f"engine status: workspace pool {pool['reuses']} reuse(s) / "
+        f"{pool['created']} created"
     )
     hops = index.search(request).hops
     print(f"mean hops {float(np.mean(hops)):.1f}")

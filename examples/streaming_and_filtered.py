@@ -51,7 +51,7 @@ def main() -> None:
     print("== Part 1: streaming index (Fresh-DiskANN-style) ==")
     n_insert = 200 if SMOKE else 500
     n_delete = 50 if SMOKE else 100
-    index = FreshVamanaIndex(quantizer, dim=data.dim, r=14, search_l=32, seed=0)
+    index = FreshVamanaIndex(quantizer, dim=data.dim, r=14, search_l=32)
     index.insert_batch(data.base[:n_insert])
     print(f"inserted {n_insert} vectors; active = {index.num_active}")
 

@@ -39,7 +39,7 @@ from repro.api import (  # noqa: E402
 from repro.eval import Workbench, laptop_graph  # noqa: E402
 from repro.serving.net import NetClient  # noqa: E402
 
-VOLATILE_COUNTERS = {"table_cache_hits", "workspace_reused"}
+VOLATILE_COUNTERS = {"workspace_reused"}
 
 
 def spawn_cli(args):

@@ -54,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         storage_report,
     )
     from .registry import (
-        ScenarioHandler,
         build,
         get_scenario,
         register_scenario,
@@ -68,7 +67,6 @@ _REGISTRY_NAMES = {
     "get_scenario",
     "scenario_names",
     "scenario_for_index",
-    "ScenarioHandler",
 }
 _PERSISTENCE_NAMES = {
     "save_index",
@@ -111,7 +109,6 @@ __all__ = [
     "get_scenario",
     "scenario_names",
     "scenario_for_index",
-    "ScenarioHandler",
     # persistence
     "save_index",
     "load_index",

@@ -162,7 +162,7 @@ def save_index(
             shard_dir = os.path.join(dirpath, _shard_dirname(s))
             save_index(shard, shard_dir, compress=compress)
             np.save(os.path.join(shard_dir, "global_ids.npy"), gids)
-            names.add(scenario_for_index(shard).name)
+            names.add(scenario_for_index(shard).scenario)
         manifest = {
             "format_version": INDEX_FORMAT_VERSION,
             "scenario": "sharded",
@@ -193,28 +193,28 @@ def save_index(
         )
         return dirpath
 
-    handler = scenario_for_index(index)
+    scenario = scenario_for_index(index).scenario
 
     from ..quantization import save_quantizer
 
     save_quantizer(
         index.quantizer, os.path.join(dirpath, _QUANTIZER_FILE)
     )
-    state, storage = _save_container(index, handler, dirpath, compress)
+    state, storage = _save_container(index, scenario, dirpath, compress)
     manifest = {
         "format_version": INDEX_FORMAT_VERSION,
-        "scenario": handler.name,
+        "scenario": scenario,
         "state": state,
         "storage": storage,
     }
     _write_json(os.path.join(dirpath, _INDEX_FILE), manifest)
-    _save_spec(index, dirpath, handler.name)
+    _save_spec(index, dirpath, scenario)
     _prune(dirpath, _FILES_V1, 0)
     return dirpath
 
 
 def _save_container(
-    index: object, handler, dirpath: str, compress: bool
+    index: object, scenario: str, dirpath: str, compress: bool
 ) -> tuple:
     """Write the v2 container for an unsharded index; returns the
     ``(state, storage)`` halves of the manifest."""
@@ -222,12 +222,12 @@ def _save_container(
 
     graph_meta = None
     arrays: Dict[str, np.ndarray] = {}
-    if handler.needs_graph:
+    if index.needs_graph:
         from ..graphs.serialization import graph_to_arrays
 
         graph_meta, garrays = graph_to_arrays(index.graph)
         arrays.update(garrays)
-    state, sarrays = handler.export_arrays(index)
+    state, sarrays = index.export_arrays()
     for name in sarrays:
         if name in arrays:
             raise ValueError(
@@ -238,7 +238,7 @@ def _save_container(
     compressed: Dict[str, dict] = {}
     if compress:
         coder = EntropyCoder()
-        for name in handler.code_arrays:
+        for name in index.code_arrays:
             codes = arrays.get(name)
             # Degenerate matrices (empty streaming index) stay raw —
             # there is nothing to code and the reader needs no table.
@@ -253,7 +253,7 @@ def _save_container(
     section_bytes = write_container(
         container_path,
         arrays,
-        meta={"scenario": handler.name},
+        meta={"scenario": scenario},
     )
     storage = {
         "layout": "mmap",
@@ -268,7 +268,7 @@ def _save_container(
 
 
 class _ArraySource:
-    """What :meth:`ScenarioHandler.load_arrays` reads from: name →
+    """What a scenario's ``load_arrays`` reads from: name →
     array, plus whether those arrays are shared read-only map views."""
 
     def __init__(self, get, mapped: bool) -> None:
@@ -326,7 +326,7 @@ def load_index(
         _attach_spec(index, dirpath)
         return index
 
-    handler = get_scenario(scenario)
+    index_cls = get_scenario(scenario)
 
     from ..graphs.serialization import graph_from_arrays
     from ..quantization import load_quantizer
@@ -339,9 +339,9 @@ def load_index(
         graph_meta, state, arrays = _read_v1(dirpath, state)
         get, mapped = arrays.__getitem__, False
     graph = None
-    if handler.needs_graph:
+    if index_cls.needs_graph:
         graph = graph_from_arrays(graph_meta, get)
-    index = handler.load_arrays(
+    index = index_cls.load_arrays(
         state, _ArraySource(get, mapped), graph, quantizer
     )
     _attach_spec(index, dirpath)

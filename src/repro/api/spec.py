@@ -85,7 +85,7 @@ class ScenarioSpec:
 
     ``kind`` names a :func:`repro.api.register_scenario` entry —
     ``memory``, ``hybrid``, ``streaming``, ``filtered``, ``l2r`` out of
-    the box.  ``params`` are scenario-specific (see each handler's
+    the box.  ``params`` are scenario-specific (see each index class's
     docstring): e.g. ``distance_mode`` / ``storage_dtype`` for memory,
     ``io_width`` / ``ssd`` for hybrid, ``r`` / ``search_l`` / ``alpha``
     for streaming, ``num_labels`` / ``label_seed`` for filtered.

@@ -70,27 +70,12 @@ def _engine_status_line(engine) -> str:
     worker processes so the local counters stay at zero.
     """
     rows = engine if isinstance(engine, list) else [engine]
-    hits = misses = reuses = created = 0
-    for row in rows:
-        if not row:
-            continue
-        cache = row.get("table_cache")
-        if cache:
-            hits += cache["hits"]
-            misses += cache["misses"]
-        pool = row.get("workspace_pool")
-        if pool:
-            reuses += pool["reuses"]
-            created += pool["created"]
-    lookups = hits + misses
-    if not lookups and not created:
+    pools = [row["workspace_pool"] for row in rows if row and row["workspace_pool"]]
+    reuses = sum(pool["reuses"] for pool in pools)
+    created = sum(pool["created"] for pool in pools)
+    if not created:
         return ""
-    rate = hits / lookups if lookups else 0.0
-    return (
-        f"engine cache: table hit rate {rate:.1%} "
-        f"({hits}/{lookups} rows), workspace reuses "
-        f"{reuses}/{reuses + created}"
-    )
+    return f"engine: workspace reuses {reuses}/{reuses + created}"
 
 
 def _serve_gateway(args: argparse.Namespace) -> int:

@@ -8,18 +8,16 @@ kernel.  What remains in the index classes is pure policy: I/O
 accounting for the hybrid scenario, escalation for filtered search,
 tombstone compaction for streaming, exact reranking for disk.
 
-The context also owns the hot-path amortizers: an optional
-cross-request :class:`~repro.quantization.table_cache.TableCache`
-(keyed by the index's factory fingerprint) and a per-index
+The context also owns the hot-path amortizer: a per-index
 :class:`~repro.engine.workspace.WorkspacePool` recycling kernel scratch
-buffers.  Both are bitwise-invisible; :class:`RunStats` reports their
-activity so indexes can surface hit/reuse counters.
+buffers.  It is bitwise-invisible; :class:`RunStats` reports its
+activity so indexes can surface the reuse counter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -30,30 +28,17 @@ from .workspace import WorkspacePool
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graphs.base import ProximityGraph
     from ..quantization.adc import BatchLookupTable
-    from ..quantization.table_cache import TableCache
 
 
 @dataclass
 class RunStats:
-    """Engine telemetry for one ``tables``/``run`` invocation.
+    """Engine telemetry for one ``run`` invocation.
 
-    ``table_hits`` is a per-table-row bool mask (``None`` until a
-    ``tables`` call fills it — all-False when no cache is wired);
     ``workspace_reused`` records whether the kernel ran on a recycled
-    workspace.  The helpers render both as per-query int vectors for
-    the result-counter fields.
+    workspace (surfaced as the result counter of that name).
     """
 
-    table_hits: Optional[np.ndarray] = None
     workspace_reused: bool = False
-
-    def hits_vector(self, b: int) -> np.ndarray:
-        if self.table_hits is None:
-            return np.zeros(b, dtype=np.int64)
-        return self.table_hits.astype(np.int64)
-
-    def reuse_vector(self, b: int) -> np.ndarray:
-        return np.full(b, int(self.workspace_reused), dtype=np.int64)
 
 
 @dataclass
@@ -72,13 +57,6 @@ class SearchContext:
         ``queries (B, dim) -> BatchLookupTable`` — one broadcasted
         table build per batch; scenario policy (ADC vs SDC, dtype,
         learned reweighting) is baked into the factory.
-    table_cache:
-        Optional cross-request LRU of per-query table rows; requires
-        ``fingerprint``.
-    fingerprint:
-        Zero-arg callable identifying everything that shapes the
-        factory's output (codebook identity, dtype, mode, reweighting)
-        — the cache key's first component.
     workspace_pool:
         Recycled kernel scratch buffers, one pool per index.
     """
@@ -86,29 +64,7 @@ class SearchContext:
     graph: "ProximityGraph"
     codes: np.ndarray
     table_factory: Callable[[np.ndarray], "BatchLookupTable"]
-    table_cache: Optional["TableCache"] = None
-    fingerprint: Optional[Callable[[], Hashable]] = None
     workspace_pool: WorkspacePool = field(default_factory=WorkspacePool)
-
-    def tables(
-        self,
-        queries: np.ndarray,
-        stats: Optional[RunStats] = None,
-    ) -> "BatchLookupTable":
-        """Build (or cache-assemble) the batch's ADC tables."""
-        if self.table_cache is not None and self.fingerprint is not None:
-            tables, hit_mask = self.table_cache.get_batch(
-                self.fingerprint(), queries, self.table_factory
-            )
-            if stats is not None:
-                stats.table_hits = hit_mask
-            return tables
-        tables = self.table_factory(queries)
-        if stats is not None:
-            stats.table_hits = np.zeros(
-                tables.num_queries, dtype=bool
-            )
-        return tables
 
     def dist_fn(
         self,
@@ -150,10 +106,10 @@ class SearchContext:
         With ``qmap`` given, the kernel runs ``num_queries`` rows whose
         tables are ``tables[qmap]`` — otherwise one row per query.  The
         kernel runs on a pooled workspace; ``stats`` (if given) records
-        whether it was recycled and how the table build fared.
+        whether it was recycled.
         """
         if tables is None:
-            tables = self.tables(queries, stats=stats)
+            tables = self.table_factory(queries)
         if num_queries is None:
             num_queries = int(np.atleast_2d(queries).shape[0])
         ws = self.workspace_pool.acquire()

@@ -1,26 +1,30 @@
-"""The one engine binding and query surface every scenario shares.
+"""The one engine binding, query surface and registry contract every
+scenario shares.
 
 :class:`GraphIndex` owns what used to be re-declared per scenario: the
-:class:`~repro.engine.SearchContext` with its cross-request amortizers
-(table cache + workspace pool), the table-cache fingerprint token, the
+:class:`~repro.engine.SearchContext` with its workspace pool, the
+optional learned ``reweighter`` applied to every table build, the
 ``kernel_profile`` hook, and ``search(SearchRequest) ->
 SearchResponse`` with its field checks and ``B = 0`` handling.  A
 scenario class *is* the policy on top — it overrides
-:meth:`GraphIndex._build_tables` / :meth:`GraphIndex._table_fingerprint`
-when its tables are special and implements :meth:`GraphIndex._search`
-(expand hook + rerank, escalation, tombstone compaction).
+:meth:`GraphIndex._build_tables` when its tables are special and
+implements :meth:`GraphIndex._search` (expand hook + rerank,
+escalation, tombstone compaction) — and *is* its own entry in the
+:mod:`repro.api.registry`: ``@register_scenario(name)`` decorates the
+class, which declares what ``scenario.params`` it takes and implements
+:meth:`GraphIndex.from_spec`, :meth:`GraphIndex.export_arrays` and
+:meth:`GraphIndex.load_arrays`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..api.protocol import SearchRequest, SearchResponse, check_scenario_fields
 from ..engine import KernelProfile, RunStats, SearchContext
 from ..quantization.adc import BatchLookupTable
-from ..quantization.table_cache import TableCache
 
 #: The only per-query counter that is not an int64 count.
 _FLOAT_COUNTERS = frozenset({"simulated_io_us"})
@@ -49,70 +53,122 @@ def compact_rows(ids: np.ndarray, distances: np.ndarray, keep: np.ndarray, k: in
     )
 
 
+def check_parts(graph, quantizer, x) -> np.ndarray:
+    """``x`` as the ``(n, dim)`` float64 rows a scenario constructor
+    indexes, checked against the graph and the quantizer it is given."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if graph.num_vertices != x.shape[0]:
+        raise ValueError(f"graph has {graph.num_vertices} vertices, x has {x.shape[0]}")
+    if not quantizer.is_fitted:
+        raise ValueError("quantizer must be fitted")
+    return x
+
+
 class GraphIndex:
     """Engine binding + typed query surface; subclasses are policy."""
 
+    #: The name ``@register_scenario`` filed this class under.
+    scenario = ""
+    #: Every key ``scenario.params`` may carry — unknown keys are
+    #: rejected by :meth:`validate_params` (typos fail loudly, matching
+    #: the spec layer's section/field validation).
+    param_keys: frozenset = frozenset()
+    #: Whether :func:`repro.api.build` must construct a proximity graph
+    #: first (and persistence stores one).
+    needs_graph = True
     #: Whether requests carry (and require) per-query target labels.
     supports_labels = False
+    #: Names returned by :meth:`export_arrays` that hold PQ code
+    #: matrices — ``save_index(compress=True)`` entropy-codes exactly these.
+    code_arrays: Tuple[str, ...] = ("codes",)
     #: No rerank: ``k`` results must fit the routing beam.
     k_within_beam = False
     #: The exact counter keys of this scenario's responses, in order.
     counter_names: Tuple[str, ...] = (
         "hops",
         "distance_computations",
-        "table_cache_hits",
         "workspace_reused",
     )
+    #: Optional learned routing (a
+    #: :class:`~repro.index.l2r.LearnedRoutingReweighter`): applied to
+    #: every batch of tables :meth:`_build_tables` returns.
+    reweighter = None
 
+    # -- registry contract ----------------------------------------------
+    @classmethod
+    def validate_params(cls, params: Mapping[str, Any]) -> None:
+        unknown = set(params) - set(cls.param_keys)
+        if unknown:
+            raise ValueError(
+                f"unknown scenario params {sorted(unknown)} for "
+                f"{cls.scenario!r}; expected a subset of "
+                f"{sorted(cls.param_keys)}"
+            )
+
+    @classmethod
+    def resolve_labels(
+        cls, params: Mapping[str, Any], n: int, labels: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """Per-row side array for ``n`` rows, resolved before the rows
+        are split across shards (the filtered scenario overrides)."""
+        return labels
+
+    @classmethod
+    def from_spec(
+        cls,
+        params: Mapping[str, Any],
+        graph,
+        quantizer,
+        x: np.ndarray,
+        labels: Optional[np.ndarray] = None,
+    ) -> "GraphIndex":
+        """Construct a live index over the rows of ``x`` from resolved
+        parts; ``params`` is ``scenario.params``, already validated."""
+        raise NotImplementedError
+
+    def export_arrays(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+        """Return ``(meta, arrays)``: the scenario's JSON-able state
+        plus every per-row array, named.  Nothing touches disk here —
+        the persistence layer owns layout and compression."""
+        raise NotImplementedError
+
+    @classmethod
+    def load_arrays(
+        cls, meta: Dict[str, Any], source, graph, quantizer
+    ) -> "GraphIndex":
+        """Inverse of :meth:`export_arrays`.  ``source`` maps array
+        name → ndarray (read-only memmap views when the container was
+        opened mapped; ``source.mapped`` says which — a format-1
+        directory arrives through the same interface, unmapped) and
+        the result must answer searches bitwise-identically to the
+        saved index."""
+        raise NotImplementedError
+
+    # -- engine binding -------------------------------------------------
     def _init_engine(self, graph, codes) -> None:
-        """Bind the context with its cross-request amortizers (table
-        cache + workspace pool); shared by every construction path.
-        (Streaming binds a template and fills in the live graph and
-        codes per call.)"""
-        self._fp_token = object()  # per-index cache-key identity anchor
+        """Bind the context (and with it the workspace pool); shared by
+        every construction path.  (Streaming fills in the live graph
+        and codes per call.)"""
         self.kernel_profile: Optional[KernelProfile] = None
         self.context = SearchContext(
-            graph=graph,
-            codes=codes,
-            table_factory=self._build_tables,
-            table_cache=TableCache(),
-            fingerprint=self._table_fingerprint,
+            graph=graph, codes=codes, table_factory=self._tables
         )
 
     def _build_tables(self, queries: np.ndarray) -> BatchLookupTable:
         """One-shot ADC tables for a whole query batch."""
         return self.quantizer.lookup_table_batch(queries)
 
-    def _table_fingerprint(self):
-        """Everything that shapes a table row.  ``_fp_token`` pins index
-        identity (a shared cache can never mix indexes); refresh it
-        (:meth:`invalidate_table_cache`) after mutating anything the
-        table build closes over."""
-        return (self._fp_token, id(self.quantizer))
-
-    def invalidate_table_cache(self) -> None:
-        """Drop cached tables and refresh the fingerprint token (call
-        after any quantizer/codebook/transform mutation)."""
-        self._fp_token = object()
-        if self.context.table_cache is not None:
-            self.context.table_cache.clear()
-
-    @property
-    def table_cache(self):
-        """The cross-request ADC table cache (``None`` = disabled)."""
-        return self.context.table_cache
-
-    @table_cache.setter
-    def table_cache(self, cache) -> None:
-        self.context.table_cache = cache
+    def _tables(self, queries: np.ndarray) -> BatchLookupTable:
+        """The context's table factory: the scenario's tables with the
+        learned reweighting, if any, on top."""
+        tables = self._build_tables(queries)
+        if self.reweighter is not None:
+            tables = self.reweighter.reweight_batch(tables)
+        return tables
 
     def engine_status(self) -> dict:
-        """Hot-path introspection: table-cache and workspace-pool stats."""
-        cache = self.context.table_cache
-        return {
-            "table_cache": cache.stats() if cache is not None else None,
-            "workspace_pool": self.context.workspace_pool.stats(),
-        }
+        """Hot-path introspection: the workspace pool's stats."""
+        return {"workspace_pool": self.context.workspace_pool.stats()}
 
     # ------------------------------------------------------------------
     def search(self, request: SearchRequest) -> SearchResponse:
@@ -137,12 +193,14 @@ class GraphIndex:
         raise NotImplementedError
 
     def _respond(
-        self, ids, distances, counts, stats: RunStats, **counters
+        self, ids, distances, counts, workspace_reused, **counters
     ) -> SearchResponse:
-        """Package one answer under this scenario's counter schema."""
-        b = ids.shape[0]
-        counters.setdefault("table_cache_hits", stats.hits_vector(b))
-        counters.setdefault("workspace_reused", stats.reuse_vector(b))
+        """Package one answer under this scenario's counter schema.
+        ``workspace_reused`` is one kernel pass's flag, or a per-query
+        count over several passes."""
+        counters["workspace_reused"] = np.full(
+            ids.shape[0], workspace_reused, dtype=np.int64
+        )
         assert len(counters) == len(self.counter_names), sorted(counters)
         return SearchResponse(
             ids=ids,

@@ -17,16 +17,17 @@ page was read.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..api.protocol import SearchRequest, SearchResponse
-from ..engine import RunStats, execute
+from ..api.registry import register_scenario
+from ..engine import execute
 from ..graphs.base import ProximityGraph
-from ..quantization.adc import BatchLookupTable
 from ..quantization.base import BaseQuantizer
-from .base import GraphIndex
+from .base import GraphIndex, check_parts
+from .l2r import LearnedRoutingReweighter
 from .ssd import SimulatedSSD, SSDConfig
 
 
@@ -39,7 +40,9 @@ class _SSDExpansion:
     paper's per-query cost model — through a single
     :meth:`SimulatedSSD.read_round`, scores all fetched vectors with a
     single ``einsum`` for the final exact rerank, and returns the
-    adjacency lists the pages delivered.
+    adjacency lists the pages delivered.  The device clock the reads
+    are timed on is the search's own (it starts at 0), so searches
+    sharing one SSD never see each other's I/O.
     """
 
     def __init__(
@@ -50,6 +53,7 @@ class _SSDExpansion:
         self.io_rounds = np.zeros(num_queries, dtype=np.int64)
         self.page_reads = np.zeros(num_queries, dtype=np.int64)
         self.io_us = np.zeros(num_queries, dtype=np.float64)
+        self.clock_us = 0.0
         # One entry per round: the query row, vertex and exact distance
         # of every page read, in read order.
         self._rows: List[np.ndarray] = []
@@ -59,12 +63,13 @@ class _SSDExpansion:
     def __call__(
         self, rows: np.ndarray, vertices: np.ndarray, lens: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        vectors, flat_neighbors, neighbor_lens, io_us = self.ssd.read_round(
-            vertices, lens
+        vectors, flat_neighbors, neighbor_lens, clock = self.ssd.read_round(
+            vertices, lens, self.clock_us
         )
+        self.clock_us = float(clock[-1])
         self.io_rounds[rows] += 1
         self.page_reads[rows] += lens
-        self.io_us[rows] += io_us
+        self.io_us[rows] += clock[1:] - clock[:-1]
         reader = rows.repeat(lens)
         diff = vectors.astype(np.float64) - self.queries[reader]
         self._rows.append(reader)
@@ -95,8 +100,13 @@ class _SSDExpansion:
         return out_ids, out_d, np.minimum(reads, k)
 
 
+@register_scenario("hybrid")
 class DiskIndex(GraphIndex):
     """DiskANN-style hybrid index over a simulated SSD.
+
+    ``scenario.params``: ``io_width``, ``ssd`` (a mapping of
+    :class:`SSDConfig` fields), and ``learned_routing`` + ``l2r_seed``
+    for the L2R-reweighted variant (a fitted ``reweighter``).
 
     Parameters
     ----------
@@ -112,23 +122,15 @@ class DiskIndex(GraphIndex):
     io_width:
         W — how many frontier vertices are fetched per I/O round
         (DiskANN's "beam width" for request pipelining).
-    table_transform:
-        Optional hook applied to each query's ADC lookup table before
-        routing (used by the learning-to-route ablation to reweight
-        distances without touching the quantizer).
-    table_transform_batch:
-        Optional batched counterpart taking/returning a
-        :class:`BatchLookupTable`; when absent, the table factory falls
-        back to applying ``table_transform`` per query row.
     """
 
+    param_keys = frozenset({"io_width", "ssd", "learned_routing", "l2r_seed"})
     counter_names = (
         "hops",
         "io_rounds",
         "page_reads",
         "simulated_io_us",
         "distance_computations",
-        "table_cache_hits",
         "workspace_reused",
     )
 
@@ -139,86 +141,73 @@ class DiskIndex(GraphIndex):
         x: np.ndarray,
         ssd_config: Optional[SSDConfig] = None,
         io_width: int = 4,
-        table_transform: Optional[Callable] = None,
-        table_transform_batch: Optional[Callable] = None,
     ) -> None:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if graph.num_vertices != x.shape[0]:
-            raise ValueError(
-                f"graph has {graph.num_vertices} vertices, x has {x.shape[0]}"
-            )
-        if not quantizer.is_fitted:
-            raise ValueError("quantizer must be fitted")
+        x = check_parts(graph, quantizer, x)
+        self._bind(graph, quantizer, quantizer.encode(x), x, ssd_config, io_width)
+
+    def _bind(self, graph, quantizer, codes, vectors, ssd_config, io_width) -> None:
+        """The one field-assignment path (constructor and
+        :meth:`load_arrays`): ``vectors`` become the SSD's float32 page
+        copy — what the expansion hook actually reads."""
         if io_width < 1:
             raise ValueError("io_width must be >= 1")
-        self.graph = graph
-        self.quantizer = quantizer
-        self.codes = quantizer.encode(x)
-        self.ssd = SimulatedSSD(x, graph.packed(), ssd_config)
-        self.io_width = int(io_width)
-        self.table_transform = table_transform
-        self.table_transform_batch = table_transform_batch
-        self.dim = x.shape[1]
-        self._init_engine(graph, self.codes)
-
-    def _table_fingerprint(self):
-        """The frozen quantizer plus the optional routing transforms."""
-        return super()._table_fingerprint() + (
-            id(self.table_transform),
-            id(self.table_transform_batch),
-        )
-
-    # ------------------------------------------------------------------
-    def _build_tables(self, queries: np.ndarray) -> BatchLookupTable:
-        """Batch ADC tables with the optional routing transform applied."""
-        tables = self.quantizer.lookup_table_batch(queries)
-        if self.table_transform_batch is not None:
-            return self.table_transform_batch(tables)
-        if self.table_transform is not None:
-            return BatchLookupTable(
-                tables=np.stack(
-                    [
-                        self.table_transform(tables.table_for(i)).table
-                        for i in range(tables.num_queries)
-                    ]
-                )
-            )
-        return tables
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_state(
-        cls,
-        graph: ProximityGraph,
-        quantizer: BaseQuantizer,
-        codes: np.ndarray,
-        vectors: np.ndarray,
-        *,
-        ssd_config: Optional[SSDConfig] = None,
-        io_width: int = 4,
-        table_transform: Optional[Callable] = None,
-        table_transform_batch: Optional[Callable] = None,
-    ) -> "DiskIndex":
-        """Reconstruct from persisted state.  ``vectors`` is the SSD's
-        float32 page copy (what the expansion hook actually reads), and
-        ``codes`` the in-memory compact codes — both taken as-is so the
-        loaded index reranks bitwise identically."""
-        self = object.__new__(cls)
         self.graph = graph
         self.quantizer = quantizer
         self.codes = np.asarray(codes)
         self.ssd = SimulatedSSD(vectors, graph.packed(), ssd_config)
         self.io_width = int(io_width)
-        self.table_transform = table_transform
-        self.table_transform_batch = table_transform_batch
-        self.dim = np.asarray(vectors).shape[1]
+        self.dim = self.ssd._vectors.shape[1]
         self._init_engine(graph, self.codes)
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_spec(cls, params, graph, quantizer, x, labels=None):
+        kwargs = {}
+        if params.get("ssd"):
+            kwargs["ssd_config"] = SSDConfig(**params["ssd"])
+        if "io_width" in params:
+            kwargs["io_width"] = int(params["io_width"])
+        index = cls(graph, quantizer, x, **kwargs)
+        if params.get("learned_routing"):
+            index.reweighter = LearnedRoutingReweighter.fit(
+                quantizer, x, rng=np.random.default_rng(params.get("l2r_seed", 0))
+            )
+        return index
+
+    def export_arrays(self):
+        config = self.ssd.config
+        meta = {
+            "dim": int(self.dim),
+            "io_width": int(self.io_width),
+            "learned_routing": self.reweighter is not None,
+            "ssd": {
+                "read_latency_us": float(config.read_latency_us),
+                "queue_parallelism": int(config.queue_parallelism),
+                "page_bytes": int(config.page_bytes),
+            },
+        }
+        arrays = {"codes": self.codes, "vectors": self.ssd._vectors}
+        if self.reweighter is not None:
+            arrays["l2r_weights"] = self.reweighter.weights
+        return meta, arrays
+
+    @classmethod
+    def load_arrays(cls, meta, source, graph, quantizer):
+        self = object.__new__(cls)
+        self._bind(
+            graph,
+            quantizer,
+            source["codes"],
+            source["vectors"],
+            SSDConfig(**meta["ssd"]),
+            meta["io_width"],
+        )
+        if meta.get("learned_routing"):
+            self.reweighter = LearnedRoutingReweighter(source["l2r_weights"])
         return self
 
     # ------------------------------------------------------------------
-    def _search(
-        self, queries: np.ndarray, request: SearchRequest
-    ) -> SearchResponse:
+    def _search(self, queries: np.ndarray, request: SearchRequest) -> SearchResponse:
         """DiskANN beam search + exact rerank.
 
         One lockstep kernel pass with the SSD expansion policy: every
@@ -229,13 +218,11 @@ class DiskIndex(GraphIndex):
         neighbors with one ADC gather across the whole batch.
         """
         b = queries.shape[0]
-        stats = RunStats()
-        tables = self.context.tables(queries, stats=stats)
-        self.ssd.reset_counters()
+        tables = self.context.table_factory(queries)
         policy = _SSDExpansion(self.ssd, queries, b)
         pool = self.context.workspace_pool
         ws = pool.acquire()
-        stats.workspace_reused = ws.reused
+        reused = ws.reused  # read before release hands ws to another search
         try:
             result = execute(
                 self.graph.packed(),  # only its length: reads go to the SSD
@@ -257,7 +244,7 @@ class DiskIndex(GraphIndex):
             out_ids,
             out_d,
             out_counts,
-            stats,
+            reused,
             hops=result.hops,
             io_rounds=policy.io_rounds,
             page_reads=policy.page_reads,

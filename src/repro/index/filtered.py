@@ -17,14 +17,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..api.protocol import SearchRequest, SearchResponse
+from ..api.registry import register_scenario
 from ..engine import RunStats
 from ..graphs.base import ProximityGraph
 from ..quantization.base import BaseQuantizer
-from .base import GraphIndex, compact_rows
+from .base import GraphIndex, check_parts, compact_rows
 
 
+@register_scenario("filtered")
 class FilteredMemoryIndex(GraphIndex):
     """In-memory PQ+graph index with per-vertex labels.
+
+    ``scenario.params``: ``num_labels`` + ``label_seed`` generate the
+    per-vertex labels when the caller passes no ``labels`` array (so a
+    JSON spec alone fully determines the index).
 
     Parameters
     ----------
@@ -35,11 +41,11 @@ class FilteredMemoryIndex(GraphIndex):
     """
 
     supports_labels = True  # requests carry per-query target labels
+    param_keys = frozenset({"num_labels", "label_seed"})
     counter_names = (
         "hops",
         "distance_computations",
         "beam_widths_used",
-        "table_cache_hits",
         "workspace_reused",
     )
 
@@ -50,49 +56,48 @@ class FilteredMemoryIndex(GraphIndex):
         x: np.ndarray,
         labels: np.ndarray,
     ) -> None:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = check_parts(graph, quantizer, x)
         labels = np.asarray(labels).reshape(-1)
         if labels.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"got {labels.shape[0]} labels for {x.shape[0]} vectors"
-            )
-        if graph.num_vertices != x.shape[0]:
-            raise ValueError(
-                f"graph has {graph.num_vertices} vertices, x has {x.shape[0]}"
-            )
-        if not quantizer.is_fitted:
-            raise ValueError("quantizer must be fitted")
-        self.graph = graph
-        self.quantizer = quantizer
-        self.codes = quantizer.encode(x)
-        self._bind(graph, labels)
+            raise ValueError(f"got {labels.shape[0]} labels for {x.shape[0]} vectors")
+        self._bind(graph, quantizer, quantizer.encode(x), labels)
 
-    def _bind(self, graph: ProximityGraph, labels: np.ndarray) -> None:
-        """Engine binding plus the label histogram (labels are
-        immutable, so one ``np.unique`` serves every request)."""
-        self.labels = labels
-        self._label_values, self._label_counts = np.unique(
-            labels, return_counts=True
-        )
-        self._init_engine(graph, self.codes)
-
-    @classmethod
-    def from_state(
-        cls,
-        graph: ProximityGraph,
-        quantizer: BaseQuantizer,
-        codes: np.ndarray,
-        labels: np.ndarray,
-    ) -> "FilteredMemoryIndex":
-        """Reconstruct from persisted state (codes and labels taken
-        as-is; bitwise identical to the saved index)."""
-        self = object.__new__(cls)
+    def _bind(self, graph, quantizer, codes, labels) -> None:
+        """The one field-assignment path (constructor and
+        :meth:`load_arrays`), label histogram included: labels are
+        immutable, so one ``np.unique`` serves every request."""
         self.graph = graph
         self.quantizer = quantizer
         self.codes = np.asarray(codes)
-        self._bind(graph, np.asarray(labels).reshape(-1))
+        self.labels = np.asarray(labels).reshape(-1)
+        self._label_values, self._label_counts = np.unique(
+            self.labels, return_counts=True
+        )
+        self._init_engine(graph, self.codes)
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def resolve_labels(cls, params, n, labels):
+        if labels is not None:
+            return np.asarray(labels).reshape(-1)
+        rng = np.random.default_rng(int(params.get("label_seed", 0)))
+        return rng.integers(int(params.get("num_labels", 4)), size=n)
+
+    @classmethod
+    def from_spec(cls, params, graph, quantizer, x, labels=None):
+        labels = cls.resolve_labels(params, x.shape[0], labels)
+        return cls(graph, quantizer, x, labels)
+
+    def export_arrays(self):
+        return {}, {"codes": self.codes, "labels": self.labels}
+
+    @classmethod
+    def load_arrays(cls, meta, source, graph, quantizer):
+        self = object.__new__(cls)
+        self._bind(graph, quantizer, source["codes"], source["labels"])
         return self
 
+    # ------------------------------------------------------------------
     def _available(self, labels: np.ndarray) -> np.ndarray:
         """Vertices carrying each of ``labels`` (0 for absent ones)."""
         values = self._label_values
@@ -105,9 +110,7 @@ class FilteredMemoryIndex(GraphIndex):
         """Number of vertices carrying ``label``."""
         return int(self._available(np.asarray([label]))[0])
 
-    def _search(
-        self, queries: np.ndarray, request: SearchRequest
-    ) -> SearchResponse:
+    def _search(self, queries: np.ndarray, request: SearchRequest) -> SearchResponse:
         """Nearest vertices with ``labels == request.labels``, with
         shared escalation rounds.
 
@@ -136,8 +139,7 @@ class FilteredMemoryIndex(GraphIndex):
         comps = np.zeros(b, dtype=np.int64)
         beams_used = np.zeros(b, dtype=np.int64)
         available = self._available(qlabels)
-        table_stats = RunStats()
-        tables = self.context.tables(queries, stats=table_stats)
+        tables = self.context.table_factory(queries)
         ws_reused = np.zeros(b, dtype=np.int64)
         vertex_labels = self.labels
 
@@ -185,9 +187,8 @@ class FilteredMemoryIndex(GraphIndex):
             out_ids,
             out_d,
             counts,
-            table_stats,
+            ws_reused,
             hops=hops,
             distance_computations=comps,
             beam_widths_used=beams_used,
-            workspace_reused=ws_reused,
         )

@@ -19,8 +19,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..api.registry import register_scenario
 from ..graphs.base import ProximityGraph
-from ..quantization.adc import BatchLookupTable, LookupTable
+from ..quantization.adc import BatchLookupTable
 from ..quantization.base import BaseQuantizer
 from .memory_index import MemoryIndex
 
@@ -67,15 +68,6 @@ class LearnedRoutingReweighter:
         weights, *_ = np.linalg.lstsq(a, b, rcond=None)
         return LearnedRoutingReweighter(np.clip(weights, 0.0, None))
 
-    def reweight(self, table: LookupTable) -> LookupTable:
-        """Apply the learned weights to an ADC table."""
-        if table.num_chunks != self.weights.size:
-            raise ValueError(
-                f"table has {table.num_chunks} chunks, weights expect "
-                f"{self.weights.size}"
-            )
-        return LookupTable(table=table.table * self.weights[:, None])
-
     def reweight_batch(self, tables: BatchLookupTable) -> BatchLookupTable:
         """Apply the learned weights to a whole batch of ADC tables."""
         if tables.num_chunks != self.weights.size:
@@ -83,60 +75,41 @@ class LearnedRoutingReweighter:
                 f"tables have {tables.num_chunks} chunks, weights expect "
                 f"{self.weights.size}"
             )
-        return BatchLookupTable(
-            tables=tables.tables * self.weights[None, :, None]
-        )
+        return BatchLookupTable(tables=tables.tables * self.weights[None, :, None])
 
 
+@register_scenario("l2r")
 class L2RIndex(MemoryIndex):
-    """In-memory index whose routing distances use learned weights."""
+    """In-memory index whose routing distances use learned weights.
+
+    ``fit`` — ``num_queries`` / ``pairs_per_query`` / ``rng`` — is
+    passed to :meth:`LearnedRoutingReweighter.fit`.  ``scenario.params``:
+    the two fit sizes plus ``seed`` (the sampling generator's).
+    """
+
+    param_keys = frozenset({"seed", "num_queries", "pairs_per_query"})
 
     def __init__(
-        self,
-        graph: ProximityGraph,
-        quantizer: BaseQuantizer,
-        x: np.ndarray,
-        num_queries: int = 64,
-        pairs_per_query: int = 64,
-        rng: Optional[np.random.Generator] = None,
+        self, graph: ProximityGraph, quantizer: BaseQuantizer, x: np.ndarray, **fit
     ) -> None:
         super().__init__(graph, quantizer, x)
-        self.reweighter = LearnedRoutingReweighter.fit(
-            quantizer,
-            x,
-            num_queries=num_queries,
-            pairs_per_query=pairs_per_query,
-            rng=rng,
-        )
+        self.reweighter = LearnedRoutingReweighter.fit(quantizer, x, **fit)
 
     @classmethod
-    def from_state(
-        cls,
-        graph: ProximityGraph,
-        quantizer: BaseQuantizer,
-        codes: np.ndarray,
-        *,
-        weights: np.ndarray,
-        **memory_state,
-    ) -> "L2RIndex":
-        """Reconstruct from persisted state: the learned chunk weights
-        are restored directly instead of re-fitting, so routing is
-        bitwise identical to the saved index."""
-        self = super().from_state(graph, quantizer, codes, **memory_state)
-        self.reweighter = LearnedRoutingReweighter(weights)
+    def from_spec(cls, params, graph, quantizer, x, labels=None):
+        fit = {key: int(params[key]) for key in params if key != "seed"}
+        rng = np.random.default_rng(params.get("seed", 0))
+        return cls(graph, quantizer, x, rng=rng, **fit)
+
+    def export_arrays(self):
+        meta, arrays = super().export_arrays()
+        arrays["l2r_weights"] = self.reweighter.weights
+        return meta, arrays
+
+    @classmethod
+    def load_arrays(cls, meta, source, graph, quantizer):
+        """The learned chunk weights are restored directly instead of
+        re-fitting."""
+        self = super().load_arrays(meta, source, graph, quantizer)
+        self.reweighter = LearnedRoutingReweighter(source["l2r_weights"])
         return self
-
-    def _build_tables(self, queries: np.ndarray) -> BatchLookupTable:
-        """Learned reweighting applied on top of the base ADC tables —
-        the only place this scenario's policy differs from the plain
-        memory index."""
-        return self.reweighter.reweight_batch(super()._build_tables(queries))
-
-    def _table_fingerprint(self):
-        """The learned weights shape the tables too, so they join the
-        cache key (the reweighter is attached *after* the base
-        constructor runs — hence the lazy lookup)."""
-        reweighter = getattr(self, "reweighter", None)
-        return super()._table_fingerprint() + (
-            id(reweighter.weights) if reweighter is not None else None,
-        )

@@ -17,15 +17,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..api.protocol import SearchRequest, SearchResponse
+from ..api.registry import register_scenario
 from ..engine import RunStats
 from ..graphs.base import ProximityGraph
 from ..quantization.adc import BatchLookupTable
 from ..quantization.base import BaseQuantizer
-from .base import GraphIndex
+from .base import GraphIndex, check_parts
 
 
+@register_scenario("memory")
 class MemoryIndex(GraphIndex):
-    """In-memory PQ + proximity-graph index.
+    """In-memory PQ + proximity-graph index (the default scenario).
+
+    ``scenario.params`` are the three keyword parameters below, dtypes
+    by name (``"float64"`` / ``"float32"``).
 
     Parameters
     ----------
@@ -56,6 +61,7 @@ class MemoryIndex(GraphIndex):
     """
 
     k_within_beam = True  # ADC-only ranking: no rerank to widen k
+    param_keys = frozenset({"distance_mode", "table_dtype", "storage_dtype"})
 
     def __init__(
         self,
@@ -66,13 +72,35 @@ class MemoryIndex(GraphIndex):
         table_dtype: np.dtype = None,
         storage_dtype: np.dtype = np.float64,
     ) -> None:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if graph.num_vertices != x.shape[0]:
-            raise ValueError(
-                f"graph has {graph.num_vertices} vertices, x has {x.shape[0]}"
+        x = check_parts(graph, quantizer, x)
+        self._bind(
+            graph, quantizer, x.shape[1], distance_mode, table_dtype, storage_dtype
+        )
+        if self.storage_dtype == np.dtype(np.float32):
+            if type(quantizer).lookup_table is not BaseQuantizer.lookup_table:
+                raise ValueError(
+                    "storage_dtype=float32 supports plain chunked-PQ "
+                    "table builds only; "
+                    f"{type(quantizer).__name__} customizes its lookup "
+                    "tables"
+                )
+            # Half-precision storage: the dataset is transformed row by
+            # row (matching the scalar query path) then encoded against
+            # the float32 codewords.
+            transformed = np.stack(
+                [np.asarray(quantizer.transform(row)).reshape(-1) for row in x]
             )
-        if not quantizer.is_fitted:
-            raise ValueError("quantizer must be fitted")
+            self.codes = self._book.encode(transformed)
+        else:
+            self.codes = quantizer.encode(x)
+        self._init_engine(graph, self.codes)
+
+    def _bind(
+        self, graph, quantizer, dim, distance_mode, table_dtype, storage_dtype
+    ) -> None:
+        """Every field but the codes and the engine binding over them
+        — the one assignment path the constructor and
+        :meth:`load_arrays` share."""
         if distance_mode not in ("adc", "sdc"):
             raise ValueError("distance_mode must be 'adc' or 'sdc'")
         self.distance_mode = distance_mode
@@ -84,36 +112,11 @@ class MemoryIndex(GraphIndex):
         self.table_dtype = np.dtype(table_dtype)
         self.graph = graph
         self.quantizer = quantizer
+        self.dim = int(dim)
+        # Half-precision storage keeps float32 codewords resident.
+        self._book = quantizer.codebook
         if self.storage_dtype == np.dtype(np.float32):
-            if type(quantizer).lookup_table is not BaseQuantizer.lookup_table:
-                raise ValueError(
-                    "storage_dtype=float32 supports plain chunked-PQ "
-                    "table builds only; "
-                    f"{type(quantizer).__name__} customizes its lookup "
-                    "tables"
-                )
-            # Half-precision storage: float32 codewords, and the
-            # dataset is transformed row by row (matching the scalar
-            # query path) then encoded in float32.
-            self._book = quantizer.codebook.astype(np.float32)
-            transformed = np.stack(
-                [np.asarray(quantizer.transform(row)).reshape(-1) for row in x]
-            )
-            self.codes = self._book.encode(transformed)
-        else:
-            self._book = quantizer.codebook
-            self.codes = quantizer.encode(x)
-        self.dim = x.shape[1]
-        self._init_engine(graph, self.codes)
-
-    def _table_fingerprint(self):
-        """Mode, dtype and codebook identity shape this index's tables."""
-        return (
-            self._fp_token,
-            self.distance_mode,
-            str(self.table_dtype),
-            id(self._book.codewords),
-        )
+            self._book = self._book.astype(np.float32)
 
     # ------------------------------------------------------------------
     def _build_tables(self, queries: np.ndarray) -> BatchLookupTable:
@@ -134,9 +137,7 @@ class MemoryIndex(GraphIndex):
         if self.storage_dtype == np.dtype(np.float64):
             # Reference path: dispatch through the quantizer so table
             # overrides (residual/multi-stage quantizers) stay live.
-            return self.quantizer.lookup_table_batch(
-                queries, dtype=self.table_dtype
-            )
+            return self.quantizer.lookup_table_batch(queries, dtype=self.table_dtype)
         queries = np.atleast_2d(queries)
         transformed = (
             np.stack(
@@ -148,48 +149,42 @@ class MemoryIndex(GraphIndex):
             if queries.shape[0]
             else queries
         )
-        return BatchLookupTable.build(
-            book, transformed, dtype=self.table_dtype
-        )
+        return BatchLookupTable.build(book, transformed, dtype=self.table_dtype)
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_state(
-        cls,
-        graph: ProximityGraph,
-        quantizer: BaseQuantizer,
-        codes: np.ndarray,
-        *,
-        dim: int,
-        distance_mode: str = "adc",
-        table_dtype: np.dtype = None,
-        storage_dtype: np.dtype = np.float64,
-    ) -> "MemoryIndex":
-        """Reconstruct an index from persisted state — the codes are
-        taken as-is (the original vectors were dropped after encoding,
-        exactly as in the live constructor), so a loaded index searches
-        bitwise identically to the one that was saved."""
+    def from_spec(cls, params, graph, quantizer, x, labels=None):
+        given = {key: value for key, value in params.items() if value is not None}
+        return cls(graph, quantizer, x, **given)
+
+    def export_arrays(self):
+        meta = {
+            "dim": int(self.dim),
+            "distance_mode": self.distance_mode,
+            "table_dtype": self.table_dtype.name,
+            "storage_dtype": self.storage_dtype.name,
+        }
+        return meta, {"codes": self.codes}
+
+    @classmethod
+    def load_arrays(cls, meta, source, graph, quantizer):
+        """The codes are taken as-is (the original vectors were dropped
+        after encoding, exactly as in the live constructor)."""
         self = object.__new__(cls)
-        self.distance_mode = distance_mode
-        self.storage_dtype = np.dtype(storage_dtype)
-        if table_dtype is None:
-            table_dtype = self.storage_dtype
-        self.table_dtype = np.dtype(table_dtype)
-        self.graph = graph
-        self.quantizer = quantizer
-        if self.storage_dtype == np.dtype(np.float32):
-            self._book = quantizer.codebook.astype(np.float32)
-        else:
-            self._book = quantizer.codebook
-        self.codes = np.asarray(codes)
-        self.dim = int(dim)
+        self._bind(
+            graph,
+            quantizer,
+            meta["dim"],
+            meta["distance_mode"],
+            meta["table_dtype"],
+            meta["storage_dtype"],
+        )
+        self.codes = np.asarray(source["codes"])
         self._init_engine(graph, self.codes)
         return self
 
     # ------------------------------------------------------------------
-    def _search(
-        self, queries: np.ndarray, request: SearchRequest
-    ) -> SearchResponse:
+    def _search(self, queries: np.ndarray, request: SearchRequest) -> SearchResponse:
         """Beam search with ADC distances; no rerank."""
         stats = RunStats()
         result = self.context.run(
@@ -203,7 +198,7 @@ class MemoryIndex(GraphIndex):
             result.ids,
             result.distances,
             result.counts,
-            stats,
+            stats.workspace_reused,
             hops=result.hops,
             distance_computations=result.distance_computations,
         )

@@ -12,7 +12,9 @@ and pays one page read per visited vertex.  The paper's Fig. 5 reports
   a simple parallelism factor;
 * :meth:`read_round` serves one such batched read for each of many
   independent queries in a single call (the lockstep kernel's round),
-  charging each request exactly what :meth:`read_batch` would.
+  charging each request exactly what :meth:`read_batch` would — on the
+  caller's clock, so concurrent searches cannot perturb each other;
+* the device's own counters are lifetime totals.
 
 Absolute latencies are a device model, not a measurement — the curve
 *shapes* (I/O time grows with hops; fewer hops at equal recall means
@@ -21,6 +23,7 @@ less I/O) are what the reproduction preserves.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -75,6 +78,9 @@ class SimulatedSSD:
             else PackedAdjacency.from_lists(adjacency)
         )
         self.config = config or SSDConfig()
+        # read_round runs concurrently when thread replicas share the
+        # index; the lifetime totals are read-modify-write.
+        self._totals_lock = threading.Lock()
         self.reset_counters()
 
     # ------------------------------------------------------------------
@@ -95,9 +101,7 @@ class SimulatedSSD:
         self.simulated_io_us += self.config.read_latency_us
         return self._vectors[vertex], self._adjacency[vertex]
 
-    def read_batch(
-        self, vertices: np.ndarray
-    ) -> Tuple[np.ndarray, list]:
+    def read_batch(self, vertices: np.ndarray) -> Tuple[np.ndarray, list]:
         """Fetch several records under the parallel-queue cost model."""
         vertices = np.asarray(vertices, dtype=np.int64)
         count = int(vertices.size)
@@ -110,44 +114,41 @@ class SimulatedSSD:
         return self._vectors[vertices], [self._adjacency[int(v)] for v in vertices]
 
     def read_round(
-        self, vertices: np.ndarray, request_lens: np.ndarray
+        self, vertices: np.ndarray, request_lens: np.ndarray, clock_us: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Serve many independent batched reads in one call.
 
         Request ``i`` covers the next ``request_lens[i]`` entries of
         ``vertices`` and is charged as its own :meth:`read_batch`.
-        Returns ``(vectors, flat_neighbors, neighbor_lens, io_us)``:
+        Returns ``(vectors, flat_neighbors, neighbor_lens, clock)``:
         the records of all ``vertices`` in order (adjacency lists
-        concatenated, one length per vertex) and the time the device
-        clock advanced for each request.  ``io_us`` is differenced off
-        the running clock, as a caller bracketing one ``read_batch``
-        per request would measure it, so it repeats such a loop to the
-        last bit for any latency setting.
+        concatenated, one length per vertex) and the running clock —
+        ``clock[0]`` is ``clock_us``, the caller's clock before the
+        round, and request ``i`` took ``clock[i + 1] - clock[i]``.
+        Differencing off a running clock, as a caller bracketing one
+        ``read_batch`` per request would measure it, repeats such a
+        loop to the last bit for any latency setting; carrying that
+        clock in the caller (a search starts its own at 0) keeps the
+        bits independent of whatever else the device is serving.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         request_lens = np.asarray(request_lens, dtype=np.int64)
         clock = np.empty(request_lens.size + 1, dtype=np.float64)
-        clock[0] = self.simulated_io_us
+        clock[0] = clock_us
         np.ceil(request_lens / self.config.queue_parallelism, out=clock[1:])
         clock[1:] *= self.config.read_latency_us
         np.add.accumulate(clock, out=clock)
-        self.page_reads += int(vertices.size)
-        self.batched_requests += int(np.count_nonzero(request_lens))
-        self.simulated_io_us = float(clock[-1])
+        with self._totals_lock:
+            self.page_reads += int(vertices.size)
+            self.batched_requests += int(np.count_nonzero(request_lens))
+            self.simulated_io_us += float(clock[-1] - clock[0])
         flat_neighbors, neighbor_lens = self._adjacency.gather(vertices)
-        return (
-            self._vectors[vertices],
-            flat_neighbors,
-            neighbor_lens,
-            clock[1:] - clock[:-1],
-        )
+        return self._vectors[vertices], flat_neighbors, neighbor_lens, clock
 
     # ------------------------------------------------------------------
     def stored_bytes(self) -> int:
         """On-device footprint: vectors + adjacency, page-rounded."""
-        per_vertex = (
-            self._vectors.shape[1] * self._vectors.dtype.itemsize
-        )
+        per_vertex = self._vectors.shape[1] * self._vectors.dtype.itemsize
         adj = self._adjacency.neighbors.nbytes
         raw = per_vertex * self.num_vertices + adj
         pages = int(np.ceil(raw / self.config.page_bytes))

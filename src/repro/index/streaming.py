@@ -32,6 +32,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..api.protocol import SearchRequest, SearchResponse
+from ..api.registry import register_scenario
 from ..engine import (
     KernelProfile,
     KernelWorkspace,
@@ -91,8 +92,13 @@ class _LiveGraphView:
         )
 
 
+@register_scenario("streaming")
 class FreshVamanaIndex(GraphIndex):
     """Mutable Vamana graph + quantized codes with insert/delete.
+
+    Built from a spec by *inserting* the dataset rows (construction is
+    the product, so no pre-built graph is used); ``scenario.params``
+    are the four keyword parameters below.
 
     Parameters
     ----------
@@ -112,6 +118,9 @@ class FreshVamanaIndex(GraphIndex):
         construction-time searches.
     """
 
+    needs_graph = False
+    param_keys = frozenset({"r", "search_l", "alpha", "build_batch_size"})
+
     def __init__(
         self,
         quantizer: BaseQuantizer,
@@ -119,7 +128,6 @@ class FreshVamanaIndex(GraphIndex):
         r: int = 16,
         search_l: int = 40,
         alpha: float = 1.2,
-        seed: Optional[int] = 0,
         build_batch_size: int = 32,
     ) -> None:
         if not quantizer.is_fitted:
@@ -134,7 +142,6 @@ class FreshVamanaIndex(GraphIndex):
         self.search_l = int(search_l)
         self.alpha = float(alpha)
         self.build_batch_size = int(build_batch_size)
-        self.rng = np.random.default_rng(seed)
 
         self._vectors: List[np.ndarray] = []
         self._codes: List[np.ndarray] = []
@@ -147,61 +154,60 @@ class FreshVamanaIndex(GraphIndex):
         self._mapped: bool = False
 
         # Hot-path amortizers: the packed CSR view of the live adjacency
-        # (invalidated by every graph mutation) and the shared engine
-        # binding — a context *template* whose table cache (tables
-        # depend only on query + quantizer, so inserts do NOT
-        # invalidate it) and workspace pool survive across searches;
-        # the per-call _context() re-binds the live graph and codes.
+        # (invalidated by every graph mutation) and the engine binding,
+        # whose workspace pool survives across searches; the per-call
+        # _context() binds the live graph and codes.
         self._packed: Optional[PackedAdjacency] = None
         self._init_engine(None, None)
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_state(
-        cls,
-        quantizer: BaseQuantizer,
-        *,
-        dim: int,
-        r: int,
-        search_l: int,
-        alpha: float,
-        build_batch_size: int,
-        vectors: np.ndarray,
-        codes: np.ndarray,
-        adjacency: List[np.ndarray],
-        deleted: np.ndarray,
-        entry: Optional[int],
-        seed: Optional[int] = 0,
-        mapped: bool = False,
-    ) -> "FreshVamanaIndex":
-        """Reconstruct a streaming index from persisted state: the live
-        adjacency, codes, vectors, and tombstones are restored exactly,
-        so searches (and future inserts) continue bitwise identically.
+    def from_spec(cls, params, graph, quantizer, x, labels=None):
+        index = cls(quantizer, x.shape[1], **params)
+        if x.shape[0]:
+            index.insert_batch(x)
+        return index
 
-        ``mapped=True`` marks ``vectors``/``codes`` as views of a
-        shared read-only memory map (the storage-v2 mmap load path);
-        the rows are adopted zero-copy and the first mutating call
-        promotes them to private memory instead of ever touching the
-        map (copy-on-write at index granularity).
+    #: The constructor arguments persisted (and restored) by name.
+    _STATE_PARAMS = ("dim", "r", "search_l", "alpha", "build_batch_size")
+
+    def export_arrays(self):
+        packed = self._packed_adjacency()  # the live lists as CSR
+        meta = {key: getattr(self, key) for key in self._STATE_PARAMS}
+        meta["entry"] = -1 if self._entry is None else int(self._entry)
+        arrays = {
+            "vectors": np.asarray(self._vectors, dtype=np.float64).reshape(
+                len(self._vectors), self.dim
+            ),
+            "codes": np.asarray(self._codes),
+            "stream_neighbors": packed.neighbors,
+            "stream_offsets": packed.offsets,
+            "deleted": np.asarray(self._deleted, dtype=bool),
+        }
+        return meta, arrays
+
+    @classmethod
+    def load_arrays(cls, meta, source, graph, quantizer):
+        """The live adjacency, codes, vectors and tombstones are
+        restored exactly, so searches (and future inserts) continue
+        bitwise identically.
+
+        A mapped ``source`` hands out views of a shared read-only
+        memory map: the rows are adopted zero-copy and the first
+        mutating call promotes them to private memory instead of ever
+        touching the map (copy-on-write at index granularity).
         """
-        self = cls(
-            quantizer,
-            dim,
-            r=r,
-            search_l=search_l,
-            alpha=alpha,
-            seed=seed,
-            build_batch_size=build_batch_size,
+        self = cls(quantizer, **{key: meta[key] for key in cls._STATE_PARAMS})
+        packed = PackedAdjacency(
+            neighbors=source["stream_neighbors"], offsets=source["stream_offsets"]
         )
-        vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, dim)
-        self._vectors = [row for row in vectors]
-        self._codes = [row for row in np.asarray(codes)]
-        self._adjacency = [
-            [int(u) for u in nbrs] for nbrs in adjacency
-        ]
-        self._deleted = [bool(d) for d in np.asarray(deleted).reshape(-1)]
-        self._entry = None if entry is None else int(entry)
-        self._mapped = bool(mapped)
+        vectors = np.asarray(source["vectors"], dtype=np.float64)
+        self._vectors = list(vectors.reshape(-1, self.dim))
+        self._codes = list(np.asarray(source["codes"]))
+        self._adjacency = [[int(u) for u in nbrs] for nbrs in packed.to_lists()]
+        self._deleted = [bool(d) for d in np.asarray(source["deleted"]).reshape(-1)]
+        self._entry = None if meta["entry"] < 0 else int(meta["entry"])
+        self._mapped = bool(source.mapped)
         return self
 
     def _promote_from_map(self) -> None:
@@ -243,9 +249,7 @@ class FreshVamanaIndex(GraphIndex):
             )
         return vector
 
-    def _apply_insert(
-        self, vector: np.ndarray, candidates: Optional[List[int]]
-    ) -> int:
+    def _apply_insert(self, vector: np.ndarray, candidates: Optional[List[int]]) -> int:
         """Append one vector and link it from ``candidates`` (the ids a
         search of the pre-insert graph returned); the exact sequential
         insert body shared by :meth:`insert` and :meth:`insert_batch`."""
@@ -262,9 +266,7 @@ class FreshVamanaIndex(GraphIndex):
 
         assert candidates is not None
         x = np.asarray(self._vectors)
-        self._adjacency.append(
-            robust_prune(x, new_id, candidates, self.alpha, self.r)
-        )
+        self._adjacency.append(robust_prune(x, new_id, candidates, self.alpha, self.r))
         for j in self._adjacency[new_id]:
             if new_id not in self._adjacency[j]:
                 self._adjacency[j].append(new_id)
@@ -341,9 +343,7 @@ class FreshVamanaIndex(GraphIndex):
                 return False
             # Stale once any adjacency list the cached trajectory read
             # was modified by apply number ``epoch`` or later.
-            return not (
-                last_mod[payload["visited"]] >= payload["epoch"]
-            ).any()
+            return not (last_mod[payload["visited"]] >= payload["epoch"]).any()
 
         def apply(i: int, payload) -> None:
             nonlocal epoch
@@ -355,9 +355,7 @@ class FreshVamanaIndex(GraphIndex):
                 last_mod[j] = epoch
             epoch += 1
 
-        lockstep_apply(
-            len(rows), batch_search, is_valid, apply, self.build_batch_size
-        )
+        lockstep_apply(len(rows), batch_search, is_valid, apply, self.build_batch_size)
         return ids
 
     def delete(self, vertex: int) -> None:
@@ -409,7 +407,11 @@ class FreshVamanaIndex(GraphIndex):
         return len(deleted)
 
     def _pick_new_entry(self, deleted: set) -> Optional[int]:
-        alive = [v for v in range(self.num_vertices) if v not in deleted and not self._deleted[v]]
+        alive = [
+            v
+            for v in range(self.num_vertices)
+            if v not in deleted and not self._deleted[v]
+        ]
         if not alive:
             return None
         x = np.asarray(self._vectors)[alive]
@@ -441,9 +443,7 @@ class FreshVamanaIndex(GraphIndex):
             codes=np.asarray(self._codes),
         )
 
-    def _search(
-        self, queries: np.ndarray, request: SearchRequest
-    ) -> SearchResponse:
+    def _search(self, queries: np.ndarray, request: SearchRequest) -> SearchResponse:
         """ADC beam search with per-query tombstone filtering.
 
         One shared table build, one lockstep routing pass through the
@@ -469,7 +469,7 @@ class FreshVamanaIndex(GraphIndex):
         alive = valid & ~dead[np.where(valid, result.ids, 0)]
         return self._respond(
             *compact_rows(result.ids, result.distances, alive, k),
-            stats,
+            stats.workspace_reused,
             hops=result.hops,
             distance_computations=result.distance_computations,
         )

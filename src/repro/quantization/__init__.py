@@ -6,8 +6,6 @@
 * :class:`LinkAndCodeQuantizer` — L&C-style residual refinement [21].
 * :class:`Codebook`, :class:`LookupTable` — shared containers;
   :func:`adc_distances` / :func:`sdc_distances` — distance estimators.
-* :class:`TableCache` — cross-request LRU cache of per-query ADC table
-  rows (the serving-path table-build amortizer).
 * :class:`ScalarQuantizer` (SQ8) / :class:`ResidualQuantizer` (RQ) —
   non-PQ compression baselines.
 * :func:`kmeans` — the Lloyd clustering primitive.
@@ -24,7 +22,6 @@ from .pq import ProductQuantizer
 from .rq import ResidualQuantizer
 from .scalar import ScalarQuantizer
 from .serialization import load_quantizer, save_quantizer
-from .table_cache import TableCache
 
 __all__ = [
     "BaseQuantizer",
@@ -36,7 +33,6 @@ __all__ = [
     "code_dtype_for",
     "BatchLookupTable",
     "LookupTable",
-    "TableCache",
     "adc_distances",
     "sdc_distances",
     "kmeans",

@@ -264,18 +264,16 @@ class ShardedIndex:
         return self._backend.fleet_status()
 
     def engine_status(self) -> List[dict]:
-        """Per-shard hot-path amortizer stats (table cache + workspace
-        pool), one row per shard; shards without the engine wiring
-        (e.g. plain stubs) report ``None``.  Note the process backend
+        """Per-shard hot-path amortizer stats (the workspace pool),
+        one row per shard; shards without the engine wiring (e.g.
+        plain stubs) report ``None``.  Note the process backend
         runs searches in worker processes, so the in-process shard
         objects' counters only reflect searches served locally."""
         rows: List[dict] = []
         for s, shard in enumerate(self._shards):
             status = getattr(shard, "engine_status", None)
             if status is None:
-                rows.append(
-                    {"shard": s, "table_cache": None, "workspace_pool": None}
-                )
+                rows.append({"shard": s, "workspace_pool": None})
             else:
                 rows.append({"shard": s, **status()})
         return rows

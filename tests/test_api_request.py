@@ -53,7 +53,7 @@ def build_all(setup):
 
 # Engine-amortizer telemetry (cache/pool warmth) varies between the
 # two executions being compared; answers stay bitwise identical.
-VOLATILE_COUNTERS = {"table_cache_hits", "workspace_reused"}
+VOLATILE_COUNTERS = {"workspace_reused"}
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +119,6 @@ def test_response_row_helpers():
 BASE_COUNTERS = {
     "hops",
     "distance_computations",
-    "table_cache_hits",
     "workspace_reused",
 }
 SCENARIO_COUNTERS = {

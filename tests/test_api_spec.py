@@ -155,9 +155,48 @@ def setup():
 def test_scenario_for_index_most_derived(setup):
     data, quantizer, graph = setup
     l2r = L2RIndex(graph, quantizer, data.base, rng=np.random.default_rng(0))
-    assert scenario_for_index(l2r).name == "l2r"
-    mem = MemoryIndex(graph, quantizer, data.base)
-    assert scenario_for_index(mem).name == "memory"
+    assert scenario_for_index(l2r) is L2RIndex
+    assert scenario_for_index(MemoryIndex(graph, quantizer, data.base)) is MemoryIndex
+
+    class Unregistered(L2RIndex):  # persists as its nearest registered base
+        pass
+
+    assert scenario_for_index(object.__new__(Unregistered)) is L2RIndex
+
+
+class _Source(dict):
+    """What ``load_arrays`` reads from: name -> array, plus ``mapped``."""
+
+    mapped = False
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_scenario_contract(setup, name):
+    """A scenario is one class: its own registry entry, buildable from a
+    spec, and its own exact state codec."""
+    data, quantizer, graph = setup
+    index_cls = get_scenario(name)
+    assert index_cls.scenario == name
+    spec = IndexSpec(scenario=ScenarioSpec(kind=name))
+    index = build(spec, data=data.base, graph=graph, quantizer=quantizer)
+    assert type(index) is index_cls
+    assert scenario_for_index(index) is index_cls
+
+    meta, arrays = index.export_arrays()
+    assert set(index_cls.code_arrays) <= set(arrays)
+    loaded = index_cls.load_arrays(
+        meta, _Source(arrays), graph if index_cls.needs_graph else None, quantizer
+    )
+    assert type(loaded) is index_cls
+    meta_again, arrays_again = loaded.export_arrays()
+    assert meta_again == meta
+    assert list(arrays_again) == list(arrays)
+    for key, array in arrays.items():
+        assert arrays_again[key].dtype == array.dtype, key
+        np.testing.assert_array_equal(arrays_again[key], array, err_msg=key)
+
+    with pytest.raises(ValueError, match="unknown scenario params"):
+        index_cls.validate_params({"no_such_param": 1})
 
 
 def test_scenario_for_index_unknown_type():

@@ -164,7 +164,7 @@ class TestStreamingEdgeCases:
     def test_empty_index(self, setup):
         data, quantizer, _ = setup
         index = StreamingIndex(
-            quantizer, dim=data.base.shape[1], r=8, search_l=16, seed=0
+            quantizer, dim=data.base.shape[1], r=8, search_l=16
         )
         batch = search(index, data.queries, k=5, beam_width=16)
         assert batch.num_queries == len(data.queries)
@@ -174,7 +174,7 @@ class TestStreamingEdgeCases:
     def test_fewer_alive_than_k(self, setup):
         data, quantizer, _ = setup
         index = StreamingIndex(
-            quantizer, dim=data.base.shape[1], r=8, search_l=16, seed=0
+            quantizer, dim=data.base.shape[1], r=8, search_l=16
         )
         index.insert_batch(data.base[:6])
         for v in (0, 2, 4):

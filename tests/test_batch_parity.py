@@ -171,7 +171,7 @@ class TestStreamingParity:
     def test_with_tombstones(self, setup):
         data, quantizer, _, _ = setup
         index = StreamingIndex(
-            quantizer, dim=data.base.shape[1], r=10, search_l=24, seed=0
+            quantizer, dim=data.base.shape[1], r=10, search_l=24
         )
         index.insert_batch(data.base[:250])
         for v in (3, 20, 77, 120):
@@ -185,7 +185,7 @@ class TestStreamingParity:
     def test_after_consolidation(self, setup):
         data, quantizer, _, _ = setup
         index = StreamingIndex(
-            quantizer, dim=data.base.shape[1], r=10, search_l=24, seed=0
+            quantizer, dim=data.base.shape[1], r=10, search_l=24
         )
         index.insert_batch(data.base[:150])
         for v in (1, 5, 30):

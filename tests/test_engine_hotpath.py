@@ -1,20 +1,18 @@
 """Hot-path engine overhaul invariants.
 
-Three amortizers were layered under the lockstep kernel — the packed
-CSR adjacency, the reusable kernel workspaces, and the cross-request
-ADC table cache — and every one of them must be *bitwise invisible*:
+Two amortizers are layered under the lockstep kernel — the packed CSR
+adjacency and the reusable kernel workspaces — and both must be
+*bitwise invisible*:
 
 * routing over :class:`~repro.graphs.PackedAdjacency` equals routing
   over the original list-of-arrays adjacency;
 * a search on a recycled (dirty) workspace equals a search on fresh
-  buffers;
-* a cache-warm search equals the cold search that seeded the cache,
-  on every scenario including the filtered qmap path and the sharded
-  and dynamic-batching serving paths.
+  buffers, on every scenario including the filtered qmap path and the
+  sharded and dynamic-batching serving paths.
 
-The telemetry (``table_cache_hits`` / ``workspace_reused`` counters,
-``engine_status()``) is asserted separately — it is *allowed* to vary
-between executions; the answers are not.
+The telemetry (the ``workspace_reused`` counter, ``engine_status()``)
+is asserted separately — it is *allowed* to vary between executions;
+the answers are not.
 """
 
 from __future__ import annotations
@@ -34,13 +32,13 @@ from repro.index import (
     MemoryIndex,
     StreamingIndex,
 )
-from repro.quantization import ProductQuantizer, TableCache
+from repro.quantization import ProductQuantizer
 from repro.quantization.adc import BatchLookupTable, LookupTable
 from repro.serving import DynamicBatcher, ShardedIndex
 
 from .helpers import search, search_one
 
-VOLATILE_COUNTERS = {"table_cache_hits", "workspace_reused"}
+VOLATILE_COUNTERS = {"workspace_reused"}
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +64,7 @@ def make_index(name, setup):
         return FilteredIndex(graph, quantizer, data.base, labels)
     if name == "streaming":
         index = StreamingIndex(
-            quantizer, dim=data.base.shape[1], r=8, search_l=20, seed=0
+            quantizer, dim=data.base.shape[1], r=8, search_l=20
         )
         index.insert_batch(data.base[:120])
         return index
@@ -288,94 +286,7 @@ class TestWorkspaceReuse:
 
 
 # ----------------------------------------------------------------------
-# Table cache: unit behavior
-# ----------------------------------------------------------------------
-
-
-class TestTableCache:
-    @staticmethod
-    def factory(queries):
-        queries = np.atleast_2d(queries)
-        # A deterministic, row-independent stand-in table build.
-        tables = np.stack(
-            [np.outer(np.arange(2.0), q[:3] + 1.0) for q in queries]
-        )
-        return BatchLookupTable(tables=tables)
-
-    def test_hit_returns_bitwise_equal_rows(self):
-        cache = TableCache(capacity=8)
-        queries = np.arange(12.0).reshape(2, 6)
-        cold, mask = cache.get_batch("fp", queries, self.factory)
-        assert not mask.any()
-        warm, mask = cache.get_batch("fp", queries, self.factory)
-        assert mask.all()
-        np.testing.assert_array_equal(cold.tables, warm.tables)
-
-    def test_partial_hit_stitches_exactly(self):
-        cache = TableCache(capacity=8)
-        queries = np.arange(18.0).reshape(3, 6)
-        cache.get_batch("fp", queries[:2], self.factory)
-        stitched, mask = cache.get_batch("fp", queries, self.factory)
-        np.testing.assert_array_equal(mask, [True, True, False])
-        np.testing.assert_array_equal(
-            stitched.tables, self.factory(queries).tables
-        )
-
-    def test_fingerprint_mismatch_misses(self):
-        cache = TableCache(capacity=8)
-        queries = np.arange(6.0).reshape(1, 6)
-        cache.get_batch("fp-a", queries, self.factory)
-        _, mask = cache.get_batch("fp-b", queries, self.factory)
-        assert not mask.any()
-
-    def test_lru_eviction(self):
-        cache = TableCache(capacity=2)
-        q = np.arange(18.0).reshape(3, 6)
-        cache.get_batch("fp", q[0], self.factory)
-        cache.get_batch("fp", q[1], self.factory)
-        cache.get_batch("fp", q[0], self.factory)  # refresh q0
-        cache.get_batch("fp", q[2], self.factory)  # evicts q1 (LRU)
-        assert len(cache) == 2
-        _, mask0 = cache.get_batch("fp", q[0], self.factory)
-        assert mask0.all()
-        _, mask1 = cache.get_batch("fp", q[1], self.factory)
-        assert not mask1.any()
-        assert cache.stats()["evictions"] >= 1
-
-    def test_stats_and_clear(self):
-        cache = TableCache(capacity=4)
-        q = np.arange(6.0).reshape(1, 6)
-        cache.get_batch("fp", q, self.factory)
-        cache.get_batch("fp", q, self.factory)
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["size"] == 1
-        assert stats["hit_rate"] == pytest.approx(0.5)
-        cache.clear()
-        assert len(cache) == 0
-        _, mask = cache.get_batch("fp", q, self.factory)
-        assert not mask.any()
-
-    def test_hits_never_alias_cache_storage(self):
-        cache = TableCache(capacity=4)
-        q = np.arange(6.0).reshape(1, 6)
-        cache.get_batch("fp", q, self.factory)
-        warm, _ = cache.get_batch("fp", q, self.factory)
-        warm.tables[:] = -1.0  # caller may scribble on its copy
-        again, mask = cache.get_batch("fp", q, self.factory)
-        assert mask.all()
-        np.testing.assert_array_equal(
-            again.tables, self.factory(q).tables
-        )
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            TableCache(capacity=0)
-
-
-# ----------------------------------------------------------------------
-# Cache warm vs cold: every scenario, bitwise
+# Warm vs cold (recycled workspace): every scenario, bitwise
 # ----------------------------------------------------------------------
 
 
@@ -388,9 +299,8 @@ class TestCachedSearchParity:
         data, _, _ = setup
         index = make_index(name, setup)
         cold = run_search(name, index, data.queries)
-        assert not cold.counters["table_cache_hits"].any()
         warm = run_search(name, index, data.queries)
-        assert warm.counters["table_cache_hits"].all()
+        assert warm.counters["workspace_reused"].all()
         assert_same_answers(cold, warm)
 
     @pytest.mark.parametrize("name", SCENARIOS)
@@ -399,12 +309,6 @@ class TestCachedSearchParity:
         index = make_index(name, setup)
         run_search(name, index, data.queries[:4])
         mixed = run_search(name, index, data.queries)
-        np.testing.assert_array_equal(
-            mixed.counters["table_cache_hits"][:4], np.ones(4, dtype=np.int64)
-        )
-        np.testing.assert_array_equal(
-            mixed.counters["table_cache_hits"][4:], np.zeros(4, dtype=np.int64)
-        )
         fresh = run_search(name, make_index(name, setup), data.queries)
         assert_same_answers(fresh, mixed)
 
@@ -415,24 +319,17 @@ class TestCachedSearchParity:
         run_search(name, index, data.queries)
         run_search(name, index, data.queries)
         status = index.engine_status()
-        assert status["table_cache"]["hits"] >= data.queries.shape[0]
         assert status["workspace_pool"]["reuses"] >= 1
 
-    def test_invalidate_table_cache(self, setup):
-        data, _, _ = setup
-        index = make_index("memory", setup)
-        run_search("memory", index, data.queries)
-        index.invalidate_table_cache()
-        again = run_search("memory", index, data.queries)
-        assert not again.counters["table_cache_hits"].any()
-
     def test_scalar_search_reports_hit(self, setup):
+        # The one-row view of the pool telemetry: a hit on the recycled
+        # workspace reads 1, and never changes the answer.
         data, _, _ = setup
         index = make_index("memory", setup)
         cold = search_one(index, data.queries[0], k=5, beam_width=16)
-        assert cold.counters["table_cache_hits"] == 0
+        assert cold.counters["workspace_reused"] == 0
         warm = search_one(index, data.queries[0], k=5, beam_width=16)
-        assert warm.counters["table_cache_hits"] == 1
+        assert warm.counters["workspace_reused"] == 1
         np.testing.assert_array_equal(cold.ids, warm.ids)
         np.testing.assert_array_equal(cold.distances, warm.distances)
 
@@ -441,7 +338,7 @@ class TestStreamingInvalidation:
     def test_inserts_keep_cache_but_invalidate_packed(self, setup):
         data, quantizer, _ = setup
         index = StreamingIndex(
-            quantizer, dim=data.base.shape[1], r=8, search_l=20, seed=0
+            quantizer, dim=data.base.shape[1], r=8, search_l=20
         )
         index.insert_batch(data.base[:100])
         search(index, data.queries, k=5, beam_width=16)
@@ -450,12 +347,12 @@ class TestStreamingInvalidation:
         assert index._packed is None  # mutation dropped the CSR view
         warm = search(index, data.queries, k=5, beam_width=16)
         assert index._packed is not packed_before
-        # Tables depend only on query + quantizer: still cache hits.
-        assert warm.counters["table_cache_hits"].all()
+        # The workspace pool is the cache an insert leaves alone.
+        assert warm.counters["workspace_reused"].all()
 
         # The packed route must equal a from-scratch sequential build.
         reference = StreamingIndex(
-            quantizer, dim=data.base.shape[1], r=8, search_l=20, seed=0
+            quantizer, dim=data.base.shape[1], r=8, search_l=20
         )
         for row in data.base[:140]:
             reference.insert(row)
@@ -465,7 +362,7 @@ class TestStreamingInvalidation:
     def test_delete_does_not_invalidate_packed(self, setup):
         data, quantizer, _ = setup
         index = StreamingIndex(
-            quantizer, dim=data.base.shape[1], r=8, search_l=20, seed=0
+            quantizer, dim=data.base.shape[1], r=8, search_l=20
         )
         index.insert_batch(data.base[:60])
         search(index, data.queries, k=5, beam_width=16)
@@ -500,15 +397,15 @@ class TestServingPaths:
             cold = search(sharded, data.queries, k=5, beam_width=16)
             warm = search(sharded, data.queries, k=5, beam_width=16)
             assert_same_answers(cold, warm)
-            # Summed across shards: every shard hit on the warm pass.
+            # Summed across shards: both recycled on the warm pass.
             np.testing.assert_array_equal(
-                warm.counters["table_cache_hits"],
+                warm.counters["workspace_reused"],
                 np.full(data.queries.shape[0], 2, dtype=np.int64),
             )
             status = sharded.engine_status()
             assert len(status) == 2
             assert all(
-                row["table_cache"]["hits"] > 0 for row in status
+                row["workspace_pool"]["reuses"] > 0 for row in status
             )
 
     def test_batcher_reports_cache_counters(self, setup):
@@ -524,9 +421,8 @@ class TestServingPaths:
             )
             cold = batcher.search(request)
             warm = batcher.search(request)
-        assert "table_cache_hits" in cold.counters
-        assert "workspace_reused" in warm.counters
-        assert warm.counters["table_cache_hits"].all()
+        assert "workspace_reused" in cold.counters
+        assert warm.counters["workspace_reused"].all()
         np.testing.assert_array_equal(cold.ids, warm.ids)
         np.testing.assert_array_equal(cold.distances, warm.distances)
         np.testing.assert_array_equal(cold.counts, warm.counts)
@@ -539,8 +435,7 @@ class TestServingPaths:
         request = SearchRequest(queries=data.queries, k=5, beam_width=16)
         index.search(request)
         warm = index.search(request)
-        assert warm.counters["table_cache_hits"].all()
-        assert "workspace_reused" in warm.counters
+        assert warm.counters["workspace_reused"].all()
 
 
 # ----------------------------------------------------------------------

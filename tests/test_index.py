@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.api import SearchRequest
 from repro.datasets import compute_ground_truth, load
 from repro.graphs import build_vamana
 from repro.index import (
@@ -78,7 +82,8 @@ class TestSimulatedSSD:
         adj = [rng.integers(0, n, size=rng.integers(0, 6)) for _ in range(n)]
         cfg = SSDConfig(read_latency_us=latency, queue_parallelism=parallelism)
         looped, batched = SimulatedSSD(x, adj, cfg), SimulatedSSD(x, adj, cfg)
-        for _ in range(5):  # the device clock carries over between rounds
+        clock_us = 0.0  # the caller's clock carries over between rounds
+        for _ in range(5):
             lens = rng.integers(1, 9, size=6)
             vertices = rng.integers(0, n, size=int(lens.sum()))
             vec_parts, lists, io_us = [], [], []
@@ -88,14 +93,20 @@ class TestSimulatedSSD:
                 io_us.append(looped.simulated_io_us - before)
                 vec_parts.append(vecs)
                 lists.extend(adjs)
-            vecs, flat, nbr_lens, round_us = batched.read_round(vertices, lens)
+            vecs, flat, nbr_lens, clock = batched.read_round(
+                vertices, lens, clock_us
+            )
+            assert clock[0] == clock_us
+            clock_us = float(clock[-1])
             np.testing.assert_array_equal(vecs, np.vstack(vec_parts))
             np.testing.assert_array_equal(flat, np.concatenate(lists))
             np.testing.assert_array_equal(nbr_lens, [a.size for a in lists])
-            np.testing.assert_array_equal(round_us, io_us)  # bitwise
+            np.testing.assert_array_equal(clock[1:] - clock[:-1], io_us)  # bitwise
+            assert clock_us == looped.simulated_io_us  # bitwise
             assert batched.page_reads == looped.page_reads
             assert batched.batched_requests == looped.batched_requests
-            assert batched.simulated_io_us == looped.simulated_io_us
+            # The device's own lifetime total adds whole rounds.
+            assert batched.simulated_io_us == pytest.approx(clock_us)
 
     def test_reset(self):
         x = RNG.normal(size=(5, 3)).astype(np.float32)
@@ -172,6 +183,54 @@ class TestDiskIndex:
         assert res.counters["page_reads"] == res.hops
         assert res.counters["io_rounds"] <= res.hops
         assert res.counters["simulated_io_us"] > 0
+
+    def test_concurrent_searches_share_the_ssd_without_interference(self, setup):
+        """Thread replicas share one live index: every counter of every
+        response — the float ``simulated_io_us`` at a non-integer
+        latency included — must equal the unloaded reference bitwise,
+        and the device's lifetime totals must lose no update.  (~0.3 s)"""
+        data, graph, quantizer, gt = setup
+        index = DiskIndex(
+            graph, quantizer, data.base, ssd_config=SSDConfig(read_latency_us=33.3)
+        )
+        requests = [
+            SearchRequest(data.queries[i : i + 3], k=10, beam_width=24)
+            for i in range(0, 9, 3)
+        ]
+        expected = [index.search(request) for request in requests]
+        reads_per_pass = sum(int(r.counters["page_reads"].sum()) for r in expected)
+        assert index.ssd.page_reads == reads_per_pass  # lifetime, never reset
+        workers, passes, got = 4, 8, {}
+
+        def worker(w):
+            got[w] = [
+                [index.search(request) for request in requests]
+                for _ in range(passes)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(w,)) for w in range(workers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == list(range(workers))
+        for answers in got.values():
+            for one_pass in answers:
+                for want, response in zip(expected, one_pass):
+                    np.testing.assert_array_equal(response.ids, want.ids)
+                    for name in set(want.counters) - {"workspace_reused"}:
+                        np.testing.assert_array_equal(
+                            response.counters[name], want.counters[name], err_msg=name
+                        )
+        assert index.ssd.page_reads == (1 + workers * passes) * reads_per_pass
 
     def test_hybrid_recall_beats_memory_at_same_beam(self, setup):
         # Rerank with exact distances must dominate code-only ranking.

@@ -53,7 +53,7 @@ def test_spec_grid_is_well_formed(artifact_id):
         for variant in artifact.variants:
             spec = group.spec(variant.quantizer, variant.scenario)
             assert IndexSpec.from_dict(spec.to_dict()) == spec
-            get_scenario(spec.scenario.kind).validate_params(spec.scenario)
+            get_scenario(spec.scenario.kind).validate_params(spec.scenario.params)
             if variant.key not in executed:
                 skipped.add((group.heading, variant.key))
     # The K x M cells Figs. 9-10 skip stay skipped: 16 chunks do not

@@ -23,6 +23,7 @@ import pytest
 
 from repro.api import IndexSpec, SearchRequest, ShardingSpec
 from repro.index import DiskIndex
+from repro.quantization import CatalystQuantizer
 from repro.serving import ReplicaDied, ShardBackend, ShardedIndex, make_shard_backend
 from repro.serving.net import ShardClient, framing
 
@@ -399,20 +400,19 @@ class TestWorkerErrors:
         import tempfile
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        data, quantizer = setup
+        data, _ = setup
+        # A catalyst quantizer (trainable MLP state) is the documented
+        # unpersistable case: save_index raises at worker spawn.
+        catalyst = CatalystQuantizer(8, 16, out_dim=16, epochs=1, seed=0)
+        catalyst.fit(data.train)
 
         def factory(xs):
-            # A custom table transform is the documented unpersistable
-            # case: save_index raises at worker spawn.
-            return DiskIndex(
-                graph_of(xs), quantizer, xs, io_width=2,
-                table_transform=lambda table: table,
-            )
+            return DiskIndex(graph_of(xs), catalyst, xs, io_width=2)
 
         sharded = ShardedIndex.build(
             data.base, 2, factory, backend="process"
         )
-        with pytest.raises(ValueError, match="cannot persist"):
+        with pytest.raises(TypeError, match="unsupported quantizer"):
             search(sharded, data.queries, k=5, beam_width=16)
         assert worker_pids(sharded) == [None, None]
         leftovers = [

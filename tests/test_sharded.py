@@ -48,7 +48,7 @@ def build_memory(x, quantizer, **kwargs):
 
 
 def make_streaming(quantizer, dim):
-    return StreamingIndex(quantizer, dim=dim, r=8, search_l=20, seed=0)
+    return StreamingIndex(quantizer, dim=dim, r=8, search_l=20)
 
 
 def assert_batches_equal(a, b, fields=()):

@@ -26,7 +26,7 @@ def sift_small():
 
 class TestFreshVamana:
     def make_index(self, data, quantizer, n=200):
-        index = FreshVamanaIndex(quantizer, dim=data.dim, r=12, search_l=24, seed=0)
+        index = FreshVamanaIndex(quantizer, dim=data.dim, r=12, search_l=24)
         index.insert_batch(data.base[:n])
         return index
 
