@@ -10,7 +10,7 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-fast test-batch test-build test-replication test-net \
 	chaos-smoke bench-batch bench-build bench-serving bench-kernel \
 	bench-load bench-storage bench-e2e-smoke bench-paper paper-smoke \
-	profile-kernel smoke \
+	profile-kernel profile-fit smoke \
 	smoke-examples smoke-net smoke-migrate demo lint ci ci-full
 
 # Tier-1: the full test suite, stop on first failure.
@@ -114,6 +114,13 @@ paper-smoke:
 profile-kernel:
 	cd benchmarks && $(PYTHON) profile_kernel.py
 
+# The set-up twin: an RPQ fit (and a PQ fit) at offline_batch's shape
+# with exclusive seconds per stage (OPQ rotation, k-means++ seeding,
+# Lloyd, warm start, feature sampling, training forward / backward) and
+# expm / soft_reconstruct calls per optimizer step (~10 s).
+profile-fit:
+	cd benchmarks && $(PYTHON) profile_fit.py
+
 # Static checks.  ruff ships via requirements-dev.txt (CI always has
 # it); when it is missing locally the target skips instead of failing
 # so `make ci` stays runnable in minimal environments.  The format
@@ -180,6 +187,7 @@ ci: lint test-fast chaos-smoke smoke-net smoke-migrate smoke-examples \
 # can never silently drop them.)
 ci-full: lint test test-replication test-net smoke-net smoke-migrate \
 		smoke-examples bench-e2e-smoke paper-smoke
+	cd benchmarks && REPRO_SMOKE=1 $(PYTHON) profile_fit.py
 	cd benchmarks && $(PYTHON) -m pytest bench_batch_throughput.py \
 		bench_build.py bench_serving.py bench_kernel.py \
 		bench_load.py bench_storage.py -q

@@ -1,0 +1,179 @@
+"""Fit-side stage profile: where an RPQ fit spends its time.
+
+The set-up twin of ``profile_kernel.py``.  Fits RPQ at the
+``offline_batch`` workload's shape (sift, n = 2000, dim 64, NSG graph,
+16 x 256, 2 epochs, the registry's quick training config) and a plain
+PQ at the same budget, with timing wrappers on the fit's seams, and
+prints a table of exclusive seconds per stage: OPQ rotation, k-means++
+seeding, Lloyd, the k-means warm start, triplet and routing sampling,
+training forward (+ optimizer) and backward.  It also counts the
+differentiable ``expm`` and ``soft_reconstruct`` calls per optimizer
+step.  Nothing in ``src/`` carries a hook: the wrappers replace the
+seams for the duration of one fit and put them back.
+
+    cd benchmarks && python profile_fit.py          # ~10 s
+    REPRO_SMOKE=1 python profile_fit.py             # toy size, ~2 s
+
+Plain script, not a pytest bench: profiles are for humans reading a
+breakdown, not for gating.
+"""
+
+from __future__ import annotations
+
+import functools
+import importlib
+import os
+import sys
+import time
+from collections import defaultdict
+
+from repro.api.registry import build_graph_from_spec, build_quantizer_from_spec
+from repro.api.spec import GraphSpec, QuantizerSpec
+from repro.datasets import load
+
+SMOKE = os.environ.get("REPRO_SMOKE") == "1"
+N_BASE = 300 if SMOKE else 2000
+NUM_CHUNKS = 8 if SMOKE else 16
+NUM_CODEWORDS = 16 if SMOKE else 256
+EPOCHS = 1 if SMOKE else 2
+
+#: (module, class or None, attribute, stage).  Stages nest; each is
+#: charged its exclusive time, so seeding inside OPQ counts as seeding.
+TIMED = [
+    ("repro.core.diffq", "DifferentiableQuantizer", "warm_start_rotation",
+     "OPQ rotation warm start"),
+    ("repro.core.diffq", "DifferentiableQuantizer", "warm_start",
+     "k-means warm start"),
+    ("repro.quantization.kmeans", None, "kmeans_plus_plus_init",
+     "k-means++ seeding"),
+    ("repro.quantization.kmeans", None, "_lockstep_seeds",
+     "k-means++ seeding"),
+    ("repro.quantization.kmeans", None, "kmeans", "Lloyd"),
+    ("repro.core.features", None, "sample_triplets", "triplet sampling"),
+    ("repro.core.features", None, "sample_routing_records",
+     "routing sampling"),
+    ("repro.autodiff.tensor", "Tensor", "backward", "training backward"),
+    ("repro.core.trainer", None, "train_rpq",
+     "training forward + optimizer"),
+]
+#: Seams only counted, to report calls per optimizer step.
+COUNTED = [
+    ("repro.autodiff.expm", None, "expm", "expm (differentiable)"),
+    ("repro.core.diffq", "DifferentiableQuantizer", "soft_reconstruct",
+     "soft_reconstruct"),
+    ("repro.autodiff.optim", "Adam", "step", "optimizer steps"),
+]
+
+
+class StageProfile:
+    """Exclusive wall time and call counts per named stage."""
+
+    def __init__(self) -> None:
+        self.seconds: dict = defaultdict(float)
+        self.calls: dict = defaultdict(int)
+        self._children: list = []
+        self._restore: list = []
+
+    def _timed(self, fn, stage: str):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            self._children.append(0.0)
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - start
+                nested = self._children.pop()
+                self.seconds[stage] += elapsed - nested
+                self.calls[stage] += 1
+                if self._children:
+                    self._children[-1] += elapsed
+
+        return wrapper
+
+    def _counted(self, fn, stage: str):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            self.calls[stage] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def _patch(self, owner, attr: str, new) -> None:
+        self._restore.append((owner, attr, owner.__dict__[attr]))
+        setattr(owner, attr, new)
+
+    def install(self) -> None:
+        for seams, make in ((TIMED, self._timed), (COUNTED, self._counted)):
+            for module, cls, attr, stage in seams:
+                owner = importlib.import_module(module)
+                if cls is not None:
+                    owner = getattr(owner, cls)
+                if attr not in owner.__dict__:
+                    continue  # a seam this checkout does not have
+                original = owner.__dict__[attr]
+                wrapped = make(original, stage)
+                self._patch(owner, attr, wrapped)
+                # Functions imported by name elsewhere are patched there
+                # too, so every call site goes through the wrapper.
+                if cls is None:
+                    for name, mod in list(sys.modules.items()):
+                        if (
+                            name.startswith("repro.")
+                            and mod is not owner
+                            and getattr(mod, attr, None) is original
+                        ):
+                            self._patch(mod, attr, wrapped)
+
+    def uninstall(self) -> None:
+        for owner, attr, original in reversed(self._restore):
+            setattr(owner, attr, original)
+        self._restore.clear()
+
+
+def profiled(label: str, fit) -> None:
+    profile = StageProfile()
+    profile.install()
+    start = time.perf_counter()
+    try:
+        fit()
+    finally:
+        total = time.perf_counter() - start
+        profile.uninstall()
+    print(f"{label}: {total:.2f} s")
+    stages = [s for s in dict.fromkeys(t[3] for t in TIMED) if profile.calls[s]]
+    for stage in stages:
+        print(
+            f"  {stage:<30} {profile.seconds[stage]:7.3f} s "
+            f"{100 * profile.seconds[stage] / total:5.1f} %  "
+            f"({profile.calls[stage]} calls)"
+        )
+    other = total - sum(profile.seconds[s] for s in stages)
+    print(f"  {'(outside the seams)':<30} {other:7.3f} s")
+    steps = profile.calls["optimizer steps"]
+    if steps:
+        for _, _, _, stage in COUNTED[:2]:
+            print(
+                f"  {stage} per optimizer step: "
+                f"{profile.calls[stage] / steps:.2f} "
+                f"({profile.calls[stage]} calls / {steps} steps)"
+            )
+
+
+def main() -> int:
+    x = load("sift", n_base=N_BASE, n_queries=1, seed=0).base
+    graph = build_graph_from_spec(GraphSpec(kind="nsg"), x)
+    shape = f"n={N_BASE}, dim {x.shape[1]}, {NUM_CHUNKS} x {NUM_CODEWORDS}"
+    rpq = QuantizerSpec("rpq", NUM_CHUNKS, NUM_CODEWORDS, params={"epochs": EPOCHS})
+    profiled(
+        f"RPQ fit ({shape}, {EPOCHS} epochs)",
+        lambda: build_quantizer_from_spec(rpq, x, x=x, graph=graph),
+    )
+    print()
+    pq = QuantizerSpec("pq", NUM_CHUNKS, NUM_CODEWORDS)
+    profiled(f"PQ fit ({shape})", lambda: build_quantizer_from_spec(pq, x))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -3,9 +3,9 @@
 Public surface:
 
 * :class:`Tensor` — numpy-backed tensor with a backward tape.
-* :func:`softmax`, :func:`log_softmax`, :func:`gumbel_softmax`,
-  :func:`pairwise_sqdist`, :func:`sqdist`, :func:`relu` — differentiable
-  building blocks.
+* :func:`softmax`, :func:`log_softmax`, :func:`segment_log_softmax`,
+  :func:`gumbel_softmax`, :func:`pairwise_sqdist`, :func:`sqdist`,
+  :func:`relu` — differentiable building blocks.
 * :func:`expm`, :func:`skew_symmetric_from_flat` — the rotation
   parameterization used by adaptive vector decomposition (paper §4).
 * :class:`SGD`, :class:`Adam`, :class:`OneCycleLR` — optimizers/schedules.
@@ -19,6 +19,7 @@ from .functional import (
     pairwise_sqdist,
     relu,
     sample_gumbel,
+    segment_log_softmax,
     softmax,
     sqdist,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "concatenate",
     "softmax",
     "log_softmax",
+    "segment_log_softmax",
     "gumbel_softmax",
     "sample_gumbel",
     "pairwise_sqdist",

@@ -46,6 +46,22 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(value, (x,), backward)
 
 
+def segment_log_softmax(x: Tensor, offsets: np.ndarray) -> Tensor:
+    """:func:`log_softmax` of every segment ``x[offsets[s] : offsets[s + 1]]``
+    of a 1-D tensor at once (segments must be non-empty)."""
+    starts = np.asarray(offsets[:-1])
+    owner = np.repeat(np.arange(starts.size), np.diff(offsets))
+    shifted = x.data - np.maximum.reduceat(x.data, starts)[owner]
+    log_norm = np.log(np.add.reduceat(np.exp(shifted), starts))
+    value = shifted - log_norm[owner]
+    soft = np.exp(value)
+
+    def backward(g: np.ndarray) -> None:
+        Tensor._send(x, g - soft * np.add.reduceat(g, starts)[owner])
+
+    return Tensor._make(value, (x,), backward)
+
+
 def sample_gumbel(
     shape: tuple,
     rng: np.random.Generator,
@@ -62,6 +78,7 @@ def gumbel_softmax(
     rng: Optional[np.random.Generator] = None,
     hard: bool = False,
     axis: int = -1,
+    noise: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Gumbel-Softmax relaxation of a categorical sample (paper Eq. 7).
 
@@ -77,11 +94,13 @@ def gumbel_softmax(
     hard:
         If True, return a straight-through one-hot: the forward value is
         exactly one-hot while gradients flow through the soft relaxation.
+    noise:
+        Gumbel noise of ``logits``' shape drawn beforehand; used instead
+        of drawing from ``rng``.
     """
-    noisy = logits
-    if rng is not None:
+    if noise is None and rng is not None:
         noise = sample_gumbel(logits.shape, rng)
-        noisy = logits + Tensor(noise)
+    noisy = logits if noise is None else logits + Tensor(noise)
     soft = softmax(noisy * (1.0 / tau), axis=axis)
     if not hard:
         return soft

@@ -23,14 +23,20 @@ that drops into any index exactly like PQ/OPQ.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..autodiff import Tensor, gumbel_softmax, pairwise_sqdist, softmax
+from ..autodiff import (
+    Tensor,
+    gumbel_softmax,
+    pairwise_sqdist,
+    sample_gumbel,
+    softmax,
+)
 from ..quantization.base import BaseQuantizer
 from ..quantization.codebook import Codebook
-from ..quantization.kmeans import kmeans
+from ..quantization.kmeans import train_codebook
 from .rotation import AdaptiveRotation
 
 
@@ -123,15 +129,14 @@ class DifferentiableQuantizer:
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         rotated = x @ self.rotation.matrix_numpy().T
-        for j in range(self.num_chunks):
-            chunk = rotated[:, j * self.sub_dim : (j + 1) * self.sub_dim]
-            result = kmeans(
-                chunk, self.num_codewords, max_iter=kmeans_iter, rng=self.rng
-            )
+        results = train_codebook(
+            rotated, self.num_chunks, self.num_codewords, kmeans_iter, self.rng
+        )
+        for j, result in enumerate(results):
             self.codebooks[j].data[...] = result.centroids
             # Calibrate the chunk temperature to the typical quantization
             # distance so softmax logits are O(1) whatever the data scale.
-            mean_d = result.inertia / max(chunk.shape[0], 1)
+            mean_d = result.inertia / max(rotated.shape[0], 1)
             self._temperature[j] = max(mean_d, 1e-8)
 
     def warm_start_rotation(self, x: np.ndarray, opq_iter: int = 5) -> None:
@@ -156,8 +161,9 @@ class DifferentiableQuantizer:
             kmeans_iter=8,
             seed=int(self.rng.integers(2**31)),
         )
-        opq.fit(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        rotation = np.array(opq.rotation, copy=True)
+        # Only OPQ's rotation is kept (the codebooks are refitted in the
+        # rotated space by warm_start), so its final codebook is skipped.
+        rotation = np.array(opq.fit_rotation(x), copy=True)
         if np.linalg.det(rotation) < 0:
             # expm(skew) only reaches SO(D); reflect one axis to fix the
             # determinant (codebooks are retrained afterwards anyway).
@@ -182,19 +188,43 @@ class DifferentiableQuantizer:
         d = pairwise_sqdist(sub, self.codebooks[chunk])
         return softmax(d * (-1.0 / self._temperature[chunk]), axis=-1)
 
+    def _gumbel_noise(self, blocks: Sequence[int]) -> np.ndarray:
+        """Noise ``(M, n, K)`` for rows drawn as ``len(blocks)`` calls.
+
+        One call draws a ``(rows, K)`` block per chunk, chunk after
+        chunk; ``blocks`` consecutive calls draw that in turn.  The
+        uniforms come out of the generator in exactly that order.
+        """
+        m, k = self.num_chunks, self.num_codewords
+        flat = sample_gumbel((m * k * int(sum(blocks)),), self.rng)
+        calls = np.split(flat, m * k * np.cumsum(blocks)[:-1])
+        return np.concatenate([c.reshape(m, -1, k) for c in calls], axis=1)
+
     def soft_encode(
         self,
         x: Tensor,
         use_gumbel: bool = True,
         hard: bool = False,
+        rotation: Optional[Tensor] = None,
+        blocks: Optional[Sequence[int]] = None,
     ) -> List[Tensor]:
         """Approximate compact codes: a ``(n, K)`` simplex row per chunk.
 
         ``use_gumbel=False`` gives the deterministic softmax relaxation
         (useful for evaluation); ``hard=True`` applies the
-        straight-through one-hot.
+        straight-through one-hot.  ``rotation`` is an ``R`` node from
+        :meth:`AdaptiveRotation.matrix` shared by every loss of one
+        optimizer step (default: a fresh ``expm``).  ``blocks`` splits
+        the rows into consecutive groups whose Gumbel noise is drawn as
+        if each group were its own call — one call over concatenated
+        batches then draws exactly the noise of one call per batch.
         """
-        rotated = self.rotation.rotate(x)
+        if rotation is None:
+            rotation = self.rotation.matrix()
+        rotated = x @ rotation.T
+        noise = None
+        if use_gumbel:
+            noise = self._gumbel_noise(blocks or [x.shape[0]])
         codes: List[Tensor] = []
         for j in range(self.num_chunks):
             sub = rotated[:, j * self.sub_dim : (j + 1) * self.sub_dim]
@@ -204,8 +234,8 @@ class DifferentiableQuantizer:
                 gumbel_softmax(
                     logits,
                     tau=self.gumbel_tau,
-                    rng=self.rng if use_gumbel else None,
                     hard=hard,
+                    noise=None if noise is None else noise[j],
                 )
             )
         return codes
@@ -215,9 +245,14 @@ class DifferentiableQuantizer:
         x: Tensor,
         use_gumbel: bool = True,
         hard: bool = False,
+        rotation: Optional[Tensor] = None,
+        blocks: Optional[Sequence[int]] = None,
     ) -> Tensor:
-        """Differentiable quantized vectors (in the rotated space)."""
-        codes = self.soft_encode(x, use_gumbel=use_gumbel, hard=hard)
+        """Differentiable quantized vectors (in the rotated space); the
+        keywords are :meth:`soft_encode`'s."""
+        codes = self.soft_encode(
+            x, use_gumbel=use_gumbel, hard=hard, rotation=rotation, blocks=blocks
+        )
         parts = [codes[j] @ self.codebooks[j] for j in range(self.num_chunks)]
         out = parts[0]
         if len(parts) == 1:

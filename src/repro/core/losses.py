@@ -6,6 +6,10 @@
   under a softmax over (negated) quantized distances (Eq. 9–10; the
   printed equation omits the negation that makes closer candidates more
   probable — see the module docstring of :mod:`repro.core.diffq`).
+* :func:`triplet_margin` / :func:`next_hop_nll` — the same two losses
+  given soft reconstructions already computed, so one optimizer step
+  can reconstruct every row it needs in one call (see
+  :func:`~repro.core.trainer.train_rpq`).
 * :class:`JointLoss` — Eq. 11's ``L = L_routing + α · L_neighborhood``
   with a *learnable* α.  A raw learnable multiplier on a non-negative
   loss is degenerate (its gradient always pushes it to −∞), so the
@@ -21,7 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..autodiff import Tensor, log_softmax
+from ..autodiff import Tensor, segment_log_softmax
 from .diffq import DifferentiableQuantizer
 from .features import RoutingRecord, Triplet
 
@@ -40,17 +44,26 @@ def neighborhood_loss(
     """
     if not triplets:
         raise ValueError("neighborhood_loss needs at least one triplet")
-    anchors = np.array([t.anchor for t in triplets])
-    positives = np.array([t.positive for t in triplets])
-    negatives = np.array([t.negative for t in triplets])
+    n = len(triplets)
+    recon = quantizer.soft_reconstruct(
+        Tensor(x[triplet_rows(triplets)]), use_gumbel=use_gumbel, blocks=[n] * 3
+    )
+    return triplet_margin(recon, margin)
 
-    recon_a = quantizer.soft_reconstruct(Tensor(x[anchors]), use_gumbel=use_gumbel)
-    recon_p = quantizer.soft_reconstruct(Tensor(x[positives]), use_gumbel=use_gumbel)
-    recon_n = quantizer.soft_reconstruct(Tensor(x[negatives]), use_gumbel=use_gumbel)
 
-    d_pos = ((recon_a - recon_p) ** 2.0).sum(axis=1)
-    d_neg = ((recon_a - recon_n) ** 2.0).sum(axis=1)
-    zeros = Tensor(np.zeros(len(triplets)))
+def triplet_rows(triplets: Sequence[Triplet]) -> np.ndarray:
+    """Vertex ids ``[anchors; positives; negatives]`` of ``triplets``."""
+    ids = np.array([[t.anchor, t.positive, t.negative] for t in triplets])
+    return ids.T.reshape(-1)
+
+
+def triplet_margin(recon: Tensor, margin: float) -> Tensor:
+    """Eq. 8 over the soft reconstructions of :func:`triplet_rows`."""
+    n = recon.shape[0] // 3
+    anchor = recon[:n]
+    d_pos = ((anchor - recon[n : 2 * n]) ** 2.0).sum(axis=1)
+    d_neg = ((anchor - recon[2 * n :]) ** 2.0).sum(axis=1)
+    zeros = Tensor(np.zeros(n))
     return (d_pos - d_neg + margin).maximum(zeros).mean()
 
 
@@ -72,22 +85,34 @@ def routing_loss(
         raise ValueError("routing_loss needs at least one record")
     if tau <= 0:
         raise ValueError("tau must be positive")
-
-    total: Optional[Tensor] = None
     rotation = quantizer.rotation.matrix()
-    for record in records:
-        cand_vecs = Tensor(x[record.candidates])
-        recon = quantizer.soft_reconstruct(cand_vecs, use_gumbel=use_gumbel)
-        rotated_q = Tensor(record.query.reshape(1, -1)) @ rotation.T
-        diff = recon - rotated_q
-        d = (diff * diff).sum(axis=1)
-        log_p = log_softmax(
-            (d * (-1.0 / tau)).reshape(1, -1), axis=-1
-        ).reshape(-1)
-        nll = log_p[np.array([record.oracle])] * -1.0
-        total = nll if total is None else total + nll
-    assert total is not None
-    return total.sum() * (1.0 / len(records))
+    recon = quantizer.soft_reconstruct(
+        Tensor(x[np.concatenate([r.candidates for r in records])]),
+        use_gumbel=use_gumbel,
+        rotation=rotation,
+        blocks=[r.candidates.size for r in records],
+    )
+    return next_hop_nll(recon, rotation, records, tau)
+
+
+def next_hop_nll(
+    recon: Tensor,
+    rotation: Tensor,
+    records: Sequence[RoutingRecord],
+    tau: float = 1.0,
+) -> Tensor:
+    """Eq. 9–10 given ``recon``, the soft reconstructions of every
+    record's candidates concatenated in record order, and the step's
+    rotation ``R``: one segment log-softmax over all the decisions."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    sizes = [r.candidates.size for r in records]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    queries = np.repeat(np.stack([r.query for r in records]), sizes, axis=0)
+    diff = recon - Tensor(queries) @ rotation.T
+    log_p = segment_log_softmax((diff * diff).sum(axis=1) * (-1.0 / tau), offsets)
+    oracle = offsets[:-1] + np.array([r.oracle for r in records])
+    return log_p[oracle].sum() * (-1.0 / len(records))
 
 
 class JointLoss:

@@ -59,8 +59,10 @@ class AdaptiveRotation:
         return x @ self.matrix().T
 
     def matrix_numpy(self) -> np.ndarray:
-        """Current rotation as a plain array (detached)."""
-        return self.matrix().data.copy()
+        """Current rotation as a plain array (no differentiable ``expm``)."""
+        from scipy.linalg import expm as scipy_expm
+
+        return scipy_expm(skew_symmetric_from_flat(self.params, self.dim).data)
 
     def parameter_count(self) -> int:
         return self.params.size

@@ -17,6 +17,7 @@ the differentiable quantizer, then freeze it to a hard quantizer.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -43,7 +44,8 @@ class RPQ:
         end-to-end training then refines it; disable to start from the
         identity rotation).
     seed:
-        Master seed (overrides ``config.seed`` when given).
+        Master seed (overrides ``config.seed`` when given; the caller's
+        ``config`` object itself is never modified).
     """
 
     def __init__(
@@ -60,7 +62,7 @@ class RPQ:
         self.num_codewords = int(num_codewords)
         self.temperature = float(temperature)
         self.gumbel_tau = float(gumbel_tau)
-        self.config = config or RPQTrainingConfig()
+        self.config = dataclasses.replace(config or RPQTrainingConfig())
         self.opq_init = bool(opq_init)
         if seed is not None:
             self.config.seed = seed

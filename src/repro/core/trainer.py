@@ -24,7 +24,7 @@ from .features import (
     sample_routing_records,
     sample_triplets,
 )
-from .losses import JointLoss, neighborhood_loss, routing_loss
+from .losses import JointLoss, next_hop_nll, triplet_margin, triplet_rows
 
 
 @dataclass
@@ -89,6 +89,12 @@ def train_rpq(
     keeps the contrastive/routing gradients from trading away
     reconstruction quality.  Set ``config.distortion_weight = 0`` to
     disable it.
+
+    Each optimizer step computes ``R = expm(A)`` once and runs one soft
+    reconstruction over every row its losses read — the routing
+    candidates, the triplets and the distortion batch, concatenated —
+    with the Gumbel noise drawn per batch in the order separate calls
+    would draw it.
     """
     config = config or RPQTrainingConfig()
     rng = np.random.default_rng(config.seed)
@@ -162,46 +168,52 @@ def train_rpq(
         epoch_neighborhood = 0.0
         epoch_distortion = 0.0
         for _ in range(steps_per_epoch):
+            step_records = (
+                _pick(rng, records, config.batch_records)
+                if config.use_routing
+                else []
+            )
+            step_triplets = (
+                _pick(rng, triplets, config.batch_triplets)
+                if config.use_neighborhood
+                else []
+            )
+            blocks = [r.candidates for r in step_records]
+            if step_triplets:
+                blocks += np.split(triplet_rows(step_triplets), 3)
+            if config.distortion_weight > 0:
+                blocks.append(
+                    rng.integers(x.shape[0], size=config.batch_distortion)
+                )
+            if not blocks:
+                joint.combine(None, None)  # raises: nothing to train on
+
+            rotation = quantizer.rotation.matrix()
+            recon = quantizer.soft_reconstruct(
+                Tensor(x[np.concatenate(blocks)]),
+                use_gumbel=config.use_gumbel,
+                rotation=rotation,
+                blocks=[b.size for b in blocks],
+            )
+            start = 0
             loss_r = None
             loss_n = None
-            if config.use_routing and records:
-                picks = rng.choice(
-                    len(records),
-                    size=min(config.batch_records, len(records)),
-                    replace=False,
-                )
-                loss_r = routing_loss(
-                    quantizer,
-                    x,
-                    [records[i] for i in picks],
-                    tau=config.tau,
-                    use_gumbel=config.use_gumbel,
+            if step_records:
+                start = sum(r.candidates.size for r in step_records)
+                loss_r = next_hop_nll(
+                    recon[:start], rotation, step_records, tau=config.tau
                 )
                 epoch_routing += loss_r.item()
-            if config.use_neighborhood and triplets:
-                picks = rng.choice(
-                    len(triplets),
-                    size=min(config.batch_triplets, len(triplets)),
-                    replace=False,
-                )
-                loss_n = neighborhood_loss(
-                    quantizer,
-                    x,
-                    [triplets[i] for i in picks],
-                    margin=config.margin,
-                    use_gumbel=config.use_gumbel,
-                )
+            if step_triplets:
+                stop = start + 3 * len(step_triplets)
+                loss_n = triplet_margin(recon[start:stop], config.margin)
                 epoch_neighborhood += loss_n.item()
+                start = stop
 
             loss = joint.combine(loss_r, loss_n)
             if config.distortion_weight > 0:
-                picks = rng.integers(x.shape[0], size=config.batch_distortion)
-                batch = Tensor(x[picks])
-                recon = quantizer.soft_reconstruct(
-                    batch, use_gumbel=config.use_gumbel
-                )
-                rotated = quantizer.rotation.rotate(batch)
-                distortion = ((recon - rotated) ** 2.0).sum(axis=1).mean()
+                rotated = Tensor(x[blocks[-1]]) @ rotation.T
+                distortion = ((recon[start:] - rotated) ** 2.0).sum(axis=1).mean()
                 loss = loss + distortion * (
                     config.distortion_weight / baseline_distortion
                 )
@@ -222,3 +234,11 @@ def train_rpq(
         report.decision_accuracy_after = decision_accuracy(fresh_routing_records())
     report.wall_time_seconds = time.perf_counter() - start_time
     return report
+
+
+def _pick(rng: np.random.Generator, items: Sequence, size: int) -> list:
+    """A batch of ``min(size, len(items))`` distinct items."""
+    if not items:
+        return []
+    picks = rng.choice(len(items), size=min(size, len(items)), replace=False)
+    return [items[i] for i in picks]

@@ -15,7 +15,13 @@ from .adc import BatchLookupTable, LookupTable, adc_distances, sdc_distances
 from .base import BaseQuantizer
 from .catalyst import CatalystQuantizer
 from .codebook import Codebook, code_dtype_for
-from .kmeans import KMeansResult, assign_to_centroids, kmeans, kmeans_plus_plus_init
+from .kmeans import (
+    KMeansResult,
+    assign_to_centroids,
+    kmeans,
+    kmeans_plus_plus_init,
+    train_codebook,
+)
 from .lnc import LinkAndCodeQuantizer
 from .opq import OptimizedProductQuantizer
 from .pq import ProductQuantizer
@@ -37,6 +43,7 @@ __all__ = [
     "sdc_distances",
     "kmeans",
     "kmeans_plus_plus_init",
+    "train_codebook",
     "assign_to_centroids",
     "KMeansResult",
     "ResidualQuantizer",

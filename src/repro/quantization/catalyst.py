@@ -22,7 +22,7 @@ import numpy as np
 from ..autodiff import Adam, Tensor, relu
 from .base import BaseQuantizer
 from .codebook import Codebook
-from .kmeans import kmeans
+from .kmeans import train_codebook
 
 
 def _exact_knn(x: np.ndarray, k: int, block: int = 2048) -> np.ndarray:
@@ -182,15 +182,15 @@ class CatalystQuantizer(BaseQuantizer):
             self.training_loss.append(epoch_loss / steps_per_epoch)
 
         # PQ in the learned space.
-        embedded = self.transform(x)
-        sub_dim = self.out_dim // self.num_chunks
-        codewords = np.empty((self.num_chunks, self.num_codewords, sub_dim))
-        for j in range(self.num_chunks):
-            chunk = embedded[:, j * sub_dim : (j + 1) * sub_dim]
-            codewords[j] = kmeans(
-                chunk, self.num_codewords, max_iter=self.kmeans_iter, rng=rng
-            ).centroids
-        self.codebook = Codebook(codewords)
+        self.codebook = Codebook.from_kmeans(
+            train_codebook(
+                self.transform(x),
+                self.num_chunks,
+                self.num_codewords,
+                self.kmeans_iter,
+                rng,
+            )
+        )
         return self
 
     def parameter_bytes(self) -> int:

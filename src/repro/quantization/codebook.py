@@ -10,7 +10,7 @@ helpers used by the classical quantizers, the differentiable quantizer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +50,13 @@ class Codebook:
                 f"codewords must be (M, K, d_sub), got shape {cw.shape}"
             )
         object.__setattr__(self, "codewords", cw)
+
+    @classmethod
+    def from_kmeans(cls, results: Sequence) -> "Codebook":
+        """The codebook whose chunk ``j`` is ``results[j].centroids``
+        (the per-chunk :class:`~.kmeans.KMeansResult` list
+        :func:`~.kmeans.train_codebook` returns)."""
+        return cls(np.stack([r.centroids for r in results]))
 
     def astype(self, dtype: np.dtype) -> "Codebook":
         """Copy of this codebook with codewords stored as ``dtype``.

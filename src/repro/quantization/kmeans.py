@@ -4,12 +4,19 @@ This is the clustering primitive behind every product quantizer in the
 repo (paper Def. 3 step 2: "A clustering algorithm (e.g. k-means) is
 applied to each chunk to generate K clusters").  Implemented with blocked
 numpy so million-point chunks stay memory-bounded.
+
+:func:`train_codebook` is the one entry point the quantizers use: it
+seeds all ``M`` chunks' k-means++ (Arthur & Vassilvitskii, SODA 2007)
+in lockstep — ``K`` vectorized rounds over an ``(M, n)`` array instead
+of ``M·K`` Python iterations — and still returns exactly what the
+chunk-by-chunk loop returns, because every random number is pre-drawn
+in that loop's order and every float is computed by the same operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -40,7 +47,11 @@ def _sqdist_block(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Pairwise squared distances ``(n, k)`` computed via the expansion."""
     x_sq = np.einsum("ij,ij->i", x, x)[:, None]
     c_sq = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    return np.maximum(x_sq + c_sq - 2.0 * (x @ centroids.T), 0.0)
+    # max(x_sq + c_sq - 2 x.c, 0), rounded step for step, in one buffer.
+    d = x @ centroids.T
+    d *= 2.0
+    np.subtract(x_sq + c_sq, d, out=d)
+    return np.maximum(d, 0.0, out=d)
 
 
 def assign_to_centroids(
@@ -173,3 +184,97 @@ def kmeans(
         inertia=float(distances.sum()),
         n_iter=n_iter,
     )
+
+
+def _lockstep_seeds(
+    chunks: List[np.ndarray], k: int, rng: np.random.Generator
+) -> Optional[np.ndarray]:
+    """k-means++ seeds ``(M, k, d)`` of every chunk, in lockstep.
+
+    Bitwise equal to ``kmeans_plus_plus_init(chunk, k, rng)`` run chunk
+    after chunk: each chunk's ``integers(n)`` and ``k - 1`` uniforms
+    are drawn up front in that order, and a pick is what
+    ``Generator.choice(p=)`` computes (cumulative sum, normalised by
+    its last entry, first entry above the uniform).  Returns ``None``
+    — having consumed draws the caller must roll back — when some chunk
+    reaches the all-points-covered branch, whose draws differ, or has
+    non-finite distances, on which ``choice`` raises.
+    """
+    m, n = len(chunks), chunks[0].shape[0]
+    first = np.empty(m, dtype=np.int64)
+    uniforms = np.empty((m, k - 1))
+    for j in range(m):
+        first[j] = rng.integers(n)
+        uniforms[j] = rng.random(k - 1)
+
+    stacked = np.stack(chunks)  # (M, n, d)
+    x_sq = np.stack([np.einsum("ij,ij->i", c, c) for c in chunks])
+    rows = np.arange(m)
+
+    def sqdist(picked: np.ndarray) -> np.ndarray:
+        # _sqdist_block term by term; matmul runs the same per-chunk
+        # matrix-vector product as ``x @ centroids[i : i + 1].T``.
+        c_sq = np.einsum("ij,ij->i", picked, picked)[:, None]
+        dots = np.matmul(stacked, picked[:, :, None])[:, :, 0]
+        dots *= 2.0
+        np.subtract(x_sq + c_sq, dots, out=dots)
+        return np.maximum(dots, 0.0, out=dots)
+
+    seeds = np.empty((m, k, stacked.shape[2]))
+    seeds[:, 0] = stacked[rows, first]
+    closest = sqdist(seeds[:, 0])
+    cdf = np.empty_like(closest)
+    for i in range(1, k):
+        total = closest.sum(axis=1)
+        if not np.all((total > 0.0) & (total < np.inf)):
+            return None
+        np.divide(closest, total[:, None], out=cdf)
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        chosen = np.count_nonzero(cdf <= uniforms[:, i - 1 : i], axis=1)
+        seeds[:, i] = stacked[rows, chosen]
+        np.minimum(closest, sqdist(seeds[:, i]), out=closest)
+    return seeds
+
+
+def train_codebook(
+    x: np.ndarray,
+    num_chunks: int,
+    num_codewords: int,
+    max_iter: int = 25,
+    rng: Optional[np.random.Generator] = None,
+) -> List[KMeansResult]:
+    """k-means of each of the ``num_chunks`` column blocks of ``x``.
+
+    Returns one :class:`KMeansResult` per chunk, equal bit for bit to
+    ``[kmeans(chunk_j, num_codewords, max_iter, rng=rng) for j ...]``
+    and leaving ``rng`` in the same state; only the k-means++ seeding
+    runs in lockstep across chunks.  A fit the lockstep pass cannot
+    reproduce (``num_codewords >= n``, or a chunk whose points are all
+    covered before ``num_codewords`` seeds) restores the generator and
+    takes the chunk-by-chunk path.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] % num_chunks != 0:
+        raise ValueError(
+            f"dim {x.shape[1]} is not divisible by num_chunks {num_chunks}"
+        )
+    rng = rng or np.random.default_rng()
+    sub_dim = x.shape[1] // num_chunks
+    chunks = [
+        np.ascontiguousarray(x[:, j * sub_dim : (j + 1) * sub_dim])
+        for j in range(num_chunks)
+    ]
+    seeds = None
+    if num_codewords < x.shape[0]:
+        state = rng.bit_generator.state
+        seeds = _lockstep_seeds(chunks, num_codewords, rng)
+        if seeds is None:
+            rng.bit_generator.state = state
+    if seeds is None:
+        return [kmeans(c, num_codewords, max_iter, rng=rng) for c in chunks]
+    # Lloyd draws nothing once seeded with fewer centroids than points.
+    return [
+        kmeans(c, num_codewords, max_iter, rng=rng, init=s)
+        for c, s in zip(chunks, seeds)
+    ]

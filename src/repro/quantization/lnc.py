@@ -19,7 +19,7 @@ import numpy as np
 
 from .base import BaseQuantizer
 from .codebook import Codebook
-from .kmeans import kmeans
+from .kmeans import kmeans, train_codebook
 
 
 class LinkAndCodeQuantizer(BaseQuantizer):
@@ -54,21 +54,12 @@ class LinkAndCodeQuantizer(BaseQuantizer):
     # ------------------------------------------------------------------
     def fit(self, x: np.ndarray) -> "LinkAndCodeQuantizer":
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        dim = x.shape[1]
-        if dim % self.num_chunks != 0:
-            raise ValueError(
-                f"dim {dim} is not divisible by num_chunks {self.num_chunks}"
-            )
-        sub_dim = dim // self.num_chunks
         rng = np.random.default_rng(self.seed)
-
-        codewords = np.empty((self.num_chunks, self.num_codewords, sub_dim))
-        for j in range(self.num_chunks):
-            chunk = x[:, j * sub_dim : (j + 1) * sub_dim]
-            codewords[j] = kmeans(
-                chunk, self.num_codewords, max_iter=self.kmeans_iter, rng=rng
-            ).centroids
-        self.codebook = Codebook(codewords)
+        self.codebook = Codebook.from_kmeans(
+            train_codebook(
+                x, self.num_chunks, self.num_codewords, self.kmeans_iter, rng
+            )
+        )
 
         # Residual levels: each is a single-chunk codebook over the full
         # residual vector (one byte each, like L&C's refinement bytes).

@@ -19,7 +19,7 @@ import numpy as np
 
 from .base import BaseQuantizer
 from .codebook import Codebook
-from .kmeans import kmeans
+from .kmeans import train_codebook
 
 
 class OptimizedProductQuantizer(BaseQuantizer):
@@ -60,27 +60,15 @@ class OptimizedProductQuantizer(BaseQuantizer):
     def _train_codebook(
         self, rotated: np.ndarray, rng: np.random.Generator
     ) -> Codebook:
-        dim = rotated.shape[1]
-        sub_dim = dim // self.num_chunks
-        codewords = np.empty((self.num_chunks, self.num_codewords, sub_dim))
-        for j in range(self.num_chunks):
-            chunk = rotated[:, j * sub_dim : (j + 1) * sub_dim]
-            codewords[j] = kmeans(
-                chunk, self.num_codewords, max_iter=self.kmeans_iter, rng=rng
-            ).centroids
-        return Codebook(codewords)
-
-    def fit(self, x: np.ndarray) -> "OptimizedProductQuantizer":
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        dim = x.shape[1]
-        if dim % self.num_chunks != 0:
-            raise ValueError(
-                f"dim {dim} is not divisible by num_chunks {self.num_chunks}"
+        return Codebook.from_kmeans(
+            train_codebook(
+                rotated, self.num_chunks, self.num_codewords, self.kmeans_iter, rng
             )
-        rng = np.random.default_rng(self.seed)
-        rotation = np.eye(dim)
+        )
 
-        codebook = None
+    def _alternate(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The ``opq_iter`` PQ / Procrustes alternations; returns ``R``."""
+        rotation = np.eye(x.shape[1])
         for _ in range(max(1, self.opq_iter)):
             rotated = x @ rotation.T
             codebook = self._train_codebook(rotated, rng)
@@ -90,11 +78,22 @@ class OptimizedProductQuantizer(BaseQuantizer):
             # the standard OPQ update R = svd(recon^T X) -> U V^T.
             u, _, vt = np.linalg.svd(recon.T @ x)
             rotation = u @ vt
+        return rotation
 
+    def fit_rotation(self, x: np.ndarray) -> np.ndarray:
+        """Learn only the rotation: :meth:`fit` without the final
+        codebook, for callers that train their own codebook in the
+        rotated space (RPQ's warm start).  Same ``R`` as :meth:`fit`."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        self.rotation = self._alternate(x, np.random.default_rng(self.seed))
+        return self.rotation
+
+    def fit(self, x: np.ndarray) -> "OptimizedProductQuantizer":
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        rng = np.random.default_rng(self.seed)
+        self.rotation = self._alternate(x, rng)
         # Final codebook consistent with the final rotation.
-        rotated = x @ rotation.T
-        self.rotation = rotation
-        self.codebook = self._train_codebook(rotated, rng)
+        self.codebook = self._train_codebook(x @ self.rotation.T, rng)
         return self
 
     def parameter_bytes(self) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .base import BaseQuantizer
 from .codebook import Codebook
-from .kmeans import kmeans
+from .kmeans import train_codebook
 
 
 class ProductQuantizer(BaseQuantizer):
@@ -43,20 +43,13 @@ class ProductQuantizer(BaseQuantizer):
         self.seed = seed
 
     def fit(self, x: np.ndarray) -> "ProductQuantizer":
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        dim = x.shape[1]
-        if dim % self.num_chunks != 0:
-            raise ValueError(
-                f"dim {dim} is not divisible by num_chunks {self.num_chunks}"
+        self.codebook = Codebook.from_kmeans(
+            train_codebook(
+                x,
+                self.num_chunks,
+                self.num_codewords,
+                self.max_iter,
+                np.random.default_rng(self.seed),
             )
-        sub_dim = dim // self.num_chunks
-        rng = np.random.default_rng(self.seed)
-        codewords = np.empty((self.num_chunks, self.num_codewords, sub_dim))
-        for j in range(self.num_chunks):
-            chunk = x[:, j * sub_dim : (j + 1) * sub_dim]
-            result = kmeans(
-                chunk, self.num_codewords, max_iter=self.max_iter, rng=rng
-            )
-            codewords[j] = result.centroids
-        self.codebook = Codebook(codewords)
+        )
         return self

@@ -19,6 +19,7 @@ from repro.autodiff import (
     log_softmax,
     pairwise_sqdist,
     sample_gumbel,
+    segment_log_softmax,
     skew_symmetric_from_flat,
     softmax,
     sqdist,
@@ -57,6 +58,24 @@ class TestSoftmax:
         x = Tensor(RNG.normal(size=(5, 6)))
         np.testing.assert_allclose(
             log_softmax(x).data, np.log(softmax(x).data), atol=1e-12
+        )
+
+
+class TestSegmentLogSoftmax:
+    OFFSETS = np.array([0, 3, 4, 9])
+
+    def test_equals_log_softmax_per_segment(self):
+        x = RNG.normal(size=9) * 4.0
+        out = segment_log_softmax(Tensor(x), self.OFFSETS).data
+        for lo, hi in zip(self.OFFSETS[:-1], self.OFFSETS[1:]):
+            want = log_softmax(Tensor(x[lo:hi]), axis=-1).data
+            np.testing.assert_allclose(out[lo:hi], want, rtol=0, atol=1e-15)
+
+    def test_gradient(self):
+        weights = RNG.normal(size=9)
+        gradcheck(
+            lambda t: (segment_log_softmax(t[0], self.OFFSETS) * weights).sum(),
+            [RNG.normal(size=9)],
         )
 
 

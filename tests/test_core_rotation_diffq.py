@@ -132,6 +132,23 @@ class TestDifferentiableQuantizer:
         hard = q.reconstruct_hard(x[:20])
         np.testing.assert_allclose(soft, hard, atol=1e-3)
 
+    def test_one_call_over_blocks_draws_the_separate_calls_noise(self):
+        """``blocks`` makes one call over concatenated batches draw the
+        Gumbel noise of one call per batch, in order, and share ``R``."""
+        q_sep, x = self.make()
+        q_one, _ = self.make()
+        parts = [x[:5], x[5:12], x[12:14]]
+        separate = [q_sep.soft_reconstruct(Tensor(p)).data for p in parts]
+        together = q_one.soft_reconstruct(
+            Tensor(np.concatenate(parts)),
+            rotation=q_one.rotation.matrix(),
+            blocks=[len(p) for p in parts],
+        ).data
+        np.testing.assert_allclose(
+            together, np.concatenate(separate), rtol=0, atol=1e-12
+        )
+        assert q_sep.rng.random() == q_one.rng.random()
+
     def test_encode_hard_matches_codebook_encode(self):
         q, x = self.make()
         codes = q.encode_hard(x[:15])

@@ -116,6 +116,20 @@ class TestRPQFacade:
             q1.codebook.codewords, q2.codebook.codewords
         )
 
+    def test_shared_config_is_not_mutated(self):
+        """Two models built from one config each train their own seed."""
+        x, graph = make_setup()
+        cfg = quick_config(epochs=1)
+        a = RPQ(2, 8, config=cfg, seed=1)
+        b = RPQ(2, 8, config=cfg, seed=2)
+        assert (cfg.seed, a.config.seed, b.config.seed) == (0, 1, 2)
+        alone = RPQ(2, 8, config=quick_config(epochs=1), seed=1).fit(x, graph)
+        a.fit(x, graph)
+        assert np.array_equal(a.quantizer.rotation, alone.quantizer.rotation)
+        assert np.array_equal(
+            a.quantizer.codebook.codewords, alone.quantizer.codebook.codewords
+        )
+
     def test_rpq_beats_pq_on_routing_decisions(self):
         """The headline mechanism: after training, the quantized search
         makes more oracle-consistent next-hop decisions than before."""

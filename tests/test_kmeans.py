@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.quantization import assign_to_centroids, kmeans, kmeans_plus_plus_init
+from repro.quantization import (
+    assign_to_centroids,
+    kmeans,
+    kmeans_plus_plus_init,
+    train_codebook,
+)
+
+# The package re-exports the kmeans function under the submodule's name.
+kmeans_module = importlib.import_module("repro.quantization.kmeans")
 
 RNG = np.random.default_rng(7)
 
@@ -93,6 +103,90 @@ class TestKMeans:
         # Initial picks should land near distinct blobs.
         owners = {int(((centers - c) ** 2).sum(axis=1).argmin()) for c in init}
         assert len(owners) == 3
+
+
+def chunk_by_chunk(x, num_chunks, k, max_iter, rng):
+    """The per-chunk loop every quantizer ran before train_codebook."""
+    sub = x.shape[1] // num_chunks
+    return [
+        kmeans(x[:, j * sub : (j + 1) * sub], k, max_iter=max_iter, rng=rng)
+        for j in range(num_chunks)
+    ]
+
+
+def assert_same_fit(x, num_chunks, k, seed, max_iter=8):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = chunk_by_chunk(x, num_chunks, k, max_iter, ref_rng)
+    got = train_codebook(x, num_chunks, k, max_iter, rng)
+    assert len(got) == num_chunks
+    for a, b in zip(want, got):
+        assert np.array_equal(a.centroids, b.centroids)
+        assert np.array_equal(a.assignments, b.assignments)
+        assert (a.inertia, a.n_iter) == (b.inertia, b.n_iter)
+    # The generator is left exactly where the loop left it.
+    assert ref_rng.random() == rng.random()
+
+
+class TestTrainCodebook:
+    """Lockstep k-means++ seeding returns the chunk-by-chunk fit, bitwise."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_data(self, seed):
+        x = np.random.default_rng(100 + seed).normal(size=(600, 32))
+        assert_same_fit(x, 8, 64, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sift_like_uint8_values(self, seed):
+        x = np.random.default_rng(seed).integers(0, 256, size=(500, 16))
+        assert_same_fit(x.astype(np.uint8), 4, 32, seed)
+
+    def test_identical_rows_fall_back_with_state_restored(self, monkeypatch):
+        x = np.random.default_rng(3).normal(size=(200, 12))
+        x[:, 4:8] = 1.5  # chunk 1 runs out of distinct points at once
+        seeded = []
+        original = kmeans_module._lockstep_seeds
+
+        def spy(*args):
+            seeded.append(original(*args))
+            return seeded[-1]
+
+        monkeypatch.setattr(kmeans_module, "_lockstep_seeds", spy)
+        assert_same_fit(x, 3, 16, seed=0)
+        assert seeded == [None]
+
+    def test_more_codewords_than_points(self):
+        x = np.random.default_rng(4).normal(size=(20, 8))
+        assert_same_fit(x, 2, 32, seed=0)
+        assert_same_fit(x, 2, 20, seed=1)
+
+    def test_single_chunk(self):
+        x = np.random.default_rng(5).normal(size=(300, 6))
+        assert_same_fit(x, 1, 16, seed=0)
+
+    def test_rejects_indivisible_dim(self):
+        with pytest.raises(ValueError, match="not divisible"):
+            train_codebook(np.zeros((10, 6)), 4, 2)
+
+    def test_nan_input_raises_like_the_loop(self):
+        x = np.random.default_rng(6).normal(size=(50, 4))
+        x[3, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            chunk_by_chunk(x, 2, 8, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="NaN"):
+            train_codebook(x, 2, 8, 4, np.random.default_rng(0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(4, 40), st.sampled_from([2, 4, 6])),
+        elements=st.floats(-3, 3, allow_nan=False).map(lambda v: round(v, 1)),
+    ),
+    st.integers(1, 12),
+)
+def test_property_train_codebook_is_the_chunk_loop(x, k):
+    assert_same_fit(x, 2, k, seed=0, max_iter=4)
 
 
 @settings(max_examples=15, deadline=None)

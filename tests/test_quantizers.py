@@ -213,6 +213,13 @@ class TestOPQ:
         with pytest.raises(RuntimeError):
             OptimizedProductQuantizer(4, 8).transform(np.zeros((1, 16)))
 
+    def test_fit_rotation_is_fits_rotation(self):
+        x = clustered_data()
+        full = OptimizedProductQuantizer(4, 8, opq_iter=3, seed=5).fit(x)
+        alone = OptimizedProductQuantizer(4, 8, opq_iter=3, seed=5)
+        assert np.array_equal(alone.fit_rotation(x), full.rotation)
+        assert alone.codebook is None
+
     def test_parameter_bytes_include_rotation(self):
         x = clustered_data()
         opq = OptimizedProductQuantizer(4, 8, opq_iter=2, seed=0).fit(x)
