@@ -80,11 +80,11 @@ bench-load:
 	cd benchmarks && $(PYTHON) -m pytest bench_load.py -q
 
 # Index storage: bytes-per-vector + cold-load timing of the one on-disk
-# format, raw vs rANS-compressed (five-scenario + sharded +
-# replicated-fleet bitwise round-trips, the copy-on-write guard and
-# rANS-beats-raw always assert; no timing gate).  Emits
-# BENCH_storage.json, whose `retired` block keeps the v1 writer's and
-# the int64-adjacency container's last numbers.
+# layout (five-scenario + sharded + replicated-fleet bitwise
+# round-trips through a mapped load and the copy-on-write guard always
+# assert; no timing gate).  Emits BENCH_storage.json, whose `retired`
+# block keeps the v1 writer's, the int64-adjacency container's and the
+# rANS-coded codes' last numbers.
 bench-storage:
 	cd benchmarks && $(PYTHON) -m pytest bench_storage.py -q
 

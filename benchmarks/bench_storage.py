@@ -1,16 +1,13 @@
-"""Index storage — entropy-coded, mmap-native persistence.
+"""Index storage — mmap-native persistence.
 
-There is one on-disk format (the format-2 container); this bench
-measures its two settings and pins what it must never change:
+There is one on-disk layout (the format-2 container of raw sections);
+this bench measures it and pins what it must never change:
 
-* **Bytes** — total directory size and bytes-per-vector uncompressed
-  and rANS-compressed; the PQ code matrix's stored vs raw size and
-  compression ratio (frequency tables included — the honest cost, not
-  just the blob).
-* **Cold load** — ``load_index`` wall time (min of several) for both.
-  This is exactly the worker boot path: a process worker spawns by
-  calling ``load_index`` on the shipped directory, so the rows are
-  mapping the container read-only vs mapping + rANS-decoding it.
+* **Bytes** — total directory size and bytes-per-vector.
+* **Cold load** — ``load_index`` wall time (min of several).  This is
+  exactly the worker boot path: a process worker spawns by calling
+  ``load_index`` on the shipped directory, which maps the container
+  read-only.
 * **Worker spawn** — a process-kind fleet's first search minus a warm
   one: the spawn it pays (ship + fork + load + ready handshake),
   recorded report-only (process spawn is dominated by interpreter
@@ -21,20 +18,19 @@ gate is left — the one there was compared against the retired writer):
 
 * every scenario (memory, l2r, hybrid-l2r, filtered, streaming) plus
   a 4-shard sharded index and a 2x2 replicated process fleet must
-  round-trip bitwise through the compressed + mmap setting;
+  round-trip bitwise through a save and a memory-mapped load — what
+  deployments run;
 * mutating an mmap-loaded streaming replica must promote to private
-  memory (copy-on-write) and leave the on-disk container untouched;
-* the rANS-coded PQ code matrix must be strictly smaller than the
-  raw uint8 matrix (entropy < 8 stored bits per code — always true
-  for the K=32 codebooks used here).
+  memory (copy-on-write) and leave the on-disk container untouched.
 
 The run also emits the committed ``BENCH_storage.json`` baseline at
 the repo root (machine-readable bytes/timing snapshot).  Its
 ``retired`` block is :data:`RETIRED` verbatim: the last measurement of
 the format-1 loose-``.npy`` writer, kept because it is the row that
-justified deleting that writer, and (``int64_vertex_ids``) of the
-container while its adjacency sections held 8-byte vertex ids
-(``compare_baselines.py`` skips the block).
+justified deleting that writer, of the container while its adjacency
+sections held 8-byte vertex ids (``int64_vertex_ids``), and of the
+rANS-coded code sections (``rans_codes``) that justified deleting the
+entropy coder (``compare_baselines.py`` skips the block).
 """
 
 from __future__ import annotations
@@ -71,10 +67,7 @@ from common import (
     save_report,
 )
 
-#: Timing scale — big enough that load times are measurable and the
-#: container's page-alignment padding (a fixed ~2 KB per section) is
-#: amortized below the rANS savings (~3 bytes per vector at these
-#: codebooks).
+#: Timing scale — big enough that load times are measurable.
 N_BASE = 6000
 N_QUERIES = 32
 #: Identity scale — five scenarios round-trip, so builds stay small.
@@ -126,6 +119,31 @@ RETIRED = {
         },
         "worker_spawn": {"shards": 2, "v2_mmap_spawn_ms": 558.6},
     },
+    # The last raw-vs-rANS numbers (same index, same host class),
+    # copied as committed at 635deac: entropy-coding the codes saved
+    # 3.1% of the directory and made cold load 29x slower, so the
+    # coder was deleted and every save writes raw code sections.
+    "rans_codes": {
+        "measured_at_commit": "635deac",
+        "retired_in": "rANS deleted: every save writes raw code sections",
+        "layouts": {
+            "v2_mmap": {
+                "bytes_per_vector": 58.8,
+                "cold_load_ms": 0.501,
+                "total_bytes": 352757,
+            },
+            "v2_mmap_rans": {
+                "bytes_per_vector": 57.0,
+                "cold_load_ms": 14.341,
+                "total_bytes": 341879,
+            },
+        },
+        "codes": {
+            "compression_ratio": 1.613,
+            "raw_bytes": 48000,
+            "stored_bytes": 29752,
+        },
+    },
 }
 
 #: (scenario kwargs, query label) — the five persistable scenarios.
@@ -173,8 +191,8 @@ def _min_load_ms(dirpath: str, repeats: int = LOAD_REPEATS) -> float:
 
     Min (not mean) because load is a pure-overhead path: the best
     observation is the one least polluted by scheduler noise.  The OS
-    page cache is warm for both settings equally (the save just wrote
-    the files), so the comparison isolates mapping vs rANS decoding.
+    page cache is warm (the save just wrote the files), so the row
+    isolates mapping the container.
     """
     best = float("inf")
     for _ in range(repeats):
@@ -185,7 +203,8 @@ def _min_load_ms(dirpath: str, repeats: int = LOAD_REPEATS) -> float:
 
 
 def run_identity():
-    """Every scenario round-trips bitwise through compressed+mmap."""
+    """Every scenario round-trips bitwise through a save and a mapped
+    load."""
     queries = load(
         "sift", n_base=N_IDENTITY, n_queries=8, seed=4
     ).queries
@@ -202,11 +221,11 @@ def run_identity():
         )
         expected = index.search(request)
         with tempfile.TemporaryDirectory(prefix="bench-storage-") as tmp:
-            save_index(index, tmp, compress=True)
+            save_index(index, tmp)
             got = load_index(tmp).search(request)
         rows[name] = _responses_identical(expected, got)
 
-    # 4-shard sharded index through the same setting.
+    # 4-shard sharded index through the same path.
     base = _spec(N_IDENTITY, 8)
     sharded = build(
         IndexSpec(
@@ -220,7 +239,7 @@ def run_identity():
     request = SearchRequest(queries=queries, k=5, beam_width=16)
     expected = sharded.search(request)
     with tempfile.TemporaryDirectory(prefix="bench-storage-") as tmp:
-        save_index(sharded, tmp, compress=True)
+        save_index(sharded, tmp)
         rows["sharded_4"] = _responses_identical(
             expected, load_index(tmp).search(request)
         )
@@ -244,7 +263,7 @@ def run_identity():
     # on-disk container must stay byte-identical.
     stream = build(_spec(N_IDENTITY, 8, kind="streaming"))
     with tempfile.TemporaryDirectory(prefix="bench-storage-") as tmp:
-        save_index(stream, tmp, compress=True)
+        save_index(stream, tmp)
         container = os.path.join(tmp, "index.bin")
         sha_before = _file_sha(container)
         writer = load_index(tmp)
@@ -258,34 +277,22 @@ def run_identity():
 
 
 def run_bytes_and_timing():
-    """Bytes-per-vector and cold-load timing, raw vs rANS-compressed."""
+    """Bytes-per-vector and cold-load timing of the one layout."""
     index = build(_spec(N_BASE, N_QUERIES))
     tmp = tempfile.mkdtemp(prefix="bench-storage-")
     try:
-        dirs = {
-            "v2_mmap": os.path.join(tmp, "v2"),
-            "v2_mmap_rans": os.path.join(tmp, "v2c"),
-        }
-        save_index(index, dirs["v2_mmap"])
-        save_index(index, dirs["v2_mmap_rans"], compress=True)
-
-        layouts = {}
-        for name, dirpath in dirs.items():
-            report = storage_report(dirpath)
-            layouts[name] = {
+        save_index(index, tmp)
+        report = storage_report(tmp)
+        layouts = {
+            "v2_mmap": {
                 "total_bytes": report["total_bytes"],
                 "bytes_per_vector": report["bytes_per_vector"],
-                "cold_load_ms": _min_load_ms(dirpath),
+                "cold_load_ms": _min_load_ms(tmp),
             }
-        compressed = storage_report(dirs["v2_mmap_rans"])
-        codes = {
-            "raw_bytes": compressed["codes_raw_bytes"],
-            "stored_bytes": compressed["codes_stored_bytes"],
-            "compression_ratio": compressed["codes_compression_ratio"],
         }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    return layouts, codes
+    return layouts
 
 
 def run_worker_spawn():
@@ -332,13 +339,13 @@ def run_worker_spawn():
 
 def run():
     identity = run_identity()
-    layouts, codes = run_bytes_and_timing()
+    layouts = run_bytes_and_timing()
     spawn = run_worker_spawn()
-    return identity, layouts, codes, spawn
+    return identity, layouts, spawn
 
 
 def test_storage(benchmark):
-    identity, layouts, codes, spawn = benchmark.pedantic(
+    identity, layouts, spawn = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
 
@@ -358,12 +365,6 @@ def test_storage(benchmark):
                 f"Index persistence layouts (sift, n={N_BASE}, "
                 f"pq {NUM_CHUNKS}x{NUM_CODEWORDS}, vamana)"
             ),
-        ),
-        (
-            f"[codes] rANS {codes['stored_bytes']} stored vs "
-            f"{codes['raw_bytes']} raw bytes -> "
-            f"{fmt(codes['compression_ratio'], 2)}x "
-            "(frequency tables included)"
         ),
         (
             f"[worker spawn] {spawn['shards']}-shard process fleet: "
@@ -391,13 +392,6 @@ def test_storage(benchmark):
                 }
                 for name, row in layouts.items()
             },
-            "codes": {
-                "raw_bytes": codes["raw_bytes"],
-                "stored_bytes": codes["stored_bytes"],
-                "compression_ratio": round(
-                    codes["compression_ratio"], 3
-                ),
-            },
             "worker_spawn": {
                 "shards": spawn["shards"],
                 "v2_mmap_spawn_ms": round(spawn["v2_mmap_spawn_ms"], 1),
@@ -410,10 +404,6 @@ def test_storage(benchmark):
     # hold on any host, so no REPRO_SKIP_SPEEDUP_GATES escape hatch.
     for name, ok in identity.items():
         assert ok, (
-            f"{name}: compressed+mmap round-trip diverged from the "
+            f"{name}: save + mmap load round-trip diverged from the "
             "in-memory index"
         )
-    assert codes["stored_bytes"] < codes["raw_bytes"], (
-        f"rANS-coded PQ codes ({codes['stored_bytes']}B, tables "
-        f"included) did not beat the raw matrix ({codes['raw_bytes']}B)"
-    )

@@ -48,11 +48,11 @@ TIMING_SUFFIXES = (
     "hit_rate",
     "qps",
     # Storage sizes are host-dependent the way wall clocks are: the
-    # PQ codebooks come out of a BLAS-backed k-means, so the code
-    # distribution — and with it the rANS blob size — shifts across
-    # BLAS builds.  The *identity* booleans in BENCH_storage.json
-    # still fail on drift; the byte counts are trajectory, not
-    # contract.
+    # graph and the PQ codebooks come out of BLAS-backed arithmetic,
+    # so edge counts — and with them the adjacency sections — can
+    # shift across BLAS builds.  The *identity* booleans in
+    # BENCH_storage.json still fail on drift; the byte counts are
+    # trajectory, not contract.
     "_bytes",
 )
 TIMING_KEYS = {
@@ -62,7 +62,6 @@ TIMING_KEYS = {
     "gates_enforced",
     "gate_enforced",
     "bytes_per_vector",
-    "compression_ratio",
 }
 #: Whole subtrees that are host-dependent by construction.
 HOST_KEYS = {"host", "cpu_count", "usable_cpus"}

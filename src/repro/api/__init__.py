@@ -16,8 +16,8 @@ config file):
 * :func:`save_index` / :func:`load_index` — self-describing index
   directories that reconstruct bitwise-identical indexes in another
   process (what process/socket shard workers boot from).  One format
-  is written — the memory-mapped container, optionally rANS-compressed
-  — and older format-1 directories stay readable (``repro index
+  is written — the memory-mapped container of raw sections — and
+  older format-1 directories stay readable (``repro index
   migrate`` rewrites them).
 
 Import note: :mod:`repro.api.protocol` and :mod:`repro.api.spec` are

@@ -11,19 +11,19 @@ one on-disk format on the write side (format version 2)::
       quantizer.npz     # repro.quantization.serialization format
       index.bin         # repro.storage container: every hot array
                         # (codes, packed CSR adjacency incl. HNSW upper
-                        # layers, vectors, labels, l2r weights, rANS
-                        # payloads) at page-aligned offsets
+                        # layers, vectors, labels, l2r weights) at
+                        # page-aligned offsets
 
     # sharded indexes hold one sub-directory per shard instead:
       shard_000/ ... shard_NNN/   # each a full index directory
       shard_000/global_ids.npy    # shard-local -> global id map
 
-``save_index(..., compress=True)`` additionally runs the PQ code
-matrices through :class:`repro.storage.EntropyCoder` (per-column rANS,
-frequency tables persisted beside the blob, exact round-trip validated
-before anything is written).  Directories are memory-mapped read-only
-by default, so loading is O(1) in the array bytes and every process
-mapping the same directory shares page cache.
+Every section is stored raw, so directories are memory-mapped
+read-only by default: loading is O(1) in the array bytes and every
+process mapping the same directory shares page cache.  The manifest's
+``"compress": false`` / ``"compressed": {}`` storage fields are fixed
+format fields; a directory whose ``compressed`` block is not empty was
+written with entropy-coded codes by an older build and is refused.
 
 Format version 1 (loose ``codes.npy`` / ``graph.npz`` / ... files, the
 pre-container layout) is read-only input: :func:`_read_v1` presents
@@ -127,17 +127,15 @@ def save_index(
     index: object,
     dirpath: Union[str, os.PathLike],
     *,
-    compress: bool = False,
     layout: str = "mmap",
 ) -> str:
     """Persist ``index`` (any registered scenario, or sharded) to a
     directory; returns the directory path.
 
     Always writes the format 2 container layout whose hot arrays load
-    as read-only memory maps; ``compress=True`` entropy-codes the PQ
-    code matrices, validating the exact round-trip before anything is
-    persisted.  ``layout`` is vestigial: ``"mmap"`` is its one legal
-    value, still accepted because the frozen benchmark driver passes it.
+    as read-only memory maps.  ``layout`` is vestigial: ``"mmap"`` is
+    its one legal value, still accepted because the frozen benchmark
+    driver passes it.
 
     The directory is created if needed and a save is a checkpoint, not
     a merge: files and shard directories an earlier save left there
@@ -160,7 +158,7 @@ def save_index(
             zip(index._shards, index._global_ids)
         ):
             shard_dir = os.path.join(dirpath, _shard_dirname(s))
-            save_index(shard, shard_dir, compress=compress)
+            save_index(shard, shard_dir)
             np.save(os.path.join(shard_dir, "global_ids.npy"), gids)
             names.add(scenario_for_index(shard).scenario)
         manifest = {
@@ -175,7 +173,7 @@ def save_index(
                 "endpoints": index._endpoints,
                 "shard_scenarios": sorted(names),
             },
-            "storage": {"layout": "mmap", "compress": compress},
+            "storage": {"layout": "mmap", "compress": False},
         }
         _write_json(os.path.join(dirpath, _INDEX_FILE), manifest)
         _save_spec(
@@ -200,7 +198,7 @@ def save_index(
     save_quantizer(
         index.quantizer, os.path.join(dirpath, _QUANTIZER_FILE)
     )
-    state, storage = _save_container(index, scenario, dirpath, compress)
+    state, storage = _save_container(index, scenario, dirpath)
     manifest = {
         "format_version": INDEX_FORMAT_VERSION,
         "scenario": scenario,
@@ -213,12 +211,10 @@ def save_index(
     return dirpath
 
 
-def _save_container(
-    index: object, scenario: str, dirpath: str, compress: bool
-) -> tuple:
+def _save_container(index: object, scenario: str, dirpath: str) -> tuple:
     """Write the v2 container for an unsharded index; returns the
     ``(state, storage)`` halves of the manifest."""
-    from ..storage import EntropyCoder, write_container
+    from ..storage import write_container
 
     graph_meta = None
     arrays: Dict[str, np.ndarray] = {}
@@ -235,20 +231,6 @@ def _save_container(
             )
     arrays.update(sarrays)
 
-    compressed: Dict[str, dict] = {}
-    if compress:
-        coder = EntropyCoder()
-        for name in index.code_arrays:
-            codes = arrays.get(name)
-            # Degenerate matrices (empty streaming index) stay raw —
-            # there is nothing to code and the reader needs no table.
-            if codes is None or codes.ndim != 2 or codes.size == 0:
-                continue
-            comp = coder.compress(codes, verify=True)
-            del arrays[name]
-            arrays.update(comp.to_arrays(name))
-            compressed[name] = comp.meta()
-
     container_path = os.path.join(dirpath, _CONTAINER_FILE)
     section_bytes = write_container(
         container_path,
@@ -257,10 +239,10 @@ def _save_container(
     )
     storage = {
         "layout": "mmap",
-        "compress": bool(compress),
+        "compress": False,
         "container": _CONTAINER_FILE,
         "graph": graph_meta,
-        "compressed": compressed,
+        "compressed": {},
         "container_bytes": int(os.path.getsize(container_path)),
         "section_bytes": section_bytes,
     }
@@ -349,25 +331,23 @@ def load_index(
 
 
 def _container_source(storage: dict, dirpath: str, mmap: bool):
-    """Open a directory's container as a name -> array getter that
-    decodes entropy-coded sections on the way out."""
-    from ..storage import CompressedCodes, Container, EntropyCoder
+    """Open a directory's container as a name -> array getter.  A
+    non-empty ``compressed`` block means an older build entropy-coded
+    those sections; this build cannot read them and says so."""
+    from ..storage import Container
 
-    container = Container(
+    compressed = sorted(storage.get("compressed") or {})
+    if compressed:
+        raise ValueError(
+            f"{dirpath}: section {compressed[0]!r} was saved entropy-coded "
+            "(`--compress`) by an older build; this build reads raw code "
+            "sections only — rewrite it with that build's `repro index "
+            "migrate`, which saves raw"
+        )
+    return Container(
         os.path.join(dirpath, storage.get("container", _CONTAINER_FILE)),
         mmap=mmap,
-    )
-    compressed = storage.get("compressed", {})
-
-    def get(name: str) -> np.ndarray:
-        if name in compressed:
-            comp = CompressedCodes.from_arrays(
-                name, compressed[name], container.read
-            )
-            return EntropyCoder().decompress(comp)
-        return container.read(name)
-
-    return get
+    ).read
 
 
 def _read_v1(dirpath: str, state: dict):
@@ -430,28 +410,18 @@ def saved_spec(dirpath: Union[str, os.PathLike]) -> Optional[IndexSpec]:
 
 
 def _report(
-    meta: dict,
-    components: Dict[str, int],
-    num_vectors: int,
-    codes_stored: int,
-    codes_raw: int,
-    **extra,
+    meta: dict, components: Dict[str, int], num_vectors: int, **extra
 ) -> dict:
     total = sum(components.values())
-    storage = meta.get("storage", {})
     return {
         "format_version": int(meta.get("format_version", 1)),
         "scenario": meta["scenario"],
-        "layout": storage.get("layout", "npy"),
-        "compress": bool(storage.get("compress", False)),
+        "layout": meta.get("storage", {}).get("layout", "npy"),
         **extra,
         "components": components,
         "total_bytes": int(total),
         "num_vectors": int(num_vectors),
         "bytes_per_vector": total / max(num_vectors, 1),
-        "codes_stored_bytes": int(codes_stored),
-        "codes_raw_bytes": int(codes_raw),
-        "codes_compression_ratio": codes_raw / max(codes_stored, 1),
     }
 
 
@@ -459,38 +429,28 @@ def storage_report(dirpath: Union[str, os.PathLike]) -> dict:
     """Per-component on-disk accounting for a saved index directory.
 
     Component byte sizes (the container broken down per section), total
-    bytes, bytes-per-vector, and the stored-vs-raw compression ratio of
-    the PQ code matrices; sharded directories aggregate their shards.
-    Byte counts are exact file/section sizes — this is what ``repro
-    index describe`` and ``bench_storage`` print.  Format 1 directories
-    report their loose files (``layout`` ``"npy"``).
+    bytes and bytes-per-vector; sharded directories aggregate their
+    shards.  Byte counts are exact file/section sizes — this is what
+    ``repro index describe`` and ``bench_storage`` print.  Format 1
+    directories report their loose files (``layout`` ``"npy"``).
     """
     dirpath = os.fspath(dirpath)
     meta = describe_index(dirpath)
 
     if meta["scenario"] == "sharded":
         components: Dict[str, int] = {}
-        num_vectors = codes_stored = codes_raw = 0
+        num_vectors = 0
         num_shards = int(meta["state"]["num_shards"])
         for s in range(num_shards):
             sub = storage_report(os.path.join(dirpath, _shard_dirname(s)))
             for name, size in sub["components"].items():
                 components[f"{_shard_dirname(s)}/{name}"] = size
             num_vectors += sub["num_vectors"]
-            codes_stored += sub["codes_stored_bytes"]
-            codes_raw += sub["codes_raw_bytes"]
         for extra in (_INDEX_FILE, _SPEC_FILE):
             path = os.path.join(dirpath, extra)
             if os.path.exists(path):
                 components[extra] = os.path.getsize(path)
-        return _report(
-            meta,
-            components,
-            num_vectors,
-            codes_stored,
-            codes_raw,
-            num_shards=num_shards,
-        )
+        return _report(meta, components, num_vectors, num_shards=num_shards)
 
     components = {}
     for name in sorted(os.listdir(dirpath)):
@@ -498,9 +458,7 @@ def storage_report(dirpath: Union[str, os.PathLike]) -> dict:
         if os.path.isfile(path):
             components[name] = os.path.getsize(path)
 
-    num_vectors = codes_raw = codes_stored = 0
-    compressed: dict = {}
-    section_bytes: Dict[str, int] = {}
+    num_vectors = 0
     if int(meta.get("format_version", 1)) >= 2:
         storage = meta["storage"]
         from ..storage import Container
@@ -508,33 +466,19 @@ def storage_report(dirpath: Union[str, os.PathLike]) -> dict:
         container_name = storage.get("container", _CONTAINER_FILE)
         arrays = Container(os.path.join(dirpath, container_name), mmap=True)
         read = arrays.read
-        section_bytes = arrays.section_bytes()
         # Replace the whole-file entry with its per-section breakdown
         # (plus the header/alignment overhead) so totals stay exact.
         container_total = components.pop(container_name, 0)
+        section_bytes = arrays.section_bytes()
         for name, size in section_bytes.items():
             components[f"{container_name}:{name}"] = int(size)
         overhead = container_total - sum(section_bytes.values())
         components[f"{container_name}:header+padding"] = int(overhead)
-        compressed = storage.get("compressed", {})
     else:  # format 1: the same names, out of the loose files
         arrays = _read_v1(dirpath, {})[2]
         read = arrays.__getitem__
-    if "codes" in compressed:
-        cmeta = compressed["codes"]
-        num_vectors = int(cmeta["num_rows"])
-        m = int(read("codes__rans_freqs").shape[0])
-        itemsize = np.dtype(str(cmeta["code_dtype"])).itemsize
-        codes_raw = num_vectors * m * itemsize
-        codes_stored = sum(
-            size
-            for name, size in section_bytes.items()
-            if name.startswith("codes__rans_")
-        )
-    elif "codes" in arrays:
-        codes = read("codes")
-        num_vectors = int(codes.shape[0])
-        codes_raw = codes_stored = int(codes.nbytes)
+    if "codes" in arrays:
+        num_vectors = int(read("codes").shape[0])
     if not num_vectors and "vectors" in arrays:
         num_vectors = int(read("vectors").shape[0])
-    return _report(meta, components, num_vectors, codes_stored, codes_raw)
+    return _report(meta, components, num_vectors)

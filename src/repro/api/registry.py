@@ -14,7 +14,7 @@ are the only kind -> constructor tables in ``src/``.
 What a registered class declares and implements is documented on
 :class:`repro.index.GraphIndex` (a third-party scenario subclasses it
 or supplies the same names): the ``param_keys`` / ``needs_graph`` /
-``supports_labels`` / ``code_arrays`` attributes,
+``supports_labels`` attributes,
 ``from_spec(params, graph, quantizer, x, labels)`` to construct from
 resolved parts, and the ``export_arrays()`` / ``load_arrays(meta,
 source, graph, quantizer)`` pair — the one state codec per scenario;

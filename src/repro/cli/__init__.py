@@ -338,12 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="workers per shard recorded in the saved spec",
     )
-    p_build.add_argument(
-        "--compress",
-        action="store_true",
-        help="entropy-code the PQ code matrices (exact round-trip is "
-        "validated at save time)",
-    )
     p_build.set_defaults(func=_handler("index", "cmd_build"))
 
     p_migrate = index_sub.add_parser(

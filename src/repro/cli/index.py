@@ -70,11 +70,10 @@ def cmd_build(args: argparse.Namespace) -> int:
         )
         return 2
     index = build(spec)
-    save_index(index, args.out, compress=args.compress)
+    save_index(index, args.out)
     print(
         f"built scenario={spec.scenario.kind} "
-        f"shards={spec.sharding.num_shards} "
-        f"compress={args.compress} -> {args.out}"
+        f"shards={spec.sharding.num_shards} -> {args.out}"
     )
     return 0
 
@@ -105,20 +104,12 @@ def cmd_describe(args: argparse.Namespace) -> int:
     for key, value in sorted(meta.get("state", {}).items()):
         print(f"  {key}: {value}")
     report = storage_report(args.dir)
-    print(
-        f"storage: layout={report['layout']} "
-        f"compress={report['compress']}"
-    )
+    print(f"storage: layout={report['layout']}")
     for name, size in sorted(report["components"].items()):
         print(f"  {name}: {size} bytes")
     print(f"  total: {report['total_bytes']} bytes")
     print(f"  vectors: {report['num_vectors']}")
     print(f"  bytes/vector: {report['bytes_per_vector']:.1f}")
-    print(
-        f"  codes: {report['codes_stored_bytes']} stored / "
-        f"{report['codes_raw_bytes']} raw "
-        f"(ratio {report['codes_compression_ratio']:.2f}x)"
-    )
     spec = saved_spec(args.dir)
     if spec is not None:
         print("spec:")

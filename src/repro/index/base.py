@@ -78,9 +78,6 @@ class GraphIndex:
     needs_graph = True
     #: Whether requests carry (and require) per-query target labels.
     supports_labels = False
-    #: Names returned by :meth:`export_arrays` that hold PQ code
-    #: matrices — ``save_index(compress=True)`` entropy-codes exactly these.
-    code_arrays: Tuple[str, ...] = ("codes",)
     #: No rerank: ``k`` results must fit the routing beam.
     k_within_beam = False
     #: The exact counter keys of this scenario's responses, in order.
@@ -129,7 +126,7 @@ class GraphIndex:
     def export_arrays(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
         """Return ``(meta, arrays)``: the scenario's JSON-able state
         plus every per-row array, named.  Nothing touches disk here —
-        the persistence layer owns layout and compression."""
+        the persistence layer owns the layout."""
         raise NotImplementedError
 
     @classmethod

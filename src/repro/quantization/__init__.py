@@ -6,8 +6,6 @@
 * :class:`LinkAndCodeQuantizer` — L&C-style residual refinement [21].
 * :class:`Codebook`, :class:`LookupTable` — shared containers;
   :func:`adc_distances` / :func:`sdc_distances` — distance estimators.
-* :class:`ScalarQuantizer` (SQ8) / :class:`ResidualQuantizer` (RQ) —
-  non-PQ compression baselines.
 * :func:`kmeans` — the Lloyd clustering primitive.
 """
 
@@ -25,8 +23,6 @@ from .kmeans import (
 from .lnc import LinkAndCodeQuantizer
 from .opq import OptimizedProductQuantizer
 from .pq import ProductQuantizer
-from .rq import ResidualQuantizer
-from .scalar import ScalarQuantizer
 from .serialization import load_quantizer, save_quantizer
 
 __all__ = [
@@ -46,8 +42,6 @@ __all__ = [
     "train_codebook",
     "assign_to_centroids",
     "KMeansResult",
-    "ResidualQuantizer",
-    "ScalarQuantizer",
     "save_quantizer",
     "load_quantizer",
 ]

@@ -1,20 +1,14 @@
-"""Storage v2: entropy-coded, mmap-native index persistence.
+"""Storage v2: mmap-native index persistence.
 
-Two orthogonal pieces, combined by :mod:`repro.api.persistence` into
-the format-version-2 index directory:
-
-* :mod:`repro.storage.entropy` — a pure-NumPy per-column rANS entropy
-  coder for PQ code matrices (:class:`EntropyCoder`).  PQ code columns
-  are low-entropy (cluster sizes are never uniform), so storing them as
-  raw bytes wastes most of the byte; the coder compresses each column
-  against its own frequency table and validates the exact round-trip on
-  every compression (McQuic-style code-identity checking).
-* :mod:`repro.storage.container` — an aligned, header-described
-  container file that lays hot arrays (codes, packed CSR adjacency,
-  vectors, labels) out at page-aligned offsets, so a worker can
-  memory-map them read-only in O(1) instead of deserializing a private
-  copy.  Every process that maps the same container shares page cache —
-  the lever that makes replicated worker spawn near-free.
+:mod:`repro.storage.container` is an aligned, header-described
+container file that lays hot arrays (codes, packed CSR adjacency,
+vectors, labels) out at page-aligned offsets, so a worker can
+memory-map them read-only in O(1) instead of deserializing a private
+copy.  Every process that maps the same container shares page cache —
+the lever that makes replicated worker spawn near-free.
+:mod:`repro.api.persistence` builds the format-version-2 index
+directory around it.  Sections are stored raw: there is no decode step
+between the file and the search kernel.
 """
 
 from .container import (
@@ -23,11 +17,8 @@ from .container import (
     Container,
     write_container,
 )
-from .entropy import CompressedCodes, EntropyCoder
 
 __all__ = [
-    "EntropyCoder",
-    "CompressedCodes",
     "Container",
     "write_container",
     "CONTAINER_FORMAT_VERSION",

@@ -1,12 +1,12 @@
 """Aligned, header-described container file for hot index arrays.
 
 One file holds every hot array of an index — codes, packed CSR
-adjacency, vectors, labels, entropy-coder payloads — each laid out at a
-page-aligned offset so a reader can hand back ``np.memmap`` views in
-O(1) without touching the array bytes.  That is the whole point: a
-worker process "loads" a multi-megabyte index by mapping a few
-sections, and every worker/replica that maps the same file shares the
-OS page cache instead of holding a private deserialized copy.
+adjacency, vectors, labels — each laid out at a page-aligned offset
+so a reader can hand back ``np.memmap`` views in O(1) without touching
+the array bytes.  That is the whole point: a worker process "loads" a
+multi-megabyte index by mapping a few sections, and every
+worker/replica that maps the same file shares the OS page cache
+instead of holding a private deserialized copy.
 
 Layout::
 
@@ -21,7 +21,11 @@ dict for the owner, and a ``sections`` list of
 C-contiguous array bytes — exactly what ``np.memmap`` wants.  Arrays
 with zero elements are recorded in the header but store no bytes; the
 reader synthesizes them, so empty indexes round-trip without special
-cases upstream.
+cases upstream.  The reader checks every header entry when it opens
+the file — ``nbytes`` must equal ``prod(shape) * itemsize`` and the
+bytes must lie inside the file — so a lying header raises instead of
+handing back uninitialised or misshapen arrays.  The check reads only
+the header, so opening stays O(1) in the array bytes.
 
 Header offsets depend on the header's own length (it embeds the
 offsets), so the writer runs a tiny fixed-point iteration: guess the
@@ -33,6 +37,7 @@ offsets can shift.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Dict, Iterator, Mapping, Optional
 
@@ -157,9 +162,31 @@ class Container:
             self.version = version
             header_len = int.from_bytes(fh.read(8), "little")
             header = json.loads(fh.read(header_len).decode("utf-8"))
+            file_size = os.fstat(fh.fileno()).st_size
         self.align = int(header.get("align", PAGE_ALIGN))
         self.meta = dict(header.get("meta", {}))
         self._sections = {s["name"]: s for s in header["sections"]}
+        for section in self._sections.values():
+            self._check(section, _PREAMBLE + header_len, file_size)
+
+    def _check(self, section: dict, data_start: int, file_size: int) -> None:
+        """Refuse a header entry whose byte count does not match its
+        dtype and shape, or whose bytes lie outside the file."""
+        name = section["name"]
+        itemsize = np.dtype(section["dtype"]).itemsize
+        nbytes, offset = int(section["nbytes"]), int(section["offset"])
+        shape = section["shape"]
+        expected = math.prod(shape) * itemsize
+        if nbytes != expected or min(shape, default=0) < 0:
+            raise ValueError(
+                f"{self.path}: section {name!r} header is corrupt: "
+                f"{nbytes} bytes for shape {shape} of {section['dtype']}"
+            )
+        if nbytes and not data_start <= offset <= file_size - nbytes:
+            raise ValueError(
+                f"{self.path}: section {name!r} lies outside the file "
+                f"(bytes [{offset}, {offset + nbytes}) of {file_size})"
+            )
 
     def __contains__(self, name: str) -> bool:
         return name in self._sections

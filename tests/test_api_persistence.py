@@ -3,8 +3,8 @@
 * Round trips: every scenario (plus sharded, replicated fleets and the
   streaming write path) is saved, reloaded and pinned to answer the
   same :class:`~repro.api.SearchRequest` with identical ids, distances,
-  counts and counters — over ``compress`` x ``mmap``, the only two
-  knobs the format has.
+  counts and counters — in both ``mmap`` modes, the one knob the
+  format has.
 * One writer: ``save_index`` writes format 2 whatever it is asked
   (``layout`` is vestigial), writes the same bytes the pre-collapse
   ``layout="mmap"`` path wrote, and leaves no stale file behind.
@@ -78,12 +78,10 @@ FIXTURES_V2_INT64 = os.path.join(
     os.path.dirname(__file__), "fixtures", "index_v2_int64"
 )
 
-#: the whole option space of the format: (compress, mmap)
+#: the whole option space of the format: how ``load_index`` reads it
 FORMAT_MATRIX = [
-    pytest.param(False, True, id="raw-mmap"),
-    pytest.param(False, False, id="raw-copy"),
-    pytest.param(True, True, id="rans-mmap"),
-    pytest.param(True, False, id="rans-copy"),
+    pytest.param(True, id="raw-mmap"),
+    pytest.param(False, id="raw-copy"),
 ]
 
 
@@ -184,7 +182,7 @@ def _built(scenario_id: int):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("compress,mmap", FORMAT_MATRIX)
+@pytest.mark.parametrize("mmap", FORMAT_MATRIX)
 @pytest.mark.parametrize(
     "scenario_id",
     range(len(SCENARIOS)),
@@ -193,9 +191,9 @@ def _built(scenario_id: int):
         for kind, params in SCENARIOS
     ],
 )
-def test_scenario_round_trip_bitwise(tmp_path, scenario_id, compress, mmap):
+def test_scenario_round_trip_bitwise(tmp_path, scenario_id, mmap):
     spec, index, request, live = _built(scenario_id)
-    save_index(index, tmp_path, compress=compress)
+    save_index(index, tmp_path)
     assert describe_index(tmp_path)["format_version"] == 2
     loaded = load_index(tmp_path, mmap=mmap)
     assert type(loaded) is type(index)
@@ -204,13 +202,13 @@ def test_scenario_round_trip_bitwise(tmp_path, scenario_id, compress, mmap):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("compress,mmap", FORMAT_MATRIX)
-def test_sharded_round_trip_bitwise(tmp_path, queries, compress, mmap):
+@pytest.mark.parametrize("mmap", FORMAT_MATRIX)
+def test_sharded_round_trip_bitwise(tmp_path, queries, mmap):
     spec = base_spec(sharding=ShardingSpec(num_shards=4))
     index = build(spec)
     request = SearchRequest(queries=queries, k=5, beam_width=16)
     live = index.search(request)
-    save_index(index, tmp_path, compress=compress)
+    save_index(index, tmp_path)
     assert describe_index(tmp_path)["format_version"] == 2
     loaded = load_index(tmp_path, mmap=mmap)
     assert isinstance(loaded, ShardedIndex)
@@ -248,7 +246,7 @@ def test_replicated_process_fleet_boots_off_saved_directory(tmp_path, queries):
     request = SearchRequest(queries=queries, k=5, beam_width=16)
     expected = ref.search(request)
 
-    save_index(ref, tmp_path, compress=True)
+    save_index(ref, tmp_path)
     fleet = load_index(tmp_path)
     fleet.set_backend("process")
     fleet.set_replicas(2)
@@ -259,14 +257,12 @@ def test_replicated_process_fleet_boots_off_saved_directory(tmp_path, queries):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("compress,mmap", FORMAT_MATRIX)
-def test_streaming_round_trip_preserves_write_path(
-    tmp_path, queries, compress, mmap
-):
+@pytest.mark.parametrize("mmap", FORMAT_MATRIX)
+def test_streaming_round_trip_preserves_write_path(tmp_path, queries, mmap):
     spec = base_spec(kind="streaming", params={"r": 8, "search_l": 16})
     index = build(spec)
     index.delete(3)
-    save_index(index, tmp_path, compress=compress)
+    save_index(index, tmp_path)
     loaded = load_index(tmp_path, mmap=mmap)
     assert loaded.num_deleted == 1
     # Inserts continue identically on both sides (same graph state).
@@ -278,10 +274,8 @@ def test_streaming_round_trip_preserves_write_path(
     assert index.consolidate() == loaded.consolidate()
 
 
-@pytest.mark.parametrize("compress,mmap", FORMAT_MATRIX)
-def test_empty_streaming_round_trip_stays_empty(
-    tmp_path, queries, compress, mmap
-):
+@pytest.mark.parametrize("mmap", FORMAT_MATRIX)
+def test_empty_streaming_round_trip_stays_empty(tmp_path, queries, mmap):
     from repro.api.registry import get_scenario
 
     data = load("sift", n_base=150, n_queries=2, seed=1)
@@ -289,7 +283,7 @@ def test_empty_streaming_round_trip_stays_empty(
     index = get_scenario("streaming").from_spec(
         {"r": 8, "search_l": 16}, None, quantizer, np.empty((0, data.dim))
     )
-    save_index(index, tmp_path, compress=compress)
+    save_index(index, tmp_path)
     loaded = load_index(tmp_path, mmap=mmap)
     assert loaded.num_vertices == 0
     assert loaded._adjacency == []
@@ -374,6 +368,28 @@ def test_load_rejects_future_format(tmp_path, memory_index):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="format version 3"):
         load_index(tmp_path)
+
+
+def test_load_refuses_entropy_coded_codes(tmp_path, memory_index):
+    """A directory an older build saved with ``--compress`` fails
+    loudly, naming the section, instead of a ``KeyError`` on ``codes``."""
+    src = tmp_path / "src"
+    save_index(memory_index, src)
+    meta_path = src / "index.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["storage"]["compress"] is False
+    assert meta["storage"]["compressed"] == {}
+    meta["storage"]["compressed"] = {
+        "codes": {"num_rows": 220, "code_dtype": "uint8", "scale_bits": 12}
+    }
+    meta_path.write_text(json.dumps(meta))
+    for mmap in (True, False):
+        with pytest.raises(ValueError, match="'codes'.*raw code sections"):
+            load_index(src, mmap=mmap)
+    dst = str(tmp_path / "dst")
+    with pytest.raises(ValueError, match="'codes'.*raw code sections"):
+        cli_main(["index", "migrate", "--dir", str(src), "--out", dst])
+    assert not os.path.exists(os.path.join(dst, "index.json"))
 
 
 # ----------------------------------------------------------------------
@@ -532,9 +548,9 @@ with open(os.path.join(FIXTURES, "parent_v2_bytes.json")) as _fh:
     PARENT_V2_BYTES = json.load(_fh)
 
 
-@pytest.mark.parametrize("compress", [False, True], ids=["raw", "rans"])
+@pytest.mark.parametrize("kind", ["raw"])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_save_writes_the_parents_mmap_bytes(tmp_path, name, compress):
+def test_save_writes_the_parents_mmap_bytes(tmp_path, name, kind):
     """Same bytes on the kept path, re-pinned once for int32 vertex
     ids: ``sha256`` is what ``save_index(idx, d)`` writes since PR 18
     (the index comes from committed bytes, so the pin is
@@ -543,9 +559,9 @@ def test_save_writes_the_parents_mmap_bytes(tmp_path, name, compress):
     against them — every vertex-id section is exactly half, nothing
     else moved except the padding that absorbs it and the decimal
     section sizes ``index.json`` embeds."""
-    parent = PARENT_V2_BYTES[name]["rans" if compress else "raw"]
+    parent = PARENT_V2_BYTES[name][kind]
     index = load_index(os.path.join(FIXTURES, name))
-    save_index(index, tmp_path, compress=compress)
+    save_index(index, tmp_path)
     for relpath, sha in parent["sha256"].items():
         assert _file_sha(tmp_path / relpath) == sha, relpath
     report = storage_report(tmp_path)
@@ -798,7 +814,7 @@ def test_v1_graph_reader_matches_the_array_codec():
 def test_mapped_streaming_mutation_never_touches_map(tmp_path, queries):
     index = build(base_spec(kind="streaming"))
     request = SearchRequest(queries=queries, k=5, beam_width=16)
-    save_index(index, tmp_path, compress=True)
+    save_index(index, tmp_path)
     container_path = tmp_path / "index.bin"
     sha_before = _file_sha(container_path)
 
@@ -848,29 +864,16 @@ def test_mapped_arrays_are_read_only_backstop(tmp_path, memory_index):
 
 
 def test_storage_report(tmp_path, memory_index):
-    save_index(memory_index, tmp_path / "raw")
-    save_index(memory_index, tmp_path / "rans", compress=True)
+    save_index(memory_index, tmp_path)
 
-    raw = storage_report(tmp_path / "raw")
+    raw = storage_report(tmp_path)
     assert raw["format_version"] == 2 and raw["layout"] == "mmap"
-    assert not raw["compress"]
     assert raw["num_vectors"] == 220
     assert raw["components"]["index.bin:codes"] == 220 * 8
     assert raw["total_bytes"] == sum(raw["components"].values())
-    assert raw["codes_compression_ratio"] == 1.0
-
-    rans = storage_report(tmp_path / "rans")
-    assert rans["format_version"] == 2 and rans["compress"]
-    assert rans["num_vectors"] == 220
-    assert rans["codes_stored_bytes"] < rans["codes_raw_bytes"]
-    assert rans["codes_compression_ratio"] > 1.0
-    assert rans["total_bytes"] == sum(rans["components"].values())
     # On-disk truth: the reported total is exactly the directory size.
-    disk = sum(
-        os.path.getsize(tmp_path / "rans" / f)
-        for f in os.listdir(tmp_path / "rans")
-    )
-    assert rans["total_bytes"] == disk
+    disk = sum(os.path.getsize(tmp_path / f) for f in os.listdir(tmp_path))
+    assert raw["total_bytes"] == disk
 
 
 def test_storage_report_v1_fixture():
@@ -879,7 +882,6 @@ def test_storage_report_v1_fixture():
     assert report["num_vectors"] == 64
     assert report["components"]["codes.npy"] > 0
     assert report["total_bytes"] == sum(report["components"].values())
-    assert report["codes_compression_ratio"] == 1.0
     sharded = storage_report(os.path.join(FIXTURES, "sharded_2"))
     assert sharded["format_version"] == 1 and sharded["num_shards"] == 2
     assert sharded["num_vectors"] == 64
@@ -888,9 +890,10 @@ def test_storage_report_v1_fixture():
 @pytest.mark.slow
 def test_storage_report_sharded(tmp_path):
     index = build(base_spec(sharding=ShardingSpec(num_shards=2)))
-    save_index(index, tmp_path, compress=True)
+    save_index(index, tmp_path)
     report = storage_report(tmp_path)
     assert report["num_shards"] == 2
     assert report["num_vectors"] == 220
-    assert report["codes_compression_ratio"] > 1.0
+    codes = [v for k, v in report["components"].items() if k.endswith(":codes")]
+    assert len(codes) == 2 and sum(codes) == 220 * 8
     assert any(k.startswith("shard_001/") for k in report["components"])

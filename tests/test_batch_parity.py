@@ -257,25 +257,17 @@ class TestFilteredParity:
 
 
 class TestTableOverrideQuantizers:
-    """Quantizers that customize per-query table construction (L&C's
-    concatenated refinement table, RQ's additive level table) must work
-    through every engine path: the batch table factory dispatches
-    through their ``lookup_table`` override, and scalar search is the
-    B=1 batch."""
+    """A quantizer that customizes per-query table construction (L&C's
+    concatenated refinement table) must work through every engine
+    path: the batch table factory dispatches through its
+    ``lookup_table`` override, and scalar search is the B=1 batch."""
 
-    @pytest.mark.parametrize("kind", ["lnc", "rq"])
+    @pytest.mark.parametrize("kind", ["lnc"])
     def test_memory_and_disk_paths(self, setup, kind):
-        from repro.quantization import LinkAndCodeQuantizer, ResidualQuantizer
+        from repro.quantization import LinkAndCodeQuantizer
 
         data, _, vamana, _ = setup
-        if kind == "lnc":
-            quantizer = LinkAndCodeQuantizer(4, 16, n_sq=1, seed=0).fit(
-                data.train
-            )
-        else:
-            quantizer = ResidualQuantizer(
-                num_levels=2, num_codewords=16, seed=0
-            ).fit(data.train)
+        quantizer = LinkAndCodeQuantizer(4, 16, n_sq=1, seed=0).fit(data.train)
 
         memory = MemoryIndex(vamana, quantizer, data.base)
         scalars = [
@@ -292,12 +284,10 @@ class TestTableOverrideQuantizers:
         )
 
     def test_float32_storage_rejects_table_overrides(self, setup):
-        from repro.quantization import ResidualQuantizer
+        from repro.quantization import LinkAndCodeQuantizer
 
         data, _, vamana, _ = setup
-        quantizer = ResidualQuantizer(
-            num_levels=2, num_codewords=16, seed=0
-        ).fit(data.train)
+        quantizer = LinkAndCodeQuantizer(4, 16, n_sq=1, seed=0).fit(data.train)
         with pytest.raises(ValueError, match="float32"):
             MemoryIndex(
                 vamana, quantizer, data.base, storage_dtype=np.float32

@@ -1,130 +1,54 @@
-"""``repro.storage`` units: the rANS entropy coder and the container.
+"""``repro.storage`` units: the container.
 
-* The coder round-trips exactly (and refuses corrupt streams).
-* The container round-trips arrays through mmap and copy modes, keeps
-  sections page-aligned and read-only, and rejects future versions.
+* It round-trips arrays through mmap and copy modes, keeps sections
+  page-aligned and read-only, and rejects future versions.
+* A header that lies about a section — byte count against shape, or
+  bytes outside the file — is refused when the container opens.
 
-What :mod:`repro.api.persistence` builds out of the two — the index
+What :mod:`repro.api.persistence` builds around it — the index
 directory format, its round trips, the format-1 fixtures — is pinned in
 ``tests/test_api_persistence.py``.
 """
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pytest
 
-from repro.storage import (
-    CompressedCodes,
-    Container,
-    EntropyCoder,
-    write_container,
-)
+from repro.storage import Container, write_container
+
+MMAP_MODES = pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "copy"])
 
 
-# ----------------------------------------------------------------------
-# Entropy coder
-# ----------------------------------------------------------------------
+def _two_sections(tmp_path):
+    path = str(tmp_path / "index.bin")
+    write_container(
+        path,
+        {
+            "codes": np.arange(64, dtype=np.uint8).reshape(8, 8),
+            "vectors": np.ones((8, 8)),
+        },
+    )
+    return path
 
 
-class TestEntropyCoder:
-    def test_round_trip_skewed(self):
-        rng = np.random.default_rng(0)
-        p = np.random.default_rng(1).dirichlet(np.ones(32) * 0.4)
-        codes = rng.choice(32, size=(700, 8), p=p).astype(np.uint8)
-        coder = EntropyCoder()
-        comp = coder.compress(codes)
-        np.testing.assert_array_equal(coder.decompress(comp), codes)
-        assert comp.blob.nbytes < codes.nbytes
-
-    def test_round_trip_uniform_small_alphabet(self):
-        # Uniform over 16 symbols still beats 8 stored bits per code.
-        rng = np.random.default_rng(2)
-        codes = rng.integers(16, size=(500, 4)).astype(np.uint8)
-        coder = EntropyCoder()
-        comp = coder.compress(codes)
-        np.testing.assert_array_equal(coder.decompress(comp), codes)
-        assert comp.blob.nbytes < codes.nbytes
-
-    def test_degenerate_single_symbol_column(self):
-        codes = np.zeros((300, 3), dtype=np.uint16)
-        codes[:, 1] = 7
-        coder = EntropyCoder()
-        comp = coder.compress(codes)
-        decoded = coder.decompress(comp)
-        np.testing.assert_array_equal(decoded, codes)
-        assert decoded.dtype == codes.dtype
-        # A constant column carries no information: 4 flush bytes each.
-        assert comp.blob.nbytes == 12
-
-    def test_preserves_dtype(self):
-        for dtype in (np.uint8, np.uint16, np.int64):
-            codes = np.arange(40, dtype=dtype).reshape(20, 2) % 5
-            comp = EntropyCoder().compress(codes)
-            decoded = EntropyCoder().decompress(comp)
-            assert decoded.dtype == np.dtype(dtype)
-            np.testing.assert_array_equal(decoded, codes)
-
-    def test_corrupt_blob_rejected(self):
-        codes = np.random.default_rng(3).integers(
-            16, size=(200, 4)
-        ).astype(np.uint8)
-        comp = EntropyCoder().compress(codes)
-        blob = comp.blob.copy()
-        blob[len(blob) // 2] ^= 0xFF
-        bad = CompressedCodes(
-            freqs=comp.freqs,
-            blob=blob,
-            starts=comp.starts,
-            num_rows=comp.num_rows,
-            code_dtype=comp.code_dtype,
-            scale_bits=comp.scale_bits,
-        )
-        with pytest.raises(ValueError, match="rANS stream"):
-            EntropyCoder().decompress(bad)
-
-    def test_truncated_blob_rejected(self):
-        codes = np.random.default_rng(4).integers(
-            16, size=(100, 2)
-        ).astype(np.uint8)
-        comp = EntropyCoder().compress(codes)
-        bad = CompressedCodes(
-            freqs=comp.freqs,
-            blob=comp.blob[:2],
-            starts=np.array([0, 2, 2], dtype=np.int64),
-            num_rows=comp.num_rows,
-            code_dtype=comp.code_dtype,
-            scale_bits=comp.scale_bits,
-        )
-        with pytest.raises(ValueError):
-            EntropyCoder().decompress(bad)
-
-    def test_rejects_bad_inputs(self):
-        coder = EntropyCoder()
-        with pytest.raises(ValueError, match="2-D"):
-            coder.compress(np.zeros(5, dtype=np.uint8))
-        with pytest.raises(ValueError, match="integer"):
-            coder.compress(np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="empty"):
-            coder.compress(np.zeros((0, 2), dtype=np.uint8))
-
-    def test_arrays_meta_round_trip(self):
-        codes = np.random.default_rng(5).integers(
-            8, size=(64, 4)
-        ).astype(np.uint8)
-        comp = EntropyCoder().compress(codes)
-        arrays = comp.to_arrays("codes")
-        rebuilt = CompressedCodes.from_arrays(
-            "codes", comp.meta(), arrays.__getitem__
-        )
-        np.testing.assert_array_equal(
-            EntropyCoder().decompress(rebuilt), codes
-        )
-
-
-# ----------------------------------------------------------------------
-# Container
-# ----------------------------------------------------------------------
+def _edit_section(path, name, **fields):
+    """Rewrite one section's header entry in place (same header
+    length, padded with JSON whitespace); the array bytes stay."""
+    with open(path, "r+b") as fh:
+        fh.seek(12)
+        length = int.from_bytes(fh.read(8), "little")
+        header = json.loads(fh.read(length))
+        for section in header["sections"]:
+            if section["name"] == name:
+                section.update(fields)
+        text = json.dumps(header).encode("utf-8")
+        assert len(text) <= length
+        fh.seek(20)
+        fh.write(text.ljust(length))
 
 
 class TestContainer:
@@ -190,3 +114,28 @@ class TestContainer:
         write_container(path, {"a": np.zeros(2, dtype=np.uint8)})
         with pytest.raises(KeyError, match="nope"):
             Container(path).read("nope")
+
+    @MMAP_MODES
+    def test_zero_nbytes_over_elements_rejected(self, tmp_path, mmap):
+        # A section that claims no bytes but an (8, 8) shape must not
+        # come back as np.empty((8, 8)) — uninitialised memory.
+        path = _two_sections(tmp_path)
+        _edit_section(path, "vectors", nbytes=0, offset=0)
+        with pytest.raises(ValueError, match="'vectors' header is corrupt"):
+            Container(path, mmap=mmap).read("vectors")
+
+    @MMAP_MODES
+    def test_shrunk_shape_rejected(self, tmp_path, mmap):
+        # (4, 8) over 64 stored bytes must not read as half the array.
+        path = _two_sections(tmp_path)
+        _edit_section(path, "codes", shape=[4, 8])
+        with pytest.raises(ValueError, match="'codes' header is corrupt"):
+            Container(path, mmap=mmap).read("codes")
+
+    @MMAP_MODES
+    def test_section_past_end_of_file_rejected(self, tmp_path, mmap):
+        path = _two_sections(tmp_path)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 8)
+        with pytest.raises(ValueError, match="'vectors' lies outside"):
+            Container(path, mmap=mmap).read("vectors")
