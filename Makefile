@@ -114,10 +114,12 @@ paper-smoke:
 profile-kernel:
 	cd benchmarks && $(PYTHON) profile_kernel.py
 
-# The set-up twin: an RPQ fit (and a PQ fit) at offline_batch's shape
-# with exclusive seconds per stage (OPQ rotation, k-means++ seeding,
-# Lloyd, warm start, feature sampling, training forward / backward) and
-# expm / soft_reconstruct calls per optimizer step (~10 s).
+# The set-up twin: an NSG build, an RPQ fit and a PQ fit at
+# offline_batch's shape with exclusive seconds per stage (kNN bootstrap,
+# candidate search, MRNG select, InterInsert, reachability; OPQ
+# rotation, k-means++ seeding, Lloyd, warm start, feature sampling,
+# training forward / backward), k-means++ seedings per fit and expm /
+# soft_reconstruct calls per optimizer step (~10 s).
 profile-fit:
 	cd benchmarks && $(PYTHON) profile_fit.py
 

@@ -1,15 +1,23 @@
-"""Fit-side stage profile: where an RPQ fit spends its time.
+"""Set-up stage profile: where an NSG build and an RPQ fit spend their time.
 
-The set-up twin of ``profile_kernel.py``.  Fits RPQ at the
-``offline_batch`` workload's shape (sift, n = 2000, dim 64, NSG graph,
-16 x 256, 2 epochs, the registry's quick training config) and a plain
-PQ at the same budget, with timing wrappers on the fit's seams, and
-prints a table of exclusive seconds per stage: OPQ rotation, k-means++
-seeding, Lloyd, the k-means warm start, triplet and routing sampling,
-training forward (+ optimizer) and backward.  It also counts the
-differentiable ``expm`` and ``soft_reconstruct`` calls per optimizer
-step.  Nothing in ``src/`` carries a hook: the wrappers replace the
-seams for the duration of one fit and put them back.
+The set-up twin of ``profile_kernel.py``.  At the ``offline_batch``
+workload's shape (sift, n = 2000, dim 64) it builds the NSG graph, fits
+RPQ on it (16 x 256, 2 epochs, the registry's quick training config)
+and fits a plain PQ at the same budget, with timing wrappers on the
+seams of each, and prints a table of exclusive seconds per stage:
+
+* NSG build: kNN bootstrap, candidate search, MRNG select (every
+  occlusion test, the InterInsert re-prunes included), InterInsert and
+  the reachability pass;
+* fits: OPQ rotation, k-means++ seeding, Lloyd, the k-means warm start,
+  triplet and routing sampling, training forward (+ optimizer) and
+  backward.
+
+It also counts k-means++ seedings per fit (``train_codebook`` calls
+without an ``init``) and the differentiable ``expm`` and
+``soft_reconstruct`` calls per optimizer step.  Nothing in ``src/``
+carries a hook: the wrappers replace the seams for the duration of one
+build or fit and put them back.
 
     cd benchmarks && python profile_fit.py          # ~10 s
     REPRO_SMOKE=1 python profile_fit.py             # toy size, ~2 s
@@ -39,7 +47,14 @@ EPOCHS = 1 if SMOKE else 2
 
 #: (module, class or None, attribute, stage).  Stages nest; each is
 #: charged its exclusive time, so seeding inside OPQ counts as seeding.
-TIMED = [
+GRAPH_TIMED = [
+    ("repro.graphs.knn_graph", None, "exact_knn", "kNN bootstrap"),
+    ("repro.graphs.beam", None, "beam_search_batch", "candidate search"),
+    ("repro.graphs.nsg", None, "_mrng_select", "MRNG select"),
+    ("repro.graphs.nsg", None, "_inter_insert", "InterInsert"),
+    ("repro.graphs.nsg", None, "_ensure_reachable", "reachability"),
+]
+FIT_TIMED = [
     ("repro.core.diffq", "DifferentiableQuantizer", "warm_start_rotation",
      "OPQ rotation warm start"),
     ("repro.core.diffq", "DifferentiableQuantizer", "warm_start",
@@ -56,12 +71,15 @@ TIMED = [
     ("repro.core.trainer", None, "train_rpq",
      "training forward + optimizer"),
 ]
-#: Seams only counted, to report calls per optimizer step.
+#: Seams only counted, as (module, class or None, attribute, stage,
+#: which calls count).  ``init`` is passed by keyword where it is set.
 COUNTED = [
-    ("repro.autodiff.expm", None, "expm", "expm (differentiable)"),
+    ("repro.quantization.kmeans", None, "train_codebook",
+     "k-means++ seedings", lambda args, kwargs: kwargs.get("init") is None),
+    ("repro.autodiff.expm", None, "expm", "expm (differentiable)", None),
     ("repro.core.diffq", "DifferentiableQuantizer", "soft_reconstruct",
-     "soft_reconstruct"),
-    ("repro.autodiff.optim", "Adam", "step", "optimizer steps"),
+     "soft_reconstruct", None),
+    ("repro.autodiff.optim", "Adam", "step", "optimizer steps", None),
 ]
 
 
@@ -91,10 +109,10 @@ class StageProfile:
 
         return wrapper
 
-    def _counted(self, fn, stage: str):
+    def _counted(self, fn, stage: str, which):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            self.calls[stage] += 1
+            self.calls[stage] += which is None or which(args, kwargs)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -103,27 +121,32 @@ class StageProfile:
         self._restore.append((owner, attr, owner.__dict__[attr]))
         setattr(owner, attr, new)
 
-    def install(self) -> None:
-        for seams, make in ((TIMED, self._timed), (COUNTED, self._counted)):
-            for module, cls, attr, stage in seams:
-                owner = importlib.import_module(module)
-                if cls is not None:
-                    owner = getattr(owner, cls)
-                if attr not in owner.__dict__:
-                    continue  # a seam this checkout does not have
-                original = owner.__dict__[attr]
-                wrapped = make(original, stage)
-                self._patch(owner, attr, wrapped)
-                # Functions imported by name elsewhere are patched there
-                # too, so every call site goes through the wrapper.
-                if cls is None:
-                    for name, mod in list(sys.modules.items()):
-                        if (
-                            name.startswith("repro.")
-                            and mod is not owner
-                            and getattr(mod, attr, None) is original
-                        ):
-                            self._patch(mod, attr, wrapped)
+    def install(self, timed: list) -> None:
+        seams = [(seam, self._timed) for seam in timed]
+        seams += [(seam, self._counted) for seam in COUNTED]
+        # Import every seam's module first: one imported mid-install
+        # would bind an earlier seam's wrapper by name and keep it.
+        for (module, *_), _ in seams:
+            importlib.import_module(module)
+        for (module, cls, attr, stage, *which), make in seams:
+            owner = importlib.import_module(module)
+            if cls is not None:
+                owner = getattr(owner, cls)
+            if attr not in owner.__dict__:
+                continue  # a seam this checkout does not have
+            original = owner.__dict__[attr]
+            wrapped = make(original, stage, *which)
+            self._patch(owner, attr, wrapped)
+            # Functions imported by name elsewhere are patched there
+            # too, so every call site goes through the wrapper.
+            if cls is None:
+                for name, mod in list(sys.modules.items()):
+                    if (
+                        name.startswith("repro.")
+                        and mod is not owner
+                        and getattr(mod, attr, None) is original
+                    ):
+                        self._patch(mod, attr, wrapped)
 
     def uninstall(self) -> None:
         for owner, attr, original in reversed(self._restore):
@@ -131,17 +154,17 @@ class StageProfile:
         self._restore.clear()
 
 
-def profiled(label: str, fit) -> None:
+def profiled(label: str, timed: list, run):
     profile = StageProfile()
-    profile.install()
+    profile.install(timed)
     start = time.perf_counter()
     try:
-        fit()
+        out = run()
     finally:
         total = time.perf_counter() - start
         profile.uninstall()
     print(f"{label}: {total:.2f} s")
-    stages = [s for s in dict.fromkeys(t[3] for t in TIMED) if profile.calls[s]]
+    stages = [s for s in dict.fromkeys(t[3] for t in timed) if profile.calls[s]]
     for stage in stages:
         print(
             f"  {stage:<30} {profile.seconds[stage]:7.3f} s "
@@ -150,28 +173,38 @@ def profiled(label: str, fit) -> None:
         )
     other = total - sum(profile.seconds[s] for s in stages)
     print(f"  {'(outside the seams)':<30} {other:7.3f} s")
+    if timed is FIT_TIMED:
+        print(f"  k-means++ seedings per fit: {profile.calls['k-means++ seedings']}")
     steps = profile.calls["optimizer steps"]
     if steps:
-        for _, _, _, stage in COUNTED[:2]:
+        for _, _, _, stage, _ in COUNTED[1:3]:
             print(
                 f"  {stage} per optimizer step: "
                 f"{profile.calls[stage] / steps:.2f} "
                 f"({profile.calls[stage]} calls / {steps} steps)"
             )
+    return out
 
 
 def main() -> int:
     x = load("sift", n_base=N_BASE, n_queries=1, seed=0).base
-    graph = build_graph_from_spec(GraphSpec(kind="nsg"), x)
-    shape = f"n={N_BASE}, dim {x.shape[1]}, {NUM_CHUNKS} x {NUM_CODEWORDS}"
+    shape = f"n={N_BASE}, dim {x.shape[1]}"
+    graph = profiled(
+        f"NSG build ({shape})",
+        GRAPH_TIMED,
+        lambda: build_graph_from_spec(GraphSpec(kind="nsg"), x),
+    )
+    print()
+    shape += f", {NUM_CHUNKS} x {NUM_CODEWORDS}"
     rpq = QuantizerSpec("rpq", NUM_CHUNKS, NUM_CODEWORDS, params={"epochs": EPOCHS})
     profiled(
         f"RPQ fit ({shape}, {EPOCHS} epochs)",
+        FIT_TIMED,
         lambda: build_quantizer_from_spec(rpq, x, x=x, graph=graph),
     )
     print()
     pq = QuantizerSpec("pq", NUM_CHUNKS, NUM_CODEWORDS)
-    profiled(f"PQ fit ({shape})", lambda: build_quantizer_from_spec(pq, x))
+    profiled(f"PQ fit ({shape})", FIT_TIMED, lambda: build_quantizer_from_spec(pq, x))
     return 0
 
 

@@ -35,6 +35,14 @@ def _mrng_select(
 ) -> List[int]:
     """MRNG rule: keep candidates not 'occluded' by a selected neighbor.
 
+    Candidates are visited nearest first; ``c`` is occluded when some
+    already-selected ``s`` has ``|c - s|^2 < |c - vertex|^2``.  Each
+    selection kills the live candidates it occludes in one vectorised
+    step, so a candidate still alive at its turn is selected.  The pair
+    distances come from a stacked ``matmul`` — one dot product per
+    pair, rounded exactly like ``diff @ diff`` — so the edges are those
+    of the candidate-by-candidate test against every selected neighbor.
+
     ``min_degree`` re-adds the nearest pruned candidates when occlusion
     leaves fewer than that many edges — the ``keepPrunedConnections``
     practice of production NSG/HNSW builds, which prevents degenerate
@@ -47,24 +55,23 @@ def _mrng_select(
     diff = x[pool_arr] - x[vertex]
     d_vc = np.einsum("ij,ij->i", diff, diff)
     order = np.argsort(d_vc, kind="stable")
+    ids, d_vc = pool_arr[order], d_vc[order]
+    points = x[ids]
 
+    alive = np.ones(ids.size, dtype=bool)
     selected: List[int] = []
     pruned: List[int] = []
-    for pos in order:
-        c = int(pool_arr[pos])
-        d_c = float(d_vc[pos])
-        keep = True
-        for s in selected:
-            diff_sc = x[c] - x[s]
-            if float(diff_sc @ diff_sc) < d_c:
-                keep = False
-                break
-        if keep:
-            selected.append(c)
-            if len(selected) >= r:
-                break
-        else:
-            pruned.append(c)
+    for i in range(ids.size):
+        if not alive[i]:
+            pruned.append(int(ids[i]))
+            continue
+        selected.append(int(ids[i]))
+        if len(selected) >= r:
+            break
+        later = i + 1 + np.flatnonzero(alive[i + 1 :])
+        diff_sc = points[later] - points[i]
+        d_sc = np.matmul(diff_sc[:, None, :], diff_sc[:, :, None])[:, 0, 0]
+        alive[later[d_sc < d_vc[later]]] = False
     if len(selected) < min_degree:
         refill = pruned[: min_degree - len(selected)]
         selected.extend(refill)

@@ -243,6 +243,7 @@ def train_codebook(
     num_codewords: int,
     max_iter: int = 25,
     rng: Optional[np.random.Generator] = None,
+    init: Optional[np.ndarray] = None,
 ) -> List[KMeansResult]:
     """k-means of each of the ``num_chunks`` column blocks of ``x``.
 
@@ -253,6 +254,10 @@ def train_codebook(
     reproduce (``num_codewords >= n``, or a chunk whose points are all
     covered before ``num_codewords`` seeds) restores the generator and
     takes the chunk-by-chunk path.
+
+    ``init`` — an ``(num_chunks, num_codewords, sub_dim)`` codeword
+    array, e.g. a previous fit's ``Codebook.codewords`` — skips the
+    seeding: every chunk's Lloyd continues from its slice.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] % num_chunks != 0:
@@ -266,7 +271,14 @@ def train_codebook(
         for j in range(num_chunks)
     ]
     seeds = None
-    if num_codewords < x.shape[0]:
+    if init is not None:
+        seeds = np.asarray(init, dtype=np.float64)
+        if seeds.shape != (num_chunks, num_codewords, sub_dim):
+            raise ValueError(
+                f"init must have shape {(num_chunks, num_codewords, sub_dim)}, "
+                f"got {seeds.shape}"
+            )
+    elif num_codewords < x.shape[0]:
         state = rng.bit_generator.state
         seeds = _lockstep_seeds(chunks, num_codewords, rng)
         if seeds is None:

@@ -3,23 +3,30 @@
 OPQ learns an orthonormal rotation ``R`` jointly with the codebooks by
 alternating two steps:
 
-1. fix ``R``, run PQ on the rotated data;
+1. fix ``R``, run PQ on the rotated data ``X R^T``;
 2. fix the codes, solve the orthogonal Procrustes problem
-   ``min_R ||R X - Y||_F`` (where ``Y`` is the reconstruction) via SVD.
+   ``min_R ||X R^T - Y||_F`` (``Y`` the reconstruction) via SVD.
 
 This is the non-parametric OPQ variant.  It is the strongest classical
 (non-learned) baseline in the paper's evaluation.
+
+The alternation is warm-started, as in Ge et al.: k-means++ seeds the
+codebook once, in the first alternation, and every later alternation
+(and the final codebook of :meth:`OptimizedProductQuantizer.fit`)
+continues Lloyd from the previous alternation's codewords.  Step 2
+makes ``X R^T`` approach exactly those codewords, so they are the
+natural start in the new rotated space.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .base import BaseQuantizer
 from .codebook import Codebook
-from .kmeans import train_codebook
+from .kmeans import KMeansResult, train_codebook
 
 
 class OptimizedProductQuantizer(BaseQuantizer):
@@ -58,42 +65,60 @@ class OptimizedProductQuantizer(BaseQuantizer):
         return np.asarray(x, dtype=np.float64) @ self.rotation.T
 
     def _train_codebook(
-        self, rotated: np.ndarray, rng: np.random.Generator
-    ) -> Codebook:
-        return Codebook.from_kmeans(
-            train_codebook(
-                rotated, self.num_chunks, self.num_codewords, self.kmeans_iter, rng
-            )
+        self,
+        rotated: np.ndarray,
+        rng: np.random.Generator,
+        init: Optional[np.ndarray] = None,
+    ) -> List[KMeansResult]:
+        return train_codebook(
+            rotated,
+            self.num_chunks,
+            self.num_codewords,
+            self.kmeans_iter,
+            rng,
+            init=init,
         )
 
-    def _alternate(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """The ``opq_iter`` PQ / Procrustes alternations; returns ``R``."""
+    def _alternate(
+        self, x: np.ndarray, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``opq_iter`` PQ / Procrustes alternations.
+
+        Returns ``R`` and the last alternation's ``(M, K, d_sub)``
+        codewords, from which :meth:`fit` continues.
+        """
         rotation = np.eye(x.shape[1])
+        codewords = None
         for _ in range(max(1, self.opq_iter)):
             rotated = x @ rotation.T
-            codebook = self._train_codebook(rotated, rng)
-            recon = codebook.decode(codebook.encode(rotated))
-            # Procrustes: min_R ||X R^T - recon|| with R orthogonal.
-            # Solution: R = V U^T for SVD(X^T recon) = U S V^T... using
-            # the standard OPQ update R = svd(recon^T X) -> U V^T.
+            results = self._train_codebook(rotated, rng, init=codewords)
+            codewords = np.stack([r.centroids for r in results])
+            # Lloyd's final assignments are the codes of ``rotated``.
+            recon = np.concatenate(
+                [r.centroids[r.assignments] for r in results], axis=1
+            )
+            # Procrustes: min_R ||X R^T - recon||_F over orthogonal R.
+            # With SVD(recon^T X) = U S V^T the minimiser is R = U V^T.
             u, _, vt = np.linalg.svd(recon.T @ x)
             rotation = u @ vt
-        return rotation
+        return rotation, codewords
 
     def fit_rotation(self, x: np.ndarray) -> np.ndarray:
         """Learn only the rotation: :meth:`fit` without the final
         codebook, for callers that train their own codebook in the
         rotated space (RPQ's warm start).  Same ``R`` as :meth:`fit`."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        self.rotation = self._alternate(x, np.random.default_rng(self.seed))
+        self.rotation, _ = self._alternate(x, np.random.default_rng(self.seed))
         return self.rotation
 
     def fit(self, x: np.ndarray) -> "OptimizedProductQuantizer":
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         rng = np.random.default_rng(self.seed)
-        self.rotation = self._alternate(x, rng)
+        self.rotation, codewords = self._alternate(x, rng)
         # Final codebook consistent with the final rotation.
-        self.codebook = self._train_codebook(x @ self.rotation.T, rng)
+        self.codebook = Codebook.from_kmeans(
+            self._train_codebook(x @ self.rotation.T, rng, init=codewords)
+        )
         return self
 
     def parameter_bytes(self) -> int:

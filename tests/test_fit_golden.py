@@ -1,15 +1,24 @@
-"""Fitted models pinned against the commit before the fit speed-ups.
+"""Fitted models pinned against recorded fits (see the fixture's README).
 
 ``tests/fixtures/fit_golden/expected.npz`` holds what ``fit_arrays``
-returned for seeds 0 and 1 before k-means++ seeding ran in lockstep,
-OPQ's warm start dropped its final codebook and the RPQ trainer took one
-soft reconstruction per step (see the fixture's README).  The classical
-quantizers must come back bit for bit; RPQ's training sums gradients in
-a different order, so it gets 1e-12 and identical codes.
+returns for seeds 0 and 1.  Two generations of entries live in it:
+
+* ``pq_*``, ``lnc_*`` and ``catalyst_*`` date from before the fit
+  speed-ups (lockstep k-means++, one soft reconstruction per RPQ step)
+  and must still come back bit for bit: those speed-ups and OPQ's
+  warm-started alternation leave these three fits untouched.
+* ``opq_*`` and ``rpq_*`` were re-recorded when OPQ's alternation
+  stopped re-seeding k-means++: each alternation (and the final
+  codebook) now continues Lloyd from the previous alternation's
+  codewords, which changes OPQ's model and, through RPQ's warm-start
+  rotation, RPQ's.  OPQ is pinned bit for bit.  RPQ keeps the 1e-12
+  tolerance (and identical codes) it had while its entries came from a
+  trainer that summed gradients in another order.
 """
 
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -111,3 +120,59 @@ def test_one_expm_and_one_soft_reconstruct_per_step(monkeypatch):
     train_rpq(quantizer, graph, x, config)
     assert calls["step"] >= 3
     assert calls["expm"] == calls["soft_reconstruct"] == calls["step"]
+
+
+@pytest.mark.parametrize("kind, seedings", [("pq", 1), ("opq", 1), ("rpq", 2)])
+def test_one_kmeans_seeding_per_fit_and_no_second_encode(
+    monkeypatch, kind, seedings
+):
+    """Structural guard: OPQ seeds k-means++ in its first alternation
+    only (it read 6 per fit when every alternation and the final
+    codebook re-seeded), RPQ adds its own warm start's one, and the
+    Procrustes steps take their codes from Lloyd's assignments instead
+    of encoding the rotated rows again."""
+    from repro.quantization.codebook import Codebook
+    from repro.quantization.opq import OptimizedProductQuantizer
+
+    kmeans_module = importlib.import_module("repro.quantization.kmeans")
+    calls = {"_lockstep_seeds": 0, "kmeans_plus_plus_init": 0, "encode": 0}
+    depth = {"alternate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def alternate(self, *args, **kwargs):
+        depth["alternate"] += 1
+        try:
+            return original_alternate(self, *args, **kwargs)
+        finally:
+            depth["alternate"] -= 1
+
+    def encode(self, *args, **kwargs):
+        calls["encode"] += depth["alternate"] > 0
+        return original_encode(self, *args, **kwargs)
+
+    for name in ("_lockstep_seeds", "kmeans_plus_plus_init"):
+        monkeypatch.setattr(
+            kmeans_module, name, counted(name, getattr(kmeans_module, name))
+        )
+    original_alternate = OptimizedProductQuantizer._alternate
+    original_encode = Codebook.encode
+    monkeypatch.setattr(OptimizedProductQuantizer, "_alternate", alternate)
+    monkeypatch.setattr(Codebook, "encode", encode)
+
+    x = load("sift", n_base=300, n_queries=2, seed=0).base[:, :32]
+    graph = build_graph_from_spec(GraphSpec("nsg"), x) if kind == "rpq" else None
+    params = RPQ_PARAMS if kind == "rpq" else {}
+    build_quantizer_from_spec(
+        QuantizerSpec(kind, 8, 16, params=params), x, x=x, graph=graph
+    )
+    # Every seeding ran all chunks in lockstep (none fell back to the
+    # chunk-by-chunk path), so lockstep passes count seedings.
+    assert calls["kmeans_plus_plus_init"] == 0
+    assert calls["_lockstep_seeds"] == seedings
+    assert calls["encode"] == 0

@@ -167,6 +167,23 @@ class TestTrainCodebook:
         with pytest.raises(ValueError, match="not divisible"):
             train_codebook(np.zeros((10, 6)), 4, 2)
 
+    def test_init_continues_lloyd_from_the_given_codewords(self):
+        x = np.random.default_rng(7).normal(size=(300, 12))
+        init = np.random.default_rng(8).normal(size=(3, 16, 4))
+        rng = np.random.default_rng(0)
+        got = train_codebook(x, 3, 16, 5, rng, init=init)
+        for j, result in enumerate(got):
+            want = kmeans(x[:, 4 * j : 4 * (j + 1)], 16, 5, init=init[j])
+            assert np.array_equal(result.centroids, want.centroids)
+            assert np.array_equal(result.assignments, want.assignments)
+        # No seeding: the generator is untouched.
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_init_shape_is_checked(self):
+        x = np.zeros((20, 8))
+        with pytest.raises(ValueError, match="init must have shape"):
+            train_codebook(x, 2, 4, init=np.zeros((2, 4, 3)))
+
     def test_nan_input_raises_like_the_loop(self):
         x = np.random.default_rng(6).normal(size=(50, 4))
         x[3, 2] = np.nan
