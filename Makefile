@@ -10,7 +10,7 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-fast test-batch test-build test-replication test-net \
 	chaos-smoke bench-batch bench-build bench-serving bench-kernel \
 	bench-load bench-storage bench-e2e-smoke bench-paper paper-smoke \
-	profile-kernel profile-fit smoke \
+	profile-kernel profile-fit profile-streaming smoke \
 	smoke-examples smoke-net smoke-migrate demo lint ci ci-full
 
 # Tier-1: the full test suite, stop on first failure.
@@ -123,6 +123,15 @@ profile-kernel:
 profile-fit:
 	cd benchmarks && $(PYTHON) profile_fit.py
 
+# The write-path twin, at streaming_churn's shape: median ms per
+# insert_batch / delete / consolidate and per search after a write vs
+# a steady one, restacks / CSR re-packs / prune calls per cycle, and the
+# sha256 of every answer, assigned id and the saved container over a
+# fixed replayed cycle sequence — equal digests across two checkouts
+# are the bitwise proof of a write-path change (~20 s).
+profile-streaming:
+	cd benchmarks && $(PYTHON) profile_streaming.py
+
 # Static checks.  ruff ships via requirements-dev.txt (CI always has
 # it); when it is missing locally the target skips instead of failing
 # so `make ci` stays runnable in minimal environments.  The format
@@ -190,6 +199,7 @@ ci: lint test-fast chaos-smoke smoke-net smoke-migrate smoke-examples \
 ci-full: lint test test-replication test-net smoke-net smoke-migrate \
 		smoke-examples bench-e2e-smoke paper-smoke
 	cd benchmarks && REPRO_SMOKE=1 $(PYTHON) profile_fit.py
+	cd benchmarks && REPRO_SMOKE=1 $(PYTHON) profile_streaming.py
 	cd benchmarks && $(PYTHON) -m pytest bench_batch_throughput.py \
 		bench_build.py bench_serving.py bench_kernel.py \
 		bench_load.py bench_storage.py -q

@@ -9,12 +9,29 @@ without a full rebuild.  This module provides that substrate:
 * :meth:`FreshVamanaIndex.insert_batch` — the same insertions with
   their searches issued in speculative lockstep batches (bitwise
   identical to sequential :meth:`insert` calls — see
-  :mod:`repro.engine.construction`);
+  :mod:`repro.engine.construction`) and their rows encoded in one call;
 * :meth:`FreshVamanaIndex.delete` — lazy tombstoning: the vertex stops
   appearing in results but keeps routing traffic until consolidation;
 * :meth:`FreshVamanaIndex.consolidate` — Fresh-DiskANN's delete
   consolidation: neighbors of tombstoned vertices inherit the
-  tombstone's out-edges (so connectivity survives) and are re-pruned.
+  tombstone's out-edges (so connectivity survives) and are re-pruned,
+  all of them in one lockstep
+  :func:`~repro.graphs.vamana.robust_prune_batch` (every pool is read
+  from the pre-consolidation lists, so the prunes are independent).
+
+The index is stored the way the kernel reads it.  Vectors, codes and
+tombstones are grow-only arrays whose first ``num_vertices`` rows are
+live: an append that finds them full doubles their capacity, and reads
+take prefix views.  The graph is one fixed-width ``(capacity, r + 1)``
+block of :data:`~repro.graphs.packed.ID_DTYPE` ids plus a degree
+vector (``r`` edges, plus the reverse edge an insert appends before it
+re-prunes).  It serves the kernel's ``gather(vertices) -> (flat,
+lens)`` contract itself, and every write updates it in place, so no
+search after a write re-packs anything.  A memory-mapped load adopts
+the saved vector, code and tombstone sections zero-copy; the first
+write copies them into private arrays (copy-on-write at index
+granularity).  On disk the graph stays the CSR pair
+``stream_neighbors`` / ``stream_offsets``.
 
 Search estimates distances with any fitted quantizer's ADC tables, so a
 frozen RPQ drops in unchanged.  Codes for inserted vectors are computed
@@ -27,7 +44,7 @@ compaction of the result lists.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -41,30 +58,107 @@ from ..engine import (
     lockstep_apply,
 )
 from ..graphs.base import medoid
-from ..graphs.beam import BatchDistanceFn, beam_search, beam_search_batch
-from ..graphs.packed import PackedAdjacency
-from ..graphs.vamana import robust_prune
+from ..graphs.beam import (
+    BatchDistanceFn,
+    beam_search,
+    beam_search_batch,
+    exact_distance_fn,
+)
+from ..graphs.packed import ID_DTYPE, PackedAdjacency
+from ..graphs.vamana import robust_prune, robust_prune_batch
 from ..quantization.base import BaseQuantizer
 from .base import GraphIndex, compact_rows
 
 
-class _LiveGraphView:
-    """Routing view over the mutable adjacency lists.
+def _regrown(rows: np.ndarray, n: int, capacity: int) -> np.ndarray:
+    """``rows``' first ``n`` rows in fresh zeroed memory of ``capacity``."""
+    grown = np.zeros((capacity,) + rows.shape[1:], dtype=rows.dtype)
+    grown[:n] = rows[:n]
+    return grown
 
-    Satisfies the ``search_batch`` surface :class:`SearchContext`
-    drives, without freezing the lists into a
-    :class:`~repro.graphs.base.ProximityGraph`.
+
+class _BlockGraph:
+    """The live streaming graph, in the form the kernel reads.
+
+    ``ids[v, :deg[v]]`` is vertex ``v``'s neighbor list in insertion
+    order; the first ``n`` rows are vertices.  Every cell of ``ids``
+    holds an id below ``n`` (rows start zeroed and a shortened list
+    leaves only former neighbors behind), so a read of whole rows
+    masked by degree (``cols < deg[rows, None]``) never indexes out of
+    range.  Also the routing surface :class:`SearchContext` drives
+    (``search_batch``).
     """
 
-    def __init__(
-        self,
-        adjacency: List[List[int]],
-        entry_point: int,
-        packed: Optional[PackedAdjacency] = None,
+    __slots__ = ("ids", "deg", "n", "entry_point", "cols")
+
+    def __init__(self, width: int) -> None:
+        self.ids = np.zeros((0, width), dtype=ID_DTYPE)
+        self.deg = np.zeros(0, dtype=np.int64)
+        self.n = 0
+        self.entry_point: Optional[int] = None
+        self.cols = np.arange(width)
+
+    @classmethod
+    def from_csr(
+        cls, width: int, neighbors: np.ndarray, offsets: np.ndarray
+    ) -> "_BlockGraph":
+        """The block holding a saved ``(neighbors, offsets)`` CSR pair
+        (checked, and narrowed to :data:`ID_DTYPE`, by
+        :class:`PackedAdjacency`)."""
+        packed = PackedAdjacency(neighbors=neighbors, offsets=offsets)
+        deg, neighbors, n = packed.degrees(), packed.neighbors, len(packed)
+        bad_deg = n and not 0 <= deg.min() <= deg.max() < width
+        bad_ids = neighbors.size and not 0 <= neighbors.min() <= neighbors.max() < n
+        if bad_deg or bad_ids:
+            raise ValueError(
+                f"saved streaming graph has a list longer than {width - 1} "
+                f"or a neighbor outside its {n} vertices"
+            )
+        graph = cls(width)
+        graph.ids = np.zeros((n, width), dtype=ID_DTYPE)
+        graph.ids[graph.cols < deg[:, None]] = neighbors
+        graph.deg = deg
+        graph.n = n
+        return graph
+
+    def to_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(neighbors, offsets)``: the live lists packed back to back."""
+        deg = self.deg[: self.n]
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(deg, out=offsets[1:])
+        return self.ids[: self.n][self.cols < deg[:, None]], offsets
+
+    def resize(self, capacity: int) -> None:
+        self.ids = _regrown(self.ids, self.n, capacity)
+        self.deg = _regrown(self.deg, self.n, capacity)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, v: int) -> np.ndarray:
+        return self.ids[v, : self.deg[v]]
+
+    def gather(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """What :meth:`~repro.graphs.packed.PackedAdjacency.gather`
+        returns over the same lists: ``vertices``' lists concatenated,
+        widened to int64, and one length per vertex."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        lens = self.deg[vertices]
+        flat = self.ids[vertices][self.cols < lens[:, None]]
+        return flat.astype(np.int64), lens
+
+    def set_row(self, v: int, nbrs: List[int]) -> None:
+        self.ids[v, : len(nbrs)] = nbrs
+        self.deg[v] = len(nbrs)
+
+    def set_rows(
+        self, vertices: np.ndarray, flat: np.ndarray, lens: np.ndarray
     ) -> None:
-        self.adjacency = adjacency
-        self.entry_point = entry_point
-        self.packed = packed
+        """Replace the lists of ``vertices`` with ``(flat, lens)``."""
+        starts = np.repeat(np.cumsum(lens) - lens, lens)
+        cols = np.arange(flat.size) - starts
+        self.ids[np.repeat(vertices, lens), cols] = flat
+        self.deg[vertices] = lens
 
     def search_batch(
         self,
@@ -72,21 +166,15 @@ class _LiveGraphView:
         beam_width: int,
         num_queries: int,
         k: Optional[int] = None,
-        entries: Optional[np.ndarray] = None,
-        collect_visited: bool = False,
         workspace: Optional[KernelWorkspace] = None,
         profile: Optional[KernelProfile] = None,
     ):
-        if entries is None:
-            entries = np.full(num_queries, self.entry_point, dtype=np.int64)
-        adjacency = self.packed if self.packed is not None else self.adjacency
         return beam_search_batch(
-            adjacency,
-            entries,
+            self,
+            np.full(num_queries, self.entry_point, dtype=np.int64),
             dist_fn,
             beam_width,
             k=k,
-            collect_visited=collect_visited,
             workspace=workspace,
             profile=profile,
         )
@@ -143,21 +231,18 @@ class FreshVamanaIndex(GraphIndex):
         self.alpha = float(alpha)
         self.build_batch_size = int(build_batch_size)
 
-        self._vectors: List[np.ndarray] = []
-        self._codes: List[np.ndarray] = []
-        self._adjacency: List[List[int]] = []
-        self._deleted: List[bool] = []
-        self._entry: Optional[int] = None
-        # True while vectors/codes rows are views of a read-only mmap
-        # (storage v2 load); the first mutation promotes them to
-        # private copies — see _promote_from_map.
+        # Grow-only rows (see the module docstring); ``_codes`` takes
+        # the encoder's width and dtype from the first rows it stores.
+        self._graph = _BlockGraph(self.r + 1)
+        self._vectors = np.zeros((0, self.dim), dtype=np.float64)
+        self._codes: Optional[np.ndarray] = None
+        self._deleted = np.zeros(0, dtype=bool)
+        # True while vectors/codes/tombstones are views of a read-only
+        # mmap (storage v2 load); the first mutation promotes them to
+        # private copies — see _writable.
         self._mapped: bool = False
-
-        # Hot-path amortizers: the packed CSR view of the live adjacency
-        # (invalidated by every graph mutation) and the engine binding,
-        # whose workspace pool survives across searches; the per-call
-        # _context() binds the live graph and codes.
-        self._packed: Optional[PackedAdjacency] = None
+        # The engine binding, whose workspace pool survives across
+        # searches; the per-call _context() binds the graph and codes.
         self._init_engine(None, None)
 
     # ------------------------------------------------------------------
@@ -172,17 +257,19 @@ class FreshVamanaIndex(GraphIndex):
     _STATE_PARAMS = ("dim", "r", "search_l", "alpha", "build_batch_size")
 
     def export_arrays(self):
-        packed = self._packed_adjacency()  # the live lists as CSR
+        n = self.num_vertices
+        neighbors, offsets = self._graph.to_csr()
         meta = {key: getattr(self, key) for key in self._STATE_PARAMS}
-        meta["entry"] = -1 if self._entry is None else int(self._entry)
+        entry = self._graph.entry_point
+        meta["entry"] = -1 if entry is None else int(entry)
         arrays = {
-            "vectors": np.asarray(self._vectors, dtype=np.float64).reshape(
-                len(self._vectors), self.dim
-            ),
-            "codes": np.asarray(self._codes),
-            "stream_neighbors": packed.neighbors,
-            "stream_offsets": packed.offsets,
-            "deleted": np.asarray(self._deleted, dtype=bool),
+            "vectors": self._vectors[:n],
+            # Nothing ever inserted: the (0,) float64 section an empty
+            # list of code rows has always saved as.
+            "codes": np.empty(0) if self._codes is None else self._codes[:n],
+            "stream_neighbors": neighbors,
+            "stream_offsets": offsets,
+            "deleted": self._deleted[:n],
         }
         return meta, arrays
 
@@ -193,102 +280,136 @@ class FreshVamanaIndex(GraphIndex):
         bitwise identically.
 
         A mapped ``source`` hands out views of a shared read-only
-        memory map: the rows are adopted zero-copy and the first
-        mutating call promotes them to private memory instead of ever
-        touching the map (copy-on-write at index granularity).
+        memory map: vectors, codes and tombstones are adopted zero-copy
+        and the first mutating call promotes them to private memory
+        instead of ever touching the map (copy-on-write at index
+        granularity).  The graph block is built from the saved CSR in
+        one vectorized pass.
         """
         self = cls(quantizer, **{key: meta[key] for key in cls._STATE_PARAMS})
-        packed = PackedAdjacency(
-            neighbors=source["stream_neighbors"], offsets=source["stream_offsets"]
+        self._graph = _BlockGraph.from_csr(
+            self.r + 1, source["stream_neighbors"], source["stream_offsets"]
         )
+        n = self._graph.n
         vectors = np.asarray(source["vectors"], dtype=np.float64)
-        self._vectors = list(vectors.reshape(-1, self.dim))
-        self._codes = list(np.asarray(source["codes"]))
-        self._adjacency = [[int(u) for u in nbrs] for nbrs in packed.to_lists()]
-        self._deleted = [bool(d) for d in np.asarray(source["deleted"]).reshape(-1)]
-        self._entry = None if meta["entry"] < 0 else int(meta["entry"])
+        self._vectors = vectors.reshape(-1, self.dim)
+        self._codes = np.asarray(source["codes"]) if n else None
+        self._deleted = np.asarray(source["deleted"], dtype=bool).reshape(-1)
+        rows = {n, self._vectors.shape[0], self._deleted.size}
+        if n:
+            rows.add(self._codes.shape[0])
+        if len(rows) != 1:
+            raise ValueError(
+                f"saved streaming state disagrees on its row count: {sorted(rows)}"
+            )
+        self._graph.entry_point = None if meta["entry"] < 0 else int(meta["entry"])
         self._mapped = bool(source.mapped)
         return self
 
-    def _promote_from_map(self) -> None:
-        """Copy-on-write promotion guard.
+    def _writable(self, extra: int = 0) -> None:
+        """Private room for ``extra`` more rows: the copy-on-write
+        promotion guard plus grow-only appends.
 
-        A mapped index shares its vector/code pages read-only with
-        every sibling replica (and with the on-disk container).  Any
-        mutation must therefore first detach: copy the rows into
+        A mapped index shares its vector/code/tombstone pages read-only
+        with every sibling replica (and with the on-disk container).
+        Any mutation must therefore first detach: copy the rows into
         private memory so the write path can never touch — or depend
         on — the shared map.  Reads stay zero-copy forever; only the
-        first mutating call pays the copy.
+        first mutating call pays the copy.  Rows that run out of
+        capacity move to twice as much.
         """
-        if not self._mapped:
+        n, capacity = self._graph.n, self._vectors.shape[0]
+        if n + extra <= capacity and not self._mapped:
             return
-        self._vectors = [np.array(row, dtype=np.float64) for row in self._vectors]
-        self._codes = [np.array(row) for row in self._codes]
+        if n + extra > capacity:
+            capacity = max(n + extra, 2 * capacity)
+        self._vectors = _regrown(self._vectors, n, capacity)
+        if self._codes is not None:
+            self._codes = _regrown(self._codes, n, capacity)
+        self._deleted = _regrown(self._deleted, n, capacity)
+        self._graph.resize(capacity)
         self._mapped = False
 
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
         """Total slots, including tombstoned ones."""
-        return len(self._vectors)
+        return self._graph.n
 
     @property
     def num_active(self) -> int:
-        return self.num_vertices - sum(self._deleted)
+        return self.num_vertices - self.num_deleted
 
     @property
     def num_deleted(self) -> int:
-        return sum(self._deleted)
+        return int(np.count_nonzero(self._deleted[: self.num_vertices]))
 
     # ------------------------------------------------------------------
-    def _check_dim(self, vector: np.ndarray) -> np.ndarray:
-        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if vector.shape[0] != self.dim:
-            raise ValueError(
-                f"vector has dim {vector.shape[0]}, index expects {self.dim}"
+    def _stage(self, rows: np.ndarray) -> None:
+        """Write ``rows``, their codes (one encode) and live flags into
+        the slots after the last vertex; :meth:`_link` then turns them
+        into vertices one at a time."""
+        codes = self.quantizer.encode(rows)
+        self._writable(rows.shape[0])
+        if self._codes is None:
+            self._codes = np.zeros(
+                (self._vectors.shape[0],) + codes.shape[1:], dtype=codes.dtype
             )
-        return vector
+        n, m = self.num_vertices, rows.shape[0]
+        self._vectors[n : n + m] = rows
+        self._codes[n : n + m] = codes
+        self._deleted[n : n + m] = False
 
-    def _apply_insert(self, vector: np.ndarray, candidates: Optional[List[int]]) -> int:
-        """Append one vector and link it from ``candidates`` (the ids a
-        search of the pre-insert graph returned); the exact sequential
-        insert body shared by :meth:`insert` and :meth:`insert_batch`."""
-        self._packed = None  # adjacency mutates below
-        new_id = len(self._vectors)
-        self._vectors.append(vector)
-        self._codes.append(self.quantizer.encode(vector[None, :])[0])
-        self._deleted.append(False)
-
-        if self._entry is None:
-            self._adjacency.append([])
-            self._entry = new_id
+    def _link(self, candidates: Optional[List[int]]) -> int:
+        """Make the next staged row a vertex, linked from ``candidates``
+        (the ids a search of the pre-insert graph returned); the exact
+        sequential insert body shared by :meth:`insert` and
+        :meth:`insert_batch`."""
+        graph = self._graph
+        new_id = graph.n
+        graph.n += 1
+        if graph.entry_point is None:
+            graph.entry_point = new_id
             return new_id
 
         assert candidates is not None
-        x = np.asarray(self._vectors)
-        self._adjacency.append(robust_prune(x, new_id, candidates, self.alpha, self.r))
-        for j in self._adjacency[new_id]:
-            if new_id not in self._adjacency[j]:
-                self._adjacency[j].append(new_id)
-            if len(self._adjacency[j]) > self.r:
-                self._adjacency[j] = robust_prune(
-                    x, j, self._adjacency[j], self.alpha, self.r
+        x = self._vectors[: graph.n]
+        graph.set_row(new_id, robust_prune(x, new_id, candidates, self.alpha, self.r))
+        for j in graph[new_id].tolist():
+            # ``new_id`` is fresh, so no list holds it yet: the reverse
+            # edge always appends (the block's spare column) and a list
+            # that outgrows r is re-pruned.
+            degree = int(graph.deg[j])
+            graph.ids[j, degree] = new_id
+            graph.deg[j] = degree + 1
+            if degree + 1 > self.r:
+                graph.set_row(
+                    j, robust_prune(x, j, graph[j].tolist(), self.alpha, self.r)
                 )
         return new_id
 
+    def _rows(self, vectors: np.ndarray) -> np.ndarray:
+        rows = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        if rows.shape[-1] != self.dim:
+            raise ValueError(
+                f"vector has dim {rows.shape[-1]}, index expects {self.dim}"
+            )
+        return rows
+
     def insert(self, vector: np.ndarray) -> int:
         """Add one vector; returns its vertex id."""
-        self._promote_from_map()
-        vector = self._check_dim(vector)
-        if self._entry is None:
-            return self._apply_insert(vector, None)
+        row = self._rows(np.asarray(vector).reshape(-1))
+        self._stage(row)
+        graph = self._graph
+        if graph.entry_point is None:
+            return self._link(None)
         result = beam_search(
-            self._adjacency,
-            self._entry,
-            self._exact_fn(vector),
+            graph,
+            graph.entry_point,
+            exact_distance_fn(self._vectors, row[0]),
             self.search_l,
         )
-        return self._apply_insert(vector, list(result.ids))
+        return self._link(result.ids.tolist())
 
     def insert_batch(self, vectors: np.ndarray) -> List[int]:
         """Insert rows of ``vectors``; returns the assigned ids.
@@ -299,28 +420,32 @@ class FreshVamanaIndex(GraphIndex):
         adjacency list their trajectory read, so the resulting graph is
         bitwise identical to looping :meth:`insert`.
         """
-        self._promote_from_map()
-        rows = [self._check_dim(v) for v in np.atleast_2d(vectors)]
+        rows = self._rows(vectors)
+        if not rows.shape[0]:
+            self._writable()
+            return []
+        self._stage(rows)
+        graph = self._graph
         ids: List[int] = []
         epoch = 0
-        last_mod = np.full(len(self._vectors) + len(rows), -1, dtype=np.int64)
+        last_mod = np.full(graph.n + rows.shape[0], -1, dtype=np.int64)
 
         def batch_search(indices):
-            if self._entry is None:
+            if graph.entry_point is None:
                 # Empty index: nothing to search until the first row is
                 # applied; payloads are placeholders that only stay
                 # valid while the index remains empty.
                 return [{"empty": True} for _ in indices]
-            x = np.asarray(self._vectors)
-            queries = np.stack([rows[i] for i in indices])
+            x = self._vectors
+            queries = rows[indices]
 
             def dist_fn(qidx: np.ndarray, vertex_ids: np.ndarray):
                 diff = x[vertex_ids] - queries[qidx]
                 return np.einsum("ij,ij->i", diff, diff)
 
             result = beam_search_batch(
-                self._adjacency,
-                np.full(len(indices), self._entry, dtype=np.int64),
+                graph,
+                np.full(len(indices), graph.entry_point, dtype=np.int64),
                 dist_fn,
                 self.search_l,
                 collect_visited=True,
@@ -330,7 +455,7 @@ class FreshVamanaIndex(GraphIndex):
                 {
                     "empty": False,
                     "epoch": epoch,
-                    "ids": list(result.row(i).ids),
+                    "ids": result.row(i).ids.tolist(),
                     "visited": result.visited_lists[i],
                 }
                 for i in range(len(indices))
@@ -338,8 +463,8 @@ class FreshVamanaIndex(GraphIndex):
 
         def is_valid(payload) -> bool:
             if payload["empty"]:
-                return self._entry is None
-            if self._entry is None:
+                return graph.entry_point is None
+            if graph.entry_point is None:
                 return False
             # Stale once any adjacency list the cached trajectory read
             # was modified by apply number ``epoch`` or later.
@@ -347,12 +472,10 @@ class FreshVamanaIndex(GraphIndex):
 
         def apply(i: int, payload) -> None:
             nonlocal epoch
-            candidates = None if payload["empty"] else payload["ids"]
-            new_id = self._apply_insert(rows[i], candidates)
+            new_id = self._link(None if payload["empty"] else payload["ids"])
             ids.append(new_id)
             last_mod[new_id] = epoch
-            for j in self._adjacency[new_id]:
-                last_mod[j] = epoch
+            last_mod[graph[new_id]] = epoch
             epoch += 1
 
         lockstep_apply(len(rows), batch_search, is_valid, apply, self.build_batch_size)
@@ -366,7 +489,7 @@ class FreshVamanaIndex(GraphIndex):
             raise KeyError(f"no vertex {vertex}")
         if self._deleted[vertex]:
             raise KeyError(f"vertex {vertex} already deleted")
-        self._promote_from_map()
+        self._writable()
         self._deleted[vertex] = True
 
     def consolidate(self) -> int:
@@ -378,69 +501,57 @@ class FreshVamanaIndex(GraphIndex):
         Tombstoned slots are retained (ids stay stable) but become
         unreachable.
         """
-        deleted = {v for v, dead in enumerate(self._deleted) if dead}
-        if not deleted:
+        n = self.num_vertices
+        if not self._deleted[:n].any():
             return 0
-        self._promote_from_map()
-        self._packed = None  # edge inheritance rewrites adjacency
-        x = np.asarray(self._vectors)
-        for v in range(self.num_vertices):
-            if self._deleted[v]:
-                continue
-            dead_neighbors = [u for u in self._adjacency[v] if u in deleted]
-            if not dead_neighbors:
-                continue
-            survivors = [u for u in self._adjacency[v] if u not in deleted]
-            inherited = [
-                w
-                for u in dead_neighbors
-                for w in self._adjacency[u]
-                if w not in deleted and w != v
-            ]
-            self._adjacency[v] = robust_prune(
-                x, v, survivors + inherited, self.alpha, self.r
-            )
-        for v in deleted:
-            self._adjacency[v] = []
-        if self._entry in deleted:
-            self._entry = self._pick_new_entry(deleted)
-        return len(deleted)
+        self._writable()
+        graph, dead = self._graph, self._deleted[:n]
+        block = graph.ids[:n]
+        valid = graph.cols < graph.deg[:n, None]
+        into_dead = valid & dead[block]
+        points = np.flatnonzero(into_dead.any(axis=1) & ~dead)
+        # Each pool, read from the pre-consolidation lists: the point's
+        # surviving neighbors in order, then, per dead neighbor in
+        # order, that tombstone's live out-edges (the prune drops the
+        # point itself).
+        rows, into_dead = block[points], into_dead[points]
+        kept_at, kept_col = np.nonzero(valid[points] & ~into_dead)
+        dead_at, dead_col = np.nonzero(into_dead)
+        tombs = rows[dead_at, dead_col]
+        heirs = block[tombs]
+        inherit = valid[tombs] & ~dead[heirs]
+        owner = np.concatenate(
+            [kept_at, np.repeat(dead_at, np.count_nonzero(inherit, axis=1))]
+        )
+        order = np.argsort(owner, kind="stable")
+        pools = np.concatenate([rows[kept_at, kept_col], heirs[inherit]])[order]
+        flat, lens = robust_prune_batch(
+            self._vectors[:n],
+            points,
+            pools,
+            np.bincount(owner, minlength=points.size),
+            self.alpha,
+            self.r,
+        )
+        graph.set_rows(points, flat, lens)
+        graph.deg[:n][dead] = 0
+        if graph.entry_point is not None and dead[graph.entry_point]:
+            graph.entry_point = self._pick_new_entry()
+        return int(np.count_nonzero(dead))
 
-    def _pick_new_entry(self, deleted: set) -> Optional[int]:
-        alive = [
-            v
-            for v in range(self.num_vertices)
-            if v not in deleted and not self._deleted[v]
-        ]
-        if not alive:
+    def _pick_new_entry(self) -> Optional[int]:
+        alive = np.flatnonzero(~self._deleted[: self.num_vertices])
+        if not alive.size:
             return None
-        x = np.asarray(self._vectors)[alive]
-        return alive[medoid(x)]
+        return int(alive[medoid(self._vectors[alive])])
 
     # ------------------------------------------------------------------
-    def _exact_fn(self, query: np.ndarray):
-        def fn(vertex_ids: np.ndarray) -> np.ndarray:
-            rows = np.asarray([self._vectors[int(v)] for v in vertex_ids])
-            diff = rows - query
-            return np.einsum("ij,ij->i", diff, diff)
-
-        return fn
-
-    def _packed_adjacency(self) -> PackedAdjacency:
-        """The CSR view of the live lists, rebuilt lazily after any
-        mutation (insert links / consolidation) invalidates it."""
-        if self._packed is None:
-            self._packed = PackedAdjacency.from_lists(self._adjacency)
-        return self._packed
-
     def _context(self) -> SearchContext:
         """Per-call engine context over the current codes and graph."""
         return dataclasses.replace(
             self.context,
-            graph=_LiveGraphView(
-                self._adjacency, self._entry, self._packed_adjacency()
-            ),
-            codes=np.asarray(self._codes),
+            graph=self._graph,
+            codes=self._codes[: self.num_vertices],
         )
 
     def _search(self, queries: np.ndarray, request: SearchRequest) -> SearchResponse:
@@ -453,7 +564,7 @@ class FreshVamanaIndex(GraphIndex):
         """
         k = request.k
         b = queries.shape[0]
-        if self._entry is None or self.num_active == 0:
+        if self._graph.entry_point is None or self.num_active == 0:
             return self._padding(b, k)
         stats = RunStats()
         result = self._context().run(
@@ -463,7 +574,7 @@ class FreshVamanaIndex(GraphIndex):
             profile=self.kernel_profile,
         )
         # Alive candidates first, ranking order preserved.
-        dead = np.asarray(self._deleted, dtype=bool)
+        dead = self._deleted[: self.num_vertices]
         width = result.ids.shape[1]
         valid = np.arange(width)[None, :] < result.counts[:, None]
         alive = valid & ~dead[np.where(valid, result.ids, 0)]

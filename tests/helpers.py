@@ -89,3 +89,24 @@ def shrunk(artifact, datasets, n_base, n_queries):
         if group.dataset.name in datasets
     )
     return dataclasses.replace(artifact, groups=groups)
+
+
+def stream_state(index):
+    """What a streaming index holds, read through ``export_arrays()``
+    (the saved form): ``lists`` (one neighbor list of ints per
+    vertex), ``entry`` (``None`` when unset), ``deleted`` (bools),
+    ``vectors`` and ``codes``."""
+    from types import SimpleNamespace
+
+    meta, arrays = index.export_arrays()
+    offsets, flat = arrays["stream_offsets"], arrays["stream_neighbors"]
+    return SimpleNamespace(
+        lists=[
+            flat[offsets[v] : offsets[v + 1]].tolist()
+            for v in range(offsets.size - 1)
+        ],
+        entry=None if meta["entry"] < 0 else meta["entry"],
+        deleted=arrays["deleted"].tolist(),
+        vectors=arrays["vectors"],
+        codes=arrays["codes"],
+    )

@@ -62,6 +62,8 @@ from repro.graphs.packed import PackedAdjacency
 from repro.serving import ShardedIndex
 from repro.storage import Container
 
+from .helpers import stream_state
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "index_v1")
 FIXTURE_NAMES = [
     "memory_hnsw",
@@ -286,12 +288,12 @@ def test_empty_streaming_round_trip_stays_empty(tmp_path, queries, mmap):
     save_index(index, tmp_path)
     loaded = load_index(tmp_path, mmap=mmap)
     assert loaded.num_vertices == 0
-    assert loaded._adjacency == []
+    assert stream_state(loaded).lists == []
     # Inserting into the loaded empty index matches the live one.
     a = index.insert_batch(data.base[:20])
     b = loaded.insert_batch(data.base[:20])
     assert a == b
-    assert index._adjacency == loaded._adjacency
+    assert stream_state(index).lists == stream_state(loaded).lists
     request = SearchRequest(queries=queries, k=5, beam_width=16)
     assert_responses_identical(index.search(request), loaded.search(request))
 
@@ -650,6 +652,29 @@ def test_int64_section_with_a_wide_id_raises_on_load(tmp_path, name, section):
         load_index(dirpath)
 
 
+@pytest.mark.parametrize(
+    "section,value,match",
+    [
+        # One past the last of the 64 vertices.
+        ("stream_neighbors", 64, "saved streaming graph"),
+        # Refused while narrowing, before the block is built.
+        ("stream_neighbors", -1, "vertex id -1 is outside"),
+        # Vertex 0's list grows to 7 > r = 6, then a negative degree.
+        ("stream_offsets", 7, "saved streaming graph"),
+        ("stream_offsets", -1, "saved streaming graph"),
+    ],
+)
+def test_corrupt_streaming_graph_is_rejected(tmp_path, section, value, match):
+    """The streaming graph loads into a fixed ``r + 1``-wide block
+    indexed by neighbor id: a saved CSR that does not fit it must
+    raise, not load."""
+    dirpath = tmp_path / "streaming"
+    shutil.copytree(os.path.join(FIXTURES_V2_INT64, "streaming"), dirpath)
+    _poke(dirpath / "index.bin", section, 1, value)
+    with pytest.raises(ValueError, match=match):
+        load_index(dirpath)
+
+
 def _backing_map(array):
     while array is not None and not isinstance(array, np.memmap):
         array = array.base
@@ -823,7 +848,7 @@ def test_mapped_streaming_mutation_never_touches_map(tmp_path, queries):
     sibling_before = sibling.search(request)
 
     assert writer._mapped and sibling._mapped
-    shared_vectors = writer._vectors[0]
+    shared = (writer._vectors, writer._codes, writer._deleted)
 
     # Mutate the writer: insert, delete, consolidate.
     writer.insert(np.asarray(queries[0], dtype=np.float64))
@@ -832,9 +857,8 @@ def test_mapped_streaming_mutation_never_touches_map(tmp_path, queries):
 
     # Promotion happened: the writer's rows are private memory now.
     assert not writer._mapped
-    assert not any(
-        np.shares_memory(row, shared_vectors) for row in writer._vectors
-    )
+    private = (writer._vectors, writer._codes, writer._deleted)
+    assert not any(np.shares_memory(a, b) for a, b in zip(private, shared))
     # The sibling replica and the on-disk container are untouched.
     # (Answers are pinned; counters are not — the sibling's second
     # search legitimately runs on its now-recycled workspace.)

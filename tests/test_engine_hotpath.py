@@ -36,7 +36,7 @@ from repro.quantization import ProductQuantizer
 from repro.quantization.adc import BatchLookupTable, LookupTable
 from repro.serving import DynamicBatcher, ShardedIndex
 
-from .helpers import search, search_one
+from .helpers import search, search_one, stream_state
 
 VOLATILE_COUNTERS = {"workspace_reused"}
 
@@ -334,23 +334,41 @@ class TestCachedSearchParity:
         np.testing.assert_array_equal(cold.distances, warm.distances)
 
 
-class TestStreamingInvalidation:
-    def test_inserts_keep_cache_but_invalidate_packed(self, setup):
+class TestStreamingWritesInPlace:
+    """The streaming index keeps one adjacency, the block the kernel
+    gathers from: writes update it in place and no search rebuilds it."""
+
+    @staticmethod
+    def no_repacking(monkeypatch):
+        def repack(adjacency):
+            raise AssertionError("a streaming search re-packed the graph")
+
+        monkeypatch.setattr(PackedAdjacency, "from_lists", repack)
+
+    def test_inserts_update_the_gathered_block_in_place(self, setup, monkeypatch):
         data, quantizer, _ = setup
         index = StreamingIndex(
             quantizer, dim=data.base.shape[1], r=8, search_l=20
         )
         index.insert_batch(data.base[:100])
+        index.insert_batch(data.base[100:130])  # capacity doubles to 200
         search(index, data.queries, k=5, beam_width=16)
-        packed_before = index._packed_adjacency()
-        index.insert_batch(data.base[100:140])
-        assert index._packed is None  # mutation dropped the CSR view
+        graph = index._graph
+        block = graph.ids
+        index.insert_batch(data.base[130:140])
+        # Within capacity the write lands in the very block...
+        assert index._graph is graph and graph.ids is block
+        # ...which already gathers the post-write lists.
+        flat, lens = graph.gather(np.arange(140))
+        gathered = [a.tolist() for a in np.split(flat, np.cumsum(lens)[:-1])]
+        assert gathered == stream_state(index).lists
+        self.no_repacking(monkeypatch)
         warm = search(index, data.queries, k=5, beam_width=16)
-        assert index._packed is not packed_before
+        assert graph.ids is block
         # The workspace pool is the cache an insert leaves alone.
         assert warm.counters["workspace_reused"].all()
 
-        # The packed route must equal a from-scratch sequential build.
+        # The in-place route must equal a from-scratch sequential build.
         reference = StreamingIndex(
             quantizer, dim=data.base.shape[1], r=8, search_l=20
         )
@@ -359,20 +377,25 @@ class TestStreamingInvalidation:
         expected = search(reference, data.queries, k=5, beam_width=16)
         assert_same_answers(expected, warm)
 
-    def test_delete_does_not_invalidate_packed(self, setup):
+    def test_delete_and_consolidate_write_in_place(self, setup, monkeypatch):
         data, quantizer, _ = setup
         index = StreamingIndex(
             quantizer, dim=data.base.shape[1], r=8, search_l=20
         )
         index.insert_batch(data.base[:60])
         search(index, data.queries, k=5, beam_width=16)
-        packed = index._packed
-        assert packed is not None
+        graph = index._graph
+        block = graph.ids
+        lists = stream_state(index).lists
         index.delete(3)  # tombstones do not touch adjacency
-        assert index._packed is packed
-        index.consolidate()  # edge inheritance does
-        assert index._packed is None
+        assert stream_state(index).lists == lists
+        index.consolidate()  # edge inheritance rewrites lists in place
+        assert index._graph is graph and graph.ids is block
+        state = stream_state(index)
+        assert state.lists != lists and state.lists[3] == []
+        self.no_repacking(monkeypatch)
         result = search(index, data.queries, k=5, beam_width=16)
+        assert graph.ids is block
         assert not (result.ids == 3).any()
 
 

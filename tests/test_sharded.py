@@ -31,7 +31,7 @@ from repro.index import (
 from repro.quantization import ProductQuantizer
 from repro.serving import ShardedIndex, partition_rows
 
-from .helpers import search, search_one
+from .helpers import search, search_one, stream_state
 
 
 @pytest.fixture(scope="module")
@@ -363,7 +363,7 @@ class TestStreamingRouting:
         for g in range(9):
             shard, local = sharded._owner[g]
             np.testing.assert_array_equal(
-                sharded.shards[shard]._vectors[local], data.base[g]
+                stream_state(sharded.shards[shard]).vectors[local], data.base[g]
             )
 
     def test_partial_insert_failure_keeps_bookkeeping_coherent(
@@ -400,7 +400,7 @@ class TestStreamingRouting:
         for gids in sharded._global_ids:
             for g in gids:
                 shard, local = sharded._owner[int(g)]
-                assert len(sharded.shards[shard]._vectors) > local
+                assert len(stream_state(sharded.shards[shard]).vectors) > local
         recorded = {
             int(g) for gids in sharded._global_ids for g in gids
         }

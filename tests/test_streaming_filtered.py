@@ -12,7 +12,7 @@ from repro.index import FilteredMemoryIndex, FreshVamanaIndex
 from repro.metrics import recall_at_k
 from repro.quantization import ProductQuantizer
 
-from .helpers import search_one
+from .helpers import search_one, stream_state
 
 RNG = np.random.default_rng(91)
 
@@ -84,7 +84,7 @@ class TestFreshVamana:
     def test_degree_bound_maintained(self, sift_small):
         data, quantizer = sift_small
         index = self.make_index(data, quantizer, n=150)
-        assert max(len(a) for a in index._adjacency) <= 12
+        assert max(len(a) for a in stream_state(index).lists) <= 12
 
     def test_delete_hides_results(self, sift_small):
         data, quantizer = sift_small
@@ -114,11 +114,12 @@ class TestFreshVamana:
             index.delete(v)
         cleaned = index.consolidate()
         assert cleaned == 3
+        state = stream_state(index)
         for v in victims:
-            assert index._adjacency[v] == []
+            assert state.lists[v] == []
         # No live vertex should still point at a tombstone.
-        for v, nbrs in enumerate(index._adjacency):
-            if not index._deleted[v]:
+        for v, nbrs in enumerate(state.lists):
+            if not state.deleted[v]:
                 assert not set(nbrs) & set(victims)
 
     def test_search_quality_survives_consolidation(self, sift_small):
@@ -141,10 +142,10 @@ class TestFreshVamana:
     def test_entry_reassignment_after_entry_delete(self, sift_small):
         data, quantizer = sift_small
         index = self.make_index(data, quantizer, n=100)
-        entry = index._entry
+        entry = stream_state(index).entry
         index.delete(entry)
         index.consolidate()
-        assert index._entry != entry
+        assert stream_state(index).entry != entry
         res = search_one(index, data.queries[0], k=5, beam_width=24)
         assert res.ids.size == 5
 
