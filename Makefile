@@ -10,7 +10,7 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-fast test-batch test-build test-replication test-net \
 	chaos-smoke bench-batch bench-build bench-serving bench-kernel \
 	bench-load bench-storage bench-e2e-smoke bench-paper paper-smoke \
-	profile-kernel profile-fit profile-streaming smoke \
+	profile-kernel profile-fit profile-streaming profile-gateway smoke \
 	smoke-examples smoke-net smoke-migrate demo lint ci ci-full
 
 # Tier-1: the full test suite, stop on first failure.
@@ -132,6 +132,15 @@ profile-fit:
 profile-streaming:
 	cd benchmarks && $(PYTHON) profile_streaming.py
 
+# The serving twin, at online_gateway's shape: two serve-shard workers
+# and the gateway as child processes, one NetClient holding 64 requests
+# in flight over a fixed replayed request sequence — the micro-batch
+# size histogram, CPU ms per answered query for each process (from
+# /proc/<pid>/stat), and the sha256 of every answer: equal digests
+# across two checkouts are the bitwise proof of a serving change (~15 s).
+profile-gateway:
+	cd benchmarks && $(PYTHON) profile_gateway.py
+
 # Static checks.  ruff ships via requirements-dev.txt (CI always has
 # it); when it is missing locally the target skips instead of failing
 # so `make ci` stays runnable in minimal environments.  The format
@@ -200,6 +209,7 @@ ci-full: lint test test-replication test-net smoke-net smoke-migrate \
 		smoke-examples bench-e2e-smoke paper-smoke
 	cd benchmarks && REPRO_SMOKE=1 $(PYTHON) profile_fit.py
 	cd benchmarks && REPRO_SMOKE=1 $(PYTHON) profile_streaming.py
+	cd benchmarks && REPRO_SMOKE=1 $(PYTHON) profile_gateway.py
 	cd benchmarks && $(PYTHON) -m pytest bench_batch_throughput.py \
 		bench_build.py bench_serving.py bench_kernel.py \
 		bench_load.py bench_storage.py -q

@@ -26,6 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .codebook import Codebook
 
 
+#: Rows per block of :meth:`BatchLookupTable.build`: its difference
+#: temporary is ``(8, M, K, d_sub)`` — 2 MB at 16 x 256 x 8 in float64 —
+#: whatever the batch size.
+_TABLE_BLOCK_ROWS = 8
+
+
 def _validate_table_dtype(dtype: "DTypeLike") -> np.dtype:
     """Tables are distance accumulators: only float32/float64 make sense.
 
@@ -109,17 +115,17 @@ class LookupTable:
 
 @dataclass(frozen=True)
 class BatchLookupTable:
-    """ADC tables for a whole query batch, built in one shot.
+    """ADC tables for a whole query batch, built block by block.
 
     Attributes
     ----------
     tables:
         ``(B, M, K)`` array; ``tables[b]`` is query ``b``'s
-        :class:`LookupTable` table.  Building all ``B`` tables with a
-        single broadcasted ``einsum`` replaces ``B`` Python-level table
-        constructions — the first half of the batched query engine's
-        speedup (the second is the lockstep beam kernel in
-        :mod:`repro.graphs.beam`).
+        :class:`LookupTable` table.  Building the ``B`` tables with one
+        broadcasted ``einsum`` per block of rows replaces ``B``
+        Python-level table constructions — the first half of the
+        batched query engine's speedup (the second is the lockstep
+        beam kernel in :mod:`repro.graphs.beam`).
     """
 
     tables: np.ndarray
@@ -146,8 +152,14 @@ class BatchLookupTable:
         b = queries.shape[0]
         m, k, d_sub = codebook.codewords.shape
         sub_queries = queries.reshape(b, m, 1, d_sub)
-        diff = codebook.codewords[None].astype(dtype, copy=False) - sub_queries
-        tables = np.einsum("bmkd,bmkd->bmk", diff, diff)
+        codewords = codebook.codewords[None].astype(dtype, copy=False)
+        tables = np.empty((b, m, k), dtype=dtype)
+        # A fixed block of rows at a time: the (rows, M, K, d_sub)
+        # difference temporary stays bounded at any batch size.
+        for start in range(0, b, _TABLE_BLOCK_ROWS):
+            block = slice(start, start + _TABLE_BLOCK_ROWS)
+            diff = codewords - sub_queries[block]
+            np.einsum("bmkd,bmkd->bmk", diff, diff, out=tables[block])
         return BatchLookupTable(tables=tables)
 
     @property

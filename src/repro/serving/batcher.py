@@ -1,12 +1,28 @@
 """Dynamic-batching request queue — the classic serving loop.
 
-Callers submit single queries and get a future back; a worker loop
-drains the queue into micro-batches and answers each batch with one
-``index.search(request)`` call.  A batch is dispatched when it reaches
-``max_batch_size`` or when ``max_wait_ms`` has elapsed since its first
-request — the latency/throughput knob: waiting longer builds bigger
-batches (higher QPS through the lockstep kernel) at the cost of queue
-latency on the first request of each batch.
+Callers queue query rows and get one future per row back; a worker
+thread drains the queue into micro-batches and answers each batch
+with one ``index.search(request)`` call.  A batch is dispatched when
+it reaches ``max_batch_size`` or when ``max_wait_ms`` has elapsed
+since its first request — the latency/throughput knob: waiting longer
+builds bigger batches (higher QPS through the lockstep kernel) at the
+cost of queue latency on the first request of each batch.
+
+There are three ways in, one queue behind them:
+
+* :meth:`DynamicBatcher.submit` — one query, one future;
+* :meth:`DynamicBatcher.submit_request` — a whole
+  :class:`~repro.api.protocol.SearchRequest`, validated against the
+  batcher and queued row by row without blocking; the caller awaits
+  the row futures however it likes (the network gateway awaits them
+  on its event loop) and hands the rows to
+  :meth:`DynamicBatcher.assemble`;
+* :meth:`DynamicBatcher.search` — ``submit_request``, wait,
+  ``assemble``: the blocking typed entry point.
+
+A thread blocked in ``search`` keeps only its own rows queued, so a
+caller holding many requests in flight (the network gateway) uses
+``submit_request``: its threads then never cap the batch size.
 
 Because the engine's responses are bitwise independent of batch
 composition (see ``docs/architecture.md``), dynamic batching never
@@ -30,6 +46,7 @@ import numpy as np
 from ..api.protocol import (
     SearchRequest,
     SearchResponse,
+    SearchResponseRow,
     ensure_finite_queries,
 )
 
@@ -191,20 +208,19 @@ class DynamicBatcher:
             self._queue.put(_Request(query, future, enqueue_s=time.perf_counter()))
         return future
 
-    def search(self, request: SearchRequest) -> SearchResponse:
-        """Uniform typed entry point: serve a whole request through the
-        queue and reassemble the rows into one response.
+    def submit_request(self, request: SearchRequest) -> List[Future]:
+        """Non-blocking entry point for a whole request: validate it
+        against this batcher, enqueue every query row as its own
+        request and return the rows' futures, in row order.
 
-        Every query row is submitted as its own request (riding
-        whatever micro-batches form around it), so the answers are
-        bitwise identical to a direct ``index.search(request)`` and
-        carry the same counter keys and dtypes plus the three
-        ``batcher_*_s`` stamps — only the batching is load-dependent.
-        The request must match the batcher's fixed ``k`` /
-        ``beam_width`` (micro-batches are homogeneous by
-        construction), and per-request ``labels`` are rejected:
+        Each row rides whatever micro-batch forms around it; hand the
+        resolved rows to :meth:`assemble` for the response.  The
+        request must match the batcher's fixed ``k`` / ``beam_width``
+        (micro-batches are homogeneous by construction), and
+        per-request ``labels`` / ``max_beam_width`` are rejected:
         scenario extras broadcast over load-dependent batches only as
-        scalars, via ``search_kwargs``.
+        scalars, via ``search_kwargs``.  A ``B = 0`` request queues
+        nothing and gets no futures.
         """
         if request.k != self.k or request.beam_width != self.beam_width:
             raise ValueError(
@@ -218,19 +234,14 @@ class DynamicBatcher:
                 "micro-batches; configure scalar scenario extras via "
                 "search_kwargs instead"
             )
-        queries = request.query_matrix
-        if not queries.shape[0]:
-            # Nothing to queue: the index's own (state-free) B = 0
-            # answer is the schema, plus empty stamps.
-            response = self.index.search(self._request(queries))
-            for name in _STAMPS:
-                response.counters[name] = np.empty(0, dtype=np.float64)
-            return response
         # The request's rows were validated when it was built.
-        rows = [
-            future.result()
-            for future in [self._enqueue(q) for q in queries]
-        ]
+        return [self._enqueue(q) for q in request.query_matrix]
+
+    def assemble(self, rows: List[SearchResponseRow]) -> SearchResponse:
+        """One response from a request's resolved rows (row order, at
+        least one): bitwise identical to a direct
+        ``index.search(request)``, with the same counter keys and
+        dtypes plus the three ``batcher_*_s`` stamps."""
         k = self.k
         b = len(rows)
         ids = np.full((b, k), -1, dtype=np.int64)
@@ -250,6 +261,20 @@ class DynamicBatcher:
                 for name in rows[0].counters
             },
         )
+
+    def search(self, request: SearchRequest) -> SearchResponse:
+        """Blocking typed entry point: :meth:`submit_request`, wait for
+        every row, :meth:`assemble` — only the batching is
+        load-dependent, never an answer."""
+        futures = self.submit_request(request)
+        if not futures:
+            # Nothing queued: the index's own (state-free) B = 0
+            # answer is the schema, plus empty stamps.
+            response = self.index.search(self._request(request.query_matrix))
+            for name in _STAMPS:
+                response.counters[name] = np.empty(0, dtype=np.float64)
+            return response
+        return self.assemble([future.result() for future in futures])
 
     def _request(self, queries: np.ndarray) -> SearchRequest:
         """The homogeneous request one micro-batch runs as."""

@@ -1,9 +1,7 @@
 """The asyncio gateway: the serving tier's network front door.
 
-One asyncio event loop multiplexes every client connection; the
-CPU-bound work (the existing :class:`~repro.serving.batcher.
-DynamicBatcher` / index search) runs on a dedicated thread pool so the
-loop never blocks.  Concurrency model, per connection:
+One asyncio event loop multiplexes every client connection and never
+blocks on a search.  Concurrency model, per connection:
 
 * requests are read one message at a time and answered *out of
   order* — each response carries the client-chosen request id, so a
@@ -17,11 +15,17 @@ loop never blocks.  Concurrency model, per connection:
   stops reading makes ``drain()`` block, which stops releases, which
   stops reads — backpressure propagates to the client's socket
   instead of growing server memory;
-* batchable requests (no ``labels`` / ``max_beam_width``) flow
-  through a lazily created :class:`DynamicBatcher` per
-  ``(k, beam_width)`` profile — so concurrent clients' requests ride
-  shared micro-batches, which is the entire point of a gateway;
-  scenario-extra requests go straight to ``index.search``.
+* batchable requests (no ``labels`` / ``max_beam_width``) go from the
+  event loop straight into the queue of a lazily created
+  :class:`~repro.serving.batcher.DynamicBatcher` per ``(k,
+  beam_width)`` profile (``submit_request``); the loop awaits the row
+  futures and assembles the response itself.  No thread is parked per
+  request, so every admitted request of every connection can share
+  one micro-batch, up to ``max_batch_size`` rows — which is the
+  entire point of a gateway;
+* the rare requests that cannot ride a micro-batch — per-request
+  scenario extras, which go straight to ``index.search``, and empty
+  ``B = 0`` requests — run on a small private thread pool.
 
 Shutdown (``SIGTERM``/``SIGINT`` or :meth:`Gateway.shutdown`) stops
 accepting, waits for in-flight requests to drain, then closes every
@@ -38,8 +42,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..batcher import DynamicBatcher
 from . import framing
 from .worker import parse_hostport
+
+#: Threads for the requests that bypass the batchers (scenario extras,
+#: ``B = 0``) — rare, so a few suffice.
+_BYPASS_WORKERS = 4
 
 
 @dataclass
@@ -82,7 +91,6 @@ class Gateway:
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
         max_inflight_per_conn: int = 32,
-        executor_workers: int = 16,
         max_frame_bytes: int = framing.DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
         if max_inflight_per_conn < 1:
@@ -95,10 +103,10 @@ class Gateway:
         self._max_inflight_per_conn = int(max_inflight_per_conn)
         self._max_frame_bytes = int(max_frame_bytes)
         self._executor = ThreadPoolExecutor(
-            max_workers=int(executor_workers),
+            max_workers=_BYPASS_WORKERS,
             thread_name_prefix="repro-gateway",
         )
-        self._batchers: Dict[Tuple[int, int], object] = {}
+        self._batchers: Dict[Tuple[int, int], DynamicBatcher] = {}
         self._batchers_lock = threading.Lock()
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: set = set()
@@ -158,9 +166,7 @@ class Gateway:
         self._executor.shutdown(wait=True)
 
     # -- request execution ---------------------------------------------
-    def _batcher_for(self, k: int, beam_width: int):
-        from ..batcher import DynamicBatcher
-
+    def _batcher_for(self, k: int, beam_width: int) -> DynamicBatcher:
         key = (int(k), int(beam_width))
         with self._batchers_lock:
             batcher = self._batchers.get(key)
@@ -175,15 +181,26 @@ class Gateway:
                 self._batchers[key] = batcher
         return batcher
 
-    def _serve_request(self, request):
-        """Blocking request execution (runs on the executor)."""
-        if request.labels is None and request.max_beam_width is None:
-            return self._batcher_for(request.k, request.beam_width).search(
-                request
+    async def _execute(self, request):
+        """Answer one decoded request without blocking the loop."""
+        loop = asyncio.get_running_loop()
+        if request.labels is not None or request.max_beam_width is not None:
+            # Scenario extras broadcast over load-dependent
+            # micro-batches only as scalars; per-request extras bypass
+            # the batcher.
+            return await loop.run_in_executor(
+                self._executor, self._index.search, request
             )
-        # Scenario extras broadcast over load-dependent micro-batches
-        # only as scalars; per-request extras bypass the batcher.
-        return self._index.search(request)
+        batcher = self._batcher_for(request.k, request.beam_width)
+        futures = batcher.submit_request(request)
+        if not futures:
+            # B = 0: nothing queued; the schema answer is a blocking
+            # index call.
+            return await loop.run_in_executor(
+                self._executor, batcher.search, request
+            )
+        rows = [await asyncio.wrap_future(future) for future in futures]
+        return batcher.assemble(rows)
 
     # -- connection handling -------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
@@ -288,7 +305,6 @@ class Gateway:
     async def _answer(self, message, writer, write_lock, sem) -> None:
         """Decode, execute, and stream back one request; always
         releases its read-side slot."""
-        loop = asyncio.get_event_loop()
         request_id = None
         self.stats.begin()
         try:
@@ -298,9 +314,7 @@ class Gateway:
                         f"unexpected gateway message {message.kind!r}"
                     )
                 request_id, request = framing.decode_search_request(message)
-                response = await loop.run_in_executor(
-                    self._executor, self._serve_request, request
-                )
+                response = await self._execute(request)
                 blob = framing.encode_search_response(
                     response, request_id, self._max_frame_bytes
                 )
@@ -340,7 +354,7 @@ def run_gateway_blocking(
     gateway = Gateway(index, host=host, port=port, **gateway_kwargs)
 
     async def _main() -> None:
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         if install_signal_handlers:
             for signum in (signal.SIGTERM, signal.SIGINT):

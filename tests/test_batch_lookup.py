@@ -8,6 +8,8 @@ the sub-dimension axis in the same order).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,42 @@ class TestBuildBatchRegression:
             BatchLookupTable.build(
                 codebook, RNG.normal(size=(2, codebook.dim + 1))
             )
+
+
+class TestBoundedBuild:
+    """The batch build runs in fixed blocks of rows: every row stays
+    bitwise equal to the scalar build across block edges, and the
+    working set does not grow with the batch."""
+
+    @staticmethod
+    def paper_codebook():
+        # The paper-standard 16 x 256 code budget at 128 dimensions.
+        return random_codebook(m=16, k=256, d_sub=8)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("b", [0, 1, 7, 8, 9, 33, 64])
+    def test_rows_bitwise_equal_scalar_build(self, b, dtype):
+        codebook = self.paper_codebook()
+        queries = RNG.normal(size=(b, codebook.dim))
+        tables = BatchLookupTable.build(codebook, queries, dtype=dtype)
+        assert tables.tables.shape == (b, 16, 256)
+        assert tables.tables.dtype == dtype
+        for i in range(b):
+            single = LookupTable.build(codebook, queries[i], dtype=dtype)
+            np.testing.assert_array_equal(tables.tables[i], single.table)
+
+    def test_peak_memory_bounded_at_b64(self):
+        codebook = self.paper_codebook()
+        queries = RNG.normal(size=(64, codebook.dim))
+        tracemalloc.start()
+        try:
+            BatchLookupTable.build(codebook, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One (64, 16, 256, 8) float64 difference temporary alone is
+        # 16 MiB; the tables themselves are 2 MiB.
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestBatchDistances:

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import SearchRequest
 from repro.datasets import load
 from repro.graphs import build_vamana
 from repro.index import MemoryIndex
@@ -84,6 +85,67 @@ class TestCorrectness:
             + stats.flush_triggered
             == stats.batches
         )
+
+
+class TestRequestEntryPoint:
+    """``submit_request`` queues a whole request without blocking;
+    ``search`` is it plus ``.result()`` and ``assemble``."""
+
+    def test_submit_request_returns_one_future_per_row(self, setup):
+        data, index = setup
+        request = SearchRequest(data.queries, k=10, beam_width=24)
+        with DynamicBatcher(
+            index, k=10, beam_width=24, max_batch_size=4, max_wait_ms=50
+        ) as batcher:
+            futures = batcher.submit_request(request)
+            assert len(futures) == data.queries.shape[0]
+            rows = [f.result(timeout=30) for f in futures]
+            assembled = batcher.assemble(rows)
+        direct = index.search(request)
+        np.testing.assert_array_equal(assembled.ids, direct.ids)
+        np.testing.assert_array_equal(assembled.distances, direct.distances)
+        np.testing.assert_array_equal(assembled.counts, direct.counts)
+
+    def test_request_straddling_micro_batches_reassembles_bitwise(
+        self, setup
+    ):
+        data, index = setup
+        request = SearchRequest(data.queries, k=10, beam_width=24)
+        direct = index.search(request)
+        # 8 rows through batches of at most 3: the request's rows land
+        # in three different micro-batches.
+        with DynamicBatcher(
+            index, k=10, beam_width=24, max_batch_size=3, max_wait_ms=50
+        ) as batcher:
+            served = batcher.search(request)
+        assert batcher.stats.batches >= 3
+        assert max(batcher.stats.recent_batch_sizes) <= 3
+        np.testing.assert_array_equal(served.ids, direct.ids)
+        np.testing.assert_array_equal(served.distances, direct.distances)
+        np.testing.assert_array_equal(served.counts, direct.counts)
+        for name, values in direct.counters.items():
+            np.testing.assert_array_equal(
+                served.counters[name], values, err_msg=name
+            )
+
+    def test_empty_request_queues_nothing(self, setup):
+        data, index = setup
+        request = SearchRequest(data.queries[:0], k=10, beam_width=32)
+        with DynamicBatcher(index) as batcher:
+            assert batcher.submit_request(request) == []
+            served = batcher.search(request)
+        assert batcher.stats.requests == 0
+        assert served.ids.shape == (0, 10)
+        assert served.counters["batcher_dequeue_s"].shape == (0,)
+
+    def test_rejected_request_queues_nothing(self, setup):
+        data, index = setup
+        with DynamicBatcher(index, k=10, beam_width=32) as batcher:
+            with pytest.raises(ValueError, match="fixed"):
+                batcher.submit_request(
+                    SearchRequest(data.queries, k=5, beam_width=32)
+                )
+        assert batcher.stats.requests == 0
 
 
 class TestTriggers:
@@ -228,6 +290,42 @@ class TestErrorsAndValidation:
             for f in futures:
                 with pytest.raises(ValueError, match="boom"):
                     f.result(timeout=30)
+
+    def test_failed_batch_fails_every_request_with_one_exception(
+        self, setup
+    ):
+        data, index = setup
+        calls = []
+
+        class FailFirstBatch:
+            def search(self, request):
+                calls.append(request.query_matrix.shape[0])
+                if len(calls) == 1:
+                    raise RuntimeError("batch failed")
+                return index.search(request)
+
+        request = SearchRequest(data.queries[:5], k=10, beam_width=32)
+        # Not started: both requests' rows are queued before the worker
+        # runs, so all seven ride the first (failing) micro-batch.
+        batcher = DynamicBatcher(
+            FailFirstBatch(), max_batch_size=100, max_wait_ms=0, start=False
+        )
+        try:
+            futures = batcher.submit_request(request)
+            futures += batcher.submit_request(
+                SearchRequest(data.queries[5:7], k=10, beam_width=32)
+            )
+            batcher.start()
+            errors = {id(f.exception(timeout=30)) for f in futures}
+            assert len(errors) == 1
+            with pytest.raises(RuntimeError, match="batch failed"):
+                futures[0].result()
+            # The worker survives: the next request is answered.
+            served = batcher.search(request)
+        finally:
+            batcher.close()
+        assert calls[0] == 7
+        np.testing.assert_array_equal(served.ids, index.search(request).ids)
 
     def test_ragged_queries_fail_the_batch_not_the_worker(self, setup):
         data, index = setup

@@ -636,6 +636,159 @@ class TestGateway:
                 assert_responses_identical(expected, client2.search(request))
 
 
+class _RecordingIndex:
+    """Answers through ``inner`` (scenario extras dropped), recording
+    each call's row count and thread name.  With ``hold_first`` set, the first call blocks until
+    ``hold_first()`` is true (or 30 s pass); with ``failing`` set,
+    every call raises instead."""
+
+    def __init__(self, inner, hold_first=None) -> None:
+        self.inner = inner
+        self.hold_first = hold_first
+        self.failing = False
+        self.batch_sizes: list = []
+        self.threads: list = []
+        self.first_started = threading.Event()
+
+    def search(self, request):
+        self.batch_sizes.append(request.query_matrix.shape[0])
+        self.threads.append(threading.current_thread().name)
+        if len(self.batch_sizes) == 1 and self.hold_first is not None:
+            self.first_started.set()
+            deadline = time.monotonic() + 30
+            while not self.hold_first() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        if self.failing:
+            raise RuntimeError("index exploded")
+        return self.inner.search(
+            SearchRequest(
+                queries=request.queries,
+                k=request.k,
+                beam_width=request.beam_width,
+            )
+        )
+
+
+class TestGatewayBatching:
+    """Batchable requests go from the event loop into the batcher's
+    queue: nothing but admission caps how many rows one micro-batch
+    can carry."""
+
+    def test_micro_batch_carries_every_admitted_request(
+        self, setup, memory_index
+    ):
+        data, _ = setup
+        gw_box: list = []
+        index = _RecordingIndex(
+            memory_index,
+            hold_first=lambda: gw_box[0].gateway.stats.inflight == 32,
+        )
+        rows = [i % data.queries.shape[0] for i in range(32)]
+        reference = memory_index.search(
+            SearchRequest(queries=data.queries, k=5, beam_width=16)
+        )
+        with GatewayThread(index, max_batch_size=64, max_wait_ms=0) as gw:
+            gw_box.append(gw)
+            with NetClient(gw.connect) as client:
+
+                def submit(row):
+                    return client.submit_request(
+                        SearchRequest(
+                            queries=data.queries[row : row + 1],
+                            k=5,
+                            beam_width=16,
+                        )
+                    )
+
+                # One request occupies the batcher's worker, then 31
+                # more fill the connection's 32 admission slots.
+                futures = [submit(rows[0])]
+                assert index.first_started.wait(30)
+                futures += [submit(row) for row in rows[1:]]
+                for row, future in zip(rows, futures):
+                    response = future.result(timeout=60)
+                    np.testing.assert_array_equal(
+                        response.ids[0], reference.ids[row]
+                    )
+                    np.testing.assert_array_equal(
+                        response.distances[0], reference.distances[row]
+                    )
+        assert index.batch_sizes[0] == 1
+        # A thread parked per request would cap this at the pool size.
+        assert index.batch_sizes[1] > 16, index.batch_sizes
+
+    def test_request_straddling_micro_batches_reassembles_bitwise(
+        self, setup, memory_index
+    ):
+        data, _ = setup
+        request = SearchRequest(queries=data.queries, k=5, beam_width=16)
+        expected = memory_index.search(request)
+        index = _RecordingIndex(memory_index)
+        with GatewayThread(index, max_batch_size=2) as gw:
+            with NetClient(gw.connect) as client:
+                assert_responses_identical(expected, client.search(request))
+        assert max(index.batch_sizes) <= 2
+        assert sum(index.batch_sizes) == data.queries.shape[0]
+
+    def test_failed_batch_fails_each_request_and_connection_survives(
+        self, setup, memory_index
+    ):
+        data, _ = setup
+        index = _RecordingIndex(memory_index)
+        index.failing = True
+        request = SearchRequest(queries=data.queries[:1], k=5, beam_width=16)
+        # A far deadline: the batch goes out when its 4th row arrives.
+        with GatewayThread(
+            index, max_batch_size=4, max_wait_ms=60_000
+        ) as gw:
+            with NetClient(gw.connect) as client:
+                futures = [client.submit_request(request) for _ in range(4)]
+                for future in futures:
+                    with pytest.raises(RuntimeError, match="index exploded"):
+                        future.result(timeout=60)
+                assert index.batch_sizes == [4]
+                assert gw.gateway.stats.errors_total == 4
+                index.failing = False
+                futures = [client.submit_request(request) for _ in range(4)]
+                expected = memory_index.search(request)
+                for future in futures:
+                    assert_responses_identical(
+                        expected, future.result(timeout=60)
+                    )
+
+    def test_requests_with_labels_take_the_executor_path(
+        self, setup, memory_index
+    ):
+        data, _ = setup
+        index = _RecordingIndex(memory_index)
+        plain = SearchRequest(queries=data.queries, k=5, beam_width=16)
+        labelled = SearchRequest(
+            queries=data.queries, k=5, beam_width=16, labels=1
+        )
+        expected = memory_index.search(plain)
+        with GatewayThread(index) as gw:
+            with NetClient(gw.connect) as client:
+                assert_responses_identical(expected, client.search(labelled))
+                assert_responses_identical(expected, client.search(plain))
+        # The labelled request ran whole on the gateway's pool; the
+        # plain one rode the batcher's worker.
+        assert index.batch_sizes[0] == data.queries.shape[0]
+        assert index.threads[0].startswith("repro-gateway")
+        assert all(name == "repro-batcher" for name in index.threads[1:])
+
+    def test_empty_request_takes_the_executor_path(self, setup, memory_index):
+        data, _ = setup
+        index = _RecordingIndex(memory_index)
+        empty = SearchRequest(queries=data.queries[:0], k=5, beam_width=16)
+        with GatewayThread(index) as gw:
+            with NetClient(gw.connect) as client:
+                response = client.search(empty)
+        assert response.ids.shape == (0, 5)
+        assert response.counters["batcher_dequeue_s"].shape == (0,)
+        assert index.threads == [index.threads[0]]
+        assert index.threads[0].startswith("repro-gateway")
+
+
 # ----------------------------------------------------------------------
 # Graceful shutdown (SIGTERM drains) — CLI subprocesses
 # ----------------------------------------------------------------------
