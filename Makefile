@@ -27,9 +27,14 @@ test-batch:
 	$(PYTHON) -m pytest -x -q tests/test_batch_parity.py \
 		tests/test_batch_edge_cases.py tests/test_batch_lookup.py
 
-# Lockstep-construction parity (batched vs sequential builds).
+# Construction: lockstep parity (batched vs sequential builds), the
+# byte pins of every built graph, and the one occlusion prune against
+# the three loops it replaced (its rounding pin is the bisector case
+# in test_nsg_mrng.py) and against itself across its two paths.
 test-build:
-	$(PYTHON) -m pytest -x -q tests/test_build_parity.py
+	$(PYTHON) -m pytest -x -q tests/test_build_parity.py \
+		tests/test_graph_golden.py tests/test_prune.py \
+		tests/test_nsg_mrng.py tests/test_robust_prune.py
 
 # The shard fleet: the one five-scenario parity matrix (tests/fleet.py)
 # at replicas = 1 (test_shard_backends) and replicas = 2

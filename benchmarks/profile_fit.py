@@ -6,9 +6,10 @@ RPQ on it (16 x 256, 2 epochs, the registry's quick training config)
 and fits a plain PQ at the same budget, with timing wrappers on the
 seams of each, and prints a table of exclusive seconds per stage:
 
-* NSG build: kNN bootstrap, candidate search, MRNG select (every
-  occlusion test, the InterInsert re-prunes included), InterInsert and
-  the reachability pass;
+* NSG build: kNN bootstrap, candidate search, the occlusion prune
+  (``graphs.prune``: its lockstep passes, one per build window, with
+  points per pass, and its per-point loops, one per InterInsert
+  re-prune), InterInsert and the reachability pass;
 * fits: OPQ rotation, k-means++ seeding, Lloyd, the k-means warm start,
   triplet and routing sampling, training forward (+ optimizer) and
   backward.
@@ -45,12 +46,15 @@ NUM_CHUNKS = 8 if SMOKE else 16
 NUM_CODEWORDS = 16 if SMOKE else 256
 EPOCHS = 1 if SMOKE else 2
 
-#: (module, class or None, attribute, stage).  Stages nest; each is
-#: charged its exclusive time, so seeding inside OPQ counts as seeding.
+#: (module, class or None, attribute, stage[, points of a call]).
+#: Stages nest; each is charged its exclusive time, so seeding inside
+#: OPQ counts as seeding.
 GRAPH_TIMED = [
     ("repro.graphs.knn_graph", None, "exact_knn", "kNN bootstrap"),
     ("repro.graphs.beam", None, "beam_search_batch", "candidate search"),
-    ("repro.graphs.nsg", None, "_mrng_select", "MRNG select"),
+    ("repro.graphs.prune", None, "_greedy", "prune, per point"),
+    ("repro.graphs.prune", None, "_lockstep", "prune, lockstep",
+     lambda args, kwargs: len(args[1])),
     ("repro.graphs.nsg", None, "_inter_insert", "InterInsert"),
     ("repro.graphs.nsg", None, "_ensure_reachable", "reachability"),
 ]
@@ -89,12 +93,15 @@ class StageProfile:
     def __init__(self) -> None:
         self.seconds: dict = defaultdict(float)
         self.calls: dict = defaultdict(int)
+        self.points: dict = defaultdict(int)
         self._children: list = []
         self._restore: list = []
 
-    def _timed(self, fn, stage: str):
+    def _timed(self, fn, stage: str, points=None):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            if points is not None:
+                self.points[stage] += points(args, kwargs)
             self._children.append(0.0)
             start = time.perf_counter()
             try:
@@ -127,9 +134,14 @@ class StageProfile:
         # Import every seam's module first: one imported mid-install
         # would bind an earlier seam's wrapper by name and keep it.
         for (module, *_), _ in seams:
-            importlib.import_module(module)
+            try:
+                importlib.import_module(module)
+            except ModuleNotFoundError:
+                pass  # a seam this checkout does not have
         for (module, cls, attr, stage, *which), make in seams:
-            owner = importlib.import_module(module)
+            owner = sys.modules.get(module)
+            if owner is None:
+                continue
             if cls is not None:
                 owner = getattr(owner, cls)
             if attr not in owner.__dict__:
@@ -166,10 +178,12 @@ def profiled(label: str, timed: list, run):
     print(f"{label}: {total:.2f} s")
     stages = [s for s in dict.fromkeys(t[3] for t in timed) if profile.calls[s]]
     for stage in stages:
+        points = profile.points[stage]
+        each = f", {points / profile.calls[stage]:.1f} points each" if points else ""
         print(
             f"  {stage:<30} {profile.seconds[stage]:7.3f} s "
             f"{100 * profile.seconds[stage] / total:5.1f} %  "
-            f"({profile.calls[stage]} calls)"
+            f"({profile.calls[stage]} calls{each})"
         )
     other = total - sum(profile.seconds[s] for s in stages)
     print(f"  {'(outside the seams)':<30} {other:7.3f} s")

@@ -17,8 +17,8 @@ The replay runs twice from the same saved index:
 * **counted**, with wrappers on the write path's seams: list restacks
   (``np.asarray`` / ``np.stack`` handed a Python list inside the
   streaming module), CSR re-packs (``PackedAdjacency.from_lists``),
-  scalar ``robust_prune`` calls and lockstep prune calls with their
-  points per call.
+  and the two paths of ``graphs.prune.prune``: per-point loops (a
+  one-point call) and lockstep passes with their points per pass.
 
 Both replays must give the same answers.  The script prints the
 sha256 of every search's ids, distances, counts, hops and distance
@@ -94,7 +94,10 @@ class Seams:
         return wrapper
 
     def _wrap(self, module: str, owner_name, attr: str, stage: str, points=None):
-        owner = importlib.import_module(module)
+        try:
+            owner = importlib.import_module(module)
+        except ModuleNotFoundError:
+            return  # a seam this checkout does not have
         if owner_name is not None:
             owner = getattr(owner, owner_name)
         if attr not in vars(owner):
@@ -114,11 +117,11 @@ class Seams:
 
     def install(self) -> None:
         self._wrap("repro.graphs.packed", "PackedAdjacency", "from_lists", "re-pack")
-        self._wrap("repro.graphs.vamana", None, "robust_prune", "scalar prune")
+        self._wrap("repro.graphs.prune", None, "_greedy", "per-point prune")
         self._wrap(
-            "repro.graphs.vamana",
+            "repro.graphs.prune",
             None,
-            "_prune_lockstep",
+            "_lockstep",
             "lockstep prune",
             points=lambda args: len(args[1]),
         )
@@ -256,7 +259,7 @@ def main() -> int:
     for label, value, note in rows:
         print(f"  {label:<22} {value}  {note}".rstrip())
     print("per cycle (counted replay):")
-    for stage in ("restack", "re-pack", "scalar prune", "lockstep prune"):
+    for stage in ("restack", "re-pack", "per-point prune", "lockstep prune"):
         line = f"  {stage:<22} {seams.calls[stage] / CYCLES:8.2f} calls"
         if stage == "lockstep prune" and seams.calls[stage]:
             per = seams.points[stage] / seams.calls[stage]

@@ -2,7 +2,11 @@
 
 * :func:`build_hnsw` / :class:`HNSW` — hierarchical NSW [48].
 * :func:`build_nsg` — navigating spreading-out graph [26].
-* :func:`build_vamana` — DiskANN's graph [36]; :func:`robust_prune`.
+* :func:`build_vamana` — DiskANN's graph [36].
+* :func:`prune` — the one occlusion prune all three builders (and the
+  streaming index) select neighbors with: DiskANN's RobustPrune
+  (``strict=False``) or NSG's MRNG / HNSW's Alg. 4 (``strict=True``),
+  per-point loop for one point, lockstep rounds for many.
 * :func:`beam_search` / :func:`beam_search_batch` — entries into the
   shared lockstep kernel (:mod:`repro.engine.kernel`; the scalar call
   is the ``B=1`` case); :class:`SearchResult`,
@@ -32,8 +36,9 @@ from .hnsw import HNSW, build_hnsw
 from .knn_graph import exact_knn, knn_graph_adjacency
 from .nsg import build_nsg
 from .packed import PackedAdjacency
+from .prune import prune
 from .serialization import graph_from_arrays, graph_to_arrays, load_graph
-from .vamana import build_vamana, robust_prune
+from .vamana import build_vamana
 
 __all__ = [
     "PackedAdjacency",
@@ -53,7 +58,7 @@ __all__ = [
     "build_hnsw",
     "build_nsg",
     "build_vamana",
-    "robust_prune",
+    "prune",
     "exact_knn",
     "knn_graph_adjacency",
     "graph_to_arrays",

@@ -7,8 +7,9 @@ layers, then beam-searches the base layer.
 
 This reproduction implements the standard construction: per-layer beam
 search with ``ef_construction``, the Alg.-4 neighbor-selection heuristic
-(the RNG-style prune), bidirectional linking, and degree capping
-(``M`` per upper layer, ``2M`` at the base layer).
+(the RNG-style prune, :func:`~repro.graphs.prune.prune` with
+``strict=True``), bidirectional linking, and degree capping (``M`` per
+upper layer, ``2M`` at the base layer).
 """
 
 from __future__ import annotations
@@ -32,36 +33,7 @@ from .beam import (
     greedy_search_with_path,
     singleton_dist_fn,
 )
-
-
-def _sqdist(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    return float(diff @ diff)
-
-
-def _select_neighbors_heuristic(
-    x: np.ndarray,
-    candidates: List[int],
-    distances: List[float],
-    m: int,
-) -> List[int]:
-    """HNSW Alg. 4: keep a candidate only if it is closer to the query
-    point than to every already-selected neighbor (diversity prune)."""
-    order = np.argsort(distances, kind="stable")
-    selected: List[int] = []
-    for pos in order:
-        c = candidates[pos]
-        d_cq = distances[pos]
-        keep = True
-        for s in selected:
-            if _sqdist(x[c], x[s]) < d_cq:
-                keep = False
-                break
-        if keep:
-            selected.append(c)
-            if len(selected) >= m:
-                break
-    return selected
+from .prune import prune
 
 
 @dataclass
@@ -207,7 +179,11 @@ def build_hnsw(
     level_mult = 1.0 / math.log(max(m, 2))
     m_base = 2 * m
 
-    base: List[List[int]] = [[] for _ in range(n)]
+    # Every layer maps a vertex to its neighbor list and is written as
+    # a dict.  The base layer holds every vertex from the start; an
+    # upper layer only the vertices linked into it, and searches read
+    # it through a _LayerView, so a read never adds an empty list.
+    base: Dict[int, List[int]] = {v: [] for v in range(n)}
     upper: List[Dict[int, List[int]]] = []
     levels = np.floor(
         -np.log(rng.uniform(low=1e-12, high=1.0, size=n)) * level_mult
@@ -223,10 +199,12 @@ def build_hnsw(
     entry_epoch = -1
     epoch = 0
 
-    def layer_adj(level: int):
-        if level == 0:
-            return base
-        return _BuildLayerView(upper[level - 1], n)
+    def upper_view(level: int) -> _LayerView:
+        return _LayerView(upper[level - 1], n)
+
+    def select(point: int, pool: List[int], cap: int) -> List[int]:
+        selected, _ = prune(x, [point], pool, [len(pool)], cap, alpha=1.0, strict=True)
+        return selected.tolist()
 
     # The upper-layer phase (descents + upper ef searches) is cached
     # separately from the base search: upper layers mutate ~log(m)
@@ -258,8 +236,8 @@ def build_hnsw(
             # an empty dict may not exist yet at snapshot time; an
             # empty view routes identically.
             if lvl - 1 < len(upper):
-                return layer_adj(lvl)
-            return _BuildLayerView({}, n)
+                return upper_view(lvl)
+            return _LayerView({}, n)
 
         def upper_phase(i: int) -> dict:
             cached = upper_cache.get(i)
@@ -274,7 +252,7 @@ def build_hnsw(
                 if lvl > len(upper):
                     continue
                 start, path = greedy_search_with_path(
-                    layer_adj(lvl), start, dist_fn
+                    upper_view(lvl), start, dist_fn
                 )
                 reads.append((lvl, np.array(path, dtype=np.int64)))
             # Upper-layer ef searches (results are linked at apply time).
@@ -289,9 +267,8 @@ def build_hnsw(
                 )
                 assert result.visited_lists is not None
                 cand_ids = list(result.row(0).ids)
-                cand_d = list(result.row(0).distances)
                 reads.append((lvl, result.visited_lists[0]))
-                upper_results.append((lvl, cand_ids, cand_d))
+                upper_results.append((lvl, cand_ids))
                 start = cand_ids[0] if cand_ids else start
             part = {
                 "epoch": epoch,
@@ -336,7 +313,6 @@ def build_hnsw(
             for pos, t in enumerate(sub):
                 row = result.row(pos)
                 payloads[t]["base_ids"] = list(row.ids)
-                payloads[t]["base_d"] = list(row.distances)
                 payloads[t]["base_visited"] = result.visited_lists[pos]
         return payloads
 
@@ -371,23 +347,19 @@ def build_hnsw(
         # Link at each layer from min(level, max_level) down to 0 using
         # the validated search results (exactly the sequential order).
         layer_results = list(payload["upper"]["upper_results"]) + [
-            (0, payload["base_ids"], payload["base_d"])
+            (0, payload["base_ids"])
         ]
-        for lvl, cand_ids, cand_d in layer_results:
+        for lvl, cand_ids in layer_results:
             cap = m_base if lvl == 0 else m
-            chosen = _select_neighbors_heuristic(x, cand_ids, cand_d, m)
-            _set_neighbors(layer_adj(lvl), i, chosen)
+            layer = base if lvl == 0 else upper[lvl - 1]
+            chosen = select(i, cand_ids, m)
+            layer[i] = chosen
             mark(lvl, i)
             for c in chosen:
-                _append_neighbor(layer_adj(lvl), c, i)
+                layer.setdefault(c, []).append(i)
                 mark(lvl, c)
-                current = _get_neighbors(layer_adj(lvl), c)
-                if len(current) > cap:
-                    d = [
-                        _sqdist(x[c], x[v]) for v in current
-                    ]
-                    pruned = _select_neighbors_heuristic(x, current, d, cap)
-                    _set_neighbors(layer_adj(lvl), c, pruned)
+                if len(layer[c]) > cap:
+                    layer[c] = select(c, layer[c], cap)
                     mark(lvl, c)
 
         if level > max_level:
@@ -399,7 +371,7 @@ def build_hnsw(
     lockstep_apply(n, batch_search, is_valid, apply, build_batch_size)
 
     graph = HNSW(
-        adjacency=[np.array(nbrs, dtype=np.int64) for nbrs in base],
+        adjacency=[np.array(base[v], dtype=np.int64) for v in range(n)],
         entry_point=entry_point,
         name="hnsw",
         upper_layers=[
@@ -411,46 +383,6 @@ def build_hnsw(
     )
     graph.packed()  # prewarm the CSR view the search kernel routes over
     return graph
-
-
-class _BuildLayerView:
-    """Mutable adapter for a sparse layer during construction."""
-
-    def __init__(self, layer: Dict[int, List[int]], n: int) -> None:
-        self._layer = layer
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, vertex: int) -> List[int]:
-        return self._layer.get(vertex, [])
-
-    def set(self, vertex: int, neighbors: List[int]) -> None:
-        self._layer[vertex] = list(neighbors)
-
-    def append(self, vertex: int, neighbor: int) -> None:
-        self._layer.setdefault(vertex, []).append(neighbor)
-
-
-def _set_neighbors(adj, vertex: int, neighbors: List[int]) -> None:
-    if isinstance(adj, _BuildLayerView):
-        adj.set(vertex, neighbors)
-    else:
-        adj[vertex] = list(neighbors)
-
-
-def _append_neighbor(adj, vertex: int, neighbor: int) -> None:
-    if isinstance(adj, _BuildLayerView):
-        adj.append(vertex, neighbor)
-    else:
-        adj[vertex].append(neighbor)
-
-
-def _get_neighbors(adj, vertex: int) -> List[int]:
-    if isinstance(adj, _BuildLayerView):
-        return list(adj[vertex])
-    return list(adj[vertex])
 
 
 def _point_distance_fn(x: np.ndarray, query: np.ndarray) -> DistanceFn:

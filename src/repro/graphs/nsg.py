@@ -7,7 +7,9 @@ Built from an exact kNN graph:
    toward the vertex from the navigating node, unioned with its kNN
    list, then filtered with the MRNG edge-selection rule (an edge
    ``(v, c)`` survives only if no already-selected neighbor ``s`` is
-   closer to ``c`` than ``v`` is);
+   closer to ``c`` than ``v`` is) — :func:`~repro.graphs.prune.prune`
+   with ``strict=True``, one call per window of ``build_batch_size``
+   vertices;
 3. an InterInsert pass adds pruned reverse edges (as in the reference
    implementation);
 4. a spanning pass guarantees every vertex is reachable from the
@@ -24,58 +26,7 @@ from .base import ProximityGraph, medoid
 from .beam import beam_search, beam_search_batch
 from .hnsw import _point_distance_fn
 from .knn_graph import exact_knn
-
-
-def _mrng_select(
-    x: np.ndarray,
-    vertex: int,
-    candidates: List[int],
-    r: int,
-    min_degree: int = 0,
-) -> List[int]:
-    """MRNG rule: keep candidates not 'occluded' by a selected neighbor.
-
-    Candidates are visited nearest first; ``c`` is occluded when some
-    already-selected ``s`` has ``|c - s|^2 < |c - vertex|^2``.  Each
-    selection kills the live candidates it occludes in one vectorised
-    step, so a candidate still alive at its turn is selected.  The pair
-    distances come from a stacked ``matmul`` — one dot product per
-    pair, rounded exactly like ``diff @ diff`` — so the edges are those
-    of the candidate-by-candidate test against every selected neighbor.
-
-    ``min_degree`` re-adds the nearest pruned candidates when occlusion
-    leaves fewer than that many edges — the ``keepPrunedConnections``
-    practice of production NSG/HNSW builds, which prevents degenerate
-    sparsity on hard (e.g. unit-normalized, high-LID) data.
-    """
-    pool = [c for c in dict.fromkeys(candidates) if c != vertex]
-    if not pool:
-        return []
-    pool_arr = np.array(pool, dtype=np.int64)
-    diff = x[pool_arr] - x[vertex]
-    d_vc = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(d_vc, kind="stable")
-    ids, d_vc = pool_arr[order], d_vc[order]
-    points = x[ids]
-
-    alive = np.ones(ids.size, dtype=bool)
-    selected: List[int] = []
-    pruned: List[int] = []
-    for i in range(ids.size):
-        if not alive[i]:
-            pruned.append(int(ids[i]))
-            continue
-        selected.append(int(ids[i]))
-        if len(selected) >= r:
-            break
-        later = i + 1 + np.flatnonzero(alive[i + 1 :])
-        diff_sc = points[later] - points[i]
-        d_sc = np.matmul(diff_sc[:, None, :], diff_sc[:, :, None])[:, 0, 0]
-        alive[later[d_sc < d_vc[later]]] = False
-    if len(selected) < min_degree:
-        refill = pruned[: min_degree - len(selected)]
-        selected.extend(refill)
-    return selected
+from .prune import prune
 
 
 def build_nsg(
@@ -152,9 +103,22 @@ def build_nsg(
             dist_fn,
             beam,
         )
-        for t, i in enumerate(points):
-            candidates = list(knn_idx[i]) + list(result.row(t).ids)
-            adjacency.append(_mrng_select(x, int(i), candidates, r))
+        pools = [
+            np.concatenate([knn_idx[i], result.row(t).ids])
+            for t, i in enumerate(points)
+        ]
+        flat, lens = prune(
+            x,
+            points,
+            np.concatenate(pools),
+            [pool.size for pool in pools],
+            r,
+            alpha=1.0,
+            strict=True,
+        )
+        adjacency.extend(
+            selected.tolist() for selected in np.split(flat, np.cumsum(lens)[:-1])
+        )
 
     _inter_insert(x, adjacency, r)
     _ensure_reachable(x, adjacency, navigating, search_l)
@@ -179,7 +143,16 @@ def _inter_insert(x: np.ndarray, adjacency: List[List[int]], r: int) -> None:
             if v not in adjacency[u]:
                 adjacency[u].append(v)
                 if len(adjacency[u]) > r:
-                    adjacency[u] = _mrng_select(x, u, adjacency[u], r)
+                    selected, _ = prune(
+                        x,
+                        [u],
+                        adjacency[u],
+                        [len(adjacency[u])],
+                        r,
+                        alpha=1.0,
+                        strict=True,
+                    )
+                    adjacency[u] = selected.tolist()
 
 
 def _ensure_reachable(

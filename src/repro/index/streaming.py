@@ -15,9 +15,9 @@ without a full rebuild.  This module provides that substrate:
 * :meth:`FreshVamanaIndex.consolidate` — Fresh-DiskANN's delete
   consolidation: neighbors of tombstoned vertices inherit the
   tombstone's out-edges (so connectivity survives) and are re-pruned,
-  all of them in one lockstep
-  :func:`~repro.graphs.vamana.robust_prune_batch` (every pool is read
-  from the pre-consolidation lists, so the prunes are independent).
+  all of them in one :func:`~repro.graphs.prune.prune` call, which
+  runs them in lockstep (every pool is read from the
+  pre-consolidation lists, so the prunes are independent).
 
 The index is stored the way the kernel reads it.  Vectors, codes and
 tombstones are grow-only arrays whose first ``num_vertices`` rows are
@@ -65,7 +65,7 @@ from ..graphs.beam import (
     exact_distance_fn,
 )
 from ..graphs.packed import ID_DTYPE, PackedAdjacency
-from ..graphs.vamana import robust_prune, robust_prune_batch
+from ..graphs.prune import prune
 from ..quantization.base import BaseQuantizer
 from .base import GraphIndex, compact_rows
 
@@ -147,7 +147,7 @@ class _BlockGraph:
         flat = self.ids[vertices][self.cols < lens[:, None]]
         return flat.astype(np.int64), lens
 
-    def set_row(self, v: int, nbrs: List[int]) -> None:
+    def set_row(self, v: int, nbrs: np.ndarray) -> None:
         self.ids[v, : len(nbrs)] = nbrs
         self.deg[v] = len(nbrs)
 
@@ -374,7 +374,14 @@ class FreshVamanaIndex(GraphIndex):
 
         assert candidates is not None
         x = self._vectors[: graph.n]
-        graph.set_row(new_id, robust_prune(x, new_id, candidates, self.alpha, self.r))
+
+        def select(point: int, pool) -> np.ndarray:
+            selected, _ = prune(
+                x, [point], pool, [len(pool)], self.r, alpha=self.alpha, strict=False
+            )
+            return selected
+
+        graph.set_row(new_id, select(new_id, candidates))
         for j in graph[new_id].tolist():
             # ``new_id`` is fresh, so no list holds it yet: the reverse
             # edge always appends (the block's spare column) and a list
@@ -383,9 +390,7 @@ class FreshVamanaIndex(GraphIndex):
             graph.ids[j, degree] = new_id
             graph.deg[j] = degree + 1
             if degree + 1 > self.r:
-                graph.set_row(
-                    j, robust_prune(x, j, graph[j].tolist(), self.alpha, self.r)
-                )
+                graph.set_row(j, select(j, graph[j]))
         return new_id
 
     def _rows(self, vectors: np.ndarray) -> np.ndarray:
@@ -525,13 +530,14 @@ class FreshVamanaIndex(GraphIndex):
         )
         order = np.argsort(owner, kind="stable")
         pools = np.concatenate([rows[kept_at, kept_col], heirs[inherit]])[order]
-        flat, lens = robust_prune_batch(
+        flat, lens = prune(
             self._vectors[:n],
             points,
             pools,
             np.bincount(owner, minlength=points.size),
-            self.alpha,
             self.r,
+            alpha=self.alpha,
+            strict=False,
         )
         graph.set_rows(points, flat, lens)
         graph.deg[:n][dead] = 0

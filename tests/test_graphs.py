@@ -19,7 +19,7 @@ from repro.graphs import (
     greedy_search,
     knn_graph_adjacency,
     medoid,
-    robust_prune,
+    prune,
 )
 
 RNG = np.random.default_rng(21)
@@ -188,6 +188,14 @@ class TestBeamSearch:
         res = beam_search(adjacency, 0, lambda ids: np.ones(len(ids)), 4)
         assert list(res.ids) == [0]
         assert res.hops == 1
+
+
+def robust_prune(x, point, candidates, alpha, r):
+    """Vamana's selection for one point."""
+    flat, _ = prune(
+        x, [point], candidates, [len(candidates)], r, alpha=alpha, strict=False
+    )
+    return flat.tolist()
 
 
 class TestRobustPrune:

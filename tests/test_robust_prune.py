@@ -1,28 +1,32 @@
-"""The lockstep RobustPrune against the scalar one it batches.
+"""The prune's lockstep rounds against its per-point loop.
 
-``robust_prune_batch`` must select, for every point, exactly the list
-``robust_prune`` selects for that point alone — the scalar prune stays
-the oracle (and the one-point path).  Consolidation is the lockstep
-prune's caller: it must equal the sequential Fresh-DiskANN
-consolidation list for list, and reach it without a single scalar
-prune.
+:func:`repro.graphs.prune.prune` picks its path by input size: one
+point runs the per-point loop, more run lockstep rounds over flat
+(point, candidate) pairs, ``PRUNE_CHUNK`` points at a time.  The
+lockstep rounds must select, for every point, exactly the list the
+loop selects for that point alone, under either rule
+(``tests/test_prune.py`` pins both paths to the original loops).
+Consolidation is the lockstep rounds' caller: it must equal the
+sequential Fresh-DiskANN consolidation list for list, and reach it
+without a single per-point prune.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from repro.datasets import load
-from repro.graphs import vamana
-from repro.graphs.vamana import PRUNE_CHUNK, robust_prune, robust_prune_batch
+from repro.graphs.prune import PRUNE_CHUNK, prune
 from repro.index import StreamingIndex
-from repro.index import streaming
 from repro.quantization import ProductQuantizer
 
 from .helpers import stream_state
+
+prune_module = importlib.import_module("repro.graphs.prune")
 
 
 def split(flat, lens):
@@ -31,16 +35,25 @@ def split(flat, lens):
     return [a.tolist() for a in np.split(flat, np.cumsum(lens)[:-1])]
 
 
-def assert_matches_scalar(x, points, pools, alpha, r):
+def prune_one(x, point, pool, alpha, r, strict=False):
+    """The per-point loop's list for one point."""
+    flat, _ = prune(x, [point], pool, [len(pool)], r, alpha=alpha, strict=strict)
+    return flat.tolist()
+
+
+def assert_paths_agree(x, points, pools, alpha, r):
     lens = np.array([len(p) for p in pools], dtype=np.int64)
     flat = np.array([c for p in pools for c in p], dtype=np.int64)
-    selected, selected_lens = robust_prune_batch(x, points, flat, lens, alpha, r)
-    assert selected_lens.shape == (len(points),)
-    expected = [
-        robust_prune(x, int(p), list(pool), alpha, r)
-        for p, pool in zip(points, pools)
-    ]
-    assert split(selected, selected_lens) == expected
+    for strict in (False, True):
+        selected, selected_lens = prune(
+            x, points, flat, lens, r, alpha=alpha, strict=strict
+        )
+        assert selected_lens.shape == (len(points),)
+        expected = [
+            prune_one(x, int(p), list(pool), alpha, r, strict)
+            for p, pool in zip(points, pools)
+        ]
+        assert split(selected, selected_lens) == expected
 
 
 def random_case(rng, n, dim, num_points, max_pool, integer=False):
@@ -64,7 +77,7 @@ def test_batch_equals_scalar_on_random_pools(alpha, r, integer):
     rng = np.random.default_rng(1000 * r + 10 * int(alpha * 10) + integer)
     # Ids drawn from few vertices: duplicates in almost every pool.
     x, points, pools = random_case(rng, 60, 6, 40, 30, integer=integer)
-    assert_matches_scalar(x, points, pools, alpha, r)
+    assert_paths_agree(x, points, pools, alpha, r)
 
 
 def test_point_in_its_own_pool_and_duplicates():
@@ -77,15 +90,15 @@ def test_point_in_its_own_pool_and_duplicates():
         [4, 4, 4, 4],  # one candidate, repeated
         [2, 9, 3, 9, 2],  # another point's id, and itself
     ]
-    assert_matches_scalar(x, points, pools, 1.2, 4)
+    assert_paths_agree(x, points, pools, 1.2, 4)
 
 
 def test_empty_pools_and_no_points():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((10, 3))
-    assert_matches_scalar(x, np.array([3, 4, 5]), [[], [1, 2], []], 1.2, 4)
-    selected, lens = robust_prune_batch(
-        x, np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), 1.2, 4
+    assert_paths_agree(x, np.array([3, 4, 5]), [[], [1, 2], []], 1.2, 4)
+    selected, lens = prune(
+        x, np.empty(0, dtype=np.int64), [], [], 4, alpha=1.2, strict=False
     )
     assert selected.size == 0 and lens.size == 0
 
@@ -95,9 +108,9 @@ def test_exact_ties_keep_pool_order():
     # which dominates another at alpha 1.0: the pool order decides.
     x = np.array([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.float64)
     pools = [[3, 1, 4, 2], [2, 4, 1, 3]]
-    assert_matches_scalar(x, np.array([0, 0]), pools, 1.0, 4)
+    assert_paths_agree(x, np.array([0, 0]), pools, 1.0, 4)
     flat = np.array(pools[0] + pools[1])
-    selected, _ = robust_prune_batch(x, np.array([0, 0]), flat, [4, 4], 1.0, 4)
+    selected, _ = prune(x, [0, 0], flat, [4, 4], 4, alpha=1.0, strict=False)
     assert selected.tolist() == pools[0] + pools[1]
 
 
@@ -106,7 +119,7 @@ def test_pools_straddle_chunk_boundaries():
     # 2.5 chunks of points; uneven pools so chunk edges fall anywhere.
     num_points = 2 * PRUNE_CHUNK + PRUNE_CHUNK // 2
     x, points, pools = random_case(rng, 300, 8, num_points, 25)
-    assert_matches_scalar(x, points, pools, 1.2, 6)
+    assert_paths_agree(x, points, pools, 1.2, 6)
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +128,7 @@ def test_pools_straddle_chunk_boundaries():
 
 
 def sequential_consolidation(lists, deleted, x, alpha, r):
-    """Fresh-DiskANN consolidation, one scalar prune per point."""
+    """Fresh-DiskANN consolidation, one per-point prune per point."""
     dead = {v for v, d in enumerate(deleted) if d}
     out = [list(nbrs) for nbrs in lists]
     for v, nbrs in enumerate(lists):
@@ -129,7 +142,7 @@ def sequential_consolidation(lists, deleted, x, alpha, r):
             for w in lists[u]
             if w not in dead and w != v
         ]
-        out[v] = robust_prune(x, v, survivors + inherited, alpha, r)
+        out[v] = prune_one(x, v, survivors + inherited, alpha, r)
     for v in dead:
         out[v] = []
     return out
@@ -159,24 +172,23 @@ def test_consolidation_is_lockstep_and_equals_the_sequential_one(
     )
     assert points > PRUNE_CHUNK  # at least two lockstep calls
 
-    scalar_calls = []
+    per_point_calls = []
     lockstep_points = []
-    real_prune, real_lockstep = robust_prune, vamana._prune_lockstep
+    real_greedy, real_lockstep = prune_module._greedy, prune_module._lockstep
 
-    def counted_prune(*args, **kwargs):
-        scalar_calls.append(1)
-        return real_prune(*args, **kwargs)
+    def counted_greedy(*args, **kwargs):
+        per_point_calls.append(1)
+        return real_greedy(*args, **kwargs)
 
     def counted_lockstep(x, chunk_points, *args, **kwargs):
         lockstep_points.append(len(chunk_points))
         return real_lockstep(x, chunk_points, *args, **kwargs)
 
-    monkeypatch.setattr(streaming, "robust_prune", counted_prune)
-    monkeypatch.setattr(vamana, "robust_prune", counted_prune)
-    monkeypatch.setattr(vamana, "_prune_lockstep", counted_lockstep)
+    monkeypatch.setattr(prune_module, "_greedy", counted_greedy)
+    monkeypatch.setattr(prune_module, "_lockstep", counted_lockstep)
     assert churned.consolidate() == 64
 
-    assert not scalar_calls
+    assert not per_point_calls
     assert len(lockstep_points) == math.ceil(points / PRUNE_CHUNK)
     assert sum(lockstep_points) == points
     expected = sequential_consolidation(
