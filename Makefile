@@ -140,9 +140,11 @@ profile-streaming:
 # The serving twin, at online_gateway's shape: two serve-shard workers
 # and the gateway as child processes, one NetClient holding 64 requests
 # in flight over a fixed replayed request sequence — the micro-batch
-# size histogram, CPU ms per answered query for each process (from
-# /proc/<pid>/stat), and the sha256 of every answer: equal digests
-# across two checkouts are the bitwise proof of a serving change (~15 s).
+# size histogram, CPU ms and voluntary context switches per answered
+# query for each process (from /proc/<pid>/stat and the threads'
+# /proc/<pid>/task/*/status), and the sha256 of every answer: equal
+# digests across two checkouts are the bitwise proof of a serving
+# change (~15 s).
 profile-gateway:
 	cd benchmarks && $(PYTHON) profile_gateway.py
 
@@ -199,9 +201,13 @@ smoke-migrate:
 # Fast lane — what CI runs on every push/PR (keep in lockstep with
 # .github/workflows/ci.yml).  chaos-smoke is nominally a subset of
 # test-fast, but naming it keeps the kill-a-replica gate explicit even
-# if the replication tests are ever re-marked.
+# if the replication tests are ever re-marked.  The gateway profile's
+# smoke size (~3 s) is the one check that drives the CLI gateway with
+# a pipelined client; it fails on a wrong or hung answer or an unclean
+# exit.
 ci: lint test-fast chaos-smoke smoke-net smoke-migrate smoke-examples \
 		bench-e2e-smoke
+	cd benchmarks && REPRO_SMOKE=1 $(PYTHON) profile_gateway.py
 
 # Full lane — nightly CI: full tier-1 plus the benchmark identity /
 # determinism checks and the two cheapest paper artifacts.  Speedup

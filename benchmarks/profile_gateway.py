@@ -7,13 +7,18 @@ and one ``experiment serve --listen`` gateway, all child processes of
 this script, and one pipelined ``NetClient`` in this process holding 64
 single-row requests (k = 10, beam 32) in flight.  After a warm-up it
 replays a fixed, seeded sequence of requests — half from a hot set of
-64 queries, half uniform over the pool — and prints:
+64 queries, half uniform over the pool — and prints, under a header
+naming the gateway's batch size and per-connection admission cap:
 
 * the micro-batch size histogram: the rows of one micro-batch share
   their ``batcher_dequeue_s`` stamp;
 * CPU milliseconds per answered query for each process — ``utime +
   stime`` from ``/proc/<pid>/stat``, before and after the closed loop —
   and their sum;
+* voluntary context switches per answered query for each process — the
+  ``voluntary_ctxt_switches`` line of ``/proc/<pid>/task/*/status``,
+  summed over the process's threads (``/proc/<pid>/status`` counts the
+  main thread only, and the work runs on others);
 * the sha256 of every answer (ids, distances, counts, hops, distance
   computations) in request order, and how many answers differ from the
   in-process index answering the same rows.
@@ -27,7 +32,9 @@ checkout>/src`` to profile another version; the children use the same
     REPRO_SMOKE=1 python profile_gateway.py         # toy size, ~3 s
 
 Plain script, not a pytest bench: profiles are for humans reading a
-breakdown, not for gating.
+breakdown, and nothing in it is timing-gated.  It exits 1 on a wrong
+answer or an unclean exit, which is what ``make ci`` checks at the
+smoke size.
 """
 
 from __future__ import annotations
@@ -71,8 +78,9 @@ from repro.api import (  # noqa: E402
     load_index,
     save_index,
 )
+from repro.cli import build_parser  # noqa: E402
 from repro.datasets import load  # noqa: E402
-from repro.serving.net import NetClient  # noqa: E402
+from repro.serving.net import Gateway, NetClient  # noqa: E402
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 N_BASE = 400 if SMOKE else 2400
@@ -170,6 +178,41 @@ def cpu_seconds(pid) -> float:
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
+def voluntary_switches(pid) -> int:
+    """Voluntary context switches of every live thread of ``pid``."""
+    total = 0
+    task_dir = f"/proc/{pid}/task"
+    for tid in os.listdir(task_dir):
+        try:
+            with open(f"{task_dir}/{tid}/status") as handle:
+                for line in handle:
+                    if line.startswith("voluntary_ctxt_switches:"):
+                        total += int(line.split()[1])
+        except FileNotFoundError:
+            pass  # the thread exited after the listing
+    return total
+
+
+def sample(pid) -> np.ndarray:
+    """``[CPU seconds, voluntary context switches]`` of ``pid`` so far."""
+    return np.array([cpu_seconds(pid), voluntary_switches(pid)])
+
+
+def admission(gateway_args) -> tuple:
+    """``(max batch size, per-connection admission cap)`` of the gateway
+    ``experiment serve`` builds from ``gateway_args`` — taken from the
+    CLI's and the gateway's own defaults, so each checkout reports its
+    own."""
+    args = build_parser().parse_args(gateway_args)
+    gateway = Gateway(
+        None, max_batch_size=args.batch_size, max_wait_ms=args.wait_ms
+    )
+    try:
+        return args.batch_size, gateway._max_inflight_per_conn
+    finally:
+        gateway.close_sync()
+
+
 def closed_loop(client: NetClient, queries: np.ndarray, picks) -> list:
     """Every pick as one single-row request, ``INFLIGHT`` outstanding."""
     slots = threading.Semaphore(INFLIGHT)
@@ -192,11 +235,15 @@ def draw(rng: np.random.Generator, hot: np.ndarray, count: int):
     return np.where(rng.random(count) < 0.5, hot_picks, uniform)
 
 
-def report(responses, picks, reference, cpu, wall_s) -> None:
+def report(responses, picks, reference, usage, wall_s, limits) -> int:
+    """Print the profile; returns how many answers differ from the
+    in-process index."""
     answered = len(responses)
+    batch_size, cap = limits
     print(
         f"online_gateway closed loop (sift, n {N_BASE}, {SHARDS} shards, "
         f"PQ {NUM_CHUNKS} x {NUM_CODEWORDS}, {INFLIGHT} in flight, "
+        f"batch {batch_size}, admission cap {cap}, "
         f"{answered} requests, {answered / wall_s:.0f} QPS)"
     )
     stamps = [float(r.counters["batcher_dequeue_s"][0]) for r in responses]
@@ -214,10 +261,16 @@ def report(responses, picks, reference, cpu, wall_s) -> None:
             f"{sum(inside) / answered:6.1%} of rows"
         )
         low = high
-    print("CPU ms per answered query:")
-    for name, seconds in cpu.items():
-        print(f"  {name:<8} {seconds / answered * 1e3:7.3f}")
-    print(f"  {'total':<8} {sum(cpu.values()) / answered * 1e3:7.3f}")
+    print("per answered query:")
+    print(f"  {'':<8} {'CPU ms':>12} {'voluntary ctx switches':>22}")
+    for name, (seconds, switches) in {
+        **usage,
+        "total": sum(usage.values()),
+    }.items():
+        print(
+            f"  {name:<8} {seconds / answered * 1e3:12.3f} "
+            f"{switches / answered:22.2f}"
+        )
 
     digest = hashlib.sha256()
     wrong = 0
@@ -236,6 +289,7 @@ def report(responses, picks, reference, cpu, wall_s) -> None:
         )
     print(f"answers differing from in-process: {wrong}")
     print(f"sha256 answers {digest.hexdigest()}")
+    return wrong
 
 
 def main() -> int:
@@ -255,6 +309,7 @@ def main() -> int:
             log = os.path.join(tmp, "gateway.log")
             args = ["experiment", "serve", "--listen", "127.0.0.1:0"]
             args += ["--dir", index_dir, "--endpoints", ",".join(endpoints)]
+            limits = admission(args)
             proc = spawn(args, log)
             procs.append(("gateway", proc))
             client = NetClient(await_address(proc, log, "gateway listening on"))
@@ -265,23 +320,22 @@ def main() -> int:
             picks = draw(rng, hot, REQUESTS)
             pids = {name: p.pid for name, p in procs}
             pids["client"] = "self"
-            before = {name: cpu_seconds(pid) for name, pid in pids.items()}
+            before = {name: sample(pid) for name, pid in pids.items()}
             start = time.perf_counter()
             responses = closed_loop(client, queries, picks)
             wall_s = time.perf_counter() - start
-            cpu = {
-                name: cpu_seconds(pid) - before[name]
+            usage = {
+                name: sample(pid) - before[name]
                 for name, pid in pids.items()
             }
         finally:
             if client is not None:
                 client.close()
             bad = terminate(procs)
-    report(responses, picks, reference, cpu, wall_s)
+    wrong = report(responses, picks, reference, usage, wall_s, limits)
     if bad:
         print(f"unclean exits: {', '.join(bad)}")
-        return 1
-    return 0
+    return 1 if bad or wrong else 0
 
 
 if __name__ == "__main__":

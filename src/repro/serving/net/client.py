@@ -62,6 +62,7 @@ class ShardClient:
         self._backoff_max_s = float(backoff_max_s)
         self._max_frame_bytes = int(max_frame_bytes)
         self._sock: Optional[socket.socket] = None
+        self._stream: Optional[framing.SocketReader] = None
         # One request/reply in flight per connection: interleaved
         # writes would cross-deliver replies (same rule as the pipes).
         self._lock = threading.Lock()
@@ -83,6 +84,9 @@ class ShardClient:
         for attempt in range(self._max_retries + 1):
             try:
                 self._sock = self._connect_once()
+                # A fresh reader per connection: nothing a dropped
+                # connection buffered can leak into the next one.
+                self._stream = framing.SocketReader(self._sock)
                 return self._sock
             except OSError as exc:
                 last = exc
@@ -95,6 +99,9 @@ class ShardClient:
         ) from last
 
     def close(self) -> None:
+        if self._stream is not None:
+            self._stream.close()
+            self._stream = None
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -121,15 +128,16 @@ class ShardClient:
         calls the two halves itself, under its own per-replica lock,
         to write every shard's request before it reads any reply."""
         try:
-            message = framing.read_message_from_socket(
-                self._sock, self._max_frame_bytes
-            )
+            message = self._stream.read_message(self._max_frame_bytes)
         except (
             framing.ConnectionClosed,
             framing.FrameTruncated,
             OSError,
         ) as exc:
             raise self._died() from exc
+        except framing.ProtocolError:
+            self.close()  # unframed: the next request reconnects
+            raise
         kind, payload = framing.reply_payload(message)
         return _unwrap_reply(
             kind, payload, expected, f"shard worker at {self.endpoint}"
@@ -198,6 +206,7 @@ class NetClient:
         )
         self._sock.settimeout(None)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._stream = framing.SocketReader(self._sock)
         self._send_lock = threading.Lock()
         self._pending_lock = threading.Lock()
         self._pending: dict = {}
@@ -212,9 +221,7 @@ class NetClient:
     def _read_loop(self) -> None:
         try:
             while True:
-                message = framing.read_message_from_socket(
-                    self._sock, self._max_frame_bytes
-                )
+                message = self._stream.read_message(self._max_frame_bytes)
                 if message.kind == "response":
                     request_id, response = framing.decode_search_response(
                         message
@@ -232,6 +239,8 @@ class NetClient:
                     )
         except BaseException as exc:
             self._fail_all(exc)
+        finally:
+            self._stream.close()  # releases the socket's descriptor
 
     def _resolve(self, request_id, response, exc) -> None:
         with self._pending_lock:

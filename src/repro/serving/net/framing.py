@@ -36,6 +36,11 @@ Strictness rules, enforced on every decode path:
 * a stream that ends mid-frame → :class:`FrameTruncated`;
 * a stream that ends cleanly *between* messages →
   :class:`ConnectionClosed` (the one non-error way a peer leaves).
+
+Every blocking peer — :class:`~repro.serving.net.ShardClient`,
+:class:`~repro.serving.net.NetClient`'s reader thread and each shard
+worker connection — reads through one :class:`SocketReader` per
+connection; the asyncio gateway's ``StreamReader`` is its buffered twin.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ import builtins
 import dataclasses
 import importlib
 import json
+import math
 import struct
 import traceback
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +71,10 @@ HEADER_SIZE = _HEADER.size
 #: query/result block at this repo's scale, small enough that a
 #: corrupted or hostile length field cannot trigger a giant allocation.
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: A :class:`SocketReader`'s buffer: one ``recv`` holds a typical shard
+#: reply (a 64-row answer, k = 10, six counters: 14 KiB).
+_READ_BUFFER_BYTES = 64 * 1024
 
 
 class ProtocolError(ValueError):
@@ -190,14 +200,19 @@ def decode_ndarray(payload: bytes) -> np.ndarray:
         raise ProtocolError(f"malformed ndarray block: {exc}") from exc
     if dtype.hasobject:
         raise ProtocolError("object-dtype ndarray blocks are not allowed")
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    # Exact integers: a hostile shape cannot wrap around to match.
+    expected = math.prod(shape) * dtype.itemsize
     body = payload[offset:]
     if len(body) != expected:
         raise ProtocolError(
             f"ndarray block declares shape {tuple(shape)} dtype {dtype} "
             f"({expected} bytes) but carries {len(body)} bytes"
         )
-    return np.frombuffer(body, dtype=dtype).reshape(shape).copy()
+    try:
+        array = np.frombuffer(body, dtype=dtype).reshape(shape)
+    except ValueError as exc:  # e.g. an empty block with a huge dim
+        raise ProtocolError(f"malformed ndarray block: {exc}") from exc
+    return array.copy()
 
 
 # ----------------------------------------------------------------------
@@ -335,36 +350,46 @@ def decode_message(
     return message
 
 
-def sock_read_exactly(sock, n: int) -> bytes:
-    """``read_exactly`` adapter for a blocking socket.
+class SocketReader:
+    """Buffered reads of one blocking socket: the one way a blocking
+    peer reads messages.
 
-    Raises :class:`ConnectionClosed` when the peer closed before any
-    byte of this read arrived, :class:`FrameTruncated` when it closed
-    mid-read.  ``socket.timeout`` propagates to the caller (read
-    timeouts are a liveness policy, not a protocol event).
+    A connection owns exactly one reader for its whole life, so the
+    bytes the buffer reads ahead (the rest of a message, or the next
+    one) are never lost.  One ``recv`` usually carries a whole
+    multi-frame message, where reading frame by frame costs two per
+    frame.  ``socket.timeout`` propagates to the caller (read timeouts
+    are a liveness policy, not a protocol event); after one, the
+    buffer's state is undefined, so the caller drops the connection
+    with its reader.
+
+    :meth:`close` it with the socket: the buffered file holds its own
+    reference to the descriptor, so ``sock.close()`` alone leaves the
+    connection open.
     """
-    chunks: List[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if remaining == n:
+
+    def __init__(self, sock) -> None:
+        self._file = sock.makefile("rb", buffering=_READ_BUFFER_BYTES)
+
+    def read_exactly(self, n: int) -> bytes:
+        """Exactly ``n`` bytes.  :class:`ConnectionClosed` when the
+        peer closed before any byte of this read arrived,
+        :class:`FrameTruncated` when it closed mid-read."""
+        data = self._file.read(n)  # short only at EOF
+        if len(data) != n:
+            if not data:
                 raise ConnectionClosed("peer closed the connection")
             raise FrameTruncated(
-                f"peer closed mid-read ({n - remaining} of {n} bytes)"
+                f"peer closed mid-read ({len(data)} of {n} bytes)"
             )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        return data
 
+    def read_message(self, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> Message:
+        """Read one message (see :func:`read_message`)."""
+        return read_message(self.read_exactly, max_frame_bytes)
 
-def read_message_from_socket(
-    sock, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> Message:
-    """Read one message from a blocking socket."""
-    return read_message(
-        lambda n: sock_read_exactly(sock, n), max_frame_bytes
-    )
+    def close(self) -> None:
+        self._file.close()
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,15 @@ blocks on a search.  Concurrency model, per connection:
   order* — each response carries the client-chosen request id, so a
   slow query never convoys the fast ones behind it on the same
   connection;
-* an ``asyncio.Semaphore`` of ``max_inflight_per_conn`` gates the
-  *read* side and is released only after the response is fully
-  written and drained.  That one mechanism is both admission control
-  (a connection can never hold more than N requests in the server)
-  and the bounded per-connection write queue: a slow client that
-  stops reading makes ``drain()`` block, which stops releases, which
-  stops reads — backpressure propagates to the client's socket
-  instead of growing server memory;
+* an ``asyncio.Semaphore`` of ``max_inflight_per_conn`` (by default
+  ``2 * max_batch_size``: one micro-batch running, the next one
+  filling) gates the *read* side and is released only after the
+  response is fully written and drained.  That one mechanism is both
+  admission control (a connection can never hold more than N requests
+  in the server) and the bounded per-connection write queue: a slow
+  client that stops reading makes ``drain()`` block, which stops
+  releases, which stops reads — backpressure propagates to the
+  client's socket instead of growing server memory;
 * batchable requests (no ``labels`` / ``max_beam_width``) go from the
   event loop straight into the queue of a lazily created
   :class:`~repro.serving.batcher.DynamicBatcher` per ``(k,
@@ -90,9 +91,13 @@ class Gateway:
         port: int = 0,
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
-        max_inflight_per_conn: int = 32,
+        max_inflight_per_conn: Optional[int] = None,
         max_frame_bytes: int = framing.DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
+        if max_inflight_per_conn is None:
+            # One full micro-batch running and the next one queued, so
+            # a single pipelined connection can fire the size trigger.
+            max_inflight_per_conn = 2 * int(max_batch_size)
         if max_inflight_per_conn < 1:
             raise ValueError("max_inflight_per_conn must be >= 1")
         self._index = index

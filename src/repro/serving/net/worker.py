@@ -23,6 +23,7 @@ can tell a graceful stop from a kill.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -110,36 +111,38 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
         server: "ShardServer" = self.server
         sock = self.request
         sock.settimeout(None)
-        while True:
-            try:
-                message = framing.read_message_from_socket(
-                    sock, server.max_frame_bytes
-                )
-            except framing.ConnectionClosed:
-                return
-            except framing.ProtocolError as exc:
-                # Bad magic/version/truncation: the stream cannot be
-                # re-framed; best-effort error frame, then hang up.
+        # Closed before socketserver closes the socket: the reader
+        # holds its own reference to the descriptor.
+        with contextlib.closing(framing.SocketReader(sock)) as stream:
+            while True:
                 try:
-                    sock.sendall(framing.encode_error(exc))
-                except OSError:
-                    pass
-                return
-            except OSError:
-                return
-            server.begin_request()
-            try:
-                reply = server.service.handle(message)
-                if reply is None:  # protocol "stop"
-                    threading.Thread(
-                        target=server.shutdown, daemon=True
-                    ).start()
+                    message = stream.read_message(server.max_frame_bytes)
+                except framing.ConnectionClosed:
                     return
-                sock.sendall(reply)
-            except OSError:
-                return  # client went away mid-reply
-            finally:
-                server.end_request()
+                except framing.ProtocolError as exc:
+                    # Bad magic/version/truncation/array block: the
+                    # stream cannot be re-framed; best-effort error
+                    # frame, then hang up.
+                    try:
+                        sock.sendall(framing.encode_error(exc))
+                    except OSError:
+                        pass
+                    return
+                except OSError:
+                    return
+                server.begin_request()
+                try:
+                    reply = server.service.handle(message)
+                    if reply is None:  # protocol "stop"
+                        threading.Thread(
+                            target=server.shutdown, daemon=True
+                        ).start()
+                        return
+                    sock.sendall(reply)
+                except OSError:
+                    return  # client went away mid-reply
+                finally:
+                    server.end_request()
 
 
 class ShardServer(socketserver.ThreadingTCPServer):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 import signal
 import socket
@@ -109,6 +110,49 @@ def assert_responses_identical(a, b):
         np.testing.assert_array_equal(
             a_counters[name], b_counters[name], err_msg=name
         )
+
+
+def reading(sock):
+    """The one buffered reader of ``sock``, closed on exit."""
+    return contextlib.closing(framing.SocketReader(sock))
+
+
+def hostile_request() -> bytes:
+    """A request whose ``queries`` block declares shape ``(2**32,
+    2**32)`` — a product that wraps int64 to 0 — and carries no body."""
+    block = struct.pack(">H", 3) + b"<f8"
+    block += struct.pack(">BQQ", 2, 2**32, 2**32)
+    header = {
+        "kind": "request",
+        "meta": {"id": 1, "k": 5, "beam_width": 16},
+        "arrays": ["queries"],
+    }
+    json_frame = framing.encode_frame(framing.MSG_JSON, json.dumps(header).encode())
+    return json_frame + framing.encode_frame(framing.MSG_NDARRAY, block)
+
+
+class CountingSocket(socket.socket):
+    """A real socket that counts the reads made on it."""
+
+    reads = 0
+
+    def recv(self, *args):
+        self.reads += 1
+        return super().recv(*args)
+
+    def recv_into(self, *args):
+        self.reads += 1
+        return super().recv_into(*args)
+
+
+@contextlib.contextmanager
+def socket_pair():
+    """``(reading end, writing end)``; the reading end counts reads."""
+    left, right = socket.socketpair()
+    reader = CountingSocket(fileno=left.detach())
+    reader.settimeout(10)
+    with reader, right:
+        yield reader, right
 
 
 def reader_over(blob: bytes):
@@ -215,6 +259,16 @@ class TestFraming:
         with pytest.raises(framing.ProtocolError, match="trail"):
             framing.decode_message(blob + b"\x00")
 
+    def test_hostile_array_shape_is_a_protocol_error(self):
+        # (2**32, 2**32) wraps to 0 in int64 and matched an empty
+        # body; (0, 2**64 - 1) sizes to 0 exactly but cannot be shaped.
+        for dims in ((2**32, 2**32), (0, 2**64 - 1)):
+            block = struct.pack(">H", 3) + b"<f8"
+            block += struct.pack(">B", len(dims))
+            block += b"".join(struct.pack(">Q", dim) for dim in dims)
+            with pytest.raises(framing.ProtocolError):
+                framing.decode_ndarray(block)
+
     def test_error_codec_reconstructs_type_and_traceback(self):
         try:
             raise ValueError("k must be >= 1")
@@ -307,6 +361,80 @@ class TestFraming:
             assert hashlib.sha256(blob).hexdigest() == digest
 
 
+class TestSocketReader:
+    """The one buffered reader every blocking peer reads through."""
+
+    def test_one_gateway_response_costs_at_most_two_reads(self):
+        # A gateway answer is 10 frames: JSON + ids, distances, counts
+        # and six counters.  Reading frame by frame took 2 reads each.
+        response = SearchResponse(
+            ids=np.arange(10, dtype=np.int64).reshape(1, 10),
+            distances=np.linspace(0.0, 1.0, 10).reshape(1, 10),
+            counts=np.array([10], dtype=np.int64),
+            counters={f"counter{i}": np.array([i], dtype=np.int64) for i in range(6)},
+        )
+        blob = framing.encode_search_response(response, 7)
+        with socket_pair() as (sock, peer), reading(sock) as stream:
+            peer.sendall(blob)
+            message = stream.read_message()
+            assert len(message.arrays) == 9
+            assert sock.reads <= 2, sock.reads
+        rid, decoded = framing.decode_search_response(message)
+        assert rid == 7
+        assert_responses_identical(response, decoded)
+
+    def test_back_to_back_messages_lose_no_bytes(self):
+        first = framing.encode_message(
+            "request", meta={"n": 1}, arrays={"q": np.arange(5.0)}
+        )
+        second = framing.encode_message("ping", meta={"n": 2})
+        with socket_pair() as (sock, peer), reading(sock) as stream:
+            peer.sendall(first + second)  # one send, two messages
+            peer.close()
+            one, two = stream.read_message(), stream.read_message()
+            with pytest.raises(framing.ConnectionClosed):
+                stream.read_message()
+        assert (one.kind, one.meta) == ("request", {"n": 1})
+        assert (two.kind, two.meta) == ("ping", {"n": 2})
+        np.testing.assert_array_equal(one.arrays["q"], np.arange(5.0))
+
+    def test_clean_close_vs_truncation(self):
+        blob = framing.encode_message(
+            "search", arrays={"queries": np.zeros((2, 3))}
+        )
+        json_frame = framing.HEADER_SIZE + struct.unpack_from(">I", blob, 8)[0]
+        # A close before the first byte of a message is clean.
+        with socket_pair() as (sock, peer), reading(sock) as stream:
+            peer.close()
+            with pytest.raises(framing.ConnectionClosed):
+                stream.read_message()
+        # Mid-header, mid-payload, between the JSON frame and its
+        # announced ndarray frame, and mid-ndarray: all truncation.
+        for cut in (3, framing.HEADER_SIZE + 2, json_frame, len(blob) - 4):
+            with socket_pair() as (sock, peer), reading(sock) as stream:
+                peer.sendall(blob[:cut])
+                peer.close()
+                with pytest.raises(framing.FrameTruncated):
+                    stream.read_message()
+
+    def test_oversize_length_refused_before_its_body_is_read(self):
+        header = struct.pack(
+            ">4sBBHI",
+            framing.MAGIC,
+            framing.PROTOCOL_VERSION,
+            framing.MSG_JSON,
+            0,
+            2**31,
+        )
+        with socket_pair() as (sock, peer), reading(sock) as stream:
+            # The peer stays open: reading the body would block until
+            # the socket's timeout, not fail on the cap.
+            peer.sendall(header)
+            with pytest.raises(framing.ProtocolError, match="cap") as info:
+                stream.read_message(max_frame_bytes=1024)
+        assert not isinstance(info.value, framing.FrameTruncated)
+
+
 # ----------------------------------------------------------------------
 # Worker transport: in-thread server + ShardClient
 # ----------------------------------------------------------------------
@@ -386,8 +514,8 @@ class TestShardTransport:
 
         def stale_worker():
             conn, _ = listener.accept()
-            with conn:
-                framing.read_message_from_socket(conn)
+            with conn, reading(conn) as stream:
+                stream.read_message()
                 conn.sendall(reply)
 
         thread = threading.Thread(target=stale_worker, daemon=True)
@@ -410,13 +538,111 @@ class TestShardTransport:
             host, port = server.address
             with socket.create_connection((host, port), timeout=10) as sock:
                 sock.sendall(b"NOTAFRAME-------")
-                message = framing.read_message_from_socket(sock)
-                kind, payload = framing.reply_payload(message)
-                assert kind == "error"
-                assert sock.recv(1) == b""  # stream unframed: hang up
+                with reading(sock) as stream:
+                    kind, payload = framing.reply_payload(
+                        stream.read_message()
+                    )
+                    assert kind == "error"
+                    # Stream unframed: hang up.
+                    with pytest.raises(framing.ConnectionClosed):
+                        stream.read_message()
             # The worker survives for well-formed clients.
             with ShardClient(endpoint_of(server)) as client:
                 client.ping()
+
+    def test_hostile_array_header_gets_error_frame_not_worker_death(
+        self, setup, memory_index
+    ):
+        data, _ = setup
+        with inproc_server(memory_index) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(hostile_request())
+                with reading(sock) as stream:
+                    kind, payload = framing.reply_payload(
+                        stream.read_message()
+                    )
+                    assert kind == "error"
+                    assert isinstance(payload, framing.ProtocolError)
+                    with pytest.raises(framing.ConnectionClosed):
+                        stream.read_message()
+            with ShardClient(endpoint_of(server)) as client:
+                client.ping()
+                assert_responses_identical(
+                    search(memory_index, data.queries, k=5, beam_width=16),
+                    client.search(data.queries, 5, 16, {}),
+                )
+
+    def test_read_timeout_reconnects_with_a_fresh_reader(self):
+        # The first connection answers with 5 bytes of a frame and
+        # stalls.  After the timeout the client must reconnect with a
+        # new reader: the old one's buffered bytes would mis-frame the
+        # second connection's reply.
+        reply = framing.encode_message("pong")
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()[:2]
+        timed_out = threading.Event()
+
+        def stalling_then_sound():
+            conn, _ = listener.accept()
+            with conn, reading(conn) as stream:
+                stream.read_message()
+                conn.sendall(reply[:5])
+                timed_out.wait(10)
+            conn, _ = listener.accept()
+            with conn, reading(conn) as stream:
+                stream.read_message()
+                conn.sendall(reply)
+                with contextlib.suppress(framing.ConnectionClosed):
+                    stream.read_message()
+
+        thread = threading.Thread(target=stalling_then_sound, daemon=True)
+        thread.start()
+        try:
+            with ShardClient(f"{host}:{port}", read_timeout_s=0.3) as client:
+                client.send(framing.encode_message("ping"))
+                first = client._stream
+                with pytest.raises(ReplicaDied) as excinfo:
+                    client.recv("pong")
+                assert isinstance(excinfo.value.__cause__, TimeoutError)
+                assert client._stream is None
+                timed_out.set()
+                client.ping()
+                assert client._stream is not None
+                assert client._stream is not first
+        finally:
+            timed_out.set()
+            thread.join(timeout=10)
+            listener.close()
+
+    def test_unframed_reply_drops_the_connection(self):
+        # A reply with bad magic is a typed ProtocolError, and the rest
+        # of that stream is never read as the next reply.
+        good = framing.encode_message("pong")
+        bad = b"EVIL" + good[4:]
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()[:2]
+
+        def unframed_then_sound():
+            for reply in (bad + good, good):
+                conn, _ = listener.accept()
+                with conn, reading(conn) as stream:
+                    stream.read_message()
+                    conn.sendall(reply)
+                    with contextlib.suppress(framing.ConnectionClosed):
+                        stream.read_message()  # until the client leaves
+
+        thread = threading.Thread(target=unframed_then_sound, daemon=True)
+        thread.start()
+        try:
+            with ShardClient(f"{host}:{port}", read_timeout_s=10.0) as client:
+                with pytest.raises(framing.ProtocolError, match="magic"):
+                    client.ping()
+                assert client._stream is None
+                client.ping()
+        finally:
+            thread.join(timeout=10)
+            listener.close()
 
     def test_dead_worker_surfaces_replica_died(self, memory_index):
         with inproc_server(memory_index) as server:
@@ -439,8 +665,8 @@ class TestShardTransport:
 
         def half_answer():
             conn, _ = listener.accept()
-            with conn:
-                framing.read_message_from_socket(conn)
+            with conn, reading(conn) as stream:
+                stream.read_message()
                 conn.sendall(reply[: len(reply) - 3])
 
         thread = threading.Thread(target=half_answer, daemon=True)
@@ -614,11 +840,29 @@ class TestGateway:
             host, port = gw.address
             with socket.create_connection((host, port), timeout=10) as sock:
                 sock.sendall(b"\x00" * framing.HEADER_SIZE)
-                message = framing.read_message_from_socket(sock)
-                kind, _ = framing.reply_payload(message)
-                assert kind == "error"
-                assert sock.recv(1) == b""
+                with reading(sock) as stream:
+                    kind, _ = framing.reply_payload(stream.read_message())
+                    assert kind == "error"
+                    with pytest.raises(framing.ConnectionClosed):
+                        stream.read_message()
             assert gw.gateway.stats.protocol_errors_total >= 1
+
+    def test_hostile_array_header_answers_error_frame_and_hangs_up(
+        self, memory_index
+    ):
+        with GatewayThread(memory_index) as gw:
+            host, port = gw.address
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(hostile_request())
+                with reading(sock) as stream:
+                    message = stream.read_message()
+                    kind, payload = framing.reply_payload(message)
+                    assert kind == "error"
+                    assert message.meta["id"] is None  # connection-level
+                    assert isinstance(payload, framing.ProtocolError)
+                    with pytest.raises(framing.ConnectionClosed):
+                        stream.read_message()
+            assert gw.gateway.stats.protocol_errors_total == 1
 
     def test_client_disconnect_mid_flight_does_not_kill_gateway(
         self, setup, memory_index
@@ -701,7 +945,7 @@ class TestGatewayBatching:
                     )
 
                 # One request occupies the batcher's worker, then 31
-                # more fill the connection's 32 admission slots.
+                # more are admitted behind it.
                 futures = [submit(rows[0])]
                 assert index.first_started.wait(30)
                 futures += [submit(row) for row in rows[1:]]
@@ -716,6 +960,31 @@ class TestGatewayBatching:
         assert index.batch_sizes[0] == 1
         # A thread parked per request would cap this at the pool size.
         assert index.batch_sizes[1] > 16, index.batch_sizes
+
+    def test_one_connection_fills_a_size_triggered_batch(
+        self, setup, memory_index
+    ):
+        # The admission cap defaults to twice the batch size, so one
+        # pipelined connection can fill a batch.  A cap below 64 would
+        # leave the batch waiting out its 60 s deadline.
+        data, _ = setup
+        index = _RecordingIndex(memory_index)
+        rows = [i % data.queries.shape[0] for i in range(64)]
+        requests = [
+            SearchRequest(
+                queries=data.queries[row : row + 1], k=5, beam_width=16
+            )
+            for row in rows
+        ]
+        with GatewayThread(
+            index, max_batch_size=64, max_wait_ms=60_000
+        ) as gw:
+            with NetClient(gw.connect) as client:
+                futures = [client.submit_request(r) for r in requests]
+                responses = [future.result(timeout=30) for future in futures]
+        assert index.batch_sizes == [64]
+        for request, response in zip(requests, responses):
+            assert_responses_identical(memory_index.search(request), response)
 
     def test_request_straddling_micro_batches_reassembles_bitwise(
         self, setup, memory_index
