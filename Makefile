@@ -36,7 +36,8 @@ test-build:
 		tests/test_graph_golden.py tests/test_prune.py \
 		tests/test_nsg_mrng.py tests/test_robust_prune.py
 
-# The shard fleet: the one five-scenario parity matrix (tests/fleet.py)
+# The shard fleet: the one five-scenario parity matrix (tests/fleet.py;
+# thread, process and socket kinds, the last two one worker transport)
 # at replicas = 1 (test_shard_backends) and replicas = 2
 # (test_replication), plus routing/failover/supervisor coverage.
 test-replication:
@@ -49,7 +50,8 @@ test-replication:
 test-net:
 	$(PYTHON) -m pytest -x -q tests/test_net.py
 
-# The SIGKILL chaos gates alone (fast lane): kill a process worker
+# The SIGKILL chaos gates alone (fast lane): kill a process worker (a
+# ShardServer on its own AF_UNIX socket, reached through a ShardClient)
 # under traffic.  replicas = 2: zero failed requests, bitwise-identical
 # answers.  replicas = 1: typed ReplicaDied, never a padded answer.
 # Either way the supervisor respawns the worker.  Correctness-gated,

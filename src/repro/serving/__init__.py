@@ -12,9 +12,11 @@ This package turns the library into the shape of a server (see
   ``insert_batch``/``delete`` for the streaming scenario.
 * :class:`ShardBackend` — the one fan-out: ``replicas >= 1`` replicas
   per shard of one registered kind (``"thread"``: the in-process
-  object on a shared pool; ``"process"``: persistent worker processes
-  fed via ``save_index``/``load_index``; ``"socket"``: remote TCP
-  workers), with least-loaded routing, transparent in-request failover
+  object on a shared pool; ``"process"``: persistent local worker
+  processes fed via ``save_index``/``load_index``; ``"socket"``:
+  remote TCP workers — the two worker kinds one transport, a
+  ``ShardServer`` reached through a ``ShardClient``), with
+  least-loaded routing, transparent in-request failover
   (a shard with no sibling fails loudly with :class:`ReplicaDied`),
   and a background supervisor that respawns dead workers from shipped
   state off the search critical path.
@@ -26,9 +28,10 @@ This package turns the library into the shape of a server (see
 Both compose: a batcher over a sharded index is the classic
 DiskANN-server architecture — queue → batcher → sharded fan-out →
 merge.  The :mod:`repro.serving.net` subpackage puts the network edge
-on top: a versioned binary wire protocol shared with the pipe workers,
-``repro serve-shard`` TCP workers behind a ``"socket"`` backend, and
-the asyncio gateway (``experiment serve --listen``).
+on top: a versioned binary wire protocol, the one shard-worker
+transport (``repro serve-shard`` TCP workers behind a ``"socket"``
+backend, AF_UNIX workers behind a ``"process"`` one), and the asyncio
+gateway (``experiment serve --listen``).
 """
 
 from .backends import (

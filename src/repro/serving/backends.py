@@ -14,23 +14,26 @@ registered by name in :data:`SHARD_BACKENDS`:
   those portions; the Python-level beam loop still serializes on the
   GIL.  Runs in the parent, so it cannot die and its pool is capped at
   the usable CPU count.
-* ``"process"`` (:class:`_ProcessReplica`) — a persistent worker
-  process.  Each shard's state is shipped once through
-  :func:`repro.api.save_index` into a temporary directory shared by
-  all of that shard's replicas; a spawn-context worker maps it back
-  (no state is inherited, only the directory path crosses the
-  ``Process`` boundary) and answers frame-coded messages over a pipe.
-  One GIL per worker: the whole search runs in parallel.
+* ``"process"`` (:class:`repro.serving.net.backend._ProcessReplica`) —
+  a persistent local worker process.  Each shard's state is shipped
+  once through :func:`repro.api.save_index` into a temporary directory
+  shared by all of that shard's replicas; a spawn-context worker maps
+  it back (no state is inherited, only the directory path crosses the
+  ``Process`` boundary) and serves it on an AF_UNIX socket in that
+  directory.  One GIL per worker: the whole search runs in parallel.
 * ``"socket"`` (:class:`repro.serving.net.backend._SocketReplica`) —
   a remote ``repro serve-shard`` worker reached over TCP at a
-  configured ``host:port``; registered by :mod:`repro.serving.net`.
+  configured ``host:port``.
 
-Results are bitwise identical across kinds and replica counts: the
-persistence layer round-trips every array exactly, the engine is
-deterministic, both transports carry float64/int64 arrays as raw bytes
-via the shared frame codec (:mod:`repro.serving.net.framing`), and both
-worker loops are :class:`~repro.serving.net.worker.ShardService` — so
-the choice is purely a wall-clock and availability decision.
+The two worker kinds are one transport, registered by
+:mod:`repro.serving.net`: the same :class:`~repro.serving.net.worker.
+ShardServer` worker loop reached through the same
+:class:`~repro.serving.net.client.ShardClient`, speaking the shared
+frame codec (:mod:`repro.serving.net.framing`), which carries
+float64/int64 arrays as raw bytes.  Results are bitwise identical
+across kinds and replica counts: the persistence layer round-trips
+every array exactly and the engine is deterministic — so the choice is
+purely a wall-clock and availability decision.
 
 Two failure behaviours are decided here, once:
 
@@ -53,7 +56,6 @@ to every live replica before the next search.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import shutil
 import tempfile
@@ -83,8 +85,8 @@ def usable_cpu_count() -> int:
 
 
 class ReplicaDied(RuntimeError):
-    """A replica's execution substrate died (dead process, closed pipe
-    or socket) — distinct from an application error the search itself
+    """A replica's execution substrate died (dead process or closed
+    socket) — distinct from an application error the search itself
     raised.  Only this failure mode triggers in-request failover."""
 
 
@@ -132,57 +134,15 @@ def _unwrap_reply(kind: str, payload, expected: str, who: str):
     return payload
 
 
-def _encode_request(request) -> bytes:
-    """The wire form of one search, encoded once per fan-out (a
-    replica carries one request at a time, so the id is moot)."""
-    from .net import framing
-
-    return framing.encode_search_request(request, 0)
-
-
-def _shard_worker_main(dirpath: str, conn) -> None:
-    """Entry point of one persistent shard worker process.
-
-    The pipe twin of the TCP worker's connection loop: boot a
-    :class:`~repro.serving.net.worker.ShardService` from the shipped
-    directory, acknowledge readiness, then answer one whole
-    :mod:`~repro.serving.net.framing` message buffer per
-    ``recv_bytes`` — the exact bytes a socket worker would read off a
-    TCP stream — until a ``stop`` message or a closed pipe.  Every
-    failure ships as an explicit error message (the encoder never
-    raises), and a pipe that closes mid-report just ends the loop: the
-    parent sees EOF and reports the worker death.
-    """
-    from .net import framing
-    from .net.worker import ShardService
-
-    try:
-        try:
-            service = ShardService.from_dir(dirpath)
-        except BaseException as exc:  # surface load failures
-            conn.send_bytes(framing.encode_error(exc))
-            return
-        reply = framing.encode_message("ready")
-        while reply is not None:
-            conn.send_bytes(reply)
-            try:
-                reply = service.handle(
-                    framing.decode_message(conn.recv_bytes())
-                )
-            except framing.ProtocolError as exc:
-                reply = framing.encode_error(exc)
-    except (EOFError, OSError):
-        return
-
-
 # ----------------------------------------------------------------------
 # Replica kinds.  Duck-typed: ``alive`` / ``restarts`` / ``in_flight``
 # bookkeeping (guarded by the backend's fleet lock), a one-in-flight
 # ``lock`` held from ``submit`` to ``result``, and two class flags the
 # backend reads its policy from — ``ships_state`` (the parent persists
-# each shard, spawns the workers and re-ships on write) and ``remote``
-# (workers live at endpoints the parent does not own).  A kind with
-# neither runs in the parent: it cannot die and its pool is CPU-capped.
+# each shard, starts the workers with ``spawn`` + ``wait_ready`` and
+# re-ships on write with ``reload``) and ``remote`` (workers live at
+# endpoints the parent does not own).  A kind with neither runs in the
+# parent: it cannot die and its pool is CPU-capped.
 # ----------------------------------------------------------------------
 
 
@@ -220,109 +180,6 @@ class _ThreadReplica:
 
     def stop(self) -> None:
         pass
-
-
-class _ProcessReplica:
-    """One persistent worker process serving one replica slot.
-
-    All replicas of a shard map the same shipped directory (state is
-    saved once per shard, not once per replica), and each owns a
-    private pipe, so replicas fail — and fail over — one at a time.
-    Spawned lazily on the first search: ``alive`` is ``False`` and
-    ``pid`` is ``None`` until the ready handshake.
-    """
-
-    kind = "process"
-    ships_state, remote = True, False
-    endpoint = None
-    encode = staticmethod(_encode_request)
-
-    def __init__(self, shard_id: int, replica_id: int, shard: object):
-        self.shard_id, self.replica_id = shard_id, replica_id
-        self.alive, self.restarts, self.in_flight = False, 0, 0
-        self.lock = threading.Lock()
-        self._who = f"shard {shard_id} replica {replica_id}"
-        self._dirpath = self._proc = self._conn = None
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self._proc.pid if self._proc is not None else None
-
-    def process_alive(self) -> bool:
-        return self._proc is not None and self._proc.is_alive()
-
-    def spawn(self, dirpath: str) -> None:
-        context = multiprocessing.get_context("spawn")
-        parent_conn, child_conn = context.Pipe()
-        proc = context.Process(
-            target=_shard_worker_main,
-            args=(dirpath, child_conn),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        self._dirpath, self._proc, self._conn = dirpath, proc, parent_conn
-
-    def submit(self, blob: bytes, pool=None) -> None:
-        try:
-            self._conn.send_bytes(blob)
-        except (OSError, ValueError) as exc:
-            raise ReplicaDied(f"{self._who} died (pipe closed)") from exc
-
-    def result(self, expected: str = "response", timeout=None):
-        from .net import framing
-
-        try:
-            if timeout is not None and not self._conn.poll(timeout):
-                raise ReplicaDied(
-                    f"{self._who} did not answer within {timeout:.0f}s"
-                )
-            blob = self._conn.recv_bytes()
-        except (EOFError, OSError) as exc:
-            raise ReplicaDied(f"{self._who} died mid-request") from exc
-        return _unwrap_reply(*framing.decode_reply(blob), expected, self._who)
-
-    def reload(self) -> None:
-        from .net import framing
-
-        self.submit(framing.encode_message("reload"))
-        self.result("ready")
-
-    def respawn_and_verify(self, timeout: float) -> bool:
-        """Remediate + verify: a fresh worker from the shipped state,
-        then a health probe (the worker loop must answer, not just
-        exist); ``False`` (after cleanup) if either step fails."""
-        from .net import framing
-
-        self.stop()
-        try:
-            self.spawn(self._dirpath)
-            self.result("ready", timeout)
-            self.submit(framing.encode_message("ping"))
-            self.result("pong", timeout)
-            return True
-        except Exception:
-            self.stop()
-            return False
-
-    def stop(self) -> None:
-        """Protocol ``stop``, then terminate + reap, and close the pipe
-        (kept, closed, so a late ``submit`` fails typed); safe on a
-        dead or never-spawned replica."""
-        from .net import framing
-
-        if self._proc is None:
-            return
-        try:
-            self._conn.send_bytes(framing.encode_message("stop"))
-        except (OSError, ValueError):
-            pass
-        self._proc.join(timeout=5)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=5)
-        self._proc = None
-        self._conn.close()
 
 
 def _shutdown_fleet(fleet, stop_event, tmpdir) -> None:
@@ -481,7 +338,7 @@ class ShardBackend:
                         replica.spawn(dirpath)
                 for row in self._fleet:
                     for replica in row:
-                        replica.result("ready")
+                        replica.wait_ready()
                         replica.alive = True
             if self._width > 1:
                 self._pool = ThreadPoolExecutor(
@@ -696,9 +553,10 @@ class ShardBackend:
     # ------------------------------------------------------------------
     def fleet_status(self) -> List[dict]:
         """Per-replica rows, one shape for every kind and replica
-        count: ``pid`` is the worker's real pid for the process kind
-        (``None`` until it is spawned), ``endpoint`` is ``None`` off
-        the socket kind."""
+        count: ``pid`` and ``endpoint`` are the process kind's worker
+        pid and AF_UNIX socket path (``None`` until it is spawned);
+        ``endpoint`` is the socket kind's ``host:port`` and ``None``
+        for the thread kind."""
         with self._fleet_lock:
             return [
                 {
@@ -718,10 +576,7 @@ class ShardBackend:
 
 #: Registered replica kinds, keyed by the name the
 #: ``ShardingSpec.backend`` field / ``--shard-backend`` flag use.
-SHARD_BACKENDS: Dict[str, type] = {
-    _ThreadReplica.kind: _ThreadReplica,
-    _ProcessReplica.kind: _ProcessReplica,
-}
+SHARD_BACKENDS: Dict[str, type] = {_ThreadReplica.kind: _ThreadReplica}
 
 
 def shard_backend_names() -> List[str]:

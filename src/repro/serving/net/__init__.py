@@ -3,13 +3,15 @@
 Three layers (see ``docs/architecture.md``, "Network tier"):
 
 * :mod:`~repro.serving.net.framing` — the length-prefixed, versioned
-  binary frame codec every transport in the repo speaks (pipes and
-  sockets alike: one protocol definition repo-wide);
+  binary frame codec every peer in the repo speaks (one protocol
+  definition repo-wide);
 * :mod:`~repro.serving.net.worker` / :mod:`~repro.serving.net.client`
-  / :mod:`~repro.serving.net.backend` — ``repro serve-shard`` TCP
-  workers, their blocking clients, and the ``"socket"`` replica kind
-  the :class:`~repro.serving.backends.ShardBackend` fleet reaches them
-  through (registered into ``SHARD_BACKENDS`` on import);
+  / :mod:`~repro.serving.net.backend` — the one shard-worker
+  transport: a ``ShardServer`` worker (``repro serve-shard`` on TCP,
+  or a locally spawned ``LocalShardWorker`` on an AF_UNIX socket), the
+  ``ShardClient`` that reaches it, and the ``"socket"`` and
+  ``"process"`` replica kinds built on the two (registered into
+  ``SHARD_BACKENDS`` on import);
 * :mod:`~repro.serving.net.gateway` — the asyncio TCP front door
   (``experiment serve --listen``) multiplexing many client
   connections onto the :class:`~repro.serving.batcher.DynamicBatcher`,

@@ -1,26 +1,33 @@
-"""The ``"socket"`` replica kind: remote TCP workers in the one fleet.
+"""The worker replica kinds, ``"socket"`` and ``"process"``: one
+transport, a :class:`~repro.serving.net.worker.ShardServer` worker
+reached through a :class:`~repro.serving.net.client.ShardClient`.
 
-Registers :class:`_SocketReplica` into
-:data:`~repro.serving.backends.SHARD_BACKENDS`, so a
-:class:`~repro.serving.backends.ShardBackend` of kind ``"socket"``
-answers each shard's ``search(request)`` from a remote worker (``repro
-serve-shard``) reached at a configured ``host:port`` endpoint — the
-parent never holds the shard state, only addresses.
+Registers both into :data:`~repro.serving.backends.SHARD_BACKENDS`.
+A socket replica dials a remote ``repro serve-shard`` worker at a
+configured ``host:port`` (the parent holds only addresses); a process
+replica spawns a :class:`~repro.serving.net.worker.LocalShardWorker`
+from the shard state the parent shipped, on an AF_UNIX socket inside
+the backend's private (mode 0700) temporary directory — unlike a
+loopback port, not open to every local process.
 
-Remote workers get exactly the routing / failover / supervisor policy
-every other kind has: a worker death surfaces as ``ReplicaDied``
-mid-request, and the supervisor's respawn step becomes
-reconnect-and-ping (plus an optional external respawner hook, since
-the parent does not own a remote machine's process table).
+Both get exactly the routing / failover / supervisor policy every kind
+has: a worker death surfaces as ``ReplicaDied`` mid-request, and the
+supervisor's remediation is respawn, then reconnect-and-ping (the
+process kind respawns its own worker; the socket kind runs an optional
+external respawner hook, since the parent does not own a remote
+machine's process table).
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import List, Optional, Sequence
 
-from ..backends import SHARD_BACKENDS, _encode_request
+from ..backends import RESPAWN_TIMEOUT_S, SHARD_BACKENDS
+from . import framing
 from .client import ShardClient
+from .worker import LocalShardWorker
 
 
 def normalize_endpoints(
@@ -80,7 +87,11 @@ class _SocketReplica:
     kind = "socket"
     ships_state, remote = False, True
     pid = None  # remote process: not ours to observe
-    encode = staticmethod(_encode_request)
+    # Encoded once per fan-out; one request per connection at a time,
+    # so the id is moot.
+    encode = staticmethod(
+        lambda request: framing.encode_search_request(request, 0)
+    )
 
     def __init__(
         self, shard_id: int, replica_id: int, endpoint: str, respawner=None
@@ -123,4 +134,53 @@ class _SocketReplica:
         self._client.close()
 
 
+class _ProcessReplica(_SocketReplica):
+    """One local worker process serving one replica slot.
+
+    All replicas of a shard map the same shipped directory (state is
+    saved once per shard, not once per replica); each has its own
+    worker on its own socket, ``<shard dir>-<replica>.sock``, so
+    replicas fail — and fail over — one at a time.  Spawned lazily on
+    the first search; the supervisor's respawner is the worker's own
+    ``respawn``.
+    """
+
+    kind = "process"
+    ships_state, remote = True, False
+
+    def __init__(self, shard_id: int, replica_id: int, shard: object):
+        self.shard_id, self.replica_id = shard_id, replica_id
+        self.alive, self.restarts, self.in_flight = False, 0, 0
+        self.lock = threading.Lock()
+        self.endpoint = self._worker = self._client = self._respawner = None
+
+    @property
+    def pid(self) -> Optional[int]:
+        return self._worker.pid if self._worker is not None else None
+
+    def process_alive(self) -> bool:
+        return self._worker is not None and self._worker.is_alive()
+
+    def spawn(self, dirpath: str) -> None:
+        self.endpoint = f"{dirpath}-{self.replica_id}.sock"
+        self._worker = LocalShardWorker(dirpath, self.endpoint, wait=False)
+        self._respawner = functools.partial(
+            self._worker.respawn, RESPAWN_TIMEOUT_S
+        )
+        self._client = ShardClient(self.endpoint)
+
+    def wait_ready(self) -> None:
+        self._worker.wait_ready(RESPAWN_TIMEOUT_S)
+
+    def reload(self) -> None:
+        self._client.reload()
+
+    def stop(self) -> None:
+        if self._worker is not None:
+            self._client.close()
+            self._worker.stop()
+        self.endpoint = self._worker = self._client = self._respawner = None
+
+
 SHARD_BACKENDS[_SocketReplica.kind] = _SocketReplica
+SHARD_BACKENDS[_ProcessReplica.kind] = _ProcessReplica

@@ -1,8 +1,10 @@
 """Blocking clients for the network tier.
 
 :class:`ShardClient` is the backend side: one connection to one shard
-worker, speaking the worker protocol (``ping``/``reload``/``request``)
-with connect/read timeouts and bounded exponential-backoff reconnect.
+worker — a TCP ``host:port`` or the AF_UNIX socket path of a
+``"process"``-kind worker — speaking the worker protocol
+(``ping``/``reload``/``request``) with connect/read timeouts and
+bounded exponential-backoff reconnect.
 Worker death surfaces as the fleet's
 :class:`~repro.serving.backends.ReplicaDied`, so its failover and
 supervisor policy applies unchanged to remote workers.
@@ -28,7 +30,7 @@ from typing import Optional
 from ...api.protocol import SearchRequest
 from ..backends import ReplicaDied, _raise_worker_error, _unwrap_reply
 from . import framing
-from .worker import parse_hostport
+from .worker import is_socket_path, parse_hostport
 
 
 class ShardClient:
@@ -54,7 +56,11 @@ class ShardClient:
         max_frame_bytes: int = framing.DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
         self.endpoint = str(endpoint)
-        self._host, self._port = parse_hostport(endpoint)
+        self._address = (
+            self.endpoint
+            if is_socket_path(self.endpoint)
+            else parse_hostport(self.endpoint)
+        )
         self._connect_timeout_s = float(connect_timeout_s)
         self._read_timeout_s = read_timeout_s
         self._max_retries = int(max_retries)
@@ -64,13 +70,23 @@ class ShardClient:
         self._sock: Optional[socket.socket] = None
         self._stream: Optional[framing.SocketReader] = None
         # One request/reply in flight per connection: interleaved
-        # writes would cross-deliver replies (same rule as the pipes).
+        # writes would cross-deliver replies.
         self._lock = threading.Lock()
 
     # -- connection lifecycle ------------------------------------------
     def _connect_once(self) -> socket.socket:
+        if isinstance(self._address, str):  # an AF_UNIX socket path
+            sock = socket.socket(socket.AF_UNIX)
+            sock.settimeout(self._connect_timeout_s)
+            try:
+                sock.connect(self._address)
+            except OSError:
+                sock.close()
+                raise
+            sock.settimeout(self._read_timeout_s)
+            return sock
         sock = socket.create_connection(
-            (self._host, self._port), timeout=self._connect_timeout_s
+            self._address, timeout=self._connect_timeout_s
         )
         sock.settimeout(self._read_timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

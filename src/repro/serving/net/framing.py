@@ -1,8 +1,9 @@
 """The wire protocol: length-prefixed, versioned binary framing.
 
-This module is the *single* protocol definition for every transport in
-the repo — the socket shard workers, the asyncio gateway, and the
-process backend's pipes all speak it (see ``docs/architecture.md``,
+This module is the *single* protocol definition of the repo: the one
+shard-worker transport (TCP ``serve-shard`` workers and the process
+kind's AF_UNIX workers alike), the asyncio gateway, and a local
+worker's boot report all speak it (see ``docs/architecture.md``,
 "Network tier").
 
 Frame layout (all integers big-endian)::
@@ -24,8 +25,7 @@ A logical *message* is one JSON header frame ::
 followed by exactly ``len(arrays)`` ndarray frames, in order.  Error
 messages (``kind="error"``) carry the worker-side exception type,
 message, and formatted ``remote_traceback`` so remote failures re-raise
-with their real frames attached (the ``concurrent.futures`` idiom the
-pipe backend already used).
+with their real frames attached (the ``concurrent.futures`` idiom).
 
 Strictness rules, enforced on every decode path:
 
@@ -322,7 +322,8 @@ def _read_body(read_exactly: Callable[[int], bytes], length: int) -> bytes:
 def decode_message(
     buffer: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
 ) -> Message:
-    """Decode one message from a complete byte buffer (pipe transport).
+    """Decode one message from a complete byte buffer (a local
+    worker's boot report, or a buffer encoded in memory).
 
     The buffer must contain exactly one message — trailing bytes are a
     framing error, not a second message.
@@ -405,8 +406,8 @@ def encode_error(
     """An explicit error frame carrying type, message, and the remote
     traceback (``tb`` defaults to the currently handled exception's).
 
-    Never raises — it is the one error encoder behind both worker
-    transports, and a failure to *report* must not replace the failure
+    Never raises — it is the one error encoder of every worker, and a
+    failure to *report* must not replace the failure
     being reported (the peer would read EOF and call the worker dead).
     An exception whose ``str``/``repr`` itself fails degrades to a
     plain ``RuntimeError`` carrying whatever could be rendered.
@@ -479,21 +480,6 @@ def decode_error(message: Message) -> BaseException:
 # ----------------------------------------------------------------------
 # Worker replies (ready / pong / response / error)
 # ----------------------------------------------------------------------
-
-
-def decode_reply(
-    blob: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> Tuple[str, object]:
-    """Decode one worker reply buffer into ``(kind, payload)``.
-
-    ``kind`` is one of ``"ready"``, ``"pong"``, ``"response"``,
-    ``"error"``; the payload is the decoded
-    :class:`~repro.api.SearchResponse`, the rebuilt exception, or
-    ``None``.  Any other kind passes through undecoded for the caller
-    to reject.
-    """
-    message = decode_message(blob, max_frame_bytes)
-    return reply_payload(message)
 
 
 def reply_payload(message: Message) -> Tuple[str, object]:

@@ -29,9 +29,10 @@ blocks on a search.  Concurrency model, per connection:
   ``B = 0`` requests — run on a small private thread pool.
 
 Shutdown (``SIGTERM``/``SIGINT`` or :meth:`Gateway.shutdown`) stops
-accepting, waits for in-flight requests to drain, then closes every
-batcher with ``flush=True`` — mirroring ``DynamicBatcher.close``'s
-flush-or-cancel contract.
+accepting, starts every batcher's ``flush=True`` close (queued rows
+are answered at once, not after ``max_wait_ms``) — mirroring
+``DynamicBatcher.close``'s flush-or-cancel contract — then waits for
+in-flight requests to drain and joins the batchers.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ class Gateway:
             pass
 
     async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, let in-flight requests
-        finish and their responses flush, then close the batchers.
+        """Graceful drain: stop accepting, flush the batchers' queued
+        rows, let in-flight requests finish and their responses flush,
+        then join the batchers.
 
         Connection tasks blocked *reading* are cancelled (no new work
         is admitted); each drains its in-flight request tasks — which
@@ -154,6 +156,14 @@ class Gateway:
             await self._server.wait_closed()
         for task in list(self._conn_tasks):
             task.cancel()
+        # One loop turn lets created request tasks queue their rows (no
+        # reader admits more); then the batchers flush them now, not
+        # after max_wait_ms, without blocking the loop.
+        await asyncio.sleep(0)
+        with self._batchers_lock:
+            batchers = list(self._batchers.values())
+        for batcher in batchers:
+            batcher.close(flush=True, timeout=0)
         if self._conn_tasks:
             await asyncio.gather(
                 *list(self._conn_tasks), return_exceptions=True

@@ -1,12 +1,14 @@
-"""Remote shard workers: ``repro serve-shard`` over TCP.
+"""Shard workers: the one worker loop, its server, and local spawning.
 
-:class:`ShardService` is the one worker loop behind both transports —
-the process kind's pipe worker and the TCP server here both boot it
-from a persisted index directory (the deploy artifact) and answer the
-shared frame protocol with it: ``ping``/``reload``/``request``/``stop``
-messages in, ``pong``/``ready``/``response``/``error`` messages out,
-byte-for-byte the same buffers on a pipe, a TCP stream, or a gateway
-client's connection.
+:class:`ShardService` is the one worker loop: booted from a persisted
+index directory (the deploy artifact), it answers the shared frame
+protocol — ``ping``/``reload``/``request`` messages in,
+``pong``/``ready``/``response``/``error`` messages out.
+:class:`ShardServer` is the one transport every worker runs: a
+``repro serve-shard`` worker listens on TCP, and the process kind's
+worker (a :class:`LocalShardWorker`) on an AF_UNIX socket inside its
+backend's private temporary directory; both are reached through the
+same :class:`~repro.serving.net.client.ShardClient`.
 
 The server is deliberately boring: one accepting thread plus one
 thread per client connection, with searches serialized under a single
@@ -30,8 +32,10 @@ import signal
 import socket
 import socketserver
 import threading
+import time
 from typing import Optional, Tuple
 
+from ..backends import _unwrap_reply
 from . import framing
 
 
@@ -48,6 +52,12 @@ def parse_hostport(text: str) -> Tuple[str, int]:
         raise ValueError(
             f"endpoint {text!r} has a non-integer port"
         ) from None
+
+
+def is_socket_path(address: str) -> bool:
+    """An address holding a ``/`` is the path of an AF_UNIX socket;
+    anything else is a TCP host (or ``host:port``)."""
+    return "/" in str(address)
 
 
 class ShardService:
@@ -73,16 +83,14 @@ class ShardService:
 
         return cls(load_index(dirpath), dirpath=dirpath)
 
-    def handle(self, message: framing.Message) -> Optional[bytes]:
-        """One reply buffer per request; ``None`` means "stop"."""
+    def handle(self, message: framing.Message) -> bytes:
+        """One reply buffer per request."""
         try:
             if message.kind == "ping":
                 # Health probe: proves the worker loop is responsive
                 # (not just that the process exists) — the supervisor's
                 # verify step before re-admission.
                 return framing.encode_message("pong")
-            if message.kind == "stop":
-                return None
             if message.kind == "reload":
                 if self._dirpath is None:
                     raise RuntimeError(
@@ -132,13 +140,7 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
                     return
                 server.begin_request()
                 try:
-                    reply = server.service.handle(message)
-                    if reply is None:  # protocol "stop"
-                        threading.Thread(
-                            target=server.shutdown, daemon=True
-                        ).start()
-                        return
-                    sock.sendall(reply)
+                    sock.sendall(server.service.handle(message))
                 except OSError:
                     return  # client went away mid-reply
                 finally:
@@ -146,7 +148,9 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
 
 
 class ShardServer(socketserver.ThreadingTCPServer):
-    """Threaded TCP server speaking the shard-worker protocol."""
+    """Threaded stream server speaking the shard-worker protocol: TCP
+    on ``(host, port)``, or AF_UNIX when ``host`` is a socket path
+    (:func:`is_socket_path`; ``port`` is then unused)."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -162,12 +166,23 @@ class ShardServer(socketserver.ThreadingTCPServer):
         self.max_frame_bytes = int(max_frame_bytes)
         self._inflight = 0
         self._inflight_cv = threading.Condition()
-        super().__init__((host, port), _ShardRequestHandler)
+        address = (host, port)
+        if is_socket_path(host):
+            self.address_family, address = socket.AF_UNIX, host
+        super().__init__(address, _ShardRequestHandler)
 
     @property
     def address(self) -> Tuple[str, int]:
         host, port = self.socket.getsockname()[:2]
         return host, port
+
+    @property
+    def endpoint(self) -> str:
+        """What a :class:`~repro.serving.net.client.ShardClient` dials:
+        ``"host:port"``, or the AF_UNIX socket's path."""
+        if self.address_family == socket.AF_UNIX:
+            return self.server_address
+        return "%s:%d" % self.address
 
     # -- in-flight accounting (for graceful drain) ---------------------
     def begin_request(self) -> None:
@@ -228,49 +243,57 @@ def serve_shard(
 
 
 # ----------------------------------------------------------------------
-# In-test worker management
+# Local workers: the process kind's, and the tests' and benchmarks'
 # ----------------------------------------------------------------------
 
 
 def _local_worker_main(dirpath: str, host: str, port: int, conn) -> None:
-    """Child entry point: bind, report the actual port, serve."""
+    """Child entry point: boot, bind, report a frame-coded ``ready``
+    (or ``error``) message on the boot pipe, serve."""
     try:
-        service = ShardService.from_dir(dirpath)
-        server = ShardServer(service, host=host, port=port)
-        conn.send(("listening", server.address[1]))
-    except BaseException as exc:
-        try:
-            conn.send(("error", repr(exc)))
-        except Exception:
-            pass
+        server = ShardServer(
+            ShardService.from_dir(dirpath), host=host, port=port
+        )
+        conn.send_bytes(
+            framing.encode_message("ready", meta={"value": server.endpoint})
+        )
+    except Exception as exc:
+        with contextlib.suppress(OSError):
+            conn.send_bytes(framing.encode_error(exc))
         return
     finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+        conn.close()
     server.serve_forever(poll_interval=0.05)
 
 
 class LocalShardWorker:
-    """A shard worker in a local child process (tests, benchmarks).
+    """A shard worker in a local child process: the process kind's
+    worker, and the tests' and benchmarks' ``serve-shard``.
 
-    Spawn-context child binds the port (``port=0`` → ephemeral; the
-    actual port comes back over a pipe), exposes ``pid`` so chaos
-    tests can SIGKILL it, and ``respawn()`` boots a fresh process on
-    the *same* port — the remediation step a real deployment's
-    supervisor (systemd, k8s) would perform.
+    A spawn-context child runs a :class:`ShardServer` on ``host:port``
+    (``port=0`` → ephemeral) or on the AF_UNIX socket path ``host``;
+    only its boot report comes back over a pipe.  ``wait=False`` splits
+    :meth:`spawn` from :meth:`wait_ready`, so a fleet boots every
+    worker before it waits for any.  ``pid`` lets chaos tests SIGKILL
+    it, and :meth:`respawn` boots a fresh process on the *same*
+    endpoint — what a real deployment's supervisor (systemd, k8s) does.
     """
 
     def __init__(
-        self, dirpath: str, host: str = "127.0.0.1", port: int = 0
+        self,
+        dirpath: str,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        wait: bool = True,
     ) -> None:
         self._dirpath = dirpath
         self._host = host
         self._context = multiprocessing.get_context("spawn")
-        self._proc = None
+        self._proc = self._boot = None
         self.port = int(port)
-        self.start()
+        self.spawn()
+        if wait:
+            self.wait_ready()
 
     @property
     def pid(self) -> Optional[int]:
@@ -278,36 +301,51 @@ class LocalShardWorker:
 
     @property
     def endpoint(self) -> str:
+        if is_socket_path(self._host):
+            return self._host
         return f"{self._host}:{self.port}"
 
-    def start(self, timeout: float = 60.0) -> None:
-        parent_conn, child_conn = self._context.Pipe()
-        proc = self._context.Process(
+    def is_alive(self) -> bool:
+        return self._proc is not None and self._proc.is_alive()
+
+    def spawn(self) -> None:
+        """Start the child; :meth:`wait_ready` collects its report."""
+        if is_socket_path(self._host):
+            # A killed predecessor leaves its socket file behind.
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self._host)
+        self._boot, child_conn = self._context.Pipe(duplex=False)
+        self._proc = self._context.Process(
             target=_local_worker_main,
             args=(self._dirpath, self._host, self.port, child_conn),
             daemon=True,
         )
-        proc.start()
+        self._proc.start()
         child_conn.close()
+
+    def wait_ready(self, timeout: float = 60.0) -> None:
+        """Block until the child reports its endpoint.  A failure stops
+        the child and raises its own boot error (typed, the worker
+        traceback chained), or ``RuntimeError`` when it died or stayed
+        silent for ``timeout`` seconds."""
+        conn, self._boot = self._boot, None
+        who = f"shard worker for {self._dirpath}"
         try:
-            if not parent_conn.poll(timeout):
-                raise RuntimeError(
-                    f"shard worker on {self._host} did not report a "
-                    f"port within {timeout:.0f}s"
-                )
-            status, payload = parent_conn.recv()
-        except EOFError:
-            proc.join(timeout=5)
-            raise RuntimeError(
-                "shard worker died before reporting its port"
-            ) from None
+            if not conn.poll(timeout):
+                raise RuntimeError(f"{who} stayed silent for {timeout:.0f}s")
+            message = framing.decode_message(conn.recv_bytes())
+            endpoint = _unwrap_reply(
+                *framing.reply_payload(message), "ready", who
+            )
+        except BaseException as exc:
+            self.stop()
+            if isinstance(exc, EOFError):
+                raise RuntimeError(f"{who} died while booting") from None
+            raise
         finally:
-            parent_conn.close()
-        if status != "listening":
-            proc.join(timeout=5)
-            raise RuntimeError(f"shard worker failed to boot: {payload}")
-        self._proc = proc
-        self.port = int(payload)
+            conn.close()
+        if not is_socket_path(endpoint):
+            self.port = parse_hostport(endpoint)[1]
 
     def kill(self) -> None:
         """SIGKILL — the chaos tests' hammer."""
@@ -317,24 +355,29 @@ class LocalShardWorker:
             self._proc.join(timeout=10)
 
     def respawn(self, timeout: float = 60.0) -> None:
-        """Fresh process on the same port (external remediation)."""
+        """A fresh process on the same endpoint, retried until one
+        deadline ``timeout`` seconds out (a killed process's TCP port
+        may linger briefly even with SO_REUSEADDR); ``RuntimeError``
+        when none has booted by then."""
         self.stop()
-        deadline = timeout
-        # The killed process's socket may linger briefly even with
-        # SO_REUSEADDR; retry the bind a few times.
-        last = None
-        for _ in range(20):
+        deadline = time.monotonic() + timeout
+        while True:
+            self.spawn()
             try:
-                self.start(timeout=deadline)
+                self.wait_ready(max(0.0, deadline - time.monotonic()))
                 return
-            except RuntimeError as exc:
-                last = exc
-                import time
-
-                time.sleep(0.1)
-        raise last
+            except Exception as exc:
+                if time.monotonic() + 0.1 >= deadline:
+                    raise RuntimeError(
+                        f"shard worker at {self.endpoint} did not come "
+                        f"back within {timeout:.0f}s"
+                    ) from exc
+            time.sleep(0.1)
 
     def stop(self) -> None:
+        if self._boot is not None:
+            self._boot.close()
+            self._boot = None
         if self._proc is not None:
             if self._proc.is_alive():
                 self._proc.terminate()
@@ -352,8 +395,6 @@ def wait_for_port(
     host: str, port: int, timeout: float = 30.0
 ) -> None:
     """Block until ``host:port`` accepts a TCP connection."""
-    import time
-
     deadline = time.monotonic() + timeout
     last: Optional[Exception] = None
     while time.monotonic() < deadline:

@@ -7,9 +7,10 @@ partition of the dataset rows.  :class:`ShardedIndex` fans one
 replicas per shard of the ``"thread"`` kind (the in-process object on
 a shared pool: shard calls are pure NumPy over read-only state, so
 threads overlap the GIL-released portions), the ``"process"`` kind
-(persistent worker processes mapping the shard's shipped state and
-answering over a pipe; one GIL per worker) or the ``"socket"`` kind
-(remote TCP workers) — and merges the per-shard stacked ``(B, k)``
+(persistent local worker processes mapping the shard's shipped state
+and answering on an AF_UNIX socket; one GIL per worker) or the
+``"socket"`` kind (remote TCP workers; one transport with the process
+kind's) — and merges the per-shard stacked ``(B, k)``
 responses with one ``argpartition`` per row.  The merge is exact over the union of shard
 candidates: distances pass through untouched (no re-computation), ties
 break deterministically by (distance, shard, within-shard rank), and a

@@ -7,19 +7,22 @@ here so each scenario, the bitwise comparison and the write-path check
 are defined once.  :class:`ScenarioMatrix` is the matrix itself — five
 scenarios x the (kind, replicas) cells its subclass names — and each
 cell is compared against a reference no backend touched: the shards'
-own ``search`` answers pushed through the router's merge.
+own ``search`` answers pushed through the router's merge.  The process
+and socket cells run the same worker (``LocalShardWorker``), on an
+AF_UNIX socket and on TCP respectively.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.api import SearchRequest
+from repro.api import SearchRequest, save_index
 from repro.datasets import load
 from repro.graphs import build_vamana
 from repro.index import (
@@ -31,7 +34,7 @@ from repro.index import (
 )
 from repro.quantization import ProductQuantizer
 from repro.serving import ShardedIndex
-from repro.serving.net import ShardServer, ShardService
+from repro.serving.net import LocalShardWorker, ShardServer, ShardService
 
 from .helpers import search
 
@@ -166,34 +169,51 @@ class ScenarioMatrix:
 
     CELLS: tuple = ()
 
-    def check(self, setup, scenario):
+    def check(self, setup, scenario, tmp_path):
         sharded, request = scenario_case(setup, scenario)
         expected = sharded._merge(
             [shard.search(request) for shard in sharded.shards], request.k
         )
-        try:
+        with contextlib.ExitStack() as stack:
+            stack.callback(sharded.close)
+            endpoints = None
             for kind, replicas in self.CELLS:
-                sharded.set_backend(kind)
+                if kind == "socket" and endpoints is None:
+                    endpoints = serve_shards(stack, sharded, str(tmp_path))
+                sharded.set_backend(
+                    kind, endpoints if kind == "socket" else None
+                )
                 sharded.set_replicas(replicas)
                 assert (sharded.backend, sharded.replicas) == (kind, replicas)
                 assert_results_identical(expected, sharded.search(request))
-        finally:
-            sharded.close()
 
-    def test_memory(self, setup):
-        self.check(setup, "memory")
+    def test_memory(self, setup, tmp_path):
+        self.check(setup, "memory", tmp_path)
 
-    def test_hybrid(self, setup):
-        self.check(setup, "hybrid")
+    def test_hybrid(self, setup, tmp_path):
+        self.check(setup, "hybrid", tmp_path)
 
-    def test_l2r(self, setup):
-        self.check(setup, "l2r")
+    def test_l2r(self, setup, tmp_path):
+        self.check(setup, "l2r", tmp_path)
 
-    def test_filtered(self, setup):
-        self.check(setup, "filtered")
+    def test_filtered(self, setup, tmp_path):
+        self.check(setup, "filtered", tmp_path)
 
-    def test_streaming(self, setup):
-        self.check(setup, "streaming")
+    def test_streaming(self, setup, tmp_path):
+        self.check(setup, "streaming", tmp_path)
+
+
+def serve_shards(stack, sharded, dirpath):
+    """Save ``sharded`` under ``dirpath`` and serve each shard from a
+    TCP ``LocalShardWorker`` (stopped by ``stack``); returns the
+    socket kind's endpoints, one per shard."""
+    save_index(sharded, dirpath)
+    return [
+        stack.enter_context(
+            LocalShardWorker(os.path.join(dirpath, f"shard_{s:03d}"))
+        ).endpoint
+        for s in range(len(sharded.shards))
+    ]
 
 
 def wait_for_respawn(sharded, deadline_s=RESPAWN_DEADLINE_S):

@@ -7,7 +7,8 @@ tier"):
   oversized payloads, truncated streams, trailing bytes) must fail
   loudly and typed, and every codec round-trips bitwise;
 * the worker/client transport — an in-thread ``ShardServer`` answers
-  the same buffers the pipe backend ships, worker death surfaces as
+  the one worker protocol (on TCP, or on an AF_UNIX socket path as the
+  process kind's workers do), worker death surfaces as
   ``ReplicaDied``, and a mid-stream disconnect is distinguished from
   a clean close;
 * the asyncio gateway — bitwise identity with in-process serving,
@@ -441,6 +442,23 @@ class TestSocketReader:
 
 
 class TestShardTransport:
+    def test_socket_path_serves_over_af_unix(
+        self, setup, memory_index, tmp_path
+    ):
+        # The process kind's transport: a socket path as the host binds
+        # AF_UNIX there, and the same client dials it by that path.
+        data, _ = setup
+        path = str(tmp_path / "worker.sock")
+        request = SearchRequest(data.queries, k=5, beam_width=16)
+        with inproc_server(memory_index, host=path) as server:
+            assert server.address_family == socket.AF_UNIX
+            assert server.endpoint == path
+            with ShardClient(path) as client:
+                client.ping()
+                assert_responses_identical(
+                    memory_index.search(request), client.search(request)
+                )
+
     def test_ping_search_parity_and_remote_errors(self, setup, memory_index):
         data, _ = setup
         with inproc_server(memory_index) as server:
@@ -1025,6 +1043,38 @@ class TestGatewayBatching:
                         expected, future.result(timeout=60)
                     )
 
+    def test_shutdown_flushes_a_partial_micro_batch_at_once(
+        self, setup, memory_index
+    ):
+        # Three rows wait in a 64-row batch with an 8 s deadline: a
+        # graceful close answers them now, not after the deadline.
+        data, _ = setup
+        requests = [
+            SearchRequest(queries=data.queries[i : i + 1], k=5, beam_width=16)
+            for i in range(3)
+        ]
+        gw = GatewayThread(memory_index, max_batch_size=64, max_wait_ms=8_000)
+        with NetClient(gw.connect) as client:
+            try:
+                futures = [client.submit_request(r) for r in requests]
+                deadline = time.monotonic() + 30
+                while (
+                    gw.gateway.stats.inflight < 3
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                assert gw.gateway.stats.inflight == 3
+                start = time.monotonic()
+                gw.close()
+                elapsed = time.monotonic() - start
+            finally:
+                gw.close()
+            for request, future in zip(requests, futures):
+                assert_responses_identical(
+                    memory_index.search(request), future.result(timeout=5)
+                )
+        assert elapsed < 2.0, elapsed
+
     def test_requests_with_labels_take_the_executor_path(
         self, setup, memory_index
     ):
@@ -1288,6 +1338,29 @@ def test_sigkill_socket_worker_fails_over_and_respawns(tmp_path, setup):
             expected.ids,
             search(fleet, data.queries, k=10, beam_width=24).ids,
         )
+
+
+@pytest.mark.slow
+def test_local_worker_respawn_is_bounded_by_one_deadline(tmp_path, setup):
+    """``respawn`` retries a failed boot under one deadline: with its
+    port held by another socket it raises ``RuntimeError`` about
+    ``timeout`` (plus one spawn) later and leaves no process behind."""
+    data, quantizer = setup
+    save_index(build_memory(data.base, quantizer), tmp_path)
+    start = time.monotonic()
+    worker = LocalShardWorker(str(tmp_path))
+    spawn_s = time.monotonic() - start
+    timeout = 1.0
+    with worker, socket.socket() as holder:
+        worker.stop()
+        holder.bind(("127.0.0.1", worker.port))
+        holder.listen()
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="did not come back"):
+            worker.respawn(timeout=timeout)
+        elapsed = time.monotonic() - start
+        assert worker.pid is None
+    assert elapsed < timeout + 2 * spawn_s + 1.0, (elapsed, spawn_s)
 
 
 @pytest.mark.slow

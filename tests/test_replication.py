@@ -365,10 +365,10 @@ class TestChaos:
 
 @pytest.mark.slow
 class TestScenarioParityReplicated(ScenarioMatrix):
-    """The ``replicas == 2`` cells: thread and process fleets agree
-    bitwise with the backend-free merge on all five scenarios."""
+    """The ``replicas == 2`` cells: thread, process and socket fleets
+    agree bitwise with the backend-free merge on all five scenarios."""
 
-    CELLS = (("thread", 2), ("process", 2))
+    CELLS = (("thread", 2), ("process", 2), ("socket", 2))
 
     def test_streaming_write_path_reaches_all_replicas(self, setup):
         check_write_path(setup, "process", 2)

@@ -15,7 +15,9 @@ push.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import stat
 import threading
 
 import numpy as np
@@ -208,6 +210,32 @@ class TestProcessSmoke:
         finally:
             sharded.close()
 
+    def test_process_worker_is_a_shard_server_on_a_private_socket(
+        self, setup
+    ):
+        # One worker type serves both worker kinds: a process replica
+        # is a ShardServer on an AF_UNIX socket that any ShardClient
+        # can dial, inside a directory only this user may enter.
+        data, _ = setup
+        sharded = memory_sharded(setup, backend="process")
+        try:
+            search(sharded, data.queries, k=5, beam_width=16)
+            endpoints = [row["endpoint"] for row in sharded.fleet_status()]
+            for endpoint in endpoints:
+                assert stat.S_ISSOCK(os.stat(endpoint).st_mode)
+                parent = os.path.dirname(endpoint)
+                assert stat.S_IMODE(os.stat(parent).st_mode) == 0o700
+                with ShardClient(endpoint) as client:
+                    client.ping()
+        finally:
+            sharded.close()
+        assert not any(os.path.exists(e) for e in endpoints)
+        assert not os.path.exists(parent)
+        assert [row["endpoint"] for row in sharded.fleet_status()] == [
+            None,
+            None,
+        ]
+
 
 # ----------------------------------------------------------------------
 # Slow lane: full scenario matrix, write path, error handling
@@ -216,10 +244,10 @@ class TestProcessSmoke:
 
 @pytest.mark.slow
 class TestScenarioParity(ScenarioMatrix):
-    """The ``replicas == 1`` cells: thread and process fleets agree
-    bitwise with the backend-free merge on all five scenarios."""
+    """The ``replicas == 1`` cells: thread, process and socket fleets
+    agree bitwise with the backend-free merge on all five scenarios."""
 
-    CELLS = (("thread", 1), ("process", 1))
+    CELLS = (("thread", 1), ("process", 1), ("socket", 1))
 
 
 @pytest.mark.slow
@@ -278,22 +306,20 @@ class TestRemoteTracebacks:
             raise ValueError("original failure")
         except ValueError as exc:
             blob = framing.encode_error(exc)
-        kind, payload = framing.decode_reply(blob)
+        kind, payload = framing.reply_payload(framing.decode_message(blob))
         assert kind == "error"
         assert isinstance(payload, ValueError)
         assert "original failure" in payload.remote_traceback
         assert "Traceback" in payload.remote_traceback
 
-    def test_send_error_survives_unrenderable_and_closed_pipe(
-        self, setup, tmp_path
-    ):
-        # One never-raising error encoder behind both transports.
+    def test_send_error_survives_unrenderable(self, setup):
+        # One never-raising error encoder behind every worker.
         # Input 1: the encoder itself.
         try:
             raise UnrenderableError()
         except UnrenderableError as exc:
             blob = framing.encode_error(exc)
-        kind, payload = framing.decode_reply(blob)
+        kind, payload = framing.reply_payload(framing.decode_message(blob))
         assert kind == "error"
         # Degraded to a frameable stand-in that still carries the
         # original identity and the worker traceback.
@@ -324,17 +350,6 @@ class TestRemoteTracebacks:
                 assert not isinstance(info.value, ReplicaDied)
                 assert all(row["alive"] for row in fleet.fleet_status())
 
-        # Input 3: the pipe worker failing to boot, with the pipe closed
-        # under the report.  It must end quietly (the parent sees EOF
-        # and reports the death) — never a secondary BrokenPipeError.
-        from repro.serving.backends import _shard_worker_main
-
-        class ClosedPipe:
-            def send_bytes(self, blob):
-                raise BrokenPipeError("pipe closed")
-
-        _shard_worker_main(str(tmp_path / "missing"), ClosedPipe())
-
     def test_process_search_error_includes_worker_frames(self, setup):
         data, _ = setup
         sharded = memory_sharded(setup, backend="process")
@@ -359,7 +374,7 @@ class TestWorkerErrors:
             good = search(sharded, data.queries, k=5, beam_width=16)
             pids = worker_pids(sharded)
             # Mis-dimensioned queries blow up inside the workers; the
-            # error must cross the pipe without desyncing it.
+            # error must cross the socket without desyncing it.
             with pytest.raises(Exception):
                 search(sharded, data.queries[:, :-3], k=5, beam_width=16)
             again = search(sharded, data.queries, k=5, beam_width=16)
@@ -375,7 +390,7 @@ class TestWorkerErrors:
             expected = search(sharded, data.queries, k=5, beam_width=16)
             results = {}
 
-            # Interleaved pipe sends/recvs would cross-deliver replies;
+            # Interleaved socket sends/recvs would cross-deliver replies;
             # the per-replica locks must serialize them correctly.
             def client(i):
                 results[i] = search(sharded, data.queries, k=5, beam_width=16)
@@ -425,6 +440,36 @@ class TestWorkerErrors:
         sharded.set_backend("thread")
         result = search(sharded, data.queries, k=5, beam_width=16)
         assert (result.counts == 5).all()
+
+    def test_unloadable_shipped_state_fails_start_typed(
+        self, setup, monkeypatch
+    ):
+        # The shipped directory of shard 1 cannot load in its worker:
+        # the fleet start raises the worker's own load error (with the
+        # worker traceback), stops every worker it booted and removes
+        # the temporary directory.
+        data, _ = setup
+        tmpdirs = []
+        ship = ShardBackend._ship
+
+        def broken_ship(backend, shard):
+            dirpath = ship(backend, shard)
+            tmpdirs.append(backend._tmpdir)
+            if shard == 1:
+                os.remove(os.path.join(dirpath, "index.json"))
+            return dirpath
+
+        monkeypatch.setattr(ShardBackend, "_ship", broken_ship)
+        sharded = memory_sharded(setup, backend="process")
+        before = set(multiprocessing.active_children())
+        with pytest.raises(FileNotFoundError) as info:
+            search(sharded, data.queries, k=5, beam_width=16)
+        assert "Traceback" in str(info.value.__cause__)
+        assert not isinstance(info.value, ReplicaDied)
+        assert set(multiprocessing.active_children()) <= before
+        assert worker_pids(sharded) == [None, None]
+        assert tmpdirs and not os.path.exists(tmpdirs[0])
+        sharded.close()
 
     def test_context_manager_closes_workers(self, setup):
         data, _ = setup
