@@ -27,7 +27,9 @@ test-batch:
 	$(PYTHON) -m pytest -x -q tests/test_batch_parity.py \
 		tests/test_batch_edge_cases.py tests/test_batch_lookup.py
 
-# Construction: lockstep parity (batched vs sequential builds), the
+# Construction: batched vs cap-1 builds (HNSW / NSG byte-identical,
+# Vamana / streaming inserts equal to sequential insertion at cap 1,
+# deterministic, well-formed and at cap 1's recall), the
 # byte pins of every built graph, and the one occlusion prune against
 # the three loops it replaced (its rounding pin is the bisector case
 # in test_nsg_mrng.py) and against itself across its two paths.
@@ -64,7 +66,8 @@ chaos-smoke:
 bench-batch:
 	cd benchmarks && $(PYTHON) -m pytest bench_batch_throughput.py -q
 
-# Sequential-vs-lockstep build times (identity + >= 2.5x vamana gate).
+# Cap-1 vs batched build times (HNSW / NSG identity, Vamana cap 1 on the
+# recorded sequential graph and batched recall, >= 2.5x vamana gate).
 bench-build:
 	cd benchmarks && $(PYTHON) -m pytest bench_build.py -q
 
@@ -126,7 +129,9 @@ profile-kernel:
 # candidate search, MRNG select, InterInsert, reachability; OPQ
 # rotation, k-means++ seeding, Lloyd, warm start, feature sampling,
 # training forward / backward), k-means++ seedings per fit and expm /
-# soft_reconstruct calls per optimizer step (~10 s).
+# soft_reconstruct calls per optimizer step, then a Vamana build at
+# hybrid_disk's shape (search, prune, reverse-edge merge; batches and
+# rows searched per inserted point) (~10 s).
 profile-fit:
 	cd benchmarks && $(PYTHON) profile_fit.py
 

@@ -1,15 +1,24 @@
-"""Set-up stage profile: where an NSG build and an RPQ fit spend their time.
+"""Set-up stage profile: where graph builds and an RPQ fit spend their time.
 
 The set-up twin of ``profile_kernel.py``.  At the ``offline_batch``
 workload's shape (sift, n = 2000, dim 64) it builds the NSG graph, fits
 RPQ on it (16 x 256, 2 epochs, the registry's quick training config)
-and fits a plain PQ at the same budget, with timing wrappers on the
-seams of each, and prints a table of exclusive seconds per stage:
+and fits a plain PQ at the same budget; at the ``hybrid_disk``
+workload's shape (sift, n = 1200, ``r = 16``, ``search_l = 32``) it
+builds the Vamana graph.  Timing wrappers on the seams of each print a
+table of exclusive seconds per stage:
 
 * NSG build: kNN bootstrap, candidate search, the occlusion prune
   (``graphs.prune``: its lockstep passes, one per build window, with
   points per pass, and its per-point loops, one per InterInsert
   re-prune), InterInsert and the reachability pass;
+* Vamana build: the construction-time searches (rows per call), the
+  occlusion prune's two paths, the reverse-edge merge, the rest of
+  each insert batch (pool assembly) and, on a checkout that still has
+  it, the speculative driver's own bookkeeping — plus the number of
+  batches (search calls) and rows searched per inserted point (each of
+  the two passes inserts every point once, so 1.00 means no search
+  was re-run);
 * fits: OPQ rotation, k-means++ seeding, Lloyd, the k-means warm start,
   triplet and routing sampling, training forward (+ optimizer) and
   backward.
@@ -45,6 +54,7 @@ N_BASE = 300 if SMOKE else 2000
 NUM_CHUNKS = 8 if SMOKE else 16
 NUM_CODEWORDS = 16 if SMOKE else 256
 EPOCHS = 1 if SMOKE else 2
+VAMANA_N_BASE = 300 if SMOKE else 1200
 
 #: (module, class or None, attribute, stage[, points of a call]).
 #: Stages nest; each is charged its exclusive time, so seeding inside
@@ -57,6 +67,17 @@ GRAPH_TIMED = [
      lambda args, kwargs: len(args[1])),
     ("repro.graphs.nsg", None, "_inter_insert", "InterInsert"),
     ("repro.graphs.nsg", None, "_ensure_reachable", "reachability"),
+]
+VAMANA_TIMED = [
+    ("repro.graphs.beam", None, "beam_search_batch", "search",
+     lambda args, kwargs: len(args[1])),
+    ("repro.graphs.prune", None, "_greedy", "prune, per point"),
+    ("repro.graphs.prune", None, "_lockstep", "prune, lockstep",
+     lambda args, kwargs: len(args[1])),
+    ("repro.graphs.vamana", None, "_reverse_edges", "reverse-edge merge"),
+    ("repro.graphs.vamana", None, "insert_batch", "batch assembly"),
+    ("repro.engine.construction", None, "lockstep_apply",
+     "speculative driver"),
 ]
 FIT_TIMED = [
     ("repro.core.diffq", "DifferentiableQuantizer", "warm_start_rotation",
@@ -166,8 +187,8 @@ class StageProfile:
         self._restore.clear()
 
 
-def profiled(label: str, timed: list, run):
-    profile = StageProfile()
+def profiled(label: str, timed: list, run, profile=None):
+    profile = profile or StageProfile()
     profile.install(timed)
     start = time.perf_counter()
     try:
@@ -219,6 +240,22 @@ def main() -> int:
     print()
     pq = QuantizerSpec("pq", NUM_CHUNKS, NUM_CODEWORDS)
     profiled(f"PQ fit ({shape})", FIT_TIMED, lambda: build_quantizer_from_spec(pq, x))
+    print()
+    x = load("sift", n_base=VAMANA_N_BASE, n_queries=1, seed=0).base
+    vamana = GraphSpec(kind="vamana", params={"r": 16, "search_l": 32})
+    profile = StageProfile()
+    profiled(
+        f"Vamana build (n={VAMANA_N_BASE}, dim {x.shape[1]}, r 16, search_l 32)",
+        VAMANA_TIMED,
+        lambda: build_graph_from_spec(vamana, x),
+        profile,
+    )
+    searched, searches = profile.points["search"], profile.calls["search"]
+    print(f"  batches (search calls): {searches}")
+    print(
+        f"  rows searched per inserted point: {searched / (2 * VAMANA_N_BASE):.2f} "
+        f"({searched} rows / {2 * VAMANA_N_BASE} inserts)"
+    )
     return 0
 
 

@@ -11,7 +11,7 @@ Commands
     A verb tree like ``index``; each flag lives on the verb that reads
     it.  ``paper <id>`` runs one row of the paper-artifact table
     (:data:`repro.eval.paper.PAPER`; ``--help`` lists the ids);
-    ``batch`` / ``build`` measure the batched engine and lockstep
+    ``batch`` / ``build`` measure the batched engine and batched
     construction; ``serve`` measures dynamic batching QPS vs latency,
     optionally over a sharded index (or, with ``--listen``, runs the
     network gateway); ``load`` is the open-loop load harness:
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
             graph,
             batch_size("largest build batch size measured (beside 8)"),
         ],
-        help="sequential vs lockstep graph construction",
+        help="cap-1 vs batched graph construction",
     )
     p_xbuild.set_defaults(func=_handler("experiment", "cmd_build"))
 

@@ -49,13 +49,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     from ..eval.harness import build_throughput_table, run_build_throughput
     from ..eval.workbench import laptop_graph
 
-    data = load(args.dataset, n_base=args.n_base, n_queries=1, seed=args.seed)
+    data = load(args.dataset, n_base=args.n_base, n_queries=200, seed=args.seed)
     points = run_build_throughput(
         laptop_graph(args.graph, args.seed),
         data.base,
         batch_sizes=sorted({8, args.batch_size}),
+        queries=data.queries,
     )
-    title = f"Lockstep construction ({args.graph}, {args.dataset})"
+    title = f"Batched construction ({args.graph}, {args.dataset})"
     print(build_throughput_table(points, title))
     return 0
 

@@ -11,8 +11,10 @@ kernel (:func:`~repro.engine.kernel.execute`).  The layering is:
   dataset view (compact codes), lookup-table factory, and kernel
   invocation shared by the index scenarios.
 * :mod:`repro.engine.construction` — the speculative lockstep driver
-  that lets graph builders batch construction-time searches while
-  producing bitwise-identical graphs to sequential insertion.
+  that lets HNSW batch its construction-time searches while producing
+  bitwise-identical graphs to sequential insertion (Vamana and the
+  streaming index insert in deterministic batches instead, see
+  :mod:`repro.graphs.vamana`).
 
 See ``docs/architecture.md`` for how the scenarios layer policy over
 this core and how sharding / async serving plug in.

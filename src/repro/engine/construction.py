@@ -1,10 +1,17 @@
 """Speculative lockstep driver for construction-time searches.
 
-Graph construction (Vamana's insert passes, HNSW's layer inserts,
-Fresh-DiskANN's online inserts) is inherently sequential: point ``t``'s
-search must observe the graph *after* points ``0..t-1`` were inserted.
-The driver batches those searches anyway, without changing a single
-edge of the result, via optimistic concurrency:
+It serves HNSW's layered insert alone.  Vamana and the streaming index
+insert in deterministic batches instead
+(:func:`repro.graphs.vamana.insert_batch`, ParlayANN's scheme), which
+changes their graphs on purpose and needs no re-searches; HNSW still
+builds the graph of strictly sequential insertion, so it keeps this
+driver until its layered insert is batched the same way, and the
+driver goes with that change.
+
+HNSW's insert is inherently sequential: point ``t``'s search must
+observe the graph *after* points ``0..t-1`` were inserted.  The driver
+batches those searches anyway, without changing a single edge of the
+result, via optimistic concurrency:
 
 1. search a window of pending points in one lockstep kernel call
    against the current graph (a snapshot — nothing mutates during the

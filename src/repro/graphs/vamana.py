@@ -8,18 +8,121 @@ The graph DiskANN stores on SSD.  Construction:
    candidate set; first pass uses α = 1, second the target α > 1 which
    keeps longer "highway" edges;
 3. insert reverse edges, pruning any vertex whose degree exceeds ``R``.
+
+Points are inserted in deterministic batches, as ParlayANN does
+(Manohar et al., PPoPP 2024).  :func:`insert_batch` links one batch in
+four steps: every point is searched in one lockstep
+:func:`~repro.graphs.beam.beam_search_batch` call against the graph as
+it stood before the batch; every new list is selected in one lockstep
+:func:`~repro.graphs.prune.prune` call; the reverse edges are grouped
+by target, a target that fits appends them, and the targets that would
+overflow ``R`` are re-pruned together in one more lockstep call.
+:func:`batches` sizes the batches: each holds at most as many points
+as are already linked, and at most ``build_batch_size``, so sizes
+double up to that cap and the schedule depends only on ``n``, the cap
+and the seed.  At cap 1 every batch is one point and the build is
+exactly sequential insertion.  The streaming index
+(:mod:`repro.index.streaming`) inserts through the same
+:func:`insert_batch`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..engine import lockstep_apply
 from .base import ProximityGraph, medoid
 from .beam import beam_search_batch
+from .block import BlockGraph
 from .prune import prune
+
+
+def batches(count: int, linked: int, cap: int) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` of each batch of ``count`` points inserted into
+    a graph where ``linked`` points already are: a batch holds at most
+    as many points as are linked before it, and at most ``cap``."""
+    if cap < 1:
+        raise ValueError("build_batch_size must be >= 1")
+    start = 0
+    while start < count:
+        stop = min(count, start + min(cap, max(linked + start, 1)))
+        yield start, stop
+        start = stop
+
+
+def insert_batch(
+    graph: BlockGraph,
+    x: np.ndarray,
+    points: np.ndarray,
+    entry: int,
+    *,
+    r: int,
+    search_l: int,
+    alpha: float,
+) -> None:
+    """Link ``points`` (vertices of ``graph``, rows of ``x``) as one
+    batch: search them all on the graph as it stands, give each the
+    prune of its search result plus its current list, then add the
+    reverse edges (:func:`_reverse_edges`)."""
+    queries = x[points]
+
+    def dist_fn(qidx: np.ndarray, vertex_ids: np.ndarray) -> np.ndarray:
+        diff = x[vertex_ids] - queries[qidx]
+        return np.einsum("ij,ij->i", diff, diff)
+
+    found = beam_search_batch(
+        graph, np.full(points.size, entry, dtype=np.int64), dist_fn, search_l
+    )
+    # Each pool: the search's ids, then the point's current list.
+    found_ids = found.ids[np.arange(found.ids.shape[1]) < found.counts[:, None]]
+    pools, pool_lens = _concat_runs(found_ids, found.counts, *graph.gather(points))
+    flat, lens = prune(x, points, pools, pool_lens, r, alpha=alpha, strict=False)
+    graph.set_rows(points, flat, lens)
+    _reverse_edges(graph, x, np.repeat(points, lens), flat, r=r, alpha=alpha)
+
+
+def _reverse_edges(
+    graph: BlockGraph,
+    x: np.ndarray,
+    sources: np.ndarray,
+    targets: np.ndarray,
+    *,
+    r: int,
+    alpha: float,
+) -> None:
+    """Add each edge ``targets[i] -> sources[i]`` a list lacks, grouped
+    by target in source order: a target that fits appends its new
+    edges, and the targets that would pass ``r`` re-prune their list
+    plus the new edges, all in one lockstep call."""
+    rows = graph.ids[targets]
+    present = (rows == sources[:, None]) & (
+        graph.cols < graph.deg[targets][:, None]
+    )
+    keep = ~present.any(axis=1)
+    order = np.argsort(targets[keep], kind="stable")
+    sources, targets = sources[keep][order], targets[keep][order]
+    heads, counts = np.unique(targets, return_counts=True)
+    fits = graph.deg[heads] + counts <= r
+    fit_edges = np.repeat(fits, counts)
+    graph.append(heads[fits], sources[fit_edges], counts[fits])
+    over, over_counts = heads[~fits], counts[~fits]
+    if not over.size:
+        return
+    pools, pool_lens = _concat_runs(
+        *graph.gather(over), sources[~fit_edges], over_counts
+    )
+    flat, lens = prune(x, over, pools, pool_lens, r, alpha=alpha, strict=False)
+    graph.set_rows(over, flat, lens)
+
+
+def _concat_runs(a, a_lens, b, b_lens) -> Tuple[np.ndarray, np.ndarray]:
+    """Runs of ``(a, a_lens)`` and ``(b, b_lens)`` joined owner by
+    owner, ``a``'s run first: the pools :func:`prune` reads."""
+    seat = np.arange(a_lens.size)
+    owner = np.concatenate([np.repeat(seat, a_lens), np.repeat(seat, b_lens)])
+    joined = np.concatenate([a, b])[np.argsort(owner, kind="stable")]
+    return joined, a_lens + b_lens
 
 
 def build_vamana(
@@ -31,14 +134,6 @@ def build_vamana(
     build_batch_size: int = 32,
 ) -> ProximityGraph:
     """Construct a Vamana graph over the rows of ``x``.
-
-    Construction-time searches are issued in speculative lockstep
-    windows of ``build_batch_size`` (see
-    :mod:`repro.engine.construction`): a search is reused only if no
-    adjacency list its trajectory read was modified by an earlier
-    insertion, and re-run otherwise — so the produced graph is bitwise
-    identical to ``build_batch_size=1`` (strictly sequential
-    insertion) at a ~3x lower build time.
 
     Parameters
     ----------
@@ -53,7 +148,8 @@ def build_vamana(
     seed:
         Random-initialization and pass-order seed.
     build_batch_size:
-        Lockstep window of the construction-time searches.
+        Largest insert batch (:func:`batches`); ``1`` is strictly
+        sequential insertion.
     """
     x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
@@ -62,83 +158,37 @@ def build_vamana(
     rng = np.random.default_rng(seed)
     entry = medoid(x)
 
-    adjacency: List[List[int]] = []
+    graph = BlockGraph(r)
+    graph.resize(n)
+    graph.n = n
     degree = min(r, max(n - 1, 0))
     for i in range(n):
         if degree == 0:
-            adjacency.append([])
             continue
         choices = rng.choice(n - 1, size=degree, replace=False)
-        choices = np.where(choices >= i, choices + 1, choices)
-        adjacency.append(list(map(int, choices)))
+        graph.ids[i, :degree] = np.where(choices >= i, choices + 1, choices)
+        graph.deg[i] = degree
 
     for pass_alpha in (1.0, alpha):
         order = rng.permutation(n)
-        last_mod = np.full(n, -1, dtype=np.int64)
-        epoch = 0
-
-        def batch_search(positions):
-            points = np.array(
-                [int(order[p]) for p in positions], dtype=np.int64
+        for start, stop in batches(n, 1, build_batch_size):
+            insert_batch(
+                graph,
+                x,
+                order[start:stop],
+                entry,
+                r=r,
+                search_l=search_l,
+                alpha=pass_alpha,
             )
-            queries = x[points]
 
-            def dist_fn(qidx: np.ndarray, vertex_ids: np.ndarray):
-                diff = x[vertex_ids] - queries[qidx]
-                return np.einsum("ij,ij->i", diff, diff)
-
-            result = beam_search_batch(
-                adjacency,
-                np.full(points.size, entry, dtype=np.int64),
-                dist_fn,
-                search_l,
-                collect_visited=True,
-            )
-            assert result.visited_lists is not None
-            return [
-                {
-                    "epoch": epoch,
-                    "ids": list(result.row(t).ids),
-                    "visited": result.visited_lists[t],
-                }
-                for t in range(points.size)
-            ]
-
-        def is_valid(payload) -> bool:
-            # A payload searched after ``epoch`` applies is stale once
-            # any adjacency list it read is modified by apply number
-            # ``epoch`` or later.
-            return not (
-                last_mod[payload["visited"]] >= payload["epoch"]
-            ).any()
-
-        def select(point: int, pool: List[int]) -> List[int]:
-            selected, _ = prune(
-                x, [point], pool, [len(pool)], r, alpha=pass_alpha, strict=False
-            )
-            return selected.tolist()
-
-        def apply(position: int, payload) -> None:
-            nonlocal epoch
-            i = int(order[position])
-            adjacency[i] = select(i, payload["ids"] + adjacency[i])
-            last_mod[i] = epoch
-            for j in adjacency[i]:
-                if i not in adjacency[j]:
-                    adjacency[j].append(i)
-                    last_mod[j] = epoch
-                if len(adjacency[j]) > r:
-                    adjacency[j] = select(j, adjacency[j])
-                    last_mod[j] = epoch
-            epoch += 1
-
-        lockstep_apply(n, batch_search, is_valid, apply, build_batch_size)
-
-    graph = ProximityGraph(
-        adjacency=[np.array(nbrs, dtype=np.int64) for nbrs in adjacency],
+    neighbors, offsets = graph.to_csr()
+    adjacency = np.split(neighbors.astype(np.int64), offsets[1:-1])
+    result = ProximityGraph(
+        adjacency=adjacency,
         entry_point=entry,
         name="vamana",
         build_stats={"r": r, "search_l": search_l, "alpha": alpha},
     )
-    graph.packed()  # prewarm the CSR view the search kernel routes over
-    return graph
+    result.packed()  # prewarm the CSR view the search kernel routes over
+    return result

@@ -4,12 +4,13 @@ The paper integrates RPQ with DiskANN *and its variants*, including
 Fresh-DiskANN — the streaming flavor that supports inserts and deletes
 without a full rebuild.  This module provides that substrate:
 
-* :meth:`FreshVamanaIndex.insert` — greedy-search + robust-prune
-  insertion (the same primitive Vamana construction uses);
-* :meth:`FreshVamanaIndex.insert_batch` — the same insertions with
-  their searches issued in speculative lockstep batches (bitwise
-  identical to sequential :meth:`insert` calls — see
-  :mod:`repro.engine.construction`) and their rows encoded in one call;
+* :meth:`FreshVamanaIndex.insert_batch` — greedy-search + robust-prune
+  insertion through Vamana construction's own
+  :func:`~repro.graphs.vamana.insert_batch`: rows are encoded in one
+  call and linked in deterministic batches (ParlayANN's scheme), each
+  searched in lockstep against the graph as it stood before it, so a
+  batch of one row is a sequential insert; :meth:`FreshVamanaIndex.insert`
+  is the batch of one row;
 * :meth:`FreshVamanaIndex.delete` — lazy tombstoning: the vertex stops
   appearing in results but keeps routing traffic until consolidation;
 * :meth:`FreshVamanaIndex.consolidate` — Fresh-DiskANN's delete
@@ -22,12 +23,12 @@ without a full rebuild.  This module provides that substrate:
 The index is stored the way the kernel reads it.  Vectors, codes and
 tombstones are grow-only arrays whose first ``num_vertices`` rows are
 live: an append that finds them full doubles their capacity, and reads
-take prefix views.  The graph is one fixed-width ``(capacity, r + 1)``
-block of :data:`~repro.graphs.packed.ID_DTYPE` ids plus a degree
-vector (``r`` edges, plus the reverse edge an insert appends before it
-re-prunes).  It serves the kernel's ``gather(vertices) -> (flat,
-lens)`` contract itself, and every write updates it in place, so no
-search after a write re-packs anything.  A memory-mapped load adopts
+take prefix views.  The graph is one fixed-width ``(capacity, r)``
+:class:`~repro.graphs.block.BlockGraph` of
+:data:`~repro.graphs.packed.ID_DTYPE` ids plus a degree vector.  It
+serves the kernel's ``gather(vertices) -> (flat, lens)`` contract
+itself, and every write updates it in place, so no search after a
+write re-packs anything.  A memory-mapped load adopts
 the saved vector, code and tombstone sections zero-copy; the first
 write copies them into private arrays (copy-on-write at index
 granularity).  On disk the graph stays the CSR pair
@@ -44,140 +45,19 @@ compaction of the result lists.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..api.protocol import SearchRequest, SearchResponse
 from ..api.registry import register_scenario
-from ..engine import (
-    KernelProfile,
-    KernelWorkspace,
-    RunStats,
-    SearchContext,
-    lockstep_apply,
-)
+from ..engine import RunStats, SearchContext
 from ..graphs.base import medoid
-from ..graphs.beam import (
-    BatchDistanceFn,
-    beam_search,
-    beam_search_batch,
-    exact_distance_fn,
-)
-from ..graphs.packed import ID_DTYPE, PackedAdjacency
+from ..graphs.block import BlockGraph, regrown
 from ..graphs.prune import prune
+from ..graphs.vamana import batches, insert_batch
 from ..quantization.base import BaseQuantizer
 from .base import GraphIndex, compact_rows
-
-
-def _regrown(rows: np.ndarray, n: int, capacity: int) -> np.ndarray:
-    """``rows``' first ``n`` rows in fresh zeroed memory of ``capacity``."""
-    grown = np.zeros((capacity,) + rows.shape[1:], dtype=rows.dtype)
-    grown[:n] = rows[:n]
-    return grown
-
-
-class _BlockGraph:
-    """The live streaming graph, in the form the kernel reads.
-
-    ``ids[v, :deg[v]]`` is vertex ``v``'s neighbor list in insertion
-    order; the first ``n`` rows are vertices.  Every cell of ``ids``
-    holds an id below ``n`` (rows start zeroed and a shortened list
-    leaves only former neighbors behind), so a read of whole rows
-    masked by degree (``cols < deg[rows, None]``) never indexes out of
-    range.  Also the routing surface :class:`SearchContext` drives
-    (``search_batch``).
-    """
-
-    __slots__ = ("ids", "deg", "n", "entry_point", "cols")
-
-    def __init__(self, width: int) -> None:
-        self.ids = np.zeros((0, width), dtype=ID_DTYPE)
-        self.deg = np.zeros(0, dtype=np.int64)
-        self.n = 0
-        self.entry_point: Optional[int] = None
-        self.cols = np.arange(width)
-
-    @classmethod
-    def from_csr(
-        cls, width: int, neighbors: np.ndarray, offsets: np.ndarray
-    ) -> "_BlockGraph":
-        """The block holding a saved ``(neighbors, offsets)`` CSR pair
-        (checked, and narrowed to :data:`ID_DTYPE`, by
-        :class:`PackedAdjacency`)."""
-        packed = PackedAdjacency(neighbors=neighbors, offsets=offsets)
-        deg, neighbors, n = packed.degrees(), packed.neighbors, len(packed)
-        bad_deg = n and not 0 <= deg.min() <= deg.max() < width
-        bad_ids = neighbors.size and not 0 <= neighbors.min() <= neighbors.max() < n
-        if bad_deg or bad_ids:
-            raise ValueError(
-                f"saved streaming graph has a list longer than {width - 1} "
-                f"or a neighbor outside its {n} vertices"
-            )
-        graph = cls(width)
-        graph.ids = np.zeros((n, width), dtype=ID_DTYPE)
-        graph.ids[graph.cols < deg[:, None]] = neighbors
-        graph.deg = deg
-        graph.n = n
-        return graph
-
-    def to_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(neighbors, offsets)``: the live lists packed back to back."""
-        deg = self.deg[: self.n]
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=offsets[1:])
-        return self.ids[: self.n][self.cols < deg[:, None]], offsets
-
-    def resize(self, capacity: int) -> None:
-        self.ids = _regrown(self.ids, self.n, capacity)
-        self.deg = _regrown(self.deg, self.n, capacity)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, v: int) -> np.ndarray:
-        return self.ids[v, : self.deg[v]]
-
-    def gather(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """What :meth:`~repro.graphs.packed.PackedAdjacency.gather`
-        returns over the same lists: ``vertices``' lists concatenated,
-        widened to int64, and one length per vertex."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        lens = self.deg[vertices]
-        flat = self.ids[vertices][self.cols < lens[:, None]]
-        return flat.astype(np.int64), lens
-
-    def set_row(self, v: int, nbrs: np.ndarray) -> None:
-        self.ids[v, : len(nbrs)] = nbrs
-        self.deg[v] = len(nbrs)
-
-    def set_rows(
-        self, vertices: np.ndarray, flat: np.ndarray, lens: np.ndarray
-    ) -> None:
-        """Replace the lists of ``vertices`` with ``(flat, lens)``."""
-        starts = np.repeat(np.cumsum(lens) - lens, lens)
-        cols = np.arange(flat.size) - starts
-        self.ids[np.repeat(vertices, lens), cols] = flat
-        self.deg[vertices] = lens
-
-    def search_batch(
-        self,
-        dist_fn: BatchDistanceFn,
-        beam_width: int,
-        num_queries: int,
-        k: Optional[int] = None,
-        workspace: Optional[KernelWorkspace] = None,
-        profile: Optional[KernelProfile] = None,
-    ):
-        return beam_search_batch(
-            self,
-            np.full(num_queries, self.entry_point, dtype=np.int64),
-            dist_fn,
-            beam_width,
-            k=k,
-            workspace=workspace,
-            profile=profile,
-        )
 
 
 @register_scenario("streaming")
@@ -202,8 +82,9 @@ class FreshVamanaIndex(GraphIndex):
     alpha:
         Robust-prune α.
     build_batch_size:
-        Lockstep window of :meth:`insert_batch`'s speculative
-        construction-time searches.
+        Largest batch :meth:`insert_batch` links at once (see
+        :func:`~repro.graphs.vamana.batches`); ``1`` is strictly
+        sequential insertion.
     """
 
     needs_graph = False
@@ -233,7 +114,7 @@ class FreshVamanaIndex(GraphIndex):
 
         # Grow-only rows (see the module docstring); ``_codes`` takes
         # the encoder's width and dtype from the first rows it stores.
-        self._graph = _BlockGraph(self.r + 1)
+        self._graph = BlockGraph(self.r)
         self._vectors = np.zeros((0, self.dim), dtype=np.float64)
         self._codes: Optional[np.ndarray] = None
         self._deleted = np.zeros(0, dtype=bool)
@@ -287,8 +168,8 @@ class FreshVamanaIndex(GraphIndex):
         one vectorized pass.
         """
         self = cls(quantizer, **{key: meta[key] for key in cls._STATE_PARAMS})
-        self._graph = _BlockGraph.from_csr(
-            self.r + 1, source["stream_neighbors"], source["stream_offsets"]
+        self._graph = BlockGraph.from_csr(
+            self.r, source["stream_neighbors"], source["stream_offsets"]
         )
         n = self._graph.n
         vectors = np.asarray(source["vectors"], dtype=np.float64)
@@ -323,10 +204,10 @@ class FreshVamanaIndex(GraphIndex):
             return
         if n + extra > capacity:
             capacity = max(n + extra, 2 * capacity)
-        self._vectors = _regrown(self._vectors, n, capacity)
+        self._vectors = regrown(self._vectors, n, capacity)
         if self._codes is not None:
-            self._codes = _regrown(self._codes, n, capacity)
-        self._deleted = _regrown(self._deleted, n, capacity)
+            self._codes = regrown(self._codes, n, capacity)
+        self._deleted = regrown(self._deleted, n, capacity)
         self._graph.resize(capacity)
         self._mapped = False
 
@@ -347,8 +228,8 @@ class FreshVamanaIndex(GraphIndex):
     # ------------------------------------------------------------------
     def _stage(self, rows: np.ndarray) -> None:
         """Write ``rows``, their codes (one encode) and live flags into
-        the slots after the last vertex; :meth:`_link` then turns them
-        into vertices one at a time."""
+        the slots after the last vertex; :meth:`insert_batch` then
+        turns them into vertices."""
         codes = self.quantizer.encode(rows)
         self._writable(rows.shape[0])
         if self._codes is None:
@@ -360,39 +241,6 @@ class FreshVamanaIndex(GraphIndex):
         self._codes[n : n + m] = codes
         self._deleted[n : n + m] = False
 
-    def _link(self, candidates: Optional[List[int]]) -> int:
-        """Make the next staged row a vertex, linked from ``candidates``
-        (the ids a search of the pre-insert graph returned); the exact
-        sequential insert body shared by :meth:`insert` and
-        :meth:`insert_batch`."""
-        graph = self._graph
-        new_id = graph.n
-        graph.n += 1
-        if graph.entry_point is None:
-            graph.entry_point = new_id
-            return new_id
-
-        assert candidates is not None
-        x = self._vectors[: graph.n]
-
-        def select(point: int, pool) -> np.ndarray:
-            selected, _ = prune(
-                x, [point], pool, [len(pool)], self.r, alpha=self.alpha, strict=False
-            )
-            return selected
-
-        graph.set_row(new_id, select(new_id, candidates))
-        for j in graph[new_id].tolist():
-            # ``new_id`` is fresh, so no list holds it yet: the reverse
-            # edge always appends (the block's spare column) and a list
-            # that outgrows r is re-pruned.
-            degree = int(graph.deg[j])
-            graph.ids[j, degree] = new_id
-            graph.deg[j] = degree + 1
-            if degree + 1 > self.r:
-                graph.set_row(j, select(j, graph[j]))
-        return new_id
-
     def _rows(self, vectors: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if rows.shape[-1] != self.dim:
@@ -402,88 +250,47 @@ class FreshVamanaIndex(GraphIndex):
         return rows
 
     def insert(self, vector: np.ndarray) -> int:
-        """Add one vector; returns its vertex id."""
-        row = self._rows(np.asarray(vector).reshape(-1))
-        self._stage(row)
-        graph = self._graph
-        if graph.entry_point is None:
-            return self._link(None)
-        result = beam_search(
-            graph,
-            graph.entry_point,
-            exact_distance_fn(self._vectors, row[0]),
-            self.search_l,
-        )
-        return self._link(result.ids.tolist())
+        """Add one vector; returns its vertex id (:meth:`insert_batch`
+        of one row)."""
+        return self.insert_batch(np.asarray(vector).reshape(1, -1))[0]
 
     def insert_batch(self, vectors: np.ndarray) -> List[int]:
         """Insert rows of ``vectors``; returns the assigned ids.
 
-        The insert-time searches run in speculative lockstep windows of
-        ``build_batch_size``; insertions are applied strictly in row
-        order and re-searched when an earlier insertion touched an
-        adjacency list their trajectory read, so the resulting graph is
-        bitwise identical to looping :meth:`insert`.
+        The rows are encoded in one call and linked in Vamana's
+        deterministic batches (:func:`~repro.graphs.vamana.batches`:
+        at most as many rows as the index holds live vertices, at most
+        ``build_batch_size``), each searched in lockstep against the
+        graph as it stood before the batch.  On an empty index the
+        first row becomes the entry point.  ``build_batch_size=1`` is
+        strictly sequential insertion.
         """
         rows = self._rows(vectors)
         if not rows.shape[0]:
             self._writable()
             return []
+        linked = self.num_active
         self._stage(rows)
         graph = self._graph
-        ids: List[int] = []
-        epoch = 0
-        last_mod = np.full(graph.n + rows.shape[0], -1, dtype=np.int64)
-
-        def batch_search(indices):
-            if graph.entry_point is None:
-                # Empty index: nothing to search until the first row is
-                # applied; payloads are placeholders that only stay
-                # valid while the index remains empty.
-                return [{"empty": True} for _ in indices]
-            x = self._vectors
-            queries = rows[indices]
-
-            def dist_fn(qidx: np.ndarray, vertex_ids: np.ndarray):
-                diff = x[vertex_ids] - queries[qidx]
-                return np.einsum("ij,ij->i", diff, diff)
-
-            result = beam_search_batch(
+        ids = list(range(graph.n, graph.n + rows.shape[0]))
+        if graph.entry_point is None:
+            # The first row into an empty graph is its entry point.
+            graph.entry_point = graph.n
+            graph.n += 1
+            linked += 1
+        first = graph.n
+        for start, stop in batches(ids[-1] + 1 - first, linked, self.build_batch_size):
+            # The batch's rows become vertices, unreachable until linked.
+            graph.n = first + stop
+            insert_batch(
                 graph,
-                np.full(len(indices), graph.entry_point, dtype=np.int64),
-                dist_fn,
-                self.search_l,
-                collect_visited=True,
+                self._vectors,
+                np.arange(first + start, first + stop),
+                graph.entry_point,
+                r=self.r,
+                search_l=self.search_l,
+                alpha=self.alpha,
             )
-            assert result.visited_lists is not None
-            return [
-                {
-                    "empty": False,
-                    "epoch": epoch,
-                    "ids": result.row(i).ids.tolist(),
-                    "visited": result.visited_lists[i],
-                }
-                for i in range(len(indices))
-            ]
-
-        def is_valid(payload) -> bool:
-            if payload["empty"]:
-                return graph.entry_point is None
-            if graph.entry_point is None:
-                return False
-            # Stale once any adjacency list the cached trajectory read
-            # was modified by apply number ``epoch`` or later.
-            return not (last_mod[payload["visited"]] >= payload["epoch"]).any()
-
-        def apply(i: int, payload) -> None:
-            nonlocal epoch
-            new_id = self._link(None if payload["empty"] else payload["ids"])
-            ids.append(new_id)
-            last_mod[new_id] = epoch
-            last_mod[graph[new_id]] = epoch
-            epoch += 1
-
-        lockstep_apply(len(rows), batch_search, is_valid, apply, self.build_batch_size)
         return ids
 
     def delete(self, vertex: int) -> None:

@@ -21,6 +21,9 @@ machine's process table).
 from __future__ import annotations
 
 import functools
+import os
+import shutil
+import tempfile
 import threading
 from typing import List, Optional, Sequence
 
@@ -28,6 +31,31 @@ from ..backends import RESPAWN_TIMEOUT_S, SHARD_BACKENDS
 from . import framing
 from .client import ShardClient
 from .worker import LocalShardWorker
+
+#: The longest AF_UNIX socket path the kernel binds: ``sun_path`` holds
+#: 108 bytes, the terminating NUL included.
+SUN_PATH_MAX = 107
+
+
+def short_socket_dir(name: str) -> str:
+    """A new private (mode 0700) directory, under the first of
+    ``$XDG_RUNTIME_DIR``, ``/tmp`` and ``/var/tmp`` where it can be
+    made, whose path joined with ``name`` fits :data:`SUN_PATH_MAX`."""
+    for root in (os.environ.get("XDG_RUNTIME_DIR"), "/tmp", "/var/tmp"):
+        if not root or not os.path.isdir(root):
+            continue
+        # mkdtemp's directory name: the prefix plus 8 random characters.
+        probe = os.path.join(root, "repro-XXXXXXXX", name)
+        if len(os.fsencode(probe)) > SUN_PATH_MAX:
+            continue
+        try:
+            return tempfile.mkdtemp(prefix="repro-", dir=root)
+        except OSError:
+            continue
+    raise OSError(
+        f"no directory can hold the AF_UNIX socket {name!r} within "
+        f"{SUN_PATH_MAX} bytes"
+    )
 
 
 def normalize_endpoints(
@@ -140,9 +168,12 @@ class _ProcessReplica(_SocketReplica):
     All replicas of a shard map the same shipped directory (state is
     saved once per shard, not once per replica); each has its own
     worker on its own socket, ``<shard dir>-<replica>.sock``, so
-    replicas fail — and fail over — one at a time.  Spawned lazily on
-    the first search; the supervisor's respawner is the worker's own
-    ``respawn``.
+    replicas fail — and fail over — one at a time.  When that path
+    would not fit AF_UNIX's ``sun_path`` (a long ``TMPDIR``), the
+    socket goes in a private directory of its own under a short root
+    (:func:`short_socket_dir`), removed on :meth:`stop`.  Spawned
+    lazily on the first search; the supervisor's respawner is the
+    worker's own ``respawn``.
     """
 
     kind = "process"
@@ -153,6 +184,7 @@ class _ProcessReplica(_SocketReplica):
         self.alive, self.restarts, self.in_flight = False, 0, 0
         self.lock = threading.Lock()
         self.endpoint = self._worker = self._client = self._respawner = None
+        self._socket_dir: Optional[str] = None
 
     @property
     def pid(self) -> Optional[int]:
@@ -163,6 +195,10 @@ class _ProcessReplica(_SocketReplica):
 
     def spawn(self, dirpath: str) -> None:
         self.endpoint = f"{dirpath}-{self.replica_id}.sock"
+        if len(os.fsencode(self.endpoint)) > SUN_PATH_MAX:
+            name = os.path.basename(self.endpoint)
+            self._socket_dir = short_socket_dir(name)
+            self.endpoint = os.path.join(self._socket_dir, name)
         self._worker = LocalShardWorker(dirpath, self.endpoint, wait=False)
         self._respawner = functools.partial(
             self._worker.respawn, RESPAWN_TIMEOUT_S
@@ -179,7 +215,10 @@ class _ProcessReplica(_SocketReplica):
         if self._worker is not None:
             self._client.close()
             self._worker.stop()
+        if self._socket_dir is not None:
+            shutil.rmtree(self._socket_dir, ignore_errors=True)
         self.endpoint = self._worker = self._client = self._respawner = None
+        self._socket_dir = None
 
 
 SHARD_BACKENDS[_SocketReplica.kind] = _SocketReplica

@@ -3,9 +3,10 @@
 ``tests/fixtures/graph_golden/expected.json`` holds the sha256 of every
 array :func:`graph_to_arrays` exports — the packed adjacency and, for
 HNSW, each upper layer — plus the graph's meta (entry point, level) for
-NSG, Vamana and HNSW built on a fixed sift sample.  A builder change
-that moves one edge fails here; ``test_build_parity`` only compares a
-builder with itself at different batch sizes.
+NSG, Vamana (sequential and batched) and HNSW built on a fixed sift
+sample.  A builder change that moves one edge fails here;
+``test_build_parity`` only compares a builder with itself at different
+batch sizes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ CASES = {
     "nsg": GraphSpec("nsg"),
     # Tight degree: most vertices prune, and InterInsert re-prunes.
     "nsg_r8": GraphSpec("nsg", params={"knn_k": 16, "r": 8, "search_l": 32}),
-    "vamana": laptop_graph("vamana", seed=1),
+    # Cap 1: sequential insertion, the build this entry was recorded
+    # from before Vamana inserted in batches.
+    "vamana": GraphSpec(
+        "vamana",
+        seed=1,
+        params={**laptop_graph("vamana", seed=1).params, "build_batch_size": 1},
+    ),
+    "vamana_batched": laptop_graph("vamana", seed=1),
     "hnsw": laptop_graph("hnsw", seed=1),
 }
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import (
     DatasetSpec,
+    GraphSpec,
     IndexSpec,
     QuantizerSpec,
     ScenarioSpec,
@@ -75,7 +76,11 @@ def test_workbench_reproduces_the_old_harness():
         ),
         "hybrid_rpq": IndexSpec(
             dataset=DatasetSpec("ukbench", n_base=300, n_queries=6),
-            graph=laptop_graph("vamana"),
+            # Sequential insertion, the Vamana build the fixture saw.
+            graph=GraphSpec(
+                "vamana",
+                params={**laptop_graph("vamana").params, "build_batch_size": 1},
+            ),
             quantizer=QuantizerSpec(
                 "rpq", 4, 8,
                 params={"epochs": 1, "num_triplets": 32, "num_queries": 3},

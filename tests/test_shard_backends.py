@@ -18,6 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import stat
+import tempfile
 import threading
 
 import numpy as np
@@ -235,6 +236,40 @@ class TestProcessSmoke:
             None,
             None,
         ]
+
+    def test_a_long_temp_dir_still_starts_the_fleet(
+        self, setup, tmp_path, monkeypatch
+    ):
+        # AF_UNIX caps a socket path at 108 bytes: sockets that would
+        # not fit next to the shipped state under a long temp dir go
+        # in a private directory of their own, removed on close().
+        data, _ = setup
+        long_dir = tmp_path / ("long-temp-dir-" + "x" * 80)
+        long_dir.mkdir()
+        assert len(str(long_dir)) >= 90
+        monkeypatch.setattr(tempfile, "tempdir", str(long_dir))
+        sharded = memory_sharded(setup)
+        try:
+            expected = search(sharded, data.queries, k=10, beam_width=24)
+            sharded.set_backend("process")
+            assert_results_identical(
+                expected,
+                search(sharded, data.queries, k=10, beam_width=24),
+            )
+            assert os.listdir(long_dir)  # the shipped state lives there
+            endpoints = [row["endpoint"] for row in sharded.fleet_status()]
+            assert len(endpoints) == 2
+            for endpoint in endpoints:
+                assert len(os.fsencode(endpoint)) < 108
+                assert stat.S_ISSOCK(os.stat(endpoint).st_mode)
+                parent = os.path.dirname(endpoint)
+                assert stat.S_IMODE(os.stat(parent).st_mode) == 0o700
+        finally:
+            sharded.close()
+        for endpoint in endpoints:
+            assert not os.path.exists(endpoint)
+            assert not os.path.exists(os.path.dirname(endpoint))
+        assert os.listdir(long_dir) == []
 
 
 # ----------------------------------------------------------------------
