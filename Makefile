@@ -27,8 +27,8 @@ test-batch:
 	$(PYTHON) -m pytest -x -q tests/test_batch_parity.py \
 		tests/test_batch_edge_cases.py tests/test_batch_lookup.py
 
-# Construction: batched vs cap-1 builds (HNSW / NSG byte-identical,
-# Vamana / streaming inserts equal to sequential insertion at cap 1,
+# Construction: batched vs cap-1 builds (NSG byte-identical; HNSW,
+# Vamana and streaming inserts equal to sequential insertion at cap 1,
 # deterministic, well-formed and at cap 1's recall), the
 # byte pins of every built graph, and the one occlusion prune against
 # the three loops it replaced (its rounding pin is the bisector case
@@ -66,8 +66,8 @@ chaos-smoke:
 bench-batch:
 	cd benchmarks && $(PYTHON) -m pytest bench_batch_throughput.py -q
 
-# Cap-1 vs batched build times (HNSW / NSG identity, Vamana cap 1 on the
-# recorded sequential graph and batched recall, >= 2.5x vamana gate).
+# Cap-1 vs batched build times (NSG identity; HNSW and Vamana cap 1 on
+# the recorded sequential graphs and batched recall; >= 2.5x vamana gate).
 bench-build:
 	cd benchmarks && $(PYTHON) -m pytest bench_build.py -q
 
@@ -108,7 +108,7 @@ bench-e2e-smoke:
 # The paper's evaluation: every row of repro.eval.paper.PAPER (§3
 # Table 2, §4 Fig. 4, §8 Figs. 5-12 / Tables 4-7, the design ablation)
 # run, rendered to benchmarks/results/<id>.txt and gated by its shape
-# assertion — ~16 min on a 2-CPU box.
+# assertion — ~7 min on a 2-CPU box.
 bench-paper:
 	cd benchmarks && $(PYTHON) -m pytest bench_paper.py -q
 

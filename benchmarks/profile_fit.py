@@ -13,12 +13,11 @@ table of exclusive seconds per stage:
   points per pass, and its per-point loops, one per InterInsert
   re-prune), InterInsert and the reachability pass;
 * Vamana build: the construction-time searches (rows per call), the
-  occlusion prune's two paths, the reverse-edge merge, the rest of
-  each insert batch (pool assembly) and, on a checkout that still has
-  it, the speculative driver's own bookkeeping — plus the number of
-  batches (search calls) and rows searched per inserted point (each of
-  the two passes inserts every point once, so 1.00 means no search
-  was re-run);
+  occlusion prune's two paths, the reverse-edge merge and the rest of
+  each insert batch (pool assembly) — plus the number of batches
+  (search calls) and rows searched per inserted point (each of the two
+  passes inserts every point once, so 1.00 means no search was
+  re-run);
 * fits: OPQ rotation, k-means++ seeding, Lloyd, the k-means warm start,
   triplet and routing sampling, training forward (+ optimizer) and
   backward.
@@ -76,8 +75,6 @@ VAMANA_TIMED = [
      lambda args, kwargs: len(args[1])),
     ("repro.graphs.vamana", None, "_reverse_edges", "reverse-edge merge"),
     ("repro.graphs.vamana", None, "insert_batch", "batch assembly"),
-    ("repro.engine.construction", None, "lockstep_apply",
-     "speculative driver"),
 ]
 FIT_TIMED = [
     ("repro.core.diffq", "DifferentiableQuantizer", "warm_start_rotation",

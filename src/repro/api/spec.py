@@ -54,10 +54,11 @@ class GraphSpec:
     ``params`` passes through to the builder by keyword (``r``,
     ``search_l``, ``alpha`` for Vamana; ``m``, ``ef_construction`` for
     HNSW; ``knn_k``, ``r``, ``search_l`` for NSG; ``build_batch_size``
-    for any of them).  ``build_batch_size`` is, for Vamana, the largest
-    insert batch — it changes the graph, and ``1`` is sequential
-    insertion — and, for HNSW and NSG, the window of construction-time
-    searches run in lockstep, which never changes the graph.
+    for any of them).  ``build_batch_size`` is, for Vamana and HNSW,
+    the largest insert batch — it changes the graph, and ``1`` is
+    sequential insertion — and, for NSG, the window of
+    construction-time searches run in lockstep, which never changes the
+    graph.
     """
 
     kind: str = "vamana"

@@ -10,17 +10,15 @@ kernel (:func:`~repro.engine.kernel.execute`).  The layering is:
 * :mod:`repro.engine.context` — :class:`SearchContext`, the bundle of
   dataset view (compact codes), lookup-table factory, and kernel
   invocation shared by the index scenarios.
-* :mod:`repro.engine.construction` — the speculative lockstep driver
-  that lets HNSW batch its construction-time searches while producing
-  bitwise-identical graphs to sequential insertion (Vamana and the
-  streaming index insert in deterministic batches instead, see
-  :mod:`repro.graphs.vamana`).
+
+Graph builders need nothing here beyond the kernel: they batch their
+own construction-time searches (HNSW, Vamana and the streaming index
+insert in deterministic batches, see :mod:`repro.graphs.vamana`).
 
 See ``docs/architecture.md`` for how the scenarios layer policy over
 this core and how sharding / async serving plug in.
 """
 
-from .construction import lockstep_apply
 from .kernel import (
     BatchDistanceFn,
     BatchSearchResult,
@@ -45,5 +43,4 @@ __all__ = [
     "SearchResult",
     "WorkspacePool",
     "execute",
-    "lockstep_apply",
 ]

@@ -41,7 +41,7 @@ bitwise-invisible:
   gathers a whole round's neighbor lists in one fancy-index slice-concat
   instead of a per-vertex Python loop;
 * a :class:`~repro.engine.workspace.KernelWorkspace` passed as
-  ``workspace=`` recycles the visited/seen bitsets and candidate
+  ``workspace=`` recycles the seen bitset and candidate
   buffers across calls (results are always copied out, so reuse cannot
   alias a caller's held arrays).
 """
@@ -54,13 +54,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .profile import KernelProfile
-from .workspace import (
-    BIT_MASKS,
-    KernelWorkspace,
-    bitset_row_indices,
-    bitset_set,
-    bitset_set_dup,
-)
+from .workspace import BIT_MASKS, KernelWorkspace, bitset_set
 
 DistanceFn = Callable[[np.ndarray], np.ndarray]
 """Maps an array of vertex ids to estimated distances to the query."""
@@ -139,8 +133,8 @@ class BatchSearchResult:
     first ``counts[b]`` entries are valid, the remainder padded with
     ``-1`` / ``inf``.  The per-query counters mirror
     :class:`SearchResult`; :meth:`total_hops` and friends aggregate
-    them for throughput reporting.  ``traces`` / ``visited_lists`` are
-    populated only when the kernel was asked to record them.
+    them for throughput reporting.  ``traces`` is populated only when
+    the kernel was asked to record it.
     """
 
     ids: np.ndarray
@@ -150,9 +144,6 @@ class BatchSearchResult:
     distance_computations: np.ndarray
     visited_counts: np.ndarray
     traces: Optional[List[List[BeamStep]]] = field(default=None, repr=False)
-    visited_lists: Optional[List[np.ndarray]] = field(
-        default=None, repr=False
-    )
 
     @property
     def num_queries(self) -> int:
@@ -182,9 +173,9 @@ class BatchSearchResult:
         """Restrict every row to its first ``k`` entries.
 
         Copies the sliced columns out (no views into the kernel's
-        candidate buffers) and carries ``traces`` / ``visited_lists``
-        through unchanged — they are per-row diagnostics, not per-rank
-        lists, so ``k`` does not trim them.
+        candidate buffers) and carries ``traces`` through unchanged —
+        they are per-row diagnostics, not per-rank lists, so ``k`` does
+        not trim them.
         """
         return BatchSearchResult(
             ids=np.ascontiguousarray(self.ids[:, :k]),
@@ -194,7 +185,6 @@ class BatchSearchResult:
             distance_computations=self.distance_computations.copy(),
             visited_counts=self.visited_counts.copy(),
             traces=self.traces,
-            visited_lists=self.visited_lists,
         )
 
 
@@ -220,7 +210,6 @@ def execute(
     expand: Optional[ExpandFn] = None,
     expansion_counts_distance: bool = False,
     record_trace: bool = False,
-    collect_visited: bool = False,
     workspace: Optional[KernelWorkspace] = None,
     profile: Optional[KernelProfile] = None,
 ) -> BatchSearchResult:
@@ -231,10 +220,9 @@ def execute(
     ``expand`` or direct adjacency reads), probes the seen set once for
     the lot, scores every fresh (query, vertex) pair in a single
     ``dist_fn`` call, and re-ranks all touched candidate rows with one
-    stable ``argsort`` over a shared padded buffer.  The seen set (and,
-    on request, the expanded set) lives in a shared ``(B, ceil(n/8))``
-    uint8 bitset; the candidate buffer grows on demand, so no degree
-    bound needs to be known up front.
+    stable ``argsort`` over a shared padded buffer.  The seen set lives
+    in a shared ``(B, ceil(n/8))`` uint8 bitset; the candidate buffer
+    grows on demand, so no degree bound needs to be known up front.
 
     Parameters
     ----------
@@ -264,10 +252,6 @@ def execute(
     record_trace:
         Record a :class:`BeamStep` per next-hop decision (the routing
         features of paper Def. 6).  Requires ``frontier_width == 1``.
-    collect_visited:
-        Return each query's expanded-vertex set — the adjacency reads
-        its trajectory depends on, which the speculative construction
-        driver validates against graph mutations.
     workspace:
         A recycled :class:`~repro.engine.workspace.KernelWorkspace`; the
         kernel sizes/zeros it and leaves release to the caller.  ``None``
@@ -302,17 +286,14 @@ def execute(
     # caller owns a pool; every returned array is copied out below).
     ws = workspace if workspace is not None else KernelWorkspace()
     ws.reset(b, n, cap)
-    visited = ws.zeroed_visited(b, n) if collect_visited else None
     seen_flat = ws.seen.reshape(-1)
     seen_stride = ws.seen.shape[1]
     cand_ids = ws.cand_ids[:b, :cap]
     cand_d = ws.cand_d[:b, :cap]
-    # Positional twin of the visited set, in candidate-buffer space:
-    # ``cand_vis[r, c]`` is True when slot ``c`` of row ``r`` holds an
-    # already-expanded vertex *or* padding, so the per-round frontier
-    # selection is a scan of ``beam_width`` slots instead of an n-sized
-    # bitset probe.  The id-keyed ``visited`` bitset is only maintained
-    # when the caller asked for the expanded-vertex sets.
+    # The visited set, in candidate-buffer space: ``cand_vis[r, c]`` is
+    # True when slot ``c`` of row ``r`` holds an already-expanded vertex
+    # *or* padding, so the per-round frontier selection is a scan of
+    # ``beam_width`` slots instead of an n-sized bitset probe.
     cand_vis = ws.cand_visited[:b, :cap]
     counts = np.ones(b, dtype=np.int64)
     hops = np.zeros(b, dtype=np.int64)
@@ -361,8 +342,6 @@ def execute(
                     )
                 )
         cand_vis[sel_r, sel_c] = True
-        if visited is not None:
-            bitset_set_dup(visited, sel_r, frontier)
         round_hops = np.bincount(sel_r, minlength=b)
         hops += round_hops
         if expansion_counts_distance:
@@ -489,9 +468,4 @@ def execute(
         distance_computations=dist_comps,
         visited_counts=hops.copy(),
         traces=traces,
-        visited_lists=(
-            [bitset_row_indices(visited[i], n) for i in range(b)]
-            if visited is not None
-            else None
-        ),
     )

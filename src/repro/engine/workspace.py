@@ -9,9 +9,9 @@ is recycled across calls through a :class:`WorkspacePool`; results are
 always *copied out* of the workspace, so reuse can never alias a
 caller's held arrays.
 
-The visited/seen masks are stored bitset-packed — ``(B, ceil(n / 8))``
-uint8 instead of ``(B, n)`` bool — an 8x footprint cut that keeps the
-masks cache-resident for much larger graphs.  The packing helpers here
+The seen mask is stored bitset-packed — ``(B, ceil(n / 8))`` uint8
+instead of ``(B, n)`` bool — an 8x footprint cut that keeps the mask
+cache-resident for much larger graphs.  The packing helpers here
 are the kernel's only bit-twiddling surface.
 """
 
@@ -36,15 +36,9 @@ def bitset_set(buf: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
     """Set bits where ``(rows, cols)`` pairs are unique.
 
     Fancy-index ``|=`` drops duplicate writes (NumPy buffering), so
-    callers with possibly-duplicate pairs must use
-    :func:`bitset_set_dup` instead.
+    possibly-duplicate pairs need an unbuffered ``np.bitwise_or.at``.
     """
     buf[rows, cols >> 3] |= BIT_MASKS[cols & 7]
-
-
-def bitset_set_dup(buf: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
-    """Duplicate-safe bit set (unbuffered ``bitwise_or.at``)."""
-    np.bitwise_or.at(buf, (rows, cols >> 3), BIT_MASKS[cols & 7])
 
 
 def _cleared_bitset(buf: np.ndarray, b: int, width: int) -> np.ndarray:
@@ -58,13 +52,6 @@ def _cleared_bitset(buf: np.ndarray, b: int, width: int) -> np.ndarray:
     return buf
 
 
-def bitset_row_indices(row: np.ndarray, n: int) -> np.ndarray:
-    """Sorted column indices of the set bits in one bitset row."""
-    return np.flatnonzero(
-        np.unpackbits(row, bitorder="little")[:n]
-    ).astype(np.int64)
-
-
 class KernelWorkspace:
     """Preallocated scratch state for one in-flight kernel call.
 
@@ -74,13 +61,9 @@ class KernelWorkspace:
     padding when its distance is ``inf`` and its ``cand_visited`` flag
     is set; the kernel never reads a padding slot's id, and the zero
     fill on reset only keeps a recycled buffer's contents reproducible.
-    The ``visited`` bitset is read only by callers that return the
-    expanded-vertex sets, so it is sized and zeroed on request
-    (:meth:`zeroed_visited`), not on every ``reset``.
     """
 
     __slots__ = (
-        "visited",
         "seen",
         "cand_ids",
         "cand_d",
@@ -91,7 +74,6 @@ class KernelWorkspace:
     )
 
     def __init__(self) -> None:
-        self.visited = np.empty((0, 0), dtype=np.uint8)
         self.seen = np.empty((0, 0), dtype=np.uint8)
         self.cand_ids = np.empty((0, 0), dtype=np.int64)
         self.cand_d = np.empty((0, 0), dtype=np.float64)
@@ -118,12 +100,6 @@ class KernelWorkspace:
             self.cand_d[:b, :cap] = np.inf
             self.cand_visited[:b, :cap] = True
         self._rounds_served += 1
-
-    def zeroed_visited(self, b: int, n: int) -> np.ndarray:
-        """The ``(b, ceil(n/8))`` expanded-vertex bitset, all clear."""
-        width = bitset_width(n)
-        self.visited = _cleared_bitset(self.visited, b, width)
-        return self.visited[:b, :width]
 
     def grow_candidates(self, b: int, old_cap: int, new_cap: int) -> None:
         """Extend the candidate region mid-call, preserving contents.

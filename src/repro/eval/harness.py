@@ -24,7 +24,6 @@ from ..api.protocol import SearchRequest
 from ..api.registry import build_graph_from_spec
 from ..api.spec import GraphSpec
 from ..datasets.ground_truth import GroundTruth, compute_ground_truth
-from ..graphs.beam import beam_search_batch
 from ..metrics.recall import recall_at_k
 from .sweep import run_queries_batched
 from .tables import fmt, format_table
@@ -276,7 +275,7 @@ def serving_speedup(points: Sequence[ServingPoint]) -> float:
 #: Builders whose ``build_batch_size`` changes the graph on purpose
 #: (deterministic batch insertion, :mod:`repro.graphs.vamana`): their
 #: batched builds are held to the cap-1 build's recall, not its bytes.
-BATCH_INSERT_KINDS = frozenset({"vamana"})
+BATCH_INSERT_KINDS = frozenset({"hnsw", "vamana"})
 
 #: Exact-routing recall@10 (beam 10) a batched build may lose against
 #: the cap-1 build.
@@ -312,42 +311,27 @@ class BuildThroughputPoint:
 def exact_routing_recall(
     graph, x: np.ndarray, queries: np.ndarray, beam_width: int = 10, k: int = 10
 ) -> float:
-    """Recall@``k`` of exact-distance beam search over ``graph`` at
-    ``beam_width``: the graph's own routing quality, no quantizer."""
+    """Recall@``k`` of exact-distance search over ``graph`` at
+    ``beam_width``, routed the graph's own way (``search_batch``: HNSW
+    descends its upper layers first): its routing quality, no
+    quantizer."""
     truth = compute_ground_truth(x, queries, k).ids
 
     def dist_fn(qidx: np.ndarray, vertex_ids: np.ndarray) -> np.ndarray:
         diff = x[vertex_ids] - queries[qidx]
         return np.einsum("ij,ij->i", diff, diff)
 
-    found = beam_search_batch(
-        graph.packed(),
-        np.full(len(queries), graph.entry_point, dtype=np.int64),
-        dist_fn,
-        beam_width,
-        k=k,
-    )
+    found = graph.search_batch(dist_fn, beam_width, len(queries), k=k)
     return recall_at_k(list(found.ids), truth)
 
 
 def graphs_identical(a, b) -> bool:
-    """Byte-identical adjacency (and HNSW upper layers / entry)."""
+    """Byte-identical flat graphs: adjacency and entry point."""
     if a.num_vertices != b.num_vertices or a.entry_point != b.entry_point:
         return False
-    if not all(
+    return all(
         np.array_equal(na, nb) for na, nb in zip(a.adjacency, b.adjacency)
-    ):
-        return False
-    a_upper = getattr(a, "upper_layers", [])
-    b_upper = getattr(b, "upper_layers", [])
-    if len(a_upper) != len(b_upper):
-        return False
-    for la, lb in zip(a_upper, b_upper):
-        if set(la) != set(lb):
-            return False
-        if not all(np.array_equal(la[v], lb[v]) for v in la):
-            return False
-    return True
+    )
 
 
 def run_build_throughput(
@@ -360,8 +344,8 @@ def run_build_throughput(
 
     Builds ``graph`` over ``x`` once with ``build_batch_size=1``
     (strictly sequential construction) and once per batched size.
-    HNSW and NSG batch only their searches, so each batched build must
-    be byte-identical to the cap-1 one; a :data:`BATCH_INSERT_KINDS`
+    NSG batches only its searches, so each batched build must be
+    byte-identical to the cap-1 one; a :data:`BATCH_INSERT_KINDS`
     builder changes its graph with the cap, so both builds' exact
     routing recall over ``queries`` (required for those kinds) is
     measured instead.

@@ -30,7 +30,6 @@ from .beam import (
     beam_search_batch,
     exact_distance_fn,
     greedy_search,
-    greedy_search_with_path,
 )
 from .hnsw import HNSW, build_hnsw
 from .knn_graph import exact_knn, knn_graph_adjacency
@@ -47,7 +46,6 @@ __all__ = [
     "beam_search",
     "beam_search_batch",
     "greedy_search",
-    "greedy_search_with_path",
     "exact_distance_fn",
     "BeamStep",
     "SearchResult",

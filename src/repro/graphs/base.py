@@ -189,7 +189,6 @@ class ProximityGraph:
         num_queries: int,
         k: Optional[int] = None,
         entries: Optional[np.ndarray] = None,
-        collect_visited: bool = False,
         workspace: Optional[KernelWorkspace] = None,
         profile: Optional[KernelProfile] = None,
     ) -> BatchSearchResult:
@@ -217,7 +216,6 @@ class ProximityGraph:
             dist_fn,
             beam_width,
             k=k,
-            collect_visited=collect_visited,
             workspace=workspace,
             profile=profile,
         )

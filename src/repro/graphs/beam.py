@@ -11,7 +11,7 @@ through here with a different distance callback.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "beam_search_batch",
     "exact_distance_fn",
     "greedy_search",
-    "greedy_search_with_path",
     "singleton_dist_fn",
 ]
 
@@ -102,7 +101,6 @@ def beam_search_batch(
     dist_fn: BatchDistanceFn,
     beam_width: int,
     k: Optional[int] = None,
-    collect_visited: bool = False,
     workspace: Optional[KernelWorkspace] = None,
     profile: Optional[KernelProfile] = None,
 ) -> BatchSearchResult:
@@ -119,7 +117,6 @@ def beam_search_batch(
         dist_fn,
         beam_width,
         k=k,
-        collect_visited=collect_visited,
         workspace=workspace,
         profile=profile,
     )
@@ -135,36 +132,20 @@ def greedy_search(
     Used by HNSW's upper layers to locate the entry point for the base
     layer.
     """
-    return greedy_search_with_path(adjacency, entry, dist_fn)[0]
-
-
-def greedy_search_with_path(
-    adjacency: Sequence[np.ndarray],
-    entry: int,
-    dist_fn: DistanceFn,
-) -> Tuple[int, List[int]]:
-    """Greedy descent that also reports every vertex whose adjacency it
-    read — the chain of expanded vertices, used by the speculative
-    construction driver to validate cached descents."""
     current = entry
     current_d = float(
         np.asarray(dist_fn(np.array([current], dtype=np.int64)))[0]
     )
-    path = [current]
-    improved = True
-    while improved:
-        improved = False
+    while True:
         neighbors = np.asarray(adjacency[current], dtype=np.int64)
         if not neighbors.size:
-            break
+            return current
         nd = np.asarray(dist_fn(neighbors), dtype=np.float64)
         best = int(nd.argmin())
-        if nd[best] < current_d:
-            current = int(neighbors[best])
-            current_d = float(nd[best])
-            path.append(current)
-            improved = True
-    return current, path
+        if not nd[best] < current_d:
+            return current
+        current = int(neighbors[best])
+        current_d = float(nd[best])
 
 
 def exact_distance_fn(x: np.ndarray, query: np.ndarray) -> DistanceFn:

@@ -9,7 +9,8 @@ This reproduction implements the standard construction: per-layer beam
 search with ``ef_construction``, the Alg.-4 neighbor-selection heuristic
 (the RNG-style prune, :func:`~repro.graphs.prune.prune` with
 ``strict=True``), bidirectional linking, and degree capping (``M`` per
-upper layer, ``2M`` at the base layer).
+upper layer, ``2M`` at the base layer).  Points are inserted in
+deterministic batches, as Vamana's are (:mod:`repro.graphs.vamana`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..engine import lockstep_apply
 from .base import ProximityGraph
 from .beam import (
     BatchDistanceFn,
@@ -30,10 +30,19 @@ from .beam import (
     beam_search,
     beam_search_batch,
     greedy_search,
-    greedy_search_with_path,
-    singleton_dist_fn,
 )
+from .block import BlockGraph
 from .prune import prune
+from .vamana import _concat_runs, _reverse_edges, batches
+
+
+#: HNSW's batches grow more slowly than Vamana's: each holds at most a
+#: sixteenth of the points already linked (:func:`batches`).  A point
+#: never sees its batch-mates, and HNSW has no second pass to repair
+#: what it missed: at most 1 in 17 of the points it could link to are
+#: batch-mates (``docs/architecture.md`` has recall at divisors 1, 4
+#: and 16).
+GROWTH_DIVISOR = 16
 
 
 @dataclass
@@ -73,7 +82,6 @@ class HNSW(ProximityGraph):
         num_queries: int,
         k: Optional[int] = None,
         entries: Optional[np.ndarray] = None,
-        collect_visited: bool = False,
         workspace=None,
         profile=None,
     ) -> "BatchSearchResult":
@@ -106,7 +114,6 @@ class HNSW(ProximityGraph):
             dist_fn,
             beam_width,
             k=k,
-            collect_visited=collect_visited,
             workspace=workspace,
             profile=profile,
         )
@@ -148,15 +155,16 @@ def build_hnsw(
 ) -> HNSW:
     """Construct an HNSW graph over the rows of ``x``.
 
-    The per-point layer searches run in speculative lockstep windows of
-    ``build_batch_size`` (see :mod:`repro.engine.construction`): each
-    point's upper-layer descent and searches are computed against a
-    graph snapshot while its dominant base-layer ``ef_construction``
-    search joins one lockstep kernel call for the whole window; a
-    cached pipeline is reused only if nothing it read — upper-layer
-    adjacency, base adjacency, or the entry point — changed before the
-    point's strictly-ordered insertion, so the graph is bitwise
-    identical to ``build_batch_size=1`` (sequential insertion).
+    Points are inserted in deterministic batches
+    (:func:`~repro.graphs.vamana.batches`, at most a
+    :data:`GROWTH_DIVISOR`-th of the linked points each).  A batch walks
+    down the layers against the graph as it stood before the batch: at
+    each layer its points below that level descend greedily, and the
+    rest search it at ``ef_construction`` in one lockstep call, get
+    their lists from one lockstep prune and add their back edges with
+    Vamana's reverse-edge step.  The entry point moves after the batch,
+    in batch order.  At ``build_batch_size=1`` every batch is one point
+    and the build is exactly sequential insertion.
 
     Parameters
     ----------
@@ -169,7 +177,7 @@ def build_hnsw(
     seed:
         Level-sampling seed.
     build_batch_size:
-        Lockstep window of the construction-time searches.
+        Largest insert batch; ``1`` is strictly sequential insertion.
     """
     x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
@@ -177,206 +185,80 @@ def build_hnsw(
         raise ValueError("cannot build HNSW over an empty dataset")
     rng = np.random.default_rng(seed)
     level_mult = 1.0 / math.log(max(m, 2))
-    m_base = 2 * m
-
-    # Every layer maps a vertex to its neighbor list and is written as
-    # a dict.  The base layer holds every vertex from the start; an
-    # upper layer only the vertices linked into it, and searches read
-    # it through a _LayerView, so a read never adds an empty list.
-    base: Dict[int, List[int]] = {v: [] for v in range(n)}
-    upper: List[Dict[int, List[int]]] = []
     levels = np.floor(
         -np.log(rng.uniform(low=1e-12, high=1.0, size=n)) * level_mult
     ).astype(np.int64)
-    entry_point = 0
-    max_level = int(levels[0])
 
-    # Mutation log for the speculative driver: per-vertex last-modified
-    # apply number for the base layer and each upper layer, plus the
-    # apply number of the last entry-point/max-level change.
-    base_mod = np.full(n, -1, dtype=np.int64)
-    upper_mod: List[Dict[int, int]] = []
-    entry_epoch = -1
-    epoch = 0
+    # layers[0] is the base layer.  An upper layer's vertices are the
+    # ones written into it, kept in the order of their first write:
+    # the order of its dict in the built graph.
+    layers = [BlockGraph(2 * m if lvl == 0 else m) for lvl in range(levels.max() + 1)]
+    for layer in layers:
+        layer.resize(n)
+        layer.n = n
+    written = np.zeros((len(layers), n), dtype=bool)
+    order = [[np.empty(0, dtype=np.int64)] for _ in layers]
 
-    def upper_view(level: int) -> _LayerView:
-        return _LayerView(upper[level - 1], n)
-
-    def select(point: int, pool: List[int], cap: int) -> List[int]:
-        selected, _ = prune(x, [point], pool, [len(pool)], cap, alpha=1.0, strict=True)
-        return selected.tolist()
-
-    # The upper-layer phase (descents + upper ef searches) is cached
-    # separately from the base search: upper layers mutate ~log(m)
-    # times less often than the base layer, so when a base search is
-    # invalidated its point's upper chain usually survives and only
-    # the base search is redone.
-    upper_cache: Dict[int, dict] = {}
-
-    def upper_reads_valid(part) -> bool:
-        if entry_epoch >= part["epoch"]:
-            return False
-        stamp = part["epoch"]
-        for lvl, verts in part["reads"]:
-            mod = upper_mod[lvl - 1] if lvl - 1 < len(upper_mod) else {}
-            if any(mod.get(int(v), -1) >= stamp for v in verts):
-                return False
-        return True
-
-    def batch_search(points):
-        """Speculative search pipelines for ``points`` on the current
-        graph: scalar upper-layer work (tiny sparse layers, and only
-        ~1/log(m) of points have upper levels), then one lockstep
-        base-layer search for the whole window."""
-        payloads = []
-        base_entries = np.empty(len(points), dtype=np.int64)
-
-        def snapshot_layer(lvl: int):
-            # A layer the sequential builder would have materialized as
-            # an empty dict may not exist yet at snapshot time; an
-            # empty view routes identically.
-            if lvl - 1 < len(upper):
-                return upper_view(lvl)
-            return _LayerView({}, n)
-
-        def upper_phase(i: int) -> dict:
-            cached = upper_cache.get(i)
-            if cached is not None and upper_reads_valid(cached):
-                return cached
-            level = int(levels[i])
-            dist_fn = _point_distance_fn(x, x[i])
-            start = entry_point
-            reads = []  # (layer, vertices whose adjacency was read)
-            # Descend layers above the new point's level greedily.
-            for lvl in range(max_level, level, -1):
-                if lvl > len(upper):
-                    continue
-                start, path = greedy_search_with_path(
-                    upper_view(lvl), start, dist_fn
+    entry, max_level = 0, int(levels[0])
+    for start, stop in batches(n - 1, 1, build_batch_size, GROWTH_DIVISOR):
+        points = np.arange(start + 1, stop + 1, dtype=np.int64)
+        point_levels = levels[points]
+        starts = np.full(points.size, entry, dtype=np.int64)
+        for lvl in range(max_level, -1, -1):
+            layer = layers[lvl]
+            link = point_levels >= lvl
+            descend = ~link
+            if descend.any():
+                # Beam width 1 is the greedy descent: the kernel stops
+                # where greedy_search does.
+                found = beam_search_batch(
+                    layer, starts[descend], _rows_dist_fn(x, points[descend]), 1
                 )
-                reads.append((lvl, np.array(path, dtype=np.int64)))
-            # Upper-layer ef searches (results are linked at apply time).
-            upper_results = []
-            for lvl in range(min(level, max_level), 0, -1):
-                result = beam_search_batch(
-                    snapshot_layer(lvl),
-                    np.array([start], dtype=np.int64),
-                    singleton_dist_fn(dist_fn),
-                    ef_construction,
-                    collect_visited=True,
-                )
-                assert result.visited_lists is not None
-                cand_ids = list(result.row(0).ids)
-                reads.append((lvl, result.visited_lists[0]))
-                upper_results.append((lvl, cand_ids))
-                start = cand_ids[0] if cand_ids else start
-            part = {
-                "epoch": epoch,
-                "reads": reads,
-                "upper_results": upper_results,
-                "base_entry": int(start),
-            }
-            upper_cache[i] = part
-            return part
-
-        for t, i in enumerate(points):
-            if i == 0:
-                payloads.append({"first": True})
-                base_entries[t] = entry_point
+                starts[descend] = found.ids[:, 0]
+            if not link.any():
                 continue
-            part = upper_phase(i)
-            base_entries[t] = part["base_entry"]
-            payloads.append(
-                {
-                    "first": False,
-                    "epoch": epoch,
-                    "upper": part,
-                }
+            linked = points[link]
+            found = beam_search_batch(
+                layer, starts[link], _rows_dist_fn(x, linked), ef_construction
             )
-
-        sub = [t for t, i in enumerate(points) if i != 0]
-        if sub:
-            queries = x[np.array([points[t] for t in sub], dtype=np.int64)]
-
-            def dist_fn_batch(qidx: np.ndarray, vertex_ids: np.ndarray):
-                diff = x[vertex_ids] - queries[qidx]
-                return np.einsum("ij,ij->i", diff, diff)
-
-            result = beam_search_batch(
-                base,
-                base_entries[np.array(sub, dtype=np.int64)],
-                dist_fn_batch,
-                ef_construction,
-                collect_visited=True,
+            starts[link] = found.ids[:, 0]
+            valid = np.arange(found.ids.shape[1]) < found.counts[:, None]
+            flat, lens = prune(
+                x, linked, found.ids[valid], found.counts, m, alpha=1.0, strict=True
             )
-            assert result.visited_lists is not None
-            for pos, t in enumerate(sub):
-                row = result.row(pos)
-                payloads[t]["base_ids"] = list(row.ids)
-                payloads[t]["base_visited"] = result.visited_lists[pos]
-        return payloads
+            layer.set_rows(linked, flat, lens)
+            _reverse_edges(
+                layer,
+                x,
+                np.repeat(linked, lens),
+                flat,
+                r=layer.ids.shape[1],
+                alpha=1.0,
+                strict=True,
+            )
+            if lvl:
+                # Each linked point, then the neighbours it wrote to.
+                runs, _ = _concat_runs(linked, np.ones_like(lens), flat, lens)
+                _, first = np.unique(runs, return_index=True)
+                runs = runs[np.sort(first)]
+                runs = runs[~written[lvl, runs]]
+                written[lvl, runs] = True
+                order[lvl].append(runs)
+        top = int(point_levels.argmax())
+        if point_levels[top] > max_level:
+            entry, max_level = int(points[top]), int(point_levels[top])
 
-    def is_valid(payload) -> bool:
-        if payload["first"]:
-            return True
-        if not upper_reads_valid(payload["upper"]):
-            return False
-        return not (
-            base_mod[payload["base_visited"]] >= payload["epoch"]
-        ).any()
-
-    def apply(i: int, payload) -> None:
-        nonlocal entry_point, max_level, entry_epoch, epoch
-        level = int(levels[i])
-        while len(upper) < level:
-            upper.append({})
-            upper_mod.append({})
-        if i == 0:
-            max_level = level
-            entry_point = 0
-            epoch += 1
-            return
-
-        def mark(lvl: int, vertex: int) -> None:
-            if lvl == 0:
-                base_mod[vertex] = epoch
-            else:
-                upper_mod[lvl - 1][vertex] = epoch
-
-        upper_cache.pop(i, None)
-        # Link at each layer from min(level, max_level) down to 0 using
-        # the validated search results (exactly the sequential order).
-        layer_results = list(payload["upper"]["upper_results"]) + [
-            (0, payload["base_ids"])
-        ]
-        for lvl, cand_ids in layer_results:
-            cap = m_base if lvl == 0 else m
-            layer = base if lvl == 0 else upper[lvl - 1]
-            chosen = select(i, cand_ids, m)
-            layer[i] = chosen
-            mark(lvl, i)
-            for c in chosen:
-                layer.setdefault(c, []).append(i)
-                mark(lvl, c)
-                if len(layer[c]) > cap:
-                    layer[c] = select(c, layer[c], cap)
-                    mark(lvl, c)
-
-        if level > max_level:
-            max_level = level
-            entry_point = i
-            entry_epoch = epoch
-        epoch += 1
-
-    lockstep_apply(n, batch_search, is_valid, apply, build_batch_size)
-
+    neighbors, offsets = layers[0].to_csr()
     graph = HNSW(
-        adjacency=[np.array(base[v], dtype=np.int64) for v in range(n)],
-        entry_point=entry_point,
+        adjacency=np.split(neighbors.astype(np.int64), offsets[1:-1]),
+        entry_point=entry,
         name="hnsw",
         upper_layers=[
-            {v: np.array(nbrs, dtype=np.int64) for v, nbrs in layer.items()}
-            for layer in upper[:max_level]
+            {
+                int(v): layers[lvl][v].astype(np.int64)
+                for v in np.concatenate(order[lvl])
+            }
+            for lvl in range(1, max_level + 1)
         ],
         max_level=max_level,
         build_stats={"m": m, "ef_construction": ef_construction},
@@ -385,10 +267,13 @@ def build_hnsw(
     return graph
 
 
-def _point_distance_fn(x: np.ndarray, query: np.ndarray) -> DistanceFn:
-    def fn(vertex_ids: np.ndarray) -> np.ndarray:
-        rows = x[vertex_ids]
-        diff = rows - query
+def _rows_dist_fn(x: np.ndarray, rows: np.ndarray) -> BatchDistanceFn:
+    """Squared distances from the rows ``rows`` of ``x`` (query ``i``
+    is row ``rows[i]``) to vertices (rows of ``x``)."""
+    queries = x[rows]
+
+    def fn(qidx: np.ndarray, vertex_ids: np.ndarray) -> np.ndarray:
+        diff = x[vertex_ids] - queries[qidx]
         return np.einsum("ij,ij->i", diff, diff)
 
     return fn

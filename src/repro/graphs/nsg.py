@@ -23,8 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from .base import ProximityGraph, medoid
-from .beam import beam_search, beam_search_batch
-from .hnsw import _point_distance_fn
+from .beam import beam_search, beam_search_batch, exact_distance_fn
 from .knn_graph import exact_knn
 from .prune import prune
 
@@ -179,7 +178,7 @@ def _ensure_reachable(
         if orphans.size == 0:
             return
         v = int(orphans[0])
-        dist_fn = _point_distance_fn(x, x[v])
+        dist_fn = exact_distance_fn(x, x[v])
         result = beam_search(adjacency, root, dist_fn, search_l)
         # Closest vertex the search reached; guaranteed reachable.
         anchor = int(result.ids[0]) if result.ids.size else root

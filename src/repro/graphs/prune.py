@@ -21,8 +21,12 @@ rounds over flat (point, candidate) pairs, :data:`PRUNE_CHUNK` points
 at a time, equal list for list.  The loop stays because one point
 routed through the lockstep rounds costs 1.7x as much (about 370
 against 210 us for a 48-candidate pool of 64-dim rows, ``r = 16``, on
-a 2-CPU x86 box), and Vamana construction and streaming inserts prune
-one point at a time.
+a 2-CPU x86 box), and one-point calls are common: NSG's InterInsert
+re-prunes one vertex per call, and the batch inserters (HNSW, Vamana,
+the streaming index) prune one point whenever a batch holds one (every
+batch at ``build_batch_size = 1``, the first batches of every build),
+whenever one point of a batch reaches an HNSW upper layer, and
+whenever one target of a batch's reverse edges overflows.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ double up to that cap and the schedule depends only on ``n``, the cap
 and the seed.  At cap 1 every batch is one point and the build is
 exactly sequential insertion.  The streaming index
 (:mod:`repro.index.streaming`) inserts through the same
-:func:`insert_batch`.
+:func:`insert_batch`, and HNSW (:mod:`repro.graphs.hnsw`) links each
+of its layers in the same batches, with the same reverse-edge step.
 """
 
 from __future__ import annotations
@@ -38,15 +39,19 @@ from .block import BlockGraph
 from .prune import prune
 
 
-def batches(count: int, linked: int, cap: int) -> Iterator[Tuple[int, int]]:
+def batches(
+    count: int, linked: int, cap: int, divisor: int = 1
+) -> Iterator[Tuple[int, int]]:
     """``(start, stop)`` of each batch of ``count`` points inserted into
     a graph where ``linked`` points already are: a batch holds at most
-    as many points as are linked before it, and at most ``cap``."""
+    one ``divisor``-th of the points linked before it (and at least
+    one point), and at most ``cap``."""
     if cap < 1:
         raise ValueError("build_batch_size must be >= 1")
     start = 0
     while start < count:
-        stop = min(count, start + min(cap, max(linked + start, 1)))
+        size = min(cap, max((linked + start) // divisor, 1))
+        stop = min(count, start + size)
         yield start, stop
         start = stop
 
@@ -79,7 +84,9 @@ def insert_batch(
     pools, pool_lens = _concat_runs(found_ids, found.counts, *graph.gather(points))
     flat, lens = prune(x, points, pools, pool_lens, r, alpha=alpha, strict=False)
     graph.set_rows(points, flat, lens)
-    _reverse_edges(graph, x, np.repeat(points, lens), flat, r=r, alpha=alpha)
+    _reverse_edges(
+        graph, x, np.repeat(points, lens), flat, r=r, alpha=alpha, strict=False
+    )
 
 
 def _reverse_edges(
@@ -90,11 +97,13 @@ def _reverse_edges(
     *,
     r: int,
     alpha: float,
+    strict: bool,
 ) -> None:
     """Add each edge ``targets[i] -> sources[i]`` a list lacks, grouped
     by target in source order: a target that fits appends its new
     edges, and the targets that would pass ``r`` re-prune their list
-    plus the new edges, all in one lockstep call."""
+    plus the new edges, all in one lockstep :func:`prune` call with
+    ``alpha`` and ``strict``."""
     rows = graph.ids[targets]
     present = (rows == sources[:, None]) & (
         graph.cols < graph.deg[targets][:, None]
@@ -112,7 +121,7 @@ def _reverse_edges(
     pools, pool_lens = _concat_runs(
         *graph.gather(over), sources[~fit_edges], over_counts
     )
-    flat, lens = prune(x, over, pools, pool_lens, r, alpha=alpha, strict=False)
+    flat, lens = prune(x, over, pools, pool_lens, r, alpha=alpha, strict=strict)
     graph.set_rows(over, flat, lens)
 
 

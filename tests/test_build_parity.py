@@ -1,25 +1,25 @@
 """Construction parity: what each builder's ``build_batch_size`` may
 and may not change.
 
-* HNSW and NSG batch only their construction-time searches (HNSW
-  through the speculative driver, :mod:`repro.engine.construction`;
-  NSG against its static kNN graph), so they must emit byte-identical
-  graphs at every batch size, including degenerate ones (batch of 1,
-  batch larger than the dataset).
-* Vamana and the streaming index insert in deterministic batches
-  (ParlayANN's scheme, :func:`repro.graphs.vamana.insert_batch`): a
-  batch is searched on the graph as it stood before it, so the cap
-  changes the graph on purpose.  At cap 1 both must equal sequential
-  insertion — the loops they replaced, kept here as the oracles
-  (:func:`sequential_vamana`, :func:`sequential_inserts`).  At any
-  cap a build is deterministic, keeps every list within ``r`` without
-  self-loops or repeats, and routes as well as the cap-1 graph
+* NSG batches only its construction-time searches, against its static
+  kNN graph, so it must emit byte-identical graphs at every batch
+  size, including degenerate ones (batch of 1, batch larger than the
+  dataset).
+* HNSW, Vamana and the streaming index insert in deterministic batches
+  (ParlayANN's scheme, :mod:`repro.graphs.vamana`): a batch is searched
+  on the graph as it stood before it, so the cap changes the graph on
+  purpose.  At cap 1 each must equal sequential insertion — the loops
+  kept here as the oracles (:func:`sequential_hnsw`,
+  :func:`sequential_vamana`, :func:`sequential_inserts`).  At any cap
+  a build is deterministic, keeps every list within its degree bound
+  without self-loops or repeats, and routes as well as the cap-1 graph
   (exact-routing recall@10 at beam 10 within ``RECALL_SLACK``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import math
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from repro.graphs import (
     build_nsg,
     build_vamana,
     exact_distance_fn,
+    greedy_search,
     medoid,
     prune,
 )
@@ -80,9 +81,69 @@ def assert_well_formed(lists, r: int):
         assert all(0 <= u < n for u in nbrs), f"vertex {v} out of range"
 
 
-def select(x: np.ndarray, point: int, pool, r: int, alpha: float) -> List[int]:
-    selected, _ = prune(x, [point], pool, [len(pool)], r, alpha=alpha, strict=False)
+def assert_hnsw_well_formed(graph, levels: np.ndarray, m: int):
+    """Base lists within ``2m``, upper lists within ``m``, none with
+    its own vertex or a repeat, and every vertex of upper layer ``l``
+    (a list's owner or a neighbour in it) of level ``l`` or more."""
+    assert_well_formed(graph.adjacency, r=2 * m)
+    for lvl, layer in enumerate(graph.upper_layers, start=1):
+        for v, nbrs in layer.items():
+            nbrs = nbrs.tolist()
+            assert len(nbrs) <= m, f"layer {lvl} vertex {v}: {len(nbrs)} > {m}"
+            assert v not in nbrs, f"layer {lvl} vertex {v} links to itself"
+            assert len(set(nbrs)) == len(nbrs), f"layer {lvl} vertex {v} repeats"
+            assert (levels[[v] + nbrs] >= lvl).all(), f"layer {lvl} vertex {v}"
+
+
+def select(
+    x: np.ndarray, point: int, pool, r: int, alpha: float, strict: bool = False
+) -> List[int]:
+    selected, _ = prune(x, [point], pool, [len(pool)], r, alpha=alpha, strict=strict)
     return selected.tolist()
+
+
+def hnsw_levels(n: int, m: int, seed: int) -> np.ndarray:
+    """The levels :func:`build_hnsw` draws for ``n`` points."""
+    rng = np.random.default_rng(seed)
+    level_mult = 1.0 / math.log(max(m, 2))
+    return np.floor(
+        -np.log(rng.uniform(low=1e-12, high=1.0, size=n)) * level_mult
+    ).astype(np.int64)
+
+
+def sequential_hnsw(
+    x: np.ndarray, m: int, ef: int, seed: int
+) -> Tuple[int, List[Dict[int, List[int]]]]:
+    """HNSW by sequential insertion (Malkov & Yashunin's Alg. 1): one
+    point's greedy descent, then per layer its search, its prune and
+    its back edges, after another.  Returns the entry point and each
+    layer's lists, base first; an upper layer holds the vertices
+    written into it, in the order of their first write."""
+    n = x.shape[0]
+    levels = hnsw_levels(n, m, seed)
+    layers: List[Dict[int, List[int]]] = [{v: [] for v in range(n)}]
+    layers += [{} for _ in range(levels.max())]
+    entry, max_level = 0, int(levels[0])
+    for i in range(1, n):
+        dist_fn = exact_distance_fn(x, x[i])
+        start = entry
+        for lvl in range(max_level, -1, -1):
+            layer = layers[lvl]
+            lists = [np.array(layer.get(v, []), dtype=np.int64) for v in range(n)]
+            if lvl > levels[i]:
+                start = greedy_search(lists, start, dist_fn)
+                continue
+            found = beam_search(lists, start, dist_fn, ef).ids.tolist()
+            start = found[0]
+            layer[i] = select(x, i, found, m, 1.0, strict=True)
+            cap = 2 * m if lvl == 0 else m
+            for c in layer[i]:
+                layer.setdefault(c, []).append(i)
+                if len(layer[c]) > cap:
+                    layer[c] = select(x, c, layer[c], cap, 1.0, strict=True)
+        if levels[i] > max_level:
+            entry, max_level = i, int(levels[i])
+    return entry, layers
 
 
 def sequential_vamana(
@@ -189,25 +250,59 @@ class TestVamanaBuildParity:
 
 
 class TestHnswBuildParity:
-    @pytest.mark.parametrize("batch_size", [2, 16, 32])
-    def test_batched_equals_sequential(self, x, batch_size):
-        sequential = build_hnsw(
-            x, m=6, ef_construction=24, seed=5, build_batch_size=1
+    @pytest.mark.parametrize(
+        "n, m, ef, seed", [(150, 6, 24, 5), (120, 4, 12, 1)]
+    )
+    def test_cap_one_is_sequential_insertion(self, x, n, m, ef, seed):
+        small = x[:n]
+        entry, layers = sequential_hnsw(small, m=m, ef=ef, seed=seed)
+        built = build_hnsw(
+            small, m=m, ef_construction=ef, seed=seed, build_batch_size=1
         )
-        batched = build_hnsw(
+        assert built.entry_point == entry
+        assert built.max_level == len(layers) - 1
+        assert [a.tolist() for a in built.adjacency] == list(layers[0].values())
+        assert [
+            [(v, nbrs.tolist()) for v, nbrs in layer.items()]
+            for layer in built.upper_layers
+        ] == [list(layer.items()) for layer in layers[1:]]
+
+    @pytest.mark.parametrize("batch_size", [2, 16, 32])
+    def test_batched_build_is_deterministic(self, x, batch_size):
+        a = build_hnsw(
             x, m=6, ef_construction=24, seed=5, build_batch_size=batch_size
         )
-        assert_hnsw_equal(sequential, batched)
+        b = build_hnsw(
+            x, m=6, ef_construction=24, seed=5, build_batch_size=batch_size
+        )
+        assert_hnsw_equal(a, b)
+        assert_hnsw_well_formed(a, hnsw_levels(x.shape[0], 6, 5), m=6)
+
+    def test_batched_recall_stays_at_cap_one(self):
+        data = load("sift", n_base=400, n_queries=200, seed=7)
+        recall = {
+            cap: exact_routing_recall(
+                build_hnsw(
+                    data.base, m=6, ef_construction=24, seed=5,
+                    build_batch_size=cap,
+                ),
+                data.base,
+                data.queries,
+            )
+            for cap in (1, 32)
+        }
+        assert recall[32] >= recall[1] - RECALL_SLACK, recall
 
     def test_batch_larger_than_dataset(self, x):
         small = x[:40]
-        sequential = build_hnsw(
-            small, m=4, ef_construction=12, seed=1, build_batch_size=1
-        )
-        batched = build_hnsw(
-            small, m=4, ef_construction=12, seed=1, build_batch_size=1000
-        )
-        assert_hnsw_equal(sequential, batched)
+        a = build_hnsw(small, m=4, ef_construction=12, seed=1, build_batch_size=1000)
+        b = build_hnsw(small, m=4, ef_construction=12, seed=1, build_batch_size=1000)
+        assert_hnsw_equal(a, b)
+        assert_hnsw_well_formed(a, hnsw_levels(40, 4, 1), m=4)
+
+    def test_invalid_batch_size(self, x):
+        with pytest.raises(ValueError):
+            build_hnsw(x[:20], m=4, ef_construction=8, build_batch_size=0)
 
 
 class TestNsgBuildParity:

@@ -231,38 +231,6 @@ class TestWorkspaceReuse:
         assert small_warm.counters["workspace_reused"].all()
         assert_same_answers(small_cold, small_warm)
 
-    def test_visited_bitset_is_cleared_only_for_callers_that_read_it(
-        self, setup
-    ):
-        data, _, graph = setup
-        base, queries = data.base, data.queries
-        packed = graph.packed()
-
-        def run(rows, workspace, collect):
-            def dist_fn(qidx, vertex_ids):
-                diff = base[vertex_ids] - queries[rows][qidx]
-                return np.einsum("ij,ij->i", diff, diff)
-
-            entries = np.full(len(rows), graph.entry_point, dtype=np.int64)
-            return beam_search_batch(
-                packed, entries, dist_fn, 12,
-                collect_visited=collect, workspace=workspace,
-            )
-
-        ws = KernelWorkspace()
-        first, second = [0, 1, 2, 3], [4, 5, 6, 7]
-        run(first, ws, collect=True)
-        dirty = ws.visited.copy()
-        assert dirty.any()
-        # A plain search neither reads nor pays for the bitset ...
-        run(second, ws, collect=False)
-        np.testing.assert_array_equal(ws.visited, dirty)
-        # ... and the next caller that wants it gets it cleared.
-        recycled = run(second, ws, collect=True)
-        fresh = run(second, KernelWorkspace(), collect=True)
-        for got, want in zip(recycled.visited_lists, fresh.visited_lists):
-            np.testing.assert_array_equal(got, want)
-
     def test_pool_recycles_and_reports(self):
         pool = WorkspacePool()
         ws = pool.acquire()

@@ -3,8 +3,8 @@
 ``tests/fixtures/graph_golden/expected.json`` holds the sha256 of every
 array :func:`graph_to_arrays` exports — the packed adjacency and, for
 HNSW, each upper layer — plus the graph's meta (entry point, level) for
-NSG, Vamana (sequential and batched) and HNSW built on a fixed sift
-sample.  A builder change that moves one edge fails here;
+NSG, Vamana and HNSW (each sequential and batched) built on a fixed
+sift sample.  A builder change that moves one edge fails here;
 ``test_build_parity`` only compares a builder with itself at different
 batch sizes.
 """
@@ -37,7 +37,13 @@ CASES = {
         params={**laptop_graph("vamana", seed=1).params, "build_batch_size": 1},
     ),
     "vamana_batched": laptop_graph("vamana", seed=1),
-    "hnsw": laptop_graph("hnsw", seed=1),
+    # Cap 1 again: the build recorded before HNSW inserted in batches.
+    "hnsw": GraphSpec(
+        "hnsw",
+        seed=1,
+        params={**laptop_graph("hnsw", seed=1).params, "build_batch_size": 1},
+    ),
+    "hnsw_batched": laptop_graph("hnsw", seed=1),
 }
 
 

@@ -71,7 +71,11 @@ def test_workbench_reproduces_the_old_harness():
     cases = {
         "memory_pq": IndexSpec(
             dataset=DatasetSpec("sift", n_base=400, n_queries=8),
-            graph=laptop_graph("hnsw"),
+            # Sequential insertion, the HNSW build the fixture saw.
+            graph=GraphSpec(
+                "hnsw",
+                params={**laptop_graph("hnsw").params, "build_batch_size": 1},
+            ),
             quantizer=QuantizerSpec("pq", 8, 16),
         ),
         "hybrid_rpq": IndexSpec(
